@@ -17,7 +17,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, InternalConsistencyError
 from .poly import Monomial, PolyError, SparsePoly
 
 
@@ -141,17 +141,10 @@ class Slab:
         k, p = self.ctx.k, self.ctx.p
         if k == 1:
             return Slab(self.ctx, self.level, (self.arr * c.coeffs[0]) % p)
-        out = _scalar_mul_block(self.arr, np.array(c.coeffs, dtype=np.int64), self.ctx)
-        return Slab(self.ctx, self.level, out)
-
-    def xshift(self, q: int) -> "Slab":
-        """Multiply by x^q."""
-        if q == 0:
-            return self
-        S, k, X = self.arr.shape
-        out = np.zeros((S, k, X + q), dtype=np.int64)
-        out[:, :, q:] = self.arr
-        return Slab(self.ctx, self.level, out)
+        raw = np.zeros((self.arr.shape[0], 2 * k - 1, self.arr.shape[2]), dtype=np.int64)
+        for i, ci in enumerate(c.coeffs):
+            raw[:, i:i + k] += ci * self.arr
+        return Slab(self.ctx, self.level, self.ctx.fold(raw, axis=1))
 
     def frobenius(self, e: int = 1) -> "Slab":
         """sigma^e applied to every coefficient (identity on prime fields)."""
@@ -166,7 +159,7 @@ class Slab:
     def pole_data(self, profile, n: int):
         """(pole_order, code, nu, coeff tuple) of the deepest pole at level n; None if zero.
 
-        Uses the distinct-valuation property of reduced monomials (asserted).
+        Uses the distinct-valuation property of reduced monomials (checked).
         """
         p = self.ctx.p
         nz = self.arr.any(axis=1)  # (S, X)
@@ -174,12 +167,13 @@ class Slab:
         if rows.size == 0:
             return None
         lastnu = self.arr.shape[2] - 1 - nz[rows, ::-1].argmax(axis=1)
-        weights = _code_weights(p, self.level, profile, n)[rows]
+        weights = code_weights(p, self.level, profile, n)[rows]
         poles = lastnu * p ** n + weights
         order = np.argsort(poles)[::-1]
         best = order[0]
-        assert rows.size == 1 or poles[order[1]] != poles[best], \
-            "tied pole orders: distinct-valuation property violated"
+        if rows.size > 1 and poles[order[1]] == poles[best]:
+            raise InternalConsistencyError(
+                "tied pole orders: distinct-valuation property violated")
         code, nu = int(rows[best]), int(lastnu[best])
         return int(poles[best]), code, nu, tuple(int(v) for v in self.arr[code, :, nu])
 
@@ -199,7 +193,7 @@ def digits_of(p: int, code: int, level: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _code_weights(p: int, level: int, profile, n: int) -> np.ndarray:
+def code_weights(p: int, level: int, profile, n: int) -> np.ndarray:
     """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..level."""
     S = p ** level
     w = np.zeros(S, dtype=np.int64)
@@ -226,26 +220,7 @@ def xconv(u: np.ndarray, v: np.ndarray, ctx: FieldCtx) -> np.ndarray:
         for j in range(k):
             if v[j].any():
                 raw[i + j] += np.convolve(u[i], v[j])
-    out = raw[:k]
-    red = ctx.reduction_matrix  # (k-1, k)
-    for s in range(k - 1):
-        if raw[k + s].any():
-            out += red[s][:, None] * raw[k + s][None, :]
-    return out % p
-
-
-def _scalar_mul_block(arr: np.ndarray, cvec: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """arr (S, k, X) times the scalar with coefficient vector cvec."""
-    p, k = ctx.p, ctx.k
-    raw = np.zeros((arr.shape[0], 2 * k - 1, arr.shape[2]), dtype=np.int64)
-    for i in range(k):
-        if cvec[i]:
-            raw[:, i : i + k] += cvec[i] * arr
-    out = raw[:, :k]
-    red = ctx.reduction_matrix
-    for s in range(k - 1):
-        out += red[s][None, :, None] * raw[:, k + s][:, None, :]
-    return out % p
+    return ctx.fold(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +245,6 @@ def mul(a: Slab, b: Slab, reducer: Reducer) -> Slab:
             prev = acc.get(dig)
             acc[dig] = block if prev is None else _grow_add(prev, block)
     return _finish_reduce(acc, ctx, lvl, reducer)
-
-
-def mul_many(factors: list[Slab], reducer: Reducer) -> Slab:
-    out = factors[0]
-    for f in factors[1:]:
-        out = mul(out, f, reducer)
-    return out
 
 
 def _grow_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,18 +307,12 @@ def _finish_reduce(acc: dict[tuple[int, ...], np.ndarray], ctx: FieldCtx, lvl: i
     return _materialize(ctx, lvl, done)
 
 
-def _one_slice_slab(ctx: FieldCtx, lvl: int, dig: tuple[int, ...], block: np.ndarray) -> Slab:
-    s = Slab.zeros(ctx, lvl, block.shape[1])
-    s.arr[code_of(ctx.p, dig)] = block
-    return s
-
-
 def pth_power(a: Slab, reducer: Reducer) -> Slab:
     """Reduced p-th power: Frobenius on coefficients, x-exponents times p,
     and y_j^(p*e) rewritten through the cached (y_j + f_j)^e products."""
     ctx = a.ctx
     p, k = ctx.p, ctx.k
-    out = Slab.zeros(ctx, a.level)
+    acc: dict[tuple[int, ...], np.ndarray] = {}
     frob = a.frobenius()
     for code in a.nonzero_codes().tolist():
         dig = digits_of(p, code, a.level)
@@ -359,9 +321,8 @@ def pth_power(a: Slab, reducer: Reducer) -> Slab:
         xb[:, ::p] = row
         mp = reducer.mask_pow(dig)  # level <= a.level since dig comes from a
         for mc in mp.nonzero_codes().tolist():
-            piece = xconv(xb, mp.arr[mc], ctx)
-            out.add_into(_one_slice_slab(ctx, a.level, digits_of(p, mc, a.level), piece))
-    return out.trim()
+            _merge_block(acc, digits_of(p, mc, a.level), xconv(xb, mp.arr[mc], ctx))
+    return _materialize(ctx, a.level, acc)
 
 
 # ---------------------------------------------------------------------------

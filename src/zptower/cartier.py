@@ -23,14 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import Slab, code_of, digits_of, mul as slab_mul, v_apply
+from ._slab import Slab, code_of, code_weights, digits_of, mul as slab_mul, v_apply
+from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .poly import Monomial, PolyError, SparsePoly
-from .tower import InternalConsistencyError, TowerState
+from .tower import TowerState
 
 TABLE_FORMAT_VERSION = 1
-
-BasisIndex = Monomial
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,9 @@ def _basis_layout(state: TowerState, n: int):
     and the starting column of that code's block in the basis ordering."""
     p = state.spec.p
     ram = state.ensure_ram(n)
-    S = p ** n
-    bound = np.full(S, -(p ** n) - 1, dtype=np.int64)
-    for j in range(1, n + 1):
-        dig = (np.arange(S) // p ** (j - 1)) % p
-        bound += p ** (n - j) * ram.d[j - 1] * (p - 1 - dig)
+    # sum_j p^(n-j) d_j (p-1-a_j) = W[top code] - W[code]
+    W = code_weights(p, n, ram.d, n)
+    bound = W[-1] - W - p ** n - 1
     numax = np.where(bound >= 0, bound // p ** n, -1)
     counts = np.maximum(numax + 1, 0)
     offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -95,7 +92,7 @@ def _basis_layout(state: TowerState, n: int):
     return numax, offsets, total
 
 
-def differential_basis(state: TowerState, n: int) -> list[BasisIndex]:
+def differential_basis(state: TowerState, n: int) -> list[Monomial]:
     """The monomial basis of regular differentials at level n, in column order."""
     state.ensure_ram(n)
     numax, _, _ = _basis_layout(state, n)
@@ -219,34 +216,35 @@ class CartierTables:
         path.write_text("\n".join(lines) + "\n")
 
     def _load_level(self, m: int) -> dict | None:
+        """The cached level-m table, or None (recompute) unless the file is whole:
+        it ends in a newline, every "K nu0 code count" block has `count` rows
+        "ycode nu c_0,..,c_(k-1)" of k coefficients, and all p^(m+1) keys appear."""
         path = self._cache_path(m)
         if path is None or not path.exists():
             return None
-        lines = path.read_text().splitlines()
-        try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, IndexError):
-            return None
-        if header != self._header(m):
-            return None  # version or spec mismatch: recompute
-        p = self.ctx.p
+        text = path.read_text()
+        lines = text.splitlines()
         table: dict[tuple[int, int], Slab] = {}
-        i = 1
-        while i < len(lines):
-            parts = lines[i].split()
-            assert parts[0] == "K"
-            nu0, code, count = int(parts[1]), int(parts[2]), int(parts[3])
-            entries = []
-            for row in lines[i + 1: i + 1 + count]:
-                yc, nu, cvec = row.split()
-                entries.append((int(yc), int(nu), [int(v) for v in cvec.split(",")]))
-            xcap = max((nu for _, nu, _ in entries), default=0) + 1
-            slab = Slab.zeros(self.ctx, m, xcap)
-            for yc, nu, cv in entries:
-                slab.arr[yc, :, nu] = cv
-            table[(nu0, code)] = slab
-            i += 1 + count
-        return table
+        try:
+            if not text.endswith("\n") or json.loads(lines[0]) != self._header(m):
+                return None  # half-written, or version or spec mismatch
+            i = 1
+            while i < len(lines):
+                tag, nu0, code, count = lines[i].split()
+                entries = [(int(yc), int(nu), [int(v) for v in cvec.split(",")])
+                           for yc, nu, cvec in map(str.split, lines[i + 1: i + 1 + int(count)])]
+                if tag != "K" or len(entries) != int(count) \
+                        or any(len(cv) != self.ctx.k for _, _, cv in entries):
+                    return None
+                xcap = max((nu for _, nu, _ in entries), default=0) + 1
+                slab = Slab.zeros(self.ctx, m, xcap)
+                for yc, nu, cv in entries:
+                    slab.arr[yc, :, nu] = cv
+                table[(int(nu0), int(code))] = slab
+                i += 1 + len(entries)
+        except (ValueError, IndexError):
+            return None
+        return table if len(table) == self.ctx.p ** (m + 1) else None
 
 
 def _embed_ym(term: Slab, i: int, m: int) -> Slab:
@@ -298,7 +296,7 @@ class CartierMatrix:
     """
 
     level: int
-    basis: list[BasisIndex]
+    basis: list[Monomial]
     matrix: DenseMatrix
 
     @property
@@ -334,7 +332,8 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
                 else:
                     M.data[rows, col] = coeffs
             col += 1
-    assert col == g
+    if col != g:
+        raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")
     return CartierMatrix(n, differential_basis(state, n), M)
 
 
@@ -399,12 +398,7 @@ def _y_derivative(slab: Slab, j: int) -> Slab:
 
 
 def _dy_slab(state: TowerState, j: int) -> Slab:
-    cache = getattr(state, "_dy_cache", None)
-    if cache is None:
-        cache = {}
-        state._dy_cache = cache
-    got = cache.get(j)
+    got = state.dy_cache.get(j)
     if got is None:
-        got = _differential_slab(state.layer_slab(j), state).scale(-1)
-        cache[j] = got
+        got = state.dy_cache[j] = _differential_slab(state.layer_slab(j), state).scale(-1)
     return got

@@ -26,10 +26,10 @@ from . import __version__
 from .analysis import constants, delta_values, discrepancies, fit_periodic
 from .cartier import cartier_matrix
 from .fixtures import SUITES, parse_fraction
-from .gf import field, parse_element
+from .gf import InternalConsistencyError, field, parse_element
 from .linalg import twisted_power_kernels
-from .tower import (InternalConsistencyError, RamificationData, TowerSpec, TowerState,
-                    classify_monodromy, closed_form_basic)
+from .tower import (RamificationData, TowerSpec, TowerState, classify_monodromy,
+                    closed_form_basic)
 
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 3
@@ -40,8 +40,12 @@ EXIT_INTERNAL = 3
 # ---------------------------------------------------------------------------
 
 def load_spec(path: str | Path, warn=None) -> TowerSpec:
-    data = json.loads(Path(path).read_text())
-    return spec_from_dict(data, warn=warn)
+    """Parse a spec file; any malformed content is a usage error (exit 2)."""
+    try:
+        return spec_from_dict(json.loads(Path(path).read_text()), warn=warn)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(
+            f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def spec_from_dict(data: dict, warn=None) -> TowerSpec:
@@ -58,10 +62,6 @@ def spec_from_dict(data: dict, warn=None) -> TowerSpec:
         reduced = [t.i for t in spec.terms if t.i % p == 0]
         warn(f"normalizing exponents divisible by p={p}: {reduced}")
     return spec.normalize()
-
-
-def save_spec(spec: TowerSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec.serialize(), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,18 @@ def verify_suite(name: str, depth: int | None = None, data_dir=None) -> SuiteRes
 # click commands
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _Main(click.Group):
+    """Every command exits EXIT_INTERNAL on an internal consistency failure."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InternalConsistencyError as exc:
+            click.echo(f"internal consistency failure: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Main)
 @click.option("--data-dir", envvar="ZPTOWER_DATA_DIR", default="zptower-data",
               show_default=True, help="directory for caches and the result store")
 @click.pass_context
@@ -289,8 +300,9 @@ def info(ctx, specfile, levels):
         click.echo(f"basic tower with ramification invariant d={d}")
         for m in range(1, levels + 1):
             g, dl, s = closed_form_basic(spec.p, d, m)
-            assert (g, dl, s) == (ram.g[m-1], ram.d[m-1], ram.s[m-1]), \
-                "closed form disagrees with computed invariants"
+            if (g, dl, s) != (ram.g[m-1], ram.d[m-1], ram.s[m-1]):
+                raise InternalConsistencyError(
+                    f"closed form disagrees with computed invariants at level {m}")
         click.echo("closed forms agree with computed invariants")
     if levels >= 4:
         click.echo("monodromy: " + classify_monodromy(spec, levels).describe())
@@ -304,12 +316,8 @@ def info(ctx, specfile, levels):
 def compute(ctx, specfile, levels, powers):
     """Build the tower and compute kernel dimensions of Cartier powers."""
     spec = load_spec(specfile, warn=lambda m: click.echo(f"warning: {m}", err=True))
-    try:
-        run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
-                    store=_store(ctx), echo=click.echo)
-    except InternalConsistencyError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+    run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
+                store=_store(ctx), echo=click.echo)
 
 
 @main.command()

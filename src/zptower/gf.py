@@ -22,6 +22,10 @@ class FieldError(ValueError):
     """Raised for unsupported field parameters or illegal element operations."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """A structural invariant failed; indicates a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # GF(p)[t] helpers (coefficient lists, little-endian), used only to pick and
 # validate the modulus.  Not performance sensitive.
@@ -262,6 +266,14 @@ class FieldCtx:
     @property
     def reduction_matrix(self) -> np.ndarray:
         return self._redmat
+
+    def fold(self, raw: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Reduce raw GF(p)[t] products of degree < 2k-1, laid out along `axis`,
+        to coefficient vectors: t^(k+s) becomes reduction_matrix[s]."""
+        k = self.k
+        raw = np.moveaxis(raw, axis, 0)
+        out = raw[:k] + np.tensordot(self._redmat.T, raw[k:], axes=1)
+        return np.ascontiguousarray(np.moveaxis(out % self.p, 0, axis))
 
     # -- identity --------------------------------------------------------------
 

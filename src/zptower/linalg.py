@@ -14,9 +14,12 @@ being reduced; callers may parallelize over independent matrices.
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterator
+
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, InternalConsistencyError
 
 _PANEL = 256
 _GEMM_CHUNK = 4_000_000  # float64 temp elements per matmul row chunk
@@ -90,17 +93,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
             blk = a[r0:r0 + chunk].astype(np.float64) @ bf
             out[r0:r0 + chunk] = blk.astype(np.int64) % p
         return out
-    # coefficient-vector product: convolve in t then reduce t^k.. via redmat
+    # coefficient-vector product: convolve in t, then fold t^k.. back
     raw = np.zeros((a.shape[0], b.shape[1], 2 * k - 1), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             raw[:, :, i + j] += (a[:, :, i].astype(np.float64)
                                  @ b[:, :, j].astype(np.float64)).astype(np.int64)
-    out = raw[:, :, :k] % p
-    red = ctx.reduction_matrix
-    for s in range(k - 1):
-        out += raw[:, :, k + s][:, :, None] % p * red[s][None, None, :]
-    return out % p
+    return ctx.fold(raw, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,8 @@ def rref(M: DenseMatrix) -> tuple[DenseMatrix, list[int]]:
         A = A[:, :, None]
     rows, cols = A.shape[0], A.shape[1]
     # T[i, j] = coefficient vector of t^(i+j) mod the field modulus
-    T = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                T[i, j, i + j] = 1
-            else:
-                T[i, j] = ctx.reduction_matrix[i + j - k]
+    T = ctx.fold(np.eye(2 * k - 1, dtype=np.int64)[np.add.outer(np.arange(k), np.arange(k))],
+                 axis=2)
     r = 0
     pivots = []
     for c in range(cols):
@@ -275,46 +269,46 @@ def kernel_basis(M: DenseMatrix) -> list[np.ndarray]:
     return basis
 
 
+def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
+    """a^(r) = kernel_dim(M sigma^-1(M) ... sigma^-(r-1)(M)) for r = 1, 2, ...
+
+    Each product is formed only when its value is requested, and none once the
+    kernel is the whole space.  The sequence must be nondecreasing with concave
+    increments; a violation raises InternalConsistencyError.
+    """
+    if not M.is_square():
+        raise LinAlgError("twisted powers need a square matrix")
+    dims: list[int] = []
+    N = M
+    while not dims or dims[-1] < M.cols:
+        if dims:
+            N = N @ M.frobenius_entrywise(-len(dims))
+        dims.append(kernel_dim(N))
+        if len(dims) >= 2 and dims[-1] < dims[-2]:
+            raise InternalConsistencyError(f"kernel dimensions decrease: {dims}")
+        if len(dims) >= 3 and dims[-1] - dims[-2] > dims[-2] - dims[-3]:
+            raise InternalConsistencyError(f"kernel increments not concave: {dims}")
+        yield dims[-1]
+    while True:
+        yield M.cols
+
+
 def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
     """Kernel dimensions of N_r = M sigma^-1(M) ... sigma^-(r-1)(M), r = 1..R.
 
     These are the kernel dimensions of the powers of the sigma^-1-semilinear
-    operator with matrix M (over prime fields simply M^r).  The sequence is
-    nondecreasing with concave increments; both are asserted.
+    operator with matrix M (over prime fields simply M^r).
     """
-    if not M.is_square():
-        raise LinAlgError("twisted powers need a square matrix")
-    dims = []
-    N = M
-    for r in range(1, R + 1):
-        if r > 1:
-            N = N @ M.frobenius_entrywise(-(r - 1))
-        dims.append(kernel_dim(N))
-        if len(dims) >= 2:
-            assert dims[-1] >= dims[-2], "kernel dimensions must be nondecreasing"
-        if len(dims) >= 3:
-            assert dims[-1] - dims[-2] <= dims[-2] - dims[-3], \
-                "kernel increments must be concave"
-        if M.cols and dims[-1] == M.cols:
-            dims.extend([M.cols] * (R - r))
-            break
-    return dims
+    return list(islice(_twisted_kernels(M), R))
 
 
 def kernels_to_stabilization(M: DenseMatrix, cap: int | None = None) -> list[int]:
     """Twisted-power kernel dimensions until two consecutive values agree."""
-    if not M.is_square():
-        raise LinAlgError("twisted powers need a square matrix")
     cap = M.cols + 1 if cap is None else cap
     dims: list[int] = []
-    N = M
-    for r in range(1, cap + 1):
-        if r > 1:
-            N = N @ M.frobenius_entrywise(-(r - 1))
-        dims.append(kernel_dim(N))
+    for d in _twisted_kernels(M):
+        dims.append(d)
         if len(dims) >= 2 and dims[-1] == dims[-2]:
             return dims
-        if dims[-1] == M.cols:
-            dims.append(M.cols)
-            return dims
-    raise LinAlgError("kernel filtration failed to stabilize within cap")
+        if len(dims) >= cap and d < M.cols:
+            raise LinAlgError("kernel filtration failed to stabilize within cap")

@@ -14,9 +14,9 @@ this implementation in the test suite.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, InternalConsistencyError
 
 
 class PolyError(ValueError):
@@ -126,15 +126,6 @@ class SparsePoly:
         a = tuple(1 if i == j else 0 for i in range(1, level + 1))
         return cls(ctx, level, {Monomial(0, a): ctx.one()})
 
-    @classmethod
-    def from_x_coeffs(cls, ctx: FieldCtx, coeffs: Iterable) -> "SparsePoly":
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = ctx.elem(c)
-            if not c.is_zero():
-                terms[Monomial(i, ())] = c
-        return cls(ctx, 0, terms)
-
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -176,9 +167,6 @@ class SparsePoly:
             if not v.is_zero():
                 out[m] = v
         return SparsePoly(self.ctx, self.level, out)
-
-    def frobenius_coefficients(self, e: int = 1) -> "SparsePoly":
-        return self.map_coefficients(lambda c: c ** (self.ctx.p ** (e % self.ctx.k)))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -320,7 +308,7 @@ def infinity_valuation(f: SparsePoly, profile: PoleProfile, n: int) -> int | flo
     """min over monomials of -(nu p^n + sum a_j d_j p^(n-j)); +inf for the zero polynomial.
 
     Requires reduced input: distinct reduced monomials have distinct
-    valuations (p does not divide any d_j), which is asserted on the fly.
+    valuations (p does not divide any d_j), which is checked on the fly.
     """
     if f.is_zero():
         return math.inf
@@ -330,7 +318,9 @@ def infinity_valuation(f: SparsePoly, profile: PoleProfile, n: int) -> int | flo
     seen: set[int] = set()
     for m in f.terms:
         v = profile.monomial_valuation(m, n)
-        assert v not in seen, f"duplicate valuation {v}: reduced monomials must separate"
+        if v in seen:
+            raise InternalConsistencyError(
+                f"duplicate valuation {v}: reduced monomials must separate")
         seen.add(v)
         if best is None or v < best:
             best = v

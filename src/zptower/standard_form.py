@@ -11,6 +11,7 @@ cancelling the leading term terminates with the minimal pole order.
 from __future__ import annotations
 
 from ._slab import Reducer, Slab, pth_power
+from .gf import InternalConsistencyError
 from .poly import Monomial, PoleProfile, PolyError, SparsePoly
 
 
@@ -46,7 +47,7 @@ def reduce_slab(f: Slab, reducer: Reducer, profile: PoleProfile, target_d: int
 
     Returns (f', Z) with ord(f') = -target_d and f' = f + Z-induced shifts,
     where Z accumulates the substitution y -> y + Z.  Every iteration must
-    strictly decrease the pole order (asserted).
+    strictly decrease the pole order (checked).
     """
     ctx = f.ctx
     p = ctx.p
@@ -66,14 +67,16 @@ def reduce_slab(f: Slab, reducer: Reducer, profile: PoleProfile, target_d: int
         z = Slab.monomial(ctx, z_mon, level=level)
         zp = pth_power(z, reducer)
         zp_pd = zp.pole_data(profile, level)
-        assert zp_pd is not None and zp_pd[0] == pole, "z^p pole order mismatch"
+        if zp_pd is None or zp_pd[0] != pole:
+            raise InternalConsistencyError("z^p pole order mismatch")
         lead_f = ctx.elem(coeffvec)
         lead_zp = ctx.elem(zp_pd[3])
         c_p = -lead_f / lead_zp
         c = c_p.frobenius_inverse()
         f = f + zp.scale(c_p) - z.scale(c)
         new_pd = f.pole_data(profile, level)
-        assert new_pd is not None and new_pd[0] < pole, "pole order failed to decrease"
+        if new_pd is None or new_pd[0] >= pole:
+            raise InternalConsistencyError("pole order failed to decrease")
         shift = shift + z.scale(c)
     return f.trim(), shift.trim()
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import standard_form as _sf
 from ._slab import Slab, mul as slab_mul
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, InternalConsistencyError
 from .poly import Monomial, PoleProfile, SparsePoly
 from .witt import (LENGTH_CAP, WittCtx, mul_by_p, peel_polynomials,
                    rhs_assemble, teichmuller, witt_zero)
@@ -31,18 +31,11 @@ class TowerError(ValueError):
     pass
 
 
-class InternalConsistencyError(RuntimeError):
-    """A structural invariant failed; indicates a bug, not bad input."""
-
-
 @dataclass(frozen=True)
 class Term:
     v: int
     c: FieldElement
     i: int
-
-    def serialize(self):
-        return {"v": self.v, "c": self.c.serialize(), "i": self.i}
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,9 @@ class TowerSpec:
         return LENGTH_CAP[self.p]
 
     def serialize(self) -> dict:
+        """The spec-file form that cli.spec_from_dict reads back."""
         out = {"p": self.p, "k": self.field.k, "name": self.name,
-               "terms": [t.serialize() for t in self.terms]}
+               "terms": [{"v": t.v, "c": t.c.serialize(), "i": t.i} for t in self.terms]}
         if self.field.k > 1:
             out["modulus"] = list(self.field.modulus)
         return out
@@ -188,7 +182,8 @@ def genus_from_breaks(p: int, s: Sequence[int], n: int) -> int:
     """2g - 2 = -2 p^n + sum phi(p^i)(s(i) + 1) over the projective line, one branch point."""
     val = -2 * p ** n + sum(euler_phi_prime_power(p, i) * (s[i - 1] + 1)
                             for i in range(1, n + 1))
-    assert val % 2 == 0, "odd Riemann-Hurwitz total"
+    if val % 2:
+        raise InternalConsistencyError("odd Riemann-Hurwitz total")
     return val // 2 + 1
 
 
@@ -208,8 +203,8 @@ class RamificationData:
         d = lower_breaks(spec.p, s)
         g = [genus_from_breaks(spec.p, s, m) for m in range(1, n + 1)]
         for m in range(1, len(d)):
-            assert d[m] >= (spec.p ** 2 - spec.p + 1) * d[m - 1], \
-                "lower-break growth bound violated"
+            if d[m] < (spec.p ** 2 - spec.p + 1) * d[m - 1]:
+                raise InternalConsistencyError("lower-break growth bound violated")
         return cls(spec.p, tuple(s), tuple(u), tuple(d), tuple(g))
 
     @property
@@ -395,6 +390,7 @@ class TowerState:
         self.ram: RamificationData | None = None
         self.chain = _LayerChain(self.spec, standardize=True, cache_dir=cache_dir)
         self.tables = None  # attached by cartier.CartierTables
+        self.dy_cache: dict[int, Slab] = {}  # d(y_j)/dx per level j, filled by cartier
 
     @property
     def level(self) -> int:
@@ -435,9 +431,6 @@ class TowerState:
 
     def genus(self, m: int) -> int:
         return self.ensure_ram(max(m, 1)).genus(m)
-
-    def lower_break(self, m: int) -> int:
-        return self.ensure_ram(m).d[m - 1]
 
 
 def layer_equations(spec: TowerSpec, n: int) -> list[SparsePoly]:

@@ -403,28 +403,33 @@ def _ensure_on_disk(p, length, kind, polys, cache_dir):
 
 
 def _load_universal(p, length, kind, cache_dir):
+    """Cached polynomials, or None (recompute) unless the file is whole: it ends
+    in a newline and holds `length` lines "nvars c:e_1,..;.." (or "nvars 0") with
+    the nvars of each polynomial and nvars exponents per term."""
     key = (p, length, kind)
     if key in _UNIVERSAL_MEM:
         return _UNIVERSAL_MEM[key]
     path = _cache_path(p, length, kind, cache_dir)
     if path is None or not path.exists():
         return None
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != _cache_header(p, length, kind):
-        return None  # version or key mismatch: recompute
+    text = path.read_text()
+    lines = text.splitlines()
+    if not text.endswith("\n") or lines[0].strip() != _cache_header(p, length, kind) \
+            or len(lines) != length + 1:
+        return None  # half-written, or version or key mismatch: recompute
     polys = []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        nv_s, body = line.split(" ", 1)
-        nv = int(nv_s)
+    for m, line in enumerate(lines[1:]):
+        nv = 2 * length if kind == "add" else m  # G_(m+1) lives in y_1..y_m
+        nv_s, _, body = line.partition(" ")
         terms = {}
-        if body != "0":
-            for chunk in body.split(";"):
+        try:
+            for chunk in body.split(";") if body != "0" else ():
                 c_s, e_s = chunk.split(":")
-                e = tuple(int(v) for v in e_s.split(",")) if e_s else ()
-                terms[e] = int(c_s)
+                terms[tuple(int(v) for v in e_s.split(",")) if e_s else ()] = int(c_s)
+            if int(nv_s) != nv or any(len(e) != nv for e in terms):
+                return None
+        except ValueError:
+            return None
         polys.append(WittPolynomial.from_dict(nv, terms))
     _UNIVERSAL_MEM[key] = polys
     return polys
@@ -462,22 +467,15 @@ class WittCtx:
     the per-characteristic LENGTH_CAP, since those are the expensive objects.
     """
 
-    __slots__ = ("p", "length", "cache_dir")
+    __slots__ = ("p", "length")
 
-    def __init__(self, p: int, length: int, cache_dir: str | os.PathLike | None = None):
+    def __init__(self, p: int, length: int):
         if p not in LENGTH_CAP:
             raise WittError(f"unsupported characteristic {p}")
         if not 1 <= length <= 16:
             raise WittError(f"Witt length {length} out of range 1..16")
         self.p = p
         self.length = length
-        self.cache_dir = cache_dir
-
-    def addition_polynomials(self) -> list[WittPolynomial]:
-        return addition_polynomials(self.p, self.length, self.cache_dir)
-
-    def peel_polynomials(self) -> list[WittPolynomial]:
-        return peel_polynomials(self.p, self.length, self.cache_dir)
 
     def __repr__(self):
         return f"WittCtx(p={self.p}, length={self.length})"
@@ -519,8 +517,8 @@ class WittVector:
                 and all(a == b for a, b in zip(self.components, other.components)))
 
 
-def witt_zero(ctx: WittCtx, field: FieldCtx, level: int = 0) -> WittVector:
-    return WittVector(ctx, tuple(SparsePoly.zero(field, level) for _ in range(ctx.length)))
+def witt_zero(ctx: WittCtx, field: FieldCtx) -> WittVector:
+    return WittVector(ctx, tuple(SparsePoly.zero(field) for _ in range(ctx.length)))
 
 
 def teichmuller(ctx: WittCtx, f: SparsePoly) -> WittVector:
@@ -579,16 +577,11 @@ def _ring_for(field: FieldCtx) -> _LiftRing:
     return _LiftRing(field.p, field.k, field.modulus)
 
 
-def _aligned(u: WittVector, v: WittVector) -> int:
-    level = max(u.components[0].level, v.components[0].level)
-    return level
-
-
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
     field = u.field
     if field != v.field:
         raise WittError("mixed-field Witt addition")
-    level = _aligned(u, v)
+    level = max(u.components[0].level, v.components[0].level)
     u = WittVector(u.ctx, tuple(c.at_level(level) for c in u.components))
     v = WittVector(v.ctx, tuple(c.at_level(level) for c in v.components))
     ring = _ring_for(field)
@@ -602,14 +595,6 @@ def witt_negate(w: WittVector) -> WittVector:
     ring = _ring_for(field)
     comps = _combine([(-1, _lift_vector(w, ring))], w.ctx.length, w.ctx.p, ring)
     return _restore_vector(comps, w.ctx, field, w.components[0].level)
-
-
-def witt_sum(ctx: WittCtx, vectors: Sequence[WittVector], field: FieldCtx,
-             level: int = 0) -> WittVector:
-    acc = witt_zero(ctx, field, level)
-    for v in vectors:
-        acc = acc + v
-    return acc
 
 
 def rhs_assemble(terms: Sequence[tuple[int, object, int]], ctx: WittCtx,

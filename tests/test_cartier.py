@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import random_poly
 from zptower.cartier import (CartierTables, DifferentialForm, base_cartier,
@@ -170,6 +171,30 @@ def test_table_cache_roundtrip(tmp_path):
     st3 = TowerState(spec, cache_dir=tmp_path)
     m3 = cartier_matrix(st3, 2)
     assert (m3.matrix.data == m1.matrix.data).all()
+
+
+def _cuts(text):
+    """Every line boundary short of the whole file, plus one cut mid-line."""
+    ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    return [0] + ends[:-1] + [ends[len(ends) // 2] - 3]
+
+
+@pytest.mark.parametrize("p,terms,m", [(3, [(0, 1, 5), (0, 2, 2)], 2),
+                                       (2, [(0, 1, 5), (0, 1, 3)], 3)])
+def test_truncated_table_cache_is_a_miss(tmp_path, p, terms, m):
+    # a damaged table file is recomputed (and rewritten), never loaded short
+    spec = TowerSpec.make(field(p), terms, name="t")
+    want = CartierTables(TowerState(spec)).table(m)
+    state = TowerState(spec, cache_dir=tmp_path)
+    CartierTables(state).ensure(m)
+    path = tmp_path / "cartier" / spec.spec_hash() / f"tables_L{m}.txt"
+    text = path.read_text()
+    for cut in _cuts(text):
+        path.write_text(text[:cut])
+        got = CartierTables(state).table(m)
+        assert got.keys() == want.keys(), cut
+        assert all(np.array_equal(got[key].arr, want[key].arr) for key in want), cut
+        assert path.read_text() == text
 
 
 def test_twisted_kernels_extension_field():

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from zptower.cli import (ResultRecord, Store, load_spec, main, run_compute,
                          spec_from_dict, verify_suite)
-from zptower.gf import field
+from zptower.gf import InternalConsistencyError, field
 from zptower.tower import TowerSpec
 
 
@@ -142,3 +142,30 @@ def test_usage_error_exit_code(runner):
 def test_record_roundtrip():
     rec = ResultRecord("h", "n", 3, 1, 7, 2, 66, (25, 36), 0.1, "0.1.0", "t")
     assert ResultRecord.deserialize(rec.serialize()) == rec
+
+
+@pytest.mark.parametrize("spec", [{"name": "np", "terms": [{"v": 0, "c": 1, "i": 7}]},
+                                  {"name": "ni", "p": 3, "terms": [{"v": 0, "c": 1}]}],
+                         ids=["missing-p", "term-missing-i"])
+def test_malformed_spec_is_usage_error(runner, tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "compute", str(path)])
+    assert r.exit_code == 2, r.output
+    assert "malformed spec file" in r.output
+
+
+def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkeypatch):
+    import itertools
+
+    import zptower.linalg as linalg
+    import zptower.tower as tower
+    assert tower.InternalConsistencyError is InternalConsistencyError
+    # a^(1) = 5, a^(2) = 3: kernel dimensions may never decrease
+    fake = itertools.cycle([5, 3])
+    monkeypatch.setattr(linalg, "kernel_dim", lambda N: next(fake))
+    for cmd in ("compute", "fit"):
+        r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), cmd, str(specfile),
+                                 "-n", "1", "-r", "2"])
+        assert r.exit_code == 3, (cmd, r.output)
+        assert "internal consistency failure" in r.output

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zptower.gf import field
+from zptower.gf import InternalConsistencyError, field
 from zptower.linalg import (DenseMatrix, LinAlgError, kernel_basis, kernel_dim,
                             kernels_to_stabilization, rank, twisted_power_kernels)
 
@@ -135,6 +135,15 @@ def test_kernel_filtration_properties(rng):
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         incs = [b - a for a, b in zip([0] + dims, dims)]
         assert all(a >= b for a, b in zip(incs, incs[1:]))
+
+
+@pytest.mark.parametrize("seq", [[2, 1], [1, 3, 6]], ids=["decreasing", "convex"])
+def test_twisted_kernel_invariants_checked(seq, monkeypatch):
+    import zptower.linalg as linalg
+    fake = iter(seq)
+    monkeypatch.setattr(linalg, "kernel_dim", lambda N: next(fake))
+    with pytest.raises(InternalConsistencyError):
+        twisted_power_kernels(DenseMatrix.zeros(F3, 8, 8), len(seq))
 
 
 def test_kernels_to_stabilization():

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_poly
 from zptower._slab import Slab, mul as slab_mul, pth_power, v_apply
 from zptower.gf import field
-from zptower.poly import SparsePoly, reduce_to_monomial_basis
+from zptower.poly import reduce_to_monomial_basis
 from zptower.tower import TowerSpec, TowerState
 from zptower.witt import poly_pth_power
 
@@ -61,7 +61,6 @@ def test_add_scale_shift(chainenv, rng):
     assert (Slab.from_sparse(f) - Slab.from_sparse(g)).to_sparse() == f - g
     c = ctx.random_element(rng)
     assert Slab.from_sparse(f).scale(c).to_sparse() == f * c
-    assert Slab.from_sparse(f).xshift(3).to_sparse() == f * SparsePoly.x_power(ctx, 3)
 
 
 def test_frobenius_on_coefficients(rng):

@@ -175,3 +175,18 @@ def test_disk_cache_roundtrip(tmp_path):
     witt_mod._UNIVERSAL_MEM.clear()
     g = peel_polynomials(2, 2, cache_dir=tmp_path)
     assert g[1].as_dict() == {(2,): 1, (3,): 1}
+
+
+def test_truncated_universal_cache_is_a_miss(tmp_path, monkeypatch):
+    import zptower.witt as witt_mod
+    monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
+    for kind, polys in (("add", addition_polynomials), ("peel", peel_polynomials)):
+        want = polys(2, 3, cache_dir=tmp_path)
+        path = tmp_path / f"witt_{kind}_p2_len3.txt"
+        text = path.read_text()
+        ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        for cut in [0] + ends[:-1] + [ends[-1] // 2]:
+            path.write_text(text[:cut])
+            witt_mod._UNIVERSAL_MEM.clear()
+            assert witt_mod._load_universal(2, 3, kind, tmp_path) is None, (kind, cut)
+            assert polys(2, 3, cache_dir=tmp_path) == want
