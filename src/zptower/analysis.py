@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cartier import DifferentialForm, cartier_apply, cartier_matrix, trace_map
+from .gf import InternalConsistencyError
 from .linalg import kernel_basis
 from .poly import SparsePoly
 from .tower import RamificationData, TowerState
@@ -229,7 +230,8 @@ def elementary_divisors(profile: KernelProfile) -> list[int]:
         out.append(m_i)
     while out and out[-1] == 0:
         out.pop()
-    assert sum(i * m for i, m in enumerate(out, start=1)) == profile.a[-1]
+    if sum(i * m for i, m in enumerate(out, start=1)) != profile.a[-1]:
+        raise InternalConsistencyError("multiplicities do not recover the kernel dimension")
     return out
 
 
@@ -260,7 +262,8 @@ def anumber_basic_p2(d: int, n: int) -> int:
         raise AnalysisError("closed form applies to levels n >= 1")
     shift = 3 if d % 4 == 1 else -3
     val = Fraction(d, 24) * 2 ** (2 * n) + Fraction(d + shift, 12)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise InternalConsistencyError(f"a-number closed form {val} not integral")
     return int(val)
 
 
@@ -381,7 +384,8 @@ def trace_bound_check(state: TowerState) -> TraceBoundReport:
             if not c.is_zero():
                 terms[m] = c
         eta = DifferentialForm(SparsePoly(ctx, 1, terms), 1)
-        assert cartier_apply(eta, state).is_zero(), "kernel vector not killed by V"
+        if not cartier_apply(eta, state).is_zero():
+            raise InternalConsistencyError("kernel vector not killed by V")
         tr = trace_map(eta).poly
         if tr.is_zero():
             order = math.inf

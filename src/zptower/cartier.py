@@ -3,7 +3,7 @@
 Regular differentials at level n have an explicit monomial basis
 x^nu y_1^a_1 ... y_n^a_n dx indexed by the set where every a_i < p and
 0 <= p^n nu <= sum_j p^(n-j) d_j (p-1-a_j) - p^n - 1, valid once the layers
-are in standard form; its cardinality equals the genus, which is asserted on
+are in standard form; its cardinality equals the genus, which is checked on
 every construction.
 
 The operator is evaluated recursively: writing y_n^a = (y_n^p - f_n)^a and
@@ -28,8 +28,9 @@ from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .poly import Monomial, PolyError, SparsePoly
 from .tower import TowerState
+from .witt import read_cache, write_cache
 
-TABLE_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -197,38 +198,34 @@ class CartierTables:
         h = self.state.spec.spec_hash()
         return Path(self.state.cache_dir) / "cartier" / h / f"tables_L{m}.txt"
 
-    def _header(self, m: int) -> dict:
-        return {"format_version": TABLE_FORMAT_VERSION, "p": self.ctx.p,
-                "k": self.ctx.k, "spec_hash": self.state.spec.spec_hash(), "level": m}
+    def _header(self, m: int) -> str:
+        return json.dumps({"format_version": TABLE_FORMAT_VERSION, "p": self.ctx.p,
+                           "k": self.ctx.k, "spec_hash": self.state.spec.spec_hash(),
+                           "level": m}, sort_keys=True)
 
     def _store_level(self, m: int) -> None:
         path = self._cache_path(m)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps(self._header(m), sort_keys=True)]
+        lines = []
         for (nu0, code), slab in sorted(self.levels[m].items()):
             codes, xs = np.nonzero(slab.arr.any(axis=1))
             lines.append(f"K {nu0} {code} {codes.size}")
             for yc, nu in zip(codes.tolist(), xs.tolist()):
                 cvec = ",".join(str(int(v)) for v in slab.arr[yc, :, nu])
                 lines.append(f"{yc} {nu} {cvec}")
-        path.write_text("\n".join(lines) + "\n")
+        write_cache(path, self._header(m), lines)
 
     def _load_level(self, m: int) -> dict | None:
-        """The cached level-m table, or None (recompute) unless the file is whole:
-        it ends in a newline, every "K nu0 code count" block has `count` rows
+        """The cached level-m table, or None (recompute) unless read_cache accepts
+        the file, every "K nu0 code count" block has `count` rows
         "ycode nu c_0,..,c_(k-1)" of k coefficients, and all p^(m+1) keys appear."""
-        path = self._cache_path(m)
-        if path is None or not path.exists():
+        lines = read_cache(self._cache_path(m), self._header(m))
+        if lines is None:
             return None
-        text = path.read_text()
-        lines = text.splitlines()
         table: dict[tuple[int, int], Slab] = {}
         try:
-            if not text.endswith("\n") or json.loads(lines[0]) != self._header(m):
-                return None  # half-written, or version or spec mismatch
-            i = 1
+            i = 0
             while i < len(lines):
                 tag, nu0, code, count = lines[i].split()
                 entries = [(int(yc), int(nu), [int(v) for v in cvec.split(",")])

@@ -48,6 +48,15 @@ def load_spec(path: str | Path, warn=None) -> TowerSpec:
             f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _load_for_levels(path: str | Path, levels: int, warn=None) -> TowerSpec:
+    """load_spec, and a usage error when `levels` exceeds the spec's supported depth."""
+    spec = load_spec(path, warn=warn)
+    if levels > spec.max_level():
+        raise click.UsageError(f"{path}: level {levels} beyond the supported depth "
+                               f"{spec.max_level()} for p={spec.p}")
+    return spec
+
+
 def spec_from_dict(data: dict, warn=None) -> TowerSpec:
     p = int(data["p"])
     k = int(data.get("k", 1))
@@ -283,7 +292,7 @@ def _store(ctx) -> Store:
 
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True))
-@click.option("--levels", "-n", default=4, show_default=True)
+@click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(1, 16))
 @click.pass_context
 def info(ctx, specfile, levels):
     """Breaks, conductors, genera, closed forms, and monodromy classification."""
@@ -310,29 +319,30 @@ def info(ctx, specfile, levels):
 
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True))
-@click.option("--levels", "-n", default=2, show_default=True)
-@click.option("--powers", "-r", default=1, show_default=True)
+@click.option("--levels", "-n", default=2, show_default=True, type=click.IntRange(min=0))
+@click.option("--powers", "-r", default=1, show_default=True, type=click.IntRange(min=1))
 @click.pass_context
 def compute(ctx, specfile, levels, powers):
     """Build the tower and compute kernel dimensions of Cartier powers."""
-    spec = load_spec(specfile, warn=lambda m: click.echo(f"warning: {m}", err=True))
+    spec = _load_for_levels(specfile, levels,
+                            warn=lambda m: click.echo(f"warning: {m}", err=True))
     run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
                 store=_store(ctx), echo=click.echo)
 
 
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True))
-@click.option("--levels", "-n", default=4, show_default=True)
-@click.option("--powers", "-r", default=1, show_default=True)
+@click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(min=4))
+@click.option("--powers", "-r", default=1, show_default=True, type=click.IntRange(min=1))
 @click.pass_context
 def fit(ctx, specfile, levels, powers):
     """Compute kernel dimensions and fit the periodic growth law per power."""
-    spec = load_spec(specfile)
-    recs = run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
-                       store=_store(ctx))
+    spec = _load_for_levels(specfile, levels)
     if not spec.is_basic:
         click.echo("fit requires a basic tower (coefficients in the field itself)")
         sys.exit(2)
+    recs = run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
+                       store=_store(ctx))
     d = spec.ramification_invariant
     for r in range(1, powers + 1):
         series = [rec.a_r[r - 1] for rec in recs if rec.level >= 1]
@@ -346,8 +356,8 @@ def fit(ctx, specfile, levels, powers):
 
 @main.command()
 @click.argument("specdir", type=click.Path(exists=True, file_okay=False))
-@click.option("--levels", "-n", default=2, show_default=True)
-@click.option("--powers", "-r", default=1, show_default=True)
+@click.option("--levels", "-n", default=2, show_default=True, type=click.IntRange(min=0))
+@click.option("--powers", "-r", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--jobs", "-j", default=1, show_default=True)
 @click.pass_context
 def scan(ctx, specdir, levels, powers, jobs):
@@ -356,6 +366,8 @@ def scan(ctx, specdir, levels, powers, jobs):
     if not paths:
         click.echo("no spec files found", err=True)
         sys.exit(2)
+    for path in paths:  # every file is checked before any work starts
+        _load_for_levels(path, levels)
     store = _store(ctx)
     data_dir = ctx.obj["data_dir"]
     if jobs <= 1:

@@ -201,7 +201,7 @@ class FieldCtx:
             c = raw[k + s]
             if c:
                 for j in range(k):
-                    out[j] += c * self._redmat[s, j]
+                    out[j] += c * int(self._redmat[s, j])
         return tuple(v % p for v in out)
 
     def _pow_vec(self, a: Sequence[int], e: int) -> tuple[int, ...]:

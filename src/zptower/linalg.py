@@ -113,7 +113,7 @@ def rank(M: DenseMatrix) -> int:
         return _rank_generic(M)
     if M.ctx.p == 2:
         return _rank_gf2_bitpacked(M.data)
-    return _rank_blocked(M.data.copy(), M.ctx.p)
+    return _rank_blocked(M.data, M.ctx.p)
 
 
 def kernel_dim(M: DenseMatrix) -> int:
@@ -149,7 +149,8 @@ def _rank_gf2_bitpacked(data: np.ndarray) -> int:
 
 
 def _rank_blocked(Ai: np.ndarray, p: int) -> int:
-    """Blocked LU-style rank over GF(p), running entirely in float64.
+    """Blocked LU-style rank over GF(p), running entirely in float64 on a
+    private copy (Ai is only read).
 
     Everything stays an exact integer: multipliers and pivot rows are reduced
     mod p before use, so one trailing GEMM adds at most _PANEL * (p-1)^2 in

@@ -36,7 +36,8 @@ def monomial_with_pole_order(w: int, profile: PoleProfile, level: int) -> Monomi
         w -= aj * dj
         if w < 0:
             raise PolyError("no monomial with the requested pole order (nu < 0)")
-        assert w % p == 0
+        if w % p:
+            raise InternalConsistencyError(f"pole-order remainder {w} not divisible by p")
         w //= p
     return Monomial(w, tuple(a))
 

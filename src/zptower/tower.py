@@ -23,8 +23,7 @@ from . import standard_form as _sf
 from ._slab import Slab, mul as slab_mul
 from .gf import FieldCtx, FieldElement, InternalConsistencyError
 from .poly import Monomial, PoleProfile, SparsePoly
-from .witt import (LENGTH_CAP, WittCtx, mul_by_p, peel_polynomials,
-                   rhs_assemble, teichmuller, witt_zero)
+from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
 
 class TowerError(ValueError):
@@ -125,27 +124,19 @@ def coefficient_valuations(spec: TowerSpec, n: int) -> dict[int, int]:
     """p-adic valuation of the total Witt coefficient per exponent, capped at n.
 
     Terms sharing an exponent are summed exactly in W_n(k); cancellations are
-    therefore detected (never approximated by a min of valuations).  A value
-    of n means "no contribution below level n".
+    therefore detected (never approximated by a min of valuations).  The sum
+    (sum p^v [c]) [x^i] has its first nonzero component where the coefficient
+    sum does.  A value of n means "no contribution below level n".
     """
     if not spec.is_normalized:
         spec = spec.normalize()
-    wctx = WittCtx(spec.p, n)
-    groups: dict[int, list[Term]] = {}
+    groups: dict[int, list[tuple]] = {}
     for t in spec.terms:
-        groups.setdefault(t.i, []).append(t)
+        groups.setdefault(t.i, []).append((t.v, t.c, t.i))
     out = {}
     for i, terms in groups.items():
-        acc = witt_zero(wctx, spec.field)
-        for t in terms:
-            tv = teichmuller(wctx, SparsePoly.constant(spec.field, t.c))
-            acc = acc + (mul_by_p(tv, t.v) if t.v else tv)
-        v = n
-        for idx, comp in enumerate(acc.components):
-            if not comp.is_zero():
-                v = idx
-                break
-        out[i] = v
+        comps = rhs_components(terms, n, spec.field)
+        out[i] = next((idx for idx, comp in enumerate(comps) if comp), n)
     return out
 
 
@@ -239,7 +230,8 @@ def closed_form_basic(p: int, d: int, n: int) -> tuple[int, int, int]:
         + Fraction(p + 1 - d, 2 * (p + 1))
     d_low = Fraction(d * (p ** (2 * n - 1) + 1), p + 1)
     s = d * p ** (n - 1)
-    assert g.denominator == 1 and d_low.denominator == 1
+    if g.denominator != 1 or d_low.denominator != 1:
+        raise InternalConsistencyError("closed-form genus or lower break not integral")
     return int(g), int(d_low), s
 
 
@@ -269,8 +261,8 @@ def classify_monodromy(spec: TowerSpec, N: int) -> MonodromyClass:
         raise TowerError("classification needs at least 4 levels")
     p = spec.p
     s, _ = breaks_and_conductor(spec, N)
-    for m in range(1, N - 1):
-        assert s[m] > s[m - 1], "upper breaks must strictly increase"
+    if any(s[m] <= s[m - 1] for m in range(1, N - 1)):
+        raise InternalConsistencyError("upper breaks must strictly increase")
     for m in range(1, N // 2 + 1):
         d = Fraction(s[N - 1] - s[N - 1 - m], p ** (N - 1) - p ** (N - 1 - m))
         resid = [Fraction(s[i]) - d * p ** i for i in range(N)]
@@ -361,10 +353,14 @@ class _LayerChain:
             out = inner if out is None else (out + inner)
         return out.trim()
 
-    def build_level(self, m: int, rhs_component: SparsePoly, d_m: int) -> None:
-        assert len(self.layers) == m - 1, "levels must be built in order"
+    def build_level(self, m: int, rhs_component: dict, d_m: int) -> None:
+        """Layer m from the m-th right-hand-side component {(nu,): coeff}."""
+        if len(self.layers) != m - 1:
+            raise InternalConsistencyError("levels must be built in order")
         peel = peel_polynomials(self.spec.p, m, self.cache_dir)[m - 1]
-        raw = Slab.from_sparse(rhs_component, level=0)
+        raw = Slab.zeros(self.ctx, 0, max((nu for nu, in rhs_component), default=0) + 1)
+        for (nu,), c in rhs_component.items():
+            raw.arr[0, :, nu] = c
         correction = self._eval_terms(list(peel.as_dict().items()), m - 1)
         f = (raw.at_level(m - 1) - correction).trim()
         y_m = Slab.monomial(self.ctx, Monomial(0, (0,) * (m - 1) + (1,)))
@@ -408,8 +404,7 @@ class TowerState:
         if n <= self.level:
             return self
         ram = self.ensure_ram(n)
-        comps = rhs_assemble([(t.v, t.c, t.i) for t in self.spec.terms],
-                             WittCtx(self.spec.p, n), self.field).components
+        comps = rhs_components([(t.v, t.c, t.i) for t in self.spec.terms], n, self.field)
         profile_all = ram.profile(n)
         for m in range(self.level + 1, n + 1):
             self.chain.build_level(m, comps[m - 1], ram.d[m - 1])
@@ -442,8 +437,7 @@ def layer_equations(spec: TowerSpec, n: int) -> list[SparsePoly]:
     if n > spec.max_level():
         raise TowerError(f"level {n} beyond supported Witt length for p={spec.p}")
     ram = RamificationData.compute(spec, n)
-    comps = rhs_assemble([(t.v, t.c, t.i) for t in spec.terms],
-                         WittCtx(spec.p, n), spec.field).components
+    comps = rhs_components([(t.v, t.c, t.i) for t in spec.terms], n, spec.field)
     chain = _LayerChain(spec, standardize=False)
     for m in range(1, n + 1):
         chain.build_level(m, comps[m - 1], ram.d[m - 1])

@@ -12,20 +12,20 @@ Three consumers share the engine:
   * universal addition polynomials S_0..S_{len-1} (cached per (p, len)),
   * universal "peel" polynomials giving each layer equation of a tower as
     y_m^p - y_m + G_m(y_1..y_{m-1}),
-  * concrete vector arithmetic (add, negate, multiply by p, Frobenius) used
-    to assemble tower right-hand sides.
+  * tower right-hand sides sum p^v [c x^i], added in one pass.
 
-Concrete vectors lift coefficients of GF(p^k) to integer tuples reduced by an
+Right-hand sides lift coefficients of GF(p^k) to integer tuples reduced by an
 integer lift of the field modulus; functoriality of Witt arithmetic under the
 reduction map makes the mod-p result independent of the lift.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .gf import FieldCtx
 from .poly import Monomial, SparsePoly
@@ -34,7 +34,7 @@ from .poly import Monomial, SparsePoly
 #: in the pipeline are bounded by these).
 LENGTH_CAP = {2: 8, 3: 6, 5: 4, 7: 2, 11: 2, 13: 2}
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class WittError(ValueError):
@@ -59,9 +59,6 @@ class _LiftRing:
         self.p = p
         self.k = k
         self.modulus = tuple(modulus)
-
-    def zero(self):
-        return 0 if self.k == 1 else (0,) * self.k
 
     def is_zero(self, a) -> bool:
         return a == 0 if self.k == 1 else not any(a)
@@ -306,22 +303,6 @@ class WittPolynomial:
             out = out + term
         return out
 
-    def render(self, names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            factors = [f"{names[i]}^{ei}" if ei > 1 else names[i]
-                       for i, ei in enumerate(e) if ei]
-            body = "*".join(factors)
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts)
-
 
 def _var(nvars: int, i: int, power: int = 1) -> dict:
     e = [0] * nvars
@@ -385,6 +366,37 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
     return polys
 
 
+# -- cache files: header line with a body digest, replaced atomically ---------
+
+def read_cache(path: Path | None, header: str) -> list[str] | None:
+    """Body lines of a file written by write_cache, or None (a cache miss) when
+    it is absent, half-written, of another header, or its body digest differs."""
+    if path is None or not path.exists():
+        return None
+    text = path.read_text(errors="replace")  # undecodable bytes fail the digest check
+    head, _, body = text.partition("\n")
+    if not text.endswith("\n") or head != f"{header} sha256={_sha256(body)}":
+        return None
+    return body.splitlines()
+
+
+def write_cache(path: Path, header: str, lines: Sequence[str]) -> None:
+    """Write header, body digest and lines through a per-process temporary file
+    in the same directory, renamed into place; a failed write removes it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    body = "".join(line + "\n" for line in lines)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(f"{header} sha256={_sha256(body)}\n{body}")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # -- universal cache (memory + versioned text files) -------------------------
 
 _UNIVERSAL_MEM: dict[tuple, list[WittPolynomial]] = {}
@@ -403,22 +415,17 @@ def _ensure_on_disk(p, length, kind, polys, cache_dir):
 
 
 def _load_universal(p, length, kind, cache_dir):
-    """Cached polynomials, or None (recompute) unless the file is whole: it ends
-    in a newline and holds `length` lines "nvars c:e_1,..;.." (or "nvars 0") with
-    the nvars of each polynomial and nvars exponents per term."""
+    """Cached polynomials, or None (recompute) unless read_cache accepts the file
+    and it holds `length` lines "nvars c:e_1,..;.." (or "nvars 0") with the
+    nvars of each polynomial and nvars exponents per term."""
     key = (p, length, kind)
     if key in _UNIVERSAL_MEM:
         return _UNIVERSAL_MEM[key]
-    path = _cache_path(p, length, kind, cache_dir)
-    if path is None or not path.exists():
+    lines = read_cache(_cache_path(p, length, kind, cache_dir), _cache_header(p, length, kind))
+    if lines is None or len(lines) != length:
         return None
-    text = path.read_text()
-    lines = text.splitlines()
-    if not text.endswith("\n") or lines[0].strip() != _cache_header(p, length, kind) \
-            or len(lines) != length + 1:
-        return None  # half-written, or version or key mismatch: recompute
     polys = []
-    for m, line in enumerate(lines[1:]):
+    for m, line in enumerate(lines):
         nv = 2 * length if kind == "add" else m  # G_(m+1) lives in y_1..y_m
         nv_s, _, body = line.partition(" ")
         terms = {}
@@ -444,88 +451,16 @@ def _store_universal(p, length, kind, polys, cache_dir):
     path = _cache_path(p, length, kind, cache_dir)
     if path is None:
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [_cache_header(p, length, kind)]
+    lines = []
     for poly in polys:
-        if not poly.terms:
-            lines.append(f"{poly.nvars} 0")
-            continue
         body = ";".join(f"{c}:{','.join(map(str, e))}" for e, c in poly.terms)
-        lines.append(f"{poly.nvars} {body}")
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(f"{poly.nvars} {body or 0}")
+    write_cache(path, _cache_header(p, length, kind), lines)
 
 
 # ---------------------------------------------------------------------------
-# concrete Witt vectors
+# tower right-hand sides
 # ---------------------------------------------------------------------------
-
-class WittCtx:
-    """Truncation parameters; immutable and shareable across threads.
-
-    Concrete vector arithmetic works at any modest length (the ghost engine
-    is cheap on concrete components); only the universal polynomials enforce
-    the per-characteristic LENGTH_CAP, since those are the expensive objects.
-    """
-
-    __slots__ = ("p", "length")
-
-    def __init__(self, p: int, length: int):
-        if p not in LENGTH_CAP:
-            raise WittError(f"unsupported characteristic {p}")
-        if not 1 <= length <= 16:
-            raise WittError(f"Witt length {length} out of range 1..16")
-        self.p = p
-        self.length = length
-
-    def __repr__(self):
-        return f"WittCtx(p={self.p}, length={self.length})"
-
-
-@dataclass(frozen=True)
-class WittVector:
-    """Length-n vector of SparsePoly components over one field context."""
-
-    ctx: WittCtx
-    components: tuple[SparsePoly, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.ctx.length:
-            raise WittError(
-                f"expected {self.ctx.length} components, got {len(self.components)}")
-
-    @property
-    def field(self) -> FieldCtx:
-        return self.components[0].ctx
-
-    def __add__(self, other: "WittVector") -> "WittVector":
-        if other.ctx.p != self.ctx.p or other.ctx.length != self.ctx.length:
-            raise WittError("Witt length/characteristic mismatch")
-        return witt_add(self, other)
-
-    def __neg__(self) -> "WittVector":
-        return witt_negate(self)
-
-    def __sub__(self, other: "WittVector") -> "WittVector":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return (isinstance(other, WittVector) and other.ctx.p == self.ctx.p
-                and other.ctx.length == self.ctx.length
-                and all(a == b for a, b in zip(self.components, other.components)))
-
-
-def witt_zero(ctx: WittCtx, field: FieldCtx) -> WittVector:
-    return WittVector(ctx, tuple(SparsePoly.zero(field) for _ in range(ctx.length)))
-
-
-def teichmuller(ctx: WittCtx, f: SparsePoly) -> WittVector:
-    """[f] = (f, 0, ..., 0)."""
-    comps = (f,) + tuple(SparsePoly.zero(f.ctx, f.level) for _ in range(ctx.length - 1))
-    return WittVector(ctx, comps)
-
 
 def poly_pth_power(f: SparsePoly, times: int = 1) -> SparsePoly:
     """p-th power in the free polynomial ring: exponents scale, coefficients Frobenius."""
@@ -535,76 +470,26 @@ def poly_pth_power(f: SparsePoly, times: int = 1) -> SparsePoly:
     return SparsePoly(f.ctx, f.level, terms)
 
 
-def witt_frobenius(w: WittVector) -> WittVector:
-    return WittVector(w.ctx, tuple(poly_pth_power(c) for c in w.components))
+def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
+                   field: FieldCtx) -> list[dict]:
+    """Components of the Witt sum of p^v [c x^i] over the (v, c, i) terms.
 
-
-def mul_by_p(w: WittVector, times: int = 1) -> WittVector:
-    """p * w = (0, w_0^p, w_1^p, ...), iterated `times` times."""
-    comps = list(w.components)
-    field = w.field
-    level = comps[0].level
-    for _ in range(times):
-        comps = [SparsePoly.zero(field, level)] + [poly_pth_power(c) for c in comps[:-1]]
-    return WittVector(w.ctx, tuple(comps))
-
-
-def _lift_vector(w: WittVector, ring: _LiftRing) -> list[dict]:
-    out = []
-    for comp in w.components:
-        d = {}
-        for m, c in comp.terms.items():
-            key = (m.nu,) + m.a
-            d[key] = c.coeffs[0] if ring.k == 1 else tuple(c.coeffs)
-        out.append(d)
-    return out
-
-
-def _restore_vector(comps: list[dict], ctx: WittCtx, field: FieldCtx, level: int) -> WittVector:
-    polys = []
-    for comp in comps:
-        terms = {}
-        for key, c in comp.items():
-            m = Monomial(key[0], tuple(key[1:]))
-            fe = field.elem(c if isinstance(c, tuple) else int(c))
-            if not fe.is_zero():
-                terms[m.pad(level)] = fe
-        polys.append(SparsePoly(field, level, terms))
-    return WittVector(ctx, tuple(polys))
-
-
-def _ring_for(field: FieldCtx) -> _LiftRing:
-    return _LiftRing(field.p, field.k, field.modulus)
-
-
-def witt_add(u: WittVector, v: WittVector) -> WittVector:
-    field = u.field
-    if field != v.field:
-        raise WittError("mixed-field Witt addition")
-    level = max(u.components[0].level, v.components[0].level)
-    u = WittVector(u.ctx, tuple(c.at_level(level) for c in u.components))
-    v = WittVector(v.ctx, tuple(c.at_level(level) for c in v.components))
-    ring = _ring_for(field)
-    comps = _combine([(1, _lift_vector(u, ring)), (1, _lift_vector(v, ring))],
-                     u.ctx.length, u.ctx.p, ring)
-    return _restore_vector(comps, u.ctx, field, level)
-
-
-def witt_negate(w: WittVector) -> WittVector:
-    field = w.field
-    ring = _ring_for(field)
-    comps = _combine([(-1, _lift_vector(w, ring))], w.ctx.length, w.ctx.p, ring)
-    return _restore_vector(comps, w.ctx, field, w.components[0].level)
-
-
-def rhs_assemble(terms: Sequence[tuple[int, object, int]], ctx: WittCtx,
-                 field: FieldCtx) -> WittVector:
-    """Right-hand side sum of p^v * [c x^i] over the given (v, c, i) terms."""
-    acc = witt_zero(ctx, field)
+    p^v [c x^i] is the vector with v zero components followed by
+    c^(p^v) x^(i p^v), so every term enters one ghost-engine sum directly.
+    Component m comes back as {(nu,): coefficient of x^nu}, coefficients in
+    [0, p) (k-tuples of them when k > 1).
+    """
+    p = field.p
+    if p not in LENGTH_CAP:
+        raise WittError(f"unsupported characteristic {p}")
+    if not 1 <= length <= 16:
+        raise WittError(f"Witt length {length} out of range 1..16")
+    vecs = []
     for v, c, i in terms:
         c = field.elem(c)
         if v < 0 or i < 1 or c.is_zero():
             raise WittError(f"bad term (v={v}, c={c}, i={i})")
-        t = teichmuller(ctx, SparsePoly.x_power(field, i, c))
-        acc = acc + mul_by_p(t, v) if v else acc + t
-    return acc
+        if v < length:
+            cq = (c ** p ** v).coeffs
+            vecs.append((1, [{}] * v + [{(i * p ** v,): cq if field.k > 1 else cq[0]}]))
+    return _combine(vecs, length, p, _LiftRing(p, field.k, field.modulus))

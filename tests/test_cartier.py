@@ -5,6 +5,7 @@ from conftest import random_poly
 from zptower.cartier import (CartierTables, DifferentialForm, base_cartier,
                              cartier_apply, cartier_matrix, differential_basis,
                              function_differential, is_regular, trace_map)
+from zptower.cli import run_compute
 from zptower.gf import field
 from zptower.linalg import kernel_dim, twisted_power_kernels
 from zptower.poly import Monomial, SparsePoly, reduce_to_monomial_basis
@@ -195,6 +196,18 @@ def test_truncated_table_cache_is_a_miss(tmp_path, p, terms, m):
         assert got.keys() == want.keys(), cut
         assert all(np.array_equal(got[key].arr, want[key].arr) for key in want), cut
         assert path.read_text() == text
+
+
+def test_changed_digit_in_table_cache_is_a_miss(tmp_path):
+    # one coefficient 1 -> 2 in the cached p3d7 level-2 table once gave a^(1) = 216
+    spec = TowerSpec.make(F3, [(0, 1, 7)], name="p3d7")
+    run_compute(spec, 2, data_dir=tmp_path)
+    path = tmp_path / "cache" / "cartier" / spec.spec_hash() / "tables_L2.txt"
+    lines = path.read_text().split("\n")
+    i = next(i for i, line in enumerate(lines[1:], 1) if line.endswith(" 1") and line[0] != "K")
+    lines[i] = lines[i][:-1] + "2"
+    path.write_text("\n".join(lines))
+    assert [r.a_r for r in run_compute(spec, 3, data_dir=tmp_path)] == [(4,), (25,), (214,)]
 
 
 def test_twisted_kernels_extension_field():

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -164,8 +169,78 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
     # a^(1) = 5, a^(2) = 3: kernel dimensions may never decrease
     fake = itertools.cycle([5, 3])
     monkeypatch.setattr(linalg, "kernel_dim", lambda N: next(fake))
-    for cmd in ("compute", "fit"):
+    for cmd, n in (("compute", "1"), ("fit", "4")):
         r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), cmd, str(specfile),
-                                 "-n", "1", "-r", "2"])
+                                 "-n", n, "-r", "2"])
         assert r.exit_code == 3, (cmd, r.output)
         assert "internal consistency failure" in r.output
+
+
+def _no_compute(*args, **kwargs):
+    raise RuntimeError("computation started")
+
+
+@pytest.mark.parametrize("args", [
+    ["info", "-n", "0"], ["info", "-n", "-1"], ["info", "-n", "17"],
+    ["compute", "-n", "7"], ["compute", "-n", "-1"], ["compute", "-r", "-2"],
+    ["compute", "-r", "0"], ["fit", "-n", "3"], ["fit", "-n", "7"], ["fit", "-r", "0"],
+], ids=" ".join)
+def test_out_of_range_arguments_exit_2_before_computing(runner, specfile, tmp_path,
+                                                        monkeypatch, args):
+    import zptower.cli as cli
+    monkeypatch.setattr(cli, "run_compute", _no_compute)
+    data = tmp_path / "d"
+    r = runner.invoke(main, ["--data-dir", str(data), args[0], str(specfile)] + args[1:])
+    assert r.exit_code == 2, r.output
+    assert not (data / "results.jsonl").exists()
+
+
+def test_fit_rejects_non_basic_tower_before_computing(runner, tmp_path, monkeypatch):
+    import zptower.cli as cli
+    monkeypatch.setattr(cli, "run_compute", _no_compute)
+    path = tmp_path / "nb.json"
+    path.write_text(json.dumps({"name": "nb", "p": 2, "terms": [{"v": 0, "c": 1, "i": 3},
+                                                                {"v": 1, "c": 1, "i": 5}]}))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "fit", str(path)])
+    assert r.exit_code == 2 and "basic tower" in r.output
+
+
+def test_scan_checks_every_spec_before_computing(runner, tmp_path, monkeypatch):
+    import zptower.cli as cli
+    monkeypatch.setattr(cli, "_scan_one", _no_compute)
+    sd = tmp_path / "specs"
+    sd.mkdir()
+    for name, p in (("a2", 2), ("b3", 3)):  # p=3 stops at level 6, p=2 at level 8
+        (sd / f"{name}.json").write_text(json.dumps(
+            {"name": name, "p": p, "terms": [{"v": 0, "c": 1, "i": 5}]}))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "scan", str(sd), "-n", "7"])
+    assert r.exit_code == 2 and "b3.json" in r.output
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "scan", str(sd), "-n", "-1"])
+    assert r.exit_code == 2
+
+
+def test_compute_level_zero(runner, specfile, tmp_path):
+    data = tmp_path / "d"
+    r = runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile), "-n", "0"])
+    assert r.exit_code == 0, r.output
+    assert [rec.level for rec in Store(data / "results.jsonl").query()] == [0]
+
+
+def test_optimized_interpreter_gives_the_same_output(specfile, tmp_path):
+    # python -O strips assert statements, so no check in the package may be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    import ast
+    asserts = [(f.name, node.lineno) for f in sorted((src / "zptower").glob("*.py"))
+               for node in ast.walk(ast.parse(f.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    outs = []
+    for flags in ([], ["-O"]):
+        r = subprocess.run([sys.executable, *flags, "-m", "zptower.cli",
+                            "--data-dir", str(tmp_path / f"d{len(flags)}"), "compute",
+                            str(specfile), "-n", "3", "-r", "2"],
+                           capture_output=True, text=True, env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(re.sub(r"\s*\[[0-9.]+s\]", "", r.stdout).splitlines())
+    assert outs[0] == outs[1] and len(outs[0]) == 3

@@ -1,17 +1,16 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zptower.witt as witt_mod
 from zptower.gf import field
-from zptower.poly import SparsePoly
-from zptower.witt import (WittCtx, WittError, WittVector, addition_polynomials,
-                          mul_by_p, peel_polynomials, poly_pth_power, rhs_assemble,
-                          teichmuller, witt_add, witt_frobenius, witt_negate)
+from zptower.poly import Monomial, SparsePoly
+from zptower.witt import (WittError, addition_polynomials, peel_polynomials, read_cache,
+                          rhs_components, write_cache)
 
 F2, F3 = field(2), field(3)
-
-
-def x(ctx, n, c=1):
-    return SparsePoly.x_power(ctx, n, c)
 
 
 def test_addition_polynomial_examples():
@@ -58,101 +57,83 @@ def test_peel_polynomials():
     assert all(sum(e) > 0 for e in G3[1].as_dict())
 
 
+def comp(terms):
+    """{(nu,): c} in the form rhs_components returns, from (nu, c) pairs."""
+    return {(nu,): c for nu, c in terms}
+
+
 def test_witt_add_examples():
-    W = WittCtx(2, 2)
-    s = witt_add(teichmuller(W, x(F2, 3)), teichmuller(W, x(F2, 1)))
-    assert s.components[0] == x(F2, 3) + x(F2, 1)
-    assert s.components[1] == x(F2, 4)
-    z = WittVector(W, (SparsePoly.zero(F2), SparsePoly.zero(F2)))
-    u = teichmuller(W, x(F2, 5))
-    assert (u + z) == u
+    # [x^3] + [x] = (x^3 + x, x^4) over GF(2)
+    assert rhs_components([(0, 1, 3), (0, 1, 1)], 2, F2) == [comp([(3, 1), (1, 1)]),
+                                                             comp([(4, 1)])]
+    # adding p^2 [x] (zero at length 2) changes nothing
+    assert rhs_components([(0, 1, 5), (2, 1, 1)], 2, F2) == [comp([(5, 1)]), {}]
 
 
-def test_witt_add_assoc_comm(rng):
-    W = WittCtx(3, 3)
-    vs = [teichmuller(W, x(F3, i, c)) for i, c in [(2, 1), (5, 2), (1, 1)]]
-    assert (vs[0] + vs[1]) == (vs[1] + vs[0])
-    assert ((vs[0] + vs[1]) + vs[2]) == (vs[0] + (vs[1] + vs[2]))
-
-
-def test_negate():
-    W = WittCtx(2, 2)
-    w = WittVector(W, (x(F2, 1), x(F2, 3)))
-    n = witt_negate(w)
-    # (b0, b1) -> (b0, b1 + b0^2) over F2
-    assert n.components[0] == x(F2, 1)
-    assert n.components[1] == x(F2, 3) + x(F2, 2)
-    assert (w + n).is_zero()
+def test_witt_add_assoc_comm():
+    # the order of the terms in the one sum does not matter
+    terms = [(0, 1, 2), (0, 2, 5), (0, 1, 1)]
+    want = rhs_components(terms, 3, F3)
+    assert all(rhs_components(list(order), 3, F3) == want
+               for order in itertools.permutations(terms))
 
 
 def test_teichmuller_and_mul_by_p():
-    W = WittCtx(3, 2)
-    t = teichmuller(W, x(F3, 3))
-    assert t.components[0] == x(F3, 3) and t.components[1].is_zero()
-    w = WittVector(W, (x(F3, 2, 2), x(F3, 1)))
-    m = mul_by_p(w)
-    assert m.components[0].is_zero() and m.components[1] == x(F3, 2, 2) ** 3
-    # p-fold repeated addition agrees, len <= 3
-    assert m == witt_add(witt_add(w, w), w)
-    W2 = WittCtx(2, 3)
-    u = WittVector(W2, (x(F2, 3), x(F2, 1), x(F2, 2)))
-    assert mul_by_p(u) == witt_add(u, u)
-
-
-def test_frobenius_componentwise():
-    W = WittCtx(2, 2)
-    w = WittVector(W, (x(F2, 3) + x(F2, 1), x(F2, 2)))
-    f = witt_frobenius(w)
-    assert f.components[0] == poly_pth_power(w.components[0])
+    # the p^v shortcut agrees with p^v repeated ghost-engine additions
+    for ctx in (F2, F3):
+        p = ctx.p
+        for c, i in [(1, 1), (p - 1, 3)]:
+            for v in (1, 2):
+                assert rhs_components([(v, c, i)], 3, ctx) \
+                    == rhs_components([(0, c, i)] * p ** v, 3, ctx), (p, c, i, v)
+        # p^v [c x^i] with v >= length contributes nothing
+        assert rhs_components([(3, 1, 1)], 3, ctx) == [{}, {}, {}]
+        assert rhs_components([(0, 1, 2), (4, 1, 1)], 3, ctx) \
+            == rhs_components([(0, 1, 2)], 3, ctx)
 
 
 def test_rhs_assemble_examples():
-    W = WittCtx(2, 2)
-    r = rhs_assemble([(0, 1, 3)], W, F2)
-    assert r.components[0] == x(F2, 3) and r.components[1].is_zero()
-    r2 = rhs_assemble([(0, 1, 3), (0, 1, 1)], W, F2)
-    assert r2.components[1] == x(F2, 4)
-    r3 = rhs_assemble([(0, 1, 3), (1, 1, 5)], W, F2)
-    assert r3.components[0] == x(F2, 3)
-    assert r3.components[1] == x(F2, 10)
+    assert rhs_components([(0, 1, 3)], 2, F2) == [comp([(3, 1)]), {}]
+    assert rhs_components([(0, 1, 3), (0, 1, 1)], 2, F2)[1] == comp([(4, 1)])
+    assert rhs_components([(0, 1, 3), (1, 1, 5)], 2, F2) == [comp([(3, 1)]), comp([(10, 1)])]
 
 
 def test_rhs_rejects_bad_terms():
-    W = WittCtx(2, 2)
-    with pytest.raises(WittError):
-        rhs_assemble([(-1, 1, 3)], W, F2)
-    with pytest.raises(WittError):
-        rhs_assemble([(0, 0, 3)], W, F2)
+    for bad in [(-1, 1, 3), (0, 0, 3), (0, 1, 0)]:
+        with pytest.raises(WittError):
+            rhs_components([bad], 2, F2)
+    for length in (0, 17):
+        with pytest.raises(WittError):
+            rhs_components([(0, 1, 1)], length, F2)
 
 
 def test_universal_vs_concrete_cross_check():
-    # witt_add agrees with direct evaluation of the cached universal polynomials
-    W = WittCtx(2, 3)
+    # the one sum agrees with the cached universal polynomials applied to the
+    # components of two partial sums
     S = addition_polynomials(2, 3)
-    u = rhs_assemble([(0, 1, 3), (0, 1, 1)], W, F2)
-    v = rhs_assemble([(0, 1, 5)], W, F2)
-    s = witt_add(u, v)
-    vals = list(u.components) + list(v.components)
-    for i in range(3):
-        assert S[i].evaluate(vals, F2) == s.components[i]
+    u, v = [(0, 1, 3), (0, 1, 1)], [(0, 1, 5)]
+
+    def sparse(c):
+        return SparsePoly(F2, 0, {Monomial(nu, ()): F2.elem(a) for (nu,), a in c.items()})
+    vals = [sparse(c) for c in rhs_components(u, 3, F2) + rhs_components(v, 3, F2)]
+    for i, c in enumerate(rhs_components(u + v, 3, F2)):
+        assert S[i].evaluate(vals, F2) == sparse(c)
 
 
 def test_extension_field_witt_add():
     F4 = field(2, 2)
     t = F4.gen()
-    W = WittCtx(2, 2)
-    u = teichmuller(W, SparsePoly.x_power(F4, 3, t))
-    v = teichmuller(W, SparsePoly.x_power(F4, 1, t))
-    s = witt_add(u, v)
-    # second component is product of the Teichmuller inputs: t*t*x^4
-    assert s.components[1] == SparsePoly.x_power(F4, 4, t * t)
+    s = rhs_components([(0, t, 3), (0, t, 1)], 2, F4)
+    # second component is the product of the Teichmuller inputs: t*t*x^4
+    assert s[1] == comp([(4, (t * t).coeffs)])
 
 
-def test_length_mismatch_rejected():
-    u = teichmuller(WittCtx(2, 2), x(F2, 1))
-    v = teichmuller(WittCtx(2, 3), x(F2, 1))
-    with pytest.raises(WittError):
-        u + v
+def test_long_extension_field_sum_is_exact():
+    # length 16 over GF(13^2): lifted products exceed 64 bits, and [t x] + [-t x] = 0
+    F = field(13, 2)
+    t = F.gen()
+    s = rhs_components([(0, t, 1), (0, -t, 1), (3, t + 1, 1)], 16, F)
+    assert s == [{}] * 3 + [comp([(13 ** 3, ((t + 1) ** 13 ** 3).coeffs)])] + [{}] * 12
 
 
 def test_length_caps():
@@ -160,13 +141,13 @@ def test_length_caps():
         addition_polynomials(7, 3)
     with pytest.raises(WittError):
         peel_polynomials(3, 7)
-    WittCtx(7, 5)  # concrete arithmetic beyond the universal cap is allowed
+    # right-hand sides beyond the universal cap are allowed
+    assert rhs_components([(0, 1, 1)], 5, field(7))[0] == comp([(1, 1)])
 
 
 def test_disk_cache_roundtrip(tmp_path):
     a1 = addition_polynomials(3, 3, cache_dir=tmp_path)
     assert (tmp_path / "witt_add_p3_len3.txt").exists()
-    import zptower.witt as witt_mod
     witt_mod._UNIVERSAL_MEM.clear()
     a2 = addition_polynomials(3, 3, cache_dir=tmp_path)
     assert a1 == a2
@@ -178,7 +159,6 @@ def test_disk_cache_roundtrip(tmp_path):
 
 
 def test_truncated_universal_cache_is_a_miss(tmp_path, monkeypatch):
-    import zptower.witt as witt_mod
     monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
     for kind, polys in (("add", addition_polynomials), ("peel", peel_polynomials)):
         want = polys(2, 3, cache_dir=tmp_path)
@@ -190,3 +170,34 @@ def test_truncated_universal_cache_is_a_miss(tmp_path, monkeypatch):
             witt_mod._UNIVERSAL_MEM.clear()
             assert witt_mod._load_universal(2, 3, kind, tmp_path) is None, (kind, cut)
             assert polys(2, 3, cache_dir=tmp_path) == want
+
+
+def test_changed_digit_in_universal_cache_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
+    want = peel_polynomials(2, 3, cache_dir=tmp_path)
+    path = tmp_path / "witt_peel_p2_len3.txt"
+    text = path.read_text()
+    cut = text.index("\n") + text[text.index("\n"):].index(":3")  # y1^3 in G_2
+    path.write_text(text[:cut] + ":5" + text[cut + 2:])
+    witt_mod._UNIVERSAL_MEM.clear()
+    assert witt_mod._load_universal(2, 3, "peel", tmp_path) is None
+    assert peel_polynomials(2, 3, cache_dir=tmp_path) == want
+    assert path.read_text() == text
+    path.write_bytes(text.encode()[:cut] + b"\xff" + text.encode()[cut + 1:])
+    assert read_cache(path, text.partition(" sha256=")[0]) is None
+
+
+def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.txt"
+    write_cache(path, "# h", ["old"])
+    real_write = Path.write_text
+
+    def half_then_fail(self, text):
+        real_write(self, text[: len(text) // 2])
+        raise OSError("disk full")
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError):
+        write_cache(path, "# h", ["new", "lines"])
+    monkeypatch.undo()
+    assert read_cache(path, "# h") == ["old"]
+    assert [f.name for f in tmp_path.iterdir()] == ["c.txt"]
