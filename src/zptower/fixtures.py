@@ -5,6 +5,13 @@ genus and kernel-dimension values; `zptower verify` recomputes them from
 scratch and compares exactly.  Depths are per-suite defaults chosen so the
 whole battery runs in minutes; deeper levels of the same towers are exercised
 by the acceptance tests.
+
+Every genus column equals the proven closed form `tower.closed_form_basic`, and
+every p=2 a^(1) column equals `analysis.anumber_basic_p2` (checked by
+tests/test_tower.py::test_fixture_columns_match_closed_forms), levels 6-7
+included.  The p=3 level-5 kernel values (g = 51546 and 36784) have never been
+recomputed by this code: the dense int64 level-5 Cartier matrix needs 10.8 GB
+or more.  They are marked below.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ SUITES: dict[str, dict] = {
         "p": 3,
         "terms": [(0, 1, 7)],
         "genus": [6, 66, 624, 5700, 51546],
-        "a": {1: [4, 25, 214, 1915, 17224]},
+        "a": {1: [4, 25, 214, 1915, 17224]},  # 17224 (level 5): not recomputed
         "default_depth": 3,
     },
     "p3d7-variants": {
@@ -37,6 +44,7 @@ SUITES: dict[str, dict] = {
         "p": 3,
         "terms": [(0, 1, 5), (0, 2, 2)],
         "genus": [4, 46, 442, 4060, 36784],
+        # the level-5 entry (last) of every row: not recomputed
         "a": {
             1: [2, 19, 154, 1369, 12304],
             2: [4, 26, 230, 2052, 18456],
@@ -57,6 +65,7 @@ SUITES: dict[str, dict] = {
         "p": 3,
         "terms": [(0, 1, 5), (0, 2, 4), (0, 2, 1)],
         "genus": [4, 46, 442, 4060, 36784],
+        # the level-5 entry (last) of every row: not recomputed
         "a": {
             1: [2, 18, 153, 1368, 12303],
             2: [4, 26, 230, 2052, 18456],

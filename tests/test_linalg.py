@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from zptower.gf import InternalConsistencyError, field
-from zptower.linalg import (DenseMatrix, LinAlgError, kernel_basis, kernel_dim,
-                            kernels_to_stabilization, rank, twisted_power_kernels)
+from zptower.linalg import (DenseMatrix, LinAlgError, _rank_blocked, _singleton_pivots,
+                            kernel_basis, kernel_dim, kernels_to_stabilization, rank,
+                            twisted_power_kernels)
 
 F2, F3 = field(2), field(3)
 
@@ -21,6 +22,28 @@ def naive_rank(A, p):
         for i in range(rows):
             if i != r and A[i, c]:
                 A[i] = (A[i] - A[i, c] * A[r]) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def ext_naive(data, ctx):
+    rows, cols = data.shape[:2]
+    A = [[ctx.elem(tuple(int(x) for x in data[i, j])) for j in range(cols)]
+         for i in range(rows)]
+    r = 0
+    for c in range(cols):
+        nz = [i for i in range(r, rows) if not A[i][c].is_zero()]
+        if not nz:
+            continue
+        A[r], A[nz[0]] = A[nz[0]], A[r]
+        inv = A[r][c].inverse()
+        A[r] = [v * inv for v in A[r]]
+        for i in range(rows):
+            if i != r and not A[i][c].is_zero():
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
         r += 1
         if r == rows:
             break
@@ -85,28 +108,6 @@ def test_extension_field_rank(rng):
     F4 = field(2, 2)
     data = rng.integers(0, 2, size=(12, 9, 2))
     M = DenseMatrix(F4, data)
-
-    def ext_naive(data, ctx):
-        rows, cols = data.shape[:2]
-        A = [[ctx.elem(tuple(int(x) for x in data[i, j])) for j in range(cols)]
-             for i in range(rows)]
-        r = 0
-        for c in range(cols):
-            nz = [i for i in range(r, rows) if not A[i][c].is_zero()]
-            if not nz:
-                continue
-            A[r], A[nz[0]] = A[nz[0]], A[r]
-            inv = A[r][c].inverse()
-            A[r] = [v * inv for v in A[r]]
-            for i in range(rows):
-                if i != r and not A[i][c].is_zero():
-                    f = A[i][c]
-                    A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-            r += 1
-            if r == rows:
-                break
-        return r
-
     assert rank(M) == ext_naive(data, F4)
 
 
@@ -156,3 +157,110 @@ def test_kernels_to_stabilization():
 
 def test_empty_matrix():
     assert kernel_dim(DenseMatrix.zeros(F2, 0, 0)) == 0
+
+
+# -- the zero-fill singleton pass in front of the dense kernels ---------------
+
+def check_rank(data, F):
+    """rank agrees with the naive eliminations and leaves the matrix unchanged."""
+    M = DenseMatrix(F, data)
+    before = M.data.copy()
+    got = rank(M)
+    assert (M.data == before).all()
+    assert got == (naive_rank(data.copy(), F.p) if F.k == 1 else ext_naive(data, F))
+    return got
+
+
+def sparse_entries(rng, F, shape, density):
+    """Random matrix data over F with about `density` of its entries nonzero."""
+    vals = rng.integers(0, F.p, size=shape + (F.k,))
+    vals[..., 0] = np.where(vals.any(axis=-1), vals[..., 0], 1)  # every value nonzero
+    mask = rng.random(shape) < density
+    data = np.where(mask[..., None], vals, 0)
+    return data[..., 0] if F.k == 1 else data
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (13, 1), (3, 2)])
+def test_singleton_pass_matches_naive(p, k, rng):
+    F = field(p, k)
+    trials, top = (40, 40) if k == 1 else (12, 16)
+    pivots = 0
+    for _ in range(trials):
+        m, n = (int(v) for v in rng.integers(2, top, size=2))
+        A = sparse_entries(rng, F, (m, n), float(rng.uniform(0.05, 0.4)))
+        # plant singleton columns and rows: clear all but one entry of each
+        for c in rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False):
+            keep = int(rng.integers(m))
+            A[np.arange(m) != keep, c] = 0
+        for r in rng.choice(m, size=int(rng.integers(0, m // 2 + 1)), replace=False):
+            keep = int(rng.integers(n))
+            A[r, np.arange(n) != keep] = 0
+        pivots += _singleton_pivots(A.any(axis=-1) if k > 1 else A != 0)[0]
+        check_rank(A, F)
+    assert pivots > trials  # the pass did the work, not only the dense kernel
+
+
+@pytest.mark.parametrize("F", [F3, field(5), field(3, 2)], ids=["GF3", "GF5", "GF9"])
+def test_singleton_pass_all_zero(F):
+    for shape in [(1, 1), (4, 7), (9, 3)]:
+        assert rank(DenseMatrix.zeros(F, *shape)) == 0
+        npiv, rows, cols = _singleton_pivots(np.zeros(shape, dtype=bool))
+        assert npiv == 0 and rows.size == 0 and cols.size == 0
+
+
+def test_singleton_pass_resolves_everything(rng):
+    # a permuted triangular matrix with a nonzero diagonal is all singleton pivots
+    n = 60
+    T = np.triu(rng.integers(0, 5, size=(n, n)), 1) + np.diag(rng.integers(1, 5, size=n))
+    A = T[rng.permutation(n)][:, rng.permutation(n)]
+    npiv, rows, cols = _singleton_pivots(A != 0)
+    assert npiv == n and rows.size == 0 and cols.size == 0
+    assert check_rank(A, field(5)) == n
+
+
+def test_singleton_columns_sharing_one_row(rng):
+    # columns 0..4 are singletons in row 0; only one of them may pivot
+    A = np.zeros((8, 12), dtype=np.int64)
+    A[0, :5] = [1, 2, 1, 2, 1]
+    A[1:, 5:] = rng.integers(0, 3, size=(7, 7))
+    A[0, 8] = 2
+    npiv, rows, cols = _singleton_pivots(A != 0)
+    assert 0 not in rows and not set(range(5)) & set(cols)
+    assert check_rank(A, F3) == 1 + naive_rank(A[1:, 5:].copy(), 3)
+    assert check_rank(A[:, :5], F3) == 1
+    # the transpose: rows 0..4 are singletons in column 0, which has no other way out
+    npiv, rows, cols = _singleton_pivots((A != 0).T)
+    assert 0 not in cols and not set(range(5)) & set(rows)
+    assert check_rank(A.T.copy(), F3) == check_rank(A, F3)
+
+
+def test_singleton_row_meets_singleton_column(rng):
+    # entry (3, 2) is alone in its row and in its column
+    A = rng.integers(1, 13, size=(7, 6))
+    A[3, :] = 0
+    A[:, 2] = 0
+    A[3, 2] = 5
+    assert check_rank(A, field(13)) == 1 + naive_rank(np.delete(np.delete(A, 3, 0), 2, 1), 13)
+    one = np.array([[4]])
+    assert _singleton_pivots(one != 0)[0] == 1 and check_rank(one, field(13)) == 1
+
+
+@pytest.mark.parametrize("F", [F3, field(13), field(3, 2)], ids=["GF3", "GF13", "GF9"])
+def test_singleton_pass_thin_shapes(F, rng):
+    for n in (1, 2, 9):
+        for shape in [(1, n), (n, 1)]:
+            A = sparse_entries(rng, F, shape, 0.5)
+            check_rank(A, F)
+            A = sparse_entries(rng, F, shape, 1.0)
+            assert check_rank(A, F) == 1
+
+
+def test_singleton_pass_on_cartier_matrix():
+    from zptower.cartier import cartier_matrix
+    from zptower.tower import TowerSpec, TowerState
+    M = cartier_matrix(TowerState(TowerSpec.make(F3, [(0, 1, 7)])), 3).matrix
+    npiv, rows, cols = _singleton_pivots(M.data != 0)
+    assert npiv > 0 and rows.size < M.rows and cols.size < M.cols
+    before = M.data.copy()
+    assert rank(M) == _rank_blocked(M.data, 3) == M.cols - 214
+    assert (M.data == before).all()

@@ -96,6 +96,29 @@ def test_closed_form_matches_general_formulas():
             assert (g, dl, s) == (ram.g[n - 1], ram.d[n - 1], ram.s[n - 1])
 
 
+def test_fixture_columns_match_closed_forms():
+    from zptower.analysis import anumber_basic_p2
+    from zptower.fixtures import SUITES
+    checked = []
+    for name, fx in SUITES.items():
+        if "genus" not in fx:
+            continue
+        towers = fx["towers"] if fx["kind"] == "tower_family" else [fx]
+        for tower in towers:
+            spec = TowerSpec.make(field(fx["p"]), tower["terms"]).normalize()
+            assert spec.is_basic
+            d = spec.ramification_invariant
+            levels = range(1, len(fx["genus"]) + 1)
+            assert fx["genus"] == [closed_form_basic(fx["p"], d, n)[0] for n in levels], name
+            if fx["p"] == 2:
+                a1 = tower["a"][1]
+                assert a1 == [anumber_basic_p2(d, n) for n in range(1, len(a1) + 1)], name
+        checked.append(name)
+    assert {"p3d7", "p3d5", "p3d5-variant", "p2d7", "p2d21", "p2d21-variant"} <= set(checked)
+    # the deepest p=2 values, never recomputed by the linear algebra
+    assert SUITES["p2d7"]["a"][1][6] == 4779 and SUITES["p2d21"]["a"][1][6] == 14338
+
+
 def test_lower_break_growth_invariant():
     ram = RamificationData.compute(TowerSpec.make(F2, [(0, 1, 9), (1, 1, 11)]), 5)
     for n in range(1, 5):
