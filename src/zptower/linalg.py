@@ -10,8 +10,13 @@ elimination whose trailing updates run as float64 GEMMs over odd prime fields
 (exact: every inner product is below _PANEL * (p-1)^2, far inside the float64
 integer range), and by a slower generic elimination over extension fields.
 GF(2) matrices skip the pass: XOR elimination on bit-packed rows is already
-faster than the pass on the Cartier matrices.  Every heavy computation in the
-pipeline is over a prime field.
+faster than the pass on the Cartier matrices.
+
+Products (the twisted powers) are formed one GF(p) coefficient plane at a
+time.  Over GF(2) a plane product is XOR on bit-packed rows (method of Four
+Russians), with no floating point; only odd-p products, like odd-p kernels,
+run float64 GEMMs, exact while inner dimension * (p-1)^2 stays below 2^53.
+Every heavy computation in the pipeline is over a prime field.
 
 Elimination mutates a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
@@ -88,23 +93,62 @@ class DenseMatrix:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    p, k = ctx.p, ctx.k
-    if k == 1:
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-        bf = b.astype(np.float64)
-        # row-chunked so the float64 temporaries stay modest
-        chunk = max(1, _GEMM_CHUNK // max(b.shape[1], 1))
-        for r0 in range(0, a.shape[0], chunk):
-            blk = a[r0:r0 + chunk].astype(np.float64) @ bf
-            out[r0:r0 + chunk] = blk.astype(np.int64) % p
-        return out
+    if ctx.k == 1:
+        return _plane_product(a, b, ctx.p)
     # coefficient-vector product: convolve in t, then fold t^k.. back
+    k = ctx.k
     raw = np.zeros((a.shape[0], b.shape[1], 2 * k - 1), dtype=np.int64)
     for i in range(k):
         for j in range(k):
-            raw[:, :, i + j] += (a[:, :, i].astype(np.float64)
-                                 @ b[:, :, j].astype(np.float64)).astype(np.int64)
+            raw[:, :, i + j] += _plane_product(a[:, :, i], b[:, :, j], ctx.p)
     return ctx.fold(raw, axis=2)
+
+
+def _plane_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays over GF(p): packed XOR products for
+    p = 2, float64 GEMMs otherwise."""
+    if p == 2:
+        return _matmul_gf2(a, b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    bf = b.astype(np.float64)
+    # row-chunked so the float64 temporaries stay modest
+    chunk = max(1, _GEMM_CHUNK // max(b.shape[1], 1))
+    for r0 in range(0, a.shape[0], chunk):
+        blk = a[r0:r0 + chunk].astype(np.float64) @ bf
+        out[r0:r0 + chunk] = blk.astype(np.int64) % p
+    return out
+
+
+def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2) on packed rows by the method of Four Russians
+    (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010).
+
+    For each group of 8 rows of b, T holds all 256 XOR combinations of the
+    group; byte g of a row of a (its columns 8g..8g+7) picks the row of T
+    to XOR into the matching row of the product.
+    """
+    A = _gf2_pack(a).view(np.uint8)
+    B = _gf2_pack(b)
+    C = np.zeros((a.shape[0], B.shape[1]), dtype=np.uint64)
+    T = np.zeros((256, B.shape[1]), dtype=np.uint64)
+    for g in range(0, b.shape[0], 8):
+        # a short last group leaves T[2^len:] stale, but the zero padding of
+        # A's last byte never indexes it
+        for j, row in enumerate(B[g:g + 8]):
+            np.bitwise_xor(T[:1 << j], row, out=T[1 << j:2 << j])
+        C ^= np.take(T, A[:, g // 8], axis=0)
+    bits = np.unpackbits(C.view(np.uint8), axis=1, count=b.shape[1], bitorder="little")
+    return bits.astype(np.int64)
+
+
+def _gf2_pack(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows as uint64 words, little-endian: column c is bit c%64 of word
+    c//64, so byte j of the uint8 view holds columns 8j..8j+7."""
+    rows, cols = bits.shape
+    nbytes = -(-cols // 8)
+    packed = np.zeros((rows, -(-nbytes // 8) * 8), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +235,7 @@ def _pivot_singletons(deg, lsum, live, olive, optr, oidx) -> int:
 def _rank_gf2_bitpacked(data: np.ndarray) -> int:
     """Elimination on bit-packed rows: 64 columns per word, XOR row updates."""
     rows, cols = data.shape
-    nbytes = -(-cols // 8)
-    nwords = -(-nbytes // 8)
-    packed = np.zeros((rows, nwords * 8), dtype=np.uint8)
-    packed[:, :nbytes] = np.packbits(data.astype(np.uint8), axis=1, bitorder="little")
-    W = packed.view(np.uint64)  # little-endian layout: column c is bit c%64 of word c//64
+    W = _gf2_pack(data)
     r = 0
     for c in range(cols):
         w, b = divmod(c, 64)

@@ -264,3 +264,36 @@ def test_singleton_pass_on_cartier_matrix():
     before = M.data.copy()
     assert rank(M) == _rank_blocked(M.data, 3) == M.cols - 214
     assert (M.data == before).all()
+
+
+# -- GF(2) products on bit-packed rows ------------------------------------------
+
+def check_gf2_product(A, B):
+    C = DenseMatrix(F2, A) @ DenseMatrix(F2, B)
+    assert C.data.shape == (A.shape[0], B.shape[1])
+    assert (C.data == (A.astype(np.int64) @ B) % 2).all()
+
+
+# inner dimensions around the 8-row groups and the 64-bit words; a short last
+# group after full ones catches stale rows of the reused XOR table
+@pytest.mark.parametrize("inner", [1, 7, 8, 9, 63, 64, 65, 130, 257])
+def test_gf2_product_matches_integer_product(inner, rng):
+    for m, n in [(1, 1), (5, 70), (67, 3), (130, 129), (64, 200)]:
+        check_gf2_product(rng.integers(0, 2, size=(m, inner)),
+                          rng.integers(0, 2, size=(inner, n)))
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (1, 1), (0, 1), (1, 0)])
+def test_gf2_product_constant_matrices(a, b):
+    for m, inner, n in [(3, 65, 130), (70, 9, 1), (64, 257, 64), (1, 8, 63)]:
+        check_gf2_product(np.full((m, inner), a), np.full((inner, n), b))
+
+
+def test_gf2_twisted_powers_match_integer_powers(rng):
+    M = (rng.random((203, 203)) < 0.012).astype(np.int64)
+    dims, P = [], M
+    for _ in range(4):
+        dims.append(kernel_dim(DenseMatrix(F2, P)))
+        P = (P @ M) % 2
+    assert dims[0] < dims[-1] < M.shape[0]  # the powers lose rank, so the products matter
+    assert twisted_power_kernels(DenseMatrix(F2, M), 4) == dims
