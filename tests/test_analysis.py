@@ -148,6 +148,15 @@ def test_trace_bound_check_towers():
     assert all(c.bound == 7 - 3 for c in rep3.checks)
 
 
+def test_trace_bound_check_extension_fields():
+    F4, F8, F9 = field(2, 2), field(2, 3), field(3, 2)
+    t4, t8, t9 = F4.gen(), F8.gen(), F9.gen()
+    for F, terms, dim in [(F4, [(0, t4, 7)], 2), (F4, [(0, t4, 5), (0, 1, 3)], 1),
+                          (F9, [(0, t9, 7), (0, 1, 5)], 3), (F8, [(0, t8, 7), (0, 1, 3)], 2)]:
+        rep = trace_bound_check(TowerState(TowerSpec.make(F, terms)))
+        assert rep.passed and rep.kernel_dimension == dim
+
+
 def test_ratio_gap():
     gap = kernel_genus_ratio_gap(1915, 5700, 1, 3)
     assert gap < Fr(2, 3 ** 4)

@@ -211,8 +211,13 @@ def test_changed_digit_in_table_cache_is_a_miss(tmp_path):
 
 
 def test_twisted_kernels_extension_field():
-    F4 = field(2, 2)
-    st = tower(F4, [(0, F4.gen(), 5), (0, 1, 3)], 2)
-    dims = twisted_power_kernels(cartier_matrix(st, 2).matrix, 6)
-    assert all(a <= b for a, b in zip(dims, dims[1:]))
-    assert dims[-1] <= st.genus(2)
+    # exact a^(r) of GF(4), GF(9) and GF(8) towers, which pin the sigma^-1 twist
+    F4, F8, F9 = field(2, 2), field(2, 3), field(3, 2)
+    t4, t8, t9 = F4.gen(), F8.gen(), F9.gen()
+    cases = [(F4, [(0, t4, 5), (0, 1, 3)], 2, [4, 6, 8, 10, 11, 11]),
+             (F4, [(0, t4, 5), (0, 1, 3)], 4, [54, 86, 108, 123]),
+             (F9, [(0, t9, 7), (0, 1, 5)], 2, [24, 36, 43, 49]),
+             (F8, [(0, t8, 7), (0, t8 ** 2 + 1, 3)], 3, [19, 31, 38, 43, 47])]
+    for F, terms, n, want in cases:
+        st = tower(F, terms, n)
+        assert twisted_power_kernels(cartier_matrix(st, n).matrix, len(want)) == want

@@ -129,6 +129,15 @@ def test_matmul_and_frobenius_entrywise(rng):
     assert tuple(int(v) for v in Fr.data[0, 0]) == a.frobenius().coeffs
 
 
+def test_twisted_power_uses_sigma_inverse():
+    # M = [[t, 1], [t^2, t]] over GF(4): M^2 = 0, but M sigma^-1(M) = [[t^2, 1], [1, t]]
+    # has rank 1, so the twisted kernels stay at 1 where the plain ones reach 2
+    F4 = field(2, 2)
+    t, t2 = (0, 1), (1, 1)
+    M = DenseMatrix(F4, np.array([[t, (1, 0)], [t2, t]]))
+    assert twisted_power_kernels(M, 3) == [1, 1, 1]
+
+
 def test_kernel_filtration_properties(rng):
     for F, shape in [(F2, (12, 12)), (F3, (9, 9)), (field(2, 2), (7, 7, 2))]:
         M = DenseMatrix(F, rng.integers(0, F.p, size=shape))
