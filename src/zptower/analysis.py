@@ -366,21 +366,19 @@ def trace_bound_check(state: TowerState) -> TraceBoundReport:
     cm = cartier_matrix(state, 1)
     basis = cm.basis
     ctx = state.field
-    # kernel of the semilinear operator: V(sum c_s w_s) = M sigma^-1(c), so
-    # kernel vectors are sigma of the matrix nullspace
+    # a GF(p) basis of ker V: each vector, reshaped to (g, k), holds the
+    # coefficients of the c_s with V(sum c_s w_s) = 0
     vecs = kernel_basis(cm.matrix)
     bound = d - -(d // -p)
     strict = d % p == (d // p) % p
     # over the projective line the degree criterion always holds at level 1:
     # sum (d - ceil(d/p)) >= 0 > -2 = 2g - 2
     must_vanish = True
-    report = TraceBoundReport(p=p, d=d, kernel_dimension=len(vecs))
+    report = TraceBoundReport(p=p, d=d, kernel_dimension=len(vecs) // ctx.k)
     for idx, vec in enumerate(vecs):
         terms = {}
-        for s, m in enumerate(basis):
-            comp = vec[s]
-            c = ctx.elem(int(comp) if ctx.k == 1 else tuple(int(v) for v in comp))
-            c = c.frobenius()
+        for m, comp in zip(basis, vec.reshape(-1, ctx.k)):
+            c = ctx.elem(comp)
             if not c.is_zero():
                 terms[m] = c
         eta = DifferentialForm(SparsePoly(ctx, 1, terms), 1)

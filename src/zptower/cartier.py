@@ -287,9 +287,9 @@ class CartierMatrix:
     """g x g matrix of V in the regular-differential basis at one level.
 
     Column s holds the basis coordinates of V(omega_s).  The operator is
-    sigma^-1-semilinear: V(sum c_s omega_s) has coordinates M @ sigma^-1(c),
-    so kernel dimensions of V^r come from the twisted products
-    M sigma^-1(M) ... sigma^-(r-1)(M).
+    sigma^-1-semilinear: V(sum c_s omega_s) has coordinates M sigma^-1(c).
+    The DenseMatrix stores its kg x kg GF(p) matrix (restriction of scalars),
+    so V^r has the matrix power as GF(p) matrix and a^(r) = kernel_dim(M^r).
     """
 
     level: int
@@ -307,27 +307,24 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     tables = _tables_for(state).table(n)
     numax, offsets, g = _basis_layout(state, n)
     M = DenseMatrix.zeros(ctx, g, g)
-    # per table entry: rows/coefficients of the slab, reused by every shift
+    blocks = M.data.reshape(g, k, g, k)  # a view: blocks[i, :, j] is block (i, j)
+    # per table entry: rows and GF(p) blocks of the slab, reused by every shift
     pre: dict[tuple[int, int], tuple] = {}
     for key, slab in tables.items():
         ecodes, xs = np.nonzero(slab.arr.any(axis=1))
-        coeffs = slab.arr[ecodes, :, xs]  # (N, k)
-        pre[key] = (ecodes, xs, offsets[ecodes] + xs, coeffs)
+        pre[key] = (ecodes, xs, offsets[ecodes] + xs,
+                    ctx.semilinear_blocks(slab.arr[ecodes, :, xs]))
     col = 0
     for code in range(p ** n):
         top = int(numax[code])
         for nu in range(top + 1):
             q, nu0 = divmod(nu, p)
-            ecodes, xs, base_rows, coeffs = pre[(nu0, code)]
+            ecodes, xs, base_rows, blk = pre[(nu0, code)]
             if ecodes.size:
                 if np.any(xs + q > numax[ecodes]):
                     raise InternalConsistencyError(
                         "V image leaves the regular basis: regularity not preserved")
-                rows = base_rows + q
-                if k == 1:
-                    M.data[rows, col] = coeffs[:, 0]
-                else:
-                    M.data[rows, col] = coeffs
+                blocks[base_rows + q, :, col] = blk
             col += 1
     if col != g:
         raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")

@@ -358,7 +358,7 @@ def fit(ctx, specfile, levels, powers):
 @click.argument("specdir", type=click.Path(exists=True, file_okay=False))
 @click.option("--levels", "-n", default=2, show_default=True, type=click.IntRange(min=0))
 @click.option("--powers", "-r", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--jobs", "-j", default=1, show_default=True)
+@click.option("--jobs", "-j", default=1, show_default=True, type=click.IntRange(min=1))
 @click.pass_context
 def scan(ctx, specdir, levels, powers, jobs):
     """Process every *.json spec in a directory (optionally in parallel)."""
@@ -370,10 +370,11 @@ def scan(ctx, specdir, levels, powers, jobs):
         _load_for_levels(path, levels)
     store = _store(ctx)
     data_dir = ctx.obj["data_dir"]
-    if jobs <= 1:
+    workers = min(jobs, len(paths))  # never more processes than spec files
+    if workers == 1:
         results = [_scan_one(str(p), levels, powers, str(data_dir)) for p in paths]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_one, [str(p) for p in paths],
                                     [levels] * len(paths), [powers] * len(paths),
                                     [str(data_dir)] * len(paths)))

@@ -11,7 +11,9 @@ every p=2 a^(1) column equals `analysis.anumber_basic_p2` (checked by
 tests/test_tower.py::test_fixture_columns_match_closed_forms), levels 6-7
 included.  The p=3 level-5 kernel values (g = 51546 and 36784) have never been
 recomputed by this code: the dense int64 level-5 Cartier matrix needs 10.8 GB
-or more.  They are marked below.
+or more.  Nor have the p=2 d=21 values for r >= 2 at levels 6-7 (g = 14301
+and 57277); their level-5 rows are recomputed by tests/test_acceptance.py.
+All of these are marked below.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ SUITES: dict[str, dict] = {
         "p": 2,
         "terms": [(0, 1, 21), (0, 1, 19), (0, 1, 15), (0, 1, 13), (0, 1, 9)],
         "genus": [10, 51, 217, 885, 3565, 14301, 57277],
+        # the level-6 and level-7 entries (last two) of rows r >= 2: not recomputed
         "a": {
             1: [5, 16, 58, 226, 898, 3586, 14338],
             2: [8, 25, 94, 363, 1440, 5741, 22946],
@@ -112,6 +115,7 @@ SUITES: dict[str, dict] = {
         "p": 2,
         "terms": [(0, 1, 21), (0, 1, 13), (0, 1, 9), (0, 1, 5), (0, 1, 3)],
         "genus": [10, 51, 217, 885, 3565, 14301, 57277],
+        # the level-6 and level-7 entries (last two) of rows r >= 2: not recomputed
         "a": {
             1: [5, 16, 58, 226, 898, 3586, 14338],
             2: [8, 25, 95, 363, 1441, 5741, 22947],

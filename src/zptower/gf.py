@@ -263,17 +263,23 @@ class FieldCtx:
     def inv_frob_matrix(self, e: int = 1) -> np.ndarray:
         return self._frob_mats[(-e) % self.k]
 
-    @property
-    def reduction_matrix(self) -> np.ndarray:
-        return self._redmat
-
     def fold(self, raw: np.ndarray, axis: int = 0) -> np.ndarray:
         """Reduce raw GF(p)[t] products of degree < 2k-1, laid out along `axis`,
-        to coefficient vectors: t^(k+s) becomes reduction_matrix[s]."""
+        to coefficient vectors: t^(k+s) becomes _redmat[s]."""
         k = self.k
         raw = np.moveaxis(raw, axis, 0)
         out = raw[:k] + np.tensordot(self._redmat.T, raw[k:], axes=1)
         return np.ascontiguousarray(np.moveaxis(out % self.p, 0, axis))
+
+    def semilinear_blocks(self, coeffs: np.ndarray) -> np.ndarray:
+        """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m sigma^-1(c),
+        the blocks of a matrix restricted to GF(p) (linalg); for k = 1 the entries."""
+        k = self.k
+        # raw[n, i + j, j] = m_n[i]: column j is m_n t^j before folding
+        raw = np.zeros((coeffs.shape[0], 2 * k - 1, k), dtype=np.int64)
+        for j in range(k):
+            raw[:, j:j + k, j] = coeffs
+        return self.fold(raw, axis=1) @ self.inv_frob_matrix() % self.p
 
     # -- identity --------------------------------------------------------------
 

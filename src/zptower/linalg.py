@@ -1,22 +1,25 @@
-"""Exact dense linear algebra over GF(p^k).
+"""Exact dense linear algebra over GF(p^k), done over GF(p).
 
-Matrices over prime fields are int64 residue arrays; extension fields store
-one coefficient vector per entry.  Every rank except over GF(2) starts with a
-zero-fill structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90) that looks
-only at the nonzero pattern: it pivots on columns, then rows, with a single
-live nonzero until none is left, so rank(A) = #pivots + rank of the leftover
-submatrix.  Only that leftover is eliminated densely: by blocked Gaussian
-elimination whose trailing updates run as float64 GEMMs over odd prime fields
-(exact: every inner product is below _PANEL * (p-1)^2, far inside the float64
-integer range), and by a slower generic elimination over extension fields.
-GF(2) matrices skip the pass: XOR elimination on bit-packed rows is already
-faster than the pass on the Cartier matrices.
+Every matrix is one int64 array of residues mod p, by restriction of scalars:
+over GF(p^k) a g x g matrix M is stored as the kg x kg GF(p) matrix of the
+semilinear map c -> M sigma^-1(c), whose block (i, j) is the matrix of
+c -> m_ij sigma^-1(c).  So `@` composes such maps (a twisted product is a plain
+product), and as their kernels are GF(p^k)-subspaces, a GF(p^k) rank is the
+GF(p) rank divided by k.
 
-Products (the twisted powers) are formed one GF(p) coefficient plane at a
-time.  Over GF(2) a plane product is XOR on bit-packed rows (method of Four
-Russians), with no floating point; only odd-p products, like odd-p kernels,
-run float64 GEMMs, exact while inner dimension * (p-1)^2 stays below 2^53.
-Every heavy computation in the pipeline is over a prime field.
+Every rank except over GF(2) starts with a zero-fill structured-pivot pass
+(LaMacchia-Odlyzko, CRYPTO '90) that looks only at the nonzero pattern: it
+pivots on columns, then rows, with a single live nonzero until none is left,
+so rank(A) = #pivots + rank of the leftover submatrix.  Only that leftover is
+eliminated densely, by blocked Gaussian elimination whose trailing updates run
+as float64 GEMMs (exact: every inner product is below _PANEL * (p-1)^2, far
+inside the float64 integer range).  GF(2) matrices skip the pass: XOR
+elimination on bit-packed rows is already faster than the pass on the Cartier
+matrices.
+
+Over GF(2) a product is XOR on bit-packed rows (method of Four Russians), with
+no floating point; only odd-p products, like odd-p kernels, run float64 GEMMs,
+exact while inner dimension * (p-1)^2 stays below 2^53.
 
 Elimination mutates a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
@@ -40,71 +43,48 @@ class LinAlgError(ValueError):
 
 
 class DenseMatrix:
-    """rows x cols matrix over a FieldCtx.
-
-    Prime fields: data has shape (rows, cols), entries in [0, p).
-    Extension fields: shape (rows, cols, k) of coefficient vectors.
-    """
+    """rows x cols matrix over a FieldCtx; data is the (k rows) x (k cols) GF(p)
+    matrix of c -> M sigma^-1(c), entries in [0, p)."""
 
     __slots__ = ("ctx", "data")
 
     def __init__(self, ctx: FieldCtx, data: np.ndarray):
-        want_dims = 2 if ctx.k == 1 else 3
-        if data.ndim != want_dims:
-            raise LinAlgError(f"expected {want_dims}-d array for k={ctx.k}")
+        data = np.asarray(data, dtype=np.int64)
+        if data.ndim != 2 or data.shape[0] % ctx.k or data.shape[1] % ctx.k:
+            raise LinAlgError(f"expected a 2-d array with sides divisible by k={ctx.k}")
         self.ctx = ctx
-        self.data = np.asarray(data, dtype=np.int64) % ctx.p
+        self.data = data % ctx.p
+
+    @classmethod
+    def _wrap(cls, ctx: FieldCtx, data: np.ndarray) -> "DenseMatrix":
+        """A matrix on an array that is already reduced mod p, without copying it."""
+        M = cls.__new__(cls)
+        M.ctx, M.data = ctx, data
+        return M
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "DenseMatrix":
-        shape = (rows, cols) if ctx.k == 1 else (rows, cols, ctx.k)
-        return cls(ctx, np.zeros(shape, dtype=np.int64))
+        return cls._wrap(ctx, np.zeros((ctx.k * rows, ctx.k * cols), dtype=np.int64))
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[0] // self.ctx.k
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.ctx, self.data.copy())
+        return self.data.shape[1] // self.ctx.k
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def frobenius_entrywise(self, e: int = 1) -> "DenseMatrix":
-        """sigma^e applied to every entry (identity over prime fields)."""
-        if self.ctx.k == 1 or e % self.ctx.k == 0:
-            return self
-        M = self.ctx.frob_matrix(e)
-        return DenseMatrix(self.ctx, np.tensordot(self.data, M.T, axes=([2], [0])) % self.ctx.p)
-
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
+        """The composition c -> self sigma^-1(other sigma^-1(c))."""
         if self.ctx != other.ctx or self.cols != other.rows:
             raise LinAlgError("matmul shape/field mismatch")
-        return DenseMatrix(self.ctx, _matmul(self.data, other.data, self.ctx))
-
-    def __eq__(self, other):
-        return (isinstance(other, DenseMatrix) and other.ctx == self.ctx
-                and other.data.shape == self.data.shape
-                and bool((other.data == self.data).all()))
+        return DenseMatrix._wrap(self.ctx, _matmul(self.data, other.data, self.ctx.p))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    if ctx.k == 1:
-        return _plane_product(a, b, ctx.p)
-    # coefficient-vector product: convolve in t, then fold t^k.. back
-    k = ctx.k
-    raw = np.zeros((a.shape[0], b.shape[1], 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            raw[:, :, i + j] += _plane_product(a[:, :, i], b[:, :, j], ctx.p)
-    return ctx.fold(raw, axis=2)
-
-
-def _plane_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue arrays over GF(p): packed XOR products for
     p = 2, float64 GEMMs otherwise."""
     if p == 2:
@@ -156,23 +136,25 @@ def _gf2_pack(bits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rank(M: DenseMatrix) -> int:
-    """Rank over GF(p^k); M is only read.
+    """Rank over GF(p^k): the GF(p) rank of M.data divided by k; M is only read."""
+    r, rem = divmod(_rank_mod_p(M.data, M.ctx.p), M.ctx.k)
+    if rem:
+        raise InternalConsistencyError(f"GF(p) rank not a multiple of k={M.ctx.k}")
+    return r
 
-    GF(2) goes straight to bit-packed elimination.  Every other field first
-    takes the singleton pivots (_singleton_pivots) and eliminates only the
-    leftover submatrix, with _rank_blocked (k = 1) or _rank_generic (k > 1).
-    """
-    if M.rows == 0 or M.cols == 0:
+
+def _rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank of a residue array over GF(p).  GF(2) goes straight to bit-packed
+    elimination; odd p first takes the singleton pivots (_singleton_pivots)
+    and eliminates only the leftover submatrix with _rank_blocked."""
+    if A.size == 0:
         return 0
-    if M.ctx.k == 1 and M.ctx.p == 2:
-        return _rank_gf2_bitpacked(M.data)
-    npiv, rows, cols = _singleton_pivots(_entry_nonzero(M.data))
+    if p == 2:
+        return _rank_gf2_bitpacked(A)
+    npiv, rows, cols = _singleton_pivots(A != 0)
     if rows.size == 0 or cols.size == 0:
         return npiv
-    sub = M.data[np.ix_(rows, cols)]
-    if M.ctx.k > 1:
-        return npiv + _rank_generic(DenseMatrix(M.ctx, sub))
-    return npiv + _rank_blocked(sub, M.ctx.p)
+    return npiv + _rank_blocked(A[np.ix_(rows, cols)], p)
 
 
 def kernel_dim(M: DenseMatrix) -> int:
@@ -312,73 +294,52 @@ def _rank_blocked(Ai: np.ndarray, p: int) -> int:
     return r
 
 
-def _entry_nonzero(data: np.ndarray) -> np.ndarray:
-    return data.any(axis=-1) if data.ndim == 3 else data != 0
-
-
-def _rank_generic(M: DenseMatrix) -> int:
-    R = rref(M)[0]
-    return int(_entry_nonzero(R.data).any(axis=1).sum())
-
-
-def rref(M: DenseMatrix) -> tuple[DenseMatrix, list[int]]:
-    """Reduced row echelon form and pivot column list (small-matrix path)."""
-    ctx = M.ctx
-    p, k = ctx.p, ctx.k
+def rref(M: DenseMatrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of M.data over GF(p) and its pivot columns
+    (small-matrix path)."""
+    p = M.ctx.p
     A = M.data.copy()
-    if k == 1:
-        A = A[:, :, None]
-    rows, cols = A.shape[0], A.shape[1]
-    # T[i, j] = coefficient vector of t^(i+j) mod the field modulus
-    T = ctx.fold(np.eye(2 * k - 1, dtype=np.int64)[np.add.outer(np.arange(k), np.arange(k))],
-                 axis=2)
-    r = 0
-    pivots = []
-    for c in range(cols):
-        nzmask = A[r:, c].any(axis=-1)
-        nz = np.nonzero(nzmask)[0]
+    r, pivots = 0, []
+    for c in range(A.shape[1]):
+        if r == A.shape[0]:
+            break
+        nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
-        inv = np.array(ctx.elem(tuple(int(v) for v in A[r, c])).inverse().coeffs,
-                       dtype=np.int64)
-        A[r] = np.einsum("i,cj,ijl->cl", inv, A[r], T) % p
-        others = np.nonzero(A[:, c].any(axis=-1))[0]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        others = np.nonzero(A[:, c])[0]
         others = others[others != r]
-        if others.size:
-            A[others] = (A[others] - np.einsum("ri,cj,ijl->rcl", A[others, c], A[r], T)) % p
+        A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    out = A[:, :, 0] if k == 1 else A
-    return DenseMatrix(ctx, out), pivots
+    return A, pivots
 
 
 def kernel_basis(M: DenseMatrix) -> list[np.ndarray]:
-    """Basis vectors of the right kernel (small-matrix path via RREF).
+    """GF(p) basis of the right kernel of M.data (small-matrix path via RREF).
 
-    Each vector has shape (cols,) for k = 1 or (cols, k) otherwise.
+    Each vector has length k * cols: reshaped to (cols, k) it holds the
+    coefficient vectors of a c with M sigma^-1(c) = 0.  The kernel is a
+    GF(p^k)-subspace, so there are k * kernel_dim(M) vectors.
     """
-    ctx = M.ctx
-    p, k = ctx.p, ctx.k
+    p = M.ctx.p
     R, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    data = R.data if k > 1 else R.data[:, :, None]
+    n = R.shape[1]
     basis = []
-    for fc in free:
-        v = np.zeros((M.cols, k), dtype=np.int64)
-        v[fc, 0] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-data[r, fc]) % p
-        basis.append(v[:, 0] if k == 1 else v)
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = np.zeros(n, dtype=np.int64)
+        v[fc] = 1
+        v[pivots] = (-R[:len(pivots), fc]) % p
+        basis.append(v)
     return basis
 
 
 def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
-    """a^(r) = kernel_dim(M sigma^-1(M) ... sigma^-(r-1)(M)) for r = 1, 2, ...
+    """a^(r) = kernel_dim(M^r) for r = 1, 2, ..., where M^r is the twisted
+    product M sigma^-1(M) ... sigma^-(r-1)(M).
 
     Each product is formed only when its value is requested, and none once the
     kernel is the whole space.  The sequence must be nondecreasing with concave
@@ -390,7 +351,7 @@ def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
     N = M
     while not dims or dims[-1] < M.cols:
         if dims:
-            N = N @ M.frobenius_entrywise(-len(dims))
+            N = N @ M
         dims.append(kernel_dim(N))
         if len(dims) >= 2 and dims[-1] < dims[-2]:
             raise InternalConsistencyError(f"kernel dimensions decrease: {dims}")
@@ -402,11 +363,8 @@ def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
 
 
 def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
-    """Kernel dimensions of N_r = M sigma^-1(M) ... sigma^-(r-1)(M), r = 1..R.
-
-    These are the kernel dimensions of the powers of the sigma^-1-semilinear
-    operator with matrix M (over prime fields simply M^r).
-    """
+    """Kernel dimensions of N_r = M sigma^-1(M) ... sigma^-(r-1)(M), r = 1..R:
+    those of the powers of the sigma^-1-semilinear operator with matrix M."""
     return list(islice(_twisted_kernels(M), R))
 
 

@@ -6,12 +6,29 @@ import numpy as np
 import pytest
 
 from zptower.gf import FieldCtx
+from zptower.linalg import DenseMatrix
 from zptower.poly import Monomial, SparsePoly
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def restrict(ctx: FieldCtx, data) -> DenseMatrix:
+    """The DenseMatrix of the matrix with (rows, cols, k) coefficient vectors
+    `data` over ctx: every entry replaced by its k x k GF(p) block."""
+    data = np.asarray(data)
+    rows, cols, k = data.shape
+    blocks = ctx.semilinear_blocks(data.reshape(-1, k)).reshape(rows, cols, k, k)
+    return DenseMatrix(ctx, blocks.transpose(0, 2, 1, 3).reshape(rows * k, cols * k))
+
+
+def semilinear_image(ctx: FieldCtx, data, c):
+    """M sigma^-1(c) by FieldElement arithmetic, for the M of restrict(ctx, data)."""
+    rows, cols = data.shape[:2]
+    return [sum((ctx.elem(data[i, j]) * c[j].frobenius_inverse() for j in range(cols)),
+                ctx.zero()) for i in range(rows)]
 
 
 def random_poly(ctx: FieldCtx, level: int, rng, nterms: int = 5, maxdeg: int = 8,

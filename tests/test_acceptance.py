@@ -101,6 +101,14 @@ def test_criterion_4_p2_d21_powers():
           "a2(2)=25, a3(3)=116, a5(4)=562")
 
 
+@pytest.mark.parametrize("name", ["p2d21", "p2d21-variant"])
+def test_p2_d21_level5_powers_match_fixtures(name):
+    fx = SUITES[name]
+    cm = cartier_matrix(TowerState(TowerSpec.make(field(2), fx["terms"])), 5)
+    assert cm.genus == fx["genus"][4]
+    assert twisted_power_kernels(cm.matrix, 10) == [fx["a"][r][4] for r in range(1, 11)]
+
+
 def test_criterion_5_proven_closed_forms():
     rng = np.random.default_rng(SEED + 1)
     # -- level-n a-number equality for random basic characteristic-2 towers.

@@ -219,6 +219,45 @@ def test_scan_checks_every_spec_before_computing(runner, tmp_path, monkeypatch):
     assert r.exit_code == 2
 
 
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+def test_scan_jobs_bounded(runner, tmp_path, monkeypatch):
+    import zptower.cli as cli
+    sd = tmp_path / "specs"
+    sd.mkdir()
+    for d in (3, 5, 7):
+        (sd / f"d{d}.json").write_text(json.dumps(
+            {"name": f"d{d}", "p": 2, "terms": [{"v": 0, "c": 1, "i": d}]}))
+    data = tmp_path / "data"
+    for jobs in ("0", "-3"):
+        r = runner.invoke(main, ["--data-dir", str(data), "scan", str(sd), "-j", jobs])
+        assert r.exit_code == 2, r.output
+    assert not (data / "results.jsonl").exists()
+    # a large -j starts no more workers than there are spec files
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "seen", [])
+    r = runner.invoke(main, ["--data-dir", str(data), "scan", str(sd), "-n", "1",
+                             "-j", str(10 ** 6)])
+    assert r.exit_code == 0, r.output
+    assert _RecordingPool.seen == [3]
+    assert len(Store(data / "results.jsonl").query()) == 3
+
+
 def test_compute_level_zero(runner, specfile, tmp_path):
     data = tmp_path / "d"
     r = runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile), "-n", "0"])

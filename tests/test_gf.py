@@ -131,10 +131,11 @@ def test_frob_matrices_match_elementwise_power():
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
 def test_extension_products_match_field_arithmetic(p, k, rng):
-    # every dense product that folds t^k.. through the reduction rows, entry by
-    # entry against FieldElement arithmetic (k = 3 uses two reduction rows)
+    # every product that folds t^k.. through the reduction rows (xconv, Slab.scale,
+    # the blocks of restricted matrices) against FieldElement arithmetic
+    # (k = 3 uses two reduction rows)
+    from conftest import restrict, semilinear_image
     from zptower._slab import Slab, xconv
-    from zptower.linalg import DenseMatrix, rref
 
     F = field(p, k)
 
@@ -155,35 +156,11 @@ def test_extension_products_match_field_arithmetic(p, k, rng):
         for x in range(4):
             assert el(scaled[s, :, x]) == el(arr[s, :, x]) * c
 
-    A = DenseMatrix(F, rng.integers(0, p, size=(5, 4, k)))
-    B = DenseMatrix(F, rng.integers(0, p, size=(4, 3, k)))
-    C = (A @ B).data
-    for i in range(5):
-        for j in range(3):
-            want = sum((el(A.data[i, t]) * el(B.data[t, j]) for t in range(4)), F.zero())
-            assert el(C[i, j]) == want
-
-    # Gauss-Jordan over FieldElements gives the same reduced echelon form
-    M = DenseMatrix(F, rng.integers(0, p, size=(4, 6, k)))
-    rows = [[el(M.data[i, j]) for j in range(6)] for i in range(4)]
-    r, pivots = 0, []
-    for col in range(6):
-        nz = [i for i in range(r, 4) if not rows[i][col].is_zero()]
-        if not nz:
-            continue
-        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(4):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == 4:
-            break
-    R, got_pivots = rref(M)
-    assert got_pivots == pivots
-    for i in range(4):
-        for j in range(6):
-            assert el(R.data[i, j]) == rows[i][j]
+    # restricted matrices compose the semilinear maps:
+    # (A @ B) c = A sigma^-1(B sigma^-1(c))
+    a, b = rng.integers(0, p, size=(5, 4, k)), rng.integers(0, p, size=(4, 3, k))
+    C = restrict(F, a) @ restrict(F, b)
+    for _ in range(4):
+        c = [F.random_element(rng) for _ in range(3)]
+        got = C.data @ np.array([e.coeffs for e in c]).ravel() % p
+        assert [el(v) for v in got.reshape(5, k)] == semilinear_image(F, a, semilinear_image(F, b, c))

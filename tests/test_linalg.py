@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import restrict, semilinear_image
 from zptower.gf import InternalConsistencyError, field
 from zptower.linalg import (DenseMatrix, LinAlgError, _rank_blocked, _singleton_pivots,
                             kernel_basis, kernel_dim, kernels_to_stabilization, rank,
@@ -48,6 +49,18 @@ def ext_naive(data, ctx):
         if r == rows:
             break
     return r
+
+
+def test_construction_reduces_caller_data():
+    assert DenseMatrix(F3, [[-1, 5]]).data.tolist() == [[2, 2]]
+    with pytest.raises(LinAlgError):
+        DenseMatrix(field(2, 2), np.zeros((2, 3), dtype=np.int64))  # not k x k blocks
+
+
+def test_rank_not_multiple_of_k_is_inconsistent():
+    # a GF(2) array of GF(2)-rank 1 is no GF(4)-semilinear map
+    with pytest.raises(InternalConsistencyError):
+        rank(DenseMatrix(field(2, 2), np.array([[1, 0], [0, 0]])))
 
 
 def test_kernel_examples():
@@ -99,34 +112,30 @@ def test_kernel_basis(rng):
     for v in vecs:
         assert not ((M.data @ v) % 3).any()
     F4 = field(2, 2)
-    M4 = DenseMatrix(F4, rng.integers(0, 2, size=(7, 9, 2)))
+    M4 = restrict(F4, rng.integers(0, 2, size=(7, 9, 2)))
     vecs4 = kernel_basis(M4)
-    assert len(vecs4) == kernel_dim(M4)
+    assert len(vecs4) == 2 * kernel_dim(M4)
+    for v in vecs4:
+        assert not ((M4.data @ v) % 2).any()
 
 
 def test_extension_field_rank(rng):
     F4 = field(2, 2)
     data = rng.integers(0, 2, size=(12, 9, 2))
-    M = DenseMatrix(F4, data)
-    assert rank(M) == ext_naive(data, F4)
+    assert rank(restrict(F4, data)) == ext_naive(data, F4)
 
 
-def test_matmul_and_frobenius_entrywise(rng):
+def test_matmul_composes_semilinear_maps(rng):
+    # (A @ B) c = A sigma^-1(B sigma^-1(c)), checked with field arithmetic
     F4 = field(2, 2)
-    A = DenseMatrix(F4, rng.integers(0, 2, size=(5, 4, 2)))
-    B = DenseMatrix(F4, rng.integers(0, 2, size=(4, 3, 2)))
-    C = A @ B
-    # spot-check one entry with field arithmetic
-    i, j = 2, 1
-    want = F4.zero()
-    for t in range(4):
-        a = F4.elem(tuple(int(v) for v in A.data[i, t]))
-        b = F4.elem(tuple(int(v) for v in B.data[t, j]))
-        want = want + a * b
-    assert tuple(int(v) for v in C.data[i, j]) == want.coeffs
-    Fr = A.frobenius_entrywise(1)
-    a = F4.elem(tuple(int(v) for v in A.data[0, 0]))
-    assert tuple(int(v) for v in Fr.data[0, 0]) == a.frobenius().coeffs
+    a, b = rng.integers(0, 2, size=(5, 4, 2)), rng.integers(0, 2, size=(4, 3, 2))
+    C = restrict(F4, a) @ restrict(F4, b)
+    assert (C.rows, C.cols) == (5, 3)
+    for _ in range(6):
+        c = [F4.random_element(rng) for _ in range(3)]
+        got = C.data @ np.array([e.coeffs for e in c]).ravel() % 2
+        want = semilinear_image(F4, a, semilinear_image(F4, b, c))
+        assert got.tolist() == [v for e in want for v in e.coeffs]
 
 
 def test_twisted_power_uses_sigma_inverse():
@@ -134,13 +143,13 @@ def test_twisted_power_uses_sigma_inverse():
     # has rank 1, so the twisted kernels stay at 1 where the plain ones reach 2
     F4 = field(2, 2)
     t, t2 = (0, 1), (1, 1)
-    M = DenseMatrix(F4, np.array([[t, (1, 0)], [t2, t]]))
+    M = restrict(F4, [[t, (1, 0)], [t2, t]])
     assert twisted_power_kernels(M, 3) == [1, 1, 1]
 
 
 def test_kernel_filtration_properties(rng):
-    for F, shape in [(F2, (12, 12)), (F3, (9, 9)), (field(2, 2), (7, 7, 2))]:
-        M = DenseMatrix(F, rng.integers(0, F.p, size=shape))
+    for F, shape in [(F2, (12, 12)), (F3, (9, 9)), (field(2, 2), (7, 7))]:
+        M = restrict(F, rng.integers(0, F.p, size=shape + (F.k,)))
         dims = twisted_power_kernels(M, 8)
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         incs = [b - a for a, b in zip([0] + dims, dims)]
@@ -172,7 +181,7 @@ def test_empty_matrix():
 
 def check_rank(data, F):
     """rank agrees with the naive eliminations and leaves the matrix unchanged."""
-    M = DenseMatrix(F, data)
+    M = restrict(F, data.reshape(data.shape[:2] + (F.k,)))
     before = M.data.copy()
     got = rank(M)
     assert (M.data == before).all()
