@@ -11,16 +11,16 @@ of its twisted powers computed by exact linear algebra over GF(p^k).
 __version__ = "0.1.0"
 
 from .gf import FieldCtx, FieldElement, field
-from .poly import Monomial, PoleProfile, SparsePoly
+from .poly import Monomial, PoleProfile
 from .tower import RamificationData, TowerSpec, TowerState
-from .cartier import CartierMatrix, DifferentialForm, cartier_matrix
+from .cartier import CartierMatrix, cartier_matrix
 from .linalg import DenseMatrix, kernel_dim, twisted_power_kernels
 
 __all__ = [
     "__version__",
     "FieldCtx", "FieldElement", "field",
-    "Monomial", "PoleProfile", "SparsePoly",
+    "Monomial", "PoleProfile",
     "RamificationData", "TowerSpec", "TowerState",
-    "CartierMatrix", "DifferentialForm", "cartier_matrix",
+    "CartierMatrix", "cartier_matrix",
     "DenseMatrix", "kernel_dim", "twisted_power_kernels",
 ]

@@ -3,12 +3,11 @@
 A Slab stores a reduced polynomial in x, y_1..y_level as an int64 array of
 shape (p**level, k, X): one row per y-exponent tuple (coded little-endian in
 base p), one coefficient vector of length k per power of x.  Entries are
-residues in [0, p); all arithmetic is exact.
+residues in [0, p); all arithmetic is exact.  A differential form h dx at a
+tower level is the Slab of h.
 
-This is a private module: the public contract lives in poly.SparsePoly, and
-every operation here is cross-checked against the sparse implementation in
-the test suite.  Slabs exist because the tower pipeline multiplies and
-reduces polynomials with ~10^4 terms, where dict arithmetic is too slow.
+Slab is the package's only polynomial type.  The test suite checks every
+operation here against the sparse dict reference in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .gf import FieldCtx, InternalConsistencyError
-from .poly import Monomial, PolyError, SparsePoly
+from .poly import Monomial, PolyError
 
 
 class Reducer(Protocol):
@@ -57,26 +56,6 @@ class Slab:
         c = ctx.one() if coeff is None else ctx.elem(coeff)
         s.arr[code_of(ctx.p, m.a), :, m.nu] = c.coeffs
         return s
-
-    @classmethod
-    def from_sparse(cls, f: SparsePoly, level: int | None = None) -> "Slab":
-        level = f.level if level is None else level
-        f = f.at_level(level)
-        xcap = max((m.nu for m in f.terms), default=0) + 1
-        s = cls.zeros(f.ctx, level, xcap)
-        p = f.ctx.p
-        for m, c in f.terms.items():
-            s.arr[code_of(p, m.a), :, m.nu] = c.coeffs
-        return s
-
-    def to_sparse(self) -> SparsePoly:
-        ctx, p = self.ctx, self.ctx.p
-        terms = {}
-        codes, xs = np.nonzero(self.arr.any(axis=1))
-        for code, nu in zip(codes.tolist(), xs.tolist()):
-            c = ctx.elem(tuple(int(v) for v in self.arr[code, :, nu]))
-            terms[Monomial(nu, digits_of(p, code, self.level))] = c
-        return SparsePoly(ctx, self.level, terms)
 
     # -- basic structure --------------------------------------------------------
 
@@ -241,9 +220,7 @@ def mul(a: Slab, b: Slab, reducer: Reducer) -> Slab:
             db = digits_of(p, sb, b.level)
             dig = tuple((da[j] if j < len(da) else 0) + (db[j] if j < len(db) else 0)
                         for j in range(lvl))
-            block = xconv(ra, b.arr[sb], ctx)
-            prev = acc.get(dig)
-            acc[dig] = block if prev is None else _grow_add(prev, block)
+            _merge_block(acc, dig, xconv(ra, b.arr[sb], ctx))
     return _finish_reduce(acc, ctx, lvl, reducer)
 
 
@@ -255,9 +232,9 @@ def _grow_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
-def _merge_block(into: dict, dig: tuple[int, ...], block: np.ndarray) -> None:
-    prev = into.get(dig)
-    into[dig] = block if prev is None else _grow_add(prev, block)
+def _merge_block(into: dict, key, block: np.ndarray) -> None:
+    prev = into.get(key)
+    into[key] = block if prev is None else _grow_add(prev, block)
 
 
 def _materialize(ctx: FieldCtx, lvl: int, blocks: dict[tuple[int, ...], np.ndarray]) -> Slab:
@@ -350,8 +327,6 @@ def v_apply(g: Slab, tables: dict[tuple[int, int], Slab]) -> Slab:
             h = sub if k == 1 else (finv @ sub) % p
             entry = tables[(nu0, code)]
             for ecode in entry.nonzero_codes().tolist():
-                block = xconv(h, entry.arr[ecode], ctx)
-                prev = acc.get(ecode)
-                acc[ecode] = block if prev is None else _grow_add(prev, block)
+                _merge_block(acc, ecode, xconv(h, entry.arr[ecode], ctx))
     return _materialize(ctx, g.level,
                         {digits_of(p, ec, g.level): b for ec, b in acc.items()})

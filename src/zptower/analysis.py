@@ -14,10 +14,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .cartier import DifferentialForm, cartier_apply, cartier_matrix, trace_map
+import numpy as np
+
+from ._slab import Slab
+from .cartier import cartier_apply, cartier_matrix, trace_map
 from .gf import InternalConsistencyError
 from .linalg import kernel_basis
-from .poly import SparsePoly
 from .tower import RamificationData, TowerState
 
 
@@ -108,12 +110,18 @@ def estimate_lambda(a_list: Sequence[int], d: int, p: int, r: int) -> Fraction:
     cc = constants(r, p)
     if cc.m < 1:
         raise AnalysisError("lambda estimation needs m(r,p) >= 1")
+    if len(a_list) < cc.m + 1:
+        raise AnalysisError(f"need at least {cc.m + 1} levels, got {len(a_list)}")
+    return _lambda_quotient(a_list, d, p, cc.alpha, cc.m)
+
+
+def _lambda_quotient(a_list: Sequence[int], d: int, p: int, alpha: Fraction,
+                     period: int) -> Fraction:
+    """The main-term residual's difference quotient over the last `period` levels."""
     N = len(a_list)
-    if N < cc.m + 1:
-        raise AnalysisError(f"need at least {cc.m + 1} levels, got {N}")
-    hi = a_list[N - 1] - cc.alpha * d * p ** (2 * N)
-    lo = a_list[N - 1 - cc.m] - cc.alpha * d * p ** (2 * (N - cc.m))
-    return Fraction(hi - lo, cc.m)
+    hi = a_list[N - 1] - alpha * d * p ** (2 * N)
+    lo = a_list[N - 1 - period] - alpha * d * p ** (2 * (N - period))
+    return Fraction(hi - lo, period)
 
 
 @dataclass
@@ -176,9 +184,7 @@ def fit_periodic(a_list: Sequence[int], d: int, p: int, r: int) -> FitReport:
     for period in periods:
         candidates.append((period, Fraction(0)))
         if N >= period + 1:
-            hi = a_list[N - 1] - cc.alpha * d * p ** (2 * N)
-            lo = a_list[N - 1 - period] - cc.alpha * d * p ** (2 * (N - period))
-            lam = Fraction(hi - lo, period)
+            lam = _lambda_quotient(a_list, d, p, cc.alpha, period)
             if lam != 0:
                 candidates.append((period, lam))
     best = None
@@ -333,7 +339,7 @@ def ramification_hypothesis(ram: RamificationData | None = None, *,
 @dataclass
 class TraceCheck:
     index: int
-    trace_poly: SparsePoly
+    trace_poly: Slab  # h of the trace h dx at level 0
     order_at_infinity: Fraction | float
     bound: int
     strict: bool
@@ -375,20 +381,19 @@ def trace_bound_check(state: TowerState) -> TraceBoundReport:
     # sum (d - ceil(d/p)) >= 0 > -2 = 2g - 2
     must_vanish = True
     report = TraceBoundReport(p=p, d=d, kernel_dimension=len(vecs) // ctx.k)
+    codes = np.array([m.a[0] for m in basis], dtype=np.int64)
+    nus = np.array([m.nu for m in basis], dtype=np.int64)
     for idx, vec in enumerate(vecs):
-        terms = {}
-        for m, comp in zip(basis, vec.reshape(-1, ctx.k)):
-            c = ctx.elem(comp)
-            if not c.is_zero():
-                terms[m] = c
-        eta = DifferentialForm(SparsePoly(ctx, 1, terms), 1)
+        eta = Slab.zeros(ctx, 1, int(nus.max()) + 1)
+        eta.arr[codes, :, nus] = vec.reshape(-1, ctx.k)
         if not cartier_apply(eta, state).is_zero():
             raise InternalConsistencyError("kernel vector not killed by V")
-        tr = trace_map(eta).poly
+        tr = trace_map(eta)
         if tr.is_zero():
             order = math.inf
         else:
-            order = -tr.x_degree() - 2  # ord at infinity of h dx on the line
+            # ord at infinity of h dx on the line is -deg h - 2; tr is trimmed
+            order = -(tr.arr.shape[2] - 1) - 2
         ok = (order > bound) if strict else (order >= bound)
         if must_vanish:
             ok = ok and tr.is_zero()

@@ -11,7 +11,8 @@ expanding binomially pushes the computation down one level, since V(h^p w) =
 h V(w).  Per level we precompute V on the p^(m+1) monomials with nu < p and
 all a_i < p; V of anything else is a shifted, Frobenius-twisted combination
 of those values.  Tables serialize to a per-(spec, level) cache so deeper
-levels resume without recomputation.
+levels resume without recomputation.  A differential form h dx is the Slab of
+h: cartier_apply, trace_map and function_differential take and return Slabs.
 """
 
 from __future__ import annotations
@@ -23,52 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import Slab, code_of, code_weights, digits_of, mul as slab_mul, v_apply
+from ._slab import Slab, code_weights, digits_of, mul as slab_mul, v_apply
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
-from .poly import Monomial, PolyError, SparsePoly
+from .poly import Monomial, PolyError
 from .tower import TowerState
 from .witt import read_cache, write_cache
 
 TABLE_FORMAT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class DifferentialForm:
-    """poly * dx at a given tower level; poly is y-reduced."""
-
-    poly: SparsePoly
-    level: int
-
-    def __post_init__(self):
-        if not self.poly.is_reduced():
-            raise PolyError("differential coefficient must be y-reduced")
-        if self.poly.level != self.level:
-            object.__setattr__(self, "poly", self.poly.at_level(self.level))
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        if other.level != self.level:
-            raise PolyError("mixed-level differential addition")
-        return DifferentialForm(self.poly + other.poly, self.level)
-
-    def __eq__(self, other):
-        return (isinstance(other, DifferentialForm) and other.level == self.level
-                and other.poly == self.poly)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-
-def base_cartier(f: SparsePoly) -> SparsePoly:
-    """V on the projective line: sum a_i x^i dx -> sum sigma^-1(a_(pj-1)) x^(j-1) dx."""
-    if f.level != 0:
-        raise PolyError("base_cartier expects a polynomial in x only")
-    p = f.ctx.p
-    terms = {}
-    for m, c in f.terms.items():
-        if (m.nu + 1) % p == 0:
-            terms[Monomial((m.nu + 1) // p - 1, ())] = c.frobenius_inverse()
-    return SparsePoly(f.ctx, 0, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +68,16 @@ def differential_basis(state: TowerState, n: int) -> list[Monomial]:
     return out
 
 
-def is_regular(form: DifferentialForm, state: TowerState) -> bool:
-    """Whether every monomial satisfies the basis inequality (regular at infinity)."""
+def is_regular(form: Slab, state: TowerState) -> bool:
+    """Whether form dx is regular at infinity: every nonzero x^nu y^code cell
+    satisfies the basis inequality nu <= numax[code]."""
     if form.level == 0:
         # on the projective line every nonzero polynomial differential has a
         # pole at infinity of order deg + 2
-        return form.poly.is_zero()
+        return form.is_zero()
     numax, _, _ = _basis_layout(state, form.level)
-    p = state.spec.p
-    for m in form.poly.terms:
-        if m.nu > numax[code_of(p, m.a)]:
-            return False
-    return True
+    codes, xs = np.nonzero(form.arr.any(axis=1))
+    return not np.any(xs > numax[codes])
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +213,6 @@ def _embed_ym(term: Slab, i: int, m: int) -> Slab:
     return out
 
 
-def precompute_tables(state: TowerState, m: int
-                      ) -> dict[tuple[int, tuple[int, ...]], DifferentialForm]:
-    """V on every x^nu y^a dx with nu < p and all a_i < p, keyed by (nu, a).
-
-    Convenience view over the cached level-m table; heavy consumers work on
-    the slabs directly.
-    """
-    p = state.spec.p
-    tab = _tables_for(state).table(m)
-    return {(nu0, digits_of(p, code, m)): DifferentialForm(slab.to_sparse().at_level(m), m)
-            for (nu0, code), slab in tab.items()}
-
-
 # ---------------------------------------------------------------------------
 # application, matrix, trace
 # ---------------------------------------------------------------------------
@@ -275,11 +223,10 @@ def _tables_for(state: TowerState) -> CartierTables:
     return state.tables
 
 
-def cartier_apply(form: DifferentialForm, state: TowerState) -> DifferentialForm:
-    """V applied to an arbitrary reduced differential at its level."""
-    tables = _tables_for(state).table(form.level)
-    slab = Slab.from_sparse(form.poly)
-    return DifferentialForm(v_apply(slab, tables).to_sparse(), form.level)
+def cartier_apply(form: Slab, state: TowerState) -> Slab:
+    """V(form dx) at the form's level; at level 0 this is
+    V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx on the projective line."""
+    return v_apply(form, _tables_for(state).table(form.level))
 
 
 @dataclass
@@ -331,38 +278,26 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     return CartierMatrix(n, differential_basis(state, n), M)
 
 
-def trace_map(form: DifferentialForm) -> DifferentialForm:
+def trace_map(form: Slab) -> Slab:
     """Trace to the previous level: sum_i w_i y_n^i dx -> -w_(p-1) dx."""
     if form.level == 0:
         raise PolyError("no level below the base")
-    p = form.poly.ctx.p
-    parts = form.poly.y_coefficients(form.level)
-    top = parts.get(p - 1)
-    if top is None:
-        poly = SparsePoly.zero(form.poly.ctx, form.level - 1)
-    else:
-        poly = (-top).at_level(form.level - 1)
-    return DifferentialForm(poly, form.level - 1)
+    p = form.ctx.p
+    top = form.arr[-p ** (form.level - 1):]  # the rows whose y_n digit is p - 1
+    return Slab(form.ctx, form.level - 1, -top % p).trim()
 
 
 # ---------------------------------------------------------------------------
-# formal differentials (runtime oracle support)
+# formal differentials
 # ---------------------------------------------------------------------------
 
-def function_differential(h: SparsePoly, state: TowerState) -> SparsePoly:
+def function_differential(h: Slab, state: TowerState) -> Slab:
     """D(h) with dh = D(h) dx on the tower: D(x) = 1, D(y_j) = -D(f_j)."""
     state.build_to(h.level)
-    slab = Slab.from_sparse(h)
-    return _differential_slab(slab, state).to_sparse()
-
-
-def _differential_slab(slab: Slab, state: TowerState) -> Slab:
-    ctx = state.field
-    p = ctx.p
-    out = _x_derivative(slab)
-    for j in range(1, slab.level + 1):
+    out = _x_derivative(h)
+    for j in range(1, h.level + 1):
         dyj = _dy_slab(state, j)
-        part = _y_derivative(slab, j)
+        part = _y_derivative(h, j)
         if part.is_zero() or dyj.is_zero():
             continue
         out = out + slab_mul(part, dyj, state.chain)
@@ -394,5 +329,5 @@ def _y_derivative(slab: Slab, j: int) -> Slab:
 def _dy_slab(state: TowerState, j: int) -> Slab:
     got = state.dy_cache.get(j)
     if got is None:
-        got = state.dy_cache[j] = _differential_slab(state.layer_slab(j), state).scale(-1)
+        got = state.dy_cache[j] = function_differential(state.layer_slab(j), state).scale(-1)
     return got

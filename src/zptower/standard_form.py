@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._slab import Reducer, Slab, pth_power
 from .gf import InternalConsistencyError
-from .poly import Monomial, PoleProfile, PolyError, SparsePoly
+from .poly import Monomial, PoleProfile, PolyError
 
 
 class StandardFormError(RuntimeError):
@@ -80,18 +80,3 @@ def reduce_slab(f: Slab, reducer: Reducer, profile: PoleProfile, target_d: int
             raise InternalConsistencyError("pole order failed to decrease")
         shift = shift + z.scale(c)
     return f.trim(), shift.trim()
-
-
-def to_standard_form(f_n: SparsePoly, state) -> SparsePoly:
-    """Standard form of a layer polynomial for the next level of `state`.
-
-    f_n must be reduced and live at level state.level (it defines level
-    state.level + 1); the target pole order is that level's lower break.
-    """
-    m = f_n.level + 1
-    ram = state.ensure_ram(m)
-    profile = ram.profile(m - 1)
-    slab = Slab.from_sparse(f_n)
-    state.build_to(m - 1)
-    out, _ = reduce_slab(slab, state.chain, profile, ram.d[m - 1])
-    return out.to_sparse()

@@ -22,7 +22,7 @@ from typing import Sequence
 from . import standard_form as _sf
 from ._slab import Slab, mul as slab_mul
 from .gf import FieldCtx, FieldElement, InternalConsistencyError
-from .poly import Monomial, PoleProfile, SparsePoly
+from .poly import Monomial, PoleProfile
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
 
@@ -284,17 +284,16 @@ def classify_monodromy(spec: TowerSpec, N: int) -> MonodromyClass:
 class _LayerChain:
     """Level-by-level layer construction over the dense kernel.
 
-    When standardize is set, each layer is rewritten so its pole order equals
-    the lower break, and the accumulated substitution y_m -> y_m + Z_m is
+    Each layer is rewritten in standard form, so its pole order equals the
+    lower break, and the accumulated substitution y_m -> y_m + Z_m is
     remembered: subs[m-1] is the original variable expressed in the current
     ones, which is what deeper universal corrections must be evaluated at.
     Also serves as the Reducer giving products their y-reduction data.
     """
 
-    def __init__(self, spec: TowerSpec, standardize: bool, cache_dir=None):
+    def __init__(self, spec: TowerSpec, cache_dir=None):
         self.spec = spec
         self.ctx = spec.field
-        self.standardize = standardize
         self.cache_dir = cache_dir
         self.layers: list[Slab] = []
         self.subs: list[Slab] = []
@@ -363,16 +362,11 @@ class _LayerChain:
             raw.arr[0, :, nu] = c
         correction = self._eval_terms(list(peel.as_dict().items()), m - 1)
         f = (raw.at_level(m - 1) - correction).trim()
+        f, shift = _sf.reduce_slab(f, self, PoleProfile(self.spec.p, self.d), d_m)
         y_m = Slab.monomial(self.ctx, Monomial(0, (0,) * (m - 1) + (1,)))
-        if self.standardize:
-            profile = PoleProfile(self.spec.p, self.d)
-            f, shift = _sf.reduce_slab(f, self, profile, d_m)
-            u_m = (y_m - shift.at_level(m)).trim()
-        else:
-            u_m = y_m
         self.d.append(d_m)
         self.layers.append(f)
-        self.subs.append(u_m)
+        self.subs.append((y_m - shift.at_level(m)).trim())
 
 
 class TowerState:
@@ -384,7 +378,7 @@ class TowerState:
         self.field = self.spec.field
         self.cache_dir = cache_dir
         self.ram: RamificationData | None = None
-        self.chain = _LayerChain(self.spec, standardize=True, cache_dir=cache_dir)
+        self.chain = _LayerChain(self.spec, cache_dir=cache_dir)
         self.tables = None  # attached by cartier.CartierTables
         self.dy_cache: dict[int, Slab] = {}  # d(y_j)/dx per level j, filled by cartier
 
@@ -420,25 +414,5 @@ class TowerState:
     def layer_slab(self, m: int) -> Slab:
         return self.chain.layers[m - 1]
 
-    def layer(self, m: int) -> SparsePoly:
-        """Standard-form f_m as a sparse polynomial."""
-        return self.layer_slab(m).to_sparse()
-
     def genus(self, m: int) -> int:
         return self.ensure_ram(max(m, 1)).genus(m)
-
-
-def layer_equations(spec: TowerSpec, n: int) -> list[SparsePoly]:
-    """Pre-standard-form layers f_1..f_n (reduced against each other).
-
-    Adjoining roots of f_1..f_m yields the degree-p^m stage of the tower.
-    """
-    spec = spec.normalize()
-    if n > spec.max_level():
-        raise TowerError(f"level {n} beyond supported Witt length for p={spec.p}")
-    ram = RamificationData.compute(spec, n)
-    comps = rhs_components([(t.v, t.c, t.i) for t in spec.terms], n, spec.field)
-    chain = _LayerChain(spec, standardize=False)
-    for m in range(1, n + 1):
-        chain.build_level(m, comps[m - 1], ram.d[m - 1])
-    return [s.to_sparse() for s in chain.layers]

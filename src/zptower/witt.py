@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .gf import FieldCtx
-from .poly import Monomial, SparsePoly
 
 #: Deepest supported truncation per characteristic (levels computed anywhere
 #: in the pipeline are bounded by these).
@@ -289,20 +288,6 @@ class WittPolynomial:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def evaluate(self, values: Sequence[SparsePoly], ctx: FieldCtx) -> SparsePoly:
-        """Substitute SparsePoly values for the variables (test/cross-check path)."""
-        if len(values) != self.nvars:
-            raise WittError(f"expected {self.nvars} values, got {len(values)}")
-        level = max((v.level for v in values), default=0)
-        out = SparsePoly.zero(ctx, level)
-        for e, c in self.terms:
-            term = SparsePoly.constant(ctx, c, level)
-            for v, ei in zip(values, e):
-                if ei:
-                    term = term * v ** ei
-            out = out + term
-        return out
-
 
 def _var(nvars: int, i: int, power: int = 1) -> dict:
     e = [0] * nvars
@@ -461,14 +446,6 @@ def _store_universal(p, length, kind, polys, cache_dir):
 # ---------------------------------------------------------------------------
 # tower right-hand sides
 # ---------------------------------------------------------------------------
-
-def poly_pth_power(f: SparsePoly, times: int = 1) -> SparsePoly:
-    """p-th power in the free polynomial ring: exponents scale, coefficients Frobenius."""
-    q = f.ctx.p ** times
-    terms = {Monomial(m.nu * q, tuple(e * q for e in m.a)): c ** q
-             for m, c in f.terms.items()}
-    return SparsePoly(f.ctx, f.level, terms)
-
 
 def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
                    field: FieldCtx) -> list[dict]:

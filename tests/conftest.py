@@ -7,7 +7,8 @@ import pytest
 
 from zptower.gf import FieldCtx
 from zptower.linalg import DenseMatrix
-from zptower.poly import Monomial, SparsePoly
+from oracle import SparsePoly
+from zptower.poly import Monomial
 
 
 @pytest.fixture

