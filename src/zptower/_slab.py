@@ -23,8 +23,6 @@ from .poly import Monomial, PolyError
 class Reducer(Protocol):
     """Provides the layer data needed to keep products y-reduced."""
 
-    ctx: FieldCtx
-
     def layer_slab(self, j: int) -> "Slab":
         """Right-hand side f_j of y_j^p - y_j = f_j, reduced, at level j-1."""
         ...

@@ -121,13 +121,12 @@ class CartierTables:
     def _build_level(self, m: int) -> dict[tuple[int, int], Slab]:
         state, ctx = self.state, self.ctx
         p = ctx.p
-        chain = state.chain
         prev = self.levels[m - 1]
         S_low = p ** (m - 1)
         minus_f = state.layer_slab(m).scale(-1)
         fpow = [Slab.monomial(ctx, Monomial(0, ()))]
         for _ in range(1, p):
-            fpow.append(slab_mul(fpow[-1], minus_f, chain).trim())
+            fpow.append(slab_mul(fpow[-1], minus_f, state).trim())
         inner: dict[tuple[int, int, int], Slab] = {}
         for lowcode in range(S_low):
             lowdig = digits_of(p, lowcode, m - 1)
@@ -135,7 +134,7 @@ class CartierTables:
                 inner[(nu0, lowcode, 0)] = prev[(nu0, lowcode)]
                 mono = Slab.monomial(ctx, Monomial(nu0, lowdig))
                 for j in range(1, p):
-                    g = slab_mul(mono, fpow[j], chain)
+                    g = slab_mul(mono, fpow[j], state)
                     inner[(nu0, lowcode, j)] = v_apply(g, prev)
         table: dict[tuple[int, int], Slab] = {}
         for am in range(p):
@@ -300,7 +299,7 @@ def function_differential(h: Slab, state: TowerState) -> Slab:
         part = _y_derivative(h, j)
         if part.is_zero() or dyj.is_zero():
             continue
-        out = out + slab_mul(part, dyj, state.chain)
+        out = out + slab_mul(part, dyj, state)
     return out.trim()
 
 

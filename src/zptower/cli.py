@@ -40,9 +40,12 @@ EXIT_INTERNAL = 3
 # ---------------------------------------------------------------------------
 
 def load_spec(path: str | Path, warn=None) -> TowerSpec:
-    """Parse a spec file; any malformed content is a usage error (exit 2)."""
+    """Parse a spec file; any malformed content, including a tower that is not
+    totally ramified at level 1, is a usage error (exit 2)."""
     try:
-        return spec_from_dict(json.loads(Path(path).read_text()), warn=warn)
+        spec = spec_from_dict(json.loads(Path(path).read_text()), warn=warn)
+        RamificationData.compute(spec, 1)
+        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(
             f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc
@@ -392,7 +395,8 @@ def _scan_one(path: str, levels: int, powers: int, data_dir: str) -> list[dict]:
 
 @main.command()
 @click.argument("suites", nargs=-1)
-@click.option("--depth", default=None, type=int, help="override per-suite depth")
+@click.option("--depth", default=None, type=click.IntRange(min=1),
+              help="override per-suite depth")
 @click.pass_context
 def verify(ctx, suites, depth):
     """Recompute bundled fixtures and compare exactly (nonzero exit on mismatch)."""

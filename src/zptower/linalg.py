@@ -368,13 +368,14 @@ def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
     return list(islice(_twisted_kernels(M), R))
 
 
-def kernels_to_stabilization(M: DenseMatrix, cap: int | None = None) -> list[int]:
-    """Twisted-power kernel dimensions until two consecutive values agree."""
-    cap = M.cols + 1 if cap is None else cap
+def kernels_to_stabilization(M: DenseMatrix) -> list[int]:
+    """Twisted-power kernel dimensions until two consecutive values agree.
+
+    Always stops: _twisted_kernels checks that the sequence is nondecreasing,
+    and it is bounded by M.cols, so it cannot rise more than M.cols times.
+    """
     dims: list[int] = []
     for d in _twisted_kernels(M):
         dims.append(d)
         if len(dims) >= 2 and dims[-1] == dims[-2]:
             return dims
-        if len(dims) >= cap and d < M.cols:
-            raise LinAlgError("kernel filtration failed to stabilize within cap")

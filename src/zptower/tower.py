@@ -6,9 +6,10 @@ and unramified elsewhere, is specified by terms (v, c, i) standing for
 p^v * [c x^i] on the right-hand side of F(y) - y = sum of terms.  Layer m is
 the Artin-Schreier extension y_m^p - y_m = f_m, where f_m is the m-th
 right-hand-side component minus a universal correction in y_1..y_{m-1}.
-TowerState keeps the layers in standard form (pole order at infinity equal to
+TowerState holds the layers in standard form (pole order at infinity equal to
 the lower break), tracking the change of variables so that deeper corrections
-are evaluated consistently.
+are evaluated consistently, and is the Reducer that keeps products of tower
+polynomials y-reduced.
 """
 
 from __future__ import annotations
@@ -281,25 +282,67 @@ def classify_monodromy(spec: TowerSpec, N: int) -> MonodromyClass:
 # layer equations
 # ---------------------------------------------------------------------------
 
-class _LayerChain:
-    """Level-by-level layer construction over the dense kernel.
+class TowerState:
+    """Spec plus everything derived, built level by level (single-threaded);
+    read-only and freely shareable once built.
 
-    Each layer is rewritten in standard form, so its pole order equals the
-    lower break, and the accumulated substitution y_m -> y_m + Z_m is
-    remembered: subs[m-1] is the original variable expressed in the current
+    Holds the layers: each is rewritten in standard form, so its pole order
+    equals the lower break, and the accumulated substitution y_m -> y_m + Z_m
+    is remembered: subs[m-1] is the original variable expressed in the current
     ones, which is what deeper universal corrections must be evaluated at.
-    Also serves as the Reducer giving products their y-reduction data.
+    Also the Reducer giving products their y-reduction data.
     """
 
     def __init__(self, spec: TowerSpec, cache_dir=None):
-        self.spec = spec
-        self.ctx = spec.field
+        self.spec = spec.normalize()
+        self.field = self.spec.field
         self.cache_dir = cache_dir
+        self.ram: RamificationData | None = None
         self.layers: list[Slab] = []
         self.subs: list[Slab] = []
-        self.d: list[int] = []
         self._mask_cache: dict[tuple[int, ...], Slab] = {}
         self._upow_cache: dict[tuple[int, int], Slab] = {}
+        self.tables = None  # attached by cartier.CartierTables
+        self.dy_cache: dict[int, Slab] = {}  # d(y_j)/dx per level j, filled by cartier
+
+    @property
+    def level(self) -> int:
+        return len(self.layers)
+
+    def ensure_ram(self, n: int) -> RamificationData:
+        if self.ram is None or self.ram.levels < n:
+            self.ram = RamificationData.compute(self.spec, n)
+        return self.ram
+
+    def build_to(self, n: int) -> "TowerState":
+        """Layer m, for each m up to n not built yet, from the m-th right-hand-side
+        component minus the peel correction evaluated at the substituted variables."""
+        if n > self.spec.max_level():
+            raise TowerError(
+                f"level {n} beyond supported Witt length {self.spec.max_level()} for p={self.spec.p}")
+        if n <= self.level:
+            return self
+        ram = self.ensure_ram(n)
+        comps = rhs_components([(t.v, t.c, t.i) for t in self.spec.terms], n, self.field)
+        for m in range(self.level + 1, n + 1):
+            profile = ram.profile(m - 1)
+            peel = peel_polynomials(self.spec.p, m, self.cache_dir)[m - 1]
+            raw = Slab.zeros(self.field, 0, max((nu for nu, in comps[m - 1]), default=0) + 1)
+            for (nu,), c in comps[m - 1].items():
+                raw.arr[0, :, nu] = c
+            f = (raw.at_level(m - 1) - self._eval_terms(peel.terms, m - 1)).trim()
+            f, shift = _sf.reduce_slab(f, self, profile, ram.d[m - 1])
+            y_m = Slab.monomial(self.field, Monomial(0, (0,) * (m - 1) + (1,)))
+            self.layers.append(f)
+            self.subs.append((y_m - shift.at_level(m)).trim())
+            pole = f.pole_data(profile, m - 1)[0]
+            if pole != ram.d[m - 1]:
+                raise InternalConsistencyError(
+                    f"layer {m} pole order {pole}, expected lower break {ram.d[m-1]}")
+        return self
+
+    def genus(self, m: int) -> int:
+        return self.ensure_ram(max(m, 1)).genus(m)
 
     # Reducer protocol -------------------------------------------------------
 
@@ -310,13 +353,13 @@ class _LayerChain:
         while digits and digits[-1] == 0:
             digits = digits[:-1]
         if not digits:
-            return Slab.monomial(self.ctx, Monomial(0, ()))
+            return Slab.monomial(self.field, Monomial(0, ()))
         got = self._mask_cache.get(digits)
         if got is not None:
             return got
         j = len(digits)
         prev = self.mask_pow(digits[:-1] + (digits[-1] - 1,))
-        yj_plus_fj = Slab.monomial(self.ctx, Monomial(0, (0,) * (j - 1) + (1,))) \
+        yj_plus_fj = Slab.monomial(self.field, Monomial(0, (0,) * (j - 1) + (1,))) \
             + self.layers[j - 1]
         out = slab_mul(prev, yj_plus_fj, self).trim()
         self._mask_cache[digits] = out
@@ -326,7 +369,7 @@ class _LayerChain:
 
     def _upow(self, j: int, e: int) -> Slab:
         if e == 0:
-            return Slab.monomial(self.ctx, Monomial(0, ()))
+            return Slab.monomial(self.field, Monomial(0, ()))
         if e == 1:
             return self.subs[j - 1]
         got = self._upow_cache.get((j, e))
@@ -335,12 +378,12 @@ class _LayerChain:
             self._upow_cache[(j, e)] = got
         return got
 
-    def _eval_terms(self, items: list[tuple[tuple[int, ...], int]], t: int) -> Slab:
+    def _eval_terms(self, items: Sequence[tuple[tuple[int, ...], int]], t: int) -> Slab:
         if not items:
-            return Slab.zeros(self.ctx, 0)
+            return Slab.zeros(self.field, 0)
         if t == 0:
             ((_, c),) = items
-            return Slab.monomial(self.ctx, Monomial(0, ()), coeff=c)
+            return Slab.monomial(self.field, Monomial(0, ()), coeff=c)
         groups: dict[int, list] = {}
         for e, c in items:
             groups.setdefault(e[t - 1], []).append((e[: t - 1], c))
@@ -351,68 +394,3 @@ class _LayerChain:
                 inner = slab_mul(self._upow(t, et), inner, self)
             out = inner if out is None else (out + inner)
         return out.trim()
-
-    def build_level(self, m: int, rhs_component: dict, d_m: int) -> None:
-        """Layer m from the m-th right-hand-side component {(nu,): coeff}."""
-        if len(self.layers) != m - 1:
-            raise InternalConsistencyError("levels must be built in order")
-        peel = peel_polynomials(self.spec.p, m, self.cache_dir)[m - 1]
-        raw = Slab.zeros(self.ctx, 0, max((nu for nu, in rhs_component), default=0) + 1)
-        for (nu,), c in rhs_component.items():
-            raw.arr[0, :, nu] = c
-        correction = self._eval_terms(list(peel.as_dict().items()), m - 1)
-        f = (raw.at_level(m - 1) - correction).trim()
-        f, shift = _sf.reduce_slab(f, self, PoleProfile(self.spec.p, self.d), d_m)
-        y_m = Slab.monomial(self.ctx, Monomial(0, (0,) * (m - 1) + (1,)))
-        self.d.append(d_m)
-        self.layers.append(f)
-        self.subs.append((y_m - shift.at_level(m)).trim())
-
-
-class TowerState:
-    """Spec plus everything derived, built level by level (single-threaded);
-    read-only and freely shareable once built."""
-
-    def __init__(self, spec: TowerSpec, cache_dir=None):
-        self.spec = spec.normalize()
-        self.field = self.spec.field
-        self.cache_dir = cache_dir
-        self.ram: RamificationData | None = None
-        self.chain = _LayerChain(self.spec, cache_dir=cache_dir)
-        self.tables = None  # attached by cartier.CartierTables
-        self.dy_cache: dict[int, Slab] = {}  # d(y_j)/dx per level j, filled by cartier
-
-    @property
-    def level(self) -> int:
-        return len(self.chain.layers)
-
-    def ensure_ram(self, n: int) -> RamificationData:
-        if self.ram is None or self.ram.levels < n:
-            self.ram = RamificationData.compute(self.spec, n)
-        return self.ram
-
-    def build_to(self, n: int) -> "TowerState":
-        if n > self.spec.max_level():
-            raise TowerError(
-                f"level {n} beyond supported Witt length {self.spec.max_level()} for p={self.spec.p}")
-        if n <= self.level:
-            return self
-        ram = self.ensure_ram(n)
-        comps = rhs_components([(t.v, t.c, t.i) for t in self.spec.terms], n, self.field)
-        profile_all = ram.profile(n)
-        for m in range(self.level + 1, n + 1):
-            self.chain.build_level(m, comps[m - 1], ram.d[m - 1])
-            pole = self.chain.layers[m - 1].pole_data(profile_all, m - 1)[0]
-            if pole != ram.d[m - 1]:
-                raise InternalConsistencyError(
-                    f"layer {m} pole order {pole}, expected lower break {ram.d[m-1]}")
-        return self
-
-    def profile(self, m: int | None = None) -> PoleProfile:
-        return self.ram.profile(self.level if m is None else m)
-
-    def layer_slab(self, m: int) -> Slab:
-        return self.chain.layers[m - 1]
-
-    def genus(self, m: int) -> int:
-        return self.ensure_ram(max(m, 1)).genus(m)

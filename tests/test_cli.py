@@ -133,6 +133,13 @@ def test_verify_tower_suite(tmp_path):
     assert res.passed
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_verify_nonpositive_depth_is_usage_error(runner, tmp_path, depth):
+    r = runner.invoke(main, ["--data-dir", str(tmp_path), "verify", "p3d7", "--depth", depth])
+    assert r.exit_code == 2, r.output
+    assert "PASS" not in r.output
+
+
 def test_verify_unknown_suite():
     import click
     with pytest.raises(click.UsageError):
@@ -150,14 +157,18 @@ def test_record_roundtrip():
 
 
 @pytest.mark.parametrize("spec", [{"name": "np", "terms": [{"v": 0, "c": 1, "i": 7}]},
-                                  {"name": "ni", "p": 3, "terms": [{"v": 0, "c": 1}]}],
-                         ids=["missing-p", "term-missing-i"])
+                                  {"name": "ni", "p": 3, "terms": [{"v": 0, "c": 1}]},
+                                  {"name": "nt", "p": 3, "terms": []},
+                                  {"name": "nv", "p": 3, "terms": [{"v": 1, "c": 1, "i": 7}]}],
+                         ids=["missing-p", "term-missing-i", "no-terms", "no-valuation-0-term"])
 def test_malformed_spec_is_usage_error(runner, tmp_path, spec):
+    # a tower that is not totally ramified at level 1 is malformed input too
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
-    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "compute", str(path)])
-    assert r.exit_code == 2, r.output
-    assert "malformed spec file" in r.output
+    for cmd in ("compute", "info"):
+        r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), cmd, str(path)])
+        assert r.exit_code == 2, (cmd, r.output)
+        assert "malformed spec file" in r.output
 
 
 def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkeypatch):

@@ -171,6 +171,8 @@ def test_kernels_to_stabilization():
     assert dims[-1] == dims[-2] == 3
     Z = DenseMatrix.zeros(F3, 3, 3)
     assert kernels_to_stabilization(Z)[-1] == 3
+    P = DenseMatrix(F3, np.array([[0, 1], [2, 0]]))  # invertible: every power too
+    assert kernels_to_stabilization(P) == [0, 0]
 
 
 def test_empty_matrix():

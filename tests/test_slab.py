@@ -11,7 +11,7 @@ from zptower.tower import TowerSpec, TowerState
 
 
 @pytest.fixture(params=[(2, 1), (3, 1), (2, 2)], ids=["p2", "p3", "gf4"])
-def chainenv(request):
+def towerenv(request):
     p, k = request.param
     ctx = field(p, k)
     if p == 2:
@@ -23,38 +23,38 @@ def chainenv(request):
     return ctx, state
 
 
-def test_roundtrip(chainenv, rng):
-    ctx, state = chainenv
+def test_roundtrip(towerenv, rng):
+    ctx, state = towerenv
     for lvl in range(state.level + 1):
         f = random_poly(ctx, lvl, rng)
         assert to_sparse(from_sparse(f)) == f
 
 
-def test_mul_matches_sparse(chainenv, rng):
-    ctx, state = chainenv
+def test_mul_matches_sparse(towerenv, rng):
+    ctx, state = towerenv
     layers = sparse_layers(state)
     for lvl in (1, state.level):
         for _ in range(6):
             f = random_poly(ctx, lvl, rng, nterms=4, maxdeg=5)
             g = random_poly(ctx, lvl, rng, nterms=4, maxdeg=5)
             want = reduce_to_monomial_basis(f * g, layers[:lvl])
-            got = slab_mul(from_sparse(f), from_sparse(g), state.chain)
+            got = slab_mul(from_sparse(f), from_sparse(g), state)
             assert to_sparse(got) == want
 
 
-def test_pth_power_matches_sparse(chainenv, rng):
-    ctx, state = chainenv
+def test_pth_power_matches_sparse(towerenv, rng):
+    ctx, state = towerenv
     layers = sparse_layers(state)
     for lvl in (1, 2):
         for _ in range(5):
             f = random_poly(ctx, lvl, rng, nterms=3, maxdeg=4)
             want = reduce_to_monomial_basis(poly_pth_power(f), layers[:lvl])
-            got = pth_power(from_sparse(f), state.chain)
+            got = pth_power(from_sparse(f), state)
             assert to_sparse(got) == want
 
 
-def test_add_scale_shift(chainenv, rng):
-    ctx, state = chainenv
+def test_add_scale_shift(towerenv, rng):
+    ctx, state = towerenv
     f = random_poly(ctx, 1, rng)
     g = random_poly(ctx, 1, rng)
     assert to_sparse(from_sparse(f) + from_sparse(g)) == f + g
@@ -70,9 +70,9 @@ def test_frobenius_on_coefficients(rng):
     assert got == f.map_coefficients(lambda c: c.frobenius())
 
 
-def test_pole_data_matches_valuation(chainenv, rng):
-    ctx, state = chainenv
-    profile = state.profile()
+def test_pole_data_matches_valuation(towerenv, rng):
+    ctx, state = towerenv
+    profile = state.ram.profile(state.level)
     for _ in range(8):
         f = random_poly(ctx, state.level, rng)
         if f.is_zero():
@@ -84,9 +84,9 @@ def test_pole_data_matches_valuation(chainenv, rng):
     assert Slab.zeros(ctx, 1).pole_data(profile, 1) is None
 
 
-def test_v_apply_linear_over_pth_powers(chainenv, rng):
+def test_v_apply_linear_over_pth_powers(towerenv, rng):
     # V(h^p * w) = h * V(w), the defining semilinearity, via the dense path
-    ctx, state = chainenv
+    ctx, state = towerenv
     n = state.level
     tables = _tables(state, n)
     layers = sparse_layers(state)
@@ -95,7 +95,7 @@ def test_v_apply_linear_over_pth_powers(chainenv, rng):
     hp = reduce_to_monomial_basis(poly_pth_power(h), layers)
     prod = reduce_to_monomial_basis(hp * w, layers)
     lhs = v_apply(from_sparse(prod), tables)
-    rhs = slab_mul(from_sparse(h), v_apply(from_sparse(w), tables), state.chain)
+    rhs = slab_mul(from_sparse(h), v_apply(from_sparse(w), tables), state)
     assert to_sparse(lhs) == to_sparse(rhs)
 
 

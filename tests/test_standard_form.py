@@ -20,7 +20,7 @@ def standard_form(f: SparsePoly, state: TowerState) -> SparsePoly:
     m = f.level + 1
     ram = state.ensure_ram(m)
     state.build_to(m - 1)
-    out, _ = reduce_slab(from_sparse(f), state.chain, ram.profile(m - 1), ram.d[m - 1])
+    out, _ = reduce_slab(from_sparse(f), state, ram.profile(m - 1), ram.d[m - 1])
     return to_sparse(out)
 
 
@@ -54,7 +54,7 @@ def test_to_standard_form_example():
     out = standard_form(raw, st)
     want = (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1) + x(F2, 4).at_level(1)
     assert out == want
-    assert -infinity_valuation(out, st.profile(2), 1) == st.ram.d[1] == 15
+    assert -infinity_valuation(out, st.ram.profile(2), 1) == st.ram.d[1] == 15
 
 
 def test_to_standard_form_already_standard():
@@ -75,7 +75,7 @@ def test_post_invariant_many_specs():
     for spec, n in cases:
         st = TowerState(spec)
         st.build_to(n)
-        prof = st.profile(n)
+        prof = st.ram.profile(n)
         for m in range(1, n + 1):
             assert -infinity_valuation(to_sparse(st.layer_slab(m)), prof, m - 1) == st.ram.d[m - 1]
 
@@ -95,6 +95,6 @@ def test_artin_schreier_shift_invariance(rng):
     shifted = f2 + reduce_to_monomial_basis(poly_pth_power(z), layers1) - z
     st2 = TowerState(spec)
     out = standard_form(shifted, st2)
-    assert -infinity_valuation(out, st2.profile(2), 1) == st2.ram.d[1]
+    assert -infinity_valuation(out, st2.ram.profile(2), 1) == st2.ram.d[1]
     # the standard forms may differ, but the kernel dimensions cannot
     assert a_plain == [2, 19]

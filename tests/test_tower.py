@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from oracle import infinity_valuation, to_sparse
@@ -140,9 +141,25 @@ def test_tower_state_standard_form_poles():
                     (TowerSpec.make(F2, [(0, 1, 3), (1, 1, 5)]), 3)]:
         st = TowerState(spec)
         st.build_to(n)
-        prof = st.profile(n)
+        prof = st.ram.profile(n)
         for m in range(1, n + 1):
             assert -infinity_valuation(to_sparse(st.layer_slab(m)), prof, m - 1) == st.ram.d[m - 1]
+
+
+@pytest.mark.parametrize("spec, n", [
+    (TowerSpec.make(F2, [(0, 1, 5), (0, 1, 3)]), 4),
+    (TowerSpec.make(F3, [(0, 1, 7), (0, 2, 5)]), 3),
+    (TowerSpec.make(field(2, 2), [(0, field(2, 2).gen(), 5), (0, 1, 3)]), 3),
+], ids=["p2", "p3", "gf4"])
+def test_incremental_build_matches_one_shot(spec, n):
+    steps = TowerState(spec)
+    for m in (1, 2, n):
+        steps.build_to(m)
+    once = TowerState(spec).build_to(n)
+    for got, want in ((steps.layers, once.layers), (steps.subs, once.subs)):
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert a.level == b.level and np.array_equal(a.arr, b.arr)
 
 
 def test_spec_hash_ignores_name_and_order():
