@@ -11,7 +11,7 @@ of its twisted powers computed by exact linear algebra over GF(p^k).
 __version__ = "0.1.0"
 
 from .gf import FieldCtx, FieldElement, field
-from .poly import Monomial, PoleProfile
+from ._slab import Monomial
 from .tower import RamificationData, TowerSpec, TowerState
 from .cartier import CartierMatrix, cartier_matrix
 from .linalg import DenseMatrix, kernel_dim, twisted_power_kernels
@@ -19,7 +19,7 @@ from .linalg import DenseMatrix, kernel_dim, twisted_power_kernels
 __all__ = [
     "__version__",
     "FieldCtx", "FieldElement", "field",
-    "Monomial", "PoleProfile",
+    "Monomial",
     "RamificationData", "TowerSpec", "TowerState",
     "CartierMatrix", "cartier_matrix",
     "DenseMatrix", "kernel_dim", "twisted_power_kernels",

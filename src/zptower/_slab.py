@@ -4,7 +4,8 @@ A Slab stores a reduced polynomial in x, y_1..y_level as an int64 array of
 shape (p**level, k, X): one row per y-exponent tuple (coded little-endian in
 base p), one coefficient vector of length k per power of x.  Entries are
 residues in [0, p); all arithmetic is exact.  A differential form h dx at a
-tower level is the Slab of h.
+tower level is the Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one
+entry by its exponents.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -12,12 +13,27 @@ operation here against the sparse dict reference in tests/oracle.py.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from .gf import FieldCtx, InternalConsistencyError
-from .poly import Monomial, PolyError
+
+
+class PolyError(ValueError):
+    pass
+
+
+class Monomial(NamedTuple):
+    """Exponents of a single term: x^nu * prod y_j^a[j-1]."""
+
+    nu: int
+    a: tuple[int, ...]
+
+    def pad(self, level: int) -> "Monomial":
+        if len(self.a) >= level:
+            return self
+        return Monomial(self.nu, self.a + (0,) * (level - len(self.a)))
 
 
 class Reducer(Protocol):
@@ -133,8 +149,9 @@ class Slab:
 
     # -- valuation data ------------------------------------------------------------
 
-    def pole_data(self, profile, n: int):
-        """(pole_order, code, nu, coeff tuple) of the deepest pole at level n; None if zero.
+    def pole_data(self, d: Sequence[int], n: int):
+        """(pole_order, code, nu, coeff tuple) of the deepest pole at level n of a
+        tower with lower breaks d; None if zero.
 
         Uses the distinct-valuation property of reduced monomials (checked).
         """
@@ -144,7 +161,7 @@ class Slab:
         if rows.size == 0:
             return None
         lastnu = self.arr.shape[2] - 1 - nz[rows, ::-1].argmax(axis=1)
-        weights = code_weights(p, self.level, profile, n)[rows]
+        weights = code_weights(p, self.level, d, n)[rows]
         poles = lastnu * p ** n + weights
         order = np.argsort(poles)[::-1]
         best = order[0]
@@ -170,13 +187,14 @@ def digits_of(p: int, code: int, level: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def code_weights(p: int, level: int, profile, n: int) -> np.ndarray:
-    """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..level."""
+def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
+    """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..level: the pole
+    order at level n of y^code, given the lower breaks d_1..d_level."""
     S = p ** level
     w = np.zeros(S, dtype=np.int64)
     for j in range(1, level + 1):
         dig = (np.arange(S) // p ** (j - 1)) % p
-        w += dig * profile[j - 1] * p ** (n - j)
+        w += dig * d[j - 1] * p ** (n - j)
     return w
 
 

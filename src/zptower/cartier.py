@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import Slab, code_weights, digits_of, mul as slab_mul, v_apply
+from ._slab import Monomial, PolyError, Slab, code_weights, digits_of, mul as slab_mul, v_apply
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
-from .poly import Monomial, PolyError
 from .tower import TowerState
 from .witt import read_cache, write_cache
 

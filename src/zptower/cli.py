@@ -6,8 +6,9 @@ only for k > 1), name, and terms = [{"v":, "c":, "i":}, ...] where c is a
 bare integer over prime fields or a coefficient list otherwise.  Exponents
 divisible by p are normalized away with a warning.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 usage error, 3 internal
-consistency failure.
+Exit codes: 0 ok, 1 verification mismatch, 2 usage error (including a
+malformed spec file or a corrupt result-store record), 3 internal consistency
+failure.
 """
 
 from __future__ import annotations
@@ -100,12 +101,24 @@ class ResultRecord:
         return out
 
     @classmethod
-    def deserialize(cls, d: dict) -> "ResultRecord":
-        d = dict(d)
-        d["a_r"] = tuple(d["a_r"])
-        return cls(**d)
+    def deserialize(cls, d) -> "ResultRecord":
+        """Inverse of serialize; ValueError unless d holds exactly the record's
+        fields, each of its annotated type (an int is accepted as a float)."""
+        if not isinstance(d, dict) or set(d) != set(CSV_COLUMNS):
+            raise ValueError(f"expected an object with the fields {CSV_COLUMNS}")
+        for f in dataclasses.fields(cls):
+            if not _FIELD_CHECKS[f.type](d[f.name]):
+                raise ValueError(f"field {f.name}={d[f.name]!r} is not {f.type}")
+        return cls(**{**d, "a_r": tuple(d["a_r"])})
 
 
+_FIELD_CHECKS = {  # by annotation; JSON true/false is not an int here
+    "str": lambda v: type(v) is str,
+    "int": lambda v: type(v) is int,
+    "int | None": lambda v: v is None or type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "tuple[int, ...]": lambda v: type(v) is list and all(type(e) is int for e in v),
+}
 CSV_COLUMNS = [f.name for f in dataclasses.fields(ResultRecord)]
 
 
@@ -125,17 +138,19 @@ class Store:
             fh.write(json.dumps(record.serialize(), sort_keys=True) + "\n")
 
     def load(self) -> list[ResultRecord]:
+        """Every record; a torn, mistyped or non-record line is a usage error."""
         if not self.path.exists():
             return []
         out = []
-        for line in self.path.read_text().splitlines():
+        for lineno, line in enumerate(self.path.read_bytes().splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 out.append(ResultRecord.deserialize(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
-                raise click.ClickException(f"corrupt store record in {self.path}: {exc}")
+            except ValueError as exc:
+                raise click.UsageError(
+                    f"corrupt store record at {self.path}:{lineno}: {exc}") from exc
         return out
 
     def query(self, spec_hash: str | None = None, level: int | None = None

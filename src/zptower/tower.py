@@ -1,5 +1,5 @@
 """Tower model: right-hand-side normalization, ramification breaks, conductors,
-genus, monodromy classification, and layer equations.
+genus, monodromy classification, and layer equations in standard form.
 
 A tower over the projective line, totally ramified over the point at infinity
 and unramified elsewhere, is specified by terms (v, c, i) standing for
@@ -10,6 +10,13 @@ TowerState holds the layers in standard form (pole order at infinity equal to
 the lower break), tracking the change of variables so that deeper corrections
 are evaluated consistently, and is the Reducer that keeps products of tower
 polynomials y-reduced.
+
+Standard form: a layer y^p - y = f only has its pole order equal to the
+ramification break when that order is prime to p; otherwise the order is a
+multiple of p and strictly larger.  Changing variables by y -> y + c*z
+replaces f by f + (c z)^p - c z, and a monomial z = x^nu y_1^a_1 ... with pole
+order exactly ord(f)/p always exists over the projective line, so repeatedly
+cancelling the leading term terminates with the minimal pole order.
 """
 
 from __future__ import annotations
@@ -20,10 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import standard_form as _sf
-from ._slab import Slab, mul as slab_mul
+from ._slab import Monomial, PolyError, Reducer, Slab, mul as slab_mul, pth_power
 from .gf import FieldCtx, FieldElement, InternalConsistencyError
-from .poly import Monomial, PoleProfile
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
 
@@ -191,13 +196,17 @@ class RamificationData:
 
     @classmethod
     def compute(cls, spec: TowerSpec, n: int) -> "RamificationData":
+        """The one check of the lower breaks: prime to p, d_{m+1} >= (p^2-p+1) d_m."""
+        p = spec.p
         s, u = breaks_and_conductor(spec, n)
-        d = lower_breaks(spec.p, s)
-        g = [genus_from_breaks(spec.p, s, m) for m in range(1, n + 1)]
-        for m in range(1, len(d)):
-            if d[m] < (spec.p ** 2 - spec.p + 1) * d[m - 1]:
+        d = lower_breaks(p, s)
+        g = [genus_from_breaks(p, s, m) for m in range(1, n + 1)]
+        for m, dm in enumerate(d):
+            if dm % p == 0:
+                raise InternalConsistencyError(f"lower break d_{m + 1}={dm} divisible by p={p}")
+            if m and dm < (p * p - p + 1) * d[m - 1]:
                 raise InternalConsistencyError("lower-break growth bound violated")
-        return cls(spec.p, tuple(s), tuple(u), tuple(d), tuple(g))
+        return cls(p, tuple(s), tuple(u), tuple(d), tuple(g))
 
     @property
     def levels(self) -> int:
@@ -205,16 +214,6 @@ class RamificationData:
 
     def genus(self, m: int) -> int:
         return 0 if m == 0 else self.g[m - 1]
-
-    def profile(self, m: int | None = None) -> PoleProfile:
-        m = self.levels if m is None else m
-        return PoleProfile(self.p, self.d[:m])
-
-
-def genus(spec: TowerSpec, n: int) -> int:
-    if n == 0:
-        return 0
-    return RamificationData.compute(spec, n).g[n - 1]
 
 
 def p_rank(spec: TowerSpec, n: int) -> int:
@@ -282,6 +281,68 @@ def classify_monodromy(spec: TowerSpec, N: int) -> MonodromyClass:
 # layer equations
 # ---------------------------------------------------------------------------
 
+def monomial_with_pole_order(w: int, p: int, d: Sequence[int], level: int) -> Monomial:
+    """The unique (nu >= 0, 0 <= a_j < p) with nu p^m + sum a_j d_j p^(m-j) = w.
+
+    Solved digit by digit mod p from a_m downward (each d_j is prime to p).
+    Raises PolyError when no representation with nu >= 0 exists.
+    """
+    if w < 0:
+        raise PolyError(f"pole order {w} negative")
+    a = [0] * level
+    for j in range(level, 0, -1):
+        dj = d[j - 1]
+        aj = (w * pow(dj, -1, p)) % p
+        a[j - 1] = aj
+        w -= aj * dj
+        if w < 0:
+            raise PolyError("no monomial with the requested pole order (nu < 0)")
+        if w % p:
+            raise InternalConsistencyError(f"pole-order remainder {w} not divisible by p")
+        w //= p
+    return Monomial(w, tuple(a))
+
+
+def reduce_slab(f: Slab, reducer: Reducer, d: Sequence[int], target_d: int
+                ) -> tuple[Slab, Slab]:
+    """Standard-form reduction of a layer f at level len(d) = f.level.
+
+    Returns (f', Z) with ord(f') = -target_d and f' = f + Z-induced shifts,
+    where Z accumulates the substitution y -> y + Z.  Every iteration must
+    strictly decrease the pole order (checked).
+    """
+    ctx = f.ctx
+    p = ctx.p
+    level = f.level
+    shift = Slab.zeros(ctx, level)
+    while True:
+        pd = f.pole_data(d, level)
+        if pd is None:
+            raise InternalConsistencyError("layer reduced to zero: degenerate tower data")
+        pole, code, nu, coeffvec = pd
+        if pole == target_d:
+            break
+        if pole < target_d or pole % p != 0:
+            raise InternalConsistencyError(
+                f"pole order {pole} below or coprime-to-p above target {target_d}")
+        z_mon = monomial_with_pole_order(pole // p, p, d, level)
+        z = Slab.monomial(ctx, z_mon, level=level)
+        zp = pth_power(z, reducer)
+        zp_pd = zp.pole_data(d, level)
+        if zp_pd is None or zp_pd[0] != pole:
+            raise InternalConsistencyError("z^p pole order mismatch")
+        lead_f = ctx.elem(coeffvec)
+        lead_zp = ctx.elem(zp_pd[3])
+        c_p = -lead_f / lead_zp
+        c = c_p.frobenius_inverse()
+        f = f + zp.scale(c_p) - z.scale(c)
+        new_pd = f.pole_data(d, level)
+        if new_pd is None or new_pd[0] >= pole:
+            raise InternalConsistencyError("pole order failed to decrease")
+        shift = shift + z.scale(c)
+    return f.trim(), shift.trim()
+
+
 class TowerState:
     """Spec plus everything derived, built level by level (single-threaded);
     read-only and freely shareable once built.
@@ -325,17 +386,17 @@ class TowerState:
         ram = self.ensure_ram(n)
         comps = rhs_components([(t.v, t.c, t.i) for t in self.spec.terms], n, self.field)
         for m in range(self.level + 1, n + 1):
-            profile = ram.profile(m - 1)
+            d = ram.d[:m - 1]
             peel = peel_polynomials(self.spec.p, m, self.cache_dir)[m - 1]
             raw = Slab.zeros(self.field, 0, max((nu for nu, in comps[m - 1]), default=0) + 1)
             for (nu,), c in comps[m - 1].items():
                 raw.arr[0, :, nu] = c
             f = (raw.at_level(m - 1) - self._eval_terms(peel.terms, m - 1)).trim()
-            f, shift = _sf.reduce_slab(f, self, profile, ram.d[m - 1])
+            f, shift = reduce_slab(f, self, d, ram.d[m - 1])
             y_m = Slab.monomial(self.field, Monomial(0, (0,) * (m - 1) + (1,)))
             self.layers.append(f)
             self.subs.append((y_m - shift.at_level(m)).trim())
-            pole = f.pole_data(profile, m - 1)[0]
+            pole = f.pole_data(d, m - 1)[0]
             if pole != ram.d[m - 1]:
                 raise InternalConsistencyError(
                     f"layer {m} pole order {pole}, expected lower break {ram.d[m-1]}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .gf import FieldCtx
+from .gf import FieldCtx, InternalConsistencyError
 
 #: Deepest supported truncation per characteristic (levels computed anywhere
 #: in the pipeline are bounded by these).
@@ -90,15 +90,17 @@ class _LiftRing:
         return tuple(v % mod for v in raw[:k])
 
     def divexact(self, a, pm: int, mod: int):
-        """a / p^m, asserting exact divisibility (decided exactly mod `mod`)."""
+        """a / p^m, checking exact divisibility (decided exactly mod `mod`)."""
         if self.k == 1:
             if a % pm:
-                raise WittError("ghost component not divisible by p^m: integrality violated")
+                raise InternalConsistencyError(
+                    "ghost component not divisible by p^m: integrality violated")
             return (a // pm) % (mod // pm)
         out = []
         for x in a:
             if x % pm:
-                raise WittError("ghost component not divisible by p^m: integrality violated")
+                raise InternalConsistencyError(
+                    "ghost component not divisible by p^m: integrality violated")
             out.append((x // pm) % (mod // pm))
         return tuple(out)
 
@@ -344,7 +346,7 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
         trimmed = {}
         for e, c in g.items():
             if any(e[m - 1:]):
-                raise WittError("peel polynomial touches y_m or higher: engine bug")
+                raise InternalConsistencyError("peel polynomial touches y_m or higher")
             trimmed[e[: m - 1]] = c
         polys.append(WittPolynomial.from_dict(m - 1, trimmed))
     _store_universal(p, length, "peel", polys, cache_dir)

@@ -8,7 +8,7 @@ import pytest
 from zptower.gf import FieldCtx
 from zptower.linalg import DenseMatrix
 from oracle import SparsePoly
-from zptower.poly import Monomial
+from zptower._slab import Monomial
 
 
 @pytest.fixture

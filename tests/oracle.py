@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from zptower._slab import Slab, code_of, digits_of
+from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of
 from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError
-from zptower.poly import Monomial, PoleProfile, PolyError
 
 
 class SparsePoly:
@@ -197,16 +196,16 @@ def reduce_to_monomial_basis(f: SparsePoly, layers: Sequence[SparsePoly]) -> Spa
     return SparsePoly(f.ctx, lvl, out)
 
 
-def monomial_valuation(profile: PoleProfile, m: Monomial, n: int) -> int:
-    """Valuation of x^nu y^a at the infinite place of level n (negative of pole order)."""
-    if len(m.a) > n or n > len(profile):
-        raise PolyError("monomial level exceeds profile depth")
-    p = profile.p
-    return -(m.nu * p ** n + sum(e * profile[j - 1] * p ** (n - j)
+def monomial_valuation(p: int, d: Sequence[int], m: Monomial, n: int) -> int:
+    """Valuation of x^nu y^a at the infinite place of level n (negative of pole
+    order) of a tower with lower breaks d."""
+    if len(m.a) > n or n > len(d):
+        raise PolyError("monomial level exceeds the number of lower breaks")
+    return -(m.nu * p ** n + sum(e * d[j - 1] * p ** (n - j)
                                  for j, e in enumerate(m.a, start=1)))
 
 
-def infinity_valuation(f: SparsePoly, profile: PoleProfile, n: int) -> int | float:
+def infinity_valuation(f: SparsePoly, p: int, d: Sequence[int], n: int) -> int | float:
     """min over monomials of -(nu p^n + sum a_j d_j p^(n-j)); +inf for the zero polynomial.
 
     Requires reduced input: distinct reduced monomials have distinct
@@ -216,7 +215,7 @@ def infinity_valuation(f: SparsePoly, profile: PoleProfile, n: int) -> int | flo
         return math.inf
     if not f.is_reduced():
         raise PolyError("infinity_valuation requires a reduced polynomial")
-    vals = [monomial_valuation(profile, m, n) for m in f.terms]
+    vals = [monomial_valuation(p, d, m, n) for m in f.terms]
     if len(set(vals)) != len(vals):
         raise InternalConsistencyError("duplicate valuation: reduced monomials must separate")
     return min(vals)

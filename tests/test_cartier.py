@@ -10,7 +10,7 @@ from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, diffe
 from zptower.cli import run_compute
 from zptower.gf import field
 from zptower.linalg import kernel_dim, twisted_power_kernels
-from zptower.poly import Monomial
+from zptower._slab import Monomial
 from zptower.tower import TowerSpec, TowerState
 
 F2, F3 = field(2), field(3)

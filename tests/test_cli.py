@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from zptower import _slab, witt
 from zptower.cli import (ResultRecord, Store, load_spec, main, run_compute,
                          spec_from_dict, verify_suite)
 from zptower.gf import InternalConsistencyError, field
@@ -185,6 +186,57 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
                                  "-n", n, "-r", "2"])
         assert r.exit_code == 3, (cmd, r.output)
         assert "internal consistency failure" in r.output
+
+
+def _corrupt_ghost_division(monkeypatch):
+    divexact = witt._LiftRing.divexact
+    # every ghost numerator is divisible by p^m, so numerator + 1 is not
+    monkeypatch.setattr(witt._LiftRing, "divexact", lambda self, a, pm, mod:
+                        divexact(self, a + 1 if pm > 1 else a, pm, mod))
+
+
+def _corrupt_peel(monkeypatch):
+    combine = witt._combine
+
+    def touch_top_variable(vecs, length, p, ring):
+        comps = combine(vecs, length, p, ring)
+        if any(sign < 0 for sign, _ in vecs):  # only the peel sums F(Y) - Y
+            comps[0][(0,) * (length - 1) + (2,)] = 1
+        return comps
+    monkeypatch.setattr(witt, "_combine", touch_top_variable)
+
+
+def _zero_layer(monkeypatch):
+    monkeypatch.setattr(_slab.Slab, "pole_data", lambda self, d, n: None)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_ghost_division, _corrupt_peel, _zero_layer],
+                         ids=["ghost-division", "peel", "standard-form"])
+def test_engine_faults_exit_3(runner, specfile, tmp_path, monkeypatch, corrupt):
+    monkeypatch.setattr(witt, "_UNIVERSAL_MEM", {})  # recompute the peel polynomials
+    corrupt(monkeypatch)
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "compute", str(specfile),
+                             "-n", "2"])
+    assert r.exit_code == 3, r.output
+    assert "internal consistency failure" in r.output
+
+
+_RECORD = ResultRecord("h", "n", 3, 1, 7, 2, 66, (25, 36), 0.1, "0.1.0", "t").serialize()
+
+
+@pytest.mark.parametrize("line", [
+    json.dumps(_RECORD)[:-9],
+    json.dumps({**_RECORD, "a_r": "123"}),
+    json.dumps("ab"),
+    json.dumps({k: v for k, v in _RECORD.items() if k != "timestamp"}),
+    b"\xff\xfe{}",
+], ids=["torn-last-line", "a_r-string", "json-string", "missing-field", "not-utf8"])
+def test_corrupt_store_record_is_usage_error(runner, tmp_path, line):
+    line = line if isinstance(line, bytes) else line.encode()
+    (tmp_path / "results.jsonl").write_bytes(json.dumps(_RECORD).encode() + b"\n" + line)
+    r = runner.invoke(main, ["--data-dir", str(tmp_path), "export"])
+    assert r.exit_code == 2, r.output
+    assert "corrupt store record" in r.output
 
 
 def _no_compute(*args, **kwargs):

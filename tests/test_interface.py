@@ -41,7 +41,7 @@ def test_public_names_exist():
     assert zptower.__all__ == [
         "__version__",
         "FieldCtx", "FieldElement", "field",
-        "Monomial", "PoleProfile",
+        "Monomial",
         "RamificationData", "TowerSpec", "TowerState",
         "CartierMatrix", "cartier_matrix",
         "DenseMatrix", "kernel_dim", "twisted_power_kernels",

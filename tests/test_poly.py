@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import SparsePoly, infinity_valuation, monomial_valuation, reduce_to_monomial_basis
 from zptower.gf import field
-from zptower.poly import Monomial, PoleProfile, PolyError
+from zptower._slab import Monomial, PolyError
 
 F2 = field(2)
 F3 = field(3)
@@ -54,48 +54,37 @@ def test_reduce_agrees_with_point_evaluation(rng):
 
 
 def test_valuation_examples():
-    prof3 = PoleProfile(2, (3,))
-    assert infinity_valuation(x(F2, 3).at_level(1), prof3, 1) == -6
-    prof5 = PoleProfile(2, (5,))
+    assert infinity_valuation(x(F2, 3).at_level(1), 2, (3,), 1) == -6
     f = x(F2, 8).at_level(1) + (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1)
-    assert infinity_valuation(f, prof5, 1) == -16
-    assert infinity_valuation(SparsePoly.constant(F2, 1), prof5, 1) == 0
-    assert infinity_valuation(SparsePoly.zero(F2), prof5, 1) == math.inf
+    assert infinity_valuation(f, 2, (5,), 1) == -16
+    assert infinity_valuation(SparsePoly.constant(F2, 1), 2, (5,), 1) == 0
+    assert infinity_valuation(SparsePoly.zero(F2), 2, (5,), 1) == math.inf
 
 
 def test_valuation_requires_reduced():
     y1 = SparsePoly.variable(F2, 1)
     with pytest.raises(PolyError):
-        infinity_valuation(y1 * y1, PoleProfile(2, (3,)), 1)
+        infinity_valuation(y1 * y1, 2, (3,), 1)
 
 
 def test_valuation_additive_on_x_polys(rng):
     from conftest import random_poly
-    prof = PoleProfile(3, (7,))
     for _ in range(25):
         f = random_poly(F3, 0, rng)
         g = random_poly(F3, 0, rng)
         if f.is_zero() or g.is_zero():
             continue
-        assert (infinity_valuation(f * g, prof, 1)
-                == infinity_valuation(f, prof, 1) + infinity_valuation(g, prof, 1))
+        assert (infinity_valuation(f * g, 3, (7,), 1)
+                == infinity_valuation(f, 3, (7,), 1) + infinity_valuation(g, 3, (7,), 1))
 
 
 @given(st.integers(0, 30), st.integers(0, 2), st.integers(0, 2),
        st.integers(0, 30), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=80, deadline=None)
 def test_distinct_valuations_of_reduced_monomials(n1, a1, b1, n2, a2, b2):
-    prof = PoleProfile(3, (5, 37))
     m1, m2 = Monomial(n1, (a1, b1)), Monomial(n2, (a2, b2))
     if m1 != m2:
-        assert monomial_valuation(prof, m1, 2) != monomial_valuation(prof, m2, 2)
-
-
-def test_profile_validation():
-    with pytest.raises(PolyError):
-        PoleProfile(3, (6,))  # divisible by p
-    with pytest.raises(PolyError):
-        PoleProfile(2, (3, 5))  # violates growth bound (needs >= 3*3)
+        assert monomial_valuation(3, (5, 37), m1, 2) != monomial_valuation(3, (5, 37), m2, 2)
 
 
 def test_pow_and_level_mixing():

@@ -72,16 +72,16 @@ def test_frobenius_on_coefficients(rng):
 
 def test_pole_data_matches_valuation(towerenv, rng):
     ctx, state = towerenv
-    profile = state.ram.profile(state.level)
+    p, d, n = ctx.p, state.ram.d[:state.level], state.level
     for _ in range(8):
-        f = random_poly(ctx, state.level, rng)
+        f = random_poly(ctx, n, rng)
         if f.is_zero():
             continue
-        pd = from_sparse(f).pole_data(profile, state.level)
-        assert pd[0] == -infinity_valuation(f, profile, state.level)
-        lead = min(f.terms, key=lambda m: monomial_valuation(profile, m, state.level))
-        assert pd[1:] == (code_of(ctx.p, lead.a), lead.nu, f.terms[lead].coeffs)
-    assert Slab.zeros(ctx, 1).pole_data(profile, 1) is None
+        pd = from_sparse(f).pole_data(d, n)
+        assert pd[0] == -infinity_valuation(f, p, d, n)
+        lead = min(f.terms, key=lambda m: monomial_valuation(p, d, m, n))
+        assert pd[1:] == (code_of(p, lead.a), lead.nu, f.terms[lead].coeffs)
+    assert Slab.zeros(ctx, 1).pole_data(d, 1) is None
 
 
 def test_v_apply_linear_over_pth_powers(towerenv, rng):

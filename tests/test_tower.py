@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from oracle import infinity_valuation, to_sparse
-from zptower.gf import field
+import zptower.tower as tower
+from zptower.gf import InternalConsistencyError, field
 from zptower.tower import (RamificationData, TowerError, TowerSpec, TowerState,
                            breaks_and_conductor, classify_monodromy, closed_form_basic,
-                           coefficient_valuations, genus, lower_breaks, p_rank)
+                           coefficient_valuations, lower_breaks, p_rank)
 
 F2, F3 = field(2), field(3)
 
@@ -67,10 +68,9 @@ def test_lower_breaks():
 
 def test_genus_and_p_rank():
     spec37 = TowerSpec.make(F3, [(0, 1, 7)])
-    assert [genus(spec37, n) for n in (1, 2, 3, 4)] == [6, 66, 624, 5700]
+    assert RamificationData.compute(spec37, 4).g == (6, 66, 624, 5700)
     spec27 = TowerSpec.make(F2, [(0, 1, 7)])
-    assert [genus(spec27, n) for n in (1, 2, 3)] == [3, 16, 70]
-    assert genus(spec27, 0) == 0
+    assert [TowerState(spec27).genus(n) for n in (0, 1, 2, 3)] == [0, 3, 16, 70]
     assert p_rank(spec37, 4) == 0
 
 
@@ -121,6 +121,15 @@ def test_lower_break_growth_invariant():
         assert ram.d[n] >= (4 - 2 + 1) * ram.d[n - 1]
 
 
+@pytest.mark.parametrize("p, d", [(3, (6,)), (2, (3, 5))], ids=["divisible-by-p", "growth"])
+def test_ramification_data_checks_lower_breaks(monkeypatch, p, d):
+    # d_1 = 6 is divisible by 3; d_2 = 5 is below (p^2 - p + 1) d_1 = 9
+    monkeypatch.setattr(tower, "lower_breaks", lambda p, s: d)
+    spec = TowerSpec.make(field(p), [(0, 1, 7)])
+    with pytest.raises(InternalConsistencyError):
+        RamificationData.compute(spec, len(d))
+
+
 def test_classify_monodromy():
     assert classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 5).kind == "stable"
     mc = classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 5)
@@ -141,9 +150,9 @@ def test_tower_state_standard_form_poles():
                     (TowerSpec.make(F2, [(0, 1, 3), (1, 1, 5)]), 3)]:
         st = TowerState(spec)
         st.build_to(n)
-        prof = st.ram.profile(n)
         for m in range(1, n + 1):
-            assert -infinity_valuation(to_sparse(st.layer_slab(m)), prof, m - 1) == st.ram.d[m - 1]
+            assert (-infinity_valuation(to_sparse(st.layer_slab(m)), spec.p, st.ram.d, m - 1)
+                    == st.ram.d[m - 1])
 
 
 @pytest.mark.parametrize("spec, n", [

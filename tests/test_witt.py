@@ -7,7 +7,7 @@ import pytest
 import zptower.witt as witt_mod
 from oracle import SparsePoly, evaluate_witt
 from zptower.gf import field
-from zptower.poly import Monomial
+from zptower._slab import Monomial
 from zptower.witt import (WittError, addition_polynomials, peel_polynomials, read_cache,
                           rhs_components, write_cache)
 
