@@ -130,22 +130,17 @@ class Slab:
 
     def scale(self, c) -> "Slab":
         """Multiply by a field scalar."""
-        c = self.ctx.elem(c)
-        k, p = self.ctx.k, self.ctx.p
-        if k == 1:
-            return Slab(self.ctx, self.level, (self.arr * c.coeffs[0]) % p)
-        raw = np.zeros((self.arr.shape[0], 2 * k - 1, self.arr.shape[2]), dtype=np.int64)
-        for i, ci in enumerate(c.coeffs):
-            raw[:, i:i + k] += ci * self.arr
-        return Slab(self.ctx, self.level, self.ctx.fold(raw, axis=1))
+        return self._apply(self.ctx.mul_matrices(np.array([self.ctx.elem(c).coeffs]))[0])
 
     def frobenius(self, e: int = 1) -> "Slab":
         """sigma^e applied to every coefficient (identity on prime fields)."""
         if self.ctx.k == 1 or e % self.ctx.k == 0:
             return self
-        M = self.ctx.frob_matrix(e)
-        out = np.tensordot(M, self.arr, axes=([1], [1])).transpose(1, 0, 2) % self.ctx.p
-        return Slab(self.ctx, self.level, np.ascontiguousarray(out))
+        return self._apply(self.ctx.frob_matrix(e))
+
+    def _apply(self, M: np.ndarray) -> "Slab":
+        """The k x k GF(p) matrix M applied to every coefficient vector."""
+        return Slab(self.ctx, self.level, M @ self.arr % self.ctx.p)
 
     # -- valuation data ------------------------------------------------------------
 

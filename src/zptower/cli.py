@@ -3,7 +3,8 @@ verification against bundled fixtures, and the append-only result store.
 
 Spec files are JSON with keys p, k (optional, default 1), modulus (optional,
 only for k > 1), name, and terms = [{"v":, "c":, "i":}, ...] where c is a
-bare integer over prime fields or a coefficient list otherwise.  Exponents
+bare integer over prime fields or a coefficient list otherwise.  Every number
+is a JSON integer; a bool, float or string makes the file malformed.  Exponents
 divisible by p are normalized away with a warning.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (including a
@@ -61,15 +62,22 @@ def _load_for_levels(path: str | Path, levels: int, warn=None) -> TowerSpec:
     return spec
 
 
+def _int(value, key: str) -> int:
+    """A JSON integer: a bool, float or string is a malformed spec (ValueError)."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict, warn=None) -> TowerSpec:
-    p = int(data["p"])
-    k = int(data.get("k", 1))
-    modulus = tuple(data["modulus"]) if "modulus" in data else None
+    p = _int(data["p"], "p")
+    k = _int(data.get("k", 1), "k")
+    modulus = tuple(_int(c, "modulus") for c in data["modulus"]) if "modulus" in data else None
     ctx = field(p, k, modulus)
     terms = []
     for t in data.get("terms", []):
         c = parse_element(ctx, t["c"])
-        terms.append((int(t.get("v", 0)), c, int(t["i"])))
+        terms.append((_int(t.get("v", 0), "v"), c, _int(t["i"], "i")))
     spec = TowerSpec.make(ctx, terms, name=str(data.get("name", "")))
     if warn and not spec.is_normalized:
         reduced = [t.i for t in spec.terms if t.i % p == 0]

@@ -27,8 +27,9 @@ class InternalConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[t] helpers (coefficient lists, little-endian), used only to pick and
-# validate the modulus.  Not performance sensitive.
+# GF(p)[t] helpers (coefficient lists, little-endian): the modulus search and
+# every product modulo the field polynomial.  `poly_modred` also reduces
+# modulo p^m when the divisor is monic (witt's lifted sums).
 # ---------------------------------------------------------------------------
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -43,10 +44,11 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
         if ai:
             for j, bj in enumerate(b):
                 res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_modred(res, mod, p)
+    return poly_modred(res, mod, p)
 
 
-def _poly_modred(a: list[int], mod: list[int], p: int) -> list[int]:
+def poly_modred(a: list[int], mod: list[int], p: int) -> list[int]:
+    """a mod `mod`, coefficients reduced mod p and trailing zeros trimmed."""
     a = list(a)
     dm = len(mod) - 1
     inv_lead = pow(mod[-1], p - 2, p)
@@ -56,12 +58,12 @@ def _poly_modred(a: list[int], mod: list[int], p: int) -> list[int]:
             f = (c * inv_lead) % p
             for j in range(dm + 1):
                 a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
-    return _poly_trim(a[:dm])
+    return _poly_trim([c % p for c in a[:dm]])
 
 
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _poly_modred(a, mod, p)
+    base = poly_modred(a, mod, p)
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
@@ -73,7 +75,7 @@ def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        a = _poly_modred(a, b, p)
+        a = poly_modred(a, b, p)
         a, b = b, a
     return a
 
@@ -92,14 +94,14 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return False
     x = [0, 1]
     # t^(p^k) == t mod f
-    h = _poly_modred(x, f, p)
+    h = poly_modred(x, f, p)
     for _ in range(k):
         h = _poly_powmod(h, p, f, p)
     if _poly_sub(h, x, p):
         return False
     # gcd(t^(p^(k/q)) - t, f) == 1 for every prime q | k
     for q in {q for q in (2, 3, 5, 7) if k % q == 0}:
-        h = _poly_modred(x, f, p)
+        h = poly_modred(x, f, p)
         for _ in range(k // q):
             h = _poly_powmod(h, p, f, p)
         g = _poly_gcd(_poly_sub(h, x, p), f, p)
@@ -130,7 +132,7 @@ class FieldCtx:
     never mutated, so a context may be shared freely.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_redmat", "_frob_mats")
+    __slots__ = ("p", "k", "modulus", "order", "_f", "_redmat", "_frob_mats")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         if p not in SUPPORTED_PRIMES:
@@ -151,6 +153,7 @@ class FieldCtx:
             raise FieldError("prime fields take no modulus")
         self.modulus = modulus
         self.order = p ** k
+        self._f = list(modulus) + [1] if k > 1 else [0, 1]  # the field polynomial
         self._redmat = self._build_redmat()
         self._frob_mats = self._build_frob_mats()
 
@@ -158,18 +161,9 @@ class FieldCtx:
 
     def _build_redmat(self) -> np.ndarray:
         """redmat[s] = coefficient vector of t^(k+s) mod modulus, s = 0..k-2."""
-        p, k = self.p, self.k
-        red = np.zeros((max(k - 1, 0), k), dtype=np.int64)
-        if k == 1:
-            return red
-        tk = [(-c) % p for c in self.modulus]  # t^k mod modulus
-        cur = list(tk)
-        for s in range(k - 1):
-            red[s] = cur
-            shifted = [0] + cur  # multiply by t, degree may hit k
-            carry = shifted[k]
-            cur = [(shifted[i] + carry * tk[i]) % p for i in range(k)]
-        return red
+        k = self.k
+        red = [self._vec(poly_modred([0] * (k + s) + [1], self._f, self.p)) for s in range(k - 1)]
+        return np.array(red, dtype=np.int64).reshape(k - 1, k)
 
     def _build_frob_mats(self) -> tuple[np.ndarray, ...]:
         """Matrix of sigma^e on coefficient vectors, e = 0..k-1 (sigma: a -> a^p)."""
@@ -185,34 +179,16 @@ class FieldCtx:
                 mats.append(mats[-1] @ m1 % p)
         return tuple(m % p for m in mats)
 
-    # -- raw coefficient-vector arithmetic ------------------------------------
+    # -- raw coefficient-vector arithmetic: GF(p)[t] modulo the field polynomial
+
+    def _vec(self, poly: list[int]) -> tuple[int, ...]:
+        return tuple(poly) + (0,) * (self.k - len(poly))
 
     def _mul_vec(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        raw = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    raw[i + j] += ai * bj
-        out = list(raw[:k])
-        for s in range(k - 1):
-            c = raw[k + s]
-            if c:
-                for j in range(k):
-                    out[j] += c * int(self._redmat[s, j])
-        return tuple(v % p for v in out)
+        return self._vec(_poly_mulmod(a, b, self._f, self.p))
 
     def _pow_vec(self, a: Sequence[int], e: int) -> tuple[int, ...]:
-        result = self.one().coeffs
-        base = tuple(a)
-        while e:
-            if e & 1:
-                result = self._mul_vec(result, base)
-            base = self._mul_vec(base, base)
-            e >>= 1
-        return result
+        return self._vec(_poly_powmod(a, e, self._f, self.p))
 
     # -- element factories -----------------------------------------------------
 
@@ -271,15 +247,19 @@ class FieldCtx:
         out = raw[:k] + np.tensordot(self._redmat.T, raw[k:], axes=1)
         return np.ascontiguousarray(np.moveaxis(out % self.p, 0, axis))
 
-    def semilinear_blocks(self, coeffs: np.ndarray) -> np.ndarray:
-        """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m sigma^-1(c),
-        the blocks of a matrix restricted to GF(p) (linalg); for k = 1 the entries."""
+    def mul_matrices(self, coeffs: np.ndarray) -> np.ndarray:
+        """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m c."""
         k = self.k
         # raw[n, i + j, j] = m_n[i]: column j is m_n t^j before folding
         raw = np.zeros((coeffs.shape[0], 2 * k - 1, k), dtype=np.int64)
         for j in range(k):
             raw[:, j:j + k, j] = coeffs
-        return self.fold(raw, axis=1) @ self.inv_frob_matrix() % self.p
+        return self.fold(raw, axis=1)
+
+    def semilinear_blocks(self, coeffs: np.ndarray) -> np.ndarray:
+        """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m sigma^-1(c),
+        the blocks of a matrix restricted to GF(p) (linalg); for k = 1 the entries."""
+        return self.mul_matrices(coeffs) @ self.inv_frob_matrix() % self.p
 
     # -- identity --------------------------------------------------------------
 
@@ -419,9 +399,8 @@ class FieldElement:
 
 
 def parse_element(ctx: FieldCtx, obj) -> FieldElement:
-    """Deserialize an element from config/results form: bare int or [c0, c1, ...]."""
-    if isinstance(obj, (int, np.integer)):
-        return ctx.elem(int(obj))
-    if isinstance(obj, (list, tuple)):
+    """Deserialize an element from config/results form: a bare int or a list
+    [c0, c1, ...] of ints (a bool, float or string is rejected)."""
+    if type(obj) is int or (type(obj) in (list, tuple) and all(type(c) is int for c in obj)):
         return ctx.elem(obj)
     raise FieldError(f"cannot parse field element from {obj!r}")

@@ -98,7 +98,7 @@ class TowerSpec:
     @property
     def ramification_invariant(self) -> int:
         """d = s(1): largest exponent among valuation-0 terms (normalized spec)."""
-        return max(t.i for t in self.terms if t.v == 0)
+        return max(t.i for t in self.normalize().terms if t.v == 0)
 
     def spec_hash(self) -> str:
         spec = self.normalize()

@@ -14,8 +14,9 @@ Three consumers share the engine:
     y_m^p - y_m + G_m(y_1..y_{m-1}),
   * tower right-hand sides sum p^v [c x^i], added in one pass.
 
-Right-hand sides lift coefficients of GF(p^k) to integer tuples reduced by an
-integer lift of the field modulus; functoriality of Witt arithmetic under the
+Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable,
+and every product reduces it modulo the integer lift of f (gf.poly_modred,
+exact mod p^m since f is monic); functoriality of Witt arithmetic under the
 reduction map makes the mod-p result independent of the lift.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .gf import FieldCtx, InternalConsistencyError
+from .gf import FieldCtx, InternalConsistencyError, poly_modred
 
 #: Deepest supported truncation per characteristic (levels computed anywhere
 #: in the pipeline are bounded by these).
@@ -49,97 +50,38 @@ def _check_length(p: int, length: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# coefficient ring for lifted arithmetic: Z/mod, or (Z/mod)[t]/(lifted field
-# modulus) when k > 1.  Coefficients are ints (k = 1) or k-tuples.
+# dict polynomials {exponent tuple: int coefficient mod `mod`}; over GF(p^k)
+# the last exponent is that of t, reduced modulo the lifted field polynomial f
 # ---------------------------------------------------------------------------
 
-class _LiftRing:
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] = ()):
-        self.p = p
-        self.k = k
-        self.modulus = tuple(modulus)
-
-    def is_zero(self, a) -> bool:
-        return a == 0 if self.k == 1 else not any(a)
-
-    def add(self, a, b, mod):
-        if self.k == 1:
-            return (a + b) % mod
-        return tuple((x + y) % mod for x, y in zip(a, b))
-
-    def scale(self, a, s, mod):
-        if self.k == 1:
-            return (a * s) % mod
-        return tuple((x * s) % mod for x in a)
-
-    def mul(self, a, b, mod):
-        if self.k == 1:
-            return (a * b) % mod
-        k = self.k
-        raw = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
-        for s in range(2 * k - 2, k - 1, -1):
-            c = raw[s] % mod
-            if c:
-                # t^s = t^(s-k) * t^k with t^k = -modulus
-                for j in range(k):
-                    raw[s - k + j] -= c * self.modulus[j]
-        return tuple(v % mod for v in raw[:k])
-
-    def divexact(self, a, pm: int, mod: int):
-        """a / p^m, checking exact divisibility (decided exactly mod `mod`)."""
-        if self.k == 1:
-            if a % pm:
-                raise InternalConsistencyError(
-                    "ghost component not divisible by p^m: integrality violated")
-            return (a // pm) % (mod // pm)
-        out = []
-        for x in a:
-            if x % pm:
-                raise InternalConsistencyError(
-                    "ghost component not divisible by p^m: integrality violated")
-            out.append((x // pm) % (mod // pm))
-        return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# dict polynomials {exponent tuple: ring coefficient}
-# ---------------------------------------------------------------------------
-
-def _dp_add_into(acc: dict, other: dict, ring: _LiftRing, mod: int, sign: int = 1) -> None:
+def _dp_add_into(acc: dict, other: dict, mod: int, scale: int = 1) -> None:
     for e, c in other.items():
-        if sign != 1:
-            c = ring.scale(c, sign, mod)
-        prev = acc.get(e)
-        v = c if prev is None else ring.add(prev, c, mod)
-        if ring.is_zero(v):
-            acc.pop(e, None)
-        else:
+        v = (acc.get(e, 0) + scale * c) % mod
+        if v:
             acc[e] = v
+        else:
+            acc.pop(e, None)
 
 
-def _dp_mul(a: dict, b: dict, ring: _LiftRing, mod: int) -> dict:
-    if ring.k == 1 and len(a) * len(b) >= 1 << 14:
-        fast = _dp_mul_packed(a, b, mod)
-        if fast is not None:
-            return fast
-    out: dict = {}
-    if len(a) > len(b):
-        a, b = b, a
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = ring.mul(ca, cb, mod)
-            prev = out.get(e)
-            v = v if prev is None else ring.add(prev, v, mod)
-            if ring.is_zero(v):
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
+def _dp_mul(a: dict, b: dict, mod: int, f: list[int] | None = None) -> dict:
+    out = _dp_mul_packed(a, b, mod) if len(a) * len(b) >= 1 << 14 else None
+    if out is None:
+        acc: dict = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0) + ca * cb
+        out = {e: v for e, c in acc.items() if (v := c % mod)}
+    if f is None:
+        return out
+    rows: dict = {}  # exponents of the other variables -> {t exponent: coefficient}
+    for e, c in out.items():
+        rows.setdefault(e[:-1], {})[e[-1]] = c
+    red = {}
+    for rest, row in rows.items():
+        coeffs = [row.get(j, 0) for j in range(max(row) + 1)]
+        red.update({rest + (j,): c for j, c in enumerate(poly_modred(coeffs, f, mod)) if c})
+    return red
 
 
 def _dp_mul_packed(a: dict, b: dict, mod: int) -> dict | None:
@@ -193,27 +135,17 @@ def _dp_mul_packed(a: dict, b: dict, mod: int) -> dict | None:
     return out
 
 
-def _dp_pow(a: dict, e: int, ring: _LiftRing, mod: int) -> dict:
+def _dp_pow(a: dict, e: int, mod: int, f: list[int] | None = None) -> dict:
     nvars = len(next(iter(a))) if a else 0
-    one = 1 if ring.k == 1 else (1,) + (0,) * (ring.k - 1)
-    result = {(0,) * nvars: one}
+    result = {(0,) * nvars: 1}
     base = a
     while e:
         if e & 1:
-            result = _dp_mul(result, base, ring, mod)
+            result = _dp_mul(result, base, mod, f)
         e >>= 1
         if e:
-            base = _dp_mul(base, base, ring, mod)
+            base = _dp_mul(base, base, mod, f)
     return result
-
-
-def _dp_scale(a: dict, s: int, ring: _LiftRing, mod: int) -> dict:
-    out = {}
-    for e, c in a.items():
-        v = ring.scale(c, s, mod)
-        if not ring.is_zero(v):
-            out[e] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +153,43 @@ def _dp_scale(a: dict, s: int, ring: _LiftRing, mod: int) -> dict:
 # ---------------------------------------------------------------------------
 
 class _PowerChain:
-    """Memoized Frobenius-power chain f, f^p, f^(p^2), ... at one modulus.
+    """Memoized Frobenius-power chain g, g^p, g^(p^2), ... at one modulus.
 
     Components are known exactly (input lifts) or mod p (recovered outputs);
     in either case x = x' (mod p^a) gives x^(p^b) = x'^(p^b) (mod p^(a+b)),
     so one chain at modulus p^length serves every later precision demand.
     """
 
-    def __init__(self, base: dict, p: int, ring: _LiftRing, modmax: int):
+    def __init__(self, base: dict, p: int, modmax: int, f: list[int] | None):
         self.p = p
-        self.ring = ring
         self.modmax = modmax
+        self.f = f
         self.chain = [base]
 
     def power(self, b: int) -> dict:
         while len(self.chain) <= b:
-            self.chain.append(_dp_pow(self.chain[-1], self.p, self.ring, self.modmax))
+            self.chain.append(_dp_pow(self.chain[-1], self.p, self.modmax, self.f))
         return self.chain[b]
 
 
+def _divexact(a: int, pm: int, mod: int) -> int:
+    """a / p^m, checking exact divisibility (decided exactly mod `mod`)."""
+    if a % pm:
+        raise InternalConsistencyError(
+            "ghost component not divisible by p^m: integrality violated")
+    return (a // pm) % (mod // pm)
+
+
 def _combine(vecs: list[tuple[int, list[dict]]], length: int, p: int,
-             ring: _LiftRing) -> list[dict]:
+             f: list[int] | None = None) -> list[dict]:
     """Witt sum of signed vectors: components of (+-)u (+) (+-)v (+) ... mod p.
 
     Each z_m is (ghost target_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m with the
     divisibility checked exactly; ghost components use the memoized chains.
+    Over GF(p^k), f is the field polynomial and t the last variable.
     """
     modmax = p ** length
-    in_chains = [[_PowerChain(comp, p, ring, modmax) for comp in vec]
-                 for _, vec in vecs]
+    in_chains = [[_PowerChain(comp, p, modmax, f) for comp in vec] for _, vec in vecs]
     z_chains: list[_PowerChain] = []
     zs: list[dict] = []
     for m in range(length):
@@ -257,18 +197,12 @@ def _combine(vecs: list[tuple[int, list[dict]]], length: int, p: int,
         num: dict = {}
         for (sign, vec), chains in zip(vecs, in_chains):
             for i in range(min(m + 1, len(vec))):
-                t = chains[i].power(m - i)
-                _dp_add_into(num, _dp_scale(t, sign * p ** i, ring, mod), ring, mod)
+                _dp_add_into(num, chains[i].power(m - i), mod, sign * p ** i)
         for i in range(m):
-            t = z_chains[i].power(m - i)
-            _dp_add_into(num, _dp_scale(t, p ** i, ring, mod), ring, mod, sign=-1)
-        zm = {}
-        for e, c in num.items():
-            v = ring.divexact(c, p ** m, mod)
-            if not ring.is_zero(v):
-                zm[e] = v
+            _dp_add_into(num, z_chains[i].power(m - i), mod, -p ** i)
+        zm = {e: v for e, c in num.items() if (v := _divexact(c, p ** m, mod))}
         zs.append(zm)
-        z_chains.append(_PowerChain(zm, p, ring, modmax))
+        z_chains.append(_PowerChain(zm, p, modmax, f))
     return zs
 
 
@@ -309,11 +243,10 @@ def addition_polynomials(p: int, length: int, cache_dir: str | os.PathLike | Non
     if cached is not None:
         _ensure_on_disk(p, length, "add", cached, cache_dir)
         return cached
-    ring = _LiftRing(p)
     nv = 2 * length
     xs = [_var(nv, i) for i in range(length)]
     ys = [_var(nv, length + i) for i in range(length)]
-    comps = _combine([(1, xs), (1, ys)], length, p, ring)
+    comps = _combine([(1, xs), (1, ys)], length, p)
     polys = [WittPolynomial.from_dict(nv, c) for c in comps]
     _store_universal(p, length, "add", polys, cache_dir)
     return polys
@@ -332,17 +265,16 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
     if cached is not None:
         _ensure_on_disk(p, length, "peel", cached, cache_dir)
         return cached
-    ring = _LiftRing(p)
     nv = length
     fy = [_var(nv, i, power=p) for i in range(length)]
     ys = [_var(nv, i) for i in range(length)]
-    comps = _combine([(1, fy), (-1, ys)], length, p, ring)
+    comps = _combine([(1, fy), (-1, ys)], length, p)
     polys = []
     for m, comp in enumerate(comps, start=1):
         g = dict(comp)
         # remove y_m^p - y_m, keep the lower-variable remainder
-        _dp_add_into(g, _var(nv, m - 1, power=p), ring, p, sign=-1)
-        _dp_add_into(g, _var(nv, m - 1), ring, p, sign=1)
+        _dp_add_into(g, _var(nv, m - 1, power=p), p, -1)
+        _dp_add_into(g, _var(nv, m - 1), p)
         trimmed = {}
         for e, c in g.items():
             if any(e[m - 1:]):
@@ -463,12 +395,22 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
         raise WittError(f"unsupported characteristic {p}")
     if not 1 <= length <= 16:
         raise WittError(f"Witt length {length} out of range 1..16")
+    k = field.k
+    f = list(field.modulus) + [1] if k > 1 else None
     vecs = []
     for v, c, i in terms:
         c = field.elem(c)
         if v < 0 or i < 1 or c.is_zero():
             raise WittError(f"bad term (v={v}, c={c}, i={i})")
         if v < length:
-            cq = (c ** p ** v).coeffs
-            vecs.append((1, [{}] * v + [{(i * p ** v,): cq if field.k > 1 else cq[0]}]))
-    return _combine(vecs, length, p, _LiftRing(p, field.k, field.modulus))
+            nu, cq = i * p ** v, (c ** p ** v).coeffs
+            top = {(nu,): cq[0]} if k == 1 else {(nu, j): a for j, a in enumerate(cq) if a}
+            vecs.append((1, [{}] * v + [top]))
+    comps = _combine(vecs, length, p, f)
+    if k == 1:
+        return comps
+    out = [{} for _ in comps]
+    for comp, o in zip(comps, out):
+        for (nu, j), a in comp.items():
+            o.setdefault((nu,), [0] * k)[j] = a
+    return [{e: tuple(v) for e, v in o.items()} for o in out]

@@ -74,6 +74,16 @@ def test_run_compute_level0():
     assert len(recs) == 1 and recs[0].level == 0 and recs[0].genus == 0
 
 
+def test_record_d_follows_the_normalized_spec():
+    # x^6 and x^3 over GF(2) are the same tower; d is read after normalization
+    records = [run_compute(TowerSpec.make(field(2), [(0, 1, i)], name=str(i)), 2)
+               for i in (6, 3)]
+    strip = [[{**r.serialize(), "spec_name": "", "wall_time": 0, "timestamp": ""} for r in recs]
+             for recs in records]
+    assert strip[0] == strip[1]
+    assert records[0][0].d == 3
+
+
 def test_warm_cache_identical(tmp_path):
     spec = TowerSpec.make(field(3), [(0, 1, 7)], name="z")
     r1 = run_compute(spec, 2, powers=2, data_dir=tmp_path)
@@ -157,13 +167,24 @@ def test_record_roundtrip():
     assert ResultRecord.deserialize(rec.serialize()) == rec
 
 
+def _p3(i=7, c=1, p=3, **extra):
+    return {"name": "x", "p": p, "terms": [{"v": 0, "c": c, "i": i}], **extra}
+
+
 @pytest.mark.parametrize("spec", [{"name": "np", "terms": [{"v": 0, "c": 1, "i": 7}]},
                                   {"name": "ni", "p": 3, "terms": [{"v": 0, "c": 1}]},
                                   {"name": "nt", "p": 3, "terms": []},
-                                  {"name": "nv", "p": 3, "terms": [{"v": 1, "c": 1, "i": 7}]}],
-                         ids=["missing-p", "term-missing-i", "no-terms", "no-valuation-0-term"])
+                                  {"name": "nv", "p": 3, "terms": [{"v": 1, "c": 1, "i": 7}]},
+                                  _p3(i=7.9), _p3(p=3.5), _p3(p="3", i="7"), _p3(i=True),
+                                  _p3(c=True), _p3(c=[1.2, 0], p=2, k=2.5, modulus=[1.9, 1]),
+                                  _p3(c=[1.2, 0], p=2, k=2, modulus=[1, 1]),
+                                  _p3(c=[1, 0], p=2, k=2, modulus=[1, True])],
+                         ids=["missing-p", "term-missing-i", "no-terms", "no-valuation-0-term",
+                              "float-i", "float-p", "string-p-i", "bool-i", "bool-c",
+                              "float-k-modulus-c", "float-c-entry", "bool-modulus-entry"])
 def test_malformed_spec_is_usage_error(runner, tmp_path, spec):
-    # a tower that is not totally ramified at level 1 is malformed input too
+    # a tower that is not totally ramified at level 1 is malformed input too,
+    # and a number that is not a JSON integer is never truncated to one
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     for cmd in ("compute", "info"):
@@ -189,17 +210,17 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
 
 
 def _corrupt_ghost_division(monkeypatch):
-    divexact = witt._LiftRing.divexact
+    divexact = witt._divexact
     # every ghost numerator is divisible by p^m, so numerator + 1 is not
-    monkeypatch.setattr(witt._LiftRing, "divexact", lambda self, a, pm, mod:
-                        divexact(self, a + 1 if pm > 1 else a, pm, mod))
+    monkeypatch.setattr(witt, "_divexact", lambda a, pm, mod:
+                        divexact(a + 1 if pm > 1 else a, pm, mod))
 
 
 def _corrupt_peel(monkeypatch):
     combine = witt._combine
 
-    def touch_top_variable(vecs, length, p, ring):
-        comps = combine(vecs, length, p, ring)
+    def touch_top_variable(vecs, length, p, f=None):
+        comps = combine(vecs, length, p, f)
         if any(sign < 0 for sign, _ in vecs):  # only the peel sums F(Y) - Y
             comps[0][(0,) * (length - 1) + (2,)] = 1
         return comps

@@ -110,15 +110,23 @@ def test_rhs_rejects_bad_terms():
 
 def test_universal_vs_concrete_cross_check():
     # the one sum agrees with the cached universal polynomials applied to the
-    # components of two partial sums
-    S = addition_polynomials(2, 3)
-    u, v = [(0, 1, 3), (0, 1, 1)], [(0, 1, 5)]
+    # components of two partial sums, also with coefficients outside GF(p)
+    for F, length in ((F2, 3), (field(2, 2), 3), (field(2, 3), 3), (field(3, 2), 2),
+                      (field(5, 2), 2)):
+        t = F.gen()
+        if F.k == 1:
+            u, v = [(0, 1, 3), (0, 1, 1)], [(0, 1, 5)]
+        else:
+            u, v = [(0, t, 3), (0, 1, 1), (1, t + 1, 2)], [(0, t * t + t, 1), (0, -t, 2)]
+        S = addition_polynomials(F.p, length)
+        vals = [_sparse(F, c) for c in rhs_components(u, length, F) + rhs_components(v, length, F)]
+        for i, c in enumerate(rhs_components(u + v, length, F)):
+            assert evaluate_witt(S[i], vals, F) == _sparse(F, c), (F, i)
 
-    def sparse(c):
-        return SparsePoly(F2, 0, {Monomial(nu, ()): F2.elem(a) for (nu,), a in c.items()})
-    vals = [sparse(c) for c in rhs_components(u, 3, F2) + rhs_components(v, 3, F2)]
-    for i, c in enumerate(rhs_components(u + v, 3, F2)):
-        assert evaluate_witt(S[i], vals, F2) == sparse(c)
+
+def _sparse(F, comp):
+    """A right-hand-side component as a level-0 SparsePoly."""
+    return SparsePoly(F, 0, {Monomial(nu, ()): F.elem(a) for (nu,), a in comp.items()})
 
 
 def test_extension_field_witt_add():
