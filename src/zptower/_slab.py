@@ -5,7 +5,9 @@ shape (p**level, k, X): one row per y-exponent tuple (coded little-endian in
 base p), one coefficient vector of length k per power of x.  Entries are
 residues in [0, p); all arithmetic is exact.  A differential form h dx at a
 tower level is the Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one
-entry by its exponents.
+entry by its exponents.  Products take the layer right-hand sides
+f_1..f_level as a list of slabs and reduce y_j^p to y_j + f_j; the kernel holds
+no tower of its own.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -13,7 +15,7 @@ operation here against the sparse dict reference in tests/oracle.py.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,18 +36,6 @@ class Monomial(NamedTuple):
         if len(self.a) >= level:
             return self
         return Monomial(self.nu, self.a + (0,) * (level - len(self.a)))
-
-
-class Reducer(Protocol):
-    """Provides the layer data needed to keep products y-reduced."""
-
-    def layer_slab(self, j: int) -> "Slab":
-        """Right-hand side f_j of y_j^p - y_j = f_j, reduced, at level j-1."""
-        ...
-
-    def mask_pow(self, digits: tuple[int, ...]) -> "Slab":
-        """Reduced product of (y_j + f_j)^digits[j-1] over all j."""
-        ...
 
 
 class Slab:
@@ -129,17 +119,8 @@ class Slab:
         return out.add_into(other, scale=-1)
 
     def scale(self, c) -> "Slab":
-        """Multiply by a field scalar."""
-        return self._apply(self.ctx.mul_matrices(np.array([self.ctx.elem(c).coeffs]))[0])
-
-    def frobenius(self, e: int = 1) -> "Slab":
-        """sigma^e applied to every coefficient (identity on prime fields)."""
-        if self.ctx.k == 1 or e % self.ctx.k == 0:
-            return self
-        return self._apply(self.ctx.frob_matrix(e))
-
-    def _apply(self, M: np.ndarray) -> "Slab":
-        """The k x k GF(p) matrix M applied to every coefficient vector."""
+        """Multiply by a field scalar: its k x k GF(p) matrix on every coefficient vector."""
+        M = self.ctx.mul_matrices(np.array([self.ctx.elem(c).coeffs]))[0]
         return Slab(self.ctx, self.level, M @ self.arr % self.ctx.p)
 
     # -- valuation data ------------------------------------------------------------
@@ -217,8 +198,9 @@ def xconv(u: np.ndarray, v: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 # multiplication with y-reduction
 # ---------------------------------------------------------------------------
 
-def mul(a: Slab, b: Slab, reducer: Reducer) -> Slab:
-    """Reduced product of two reduced slabs, rewriting y_j^p -> y_j + f_j."""
+def mul(a: Slab, b: Slab, layers: Sequence[Slab]) -> Slab:
+    """Reduced product of two reduced slabs, rewriting y_j^p -> y_j + f_j with
+    f_j = layers[j-1], the reduced right-hand side of layer j at level j-1."""
     ctx = a.ctx
     lvl = max(a.level, b.level)
     acc: dict[tuple[int, ...], np.ndarray] = {}
@@ -232,7 +214,7 @@ def mul(a: Slab, b: Slab, reducer: Reducer) -> Slab:
             dig = tuple((da[j] if j < len(da) else 0) + (db[j] if j < len(db) else 0)
                         for j in range(lvl))
             _merge_block(acc, dig, xconv(ra, b.arr[sb], ctx))
-    return _finish_reduce(acc, ctx, lvl, reducer)
+    return _finish_reduce(acc, ctx, lvl, layers)
 
 
 def _grow_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,17 +230,18 @@ def _merge_block(into: dict, key, block: np.ndarray) -> None:
     into[key] = block if prev is None else _grow_add(prev, block)
 
 
-def _materialize(ctx: FieldCtx, lvl: int, blocks: dict[tuple[int, ...], np.ndarray]) -> Slab:
+def _materialize(ctx: FieldCtx, lvl: int, blocks: dict[int, np.ndarray]) -> Slab:
+    """The level-lvl slab with the (k, X) block blocks[code] in row `code`."""
     xcap = max((b.shape[1] for b in blocks.values()), default=1)
     out = Slab.zeros(ctx, lvl, xcap)
-    for dig, block in blocks.items():
-        out.arr[code_of(ctx.p, dig), :, : block.shape[1]] += block
+    for code, block in blocks.items():
+        out.arr[code, :, : block.shape[1]] += block
     out.arr %= ctx.p
     return out.trim()
 
 
 def _finish_reduce(acc: dict[tuple[int, ...], np.ndarray], ctx: FieldCtx, lvl: int,
-                   reducer: Reducer) -> Slab:
+                   layers: Sequence[Slab]) -> Slab:
     """Drain a {digit tuple: (k, X) block} accumulator into a reduced slab.
 
     Digits can exceed p-1 after a single multiplication; each overflow splits
@@ -268,7 +251,7 @@ def _finish_reduce(acc: dict[tuple[int, ...], np.ndarray], ctx: FieldCtx, lvl: i
     recombine exponentially.
     """
     p = ctx.p
-    done: dict[tuple[int, ...], np.ndarray] = {}
+    done: dict[int, np.ndarray] = {}
     pending = dict(acc)
     while pending:
         nxt: dict[tuple[int, ...], np.ndarray] = {}
@@ -280,10 +263,10 @@ def _finish_reduce(acc: dict[tuple[int, ...], np.ndarray], ctx: FieldCtx, lvl: i
                 if dig[j - 1] >= p:
                     break
             else:
-                _merge_block(done, dig, block)
+                _merge_block(done, code_of(p, dig), block)
                 continue
             base = dig[: j - 1] + (dig[j - 1] - p,) + dig[j:]
-            fj = reducer.layer_slab(j)
+            fj = layers[j - 1]
             for sf in fj.nonzero_codes().tolist():
                 df = digits_of(p, sf, fj.level)
                 nd = tuple(base[t] + (df[t] if t < len(df) else 0) for t in range(lvl))
@@ -293,24 +276,6 @@ def _finish_reduce(acc: dict[tuple[int, ...], np.ndarray], ctx: FieldCtx, lvl: i
             _merge_block(nxt, base[: j - 1] + (base[j - 1] + 1,) + base[j:], block)
         pending = nxt
     return _materialize(ctx, lvl, done)
-
-
-def pth_power(a: Slab, reducer: Reducer) -> Slab:
-    """Reduced p-th power: Frobenius on coefficients, x-exponents times p,
-    and y_j^(p*e) rewritten through the cached (y_j + f_j)^e products."""
-    ctx = a.ctx
-    p, k = ctx.p, ctx.k
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    frob = a.frobenius()
-    for code in a.nonzero_codes().tolist():
-        dig = digits_of(p, code, a.level)
-        row = frob.arr[code]  # (k, X)
-        xb = np.zeros((k, (row.shape[1] - 1) * p + 1), dtype=np.int64)
-        xb[:, ::p] = row
-        mp = reducer.mask_pow(dig)  # level <= a.level since dig comes from a
-        for mc in mp.nonzero_codes().tolist():
-            _merge_block(acc, digits_of(p, mc, a.level), xconv(xb, mp.arr[mc], ctx))
-    return _materialize(ctx, a.level, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -339,5 +304,4 @@ def v_apply(g: Slab, tables: dict[tuple[int, int], Slab]) -> Slab:
             entry = tables[(nu0, code)]
             for ecode in entry.nonzero_codes().tolist():
                 _merge_block(acc, ecode, xconv(h, entry.arr[ecode], ctx))
-    return _materialize(ctx, g.level,
-                        {digits_of(p, ec, g.level): b for ec, b in acc.items()})
+    return _materialize(ctx, g.level, acc)

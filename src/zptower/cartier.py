@@ -12,7 +12,7 @@ h V(w).  Per level we precompute V on the p^(m+1) monomials with nu < p and
 all a_i < p; V of anything else is a shifted, Frobenius-twisted combination
 of those values.  Tables serialize to a per-(spec, level) cache so deeper
 levels resume without recomputation.  A differential form h dx is the Slab of
-h: cartier_apply, trace_map and function_differential take and return Slabs.
+h: cartier_apply and trace_map take and return Slabs.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class CartierTables:
         minus_f = state.layer_slab(m).scale(-1)
         fpow = [Slab.monomial(ctx, Monomial(0, ()))]
         for _ in range(1, p):
-            fpow.append(slab_mul(fpow[-1], minus_f, state).trim())
+            fpow.append(slab_mul(fpow[-1], minus_f, state.layers).trim())
         inner: dict[tuple[int, int, int], Slab] = {}
         for lowcode in range(S_low):
             lowdig = digits_of(p, lowcode, m - 1)
@@ -133,7 +133,7 @@ class CartierTables:
                 inner[(nu0, lowcode, 0)] = prev[(nu0, lowcode)]
                 mono = Slab.monomial(ctx, Monomial(nu0, lowdig))
                 for j in range(1, p):
-                    g = slab_mul(mono, fpow[j], state)
+                    g = slab_mul(mono, fpow[j], state.layers)
                     inner[(nu0, lowcode, j)] = v_apply(g, prev)
         table: dict[tuple[int, int], Slab] = {}
         for am in range(p):
@@ -284,48 +284,3 @@ def trace_map(form: Slab) -> Slab:
     top = form.arr[-p ** (form.level - 1):]  # the rows whose y_n digit is p - 1
     return Slab(form.ctx, form.level - 1, -top % p).trim()
 
-
-# ---------------------------------------------------------------------------
-# formal differentials
-# ---------------------------------------------------------------------------
-
-def function_differential(h: Slab, state: TowerState) -> Slab:
-    """D(h) with dh = D(h) dx on the tower: D(x) = 1, D(y_j) = -D(f_j)."""
-    state.build_to(h.level)
-    out = _x_derivative(h)
-    for j in range(1, h.level + 1):
-        dyj = _dy_slab(state, j)
-        part = _y_derivative(h, j)
-        if part.is_zero() or dyj.is_zero():
-            continue
-        out = out + slab_mul(part, dyj, state)
-    return out.trim()
-
-
-def _x_derivative(slab: Slab) -> Slab:
-    p = slab.ctx.p
-    arr = slab.arr
-    out = np.zeros_like(arr)
-    if arr.shape[2] > 1:
-        mult = (np.arange(1, arr.shape[2]) % p)
-        out[:, :, :-1] = arr[:, :, 1:] * mult[None, None, :]
-    return Slab(slab.ctx, slab.level, out % p)
-
-
-def _y_derivative(slab: Slab, j: int) -> Slab:
-    p = slab.ctx.p
-    out = Slab.zeros(slab.ctx, slab.level, slab.arr.shape[2])
-    stride = p ** (j - 1)
-    for code in slab.nonzero_codes().tolist():
-        e = (code // stride) % p
-        if e:
-            out.arr[code - stride] += e * slab.arr[code]
-    out.arr %= p
-    return out
-
-
-def _dy_slab(state: TowerState, j: int) -> Slab:
-    got = state.dy_cache.get(j)
-    if got is None:
-        got = state.dy_cache[j] = function_differential(state.layer_slab(j), state).scale(-1)
-    return got

@@ -8,8 +8,8 @@ the Artin-Schreier extension y_m^p - y_m = f_m, where f_m is the m-th
 right-hand-side component minus a universal correction in y_1..y_{m-1}.
 TowerState holds the layers in standard form (pole order at infinity equal to
 the lower break), tracking the change of variables so that deeper corrections
-are evaluated consistently, and is the Reducer that keeps products of tower
-polynomials y-reduced.
+are evaluated consistently; products of tower polynomials are y-reduced by
+passing its layer list to the slab kernel.
 
 Standard form: a layer y^p - y = f only has its pole order equal to the
 ramification break when that order is prime to p; otherwise the order is a
@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._slab import Monomial, PolyError, Reducer, Slab, mul as slab_mul, pth_power
+import numpy as np
+
+from ._slab import Monomial, PolyError, Slab, mul as slab_mul
 from .gf import FieldCtx, FieldElement, InternalConsistencyError
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
@@ -261,7 +263,7 @@ def classify_monodromy(spec: TowerSpec, N: int) -> MonodromyClass:
         raise TowerError("classification needs at least 4 levels")
     p = spec.p
     s, _ = breaks_and_conductor(spec, N)
-    if any(s[m] <= s[m - 1] for m in range(1, N - 1)):
+    if any(s[m] <= s[m - 1] for m in range(1, N)):
         raise InternalConsistencyError("upper breaks must strictly increase")
     for m in range(1, N // 2 + 1):
         d = Fraction(s[N - 1] - s[N - 1 - m], p ** (N - 1) - p ** (N - 1 - m))
@@ -303,7 +305,7 @@ def monomial_with_pole_order(w: int, p: int, d: Sequence[int], level: int) -> Mo
     return Monomial(w, tuple(a))
 
 
-def reduce_slab(f: Slab, reducer: Reducer, d: Sequence[int], target_d: int
+def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
                 ) -> tuple[Slab, Slab]:
     """Standard-form reduction of a layer f at level len(d) = f.level.
 
@@ -327,7 +329,7 @@ def reduce_slab(f: Slab, reducer: Reducer, d: Sequence[int], target_d: int
                 f"pole order {pole} below or coprime-to-p above target {target_d}")
         z_mon = monomial_with_pole_order(pole // p, p, d, level)
         z = Slab.monomial(ctx, z_mon, level=level)
-        zp = pth_power(z, reducer)
+        zp = state.pth_power(z_mon, level)
         zp_pd = zp.pole_data(d, level)
         if zp_pd is None or zp_pd[0] != pole:
             raise InternalConsistencyError("z^p pole order mismatch")
@@ -351,7 +353,6 @@ class TowerState:
     equals the lower break, and the accumulated substitution y_m -> y_m + Z_m
     is remembered: subs[m-1] is the original variable expressed in the current
     ones, which is what deeper universal corrections must be evaluated at.
-    Also the Reducer giving products their y-reduction data.
     """
 
     def __init__(self, spec: TowerSpec, cache_dir=None):
@@ -364,7 +365,6 @@ class TowerState:
         self._mask_cache: dict[tuple[int, ...], Slab] = {}
         self._upow_cache: dict[tuple[int, int], Slab] = {}
         self.tables = None  # attached by cartier.CartierTables
-        self.dy_cache: dict[int, Slab] = {}  # d(y_j)/dx per level j, filled by cartier
 
     @property
     def level(self) -> int:
@@ -405,12 +405,16 @@ class TowerState:
     def genus(self, m: int) -> int:
         return self.ensure_ram(max(m, 1)).genus(m)
 
-    # Reducer protocol -------------------------------------------------------
-
     def layer_slab(self, j: int) -> Slab:
         return self.layers[j - 1]
 
-    def mask_pow(self, digits: tuple[int, ...]) -> Slab:
+    def pth_power(self, z: Monomial, level: int) -> Slab:
+        """Reduced z^p at `level` for z = x^nu y^a with coefficient 1:
+        x^(p nu) times the cached product of (y_j + f_j)^a_j."""
+        mp = self._mask_pow(z.a).at_level(level)
+        return Slab(self.field, level, np.pad(mp.arr, ((0, 0), (0, 0), (self.field.p * z.nu, 0))))
+
+    def _mask_pow(self, digits: tuple[int, ...]) -> Slab:
         while digits and digits[-1] == 0:
             digits = digits[:-1]
         if not digits:
@@ -419,10 +423,10 @@ class TowerState:
         if got is not None:
             return got
         j = len(digits)
-        prev = self.mask_pow(digits[:-1] + (digits[-1] - 1,))
+        prev = self._mask_pow(digits[:-1] + (digits[-1] - 1,))
         yj_plus_fj = Slab.monomial(self.field, Monomial(0, (0,) * (j - 1) + (1,))) \
             + self.layers[j - 1]
-        out = slab_mul(prev, yj_plus_fj, self).trim()
+        out = slab_mul(prev, yj_plus_fj, self.layers).trim()
         self._mask_cache[digits] = out
         return out
 
@@ -435,7 +439,7 @@ class TowerState:
             return self.subs[j - 1]
         got = self._upow_cache.get((j, e))
         if got is None:
-            got = slab_mul(self._upow(j, e - 1), self.subs[j - 1], self).trim()
+            got = slab_mul(self._upow(j, e - 1), self.subs[j - 1], self.layers).trim()
             self._upow_cache[(j, e)] = got
         return got
 
@@ -452,6 +456,6 @@ class TowerState:
         for et in sorted(groups):
             inner = self._eval_terms(groups[et], t - 1)
             if et:
-                inner = slab_mul(self._upow(t, et), inner, self)
+                inner = slab_mul(self._upow(t, et), inner, self.layers)
             out = inner if out is None else (out + inner)
         return out.trim()

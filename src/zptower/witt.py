@@ -8,10 +8,9 @@ p^(m+1) per component, which determines every output component mod p exactly
 every integrality check exact since divisibility by p^m is decided mod
 p^(m+1).
 
-Three consumers share the engine:
-  * universal addition polynomials S_0..S_{len-1} (cached per (p, len)),
+Two consumers share the engine:
   * universal "peel" polynomials giving each layer equation of a tower as
-    y_m^p - y_m + G_m(y_1..y_{m-1}),
+    y_m^p - y_m + G_m(y_1..y_{m-1}) (cached per (p, len)),
   * tower right-hand sides sum p^v [c x^i], added in one pass.
 
 Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable,
@@ -231,27 +230,6 @@ def _var(nvars: int, i: int, power: int = 1) -> dict:
     return {tuple(e): 1}
 
 
-def addition_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = None
-                         ) -> list[WittPolynomial]:
-    """Universal S_0..S_{length-1} in X_0..X_{length-1}, Y_0..Y_{length-1}.
-
-    S_m satisfies w_m(S_0..S_m) = w_m(X) + w_m(Y); results are cached in
-    memory per (p, length) and optionally on disk under cache_dir.
-    """
-    _check_length(p, length)
-    cached = _load_universal(p, length, "add", cache_dir)
-    if cached is not None:
-        _ensure_on_disk(p, length, "add", cached, cache_dir)
-        return cached
-    nv = 2 * length
-    xs = [_var(nv, i) for i in range(length)]
-    ys = [_var(nv, length + i) for i in range(length)]
-    comps = _combine([(1, xs), (1, ys)], length, p)
-    polys = [WittPolynomial.from_dict(nv, c) for c in comps]
-    _store_universal(p, length, "add", polys, cache_dir)
-    return polys
-
-
 def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = None
                      ) -> list[WittPolynomial]:
     """G_1..G_length with (F(Y) - Y)_m = y_m^p - y_m + G_m(y_1..y_{m-1}).
@@ -261,9 +239,9 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
     layer equation of a tower.
     """
     _check_length(p, length)
-    cached = _load_universal(p, length, "peel", cache_dir)
+    cached = _load_universal(p, length, cache_dir)
     if cached is not None:
-        _ensure_on_disk(p, length, "peel", cached, cache_dir)
+        _ensure_on_disk(p, length, cached, cache_dir)
         return cached
     nv = length
     fy = [_var(nv, i, power=p) for i in range(length)]
@@ -281,7 +259,7 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
                 raise InternalConsistencyError("peel polynomial touches y_m or higher")
             trimmed[e[: m - 1]] = c
         polys.append(WittPolynomial.from_dict(m - 1, trimmed))
-    _store_universal(p, length, "peel", polys, cache_dir)
+    _store_universal(p, length, polys, cache_dir)
     return polys
 
 
@@ -321,31 +299,30 @@ def _sha256(text: str) -> str:
 _UNIVERSAL_MEM: dict[tuple, list[WittPolynomial]] = {}
 
 
-def _cache_path(p: int, length: int, kind: str, cache_dir) -> Path | None:
+def _cache_path(p: int, length: int, cache_dir) -> Path | None:
     if cache_dir is None:
         return None
-    return Path(cache_dir) / f"witt_{kind}_p{p}_len{length}.txt"
+    return Path(cache_dir) / f"witt_peel_p{p}_len{length}.txt"
 
 
-def _ensure_on_disk(p, length, kind, polys, cache_dir):
-    path = _cache_path(p, length, kind, cache_dir)
+def _ensure_on_disk(p, length, polys, cache_dir):
+    path = _cache_path(p, length, cache_dir)
     if path is not None and not path.exists():
-        _store_universal(p, length, kind, polys, cache_dir)
+        _store_universal(p, length, polys, cache_dir)
 
 
-def _load_universal(p, length, kind, cache_dir):
+def _load_universal(p, length, cache_dir):
     """Cached polynomials, or None (recompute) unless read_cache accepts the file
     and it holds `length` lines "nvars c:e_1,..;.." (or "nvars 0") with the
     nvars of each polynomial and nvars exponents per term."""
-    key = (p, length, kind)
+    key = (p, length)
     if key in _UNIVERSAL_MEM:
         return _UNIVERSAL_MEM[key]
-    lines = read_cache(_cache_path(p, length, kind, cache_dir), _cache_header(p, length, kind))
+    lines = read_cache(_cache_path(p, length, cache_dir), _cache_header(p, length))
     if lines is None or len(lines) != length:
         return None
     polys = []
-    for m, line in enumerate(lines):
-        nv = 2 * length if kind == "add" else m  # G_(m+1) lives in y_1..y_m
+    for nv, line in enumerate(lines):  # G_(nv+1) lives in y_1..y_nv
         nv_s, _, body = line.partition(" ")
         terms = {}
         try:
@@ -361,20 +338,20 @@ def _load_universal(p, length, kind, cache_dir):
     return polys
 
 
-def _cache_header(p, length, kind) -> str:
-    return f"# zptower-witt v{CACHE_FORMAT_VERSION} kind={kind} p={p} len={length}"
+def _cache_header(p, length) -> str:
+    return f"# zptower-witt v{CACHE_FORMAT_VERSION} kind=peel p={p} len={length}"
 
 
-def _store_universal(p, length, kind, polys, cache_dir):
-    _UNIVERSAL_MEM[(p, length, kind)] = polys
-    path = _cache_path(p, length, kind, cache_dir)
+def _store_universal(p, length, polys, cache_dir):
+    _UNIVERSAL_MEM[(p, length)] = polys
+    path = _cache_path(p, length, cache_dir)
     if path is None:
         return
     lines = []
     for poly in polys:
         body = ";".join(f"{c}:{','.join(map(str, e))}" for e, c in poly.terms)
         lines.append(f"{poly.nvars} {body or 0}")
-    write_cache(path, _cache_header(p, length, kind), lines)
+    write_cache(path, _cache_header(p, length), lines)
 
 
 # ---------------------------------------------------------------------------

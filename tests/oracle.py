@@ -7,6 +7,10 @@ is what makes it an independent cross-check.  The reduced (monomial-basis)
 form has every y-exponent below p; reduction rewrites y_j^p as y_j + f_j
 using the layer equations of a tower.  Nothing in the package imports this
 module.
+
+It also holds the references that only tests use: the formal differential
+dh = D(h) dx of a tower function, for the V(dh) = 0 oracles, and the
+universal Witt addition polynomials, for the ghost-engine cross-checks.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of
+from zptower import witt
+from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of, mul as slab_mul
 from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError
 
 
@@ -268,3 +273,59 @@ def to_sparse(s: Slab) -> SparsePoly:
 def layers(state) -> list[SparsePoly]:
     """The standard-form layers f_1..f_n of a built TowerState."""
     return [to_sparse(state.layer_slab(m)) for m in range(1, state.level + 1)]
+
+
+# -- formal differentials -------------------------------------------------------
+
+def function_differential(h: Slab, state) -> Slab:
+    """D(h) with dh = D(h) dx on the tower: D(x) = 1, D(y_j) = -D(f_j)."""
+    state.build_to(h.level)
+    dy: list[Slab] = []
+    for f in state.layers[:h.level]:
+        dy.append(_differential(f, dy, state.layers).scale(-1))
+    return _differential(h, dy, state.layers)
+
+
+def _differential(h: Slab, dy: Sequence[Slab], layers: Sequence[Slab]) -> Slab:
+    """D(h), given dy[j-1] = D(y_j) for j up to h's level."""
+    out = _x_derivative(h)
+    for j in range(1, h.level + 1):
+        part = _y_derivative(h, j)
+        if part.is_zero() or dy[j - 1].is_zero():
+            continue
+        out = out + slab_mul(part, dy[j - 1], layers)
+    return out.trim()
+
+
+def _x_derivative(slab: Slab) -> Slab:
+    p = slab.ctx.p
+    arr = slab.arr
+    out = np.zeros_like(arr)
+    if arr.shape[2] > 1:
+        mult = (np.arange(1, arr.shape[2]) % p)
+        out[:, :, :-1] = arr[:, :, 1:] * mult[None, None, :]
+    return Slab(slab.ctx, slab.level, out % p)
+
+
+def _y_derivative(slab: Slab, j: int) -> Slab:
+    p = slab.ctx.p
+    out = Slab.zeros(slab.ctx, slab.level, slab.arr.shape[2])
+    stride = p ** (j - 1)
+    for code in slab.nonzero_codes().tolist():
+        e = (code // stride) % p
+        if e:
+            out.arr[code - stride] += e * slab.arr[code]
+    out.arr %= p
+    return out
+
+
+# -- universal Witt addition ------------------------------------------------------
+
+def addition_polynomials(p: int, length: int) -> list[witt.WittPolynomial]:
+    """Universal S_0..S_{length-1} in X_0..X_{length-1}, Y_0..Y_{length-1}:
+    w_m(S_0..S_m) = w_m(X) + w_m(Y), from the package's ghost engine (uncached)."""
+    nv = 2 * length
+    xs = [witt._var(nv, i) for i in range(length)]
+    ys = [witt._var(nv, length + i) for i in range(length)]
+    return [witt.WittPolynomial.from_dict(nv, c)
+            for c in witt._combine([(1, xs), (1, ys)], length, p)]

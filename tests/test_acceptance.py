@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from oracle import from_sparse, layers as sparse_layers, reduce_to_monomial_basis, to_sparse
+from oracle import (from_sparse, function_differential, layers as sparse_layers,
+                    reduce_to_monomial_basis, to_sparse)
 from zptower.analysis import (KernelProfile, alpha1_formula, anumber_basic_p2,
                               anumber_cover_p2, constants, delta_values, discrepancies,
                               elementary_divisors, fit_periodic, kernel2_level2_p2,
                               kernel_power_level1_p2, trace_bound_check)
-from zptower.cartier import (cartier_apply, cartier_matrix, differential_basis,
-                             function_differential)
+from zptower.cartier import cartier_apply, cartier_matrix, differential_basis
 from zptower.fixtures import SUITES, parse_fraction
 from zptower.gf import field
 from zptower.linalg import kernel_dim, kernels_to_stabilization, twisted_power_kernels

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from oracle import (SparsePoly, from_sparse, layers as sparse_layers, reduce_to_monomial_basis,
-                    to_sparse, trace)
+from oracle import (SparsePoly, from_sparse, function_differential, layers as sparse_layers,
+                    reduce_to_monomial_basis, to_sparse, trace)
 from zptower._slab import Slab
 from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, differential_basis,
-                             function_differential, is_regular, trace_map)
+                             is_regular, trace_map)
 from zptower.cli import run_compute
 from zptower.gf import field
 from zptower.linalg import kernel_dim, twisted_power_kernels

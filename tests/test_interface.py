@@ -36,6 +36,29 @@ def test_package_never_imports_the_test_oracle():
     assert not hits
 
 
+#: src/zptower modules in pipeline order; each may import only earlier ones
+PIPELINE = ["gf", "_slab", "witt", "tower", "linalg", "cartier", "analysis", "fixtures", "cli"]
+
+
+def test_modules_import_only_earlier_pipeline_stages():
+    src = ROOT / "src" / "zptower"
+    assert sorted(path.stem for path in src.glob("*.py")) == sorted(PIPELINE + ["__init__"])
+    late = []
+    for i, mod in enumerate(PIPELINE):
+        for level, module, name in _imports(src / f"{mod}.py"):
+            if level == 0:
+                parts = module.split(".")
+                if parts[0] != "zptower":
+                    continue
+                target = parts[1] if len(parts) > 1 else name
+            else:
+                target = module.split(".")[0] if module else name
+            # the version string is the one name read from the package root
+            if target not in PIPELINE[:i] and (target, module) != ("__version__", ""):
+                late.append((mod, target))
+    assert not late
+
+
 def test_public_names_exist():
     assert not [n for n in zptower.__all__ if not hasattr(zptower, n)]
     assert zptower.__all__ == [

@@ -3,9 +3,9 @@
 import pytest
 
 from conftest import random_poly
-from oracle import (from_sparse, infinity_valuation, layers as sparse_layers, monomial_valuation,
-                    poly_pth_power, reduce_to_monomial_basis, to_sparse)
-from zptower._slab import Slab, code_of, mul as slab_mul, pth_power, v_apply
+from oracle import (SparsePoly, from_sparse, infinity_valuation, layers as sparse_layers,
+                    monomial_valuation, poly_pth_power, reduce_to_monomial_basis, to_sparse)
+from zptower._slab import Monomial, Slab, code_of, digits_of, mul as slab_mul, v_apply
 from zptower.gf import field
 from zptower.tower import TowerSpec, TowerState
 
@@ -38,19 +38,23 @@ def test_mul_matches_sparse(towerenv, rng):
             f = random_poly(ctx, lvl, rng, nterms=4, maxdeg=5)
             g = random_poly(ctx, lvl, rng, nterms=4, maxdeg=5)
             want = reduce_to_monomial_basis(f * g, layers[:lvl])
-            got = slab_mul(from_sparse(f), from_sparse(g), state)
+            got = slab_mul(from_sparse(f), from_sparse(g), state.layers)
             assert to_sparse(got) == want
 
 
-def test_pth_power_matches_sparse(towerenv, rng):
+def test_pth_power_matches_sparse(towerenv):
+    # TowerState.pth_power: z^p for every monomial z = x^nu y^a with nu <= 3 at every built level
     ctx, state = towerenv
     layers = sparse_layers(state)
-    for lvl in (1, 2):
-        for _ in range(5):
-            f = random_poly(ctx, lvl, rng, nterms=3, maxdeg=4)
-            want = reduce_to_monomial_basis(poly_pth_power(f), layers[:lvl])
-            got = pth_power(from_sparse(f), state)
-            assert to_sparse(got) == want
+    p = ctx.p
+    for lvl in range(state.level + 1):
+        for code in range(p ** lvl):
+            for nu in range(4):
+                z = Monomial(nu, digits_of(p, code, lvl))
+                want = reduce_to_monomial_basis(
+                    poly_pth_power(SparsePoly(ctx, lvl, {z: ctx.one()})), layers[:lvl])
+                got = state.pth_power(z, lvl)
+                assert got.level == lvl and to_sparse(got) == want, z
 
 
 def test_add_scale_shift(towerenv, rng):
@@ -61,13 +65,6 @@ def test_add_scale_shift(towerenv, rng):
     assert to_sparse(from_sparse(f) - from_sparse(g)) == f - g
     c = ctx.random_element(rng)
     assert to_sparse(from_sparse(f).scale(c)) == f * c
-
-
-def test_frobenius_on_coefficients(rng):
-    ctx = field(2, 3)
-    f = random_poly(ctx, 0, rng)
-    got = to_sparse(from_sparse(f).frobenius())
-    assert got == f.map_coefficients(lambda c: c.frobenius())
 
 
 def test_pole_data_matches_valuation(towerenv, rng):
@@ -95,7 +92,7 @@ def test_v_apply_linear_over_pth_powers(towerenv, rng):
     hp = reduce_to_monomial_basis(poly_pth_power(h), layers)
     prod = reduce_to_monomial_basis(hp * w, layers)
     lhs = v_apply(from_sparse(prod), tables)
-    rhs = slab_mul(from_sparse(h), v_apply(from_sparse(w), tables), state)
+    rhs = slab_mul(from_sparse(h), v_apply(from_sparse(w), tables), state.layers)
     assert to_sparse(lhs) == to_sparse(rhs)
 
 

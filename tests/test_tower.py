@@ -143,6 +143,13 @@ def test_classify_monodromy():
         classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 3)
 
 
+def test_classify_monodromy_checks_the_last_pair(monkeypatch):
+    # s(4) = s(3) breaks strict growth in the last pair of levels
+    monkeypatch.setattr(tower, "breaks_and_conductor", lambda spec, n: ([7, 21, 63, 63], None))
+    with pytest.raises(InternalConsistencyError):
+        classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 4)
+
+
 def test_tower_state_standard_form_poles():
     # every built layer has pole order exactly the lower break
     for spec, n in [(TowerSpec.make(F3, [(0, 1, 7)]), 3),

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import zptower.witt as witt_mod
-from oracle import SparsePoly, evaluate_witt
+from oracle import SparsePoly, addition_polynomials, evaluate_witt
 from zptower.gf import field
 from zptower._slab import Monomial
-from zptower.witt import (WittError, addition_polynomials, peel_polynomials, read_cache,
-                          rhs_components, write_cache)
+from zptower.witt import WittError, peel_polynomials, read_cache, rhs_components, write_cache
 
 F2, F3 = field(2), field(3)
 
@@ -147,7 +146,7 @@ def test_long_extension_field_sum_is_exact():
 
 def test_length_caps():
     with pytest.raises(WittError):
-        addition_polynomials(7, 3)
+        peel_polynomials(7, 3)
     with pytest.raises(WittError):
         peel_polynomials(3, 7)
     # right-hand sides beyond the universal cap are allowed
@@ -155,11 +154,11 @@ def test_length_caps():
 
 
 def test_disk_cache_roundtrip(tmp_path):
-    a1 = addition_polynomials(3, 3, cache_dir=tmp_path)
-    assert (tmp_path / "witt_add_p3_len3.txt").exists()
+    g1 = peel_polynomials(3, 3, cache_dir=tmp_path)
+    assert (tmp_path / "witt_peel_p3_len3.txt").exists()
     witt_mod._UNIVERSAL_MEM.clear()
-    a2 = addition_polynomials(3, 3, cache_dir=tmp_path)
-    assert a1 == a2
+    g2 = peel_polynomials(3, 3, cache_dir=tmp_path)
+    assert g1 == g2
     # header mismatch forces recompute instead of loading garbage
     (tmp_path / "witt_peel_p2_len2.txt").write_text("# wrong header\n1 0\n")
     witt_mod._UNIVERSAL_MEM.clear()
@@ -169,16 +168,15 @@ def test_disk_cache_roundtrip(tmp_path):
 
 def test_truncated_universal_cache_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
-    for kind, polys in (("add", addition_polynomials), ("peel", peel_polynomials)):
-        want = polys(2, 3, cache_dir=tmp_path)
-        path = tmp_path / f"witt_{kind}_p2_len3.txt"
-        text = path.read_text()
-        ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-        for cut in [0] + ends[:-1] + [ends[-1] // 2]:
-            path.write_text(text[:cut])
-            witt_mod._UNIVERSAL_MEM.clear()
-            assert witt_mod._load_universal(2, 3, kind, tmp_path) is None, (kind, cut)
-            assert polys(2, 3, cache_dir=tmp_path) == want
+    want = peel_polynomials(2, 3, cache_dir=tmp_path)
+    path = tmp_path / "witt_peel_p2_len3.txt"
+    text = path.read_text()
+    ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    for cut in [0] + ends[:-1] + [ends[-1] // 2]:
+        path.write_text(text[:cut])
+        witt_mod._UNIVERSAL_MEM.clear()
+        assert witt_mod._load_universal(2, 3, tmp_path) is None, cut
+        assert peel_polynomials(2, 3, cache_dir=tmp_path) == want
 
 
 def test_changed_digit_in_universal_cache_is_a_miss(tmp_path, monkeypatch):
@@ -189,7 +187,7 @@ def test_changed_digit_in_universal_cache_is_a_miss(tmp_path, monkeypatch):
     cut = text.index("\n") + text[text.index("\n"):].index(":3")  # y1^3 in G_2
     path.write_text(text[:cut] + ":5" + text[cut + 2:])
     witt_mod._UNIVERSAL_MEM.clear()
-    assert witt_mod._load_universal(2, 3, "peel", tmp_path) is None
+    assert witt_mod._load_universal(2, 3, tmp_path) is None
     assert peel_polynomials(2, 3, cache_dir=tmp_path) == want
     assert path.read_text() == text
     path.write_bytes(text.encode()[:cut] + b"\xff" + text.encode()[cut + 1:])
