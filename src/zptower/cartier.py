@@ -235,6 +235,8 @@ class CartierMatrix:
     sigma^-1-semilinear: V(sum c_s omega_s) has coordinates M sigma^-1(c).
     The DenseMatrix stores its kg x kg GF(p) matrix (restriction of scalars),
     so V^r has the matrix power as GF(p) matrix and a^(r) = kernel_dim(M^r).
+    For p = 2 that matrix is packed bits, set straight from the tables, and
+    stays packed through every product and rank.
     """
 
     level: int
@@ -252,24 +254,27 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     tables = _tables_for(state).table(n)
     numax, offsets, g = _basis_layout(state, n)
     M = DenseMatrix.zeros(ctx, g, g)
-    blocks = M.data.reshape(g, k, g, k)  # a view: blocks[i, :, j] is block (i, j)
-    # per table entry: rows and GF(p) blocks of the slab, reused by every shift
+    # per table entry: the slab's rows and, for each column b of a k x k block,
+    # the GF(p) rows and values of its nonzero block entries, reused by every shift
     pre: dict[tuple[int, int], tuple] = {}
     for key, slab in tables.items():
         ecodes, xs = np.nonzero(slab.arr.any(axis=1))
-        pre[key] = (ecodes, xs, offsets[ecodes] + xs,
-                    ctx.semilinear_blocks(slab.arr[ecodes, :, xs]))
+        blk = ctx.semilinear_blocks(slab.arr[ecodes, :, xs])
+        rows = (offsets[ecodes] + xs)[:, None] * k + np.arange(k)
+        nz = blk != 0
+        pre[key] = (ecodes, xs, [(rows[nz[:, :, b]], blk[:, :, b][nz[:, :, b]])
+                                 for b in range(k)])
     col = 0
     for code in range(p ** n):
         top = int(numax[code])
         for nu in range(top + 1):
             q, nu0 = divmod(nu, p)
-            ecodes, xs, base_rows, blk = pre[(nu0, code)]
-            if ecodes.size:
-                if np.any(xs + q > numax[ecodes]):
-                    raise InternalConsistencyError(
-                        "V image leaves the regular basis: regularity not preserved")
-                blocks[base_rows + q, :, col] = blk
+            ecodes, xs, cells = pre[(nu0, code)]
+            if np.any(xs + q > numax[ecodes]):
+                raise InternalConsistencyError(
+                    "V image leaves the regular basis: regularity not preserved")
+            for b, (rows, vals) in enumerate(cells):
+                M.set_column(col * k + b, rows + q * k, vals)
             col += 1
     if col != g:
         raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")

@@ -1,25 +1,27 @@
 """Exact dense linear algebra over GF(p^k), done over GF(p).
 
-Every matrix is one int64 array of residues mod p, by restriction of scalars:
-over GF(p^k) a g x g matrix M is stored as the kg x kg GF(p) matrix of the
+Every matrix is stored as a GF(p) matrix, by restriction of scalars: over
+GF(p^k) a g x g matrix M is held as the kg x kg GF(p) matrix of the
 semilinear map c -> M sigma^-1(c), whose block (i, j) is the matrix of
 c -> m_ij sigma^-1(c).  So `@` composes such maps (a twisted product is a plain
 product), and as their kernels are GF(p^k)-subspaces, a GF(p^k) rank is the
 GF(p) rank divided by k.
 
-Every rank except over GF(2) starts with a zero-fill structured-pivot pass
-(LaMacchia-Odlyzko, CRYPTO '90) that looks only at the nonzero pattern: it
-pivots on columns, then rows, with a single live nonzero until none is left,
-so rank(A) = #pivots + rank of the leftover submatrix.  Only that leftover is
-eliminated densely, by blocked Gaussian elimination whose trailing updates run
-as float64 GEMMs (exact: every inner product is below _PANEL * (p-1)^2, far
-inside the float64 integer range).  GF(2) matrices skip the pass: XOR
-elimination on bit-packed rows is already faster than the pass on the Cartier
-matrices.
+Over GF(2), GF(2^k) included, a matrix is packed rows of uint64 words, one bit
+per entry, from assembly through every product and rank; products are
+Four-Russians XOR tables and the rank is M4RI elimination (Albrecht-Bard-Hart,
+ACM TOMS 37(1), 2010), with no floating point.  Reading `.data` unpacks a copy,
+for small matrices only.
 
-Over GF(2) a product is XOR on bit-packed rows (method of Four Russians), with
-no floating point; only odd-p products, like odd-p kernels, run float64 GEMMs,
-exact while inner dimension * (p-1)^2 stays below 2^53.
+Over odd p a matrix is one int64 array of residues.  Its rank starts with a
+zero-fill structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90) that looks
+only at the nonzero pattern: it pivots on columns, then rows, with a single
+live nonzero until none is left, so rank(A) = #pivots + rank of the leftover
+submatrix.  Only that leftover is eliminated densely, by blocked Gaussian
+elimination whose trailing updates run as float64 GEMMs (exact: every inner
+product is below _PANEL * (p-1)^2, far inside the float64 integer range).
+Odd-p products are float64 GEMMs too, exact while inner dimension * (p-1)^2
+stays below 2^53.
 
 Elimination mutates a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
@@ -43,36 +45,58 @@ class LinAlgError(ValueError):
 
 
 class DenseMatrix:
-    """rows x cols matrix over a FieldCtx; data is the (k rows) x (k cols) GF(p)
-    matrix of c -> M sigma^-1(c), entries in [0, p)."""
+    """rows x cols matrix over a FieldCtx, held as the (k rows) x (k cols) GF(p)
+    matrix of c -> M sigma^-1(c): over GF(2) as packed rows (_gf2_pack), one
+    bit per entry, otherwise as int64 residues in [0, p)."""
 
-    __slots__ = ("ctx", "data")
+    __slots__ = ("ctx", "_a", "_ncols")
 
     def __init__(self, ctx: FieldCtx, data: np.ndarray):
         data = np.asarray(data, dtype=np.int64)
         if data.ndim != 2 or data.shape[0] % ctx.k or data.shape[1] % ctx.k:
             raise LinAlgError(f"expected a 2-d array with sides divisible by k={ctx.k}")
-        self.ctx = ctx
-        self.data = data % ctx.p
+        self.ctx, self._ncols = ctx, data.shape[1]
+        self._a = _gf2_pack(data % 2) if ctx.p == 2 else data % ctx.p
 
     @classmethod
-    def _wrap(cls, ctx: FieldCtx, data: np.ndarray) -> "DenseMatrix":
-        """A matrix on an array that is already reduced mod p, without copying it."""
+    def _wrap(cls, ctx: FieldCtx, a: np.ndarray, ncols: int) -> "DenseMatrix":
+        """A matrix on reduced residues (odd p) or on packed rows with ncols GF(2)
+        columns (p = 2), without copying them."""
         M = cls.__new__(cls)
-        M.ctx, M.data = ctx, data
+        M.ctx, M._a, M._ncols = ctx, a, ncols
         return M
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "DenseMatrix":
-        return cls._wrap(ctx, np.zeros((ctx.k * rows, ctx.k * cols), dtype=np.int64))
+        m, n = ctx.k * rows, ctx.k * cols
+        if ctx.p == 2:
+            return cls._wrap(ctx, np.zeros((m, -(-n // 64)), dtype=np.uint64), n)
+        return cls._wrap(ctx, np.zeros((m, n), dtype=np.int64), n)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The GF(p) matrix as int64 residues; over GF(2) an unpacked copy, made on
+        every read (small matrices only)."""
+        if self.ctx.p != 2:
+            return self._a
+        return np.unpackbits(self._a.view(np.uint8), axis=1, count=self._ncols,
+                             bitorder="little").astype(np.int64)
+
+    def set_column(self, j: int, rows: np.ndarray, values: np.ndarray) -> None:
+        """Write the nonzero residues `values` into the zero entries (rows, j) of
+        the GF(p) matrix; rows are distinct."""
+        if self.ctx.p == 2:
+            self._a[rows, j >> 6] |= np.uint64(1 << (j & 63))
+        else:
+            self._a[rows, j] = values
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0] // self.ctx.k
+        return self._a.shape[0] // self.ctx.k
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1] // self.ctx.k
+        return self._ncols // self.ctx.k
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -81,12 +105,13 @@ class DenseMatrix:
         """The composition c -> self sigma^-1(other sigma^-1(c))."""
         if self.ctx != other.ctx or self.cols != other.rows:
             raise LinAlgError("matmul shape/field mismatch")
-        return DenseMatrix._wrap(self.ctx, _matmul(self.data, other.data, self.ctx.p))
+        return DenseMatrix._wrap(self.ctx, _matmul(self._a, other._a, self.ctx.p),
+                                 other._ncols)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays over GF(p): packed XOR products for
-    p = 2, float64 GEMMs otherwise."""
+    """a @ b mod p: packed XOR products for p = 2, float64 GEMMs on residue
+    arrays otherwise."""
     if p == 2:
         return _matmul_gf2(a, b)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
@@ -100,30 +125,32 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) on packed rows by the method of Four Russians
-    (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010).
+    """a @ b over GF(2) for packed rows (_gf2_pack), b with one row per column
+    of a, by the method of Four Russians (Albrecht-Bard-Hart, ACM TOMS 37(1),
+    2010).
 
     For each group of 8 rows of b, T holds all 256 XOR combinations of the
     group; byte g of a row of a (its columns 8g..8g+7) picks the row of T
-    to XOR into the matching row of the product.
+    to XOR into the matching row of the product.  Rows whose byte is zero are
+    skipped: on the Cartier matrices four bytes in five are.
     """
-    A = _gf2_pack(a).view(np.uint8)
-    B = _gf2_pack(b)
-    C = np.zeros((a.shape[0], B.shape[1]), dtype=np.uint64)
-    T = np.zeros((256, B.shape[1]), dtype=np.uint64)
+    A = a.view(np.uint8)
+    C = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+    T = np.zeros((256, b.shape[1]), dtype=np.uint64)
     for g in range(0, b.shape[0], 8):
         # a short last group leaves T[2^len:] stale, but the zero padding of
         # A's last byte never indexes it
-        for j, row in enumerate(B[g:g + 8]):
+        for j, row in enumerate(b[g:g + 8]):
             np.bitwise_xor(T[:1 << j], row, out=T[1 << j:2 << j])
-        C ^= np.take(T, A[:, g // 8], axis=0)
-    bits = np.unpackbits(C.view(np.uint8), axis=1, count=b.shape[1], bitorder="little")
-    return bits.astype(np.int64)
+        rows = np.flatnonzero(A[:, g // 8])
+        C[rows] ^= T[A[rows, g // 8]]
+    return C
 
 
 def _gf2_pack(bits: np.ndarray) -> np.ndarray:
     """0/1 rows as uint64 words, little-endian: column c is bit c%64 of word
-    c//64, so byte j of the uint8 view holds columns 8j..8j+7."""
+    c//64, so byte j of the uint8 view holds columns 8j..8j+7.  Padding bits
+    are zero."""
     rows, cols = bits.shape
     nbytes = -(-cols // 8)
     packed = np.zeros((rows, -(-nbytes // 8) * 8), dtype=np.uint8)
@@ -136,21 +163,20 @@ def _gf2_pack(bits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rank(M: DenseMatrix) -> int:
-    """Rank over GF(p^k): the GF(p) rank of M.data divided by k; M is only read."""
-    r, rem = divmod(_rank_mod_p(M.data, M.ctx.p), M.ctx.k)
+    """Rank over GF(p^k): the GF(p) rank of the stored matrix divided by k; M is
+    only read."""
+    p = M.ctx.p
+    r, rem = divmod(_rank_gf2(M._a) if p == 2 else _rank_mod_p(M._a, p), M.ctx.k)
     if rem:
         raise InternalConsistencyError(f"GF(p) rank not a multiple of k={M.ctx.k}")
     return r
 
 
 def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank of a residue array over GF(p).  GF(2) goes straight to bit-packed
-    elimination; odd p first takes the singleton pivots (_singleton_pivots)
-    and eliminates only the leftover submatrix with _rank_blocked."""
+    """Rank of a residue array over odd GF(p): the singleton pivots
+    (_singleton_pivots), then _rank_blocked on the leftover submatrix only."""
     if A.size == 0:
         return 0
-    if p == 2:
-        return _rank_gf2_bitpacked(A)
     npiv, rows, cols = _singleton_pivots(A != 0)
     if rows.size == 0 or cols.size == 0:
         return npiv
@@ -214,26 +240,50 @@ def _pivot_singletons(deg, lsum, live, olive, optr, oidx) -> int:
     return partners.size
 
 
-def _rank_gf2_bitpacked(data: np.ndarray) -> int:
-    """Elimination on bit-packed rows: 64 columns per word, XOR row updates."""
-    rows, cols = data.shape
-    W = _gf2_pack(data)
+def _rank_gf2(words: np.ndarray) -> int:
+    """Rank over GF(2) of packed rows (_gf2_pack) by M4RI elimination
+    (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010; Bard 2006) on a private copy.
+
+    Columns go in groups of 8, one byte of every row; only live rows whose
+    byte is nonzero take part.  The group's pivot rows are found on those
+    bytes alone, by elimination on the 8-bit slice.  The other bytes then lie
+    in the span of the pivot bytes, which are independent, so a table T of the
+    2^npiv XOR combinations of the pivot rows, indexed by their bytes, clears
+    the group from every other row in one pass: row ^= T[its byte].  Pivot
+    rows leave the live set.  Live rows are zero left of the group, so T
+    holds only words from the group's onward.
+    """
+    W = words.copy()
+    B = W.view(np.uint8)
+    live = np.ones(W.shape[0], dtype=bool)
     r = 0
-    for c in range(cols):
-        w, b = divmod(c, 64)
-        col = (W[r:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+    for g in range(B.shape[1]):
+        rows = np.flatnonzero(B[:, g])
+        rows = rows[live[rows]]
+        if rows.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            W[[r, piv]] = W[[piv, r]]
-        hit = r + 1 + np.nonzero((W[r + 1:, w] >> np.uint64(b)) & np.uint64(1))[0]
-        if hit.size:
-            W[hit] ^= W[r]
-        r += 1
-        if r == rows:
-            break
+        s = B[rows, g]  # a copy, reduced as pivots are taken
+        piv: list[int] = []
+        for j in range(8):
+            hit = (s & np.uint8(1 << j)) != 0
+            hit[piv] = False
+            t = int(hit.argmax())
+            if hit[t]:
+                hit[t] = False
+                s ^= hit * s[t]
+                piv.append(t)
+        w, prows = g // 8, rows[piv]
+        comb = np.zeros((1 << len(piv), W.shape[1] - w), dtype=np.uint64)
+        key = np.zeros(1 << len(piv), dtype=np.uint8)
+        for t, pr in enumerate(prows):
+            np.bitwise_xor(comb[:1 << t], W[pr, w:], out=comb[1 << t:2 << t])
+            np.bitwise_xor(key[:1 << t], B[pr, g], out=key[1 << t:2 << t])
+        T = np.empty((256, comb.shape[1]), dtype=np.uint64)  # rows off the span are never read
+        T[key] = comb
+        rest = np.delete(rows, piv)
+        W[rest, w:] ^= T[B[rest, g]]
+        live[prows] = False
+        r += len(piv)
     return r
 
 

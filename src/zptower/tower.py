@@ -198,10 +198,15 @@ class RamificationData:
 
     @classmethod
     def compute(cls, spec: TowerSpec, n: int) -> "RamificationData":
-        """The one check of the lower breaks: prime to p, d_{m+1} >= (p^2-p+1) d_m."""
+        """The one check of the lower breaks: prime to p, d_{m+1} >= (p^2-p+1) d_m.
+        The breaks come from breaks_and_conductor, so a malformed sequence is an
+        engine fault, not bad input."""
         p = spec.p
         s, u = breaks_and_conductor(spec, n)
-        d = lower_breaks(p, s)
+        try:
+            d = lower_breaks(p, s)
+        except TowerError as exc:
+            raise InternalConsistencyError(f"computed breaks {s}: {exc}") from exc
         g = [genus_from_breaks(p, s, m) for m in range(1, n + 1)]
         for m, dm in enumerate(d):
             if dm % p == 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from zptower._slab import Slab
 from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, differential_basis,
                              is_regular, trace_map)
 from zptower.cli import run_compute
+from zptower.fixtures import SUITES
 from zptower.gf import field
 from zptower.linalg import kernel_dim, twisted_power_kernels
 from zptower._slab import Monomial
@@ -81,16 +84,41 @@ def test_matrix_examples():
 
 
 def test_apply_on_basis_matches_matrix_columns(rng):
-    st = tower(F3, [(0, 1, 5), (0, 2, 2)], 2)
-    cm = cartier_matrix(st, 2)
-    basis = cm.basis
-    for col in rng.choice(len(basis), size=6, replace=False):
-        m = basis[int(col)]
-        img = to_sparse(cartier_apply(Slab.monomial(F3, m), st))
-        vec = np.zeros(len(basis), dtype=np.int64)
-        for mm, c in img.terms.items():
-            vec[basis.index(mm)] = c.coeffs[0]
-        assert (vec == cm.matrix.data[:, int(col)]).all()
+    # GF(p) column s*k + b holds the coordinates of V(t^b omega_s), k per basis element
+    F4 = field(2, 2)
+    for ctx, terms, n in [(F3, [(0, 1, 5), (0, 2, 2)], 2),
+                          (F2, [(0, 1, 21), (0, 1, 19), (0, 1, 15)], 3),  # g = 217: 4 words
+                          (F4, [(0, F4.gen(), 5), (0, 1, 3)], 3)]:
+        st = tower(ctx, terms, n)
+        cm = cartier_matrix(st, n)
+        basis, k, data = cm.basis, ctx.k, cm.matrix.data
+        for col in rng.choice(len(basis), size=min(12, len(basis)), replace=False):
+            for b in range(k):
+                t_b = [int(i == b) for i in range(k)]
+                img = to_sparse(cartier_apply(Slab.monomial(ctx, basis[int(col)], t_b), st))
+                vec = np.zeros((len(basis), k), dtype=np.int64)
+                for mm, c in img.terms.items():
+                    vec[basis.index(mm)] = c.coeffs
+                assert (vec.ravel() == data[:, int(col) * k + b]).all()
+
+
+def test_gf2_matrix_stays_packed():
+    # At g = 885 an array with one int64 per GF(2) entry takes g^2 * 8 = 6.3 MB.
+    # Packed, the matrix is g * ceil(g / 64) * 8 = 99 KB, and assembly, the two
+    # products and the three ranks hold a few such arrays at a time, so 2 MB
+    # is far below any one-entry-per-element array.
+    suite = SUITES["p2d21"]
+    st = tower(F2, suite["terms"], 4)
+    CartierTables(st).ensure(4)
+    tracemalloc.start()
+    try:
+        M = cartier_matrix(st, 4).matrix
+        dims = twisted_power_kernels(M, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.cols == 885 and dims == [suite["a"][r][3] for r in (1, 2, 3)]
+    assert peak < 2_000_000, peak
 
 
 def test_cartier_oracles(rng):

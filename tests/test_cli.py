@@ -209,6 +209,17 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
         assert "internal consistency failure" in r.output
 
 
+def test_engine_break_sequence_fault_exits_3(runner, specfile, tmp_path, monkeypatch):
+    # s(4) = s(3) is no break sequence; it comes from the engine, not the spec file
+    import zptower.tower as tower
+    monkeypatch.setattr(tower, "breaks_and_conductor",
+                        lambda spec, n: ([7, 21, 63, 63][:n], [8, 22, 64, 64][:n]))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "info", str(specfile),
+                             "-n", "4"])
+    assert r.exit_code == 3, r.output
+    assert "internal consistency failure" in r.output
+
+
 def _corrupt_ghost_division(monkeypatch):
     divexact = witt._divexact
     # every ghost numerator is divisible by p^m, so numerator + 1 is not

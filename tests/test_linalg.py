@@ -105,6 +105,23 @@ def test_rank_multi_panel(rng):
     assert rank(DenseMatrix(F2, B)) == naive_rank(B.copy(), 2)
 
 
+# packed GF(2) rows: no rows, no columns, one partial word, whole words and
+# words plus a few columns
+@pytest.mark.parametrize("shape", [(0, 0), (0, 70), (70, 0), (9, 1), (70, 63), (70, 64),
+                                   (9, 65), (131, 130)])
+def test_gf2_packed_shapes(shape, rng):
+    m, n = shape
+    for A in (rng.integers(0, 2, size=shape),
+              rng.integers(0, 2, size=(m, 3)) @ rng.integers(0, 2, size=(3, n)) % 2):
+        M = DenseMatrix(F2, A)
+        assert (M.rows, M.cols) == shape and M.data.shape == shape
+        assert (M.data == A).all()
+        assert rank(M) == naive_rank(A.copy(), 2)
+    Z = DenseMatrix.zeros(F2, m, n)
+    assert (Z.rows, Z.cols) == shape and Z.data.shape == shape
+    assert not Z.data.any() and rank(Z) == 0
+
+
 def test_kernel_basis(rng):
     M = DenseMatrix(F3, rng.integers(0, 3, size=(10, 14)))
     vecs = kernel_basis(M)
@@ -296,9 +313,9 @@ def check_gf2_product(A, B):
 
 # inner dimensions around the 8-row groups and the 64-bit words; a short last
 # group after full ones catches stale rows of the reused XOR table
-@pytest.mark.parametrize("inner", [1, 7, 8, 9, 63, 64, 65, 130, 257])
+@pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 63, 64, 65, 130, 257])
 def test_gf2_product_matches_integer_product(inner, rng):
-    for m, n in [(1, 1), (5, 70), (67, 3), (130, 129), (64, 200)]:
+    for m, n in [(1, 1), (5, 70), (67, 3), (130, 129), (64, 200), (0, 65), (65, 0)]:
         check_gf2_product(rng.integers(0, 2, size=(m, inner)),
                           rng.integers(0, 2, size=(inner, n)))
 
