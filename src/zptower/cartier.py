@@ -235,8 +235,11 @@ class CartierMatrix:
     sigma^-1-semilinear: V(sum c_s omega_s) has coordinates M sigma^-1(c).
     The DenseMatrix stores its kg x kg GF(p) matrix (restriction of scalars),
     so V^r has the matrix power as GF(p) matrix and a^(r) = kernel_dim(M^r).
-    For p = 2 that matrix is packed bits, set straight from the tables, and
-    stays packed through every product and rank.
+    That matrix is set straight from the tables, as packed bits for p = 2 and
+    int8 residues otherwise, and keeps that form through every product and
+    rank.  With the basis ordered by y-code (a_n most significant) M is block
+    upper triangular: V(y_n^(pi) h dx) = y_n^i V(h dx), so no column reaches a
+    row of larger y-code.
     """
 
     level: int
@@ -259,6 +262,9 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     pre: dict[tuple[int, int], tuple] = {}
     for key, slab in tables.items():
         ecodes, xs = np.nonzero(slab.arr.any(axis=1))
+        if ecodes.size and ecodes[-1] > key[1]:  # ecodes ascend
+            raise InternalConsistencyError(
+                f"V(x^{key[0]} y^{key[1]} dx) reaches y-code {ecodes[-1]}: not block-triangular")
         blk = ctx.semilinear_blocks(slab.arr[ecodes, :, xs])
         rows = (offsets[ecodes] + xs)[:, None] * k + np.arange(k)
         nz = blk != 0

@@ -9,12 +9,12 @@ by the acceptance tests.
 Every genus column equals the proven closed form `tower.closed_form_basic`, and
 every p=2 a^(1) column equals `analysis.anumber_basic_p2` (checked by
 tests/test_tower.py::test_fixture_columns_match_closed_forms), levels 6-7
-included.  The p=3 level-5 kernel values (g = 51546 and 36784) have never been
-recomputed by this code: the dense int64 level-5 Cartier matrix needs 10.8 GB
-or more.  Nor have the p=2 d=21 values for r >= 2 at level 7 (g = 57277);
-their level-5 rows are recomputed by tests/test_acceptance.py and their
-level-6 rows (g = 14301) by the opt-in deep lane, tests/test_deep.py.
-All of these are marked below.
+included.  The p=3 level-5 values of a^(1) (g = 51546 and 36784) are
+recomputed by the opt-in deep lane, tests/test_deep.py; those for r >= 2 have
+never been recomputed by this code.  Nor have the p=2 d=21 values for r >= 2
+at level 7 (g = 57277); their level-5 rows are recomputed by
+tests/test_acceptance.py and their level-6 rows (g = 14301) by the deep lane.
+All of the values never recomputed are marked below.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SUITES: dict[str, dict] = {
         "p": 3,
         "terms": [(0, 1, 7)],
         "genus": [6, 66, 624, 5700, 51546],
-        "a": {1: [4, 25, 214, 1915, 17224]},  # 17224 (level 5): not recomputed
+        "a": {1: [4, 25, 214, 1915, 17224]},
         "default_depth": 3,
     },
     "p3d7-variants": {
@@ -47,7 +47,8 @@ SUITES: dict[str, dict] = {
         "p": 3,
         "terms": [(0, 1, 5), (0, 2, 2)],
         "genus": [4, 46, 442, 4060, 36784],
-        # the level-5 entry (last) of every row: not recomputed
+        # the level-5 entry (last) of rows r >= 2: not recomputed; r = 1 is
+        # recomputed by the deep lane (tests/test_deep.py, pytest -m deep)
         "a": {
             1: [2, 19, 154, 1369, 12304],
             2: [4, 26, 230, 2052, 18456],
@@ -68,7 +69,8 @@ SUITES: dict[str, dict] = {
         "p": 3,
         "terms": [(0, 1, 5), (0, 2, 4), (0, 2, 1)],
         "genus": [4, 46, 442, 4060, 36784],
-        # the level-5 entry (last) of every row: not recomputed
+        # the level-5 entry (last) of rows r >= 2: not recomputed; r = 1 is
+        # recomputed by the deep lane (tests/test_deep.py, pytest -m deep)
         "a": {
             1: [2, 18, 153, 1368, 12303],
             2: [4, 26, 230, 2052, 18456],

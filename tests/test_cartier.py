@@ -11,7 +11,7 @@ from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, diffe
                              is_regular, trace_map)
 from zptower.cli import run_compute
 from zptower.fixtures import SUITES
-from zptower.gf import field
+from zptower.gf import InternalConsistencyError, field
 from zptower.linalg import kernel_dim, twisted_power_kernels
 from zptower._slab import Monomial
 from zptower.tower import TowerSpec, TowerState
@@ -119,6 +119,38 @@ def test_gf2_matrix_stays_packed():
         tracemalloc.stop()
     assert M.cols == 885 and dims == [suite["a"][r][3] for r in (1, 2, 3)]
     assert peak < 2_000_000, peak
+
+
+def test_odd_p_matrix_stays_int8():
+    # At g = 624 an int64 array with one entry per GF(3) element takes
+    # g^2 * 8 = 3.1 MB.  As int8 residues the matrix is g^2 = 389 KB, and the
+    # singleton pass reads it in strips into int32 indices, so matrix and rank
+    # stay below 1 MB.
+    suite = SUITES["p3d7"]
+    st = tower(F3, suite["terms"], 3)
+    CartierTables(st).ensure(3)
+    tracemalloc.start()
+    try:
+        M = cartier_matrix(st, 3).matrix
+        dims = twisted_power_kernels(M, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.cols == 624 and dims == [suite["a"][1][2]]
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("ctx,terms", [(F3, [(0, 1, 7)]), (F2, [(0, 1, 21)])], ids=["p3", "p2"])
+def test_table_entry_above_its_code_is_inconsistent(ctx, terms):
+    # V never raises the y-code (a_n most significant), so M is block triangular
+    st = tower(ctx, terms, 2)
+    table = CartierTables(st).table(2)
+    cartier_matrix(st, 2)
+    bad = Slab.zeros(ctx, 2)
+    bad.arr[ctx.p ** 2 - 1, 0, 0] = 1  # V(y-code 1) reaching the top y-code
+    table[(0, 1)] = bad
+    with pytest.raises(InternalConsistencyError, match="block-triangular"):
+        cartier_matrix(st, 2)
 
 
 def test_cartier_oracles(rng):

@@ -1,5 +1,7 @@
 """Opt-in deep lane: `pytest -m deep` recomputes fixture levels that the
-default run leaves out.  Each test runs for minutes and needs a few hundred MB."""
+default run leaves out.  The p=2 tests run for a minute or two and need a few
+hundred MB; each p=3 level-5 test needs about 4 GB and about 4 min, most of it
+spent on the Cartier tables."""
 
 import resource
 
@@ -13,6 +15,11 @@ from zptower.tower import TowerSpec
 R = 10
 
 
+def check_rss():
+    # ru_maxrss is in KiB on Linux; the lane must fit a 7 GB machine
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 7 * 2 ** 20
+
+
 @pytest.mark.deep
 @pytest.mark.parametrize("name", ["p2d21", "p2d21-variant"])
 def test_p2_level_6_all_powers(name, tmp_path):
@@ -22,5 +29,15 @@ def test_p2_level_6_all_powers(name, tmp_path):
     assert [rec.genus for rec in recs] == suite["genus"][:6]
     for r in range(1, R + 1):
         assert [rec.a_r[r - 1] for rec in recs] == suite["a"][r][:6], r
-    # ru_maxrss is in KiB on Linux; the lane must fit a 7 GB machine
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 7 * 2 ** 20
+    check_rss()
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", ["p3d7", "p3d5", "p3d5-variant"])
+def test_p3_level_5_first_power(name, tmp_path):
+    suite = SUITES[name]
+    spec = TowerSpec.make(field(3), suite["terms"], name=name)
+    recs = run_compute(spec, 5, 1, data_dir=tmp_path)
+    assert [rec.genus for rec in recs] == suite["genus"][:5]
+    assert [rec.a_r[0] for rec in recs] == suite["a"][1][:5]
+    check_rss()

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import restrict, semilinear_image
 from zptower.gf import InternalConsistencyError, field
-from zptower.linalg import (DenseMatrix, LinAlgError, _rank_blocked, _singleton_pivots,
-                            kernel_basis, kernel_dim, kernels_to_stabilization, rank,
-                            twisted_power_kernels)
+import zptower.linalg as linalg
+from zptower.linalg import (DenseMatrix, LinAlgError, _pattern, _pivot_singletons, _rank_blocked,
+                            _singleton_pivots, kernel_basis, kernel_dim, kernels_to_stabilization,
+                            rank, twisted_power_kernels)
 
 F2, F3 = field(2), field(3)
 
@@ -55,6 +56,26 @@ def test_construction_reduces_caller_data():
     assert DenseMatrix(F3, [[-1, 5]]).data.tolist() == [[2, 2]]
     with pytest.raises(LinAlgError):
         DenseMatrix(field(2, 2), np.zeros((2, 3), dtype=np.int64))  # not k x k blocks
+
+
+@pytest.mark.parametrize("F", [F2, F3, field(13), field(3, 2)], ids=["GF2", "GF3", "GF13", "GF9"])
+def test_data_is_an_int64_copy(F, rng):
+    A = rng.integers(0, F.p, size=(4 * F.k, 6 * F.k))
+    M = DenseMatrix(F, A)
+    D = M.data
+    assert D.dtype == np.int64 and (D == A).all()
+    D += 1  # the copy is the caller's
+    assert (M.data == A).all()
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_odd_p_matrices_are_int8_residues(p, rng):
+    F = field(p)
+    A, B = rng.integers(-40, 40, size=(9, 70)), rng.integers(0, p, size=(70, 5))
+    M, N = DenseMatrix(F, A), DenseMatrix(F, B)
+    P = M @ N
+    assert M._a.dtype == N._a.dtype == P._a.dtype == DenseMatrix.zeros(F, 2, 3)._a.dtype == np.int8
+    assert (M.data == A % p).all() and (P.data == (A % p) @ B % p).all()
 
 
 def test_rank_not_multiple_of_k_is_inconsistent():
@@ -197,6 +218,49 @@ def test_empty_matrix():
 
 
 # -- the zero-fill singleton pass in front of the dense kernels ---------------
+
+def bool_pattern_pivots(nz):
+    """_singleton_pivots as it was on a bool pattern: one global flatnonzero with
+    int64 indices, an argsort for the CSC side and float64 line sums."""
+    m, n = nz.shape
+    ri, ci = np.divmod(np.flatnonzero(nz), n)
+    cr = ri[np.argsort(ci, kind="stable")]
+    rdeg, cdeg = np.bincount(ri, minlength=m), np.bincount(ci, minlength=n)
+    rsum = np.bincount(ri, weights=ci, minlength=m).astype(np.int64)
+    csum = np.bincount(ci, weights=ri, minlength=n).astype(np.int64)
+    pattern = tuple(a.copy() for a in (ci, rdeg, rsum, cr, cdeg, csum))  # the pivots mutate them
+    rptr = np.concatenate(([0], np.cumsum(rdeg)))
+    cptr = np.concatenate(([0], np.cumsum(cdeg)))
+    rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+    npiv = 0
+    while True:
+        got = (_pivot_singletons(cdeg, csum, clive, rlive, rptr, ci)
+               + _pivot_singletons(rdeg, rsum, rlive, clive, cptr, cr))
+        if not got:
+            live = (np.nonzero(rlive & (rdeg > 0))[0], np.nonzero(clive & (cdeg > 0))[0])
+            return pattern, (npiv,) + live
+        npiv += got
+
+
+# strips of the default size, of one row or one nonzero, and of one row or seven nonzeros
+@pytest.mark.parametrize("strip", [linalg._STRIP, 1, 7])
+@pytest.mark.parametrize("p", [3, 13])
+def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
+    monkeypatch.setattr(linalg, "_STRIP", strip)
+    F = field(p)
+    for _ in range(30):
+        m, n = (int(v) for v in rng.integers(1, 60, size=2))
+        A = sparse_entries(rng, F, (m, n), float(rng.uniform(0.02, 0.3)))
+        A[rng.random(m) < 0.2] = 0  # empty rows
+        A[:, rng.random(n) < 0.2] = 0  # empty columns
+        M = DenseMatrix(F, A)
+        pattern, want = bool_pattern_pivots(A != 0)
+        got = _singleton_pivots(M._a)
+        assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
+        got_pattern = _pattern(M._a)
+        assert [a.dtype for a in got_pattern[::3]] == [np.int32, np.int32]
+        assert all((a == b).all() for a, b in zip(got_pattern, pattern))
+
 
 def check_rank(data, F):
     """rank agrees with the naive eliminations and leaves the matrix unchanged."""
