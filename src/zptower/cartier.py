@@ -18,6 +18,7 @@ h: cartier_apply and trace_map take and return Slabs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -28,9 +29,11 @@ from ._slab import Monomial, PolyError, Slab, code_weights, digits_of, mul as sl
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
-from .witt import read_cache, write_cache
+from .witt import read_cache_body, write_cache_body
 
 TABLE_FORMAT_VERSION = 2
+_TEXT_LINES = 1 << 16  # lines of the table cache text rendered per batch
+_TEXT_BYTES = 1 << 22  # characters of the table cache text parsed per batch
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +90,18 @@ class CartierTables:
     """Per-level values of V on the small monomial differentials.
 
     levels[m] maps (nu0, ycode) with 0 <= nu0 < p to the reduced slab of
-    V(x^nu0 y^ycode dx) at level m.  Level m entries only need level m-1, so
-    entries within a level are independent and could be computed in parallel;
-    this implementation is sequential and deterministic.
+    V(x^nu0 y^ycode dx) at level m.  Level m entries only need level m-1:
+    writing y_m^a = (y_m^p - f_m)^a expands each entry into values
+    V(x^nu0 y^low (-f_m)^j dx) at level m-1, and since x^nu0 commutes with the
+    y-reduction, each product y^low (-f_m)^j is formed once (a batched slab
+    product) and shifted by nu0.  Every V at level m-1 is one batched
+    x-convolution of the p-th-root cofactors against the level m-1 table
+    (_slab.v_apply).  The build is sequential and deterministic.
+
+    Each level is cached as text (format 2: a header with a body digest, then
+    per entry "K nu0 code count" and its nonzero cells "ycode nu c_0,..");
+    writing and parsing run on whole batches of lines with numpy, and a file
+    loads only if writing its table back would give it byte for byte.
     """
 
     def __init__(self, state: TowerState):
@@ -128,13 +140,15 @@ class CartierTables:
             fpow.append(slab_mul(fpow[-1], minus_f, state.layers).trim())
         inner: dict[tuple[int, int, int], Slab] = {}
         for lowcode in range(S_low):
-            lowdig = digits_of(p, lowcode, m - 1)
+            ylow = Slab.monomial(ctx, Monomial(0, digits_of(p, lowcode, m - 1)))
+            prods = [slab_mul(ylow, fpow[j], state.layers) for j in range(1, p)]
             for nu0 in range(p):
                 inner[(nu0, lowcode, 0)] = prev[(nu0, lowcode)]
-                mono = Slab.monomial(ctx, Monomial(nu0, lowdig))
-                for j in range(1, p):
-                    g = slab_mul(mono, fpow[j], state.layers)
-                    inner[(nu0, lowcode, j)] = v_apply(g, prev)
+                for j, g in enumerate(prods, 1):
+                    # x^nu0 commutes with the y-reduction: x^nu0 y^low (-f_m)^j is g
+                    # shifted by nu0
+                    shifted = Slab(ctx, g.level, np.pad(g.arr, ((0, 0), (0, 0), (nu0, 0))))
+                    inner[(nu0, lowcode, j)] = v_apply(shifted, prev)
         table: dict[tuple[int, int], Slab] = {}
         for am in range(p):
             for lowcode in range(S_low):
@@ -164,43 +178,105 @@ class CartierTables:
 
     def _store_level(self, m: int) -> None:
         path = self._cache_path(m)
-        if path is None:
-            return
-        lines = []
-        for (nu0, code), slab in sorted(self.levels[m].items()):
-            codes, xs = np.nonzero(slab.arr.any(axis=1))
-            lines.append(f"K {nu0} {code} {codes.size}")
-            for yc, nu in zip(codes.tolist(), xs.tolist()):
-                cvec = ",".join(str(int(v)) for v in slab.arr[yc, :, nu])
-                lines.append(f"{yc} {nu} {cvec}")
-        write_cache(path, self._header(m), lines)
+        if path is not None:
+            write_cache_body(path, self._header(m), _level_text(self.levels[m], self.ctx.k))
 
     def _load_level(self, m: int) -> dict | None:
-        """The cached level-m table, or None (recompute) unless read_cache accepts
-        the file, every "K nu0 code count" block has `count` rows
-        "ycode nu c_0,..,c_(k-1)" of k coefficients, and all p^(m+1) keys appear."""
-        lines = read_cache(self._cache_path(m), self._header(m))
-        if lines is None:
+        """The cached level-m table, or None (recompute) unless read_cache_body
+        accepts the file, it holds p^(m+1) blocks "K nu0 code count" followed by
+        `count` rows "ycode nu c_0,..,c_(k-1)" of residues, and _store_level
+        would write the table they give as exactly this file."""
+        body = read_cache_body(self._cache_path(m), self._header(m))
+        if body is None:
+            return None
+        p, k = self.ctx.p, self.ctx.k
+        starts = [hit.start() for hit in re.finditer("^K ", body, re.M)] + [len(body)]
+        if starts[0] != 0 or len(starts) != p ** (m + 1) + 1:
             return None
         table: dict[tuple[int, int], Slab] = {}
         try:
             i = 0
-            while i < len(lines):
-                tag, nu0, code, count = lines[i].split()
-                entries = [(int(yc), int(nu), [int(v) for v in cvec.split(",")])
-                           for yc, nu, cvec in map(str.split, lines[i + 1: i + 1 + int(count)])]
-                if tag != "K" or len(entries) != int(count) \
-                        or any(len(cv) != self.ctx.k for _, _, cv in entries):
+            while i + 1 < len(starts):  # parse runs of whole blocks of about _TEXT_BYTES
+                j = i + 1
+                while j + 1 < len(starts) and starts[j + 1] - starts[i] <= _TEXT_BYTES:
+                    j += 1
+                vals, at = _ints(body[starts[i]:starts[j]]), 0
+                for _ in range(i, j):
+                    nu0, code, count = (int(v) for v in vals[at:at + 3])
+                    cells = vals[at + 3:at + 3 + count * (2 + k)].reshape(count, 2 + k)
+                    at += 3 + count * (2 + k)
+                    if nu0 >= p or code >= p ** m or np.any(cells[:, 2:] >= p):
+                        return None
+                    slab = Slab.zeros(self.ctx, m, int(cells[:, 1].max(initial=0)) + 1)
+                    slab.arr[cells[:, 0], :, cells[:, 1]] = cells[:, 2:]
+                    table[(nu0, code)] = slab
+                if at != vals.size:
                     return None
-                xcap = max((nu for _, nu, _ in entries), default=0) + 1
-                slab = Slab.zeros(self.ctx, m, xcap)
-                for yc, nu, cv in entries:
-                    slab.arr[yc, :, nu] = cv
-                table[(int(nu0), int(code))] = slab
-                i += 1 + len(entries)
+                i = j
         except (ValueError, IndexError):
             return None
-        return table if len(table) == self.ctx.p ** (m + 1) else None
+        if len(table) != p ** (m + 1) or _level_text(table, k) != body:
+            return None
+        return table
+
+
+def _level_text(table: dict[tuple[int, int], Slab], k: int) -> str:
+    """The cache body of a level table: for each entry (nu0, code) in sorted
+    order the line "K nu0 code count", then "ycode nu c_0,..,c_(k-1)" for each
+    of its `count` nonzero cells in (ycode, nu) order.  Rendered with numpy in
+    batches of whole entries of about _TEXT_LINES lines."""
+    parts, batch, lines = [], [], 0
+    keys = sorted(table)
+    for key in keys:
+        arr = table[key].arr
+        codes, xs = np.nonzero(arr.any(axis=1))
+        batch.append((key, np.column_stack((codes, xs, arr[codes, :, xs]))))
+        lines += 1 + codes.size
+        if lines >= _TEXT_LINES or key == keys[-1]:
+            heads = np.array([(nu0, code, len(cells)) for (nu0, code), cells in batch])
+            cells = np.concatenate([cells for _, cells in batch]).reshape(-1, 2 + k)
+            hc, hk = _render(heads, "  \n", prefix="K ")
+            cc, ck = _render(cells, "  " + "," * (k - 1) + "\n")
+            n, width = len(heads) + len(cells), max(hc.shape[1], cc.shape[1])
+            chars, keep = np.zeros((n, width), dtype=np.uint8), np.zeros((n, width), dtype=bool)
+            head = np.zeros(n, dtype=bool)
+            head[np.arange(len(heads)) + np.cumsum(heads[:, 2]) - heads[:, 2]] = True
+            chars[head, :hc.shape[1]], keep[head, :hc.shape[1]] = hc, hk
+            chars[~head, :cc.shape[1]], keep[~head, :cc.shape[1]] = cc, ck
+            parts.append(chars[keep].tobytes().decode())
+            batch, lines = [], 0
+    return "".join(parts)
+
+
+def _render(vals: np.ndarray, seps: str, prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Characters and kept positions of one line per row of the nonnegative (N, F)
+    int array vals: prefix, then each field in decimal followed by its
+    one-character separator seps[f]."""
+    n = vals.shape[0]
+    cols = [np.tile(np.frombuffer(prefix.encode(), dtype=np.uint8), (n, 1))]
+    keep = [np.ones((n, len(prefix)), dtype=bool)]
+    for f, sep in enumerate(seps):
+        v = vals[:, f:f + 1].astype(np.int64)
+        width = len(str(int(v.max(initial=0))))
+        p10 = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        ndig = 1 + (v >= p10[:-1]).sum(axis=1, keepdims=True)
+        cols += [(v // p10 % 10 + 48).astype(np.uint8), np.full((n, 1), ord(sep), np.uint8)]
+        keep += [np.arange(width) >= width - ndig, np.ones((n, 1), dtype=bool)]
+    return np.hstack(cols), np.hstack(keep)
+
+
+def _ints(text: str) -> np.ndarray:
+    """The decimal numbers of text in order, as int64; ValueError past 18 digits."""
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    edge = np.diff(((b >= 48) & (b <= 57)).astype(np.int8), prepend=0, append=0)
+    st, en = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    if np.any(en - st > 18):
+        raise ValueError("number too long")
+    vals = np.zeros(st.size, dtype=np.int64)
+    for j in range(int((en - st).max(initial=0))):
+        more = st + j < en
+        vals[more] = vals[more] * 10 + (b[st[more] + j] - 48)
+    return vals
 
 
 def _embed_ym(term: Slab, i: int, m: int) -> Slab:

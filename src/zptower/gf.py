@@ -243,6 +243,8 @@ class FieldCtx:
         """Reduce raw GF(p)[t] products of degree < 2k-1, laid out along `axis`,
         to coefficient vectors: t^(k+s) becomes _redmat[s]."""
         k = self.k
+        if k == 1:  # raw is already one coefficient long
+            return np.ascontiguousarray(raw % self.p)
         raw = np.moveaxis(raw, axis, 0)
         out = raw[:k] + np.tensordot(self._redmat.T, raw[k:], axes=1)
         return np.ascontiguousarray(np.moveaxis(out % self.p, 0, axis))

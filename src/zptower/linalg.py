@@ -23,7 +23,8 @@ submatrix.  Only that leftover is eliminated densely, by blocked Gaussian
 elimination whose trailing updates run as float64 GEMMs (exact: every inner
 product is below _PANEL * (p-1)^2, far inside the float64 integer range).
 Odd-p products are float64 GEMMs too, exact while inner dimension * (p-1)^2
-stays below 2^53, converted one row chunk at a time.
+stays below 2^53, converted one column block of the right factor and one row
+chunk of the left at a time.
 
 Elimination mutates a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
@@ -39,7 +40,7 @@ import numpy as np
 from .gf import FieldCtx, InternalConsistencyError
 
 _PANEL = 256
-_GEMM_CHUNK = 4_000_000  # float64 temp elements per matmul row chunk
+_GEMM_CHUNK = 4_000_000  # float64 elements per temporary of an odd-p product
 _STRIP = 1 << 18  # matrix elements or nonzeros per strip of the singleton pass
 
 
@@ -117,13 +118,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     arrays otherwise."""
     if p == 2:
         return _matmul_gf2(a, b)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int8)
-    bf = b.astype(np.float64)
-    # row-chunked so the float64 temporaries stay modest
-    chunk = max(1, _GEMM_CHUNK // max(b.shape[1], 1))
-    for r0 in range(0, a.shape[0], chunk):
-        blk = a[r0:r0 + chunk].astype(np.float64) @ bf
-        out[r0:r0 + chunk] = np.fmod(blk, p, out=blk)  # blk >= 0: fmod is mod
+    m, inner = a.shape
+    out = np.empty((m, b.shape[1]), dtype=np.int8)
+    # b in column blocks and a in row chunks, so that every float64 temporary
+    # (a block of b, a chunk of a, their product) holds at most _GEMM_CHUNK
+    # elements; rows of a block of b that are zero, and the matching columns of
+    # a, are left out (about half of them on the block-triangular Cartier matrices)
+    cols = max(1, _GEMM_CHUNK // max(inner, 1))
+    rows = max(1, _GEMM_CHUNK // max(inner, cols))
+    for c0 in range(0, b.shape[1], cols):
+        live = np.flatnonzero(b[:, c0:c0 + cols].any(axis=1))
+        bf = b[live, c0:c0 + cols].astype(np.float64)
+        for r0 in range(0, m, rows):
+            blk = a[r0:r0 + rows, live].astype(np.float64) @ bf
+            out[r0:r0 + rows, c0:c0 + cols] = np.fmod(blk, p, out=blk)  # blk >= 0: fmod is mod
     return out
 
 

@@ -459,8 +459,12 @@ class TowerState:
             groups.setdefault(e[t - 1], []).append((e[: t - 1], c))
         out: Slab | None = None
         for et in sorted(groups):
-            inner = self._eval_terms(groups[et], t - 1)
-            if et:
-                inner = slab_mul(self._upow(t, et), inner, self.layers)
+            if t == 1:  # a constant times u_1^et: a scale, not a product
+                ((_, c),) = groups[et]
+                inner = self._upow(1, et).scale(c)
+            else:
+                inner = self._eval_terms(groups[et], t - 1)
+                if et:
+                    inner = slab_mul(self._upow(t, et), inner, self.layers)
             out = inner if out is None else (out + inner)
         return out.trim()

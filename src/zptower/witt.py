@@ -266,7 +266,14 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
 # -- cache files: header line with a body digest, replaced atomically ---------
 
 def read_cache(path: Path | None, header: str) -> list[str] | None:
-    """Body lines of a file written by write_cache, or None (a cache miss) when
+    """Body lines of a file written by write_cache, or None (a cache miss) as
+    for read_cache_body."""
+    body = read_cache_body(path, header)
+    return None if body is None else body.splitlines()
+
+
+def read_cache_body(path: Path | None, header: str) -> str | None:
+    """Body text of a file written by write_cache, or None (a cache miss) when
     it is absent, half-written, of another header, or its body digest differs."""
     if path is None or not path.exists():
         return None
@@ -274,14 +281,18 @@ def read_cache(path: Path | None, header: str) -> list[str] | None:
     head, _, body = text.partition("\n")
     if not text.endswith("\n") or head != f"{header} sha256={_sha256(body)}":
         return None
-    return body.splitlines()
+    return body
 
 
 def write_cache(path: Path, header: str, lines: Sequence[str]) -> None:
-    """Write header, body digest and lines through a per-process temporary file
+    """write_cache_body of the lines, each ended by a newline."""
+    write_cache_body(path, header, "".join(line + "\n" for line in lines))
+
+
+def write_cache_body(path: Path, header: str, body: str) -> None:
+    """Write header, body digest and body through a per-process temporary file
     in the same directory, renamed into place; a failed write removes it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = "".join(line + "\n" for line in lines)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(f"{header} sha256={_sha256(body)}\n{body}")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import random_poly
 from oracle import (SparsePoly, from_sparse, function_differential, layers as sparse_layers,
                     reduce_to_monomial_basis, to_sparse, trace)
+from zptower import _slab as slab_kernel
 from zptower._slab import Slab
 from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, differential_basis,
                              is_regular, trace_map)
@@ -15,6 +17,7 @@ from zptower.gf import InternalConsistencyError, field
 from zptower.linalg import kernel_dim, twisted_power_kernels
 from zptower._slab import Monomial
 from zptower.tower import TowerSpec, TowerState
+from zptower.witt import write_cache
 
 F2, F3 = field(2), field(3)
 
@@ -284,3 +287,104 @@ def test_twisted_kernels_extension_field():
     for F, terms, n, want in cases:
         st = tower(F, terms, n)
         assert twisted_power_kernels(cartier_matrix(st, n).matrix, len(want)) == want
+
+
+def table_digest(table):
+    """sha256 over the nonzero (entry, y-code, x-power, coefficients) cells of one
+    level's table: the definition of perfbench/rep.py's table_digest."""
+    h = hashlib.sha256()
+    for key in sorted(table):
+        arr = table[key].arr
+        codes, xs = np.nonzero(arr.any(axis=1))
+        h.update(np.array(key, dtype="<i8").tobytes())
+        h.update(np.int64(codes.size).astype("<i8").tobytes())
+        h.update(codes.astype("<i8").tobytes() + xs.astype("<i8").tobytes())
+        h.update(arr[codes, :, xs].astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+# table digests of levels 1, 2, .. recorded with the per-code-pair np.convolve kernel
+# that the batched x-convolution replaced (commit caa8c03)
+TABLE_DIGESTS = {
+    "p3d7": ["ed3558927b50c672d06866d93862457353bf5b1f217aec15fbf9132d13f6e382",
+             "084d68197b7084bb3ae2d442bf7649c94d4e6611682eec6223d1c7fdc215a17a",
+             "b54ec4884a52a469b1d43f8f2f6d3b327ce3b331d6041f5aa622ac376c0e5f3c",
+             "624124c524b41c3445831358e73613715d6b1e863f160b441d0d95c7975c1a8e"],
+    "p2d21": ["a25a3d496e13213ab9a9fff35ed7430f6450cea6b1ce73eb205c5f4a2289a676",
+              "b32107b9aeb647c9d176a92ea023e1d5639b9a7b900b53d3c298b7314e1c1d65",
+              "df6ded5e4a3285bb30e7e7b6376ec2f6ad93b3ae96756d5ece11dd8edc9103b8",
+              "8bc06030362140e722e5361583b9c12adf433ede577b53861bbf35fc9cc46b65",
+              "9eadf395eac31327681a49a966d73cbfa49f0399e497f6e7501ab70689a4b546"],
+    "gf4": ["1e6bd2b307dc7587ee591771c711d4946630b8a7d456f00b63ec2bb5347bc18d",
+            "8944ddc9c80ccd14528295dbea9aeb187d00e8f22153a7458ef93023f2f3f738",
+            "dcb5822125a19a179ab76e1faf5bcca71af87e81ef349df86f797f21cc727bda",
+            "9b6f5f634372971604d5a1fa2cd9bf8d48652b7abc8703fef3594c71d00d372c"],
+    "gf9": ["3ab6f7409ea48c09d586cc80d7f5729630dc9f388a926f78e0903a7144447ac4",
+            "948ec3530f6d351211be324a52bec09078750843085aa5a19716459e07aee978",
+            "d8b2c2d67b2af2bc7921d28055555c5c8f515b1881de66723e74012915007549"],
+}
+
+
+def _digest_tower(name):
+    F4, F9 = field(2, 2), field(3, 2)
+    return {"p3d7": (F3, SUITES["p3d7"]["terms"]), "p2d21": (F2, SUITES["p2d21"]["terms"]),
+            "gf4": (F4, [(0, F4.gen(), 5), (0, 1, 3)]),
+            "gf9": (F9, [(0, F9.gen(), 7), (0, 1, 5)])}[name]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_digests_match_recorded(name):
+    F, terms = _digest_tower(name)
+    want = TABLE_DIGESTS[name]
+    tables = CartierTables(tower(F, terms, len(want))).ensure(len(want))
+    assert [table_digest(tables.levels[m]) for m in range(1, len(want) + 1)] == want
+
+
+def test_table_digests_do_not_depend_on_the_chunk(monkeypatch):
+    # a tiny _CONV_CHUNK splits every batched product of the table build
+    monkeypatch.setattr(slab_kernel, "_CONV_CHUNK", 50)
+    tables = CartierTables(tower(F3, SUITES["p3d7"]["terms"], 3)).ensure(3)
+    assert [table_digest(tables.levels[m]) for m in (1, 2, 3)] == TABLE_DIGESTS["p3d7"][:3]
+
+
+def test_table_build_memory():
+    # The batched products keep each float64 temporary within about
+    # _CONV_CHUNK = 2^16 elements (512 KB), so building p2d21's level-4 table
+    # from level 3 peaks at about 0.73 MB; chunks of 2^17 elements give 1.33 MB.
+    st = tower(F2, SUITES["p2d21"]["terms"], 4)
+    tables = CartierTables(st).ensure(3)
+    tracemalloc.start()
+    try:
+        tables.ensure(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_digest(tables.levels[4]) == TABLE_DIGESTS["p2d21"][3]
+    assert peak < 1_000_000, peak
+
+
+def _line_formatter(table):
+    """The cache body lines of a level table as a per-line Python loop writes them:
+    the reference for the vectorised writer."""
+    lines = []
+    for (nu0, code), slab in sorted(table.items()):
+        codes, xs = np.nonzero(slab.arr.any(axis=1))
+        lines.append(f"K {nu0} {code} {codes.size}")
+        for yc, nu in zip(codes.tolist(), xs.tolist()):
+            cvec = ",".join(str(int(v)) for v in slab.arr[yc, :, nu])
+            lines.append(f"{yc} {nu} {cvec}")
+    return lines
+
+
+@pytest.mark.parametrize("name,n", [("p3d7", 3), ("p2d21", 4), ("gf4", 3), ("gf9", 2)])
+def test_table_cache_file_matches_line_formatter(tmp_path, name, n):
+    F, terms = _digest_tower(name)
+    st = TowerState(TowerSpec.make(F, terms), cache_dir=tmp_path / "cache")
+    tables = CartierTables(st).ensure(n)
+    for m in range(1, n + 1):
+        path = tables._cache_path(m)
+        write_cache(tmp_path / "lines.txt", tables._header(m), _line_formatter(tables.levels[m]))
+        assert path.read_bytes() == (tmp_path / "lines.txt").read_bytes(), m
+        loaded = tables._load_level(m)
+        assert loaded.keys() == tables.levels[m].keys()
+        assert all(np.array_equal(loaded[key].arr, tables.levels[m][key].arr) for key in loaded)

@@ -1,7 +1,7 @@
 """Opt-in deep lane: `pytest -m deep` recomputes fixture levels that the
 default run leaves out.  The p=2 tests run for a minute or two and need a few
-hundred MB; each p=3 level-5 test needs about 4 GB and about 4 min, most of it
-spent on the Cartier tables."""
+hundred MB; each p=3 level-5 test needs about 4 GB and 70-75 s on a 2-vCPU
+host, about half of it spent on the Cartier tables."""
 
 import resource
 

@@ -131,11 +131,11 @@ def test_frob_matrices_match_elementwise_power():
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
 def test_extension_products_match_field_arithmetic(p, k, rng):
-    # every product that folds t^k.. through the reduction rows (xconv, Slab.scale,
-    # the blocks of restricted matrices) against FieldElement arithmetic
-    # (k = 3 uses two reduction rows)
+    # every product that folds t^k.. through the reduction rows (the batched
+    # x-convolution _xconv, Slab.scale, the blocks of restricted matrices)
+    # against FieldElement arithmetic (k = 3 uses two reduction rows)
     from conftest import restrict, semilinear_image
-    from zptower._slab import Slab, xconv
+    from zptower._slab import Slab, _xconv
 
     F = field(p, k)
 
@@ -143,7 +143,9 @@ def test_extension_products_match_field_arithmetic(p, k, rng):
         return F.elem(tuple(int(v) for v in vec))
 
     u, v = rng.integers(0, p, size=(k, 6)), rng.integers(0, p, size=(k, 5))
-    got = xconv(u, v, F)
+    got = np.zeros((1, k, 10), dtype=np.int64)
+    _xconv([u[None]], v[None, None], np.zeros((1, 1), dtype=np.int64), got, F)
+    got = got[0] % p
     for n in range(10):
         want = sum((el(u[:, i]) * el(v[:, n - i]) for i in range(6) if 0 <= n - i < 5),
                    F.zero())

@@ -398,3 +398,30 @@ def test_gf2_twisted_powers_match_integer_powers(rng):
         P = (P @ M) % 2
     assert dims[0] < dims[-1] < M.shape[0]  # the powers lose rank, so the products matter
     assert twisted_power_kernels(DenseMatrix(F2, M), 4) == dims
+
+
+def test_odd_p_product_is_chunked(monkeypatch, rng):
+    # With _GEMM_CHUNK = 2^16 the p3d7 level-3 product M @ M (g = 624) converts b
+    # in column blocks and a in row chunks of at most 2^16 float64 elements
+    # (512 KB); a float64 copy of the whole right factor alone would take 3.1 MB.
+    import tracemalloc
+    from zptower.cartier import cartier_matrix
+    from zptower.fixtures import SUITES
+    from zptower.tower import TowerSpec, TowerState
+    state = TowerState(TowerSpec.make(F3, SUITES["p3d7"]["terms"]))
+    M = cartier_matrix(state, 3).matrix
+    monkeypatch.setattr(linalg, "_GEMM_CHUNK", 1 << 16)
+    tracemalloc.start()
+    try:
+        P = M @ M
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    D = M.data
+    assert np.array_equal(P.data, D @ D % 3)
+    assert peak < 2_500_000, peak
+    # dense factors (no zero rows to skip) and shapes that leave short last blocks
+    for m, inner, n in [(70, 300, 5), (3, 257, 400), (0, 10, 4)]:
+        a, b = rng.integers(0, 5, size=(m, inner)), rng.integers(0, 5, size=(inner, n))
+        got = (DenseMatrix(field(5), a) @ DenseMatrix(field(5), b)).data
+        assert np.array_equal(got, a @ b % 5)

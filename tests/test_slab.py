@@ -1,12 +1,14 @@
 """Cross-checks of the dense kernel against the sparse reference in oracle.py."""
 
+import numpy as np
 import pytest
 
 from conftest import random_poly
 from oracle import (SparsePoly, from_sparse, infinity_valuation, layers as sparse_layers,
                     monomial_valuation, poly_pth_power, reduce_to_monomial_basis, to_sparse)
+from zptower import _slab
 from zptower._slab import Monomial, Slab, code_of, digits_of, mul as slab_mul, v_apply
-from zptower.gf import field
+from zptower.gf import InternalConsistencyError, field
 from zptower.tower import TowerSpec, TowerState
 
 
@@ -100,3 +102,98 @@ def _tables(state, n):
     from zptower.cartier import CartierTables
     t = state.tables or CartierTables(state)
     return t.table(n)
+
+
+def _xpoly(ctx, block):
+    """The level-0 SparsePoly of a (k, L) coefficient block."""
+    return SparsePoly(ctx, 0, {Monomial(n, ()): ctx.elem(block[:, n]) for n in range(block.shape[1])})
+
+
+@pytest.mark.parametrize("chunk", [None, 40], ids=["default-chunk", "tiny-chunk"])
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (3, 2), (2, 3)])
+def test_xconv_matches_sparse_products(p, k, chunk, rng, monkeypatch):
+    # sum_e a[e][t] * h[e, g] into rows[t, g] against term-by-term products: entries
+    # of unequal x-lengths, zero rows and blocks, targets shared between rows; a
+    # tiny chunk forces every split (entries, blocks, x-ranges)
+    if chunk is not None:
+        monkeypatch.setattr(_slab, "_CONV_CHUNK", chunk)
+    ctx = field(p, k)
+    E, T, G, Lh = 3, 4, 5, 7
+    a = [rng.integers(0, p, size=(T, k, L)) for L in (6, 1, 4)]
+    a[0][1] = 0
+    h = rng.integers(0, p, size=(E, G, k, Lh))
+    h[1, 2] = 0
+    rows = (np.arange(G) + rng.integers(0, 6, size=(T, 1))) % 6  # distinct along each row
+    into = np.zeros((6, k, 6 + Lh - 1), dtype=np.int64)
+    _slab._xconv(a, h, rows, into, ctx)
+    want = [SparsePoly.zero(ctx) for _ in range(6)]
+    for e in range(E):
+        for t in range(T):
+            for g in range(G):
+                want[rows[t, g]] = want[rows[t, g]] + _xpoly(ctx, a[e][t]) * _xpoly(ctx, h[e, g])
+    for r in range(6):
+        assert _xpoly(ctx, into[r] % p) == want[r], r
+
+
+def test_xconv_refuses_a_repeated_target():
+    # two blocks of one row into one target would be added only once
+    ctx = field(3)
+    into = np.zeros((2, 1, 3), dtype=np.int64)
+    with pytest.raises(InternalConsistencyError):
+        _slab._xconv([np.ones((1, 1, 2))], np.ones((1, 2, 1, 2)), np.array([[1, 1]]), into, ctx)
+
+
+def test_xconv_exactness_bound():
+    # a float64 sum of inner products of residues below p is exact while
+    # inner * (p-1)^2 < 2^53
+    _slab._exact((1 << 53) // 4 - 1, 3)
+    with pytest.raises(InternalConsistencyError):
+        _slab._exact((1 << 53) // 4, 3)
+    _slab._exact((1 << 53) // 144, 13)
+    with pytest.raises(InternalConsistencyError):
+        _slab._exact((1 << 53) // 144 + 1, 13)
+
+
+@pytest.fixture(params=[(3, 1), (2, 2), (3, 2), (2, 3)], ids=["p3", "gf4", "gf9", "gf8"])
+def smalltower(request):
+    p, k = request.param
+    ctx = field(p, k)
+    t = ctx.gen()
+    terms = [(0, t, 7), (0, 1, 5)] if p == 3 else [(0, t, 7), (0, t * t + 1, 3)]
+    state = TowerState(TowerSpec.make(ctx, terms))
+    state.build_to(2)
+    return ctx, state
+
+
+@pytest.mark.parametrize("chunk", [None, 40], ids=["default-chunk", "tiny-chunk"])
+def test_batched_mul_matches_sparse(smalltower, chunk, rng, monkeypatch):
+    # products of random slabs of different levels and x-lengths, most y-codes
+    # empty, and the zero slab, against the sparse reference
+    if chunk is not None:
+        monkeypatch.setattr(_slab, "_CONV_CHUNK", chunk)
+    ctx, state = smalltower
+    layers = sparse_layers(state)
+    for la, lb, da, db in [(1, 2, 2, 9), (2, 2, 6, 3), (0, 2, 4, 5), (2, 1, 1, 8)]:
+        for _ in range(3):
+            f = random_poly(ctx, la, rng, nterms=3, maxdeg=da)
+            g = random_poly(ctx, lb, rng, nterms=4, maxdeg=db)
+            want = reduce_to_monomial_basis(f * g, layers[:max(la, lb)])
+            got = slab_mul(from_sparse(f), from_sparse(g), state.layers)
+            assert got.level == max(la, lb) and to_sparse(got) == want
+    zero = Slab.zeros(ctx, 2, 3)
+    assert slab_mul(zero, from_sparse(random_poly(ctx, 2, rng)), state.layers).is_zero()
+
+
+def test_mul_by_x_power_is_a_shift(smalltower, rng):
+    # x^nu commutes with the y-reduction: mul(x^nu y^a, F) = shift_nu(mul(y^a, F)),
+    # which the Cartier tables use to form each product once for all nu0 < p
+    ctx, state = smalltower
+    p = ctx.p
+    F = from_sparse(random_poly(ctx, 2, rng, nterms=6, maxdeg=6))
+    for code in range(p ** 2):
+        a = digits_of(p, code, 2)
+        base = slab_mul(Slab.monomial(ctx, Monomial(0, a)), F, state.layers)
+        for nu in range(1, 4):
+            got = slab_mul(Slab.monomial(ctx, Monomial(nu, a)), F, state.layers)
+            want = np.pad(base.arr, ((0, 0), (0, 0), (nu, 0)))
+            assert np.array_equal(got.arr, want), (a, nu)
