@@ -11,9 +11,11 @@ every p=2 a^(1) column equals `analysis.anumber_basic_p2` (checked by
 tests/test_tower.py::test_fixture_columns_match_closed_forms), levels 6-7
 included.  The p=3 level-5 values of a^(1) (g = 51546 and 36784) are
 recomputed by the opt-in deep lane, tests/test_deep.py; those for r >= 2 have
-never been recomputed by this code.  Nor have the p=2 d=21 values for r >= 2
-at level 7 (g = 57277); their level-5 rows are recomputed by
-tests/test_acceptance.py and their level-6 rows (g = 14301) by the deep lane.
+never been recomputed by this code.  The p=3 d=5 level-4 rows (g = 4060) are
+recomputed by tests/test_acceptance.py (r <= 3) and the deep lane.  The p=2
+d=21 values for r >= 4 at level 7 (g = 57277) have never been recomputed
+either; their level-5 rows are recomputed by tests/test_acceptance.py, and
+their level-6 rows (g = 14301) and level-7 values for r <= 3 by the deep lane.
 All of the values never recomputed are marked below.
 """
 
@@ -98,8 +100,9 @@ SUITES: dict[str, dict] = {
         "p": 2,
         "terms": [(0, 1, 21), (0, 1, 19), (0, 1, 15), (0, 1, 13), (0, 1, 9)],
         "genus": [10, 51, 217, 885, 3565, 14301, 57277],
-        # the level-7 entry (last) of rows r >= 2: not recomputed; level 6 is
-        # recomputed by the deep lane (tests/test_deep.py, pytest -m deep)
+        # the level-7 entry (last) of rows r >= 4: not recomputed; level 6, and
+        # level 7 for r <= 3, are recomputed by the deep lane (tests/test_deep.py,
+        # pytest -m deep)
         "a": {
             1: [5, 16, 58, 226, 898, 3586, 14338],
             2: [8, 25, 94, 363, 1440, 5741, 22946],
@@ -119,8 +122,9 @@ SUITES: dict[str, dict] = {
         "p": 2,
         "terms": [(0, 1, 21), (0, 1, 13), (0, 1, 9), (0, 1, 5), (0, 1, 3)],
         "genus": [10, 51, 217, 885, 3565, 14301, 57277],
-        # the level-7 entry (last) of rows r >= 2: not recomputed; level 6 is
-        # recomputed by the deep lane (tests/test_deep.py, pytest -m deep)
+        # the level-7 entry (last) of rows r >= 4: not recomputed; level 6, and
+        # level 7 for r <= 3, are recomputed by the deep lane (tests/test_deep.py,
+        # pytest -m deep)
         "a": {
             1: [5, 16, 58, 226, 898, 3586, 14338],
             2: [8, 25, 95, 363, 1441, 5741, 22947],

@@ -10,8 +10,10 @@ GF(p) rank divided by k.
 Over GF(2), GF(2^k) included, a matrix is packed rows of uint64 words, one bit
 per entry, from assembly through every product and rank; products are
 Four-Russians XOR tables and the rank is M4RI elimination (Albrecht-Bard-Hart,
-ACM TOMS 37(1), 2010), with no floating point.  Reading `.data` unpacks a copy,
-for small matrices only.
+ACM TOMS 37(1), 2010), with no floating point.  A product starts each 8-row
+group's table and XOR at the group's first nonzero word, so on block upper
+triangular factors, such as the Cartier matrices, it skips the zero words
+left of each block.  Reading `.data` unpacks a copy, for small matrices only.
 
 Over odd p a matrix is one int8 array of residues, from assembly through
 every product and rank; reading `.data` gives an int64 copy.  Its rank starts
@@ -20,11 +22,17 @@ looks only at the nonzero pattern, read in strips into int32 CSR and CSC
 indices: it pivots on columns, then rows, with a single
 live nonzero until none is left, so rank(A) = #pivots + rank of the leftover
 submatrix.  Only that leftover is eliminated densely, by blocked Gaussian
-elimination whose trailing updates run as float64 GEMMs (exact: every inner
-product is below _PANEL * (p-1)^2, far inside the float64 integer range).
+elimination whose rank-1 updates stay within sub-panels of _SUB columns and
+whose other updates run as float64 GEMMs (exact: every inner product is below
+_PANEL * (p-1)^2, far inside the float64 integer range).
 Odd-p products are float64 GEMMs too, exact while inner dimension * (p-1)^2
 stays below 2^53, converted one column block of the right factor and one row
 chunk of the left at a time.
+
+Both eliminations also report their pivot rows, rows of their input that
+span its row space.  Twisted powers use them: rowspace(N M) = rowspace(N) M,
+so the pivot rows of M^(r-1) times M have the rank of M^r, and each power is
+a rho x g product, rho the GF(p) rank of the previous one, never g x g.
 
 Elimination mutates a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
@@ -39,7 +47,8 @@ import numpy as np
 
 from .gf import FieldCtx, InternalConsistencyError
 
-_PANEL = 256
+_PANEL = 256  # columns per trailing GEMM of the odd-p elimination
+_SUB = 32  # columns per rank-1 update within a panel
 _GEMM_CHUNK = 4_000_000  # float64 elements per temporary of an odd-p product
 _STRIP = 1 << 18  # matrix elements or nonzeros per strip of the singleton pass
 
@@ -143,18 +152,27 @@ def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For each group of 8 rows of b, T holds all 256 XOR combinations of the
     group; byte g of a row of a (its columns 8g..8g+7) picks the row of T
     to XOR into the matching row of the product.  Rows whose byte is zero are
-    skipped: on the Cartier matrices four bytes in five are.
+    skipped: on the Cartier matrices four bytes in five are.  T and the XOR
+    start at the group's first nonzero word, since all of its combinations
+    are zero to the left of it: on a block upper triangular b, such as the
+    Cartier matrices, that is the start of the group's block.
     """
     A = a.view(np.uint8)
     C = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
     T = np.zeros((256, b.shape[1]), dtype=np.uint64)
     for g in range(0, b.shape[0], 8):
-        # a short last group leaves T[2^len:] stale, but the zero padding of
-        # A's last byte never indexes it
-        for j, row in enumerate(b[g:g + 8]):
-            np.bitwise_xor(T[:1 << j], row, out=T[1 << j:2 << j])
+        words = np.flatnonzero(b[g:g + 8].any(axis=0))
+        if words.size == 0:
+            continue
+        w = int(words[0])
+        # a short last group leaves T[2^len:] stale, and earlier groups leave
+        # T[:, :w] stale, but neither is read: the zero padding of A's last
+        # byte never indexes the first, and the slices below start at w
+        Tw = T[:, w:]
+        for j, row in enumerate(b[g:g + 8, w:]):
+            np.bitwise_xor(Tw[:1 << j], row, out=Tw[1 << j:2 << j])
         rows = np.flatnonzero(A[:, g // 8])
-        C[rows] ^= T[A[rows, g // 8]]
+        C[rows, w:] ^= Tw[A[rows, g // 8]]
     return C
 
 
@@ -176,22 +194,29 @@ def _gf2_pack(bits: np.ndarray) -> np.ndarray:
 def rank(M: DenseMatrix) -> int:
     """Rank over GF(p^k): the GF(p) rank of the stored matrix divided by k; M is
     only read."""
+    return _row_basis(M)[0]
+
+
+def _row_basis(M: DenseMatrix) -> tuple[int, np.ndarray]:
+    """(rank of M over GF(p^k), pivot rows of the stored GF(p) matrix): k times
+    that rank distinct row indices whose rows span its row space."""
     p = M.ctx.p
-    r, rem = divmod(_rank_gf2(M._a) if p == 2 else _rank_mod_p(M._a, p), M.ctx.k)
+    r, rows = _rank_gf2(M._a) if p == 2 else _rank_mod_p(M._a, p)
+    rho, rem = divmod(r, M.ctx.k)
     if rem:
         raise InternalConsistencyError(f"GF(p) rank not a multiple of k={M.ctx.k}")
-    return r
+    return rho, rows
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank of a residue array over odd GF(p): the singleton pivots
-    (_singleton_pivots), then _rank_blocked on the leftover submatrix only."""
-    if A.size == 0:
-        return 0
-    npiv, rows, cols = _singleton_pivots(A)
+def _rank_mod_p(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Rank of a residue array over odd GF(p) and its pivot rows: the singleton
+    pivots (_singleton_pivots), then _rank_blocked on the leftover submatrix
+    only."""
+    prows, rows, cols = _singleton_pivots(A)
     if rows.size == 0 or cols.size == 0:
-        return npiv
-    return npiv + _rank_blocked(A[np.ix_(rows, cols)], p)
+        return prows.size, prows
+    r, lrows = _rank_blocked(A[np.ix_(rows, cols)], p)
+    return prows.size + r, np.concatenate((prows, rows[lrows]))
 
 
 def kernel_dim(M: DenseMatrix) -> int:
@@ -199,30 +224,32 @@ def kernel_dim(M: DenseMatrix) -> int:
     return M.cols - rank(M)
 
 
-def _singleton_pivots(A: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _singleton_pivots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-fill pivots of the nonzero pattern of A (rows x cols).
 
-    Returns (pivots, live rows, live cols) with
-    rank(A) = pivots + rank(A[live rows][:, live cols]).  A column whose only
+    Returns (pivot rows, live rows, live cols) with
+    rank(A) = #pivots + rank(A[live rows][:, live cols]).  A column whose only
     live nonzero sits in row r is a pivot: column operations clear row r
     without touching any other live row, so dropping row r and the column
     lowers the rank by exactly one; singleton rows are the transpose.  Each
     round pivots on all singleton columns (one per row), then on all
     singleton rows (one per column), until a round finds none; lines left
-    empty are dropped.
+    empty are dropped.  The rows a pivot drops are exactly the pivot rows,
+    and together with any rows independent on the leftover they are
+    independent in A: a pivot row's pivot entry is the only nonzero of its
+    column (row) among the rows (columns) still live when it was taken.
     """
     m, n = A.shape
     ci, rdeg, rsum, cr, cdeg, csum = _pattern(A)
     rptr = np.concatenate(([0], np.cumsum(rdeg)))
     cptr = np.concatenate(([0], np.cumsum(cdeg)))
     rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
-    npiv = 0
     while True:
         got = (_pivot_singletons(cdeg, csum, clive, rlive, rptr, ci)
                + _pivot_singletons(rdeg, rsum, rlive, clive, cptr, cr))
         if not got:
-            return npiv, np.nonzero(rlive & (rdeg > 0))[0], np.nonzero(clive & (cdeg > 0))[0]
-        npiv += got
+            return (np.flatnonzero(~rlive), np.flatnonzero(rlive & (rdeg > 0)),
+                    np.flatnonzero(clive & (cdeg > 0)))
 
 
 def _pattern(A: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -296,108 +323,128 @@ def _pivot_singletons(deg, lsum, live, olive, optr, oidx) -> int:
     return partners.size
 
 
-def _rank_gf2(words: np.ndarray) -> int:
-    """Rank over GF(2) of packed rows (_gf2_pack) by M4RI elimination
-    (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010; Bard 2006) on a private copy.
+def _rank_gf2(words: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank over GF(2) of packed rows (_gf2_pack) and its pivot rows, by M4RI
+    elimination (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010; Bard 2006) on a
+    private copy.
 
     Columns go in groups of 8, one byte of every row; only live rows whose
     byte is nonzero take part.  The group's pivot rows are found on those
-    bytes alone, by elimination on the 8-bit slice.  The other bytes then lie
-    in the span of the pivot bytes, which are independent, so a table T of the
+    bytes alone: a row is a pivot when its byte lies outside the span of the
+    bytes of the pivots before it, a set of at most 256 small ints kept in
+    Python (groups have about a hundred candidates on the Cartier matrices,
+    too few for vectorised passes to pay).  The other bytes then lie in the
+    span of the pivot bytes, which are independent, so a table T of the
     2^npiv XOR combinations of the pivot rows, indexed by their bytes, clears
-    the group from every other row in one pass: row ^= T[its byte].  Pivot
-    rows leave the live set.  Live rows are zero left of the group, so T
-    holds only words from the group's onward.
+    the group from every row in one pass: row ^= T[its byte].  That zeroes
+    the pivot rows, which leave the live set.  Live rows are zero left of the
+    group, so T holds only words from the group's onward.  Rows never move,
+    so the pivot rows are indices into `words`.
     """
     W = words.copy()
     B = W.view(np.uint8)
     live = np.ones(W.shape[0], dtype=bool)
-    r = 0
+    found: list[np.ndarray] = []
     for g in range(B.shape[1]):
         rows = np.flatnonzero(B[:, g])
         rows = rows[live[rows]]
         if rows.size == 0:
             continue
-        s = B[rows, g]  # a copy, reduced as pivots are taken
-        piv: list[int] = []
-        for j in range(8):
-            hit = (s & np.uint8(1 << j)) != 0
-            hit[piv] = False
-            t = int(hit.argmax())
-            if hit[t]:
-                hit[t] = False
-                s ^= hit * s[t]
+        s = B[rows, g]
+        key, span, piv = [0], {0}, []  # key[i]: the byte of XOR combination i of the pivots
+        for t, byte in enumerate(s.tolist()):
+            if byte not in span:
+                more = [x ^ byte for x in key]
+                key += more
+                span.update(more)
                 piv.append(t)
+                if len(piv) == 8:
+                    break
         w, prows = g // 8, rows[piv]
-        comb = np.zeros((1 << len(piv), W.shape[1] - w), dtype=np.uint64)
-        key = np.zeros(1 << len(piv), dtype=np.uint8)
+        comb = np.zeros((len(key), W.shape[1] - w), dtype=np.uint64)
         for t, pr in enumerate(prows):
             np.bitwise_xor(comb[:1 << t], W[pr, w:], out=comb[1 << t:2 << t])
-            np.bitwise_xor(key[:1 << t], B[pr, g], out=key[1 << t:2 << t])
         T = np.empty((256, comb.shape[1]), dtype=np.uint64)  # rows off the span are never read
         T[key] = comb
-        rest = np.delete(rows, piv)
-        W[rest, w:] ^= T[B[rest, g]]
+        W[rows, w:] ^= T[s]
         live[prows] = False
-        r += len(piv)
-    return r
+        found.append(prows)
+    prows = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+    return prows.size, prows
 
 
-def _rank_blocked(Ai: np.ndarray, p: int) -> int:
-    """Blocked LU-style rank over GF(p), running entirely in float64 on a
-    private copy (Ai is only read).
+def _rank_blocked(Ai: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Blocked LU-style rank over GF(p) and its pivot rows, running entirely in
+    float64 on a private copy (Ai is only read).
+
+    Columns go in panels of _PANEL, and each panel in sub-panels of _SUB.
+    Within a sub-panel each pivot's rank-1 update touches only the sub-panel's
+    columns right of the pivot; at its end one GEMM (_apply_pivots) updates
+    the rest of the panel, and at the end of a panel one GEMM updates the
+    trailing columns.  The pivot column stores the multipliers, so row swaps
+    keep L attached to the correct rows.  Rows are swapped whole, and `perm`
+    follows the swaps, so the pivot rows of Ai are perm[:rank].
 
     Everything stays an exact integer: multipliers and pivot rows are reduced
-    mod p before use, so one trailing GEMM adds at most _PANEL * (p-1)^2 in
-    magnitude and entries stay below ~144 n, far inside float64's 2^53 exact
-    range.  Within a panel each rank-1 update touches only columns right of
-    the pivot; the pivot column stores the multipliers so row swaps keep L
-    attached to the correct rows.
+    mod p before use, so one GEMM adds at most _PANEL * (p-1)^2 in magnitude,
+    each pivot adds at most (p-1)^2 to an entry, and entries stay below
+    ~144 n, far inside float64's 2^53 exact range.
     """
     m, n = Ai.shape
     A = Ai.astype(np.float64)
+    perm = np.arange(m)
     r = 0
     for c0 in range(0, n, _PANEL):
         c1 = min(c0 + _PANEL, n)
-        panel = A[:, c0:c1]
-        pivots: list[int] = []  # panel-local pivot columns; pivot rows are r0, r0+1, ...
         r0 = r
-        for c in range(c1 - c0):
-            if r == m:
-                break
-            col = panel[r:, c] % p
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                A[[r, piv]] = A[[piv, r]]
-            inv = pow(int(col[int(nz[0])]), p - 2, p)
-            factors = (panel[r + 1:, c] * inv) % p
-            if factors.any():
-                panel[r + 1:, c + 1:] -= np.outer(factors, panel[r, c + 1:] % p)
-            panel[r + 1:, c] = factors
-            pivots.append(c)
-            r += 1
-        npiv = len(pivots)
-        if r == m or c1 == n:
+        pcols: list[int] = []  # the pivot column of row r0 + t
+        for s0 in range(c0, c1, _SUB):
+            s1 = min(s0 + _SUB, c1)
+            q0 = r
+            for c in range(s0, s1):
+                if r == m:
+                    break
+                col = A[r:, c] % p
+                nz = np.nonzero(col)[0]
+                if nz.size == 0:
+                    continue
+                piv = r + int(nz[0])
+                if piv != r:
+                    A[[r, piv]] = A[[piv, r]]
+                    perm[[r, piv]] = perm[[piv, r]]
+                inv = pow(int(col[int(nz[0])]), p - 2, p)
+                factors = (A[r + 1:, c] * inv) % p
+                if factors.any():
+                    A[r + 1:, c + 1:s1] -= np.outer(factors, A[r, c + 1:s1] % p)
+                A[r + 1:, c] = factors
+                pcols.append(c)
+                r += 1
+            _apply_pivots(A, q0, pcols[q0 - r0:], s1, c1, p)
+        if r == m:
             break
-        if npiv == 0:
-            continue
-        pcols = np.array(pivots, dtype=np.intp)
-        # triangular solve on the pivot rows of the trailing block
-        U = A[r0:r0 + npiv, c1:]
-        U %= p
-        for t in range(1, npiv):
-            ft = panel[r0 + t, pcols[:t]]
-            if ft.any():
-                U[t] -= ft @ U[:t]
-                U[t] %= p
-        # trailing GEMM update: A[below] -= L21 @ U
-        L21 = panel[r0 + npiv:, pcols]
-        if L21.size and U.size:
-            A[r0 + npiv:, c1:] -= L21 @ U
-    return r
+        _apply_pivots(A, r0, pcols, c1, n, p)
+    return r, perm[:r]
+
+
+def _apply_pivots(A: np.ndarray, r0: int, pivots: list[int], c0: int, c1: int,
+                  p: int) -> None:
+    """Eliminate the pivots of rows r0, r0+1, ... (in the columns `pivots`,
+    their multipliers stored below them) from columns c0..c1-1: a triangular
+    solve on the pivot rows, then one GEMM on the rows below."""
+    npiv = len(pivots)
+    if npiv == 0 or c0 == c1:
+        return
+    pcols = np.array(pivots, dtype=np.intp)
+    U = A[r0:r0 + npiv, c0:c1]
+    U %= p
+    for t in range(1, npiv):
+        ft = A[r0 + t, pcols[:t]]
+        if ft.any():
+            U[t] -= ft @ U[:t]
+            U[t] %= p
+    L21 = A[r0 + npiv:, pcols]
+    if L21.size:
+        A[r0 + npiv:, c0:c1] -= L21 @ U
 
 
 def rref(M: DenseMatrix) -> tuple[np.ndarray, list[int]]:
@@ -447,9 +494,15 @@ def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
     """a^(r) = kernel_dim(M^r) for r = 1, 2, ..., where M^r is the twisted
     product M sigma^-1(M) ... sigma^-(r-1)(M).
 
-    Each product is formed only when its value is requested, and none once the
-    kernel is the whole space.  The sequence must be nondecreasing with concave
-    increments; a violation raises InternalConsistencyError.
+    Only a row basis of each power is multiplied: the pivot rows of an
+    elimination span the row space, and rowspace(M^r) = rowspace(M^(r-1)) M
+    (on the stored GF(p) matrices, where the twisted product is a plain
+    one), so the pivot rows of M^(r-1) times M have the rank of M^r.  That
+    product has as many rows as the GF(p) rank of M^(r-1), which shrinks as r
+    grows.  Each product is formed only when its value is requested, and
+    none once the kernel is the whole space.  The sequence must be
+    nondecreasing with concave increments; a violation raises
+    InternalConsistencyError.
     """
     if not M.is_square():
         raise LinAlgError("twisted powers need a square matrix")
@@ -457,8 +510,10 @@ def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
     N = M
     while not dims or dims[-1] < M.cols:
         if dims:
+            N = DenseMatrix._wrap(M.ctx, N._a[rows], N._ncols)  # drops the previous power
             N = N @ M
-        dims.append(kernel_dim(N))
+        rho, rows = _row_basis(N)
+        dims.append(M.cols - rho)
         if len(dims) >= 2 and dims[-1] < dims[-2]:
             raise InternalConsistencyError(f"kernel dimensions decrease: {dims}")
         if len(dims) >= 3 and dims[-1] - dims[-2] > dims[-2] - dims[-3]:

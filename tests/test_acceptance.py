@@ -109,6 +109,13 @@ def test_p2_d21_level5_powers_match_fixtures(name):
     assert twisted_power_kernels(cm.matrix, 10) == [fx["a"][r][4] for r in range(1, 11)]
 
 
+def test_p3_d5_level4_powers_match_fixtures():
+    fx = SUITES["p3d5"]
+    state, _, _ = shared_tower("p3d5", 3, [(0, 1, 5), (0, 2, 2)], 4)
+    cm = cartier_matrix(state, 4)
+    assert twisted_power_kernels(cm.matrix, 3) == [fx["a"][r][3] for r in (1, 2, 3)]
+
+
 def test_criterion_5_proven_closed_forms():
     rng = np.random.default_rng(SEED + 1)
     # -- level-n a-number equality for random basic characteristic-2 towers.

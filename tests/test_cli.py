@@ -196,12 +196,15 @@ def test_malformed_spec_is_usage_error(runner, tmp_path, spec):
 def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkeypatch):
     import itertools
 
+    import numpy as np
+
     import zptower.linalg as linalg
     import zptower.tower as tower
     assert tower.InternalConsistencyError is InternalConsistencyError
     # a^(1) = 5, a^(2) = 3: kernel dimensions may never decrease
     fake = itertools.cycle([5, 3])
-    monkeypatch.setattr(linalg, "kernel_dim", lambda N: next(fake))
+    monkeypatch.setattr(linalg, "_row_basis",
+                        lambda N: (N.cols - next(fake), np.arange(N._a.shape[0])))
     for cmd, n in (("compute", "1"), ("fit", "4")):
         r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), cmd, str(specfile),
                                  "-n", n, "-r", "2"])

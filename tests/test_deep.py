@@ -1,7 +1,10 @@
 """Opt-in deep lane: `pytest -m deep` recomputes fixture levels that the
-default run leaves out.  The p=2 tests run for a minute or two and need a few
-hundred MB; each p=3 level-5 test needs about 4 GB and 70-75 s on a 2-vCPU
-host, about half of it spent on the Cartier tables."""
+default run leaves out.  Times on a 2-vCPU host: each p=2 level-6 test takes
+about 25 s and a few hundred MB; each p=2 level-7 test 6-7 min and about
+1.5 GB, two fifths of it in the tower build and Cartier tables and most of the
+rest in the two twisted products; each p=3 level-4 test about 11 s; each p=3
+level-5 test about 4 GB and 60-65 s, about half of it spent on the Cartier
+tables."""
 
 import resource
 
@@ -29,6 +32,30 @@ def test_p2_level_6_all_powers(name, tmp_path):
     assert [rec.genus for rec in recs] == suite["genus"][:6]
     for r in range(1, R + 1):
         assert [rec.a_r[r - 1] for rec in recs] == suite["a"][r][:6], r
+    check_rss()
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", ["p2d21", "p2d21-variant"])
+def test_p2_level_7_three_powers(name, tmp_path):
+    suite = SUITES[name]
+    spec = TowerSpec.make(field(2), suite["terms"], name=name)
+    recs = run_compute(spec, 7, 3, data_dir=tmp_path)
+    assert [rec.genus for rec in recs] == suite["genus"][:7]
+    for r in range(1, 4):
+        assert [rec.a_r[r - 1] for rec in recs] == suite["a"][r][:7], r
+    check_rss()
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", ["p3d5", "p3d5-variant"])
+def test_p3_level_4_all_powers(name, tmp_path):
+    suite = SUITES[name]
+    spec = TowerSpec.make(field(3), suite["terms"], name=name)
+    recs = run_compute(spec, 4, R, data_dir=tmp_path)
+    assert [rec.genus for rec in recs] == suite["genus"][:4]
+    for r in range(1, R + 1):
+        assert [rec.a_r[r - 1] for rec in recs] == suite["a"][r][:4], r
     check_rss()
 
 

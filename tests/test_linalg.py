@@ -5,8 +5,8 @@ from conftest import restrict, semilinear_image
 from zptower.gf import InternalConsistencyError, field
 import zptower.linalg as linalg
 from zptower.linalg import (DenseMatrix, LinAlgError, _pattern, _pivot_singletons, _rank_blocked,
-                            _singleton_pivots, kernel_basis, kernel_dim, kernels_to_stabilization,
-                            rank, twisted_power_kernels)
+                            _row_basis, _singleton_pivots, kernel_basis, kernel_dim,
+                            kernels_to_stabilization, rank, twisted_power_kernels)
 
 F2, F3 = field(2), field(3)
 
@@ -124,6 +124,11 @@ def test_rank_multi_panel(rng):
     assert rank(DenseMatrix(F3, A)) == naive_rank(A.copy(), 3)
     B = rng.integers(0, 2, size=(513, 700))
     assert rank(DenseMatrix(F2, B)) == naive_rank(B.copy(), 2)
+    # the first column of the second sub-panel repeats column 5 and holds no
+    # pivot; the columns on either side of it do
+    C = rng.integers(0, 3, size=(90, 100))
+    C[:, linalg._SUB] = C[:, 5]
+    assert _rank_blocked(C, 3)[0] == naive_rank(C.copy(), 3) == 90
 
 
 # packed GF(2) rows: no rows, no columns, one partial word, whole words and
@@ -196,9 +201,10 @@ def test_kernel_filtration_properties(rng):
 
 @pytest.mark.parametrize("seq", [[2, 1], [1, 3, 6]], ids=["decreasing", "convex"])
 def test_twisted_kernel_invariants_checked(seq, monkeypatch):
-    import zptower.linalg as linalg
+    # the fake elimination reports kernel dimensions seq and every row as a pivot row
     fake = iter(seq)
-    monkeypatch.setattr(linalg, "kernel_dim", lambda N: next(fake))
+    monkeypatch.setattr(linalg, "_row_basis",
+                        lambda N: (N.cols - next(fake), np.arange(N._a.shape[0])))
     with pytest.raises(InternalConsistencyError):
         twisted_power_kernels(DenseMatrix.zeros(F3, 8, 8), len(seq))
 
@@ -232,14 +238,12 @@ def bool_pattern_pivots(nz):
     rptr = np.concatenate(([0], np.cumsum(rdeg)))
     cptr = np.concatenate(([0], np.cumsum(cdeg)))
     rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
-    npiv = 0
     while True:
         got = (_pivot_singletons(cdeg, csum, clive, rlive, rptr, ci)
                + _pivot_singletons(rdeg, rsum, rlive, clive, cptr, cr))
         if not got:
-            live = (np.nonzero(rlive & (rdeg > 0))[0], np.nonzero(clive & (cdeg > 0))[0])
-            return pattern, (npiv,) + live
-        npiv += got
+            return pattern, (np.nonzero(~rlive)[0], np.nonzero(rlive & (rdeg > 0))[0],
+                             np.nonzero(clive & (cdeg > 0))[0])
 
 
 # strips of the default size, of one row or one nonzero, and of one row or seven nonzeros
@@ -256,7 +260,7 @@ def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
         M = DenseMatrix(F, A)
         pattern, want = bool_pattern_pivots(A != 0)
         got = _singleton_pivots(M._a)
-        assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
+        assert all((a == b).all() for a, b in zip(got, want))
         got_pattern = _pattern(M._a)
         assert [a.dtype for a in got_pattern[::3]] == [np.int32, np.int32]
         assert all((a == b).all() for a, b in zip(got_pattern, pattern))
@@ -296,7 +300,7 @@ def test_singleton_pass_matches_naive(p, k, rng):
         for r in rng.choice(m, size=int(rng.integers(0, m // 2 + 1)), replace=False):
             keep = int(rng.integers(n))
             A[r, np.arange(n) != keep] = 0
-        pivots += _singleton_pivots(A.any(axis=-1) if k > 1 else A != 0)[0]
+        pivots += _singleton_pivots(A.any(axis=-1) if k > 1 else A != 0)[0].size
         check_rank(A, F)
     assert pivots > trials  # the pass did the work, not only the dense kernel
 
@@ -305,8 +309,8 @@ def test_singleton_pass_matches_naive(p, k, rng):
 def test_singleton_pass_all_zero(F):
     for shape in [(1, 1), (4, 7), (9, 3)]:
         assert rank(DenseMatrix.zeros(F, *shape)) == 0
-        npiv, rows, cols = _singleton_pivots(np.zeros(shape, dtype=bool))
-        assert npiv == 0 and rows.size == 0 and cols.size == 0
+        prows, rows, cols = _singleton_pivots(np.zeros(shape, dtype=bool))
+        assert prows.size == rows.size == cols.size == 0
 
 
 def test_singleton_pass_resolves_everything(rng):
@@ -314,8 +318,8 @@ def test_singleton_pass_resolves_everything(rng):
     n = 60
     T = np.triu(rng.integers(0, 5, size=(n, n)), 1) + np.diag(rng.integers(1, 5, size=n))
     A = T[rng.permutation(n)][:, rng.permutation(n)]
-    npiv, rows, cols = _singleton_pivots(A != 0)
-    assert npiv == n and rows.size == 0 and cols.size == 0
+    prows, rows, cols = _singleton_pivots(A != 0)
+    assert prows.size == n and rows.size == 0 and cols.size == 0
     assert check_rank(A, field(5)) == n
 
 
@@ -325,12 +329,12 @@ def test_singleton_columns_sharing_one_row(rng):
     A[0, :5] = [1, 2, 1, 2, 1]
     A[1:, 5:] = rng.integers(0, 3, size=(7, 7))
     A[0, 8] = 2
-    npiv, rows, cols = _singleton_pivots(A != 0)
+    _, rows, cols = _singleton_pivots(A != 0)
     assert 0 not in rows and not set(range(5)) & set(cols)
     assert check_rank(A, F3) == 1 + naive_rank(A[1:, 5:].copy(), 3)
     assert check_rank(A[:, :5], F3) == 1
     # the transpose: rows 0..4 are singletons in column 0, which has no other way out
-    npiv, rows, cols = _singleton_pivots((A != 0).T)
+    _, rows, cols = _singleton_pivots((A != 0).T)
     assert 0 not in cols and not set(range(5)) & set(rows)
     assert check_rank(A.T.copy(), F3) == check_rank(A, F3)
 
@@ -343,7 +347,7 @@ def test_singleton_row_meets_singleton_column(rng):
     A[3, 2] = 5
     assert check_rank(A, field(13)) == 1 + naive_rank(np.delete(np.delete(A, 3, 0), 2, 1), 13)
     one = np.array([[4]])
-    assert _singleton_pivots(one != 0)[0] == 1 and check_rank(one, field(13)) == 1
+    assert _singleton_pivots(one != 0)[0].size == 1 and check_rank(one, field(13)) == 1
 
 
 @pytest.mark.parametrize("F", [F3, field(13), field(3, 2)], ids=["GF3", "GF13", "GF9"])
@@ -360,10 +364,10 @@ def test_singleton_pass_on_cartier_matrix():
     from zptower.cartier import cartier_matrix
     from zptower.tower import TowerSpec, TowerState
     M = cartier_matrix(TowerState(TowerSpec.make(F3, [(0, 1, 7)])), 3).matrix
-    npiv, rows, cols = _singleton_pivots(M.data != 0)
-    assert npiv > 0 and rows.size < M.rows and cols.size < M.cols
+    prows, rows, cols = _singleton_pivots(M.data != 0)
+    assert prows.size > 0 and rows.size < M.rows and cols.size < M.cols
     before = M.data.copy()
-    assert rank(M) == _rank_blocked(M.data, 3) == M.cols - 214
+    assert rank(M) == _rank_blocked(M.data, 3)[0] == M.cols - 214
     assert (M.data == before).all()
 
 
@@ -380,8 +384,13 @@ def check_gf2_product(A, B):
 @pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 63, 64, 65, 130, 257])
 def test_gf2_product_matches_integer_product(inner, rng):
     for m, n in [(1, 1), (5, 70), (67, 3), (130, 129), (64, 200), (0, 65), (65, 0)]:
-        check_gf2_product(rng.integers(0, 2, size=(m, inner)),
-                          rng.integers(0, 2, size=(inner, n)))
+        a, b = rng.integers(0, 2, size=(m, inner)), rng.integers(0, 2, size=(inner, n))
+        check_gf2_product(a, b)
+        # b upper triangular, so its row groups start in ever later words, and
+        # b with all-zero row groups
+        check_gf2_product(a, np.triu(b, int(rng.integers(-9, 70))))
+        b[np.arange(inner) // 8 % 3 == 1] = 0
+        check_gf2_product(a, b)
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 1), (0, 1), (1, 0)])
@@ -425,3 +434,115 @@ def test_odd_p_product_is_chunked(monkeypatch, rng):
         a, b = rng.integers(0, 5, size=(m, inner)), rng.integers(0, 5, size=(inner, n))
         got = (DenseMatrix(field(5), a) @ DenseMatrix(field(5), b)).data
         assert np.array_equal(got, a @ b % 5)
+
+
+# -- row bases: the pivot rows behind the twisted powers -----------------------
+
+FIELDS = [F2, F3, field(2, 2), field(3, 2)]
+FIELD_IDS = ["GF2", "GF3", "GF4", "GF9"]
+
+
+def random_matrix(rng, F, m, n, density=1.0):
+    """sparse_entries as (m, n, k) coefficient vectors, the input of restrict."""
+    return sparse_entries(rng, F, (m, n), density).reshape(m, n, F.k)
+
+
+def unit_triangular(rng, F, n, density):
+    """An invertible upper triangular n x n matrix over F: ones on the diagonal."""
+    data = random_matrix(rng, F, n, n, density) * np.triu(np.ones((n, n), dtype=int), 1)[..., None]
+    data[np.arange(n), np.arange(n), 0] = 1
+    return data
+
+
+def check_row_basis(M):
+    """_row_basis reports k * rank distinct rows, and they have that GF(p) rank."""
+    rho, rows = _row_basis(M)
+    k, p = M.ctx.k, M.ctx.p
+    D = M.data
+    assert rho * k == naive_rank(D.copy(), p)
+    assert rows.size == len(set(rows.tolist())) == rho * k
+    assert naive_rank(D[rows], p) == rho * k
+    return rho
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_row_basis_pivot_rows(F, rng):
+    for shape in [(1, 9), (9, 1), (2, 40), (40, 2)]:  # thin
+        check_row_basis(restrict(F, random_matrix(rng, F, *shape)))
+        check_row_basis(restrict(F, random_matrix(rng, F, *shape, density=0.2)))
+    assert check_row_basis(DenseMatrix.zeros(F, 5, 7)) == 0
+    n = 30
+    perm = rng.permutation(n), rng.permutation(n)
+    # singleton pivots only: a permuted sparse triangular matrix
+    T = restrict(F, unit_triangular(rng, F, n, 0.1)[perm[0]][:, perm[1]])
+    assert check_row_basis(T) == n
+    # full rank and dense: a product of a lower and an upper triangular matrix
+    L = restrict(F, unit_triangular(rng, F, n, 1.0).transpose(1, 0, 2))
+    U = restrict(F, unit_triangular(rng, F, n, 1.0))
+    assert check_row_basis(L @ U) == n
+    # rank deficient, dense and sparse
+    for r, density in [(7, 1.0), (12, 0.3)]:
+        A = restrict(F, random_matrix(rng, F, 45, r, density))
+        B = restrict(F, random_matrix(rng, F, r, 38, density))
+        assert check_row_basis(A @ B) <= r
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_rank_blocked_pivot_rows_across_sub_panels(p, rng, monkeypatch):
+    # narrow panels and sub-panels, so that boundaries fall between pivots and
+    # next to dependent (pivot-free) columns
+    for panel, sub in [(8, 3), (12, 4), (5, 5)]:
+        monkeypatch.setattr(linalg, "_PANEL", panel)
+        monkeypatch.setattr(linalg, "_SUB", sub)
+        for _ in range(8):
+            m, n, r = (int(v) for v in rng.integers(1, 40, size=3))
+            A = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
+            for c in rng.choice(n, size=n // 3, replace=False):  # dependent columns
+                A[:, c] = A[:, int(rng.integers(n))] * int(rng.integers(p)) % p
+            got, rows = _rank_blocked(A, p)
+            assert got == naive_rank(A.copy(), p)
+            assert rows.size == len(set(rows.tolist())) == got
+            assert naive_rank(A[rows], p) == got
+
+
+def block_triangular(rng, F, sizes, density):
+    """A block upper triangular matrix over F with diagonal blocks of the given
+    sizes, each with at most one nonzero per column (like the Cartier
+    matrices), and random entries above the blocks."""
+    n = sum(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    data = random_matrix(rng, F, n, n, density) * (block[:, None] < block[None, :])[..., None]
+    for c in range(n):
+        rows = np.flatnonzero(block == block[c])
+        if rng.random() < 0.7:
+            data[rng.choice(rows), c] = random_matrix(rng, F, 1, 1)[0, 0]
+    return data
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_twisted_powers_match_full_powers(F, rng):
+    for data in (block_triangular(rng, F, [9, 14, 6, 20, 11], 0.15),
+                 random_matrix(rng, F, 60, 60, 0.03)):
+        M = restrict(F, data)
+        dims, P = [], M
+        for _ in range(6):
+            dims.append(kernel_dim(P))
+            P = P @ M
+        assert dims[0] < dims[-1]  # the powers lose rank, so the products matter
+        assert twisted_power_kernels(M, 6) == dims
+
+
+@pytest.mark.parametrize("name,p,level", [("p2d21", 2, 4), ("p3d5", 3, 3)])
+def test_powers_multiply_the_previous_row_basis(name, p, level, monkeypatch):
+    # each product multiplies only the pivot rows of the previous power: as
+    # many rows as its GF(p) rank
+    from zptower.cartier import cartier_matrix
+    from zptower.fixtures import SUITES
+    from zptower.tower import TowerSpec, TowerState
+    suite = SUITES[name]
+    M = cartier_matrix(TowerState(TowerSpec.make(field(p), suite["terms"])), level).matrix
+    rows, real = [], linalg._matmul
+    monkeypatch.setattr(linalg, "_matmul", lambda a, b, p: rows.append(a.shape[0]) or real(a, b, p))
+    dims = twisted_power_kernels(M, 3)
+    assert dims == [suite["a"][r][level - 1] for r in (1, 2, 3)]
+    assert rows == [M.cols - d for d in dims[:2]]

@@ -111,7 +111,7 @@ def test_fixture_columns_match_closed_forms():
                 assert a1 == [anumber_basic_p2(d, n) for n in range(1, len(a1) + 1)], name
         checked.append(name)
     assert {"p3d7", "p3d5", "p3d5-variant", "p2d7", "p2d21", "p2d21-variant"} <= set(checked)
-    # the deepest p=2 values, never recomputed by the linear algebra
+    # the deepest p=2 values: p2d7's is recomputed by no test, p2d21's only by the deep lane
     assert SUITES["p2d7"]["a"][1][6] == 4779 and SUITES["p2d21"]["a"][1][6] == 14338
 
 
