@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._slab import Slab
-from .cartier import cartier_apply, cartier_matrix, trace_map
+from .cartier import cartier_apply, cartier_matrix, differential_basis, trace_map
 from .gf import InternalConsistencyError
 from .linalg import kernel_basis
 from .tower import RamificationData, TowerState
@@ -370,7 +370,7 @@ def trace_bound_check(state: TowerState) -> TraceBoundReport:
     ram = state.ensure_ram(1)
     p, d = state.spec.p, ram.d[0]
     cm = cartier_matrix(state, 1)
-    basis = cm.basis
+    basis = differential_basis(state, 1)
     ctx = state.field
     # a GF(p) basis of ker V: each vector, reshaped to (g, k), holds the
     # coefficients of the c_s with V(sum c_s w_s) = 0

@@ -18,7 +18,6 @@ h: cartier_apply and trace_map take and return Slabs.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -29,11 +28,9 @@ from ._slab import Monomial, PolyError, Slab, code_weights, digits_of, mul as sl
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
-from .witt import read_cache_body, write_cache_body
+from .witt import read_cache, write_cache
 
-TABLE_FORMAT_VERSION = 2
-_TEXT_LINES = 1 << 16  # lines of the table cache text rendered per batch
-_TEXT_BYTES = 1 << 22  # characters of the table cache text parsed per batch
+TABLE_FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +57,6 @@ def _basis_layout(state: TowerState, n: int):
 
 def differential_basis(state: TowerState, n: int) -> list[Monomial]:
     """The monomial basis of regular differentials at level n, in column order."""
-    state.ensure_ram(n)
     numax, _, _ = _basis_layout(state, n)
     p = state.spec.p
     out = []
@@ -98,10 +94,9 @@ class CartierTables:
     x-convolution of the p-th-root cofactors against the level m-1 table
     (_slab.v_apply).  The build is sequential and deterministic.
 
-    Each level is cached as text (format 2: a header with a body digest, then
-    per entry "K nu0 code count" and its nonzero cells "ycode nu c_0,..");
-    writing and parsing run on whole batches of lines with numpy, and a file
-    loads only if writing its table back would give it byte for byte.
+    Each level is cached in a witt.write_cache file (format 3) whose payload
+    is every entry's x-length, then every entry's slab as int8 residues; a
+    file loads only if writing its table back would give it byte for byte.
     """
 
     def __init__(self, state: TowerState):
@@ -169,7 +164,7 @@ class CartierTables:
         if self.state.cache_dir is None:
             return None
         h = self.state.spec.spec_hash()
-        return Path(self.state.cache_dir) / "cartier" / h / f"tables_L{m}.txt"
+        return Path(self.state.cache_dir) / "cartier" / h / f"tables_L{m}.bin"
 
     def _header(self, m: int) -> str:
         return json.dumps({"format_version": TABLE_FORMAT_VERSION, "p": self.ctx.p,
@@ -179,104 +174,43 @@ class CartierTables:
     def _store_level(self, m: int) -> None:
         path = self._cache_path(m)
         if path is not None:
-            write_cache_body(path, self._header(m), _level_text(self.levels[m], self.ctx.k))
+            write_cache(path, self._header(m), _level_bytes(self.levels[m]))
 
     def _load_level(self, m: int) -> dict | None:
-        """The cached level-m table, or None (recompute) unless read_cache_body
-        accepts the file, it holds p^(m+1) blocks "K nu0 code count" followed by
-        `count` rows "ycode nu c_0,..,c_(k-1)" of residues, and _store_level
-        would write the table they give as exactly this file."""
-        body = read_cache_body(self._cache_path(m), self._header(m))
-        if body is None:
-            return None
+        """The cached level-m table, or None (recompute) unless read_cache
+        accepts the file and its payload is what _level_bytes writes for some
+        table: p^(m+1) widths X >= 1, then as many (p^m, k, X) slabs of residues,
+        each trimmed (X = 1 or a nonzero last x-column)."""
+        data = read_cache(self._cache_path(m), self._header(m))
         p, k = self.ctx.p, self.ctx.k
-        starts = [hit.start() for hit in re.finditer("^K ", body, re.M)] + [len(body)]
-        if starts[0] != 0 or len(starts) != p ** (m + 1) + 1:
+        n = p ** (m + 1)
+        if data is None or len(data) < 4 * n:
+            return None
+        widths = np.frombuffer(data, dtype="<i4", count=n).astype(np.int64)
+        size = p ** m * k  # cells per unit of width
+        if np.any(widths < 1) or 4 * n + int(widths.sum()) * size != len(data):
+            return None
+        cells = np.frombuffer(data, dtype=np.int8, offset=4 * n)
+        if np.any(cells.view(np.uint8) >= p):
             return None
         table: dict[tuple[int, int], Slab] = {}
-        try:
-            i = 0
-            while i + 1 < len(starts):  # parse runs of whole blocks of about _TEXT_BYTES
-                j = i + 1
-                while j + 1 < len(starts) and starts[j + 1] - starts[i] <= _TEXT_BYTES:
-                    j += 1
-                vals, at = _ints(body[starts[i]:starts[j]]), 0
-                for _ in range(i, j):
-                    nu0, code, count = (int(v) for v in vals[at:at + 3])
-                    cells = vals[at + 3:at + 3 + count * (2 + k)].reshape(count, 2 + k)
-                    at += 3 + count * (2 + k)
-                    if nu0 >= p or code >= p ** m or np.any(cells[:, 2:] >= p):
-                        return None
-                    slab = Slab.zeros(self.ctx, m, int(cells[:, 1].max(initial=0)) + 1)
-                    slab.arr[cells[:, 0], :, cells[:, 1]] = cells[:, 2:]
-                    table[(nu0, code)] = slab
-                if at != vals.size:
-                    return None
-                i = j
-        except (ValueError, IndexError):
-            return None
-        if len(table) != p ** (m + 1) or _level_text(table, k) != body:
-            return None
+        at = 0
+        keys = ((nu0, code) for nu0 in range(p) for code in range(p ** m))
+        for key, x in zip(keys, widths.tolist()):
+            arr = cells[at:at + size * x].reshape(p ** m, k, x)
+            at += size * x
+            if x > 1 and not arr[:, :, -1].any():
+                return None
+            table[key] = Slab(self.ctx, m, arr.astype(np.int64))
         return table
 
 
-def _level_text(table: dict[tuple[int, int], Slab], k: int) -> str:
-    """The cache body of a level table: for each entry (nu0, code) in sorted
-    order the line "K nu0 code count", then "ycode nu c_0,..,c_(k-1)" for each
-    of its `count` nonzero cells in (ycode, nu) order.  Rendered with numpy in
-    batches of whole entries of about _TEXT_LINES lines."""
-    parts, batch, lines = [], [], 0
+def _level_bytes(table: dict[tuple[int, int], Slab]) -> bytes:
+    """The cache payload of a level table: each entry's x-length as <i4, then
+    each entry's (p^m, k, X) slab as int8 residues, both in sorted key order."""
     keys = sorted(table)
-    for key in keys:
-        arr = table[key].arr
-        codes, xs = np.nonzero(arr.any(axis=1))
-        batch.append((key, np.column_stack((codes, xs, arr[codes, :, xs]))))
-        lines += 1 + codes.size
-        if lines >= _TEXT_LINES or key == keys[-1]:
-            heads = np.array([(nu0, code, len(cells)) for (nu0, code), cells in batch])
-            cells = np.concatenate([cells for _, cells in batch]).reshape(-1, 2 + k)
-            hc, hk = _render(heads, "  \n", prefix="K ")
-            cc, ck = _render(cells, "  " + "," * (k - 1) + "\n")
-            n, width = len(heads) + len(cells), max(hc.shape[1], cc.shape[1])
-            chars, keep = np.zeros((n, width), dtype=np.uint8), np.zeros((n, width), dtype=bool)
-            head = np.zeros(n, dtype=bool)
-            head[np.arange(len(heads)) + np.cumsum(heads[:, 2]) - heads[:, 2]] = True
-            chars[head, :hc.shape[1]], keep[head, :hc.shape[1]] = hc, hk
-            chars[~head, :cc.shape[1]], keep[~head, :cc.shape[1]] = cc, ck
-            parts.append(chars[keep].tobytes().decode())
-            batch, lines = [], 0
-    return "".join(parts)
-
-
-def _render(vals: np.ndarray, seps: str, prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """Characters and kept positions of one line per row of the nonnegative (N, F)
-    int array vals: prefix, then each field in decimal followed by its
-    one-character separator seps[f]."""
-    n = vals.shape[0]
-    cols = [np.tile(np.frombuffer(prefix.encode(), dtype=np.uint8), (n, 1))]
-    keep = [np.ones((n, len(prefix)), dtype=bool)]
-    for f, sep in enumerate(seps):
-        v = vals[:, f:f + 1].astype(np.int64)
-        width = len(str(int(v.max(initial=0))))
-        p10 = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        ndig = 1 + (v >= p10[:-1]).sum(axis=1, keepdims=True)
-        cols += [(v // p10 % 10 + 48).astype(np.uint8), np.full((n, 1), ord(sep), np.uint8)]
-        keep += [np.arange(width) >= width - ndig, np.ones((n, 1), dtype=bool)]
-    return np.hstack(cols), np.hstack(keep)
-
-
-def _ints(text: str) -> np.ndarray:
-    """The decimal numbers of text in order, as int64; ValueError past 18 digits."""
-    b = np.frombuffer(text.encode(), dtype=np.uint8)
-    edge = np.diff(((b >= 48) & (b <= 57)).astype(np.int8), prepend=0, append=0)
-    st, en = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    if np.any(en - st > 18):
-        raise ValueError("number too long")
-    vals = np.zeros(st.size, dtype=np.int64)
-    for j in range(int((en - st).max(initial=0))):
-        more = st + j < en
-        vals[more] = vals[more] * 10 + (b[st[more] + j] - 48)
-    return vals
+    widths = np.array([table[key].arr.shape[2] for key in keys], dtype="<i4")
+    return widths.tobytes() + b"".join(table[key].arr.astype(np.int8).tobytes() for key in keys)
 
 
 def _embed_ym(term: Slab, i: int, m: int) -> Slab:
@@ -319,12 +253,11 @@ class CartierMatrix:
     """
 
     level: int
-    basis: list[Monomial]
     matrix: DenseMatrix
 
     @property
     def genus(self) -> int:
-        return len(self.basis)
+        return self.matrix.cols
 
 
 def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
@@ -360,7 +293,7 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
             col += 1
     if col != g:
         raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")
-    return CartierMatrix(n, differential_basis(state, n), M)
+    return CartierMatrix(n, M)
 
 
 def trace_map(form: Slab) -> Slab:

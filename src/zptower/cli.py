@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import constants, delta_values, discrepancies, fit_periodic
+from .analysis import alpha1_formula, constants, delta_values, discrepancies, fit_periodic
 from .cartier import cartier_matrix
 from .fixtures import SUITES, parse_fraction
 from .gf import InternalConsistencyError, field, parse_element
@@ -269,7 +269,6 @@ def _verify_constants(name: str, fx: dict) -> SuiteResult:
                 ok = False
                 lines.append(f"  (p={p}, d={d}, r={r}): got ({cc.alpha * d}, {cc.m}), "
                              f"want ({want_alpha}, {row['m'][r-1]})")
-    from .analysis import alpha1_formula
     for p in (2, 3, 5, 7, 11, 13):
         if constants(1, p).alpha != alpha1_formula(p):
             ok = False

@@ -13,6 +13,10 @@ Two consumers share the engine:
     y_m^p - y_m + G_m(y_1..y_{m-1}) (cached per (p, len)),
   * tower right-hand sides sum p^v [c x^i], added in one pass.
 
+The peel polynomials and cartier's tables are cached in files written by
+write_cache: a header line carrying the sha256 of the body, then the payload
+compressed with zlib.  read_cache gives any file it cannot vouch for as a miss.
+
 Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable,
 and every product reduces it modulo the integer lift of f (gf.poly_modred,
 exact mod p^m since f is monic); functoriality of Witt arithmetic under the
@@ -23,9 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .gf import FieldCtx, InternalConsistencyError, poly_modred
 
@@ -33,7 +40,7 @@ from .gf import FieldCtx, InternalConsistencyError, poly_modred
 #: in the pipeline are bounded by these).
 LENGTH_CAP = {2: 8, 3: 6, 5: 4, 7: 2, 11: 2, 13: 2}
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 class WittError(ValueError):
@@ -92,8 +99,6 @@ def _dp_mul_packed(a: dict, b: dict, mod: int) -> dict | None:
     it would not, or when the modulus is large enough to threaten the exact
     integer range of the accumulation (chunk pairs * mod stays below 2^44).
     """
-    import numpy as np
-
     if mod > 1 << 20:
         return None
     nvars = len(next(iter(a)))
@@ -265,47 +270,39 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
 
 # -- cache files: header line with a body digest, replaced atomically ---------
 
-def read_cache(path: Path | None, header: str) -> list[str] | None:
-    """Body lines of a file written by write_cache, or None (a cache miss) as
-    for read_cache_body."""
-    body = read_cache_body(path, header)
-    return None if body is None else body.splitlines()
-
-
-def read_cache_body(path: Path | None, header: str) -> str | None:
-    """Body text of a file written by write_cache, or None (a cache miss) when
-    it is absent, half-written, of another header, or its body digest differs."""
-    if path is None or not path.exists():
+def read_cache(path: Path | None, header: str) -> bytes | None:
+    """The payload of a file written by write_cache, or None (a cache miss) when
+    it is absent, of another header, its body digest differs or its body is not
+    zlib data."""
+    if path is None:
         return None
-    text = path.read_text(errors="replace")  # undecodable bytes fail the digest check
-    head, _, body = text.partition("\n")
-    if not text.endswith("\n") or head != f"{header} sha256={_sha256(body)}":
+    try:
+        head, _, body = path.read_bytes().partition(b"\n")
+    except FileNotFoundError:
         return None
-    return body
+    if head != f"{header} sha256={hashlib.sha256(body).hexdigest()}".encode():
+        return None
+    try:
+        return zlib.decompress(body)
+    except zlib.error:
+        return None
 
 
-def write_cache(path: Path, header: str, lines: Sequence[str]) -> None:
-    """write_cache_body of the lines, each ended by a newline."""
-    write_cache_body(path, header, "".join(line + "\n" for line in lines))
-
-
-def write_cache_body(path: Path, header: str, body: str) -> None:
-    """Write header, body digest and body through a per-process temporary file
-    in the same directory, renamed into place; a failed write removes it."""
+def write_cache(path: Path, header: str, data: bytes) -> None:
+    """Write the header, the digest of the zlib-compressed data and that body
+    through a per-process temporary file in the same directory, renamed into
+    place; a failed write removes it."""
+    body = zlib.compress(data, 1)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(f"{header} sha256={_sha256(body)}\n{body}")
+        tmp.write_bytes(f"{header} sha256={hashlib.sha256(body).hexdigest()}\n".encode() + body)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-# -- universal cache (memory + versioned text files) -------------------------
+# -- universal cache (memory + versioned binary files) -----------------------
 
 _UNIVERSAL_MEM: dict[tuple, list[WittPolynomial]] = {}
 
@@ -313,7 +310,7 @@ _UNIVERSAL_MEM: dict[tuple, list[WittPolynomial]] = {}
 def _cache_path(p: int, length: int, cache_dir) -> Path | None:
     if cache_dir is None:
         return None
-    return Path(cache_dir) / f"witt_peel_p{p}_len{length}.txt"
+    return Path(cache_dir) / f"witt_peel_p{p}_len{length}.bin"
 
 
 def _ensure_on_disk(p, length, polys, cache_dir):
@@ -322,29 +319,32 @@ def _ensure_on_disk(p, length, polys, cache_dir):
         _store_universal(p, length, polys, cache_dir)
 
 
+def _encode(polys: list[WittPolynomial], length: int) -> bytes:
+    """One <i4 row (m, c, e_1..e_(length-1)) per term of G_m, in order; the
+    exponents past y_(m-1) are zero."""
+    rows = [(m, c, *e) + (0,) * (length - m)
+            for m, g in enumerate(polys, start=1) for e, c in g.terms]
+    return np.array(rows, dtype="<i4").reshape(-1, length + 1).tobytes()
+
+
 def _load_universal(p, length, cache_dir):
-    """Cached polynomials, or None (recompute) unless read_cache accepts the file
-    and it holds `length` lines "nvars c:e_1,..;.." (or "nvars 0") with the
-    nvars of each polynomial and nvars exponents per term."""
+    """Cached polynomials, or None (recompute) unless read_cache accepts the file,
+    its rows have 0 < c < p and exponents >= 0, and _encode of the polynomials
+    they give returns them unchanged."""
     key = (p, length)
     if key in _UNIVERSAL_MEM:
         return _UNIVERSAL_MEM[key]
-    lines = read_cache(_cache_path(p, length, cache_dir), _cache_header(p, length))
-    if lines is None or len(lines) != length:
+    data = read_cache(_cache_path(p, length, cache_dir), _cache_header(p, length))
+    if data is None or len(data) % (4 * (length + 1)):
         return None
-    polys = []
-    for nv, line in enumerate(lines):  # G_(nv+1) lives in y_1..y_nv
-        nv_s, _, body = line.partition(" ")
-        terms = {}
-        try:
-            for chunk in body.split(";") if body != "0" else ():
-                c_s, e_s = chunk.split(":")
-                terms[tuple(int(v) for v in e_s.split(",")) if e_s else ()] = int(c_s)
-            if int(nv_s) != nv or any(len(e) != nv for e in terms):
-                return None
-        except ValueError:
-            return None
-        polys.append(WittPolynomial.from_dict(nv, terms))
+    rows = np.frombuffer(data, dtype="<i4").reshape(-1, length + 1)
+    if np.any(rows[:, 1] <= 0) or np.any(rows[:, 1] >= p) or np.any(rows[:, 2:] < 0):
+        return None
+    polys = [WittPolynomial.from_dict(m - 1, {tuple(r[2:m + 1]): r[1] for r in
+                                              rows[rows[:, 0] == m].tolist()})
+             for m in range(1, length + 1)]
+    if _encode(polys, length) != data:
+        return None
     _UNIVERSAL_MEM[key] = polys
     return polys
 
@@ -356,13 +356,8 @@ def _cache_header(p, length) -> str:
 def _store_universal(p, length, polys, cache_dir):
     _UNIVERSAL_MEM[(p, length)] = polys
     path = _cache_path(p, length, cache_dir)
-    if path is None:
-        return
-    lines = []
-    for poly in polys:
-        body = ";".join(f"{c}:{','.join(map(str, e))}" for e, c in poly.terms)
-        lines.append(f"{poly.nvars} {body or 0}")
-    write_cache(path, _cache_header(p, length), lines)
+    if path is not None:
+        write_cache(path, _cache_header(p, length), _encode(polys, length))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Shared helpers: random polynomial generators and the point-evaluation oracle."""
+"""Shared helpers: random polynomial generators, the point-evaluation oracle
+and cache files with a valid digest over any body."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -82,3 +85,9 @@ def embed(c, big: FieldCtx):
     """Embed a prime-field element into an extension (only k=1 sources needed)."""
     assert c.ctx.k == 1, "test oracle only embeds prime-field coefficients"
     return big.elem(c.coeffs[0])
+
+
+def sealed(header: str, body: bytes) -> bytes:
+    """A cache file of header and body with a valid body digest, whatever the
+    body holds: what `read_cache` sees past the digest check."""
+    return f"{header} sha256={hashlib.sha256(body).hexdigest()}\n".encode() + body

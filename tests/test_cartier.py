@@ -1,23 +1,26 @@
 import hashlib
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from conftest import random_poly
+import zptower.witt as witt_mod
+from conftest import random_poly, sealed
 from oracle import (SparsePoly, from_sparse, function_differential, layers as sparse_layers,
                     reduce_to_monomial_basis, to_sparse, trace)
 from zptower import _slab as slab_kernel
 from zptower._slab import Slab
-from zptower.cartier import (CartierTables, cartier_apply, cartier_matrix, differential_basis,
-                             is_regular, trace_map)
+from zptower.cartier import (TABLE_FORMAT_VERSION, CartierTables, _level_bytes, cartier_apply,
+                             cartier_matrix, differential_basis, is_regular, trace_map)
 from zptower.cli import run_compute
 from zptower.fixtures import SUITES
 from zptower.gf import InternalConsistencyError, field
 from zptower.linalg import kernel_dim, twisted_power_kernels
 from zptower._slab import Monomial
 from zptower.tower import TowerSpec, TowerState
-from zptower.witt import write_cache
+from zptower.witt import CACHE_FORMAT_VERSION, peel_polynomials, read_cache, write_cache
 
 F2, F3 = field(2), field(3)
 
@@ -94,7 +97,7 @@ def test_apply_on_basis_matches_matrix_columns(rng):
                           (F4, [(0, F4.gen(), 5), (0, 1, 3)], 3)]:
         st = tower(ctx, terms, n)
         cm = cartier_matrix(st, n)
-        basis, k, data = cm.basis, ctx.k, cm.matrix.data
+        basis, k, data = differential_basis(st, n), ctx.k, cm.matrix.data
         for col in rng.choice(len(basis), size=min(12, len(basis)), replace=False):
             for b in range(k):
                 t_b = [int(i == b) for i in range(k)]
@@ -224,56 +227,111 @@ def test_regularity_closure(rng):
         assert not is_regular(Slab.monomial(F3, Monomial(top + 1, a)), st)
 
 
+def _same_table(got, want):
+    return got.keys() == want.keys() and all(np.array_equal(got[key].arr, want[key].arr)
+                                             for key in want)
+
+
 def test_table_cache_roundtrip(tmp_path):
     spec = TowerSpec.make(F3, [(0, 1, 5), (0, 2, 2)], name="c")
     st1 = TowerState(spec, cache_dir=tmp_path)
     m1 = cartier_matrix(st1, 2)
-    assert (tmp_path / "cartier" / spec.spec_hash() / "tables_L2.txt").exists()
+    assert (tmp_path / "cartier" / spec.spec_hash() / "tables_L2.bin").exists()
     st2 = TowerState(spec, cache_dir=tmp_path)
     m2 = cartier_matrix(st2, 2)
     assert (m1.matrix.data == m2.matrix.data).all()
     # version/key mismatch falls back to recomputation
-    f = tmp_path / "cartier" / spec.spec_hash() / "tables_L1.txt"
+    f = tmp_path / "cartier" / spec.spec_hash() / "tables_L1.bin"
     f.write_text('{"format_version": 99}\n')
     st3 = TowerState(spec, cache_dir=tmp_path)
     m3 = cartier_matrix(st3, 2)
     assert (m3.matrix.data == m1.matrix.data).all()
 
 
-def _cuts(text):
-    """Every line boundary short of the whole file, plus one cut mid-line."""
-    ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-    return [0] + ends[:-1] + [ends[len(ends) // 2] - 3]
+def _cuts(n):
+    """Lengths short of n bytes: none, one, half and all but one."""
+    return [0, 1, n // 2, n - 1]
 
 
 @pytest.mark.parametrize("p,terms,m", [(3, [(0, 1, 5), (0, 2, 2)], 2),
                                        (2, [(0, 1, 5), (0, 1, 3)], 3)])
 def test_truncated_table_cache_is_a_miss(tmp_path, p, terms, m):
-    # a damaged table file is recomputed (and rewritten), never loaded short
+    # a damaged table file is recomputed (and rewritten), never loaded short:
+    # the file cut with its digest kept, its body cut under a fresh digest, and
+    # its payload cut and compressed again
     spec = TowerSpec.make(field(p), terms, name="t")
     want = CartierTables(TowerState(spec)).table(m)
     state = TowerState(spec, cache_dir=tmp_path)
-    CartierTables(state).ensure(m)
-    path = tmp_path / "cartier" / spec.spec_hash() / f"tables_L{m}.txt"
-    text = path.read_text()
-    for cut in _cuts(text):
-        path.write_text(text[:cut])
-        got = CartierTables(state).table(m)
-        assert got.keys() == want.keys(), cut
-        assert all(np.array_equal(got[key].arr, want[key].arr) for key in want), cut
-        assert path.read_text() == text
+    tables = CartierTables(state).ensure(m)
+    path, header = tables._cache_path(m), tables._header(m)
+    data = path.read_bytes()
+    body = data.partition(b"\n")[2]
+    payload = zlib.decompress(body)
+    for damaged in ([data[:cut] for cut in _cuts(len(data))]
+                    + [sealed(header, body[:cut]) for cut in _cuts(len(body))]
+                    + [sealed(header, zlib.compress(payload[:cut], 1)) for cut in _cuts(len(payload))]):
+        path.write_bytes(damaged)
+        assert tables._load_level(m) is None
+        assert _same_table(CartierTables(state).table(m), want)
+        assert path.read_bytes() == data
 
 
 def test_changed_digit_in_table_cache_is_a_miss(tmp_path):
-    # one coefficient 1 -> 2 in the cached p3d7 level-2 table once gave a^(1) = 216
+    # one residue 1 -> 2 in the cached p3d7 level-2 table, compressed again under
+    # the old digest: the payload is well formed, so only the digest can catch it
     spec = TowerSpec.make(F3, [(0, 1, 7)], name="p3d7")
     run_compute(spec, 2, data_dir=tmp_path)
-    path = tmp_path / "cache" / "cartier" / spec.spec_hash() / "tables_L2.txt"
-    lines = path.read_text().split("\n")
-    i = next(i for i, line in enumerate(lines[1:], 1) if line.endswith(" 1") and line[0] != "K")
-    lines[i] = lines[i][:-1] + "2"
-    path.write_text("\n".join(lines))
+    path = tmp_path / "cache" / "cartier" / spec.spec_hash() / "tables_L2.bin"
+    data = path.read_bytes()
+    head, _, body = data.partition(b"\n")
+    payload = bytearray(zlib.decompress(body))
+    payload[payload.index(1, 4 * 3 ** 3)] = 2  # the first residue 1 past the widths
+    path.write_bytes(head + b"\n" + zlib.compress(bytes(payload), 1))
     assert [r.a_r for r in run_compute(spec, 3, data_dir=tmp_path)] == [(4,), (25,), (214,)]
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("defect", ["residue p", "residue -1", "width 0", "negative width",
+                                    "untrimmed", "one byte short", "not zlib"])
+def test_sealed_bad_table_cache_is_a_miss(tmp_path, defect):
+    # each file carries a valid digest, so only the checks behind it can see the
+    # defect; the table is recomputed and its file rewritten
+    spec = TowerSpec.make(F3, SUITES["p3d7"]["terms"])
+    state = TowerState(spec, cache_dir=tmp_path)
+    tables = CartierTables(state).ensure(2)
+    path, header = tables._cache_path(2), tables._header(2)
+    data = path.read_bytes()
+    want = tables.levels[2]
+    bad = {key: slab.copy() for key, slab in want.items()}
+    wide = max(sorted(bad), key=lambda key: bad[key].arr.shape[2])  # an entry with X > 1
+    x = bad[wide].arr.shape[2]
+    assert x > 1
+    payload = _level_bytes(want)
+    if defect == "residue p":
+        bad[wide].arr[0, 0, 0] = 3
+    elif defect == "residue -1":
+        bad[wide].arr[0, 0, 0] = -1
+    elif defect == "width 0":
+        bad[wide].arr = bad[wide].arr[:, :, :0]
+    elif defect == "untrimmed":
+        bad[wide].arr = np.pad(bad[wide].arr, ((0, 0), (0, 0), (0, 1)))
+    if defect in ("residue p", "residue -1", "width 0", "untrimmed"):
+        payload = _level_bytes(bad)
+    elif defect == "negative width":
+        # X -> -1 with the bytes of X + 1 widths taken off the end: the byte count
+        # matches the widths
+        widths = np.frombuffer(payload, dtype="<i4", count=27).copy()
+        widths[sorted(bad).index(wide)] = -1
+        payload = widths.tobytes() + payload[4 * 27:-(x + 1) * 9]
+    elif defect == "one byte short":
+        payload = payload[:-1]
+    if defect == "not zlib":
+        path.write_bytes(sealed(header, b"not zlib data"))
+    else:
+        write_cache(path, header, payload)
+    assert tables._load_level(2) is None
+    assert _same_table(CartierTables(state).table(2), want)
+    assert path.read_bytes() == data
 
 
 def test_twisted_kernels_extension_field():
@@ -363,28 +421,65 @@ def test_table_build_memory():
     assert peak < 1_000_000, peak
 
 
-def _line_formatter(table):
-    """The cache body lines of a level table as a per-line Python loop writes them:
-    the reference for the vectorised writer."""
-    lines = []
-    for (nu0, code), slab in sorted(table.items()):
-        codes, xs = np.nonzero(slab.arr.any(axis=1))
-        lines.append(f"K {nu0} {code} {codes.size}")
-        for yc, nu in zip(codes.tolist(), xs.tolist()):
-            cvec = ",".join(str(int(v)) for v in slab.arr[yc, :, nu])
-            lines.append(f"{yc} {nu} {cvec}")
-    return lines
-
-
 @pytest.mark.parametrize("name,n", [("p3d7", 3), ("p2d21", 4), ("gf4", 3), ("gf9", 2)])
-def test_table_cache_file_matches_line_formatter(tmp_path, name, n):
+def test_table_cache_loads_what_was_built(tmp_path, monkeypatch, name, n):
+    # a second state on the same cache loads every level without building one,
+    # and writing a loaded table back gives its file's payload byte for byte
     F, terms = _digest_tower(name)
-    st = TowerState(TowerSpec.make(F, terms), cache_dir=tmp_path / "cache")
-    tables = CartierTables(st).ensure(n)
+    spec = TowerSpec.make(F, terms)
+    built = CartierTables(TowerState(spec, cache_dir=tmp_path)).ensure(n)
+
+    def no_build(self, m):
+        raise AssertionError(f"level {m} was built, not loaded")
+    monkeypatch.setattr(CartierTables, "_build_level", no_build)
+    loaded = CartierTables(TowerState(spec, cache_dir=tmp_path)).ensure(n)
     for m in range(1, n + 1):
-        path = tables._cache_path(m)
-        write_cache(tmp_path / "lines.txt", tables._header(m), _line_formatter(tables.levels[m]))
-        assert path.read_bytes() == (tmp_path / "lines.txt").read_bytes(), m
-        loaded = tables._load_level(m)
-        assert loaded.keys() == tables.levels[m].keys()
-        assert all(np.array_equal(loaded[key].arr, tables.levels[m][key].arr) for key in loaded)
+        assert _same_table(loaded.levels[m], built.levels[m]), m
+        assert all(slab.arr.flags.owndata and slab.arr.flags.writeable
+                   and slab.arr.dtype == np.int64 for slab in loaded.levels[m].values())
+        assert _level_bytes(loaded.levels[m]) == read_cache(built._cache_path(m), built._header(m))
+
+
+@given(strategies.sampled_from(sorted(TABLE_DIGESTS)), strategies.integers(1, 2),
+       strategies.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_written_tables_load_and_write_back_unchanged(tmp_path_factory, name, m, seed):
+    # any trimmed table of residues loads as itself, and writing the loaded
+    # table gives the same file
+    F, terms = _digest_tower(name)
+    tables = CartierTables(TowerState(TowerSpec.make(F, terms),
+                                      cache_dir=tmp_path_factory.mktemp("cache")))
+    rng = np.random.default_rng(seed)
+    table = {}
+    for nu0 in range(F.p):
+        for code in range(F.p ** m):
+            arr = rng.integers(0, F.p, size=(F.p ** m, F.k, int(rng.integers(1, 5))))
+            arr[rng.integers(F.p ** m), rng.integers(F.k), -1] = rng.integers(1, F.p)
+            table[(nu0, code)] = Slab(F, m, arr if rng.random() < 0.8 else arr[:, :, :1] * 0)
+    tables.levels = [None] * m + [table]  # only level m is written and read
+    tables._store_level(m)
+    data = tables._cache_path(m).read_bytes()
+    loaded = tables._load_level(m)
+    assert loaded is not None and _same_table(loaded, table)
+    tables.levels[m] = loaded
+    tables._store_level(m)
+    assert tables._cache_path(m).read_bytes() == data
+
+
+# sha256 of the decompressed cache payloads of two small towers: a change of either
+# layout must come with a new TABLE_FORMAT_VERSION or CACHE_FORMAT_VERSION
+PAYLOAD_DIGESTS = {
+    "p2d21 tables L2": "1a76dbe33f232c376c19d1389ce35309f7c003275631fd8b03097ba8576a98be",
+    "peel p2 len3": "78de19081f4b0cc9539abf05fd22c8a3ca21e3cc05333fb3a02ed013c62a05d6",
+}
+
+
+def test_cache_payload_layouts_are_pinned(tmp_path, monkeypatch):
+    assert (TABLE_FORMAT_VERSION, CACHE_FORMAT_VERSION) == (3, 3)
+    state = TowerState(TowerSpec.make(F2, SUITES["p2d21"]["terms"]), cache_dir=tmp_path)
+    tables = CartierTables(state).ensure(2)
+    got = {"p2d21 tables L2": read_cache(tables._cache_path(2), tables._header(2))}
+    monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
+    peel_polynomials(2, 3, cache_dir=tmp_path)
+    got["peel p2 len3"] = read_cache(tmp_path / "witt_peel_p2_len3.bin", witt_mod._cache_header(2, 3))
+    assert {key: hashlib.sha256(data).hexdigest() for key, data in got.items()} == PAYLOAD_DIGESTS

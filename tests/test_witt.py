@@ -1,10 +1,12 @@
 import itertools
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zptower.witt as witt_mod
+from conftest import sealed
 from oracle import SparsePoly, addition_polynomials, evaluate_witt
 from zptower.gf import field
 from zptower._slab import Monomial
@@ -155,56 +157,100 @@ def test_length_caps():
 
 def test_disk_cache_roundtrip(tmp_path):
     g1 = peel_polynomials(3, 3, cache_dir=tmp_path)
-    assert (tmp_path / "witt_peel_p3_len3.txt").exists()
+    assert (tmp_path / "witt_peel_p3_len3.bin").exists()
     witt_mod._UNIVERSAL_MEM.clear()
     g2 = peel_polynomials(3, 3, cache_dir=tmp_path)
     assert g1 == g2
     # header mismatch forces recompute instead of loading garbage
-    (tmp_path / "witt_peel_p2_len2.txt").write_text("# wrong header\n1 0\n")
+    (tmp_path / "witt_peel_p2_len2.bin").write_bytes(sealed("# wrong header", zlib.compress(b"")))
     witt_mod._UNIVERSAL_MEM.clear()
     g = peel_polynomials(2, 2, cache_dir=tmp_path)
     assert g[1].as_dict() == {(2,): 1, (3,): 1}
 
 
-def test_truncated_universal_cache_is_a_miss(tmp_path, monkeypatch):
+def _peel_file(tmp_path, monkeypatch):
+    """The p=2 length-3 peel polynomials, their cache file and its header."""
     monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
     want = peel_polynomials(2, 3, cache_dir=tmp_path)
-    path = tmp_path / "witt_peel_p2_len3.txt"
-    text = path.read_text()
-    ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-    for cut in [0] + ends[:-1] + [ends[-1] // 2]:
-        path.write_text(text[:cut])
-        witt_mod._UNIVERSAL_MEM.clear()
-        assert witt_mod._load_universal(2, 3, tmp_path) is None, cut
-        assert peel_polynomials(2, 3, cache_dir=tmp_path) == want
+    return want, tmp_path / "witt_peel_p2_len3.bin", witt_mod._cache_header(2, 3)
 
 
-def test_changed_digit_in_universal_cache_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})
-    want = peel_polynomials(2, 3, cache_dir=tmp_path)
-    path = tmp_path / "witt_peel_p2_len3.txt"
-    text = path.read_text()
-    cut = text.index("\n") + text[text.index("\n"):].index(":3")  # y1^3 in G_2
-    path.write_text(text[:cut] + ":5" + text[cut + 2:])
+def _assert_miss_and_rewrite(tmp_path, want, path, data):
     witt_mod._UNIVERSAL_MEM.clear()
     assert witt_mod._load_universal(2, 3, tmp_path) is None
     assert peel_polynomials(2, 3, cache_dir=tmp_path) == want
-    assert path.read_text() == text
-    path.write_bytes(text.encode()[:cut] + b"\xff" + text.encode()[cut + 1:])
-    assert read_cache(path, text.partition(" sha256=")[0]) is None
+    assert path.read_bytes() == data
+
+
+def test_truncated_universal_cache_is_a_miss(tmp_path, monkeypatch):
+    # the file cut with its digest kept, its body cut under a fresh digest, and
+    # its payload cut inside a row and compressed again (a cut between rows is
+    # a well-formed shorter payload: only the digest guards against that)
+    want, path, header = _peel_file(tmp_path, monkeypatch)
+    data = path.read_bytes()
+    body = data.partition(b"\n")[2]
+    payload = zlib.decompress(body)
+    for damaged in ([data[:cut] for cut in (0, 1, len(data) // 2, len(data) - 1)]
+                    + [sealed(header, body[:cut]) for cut in (0, 1, len(body) // 2, len(body) - 1)]
+                    + [sealed(header, zlib.compress(payload[:cut], 1))
+                       for cut in (1, len(payload) // 2 + 4, len(payload) - 1)]):
+        path.write_bytes(damaged)
+        _assert_miss_and_rewrite(tmp_path, want, path, data)
+
+
+def test_changed_digit_in_universal_cache_is_a_miss(tmp_path, monkeypatch):
+    # y1^3 -> y1^5 in G_2, compressed again under the old digest: the payload is
+    # well formed, so only the digest can catch it
+    want, path, header = _peel_file(tmp_path, monkeypatch)
+    data = path.read_bytes()
+    head, _, body = data.partition(b"\n")
+    rows = np.frombuffer(zlib.decompress(body), dtype="<i4").reshape(-1, 4).copy()
+    i = next(i for i, row in enumerate(rows.tolist()) if row[:3] == [2, 1, 3])
+    rows[i, 2] = 5
+    path.write_bytes(head + b"\n" + zlib.compress(rows.tobytes(), 1))
+    _assert_miss_and_rewrite(tmp_path, want, path, data)
+    # one changed byte of the compressed body
+    path.write_bytes(data[:-5] + bytes([data[-5] ^ 1]) + data[-4:])
+    assert read_cache(path, header) is None
+
+
+@pytest.mark.parametrize("defect", ["c = 0", "c = p", "negative exponent", "exponent past y_(m-1)",
+                                    "repeated term", "not zlib"])
+def test_sealed_bad_universal_cache_is_a_miss(tmp_path, monkeypatch, defect):
+    # each file carries a valid digest, so only the checks behind it can see the
+    # defect; the polynomials are recomputed and their file rewritten
+    want, path, header = _peel_file(tmp_path, monkeypatch)
+    data = path.read_bytes()
+    rows = np.frombuffer(read_cache(path, header), dtype="<i4").reshape(-1, 4).copy()
+    first = np.flatnonzero(rows[:, 0] == 3)[0]  # G_3's first term: y2^2, sorted first
+    if defect == "c = 0":
+        rows[first, 1] = 0
+    elif defect == "c = p":
+        rows[first, 1] = 2
+    elif defect == "negative exponent":
+        rows[first, 2] = -1  # y1^-1 y2^2 still sorts first
+    elif defect == "exponent past y_(m-1)":
+        rows[rows[:, 0] == 2, 3] = 1  # y2 in G_2
+    elif defect == "repeated term":
+        rows = np.insert(rows, first, rows[first], axis=0)
+    if defect == "not zlib":
+        path.write_bytes(sealed(header, b"not zlib data"))
+    else:
+        write_cache(path, header, rows.tobytes())
+    _assert_miss_and_rewrite(tmp_path, want, path, data)
 
 
 def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "c.txt"
-    write_cache(path, "# h", ["old"])
-    real_write = Path.write_text
+    path = tmp_path / "c.bin"
+    write_cache(path, "# h", b"old")
+    real_write = Path.write_bytes
 
-    def half_then_fail(self, text):
-        real_write(self, text[: len(text) // 2])
+    def half_then_fail(self, data):
+        real_write(self, data[: len(data) // 2])
         raise OSError("disk full")
-    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
     with pytest.raises(OSError):
-        write_cache(path, "# h", ["new", "lines"])
+        write_cache(path, "# h", b"new bytes")
     monkeypatch.undo()
-    assert read_cache(path, "# h") == ["old"]
-    assert [f.name for f in tmp_path.iterdir()] == ["c.txt"]
+    assert read_cache(path, "# h") == b"old"
+    assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
