@@ -1,5 +1,5 @@
 """Closed-form invariants, growth-law constants, residual fitting, and the
-proven characteristic-two evaluators and checkers.
+proven characteristic-two evaluators.
 
 All arithmetic here is exact rational (fractions.Fraction); nothing is ever
 estimated in floating point.  Fits are reports, not truth claims: a FitReport
@@ -10,17 +10,11 @@ the discrepancy set before that, and never extrapolates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from ._slab import Slab
-from .cartier import cartier_apply, cartier_matrix, differential_basis, trace_map
 from .gf import InternalConsistencyError
-from .linalg import kernel_basis
-from .tower import RamificationData, TowerState
 
 
 class AnalysisError(ValueError):
@@ -74,7 +68,7 @@ def alpha1_formula(p: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# residuals, discrepancies, lambda
+# residuals, discrepancies, fits
 # ---------------------------------------------------------------------------
 
 def delta_values(a_list: Sequence[int], d: int, p: int, r: int = 1,
@@ -102,17 +96,6 @@ def discrepancies(delta_list: Sequence[Fraction], m: int) -> set[int]:
         raise AnalysisError("discrepancies need a period m >= 1")
     return {n for n in range(m + 1, len(delta_list) + 1)
             if delta_list[n - 1] != delta_list[n - 1 - m]}
-
-
-def estimate_lambda(a_list: Sequence[int], d: int, p: int, r: int) -> Fraction:
-    """Two-level difference quotient at the deepest level:
-    ((a(N) - alpha d p^2N) - (a(N-m) - alpha d p^2(N-m))) / m."""
-    cc = constants(r, p)
-    if cc.m < 1:
-        raise AnalysisError("lambda estimation needs m(r,p) >= 1")
-    if len(a_list) < cc.m + 1:
-        raise AnalysisError(f"need at least {cc.m + 1} levels, got {len(a_list)}")
-    return _lambda_quotient(a_list, d, p, cc.alpha, cc.m)
 
 
 def _lambda_quotient(a_list: Sequence[int], d: int, p: int, alpha: Fraction,
@@ -201,47 +184,6 @@ def fit_periodic(a_list: Sequence[int], d: int, p: int, r: int) -> FitReport:
 
 
 # ---------------------------------------------------------------------------
-# module structure
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelProfile:
-    """a^(r) for r = 1..R at one level, plus the genus."""
-
-    level: int
-    genus: int
-    a: tuple[int, ...]
-
-    @property
-    def stabilized(self) -> bool:
-        return len(self.a) >= 2 and self.a[-1] == self.a[-2]
-
-
-def elementary_divisors(profile: KernelProfile) -> list[int]:
-    """Multiplicities m(i) of k[V]/V^i in the V-nilpotent module.
-
-    m(i) = 2 a^(i) - a^(i-1) - a^(i+1) with a^(0) = 0 and the sequence
-    extended constant past stabilization; sum i*m(i) recovers the stabilized
-    kernel dimension.  Requires a stabilized profile.
-    """
-    if not profile.stabilized:
-        raise AnalysisError("kernel profile not stabilized: extend r")
-    a = [0] + list(profile.a)
-    a.append(a[-1])
-    out = []
-    for i in range(1, len(a) - 1):
-        m_i = 2 * a[i] - a[i - 1] - a[i + 1]
-        if m_i < 0:
-            raise AnalysisError(f"negative multiplicity m({i}): inconsistent profile")
-        out.append(m_i)
-    while out and out[-1] == 0:
-        out.pop()
-    if sum(i * m for i, m in enumerate(out, start=1)) != profile.a[-1]:
-        raise InternalConsistencyError("multiplicities do not recover the kernel dimension")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # proven closed forms in characteristic two
 # ---------------------------------------------------------------------------
 
@@ -281,131 +223,3 @@ def kernel_power_level1_p2(d_list: Sequence[int], r: int) -> int:
         raise AnalysisError("r must be positive")
     deg_D = sum((d + 1) // 2 for d in d_list)
     return deg_D - sum(-((d + 1) // -(2 ** (r + 1))) for d in d_list)
-
-
-def kernel2_level2_p2(d_list: Sequence[int]) -> int:
-    """a^(2) at level 2 when every second break is 3x the first and
-    sum (d-3)/2 > -4: sum (floor((3d+1)/4) + floor((7d+7)/16))."""
-    _check_p2_breaks(d_list)
-    if not sum(Fraction(d - 3, 2) for d in d_list) > -4:
-        raise AnalysisError("level-2 closed form hypothesis fails: breaks too small")
-    return sum((3 * d + 1) // 4 + (7 * d + 7) // 16 for d in d_list)
-
-
-# ---------------------------------------------------------------------------
-# ramification hypothesis and trace checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RamHypothesisReport:
-    """Delta_n = sum_Q (d_Q(n+1) - ceil(d_Q(n+1)/p)) - (2g(n) - 2) per level,
-    with the flag for the trace-vanishing criterion at each level."""
-
-    p: int
-    delta: tuple[int, ...]      # Delta_n for n = 0..N-1
-    holds: tuple[bool, ...]
-
-
-def ramification_hypothesis(ram: RamificationData | None = None, *,
-                            p: int | None = None,
-                            d_lists: Sequence[Sequence[int]] | None = None,
-                            g_list: Sequence[int] | None = None) -> RamHypothesisReport:
-    """Evaluate the trace-vanishing hypothesis level by level.
-
-    Either pass the single-branch-point RamificationData of a tower, or give
-    per-level break lists (one entry per branch point) with the genus list
-    for multi-point data.  holds(n) allows equality when some break at level
-    n+1 satisfies the strictness exemption d = floor(d/p) mod p.
-    """
-    if ram is not None:
-        p = ram.p
-        d_lists = [[d] for d in ram.d]
-        g_list = [0] + list(ram.g)
-    else:
-        if p is None or d_lists is None or g_list is None:
-            raise AnalysisError("need p, d_lists and g_list without RamificationData")
-        g_list = list(g_list)
-    deltas, holds = [], []
-    for n in range(len(d_lists)):
-        ds = d_lists[n]  # breaks of level n+1
-        total = sum(d - -(d // -p) for d in ds)
-        delta_n = total - (2 * g_list[n] - 2)
-        strict_exempt = any(d % p == (d // p) % p for d in ds)
-        deltas.append(delta_n)
-        holds.append(delta_n > 0 or (delta_n == 0 and strict_exempt))
-    return RamHypothesisReport(p, tuple(deltas), tuple(holds))
-
-
-@dataclass
-class TraceCheck:
-    index: int
-    trace_poly: Slab  # h of the trace h dx at level 0
-    order_at_infinity: Fraction | float
-    bound: int
-    strict: bool
-    trace_must_vanish: bool
-    passed: bool
-
-
-@dataclass
-class TraceBoundReport:
-    p: int
-    d: int
-    kernel_dimension: int
-    checks: list[TraceCheck] = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def trace_bound_check(state: TowerState) -> TraceBoundReport:
-    """Verify the trace-order bound for every V-killed regular differential at
-    level 1, and exact trace vanishing whenever the degree criterion applies.
-
-    A failure here would contradict a proven statement and is therefore an
-    implementation bug, not a property of the tower.
-    """
-    state.build_to(1)
-    ram = state.ensure_ram(1)
-    p, d = state.spec.p, ram.d[0]
-    cm = cartier_matrix(state, 1)
-    basis = differential_basis(state, 1)
-    ctx = state.field
-    # a GF(p) basis of ker V: each vector, reshaped to (g, k), holds the
-    # coefficients of the c_s with V(sum c_s w_s) = 0
-    vecs = kernel_basis(cm.matrix)
-    bound = d - -(d // -p)
-    strict = d % p == (d // p) % p
-    # over the projective line the degree criterion always holds at level 1:
-    # sum (d - ceil(d/p)) >= 0 > -2 = 2g - 2
-    must_vanish = True
-    report = TraceBoundReport(p=p, d=d, kernel_dimension=len(vecs) // ctx.k)
-    codes = np.array([m.a[0] for m in basis], dtype=np.int64)
-    nus = np.array([m.nu for m in basis], dtype=np.int64)
-    for idx, vec in enumerate(vecs):
-        eta = Slab.zeros(ctx, 1, int(nus.max()) + 1)
-        eta.arr[codes, :, nus] = vec.reshape(-1, ctx.k)
-        if not cartier_apply(eta, state).is_zero():
-            raise InternalConsistencyError("kernel vector not killed by V")
-        tr = trace_map(eta)
-        if tr.is_zero():
-            order = math.inf
-        else:
-            # ord at infinity of h dx on the line is -deg h - 2; tr is trimmed
-            order = -(tr.arr.shape[2] - 1) - 2
-        ok = (order > bound) if strict else (order >= bound)
-        if must_vanish:
-            ok = ok and tr.is_zero()
-        report.checks.append(TraceCheck(idx, tr, order, bound, strict, must_vanish, ok))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# asymptotic ratio sanity
-# ---------------------------------------------------------------------------
-
-def kernel_genus_ratio_gap(a_r: int, genus: int, r: int, p: int) -> Fraction:
-    """|a^(r)/g - r(p-1)/((p-1)r + (p+1))| at one level (reported, not asserted)."""
-    target = Fraction(r * (p - 1), (p - 1) * r + (p + 1))
-    return abs(Fraction(a_r, genus) - target)

@@ -11,8 +11,8 @@ expanding binomially pushes the computation down one level, since V(h^p w) =
 h V(w).  Per level we precompute V on the p^(m+1) monomials with nu < p and
 all a_i < p; V of anything else is a shifted, Frobenius-twisted combination
 of those values.  Tables serialize to a per-(spec, level) cache so deeper
-levels resume without recomputation.  A differential form h dx is the Slab of
-h: cartier_apply and trace_map take and return Slabs.
+levels resume without recomputation, and cartier_matrix assembles the matrix
+of V on the basis from them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import Monomial, PolyError, Slab, code_weights, digits_of, mul as slab_mul, v_apply
+from ._slab import Monomial, Slab, code_weights, digits_of, mul as slab_mul, v_apply
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
@@ -53,29 +53,6 @@ def _basis_layout(state: TowerState, n: int):
         raise InternalConsistencyError(
             f"basis cardinality {total} != genus {ram.genus(n)} at level {n}")
     return numax, offsets, total
-
-
-def differential_basis(state: TowerState, n: int) -> list[Monomial]:
-    """The monomial basis of regular differentials at level n, in column order."""
-    numax, _, _ = _basis_layout(state, n)
-    p = state.spec.p
-    out = []
-    for code in range(p ** n):
-        for nu in range(int(numax[code]) + 1):
-            out.append(Monomial(nu, digits_of(p, code, n)))
-    return out
-
-
-def is_regular(form: Slab, state: TowerState) -> bool:
-    """Whether form dx is regular at infinity: every nonzero x^nu y^code cell
-    satisfies the basis inequality nu <= numax[code]."""
-    if form.level == 0:
-        # on the projective line every nonzero polynomial differential has a
-        # pole at infinity of order deg + 2
-        return form.is_zero()
-    numax, _, _ = _basis_layout(state, form.level)
-    codes, xs = np.nonzero(form.arr.any(axis=1))
-    return not np.any(xs > numax[codes])
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +199,8 @@ def _embed_ym(term: Slab, i: int, m: int) -> Slab:
 
 
 # ---------------------------------------------------------------------------
-# application, matrix, trace
+# matrix
 # ---------------------------------------------------------------------------
-
-def _tables_for(state: TowerState) -> CartierTables:
-    if state.tables is None:
-        CartierTables(state)
-    return state.tables
-
-
-def cartier_apply(form: Slab, state: TowerState) -> Slab:
-    """V(form dx) at the form's level; at level 0 this is
-    V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx on the projective line."""
-    return v_apply(form, _tables_for(state).table(form.level))
-
 
 @dataclass
 class CartierMatrix:
@@ -263,7 +228,7 @@ class CartierMatrix:
 def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     ctx = state.field
     p, k = ctx.p, ctx.k
-    tables = _tables_for(state).table(n)
+    tables = (state.tables or CartierTables(state)).table(n)
     numax, offsets, g = _basis_layout(state, n)
     M = DenseMatrix.zeros(ctx, g, g)
     # per table entry: the slab's rows and, for each column b of a k x k block,
@@ -294,13 +259,3 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     if col != g:
         raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")
     return CartierMatrix(n, M)
-
-
-def trace_map(form: Slab) -> Slab:
-    """Trace to the previous level: sum_i w_i y_n^i dx -> -w_(p-1) dx."""
-    if form.level == 0:
-        raise PolyError("no level below the base")
-    p = form.ctx.p
-    top = form.arr[-p ** (form.level - 1):]  # the rows whose y_n digit is p - 1
-    return Slab(form.ctx, form.level - 1, -top % p).trim()
-

@@ -40,9 +40,6 @@ being reduced; callers may parallelize over independent matrices.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator
-
 import numpy as np
 
 from .gf import FieldCtx, InternalConsistencyError
@@ -447,68 +444,27 @@ def _apply_pivots(A: np.ndarray, r0: int, pivots: list[int], c0: int, c1: int,
         A[r0 + npiv:, c0:c1] -= L21 @ U
 
 
-def rref(M: DenseMatrix) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of M.data over GF(p) and its pivot columns
-    (small-matrix path)."""
-    p = M.ctx.p
-    A = M.data
-    r, pivots = 0, []
-    for c in range(A.shape[1]):
-        if r == A.shape[0]:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
-        others = np.nonzero(A[:, c])[0]
-        others = others[others != r]
-        A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def kernel_basis(M: DenseMatrix) -> list[np.ndarray]:
-    """GF(p) basis of the right kernel of M.data (small-matrix path via RREF).
-
-    Each vector has length k * cols: reshaped to (cols, k) it holds the
-    coefficient vectors of a c with M sigma^-1(c) = 0.  The kernel is a
-    GF(p^k)-subspace, so there are k * kernel_dim(M) vectors.
-    """
-    p = M.ctx.p
-    R, pivots = rref(M)
-    n = R.shape[1]
-    basis = []
-    for fc in sorted(set(range(n)) - set(pivots)):
-        v = np.zeros(n, dtype=np.int64)
-        v[fc] = 1
-        v[pivots] = (-R[:len(pivots), fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
-    """a^(r) = kernel_dim(M^r) for r = 1, 2, ..., where M^r is the twisted
-    product M sigma^-1(M) ... sigma^-(r-1)(M).
+def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
+    """Kernel dimensions of N_r = M sigma^-1(M) ... sigma^-(r-1)(M), r = 1..R:
+    those of the powers of the sigma^-1-semilinear operator with matrix M.
 
     Only a row basis of each power is multiplied: the pivot rows of an
     elimination span the row space, and rowspace(M^r) = rowspace(M^(r-1)) M
     (on the stored GF(p) matrices, where the twisted product is a plain
     one), so the pivot rows of M^(r-1) times M have the rank of M^r.  That
     product has as many rows as the GF(p) rank of M^(r-1), which shrinks as r
-    grows.  Each product is formed only when its value is requested, and
-    none once the kernel is the whole space.  The sequence must be
-    nondecreasing with concave increments; a violation raises
-    InternalConsistencyError.
+    grows.  No product is formed past R, nor once the kernel is the whole
+    space.  On the Cartier matrices it gets there: V is nilpotent, as every
+    level has base genus 0 and one totally ramified branch point, so its
+    p-rank, the Deuring-Shafarevich count p^n (d_0 + |S| - 1) - (|S| - 1), is
+    0.  The sequence must be nondecreasing with concave increments; a
+    violation raises InternalConsistencyError.
     """
     if not M.is_square():
         raise LinAlgError("twisted powers need a square matrix")
     dims: list[int] = []
     N = M
-    while not dims or dims[-1] < M.cols:
+    while len(dims) < R and (not dims or dims[-1] < M.cols):
         if dims:
             N = DenseMatrix._wrap(M.ctx, N._a[rows], N._ncols)  # drops the previous power
             N = N @ M
@@ -518,25 +474,4 @@ def _twisted_kernels(M: DenseMatrix) -> Iterator[int]:
             raise InternalConsistencyError(f"kernel dimensions decrease: {dims}")
         if len(dims) >= 3 and dims[-1] - dims[-2] > dims[-2] - dims[-3]:
             raise InternalConsistencyError(f"kernel increments not concave: {dims}")
-        yield dims[-1]
-    while True:
-        yield M.cols
-
-
-def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
-    """Kernel dimensions of N_r = M sigma^-1(M) ... sigma^-(r-1)(M), r = 1..R:
-    those of the powers of the sigma^-1-semilinear operator with matrix M."""
-    return list(islice(_twisted_kernels(M), R))
-
-
-def kernels_to_stabilization(M: DenseMatrix) -> list[int]:
-    """Twisted-power kernel dimensions until two consecutive values agree.
-
-    Always stops: _twisted_kernels checks that the sequence is nondecreasing,
-    and it is bounded by M.cols, so it cannot rise more than M.cols times.
-    """
-    dims: list[int] = []
-    for d in _twisted_kernels(M):
-        dims.append(d)
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            return dims
+    return dims + [M.cols] * (R - len(dims))

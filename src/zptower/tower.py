@@ -223,12 +223,6 @@ class RamificationData:
         return 0 if m == 0 else self.g[m - 1]
 
 
-def p_rank(spec: TowerSpec, n: int) -> int:
-    """Always 0 here: base genus 0, one totally ramified branch point, so the
-    Deuring-Shafarevich count p^n (d_0 + |S| - 1) - (|S| - 1) vanishes."""
-    return 0
-
-
 def closed_form_basic(p: int, d: int, n: int) -> tuple[int, int, int]:
     """(genus, lower break, upper break) of a basic tower at level n."""
     if d % p == 0:

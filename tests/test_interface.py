@@ -69,3 +69,41 @@ def test_public_names_exist():
         "CartierMatrix", "cartier_matrix",
         "DenseMatrix", "kernel_dim", "twisted_power_kernels",
     ]
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr in ("command", "group") for dec in node.decorator_list)
+
+
+def _uses(tree) -> set[str]:
+    """Names that the statements of a module read as a Name or Attribute, not
+    counting a def's or class's own name in its body; a name imported under
+    another one counts under both."""
+    used = set()
+    for stmt in tree.body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    return used | {aliases[name] for name in used & aliases.keys()}
+
+
+def test_package_holds_no_test_only_code():
+    """Every public top-level def or class in the package is used by the package
+    outside its own definition, or by perfbench; references that only tests
+    use live in tests/oracle.py.  analysis, the last computing stage, needs
+    nothing but gf."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "zptower").glob("*.py"))]
+    used = set().union(*map(_uses, trees), *(_uses(ast.parse(path.read_text()))
+                                            for path in sorted(PERFBENCH.glob("*.py"))))
+    defs = [stmt.name for tree in trees for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and not _is_click_command(stmt)]
+    assert not [name for name in defs if name not in used and name not in zptower.__all__]
+    analysis = ROOT / "src" / "zptower" / "analysis.py"
+    assert {module for level, module, _ in _imports(analysis) if level} == {"gf"}

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import restrict, semilinear_image
+from oracle import kernel_basis, kernels_to_stabilization
 from zptower.gf import InternalConsistencyError, field
 import zptower.linalg as linalg
 from zptower.linalg import (DenseMatrix, LinAlgError, _pattern, _pivot_singletons, _rank_blocked,
-                            _row_basis, _singleton_pivots, kernel_basis, kernel_dim,
-                            kernels_to_stabilization, rank, twisted_power_kernels)
+                            _row_basis, _singleton_pivots, kernel_dim, rank,
+                            twisted_power_kernels)
 
 F2, F3 = field(2), field(3)
 
@@ -100,6 +101,15 @@ def test_twisted_examples():
     assert twisted_power_kernels(M, 3)[2] == kernel_dim(N)
     with pytest.raises(LinAlgError):
         twisted_power_kernels(DenseMatrix.zeros(F2, 2, 3), 2)
+
+
+def test_no_product_past_the_full_kernel_or_past_R(monkeypatch):
+    J = DenseMatrix(F2, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    calls, real = [], linalg._matmul
+    monkeypatch.setattr(linalg, "_matmul", lambda a, b, p: calls.append(p) or real(a, b, p))
+    assert twisted_power_kernels(J, 6) == [1, 2, 3, 3, 3, 3]
+    assert len(calls) == 2
+    assert twisted_power_kernels(J, 0) == [] and len(calls) == 2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])

@@ -6,7 +6,7 @@ import zptower.tower as tower
 from zptower.gf import InternalConsistencyError, field
 from zptower.tower import (RamificationData, TowerError, TowerSpec, TowerState,
                            breaks_and_conductor, classify_monodromy, closed_form_basic,
-                           coefficient_valuations, lower_breaks, p_rank)
+                           coefficient_valuations, lower_breaks)
 
 F2, F3 = field(2), field(3)
 
@@ -66,12 +66,11 @@ def test_lower_breaks():
         lower_breaks(2, [7, 13])  # s(2) < p*s(1)
 
 
-def test_genus_and_p_rank():
+def test_genus():
     spec37 = TowerSpec.make(F3, [(0, 1, 7)])
     assert RamificationData.compute(spec37, 4).g == (6, 66, 624, 5700)
     spec27 = TowerSpec.make(F2, [(0, 1, 7)])
     assert [TowerState(spec27).genus(n) for n in (0, 1, 2, 3)] == [0, 3, 16, 70]
-    assert p_rank(spec37, 4) == 0
 
 
 def test_closed_form_basic():
