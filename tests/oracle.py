@@ -17,8 +17,9 @@ The other references are built on the pipeline and check its answers
 against proven statements: the regular-differential basis, V and the trace
 on single forms (cartier_apply runs _slab.v_apply on the package's tables),
 an RREF kernel basis, the kernels to stabilization and module multiplicities,
-the p = 2 level-2 closed form, the ramification hypothesis and the
-trace-vanishing bound (trace_bound_check starts from cartier_matrix).
+the p = 2 level-2 closed form, the ramification hypothesis, the
+trace-vanishing bound (trace_bound_check starts from cartier_matrix) and
+the two-level estimate of lambda that fit_periodic's slope must agree with.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from zptower import witt
 from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of, mul as slab_mul, v_apply
-from zptower.analysis import AnalysisError, _check_p2_breaks
+from zptower.analysis import AnalysisError, _check_p2_breaks, constants
 from zptower.cartier import CartierTables, _basis_layout, cartier_matrix
 from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError
 from zptower.linalg import DenseMatrix, twisted_power_kernels
@@ -464,6 +465,20 @@ def elementary_divisors(a: Sequence[int]) -> list[int]:
     if sum(i * m for i, m in enumerate(out, start=1)) != a[-1]:
         raise InternalConsistencyError("multiplicities do not recover the kernel dimension")
     return out
+
+
+def estimate_lambda(a_list: Sequence[int], d: int, p: int, r: int) -> Fraction:
+    """Two-level difference quotient at the deepest level:
+    ((a(N) - alpha d p^2N) - (a(N-m) - alpha d p^2(N-m))) / m with m = m(r,p)."""
+    cc = constants(r, p)
+    if cc.m < 1:
+        raise AnalysisError("lambda estimation needs m(r,p) >= 1")
+    N = len(a_list)
+    if N < cc.m + 1:
+        raise AnalysisError(f"need at least {cc.m + 1} levels, got {N}")
+    hi = a_list[N - 1] - cc.alpha * d * p ** (2 * N)
+    lo = a_list[N - 1 - cc.m] - cc.alpha * d * p ** (2 * (N - cc.m))
+    return Fraction(hi - lo, cc.m)
 
 
 def kernel_genus_ratio_gap(a_r: int, genus: int, r: int, p: int) -> Fraction:

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracle import (elementary_divisors, kernel2_level2_p2, kernel_genus_ratio_gap,
+from oracle import (elementary_divisors, estimate_lambda, kernel2_level2_p2, kernel_genus_ratio_gap,
                     ramification_hypothesis, trace_bound_check)
 from zptower.analysis import (AnalysisError, alpha1_formula, anumber_basic_p2, anumber_cover_p2,
                               constants, delta_values, discrepancies, fit_periodic,
@@ -54,6 +54,15 @@ def test_discrepancies_examples():
     assert discrepancies([1, 2, 1, 2, 1], 2) == set()
     with pytest.raises(AnalysisError):
         discrepancies([1, 2], 0)
+
+
+def test_estimate_lambda_examples():
+    assert estimate_lambda(A21[3], 21, 2, 3) == 0 == fit_periodic(A21[3], 21, 2, 3).lam
+    assert estimate_lambda(A21[2], 21, 2, 2) == 1 == fit_periodic(A21[2], 21, 2, 2).lam
+    with pytest.raises(AnalysisError):
+        estimate_lambda(A21[9], 21, 2, 9)  # m(9,2) = 0
+    with pytest.raises(AnalysisError):
+        estimate_lambda([1, 2], 21, 2, 2)
 
 
 def test_fit_examples():
