@@ -10,13 +10,15 @@ f_1..f_level as a list of slabs and reduce y_j^p to y_j + f_j; the kernel holds
 no tower of its own.
 
 All products run through one batched x-convolution, _xconv: it gathers many
-(k, X) blocks and the blocks they multiply and forms every product with float64
-GEMMs against a sliding-window (Toeplitz) view, in chunks of at most
-_CONV_CHUNK elements per temporary, adding the results into target y-codes by
-integer key arithmetic.  mul forms all code pairs at once and then reduces in
-waves, one batched product of the overflowing blocks with f_j per wave;
-v_apply forms all p-th-root cofactors against their Cartier table entries at
-once.
+(k, X) blocks and the blocks they multiply and forms every product with GEMMs
+of shift blocks against a sliding-window (Toeplitz) copy, in chunks whose
+temporaries hold about _CONV_CHUNK elements, adding the results into target
+y-codes by integer key arithmetic.  mul forms all code pairs at once and then
+reduces in waves, one batched product of the overflowing blocks with f_j per
+wave; ymul forms many products y^code f in one such reduction, each keyed by
+its index.  v_apply takes a sequence of forms and applies V to groups of them,
+each group one convolution of every Cartier table entry against all the
+groups' p-th-root cofactors.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -24,6 +26,7 @@ operation here against the sparse dict reference in tests/oracle.py.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -164,14 +167,6 @@ def code_of(p: int, digits: Iterable[int]) -> int:
     return code
 
 
-def digits_of(p: int, code: int, level: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(level):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
 def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
     """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..level: the pole
     order at level n of y^code, given the lower breaks d_1..d_level."""
@@ -187,7 +182,8 @@ def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
 # batched x-convolution over GF(p^k)
 # ---------------------------------------------------------------------------
 
-_CONV_CHUNK = 1 << 16  # float64 elements per temporary of the batched x-convolution
+_CONV_CHUNK = 1 << 16  # elements of the temporaries alive together in one _xconv chunk
+_BATCH = 1 << 20  # elements of the cofactor and output blocks of one v_apply group
 _KEY_BITS = 6  # bits per y-digit in the integer keys of unreduced y-exponents (8 levels: 48)
 
 
@@ -209,16 +205,32 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     max La_e + Lh - 1 long in x and is left unreduced; no row of `rows`
     repeats an index.
 
-    One float64 GEMM per chunk forms every product: the x-reversed rows (t, i)
-    of the a[e], padded to a common length L, times the sliding-window
-    (Toeplitz) view of h whose row (e, r) and column (g, j, n) hold
-    h[e, g, j, n - L + 1 + r].  Entry (t, i), (g, j, n) of the result is the
-    coefficient of x^n in sum_e a[e][t, i] h[e, g, j]; the k^2 coefficient
+    GEMMs form every product.  The entries e with a nonzero a[e] and h[e] are
+    taken longest first, and each a[e] is cut into shift blocks of b x-powers:
+    block s of every entry is one (T k) x (E b) matrix whose nonzero columns
+    are a prefix, since a shorter entry ends sooner.  It multiplies the
+    sliding-window (Toeplitz) copy of h over b shifts, whose row (e, c) and
+    column (g, j, m) hold h[e, g, j, m - b + 1 + c], and the result is added
+    into the accumulator at x-offset s b.  b balances that window copy, E b
+    rows, against the accumulator additions, T k rows per shift block, so it
+    is about sqrt(La T k / E).  Entry (t, i), (g, j, n) of the accumulator is
+    the coefficient of x^n in sum_e a[e][t, i] h[e, g, j]; the k^2 coefficient
     products then fold modulo the field polynomial (ctx.fold).  The sum is
     exact: it adds at most sum_e La_e products of residues below p, which
-    _exact checks is below 2^53 (for p <= 13 that allows 6e13 terms).  Each
-    temporary holds at most twice _CONV_CHUNK elements, apart from one entry's
-    block of a when that block alone is larger.
+    _exact checks is below 2^53 (for p <= 13 that allows 6e13 terms).  The
+    GEMMs run in float32 when that sum stays below 2^24, else in float64.
+
+    The blocks g go in chunks, then the entries, then x-pieces of h.  The
+    temporaries alive together (the accumulator with either a piece of h, its
+    gather and window copies and one GEMM result, or the int64 residues of a
+    group of the accumulator's rows and their scatter copy) hold at most
+    _CONV_CHUNK elements.  When one block's accumulator, T k^2 (Lh + La)
+    elements, alone takes more than half of that, a chunk is that one block
+    and its other temporaries stay within half of _CONV_CHUNK.  A chunk takes
+    at least one column of h and one row of the accumulator, and b is capped
+    so that a piece of one entry 2 b columns wide fits.  The shift blocks of
+    a, a copy of the live a[e] padded to a multiple of b, come on top; they
+    are built once per call.
     """
     p, k = ctx.p, ctx.k
     E, G, _, Lh = h.shape
@@ -228,55 +240,82 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     srt = np.sort(rows, axis=1)
     if np.any(srt[:, 1:] == srt[:, :-1]):
         raise InternalConsistencyError("x-convolution sends two blocks of one row to one target")
-    la = [x.shape[2] for x in a]
-    _exact(sum(la), p)
-    nout = max(la) + Lh - 1
-    ncols = max(1, _CONV_CHUNK // max(max(la), T * k))  # Toeplitz and GEMM output columns
-    cn = min(nout, max(1, ncols // k))
-    cg = min(G, max(1, ncols // (k * nout))) if cn == nout else 1
-    inner = max(1, _CONV_CHUNK // max(cg * k * cn, T * k))  # Toeplitz rows and a-block columns
-    chunks, e0 = [], 0
-    while e0 < E:
-        e1, L = e0 + 1, la[e0]
-        while e1 < E and (e1 + 1 - e0) * max(L, la[e1]) <= inner:
-            L = max(L, la[e1])
-            e1 += 1
-        chunks.append((e0, e1, L))
-        e0 = e1
+    la = np.array([x.shape[2] for x in a])
+    inner = int(la.sum())
+    _exact(inner, p)
+    dt = np.float32 if inner * (p - 1) ** 2 < 1 << 24 else np.float64
+    live = np.flatnonzero(h.reshape(E, -1).any(axis=1) & np.array([x.any() for x in a]))
+    if not live.size:
+        return
+    order = live[np.argsort(-la[live], kind="stable")]  # longest first
+    Ev, L = order.size, int(la[order[0]])
+    b = max(1, min(L, round(math.sqrt(L * T * k / Ev)), math.isqrt(_CONV_CHUNK // (12 * k)),
+                   _CONV_CHUNK // (12 * T * k * k)))
+    nb = -(-L // b)
+    # A[s][(t, i), (e, c)] = a[e][t, i, s b + b - 1 - c], zero past La_e
+    A = np.zeros((nb, T, k, Ev, b), dtype=dt)
+    for col, e in enumerate(order.tolist()):
+        q, rem = divmod(int(la[e]), b)
+        if q:
+            A[:q, :, :, col, ::-1] = a[e][:, :, :q * b].reshape(T, k, q, b).transpose(2, 0, 1, 3)
+        if rem:
+            A[q, :, :, col, b - rem:] = a[e][:, :, q * b:][:, :, ::-1]
+    A = A.reshape(nb, T * k, Ev * b)
+    width = b * np.searchsorted(-la[order], -b * np.arange(nb))  # entries longer than s b
+    W = Lh + nb * b - 1  # the accumulator's x-length; past L + Lh - 1 it stays zero
+    nout = L + Lh - 1
+    # elements per block: the accumulator; per column of a piece of h: the
+    # window copy, padded piece and gather of each entry, and one GEMM result
+    acc1, ent, res = T * k * k * W, (b + 2) * k, T * k * k
+    room = max(_CONV_CHUNK - acc1, _CONV_CHUNK // 2)
+    if acc1 + (Ev * ent + res) * (Lh + 2 * b) <= _CONV_CHUNK:
+        cg, ce, cx = min(G, _CONV_CHUNK // (acc1 + (Ev * ent + res) * (Lh + 2 * b))), Ev, Lh
+    elif (ent + res) * (Lh + 2 * b) <= room:
+        cg, ce, cx = 1, max(1, (room // (Lh + 2 * b) - res) // ent), Lh
+    else:
+        cg, ce, cx = 1, 1, max(1, room // (ent + res) - 2 * b)
+    distinct = T == 1 or np.unique(rows).size == rows.size
     for g0 in range(0, G, cg):
         g1 = min(G, g0 + cg)
-        for n0 in range(0, nout, cn):
-            n1 = min(nout, n0 + cn)
-            acc = np.zeros((T * k, (g1 - g0) * k * (n1 - n0)))
-            for e0, e1, L in chunks:
-                blk = np.zeros((e1 - e0, T, k, L))
-                for e in range(e0, e1):
-                    blk[e - e0, :, :, L - la[e]:] = a[e][:, :, ::-1]
-                blk = blk.transpose(1, 2, 0, 3).reshape(T * k, -1)
-                live = np.flatnonzero(blk.any(axis=1))
-                # hp[..., m] = h[..., n0 - L + 1 + m], zero outside h
-                hp = np.zeros((e1 - e0, g1 - g0, k, L - 1 + n1 - n0))
-                x0, x1 = max(0, n0 - L + 1), min(Lh, n1)
-                if x0 < x1:
-                    hp[..., x0 - n0 + L - 1: x1 - n0 + L - 1] = h[e0:e1, g0:g1, :, x0:x1]
-                # the window view (e, r, g, j, n) -> hp[e, g, j, r + n], copied
+        acc = np.zeros((T * k, (g1 - g0) * k, W), dtype=dt)
+        for x0 in range(0, Lh, cx):
+            x1 = min(Lh, x0 + cx)
+            m = x1 - x0 + b - 1
+            for c0 in range(0, Ev, ce):
+                c1 = min(Ev, c0 + ce)
+                # hp[..., r] = h[..., x0 - b + 1 + r], zero outside h
+                hp = np.zeros((c1 - c0, g1 - g0, k, m + b - 1), dtype=dt)
+                hp[..., b - 1:m] = h[order[c0:c1], g0:g1, :, x0:x1]
+                # the window view (e, c, g, j, m) -> hp[e, g, j, c + m], copied
                 # contiguous: BLAS does not take its overlapping strides
                 se, sg, sj, sx = hp.strides
-                toe = np.ndarray((e1 - e0, L, g1 - g0, k, n1 - n0), hp.dtype, hp, 0,
-                                 (se, sx, sg, sj, sx))
-                toe = np.ascontiguousarray(toe).reshape(blk.shape[1], -1)
-                acc[live] += blk[live] @ toe
-            out = np.fmod(acc, p, out=acc).astype(np.int64)  # acc >= 0: fmod is mod
-            out = out.reshape(T, k, g1 - g0, k, n1 - n0)
+                toe = np.ndarray((c1 - c0, b, g1 - g0, k, m), dt, hp, 0, (se, sx, sg, sj, sx))
+                toe = np.ascontiguousarray(toe).reshape((c1 - c0) * b, -1)
+                for s in range(nb):
+                    hi = min(int(width[s]), c1 * b)
+                    if hi <= c0 * b:
+                        break  # width falls with s
+                    part = A[s, :, c0 * b:hi] @ toe[:hi - c0 * b]
+                    acc[:, :, x0 + s * b:x0 + s * b + m] += part.reshape(T * k, (g1 - g0) * k, m)
+        # acc holds exact integers, so the int64 cast is exact; it and % are
+        # far cheaper than np.fmod
+        tr = max(1, max(_CONV_CHUNK - acc.size, _CONV_CHUNK // 2) // (3 * k * k * (g1 - g0) * nout))
+        for t0 in range(0, T, tr):
+            t1 = min(T, t0 + tr)
+            out = acc[t0 * k:t1 * k, :, :nout].astype(np.int64)
+            out = out.reshape(t1 - t0, k, g1 - g0, k, nout)
             if k == 1:
-                vals = out[:, 0, :, :, :]
+                vals = out[:, 0] % p
             else:
-                raw = np.zeros((T, g1 - g0, 2 * k - 1, n1 - n0), dtype=np.int64)
+                raw = np.zeros((t1 - t0, g1 - g0, 2 * k - 1, nout), dtype=np.int64)
                 for i in range(k):
                     raw[:, :, i:i + k] += out[:, i]
                 vals = ctx.fold(raw, axis=2)
-            for t in range(T):  # rows[t] repeats no index, so += adds every block
-                into[rows[t, g0:g1], :, n0:n1] += vals[t]
+            if distinct:
+                into[rows[t0:t1, g0:g1], :, :nout] += vals
+            else:
+                for t in range(t0, t1):  # rows[t] repeats no index, so += adds every block
+                    into[rows[t, g0:g1], :, :nout] += vals[t - t0]
 
 
 def _keys(p: int, codes: np.ndarray, level: int) -> np.ndarray:
@@ -304,13 +343,35 @@ def mul(a: Slab, b: Slab, layers: Sequence[Slab]) -> Slab:
                            return_inverse=True)
     blocks = np.zeros((keys.size, ctx.k, a.arr.shape[2] + b.arr.shape[2] - 1), dtype=np.int64)
     _xconv([a.arr[ca]], b.arr[cb][None], rows.reshape(ca.size, cb.size), blocks, ctx)
-    return _finish_reduce(keys, blocks, ctx, lvl, layers)
+    return _finish_reduce(keys, 0, blocks, ctx, lvl, layers, 1)[0]
 
 
-def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int,
-                   layers: Sequence[Slab]) -> Slab:
-    """The reduced slab of sum_i y^keys[i] blocks[i] (keys as in _keys, blocks
-    (N, k, X) with distinct keys).
+def ymul(codes: Sequence[int], level: int, fs: Sequence[Slab],
+         layers: Sequence[Slab]) -> list[Slab]:
+    """The reduced products y^codes[i] fs[i], with the codes at `level`, as in
+    mul.  A monomial in y only renames the y-codes of fs[i], so no convolution
+    comes before the reduction, and all products share one reduction."""
+    if not fs:
+        return []
+    ctx = fs[0].ctx
+    lvl = max([level] + [f.level for f in fs])
+    nz = [f.nonzero_codes() for f in fs]
+    keys = np.concatenate([_keys(ctx.p, cf, f.level) + low for low, f, cf
+                           in zip(_keys(ctx.p, np.asarray(codes), level), fs, nz)])
+    index = np.repeat(np.arange(len(fs)), [cf.size for cf in nz])
+    blocks = np.zeros((keys.size, ctx.k, max(f.arr.shape[2] for f in fs)), dtype=np.int64)
+    at = 0
+    for f, cf in zip(fs, nz):
+        blocks[at:at + cf.size, :, :f.arr.shape[2]] = f.arr[cf]
+        at += cf.size
+    return _finish_reduce(keys, index, blocks, ctx, lvl, layers, len(fs))
+
+
+def _finish_reduce(keys: np.ndarray, index: np.ndarray | int, blocks: np.ndarray,
+                   ctx: FieldCtx, lvl: int, layers: Sequence[Slab], nprod: int) -> list[Slab]:
+    """The reduced slabs of nprod products, in index order: product i is the
+    sum of y^keys[r] blocks[r] over the r with index[r] = i (keys as in _keys,
+    blocks (N, k, X), keys distinct within a product).
 
     Digits can exceed p-1 after a single multiplication; each overflow splits
     via y_j^p = y_j + f_j, whose f_j factor only touches digits below j, so the
@@ -318,10 +379,16 @@ def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int
     digit is the highest of all, say j, and forms their products with every
     row of f_j in one batched convolution (_xconv); blocks are coalesced by key
     between waves, since without that the splits recombine exponentially.
+    Each key carries its product index in the bits above the y-digits, so
+    products never mix.
     """
     p, k = ctx.p, ctx.k
+    if nprod > 1 << (63 - _KEY_BITS * lvl):
+        raise InternalConsistencyError(
+            f"{nprod} product indices do not fit the key bits above {lvl} y-digits")
+    keys = keys + (np.asarray(index, dtype=np.int64) << _KEY_BITS * lvl)
     shifts = _KEY_BITS * np.arange(lvl)
-    done: list[tuple[np.ndarray, np.ndarray]] = []
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while keys.size:
         blocks %= p
         live = blocks.any(axis=(1, 2))
@@ -331,7 +398,7 @@ def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int
             raise InternalConsistencyError("y-exponent digit outgrew its key field")
         over = dig >= p
         fin = ~over.any(axis=1)
-        done.append((dig[fin] @ p ** np.arange(lvl), blocks[fin]))
+        done.append((keys[fin] >> _KEY_BITS * lvl, dig[fin] @ p ** np.arange(lvl), blocks[fin]))
         if fin.all():
             break
         top = np.where(fin, -1, lvl - 1 - over[:, ::-1].argmax(axis=1))  # highest overflow
@@ -350,49 +417,86 @@ def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int
         nxt[rows[nr:nr + ns], :, :blocks.shape[2]] += blocks[sel]
         _xconv([fj.arr[cf]], blocks[sel][None], rows[nr + ns:].reshape(prods.shape), nxt, ctx)
         blocks = nxt
-    return _materialize(ctx, lvl, done)
+    return _materialize(ctx, lvl, nprod, done)
 
 
-def _materialize(ctx: FieldCtx, lvl: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> Slab:
-    """The level-lvl slab sum y^code block over the (codes, blocks) parts, each
-    with distinct codes and (N, k, X) blocks of any length X."""
-    out = Slab.zeros(ctx, lvl, max((b.shape[2] for _, b in parts), default=1))
-    for codes, b in parts:
-        out.arr[codes, :, :b.shape[2]] += b
-    out.arr %= ctx.p
-    return out.trim()
+def _materialize(ctx: FieldCtx, lvl: int, nprod: int,
+                 parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[Slab]:
+    """The level-lvl slabs sum y^code block of each product index over the
+    (indices, codes, blocks) parts, each with distinct (index, code) pairs
+    and (N, k, X) blocks of any length X."""
+    out = np.zeros((nprod, ctx.p ** lvl, ctx.k, max((b.shape[2] for *_, b in parts), default=1)),
+                   dtype=np.int64)
+    for idx, codes, b in parts:
+        out[idx, codes, :, :b.shape[2]] += b
+    out %= ctx.p
+    return [Slab(ctx, lvl, x).trim() for x in out]
 
 
 # ---------------------------------------------------------------------------
 # Cartier application
 # ---------------------------------------------------------------------------
 
-def v_apply(g: Slab, tables: dict[tuple[int, int], Slab]) -> Slab:
-    """Apply the Cartier operator to g*dx at g's level.
+def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
+            shifts: Sequence[int] | None = None) -> list[Slab]:
+    """Apply the Cartier operator to x^shifts[i] forms[i] dx (shifts default
+    to 0) for forms all at one level n; the images, in order.
 
     tables maps (nu0, ycode) with nu0 < p to the reduced value of V on
-    x^nu0 y^code dx at the same level.  Each group of monomials congruent to
-    x^nu0 mod p in a row of g contributes sigma^{-1}(h) times that table
-    entry, where h collects the p-th-root cofactors; one batched convolution
-    (_xconv) forms the sum of all of them.
+    x^nu0 y^code dx at level n.  The monomials of row `code` of a form that
+    are congruent to x^nu0 mod p contribute sigma^{-1}(h) times that table
+    entry, where h is the p-th-root cofactor: its coefficient of x^q is the
+    form's coefficient of x^(p q + nu0).  The group's cofactors are one array,
+    entry by form by x^q, whose transposed view takes each form, shift
+    included, as p strided slices, so no shifted or padded copy is made.  The
+    forms go in groups of similar cofactor length whose cofactor and output
+    blocks hold at most _BATCH elements (at least one form); each group is one
+    batched convolution (_xconv) of every table entry against the cofactors,
+    with the image of form g in rows g S .. g S + S - 1.
     """
-    ctx = g.ctx
+    if not forms:
+        return []
+    ctx = forms[0].ctx
     p, k = ctx.p, ctx.k
+    n = forms[0].level
+    if any(f.level != n for f in forms):
+        raise PolyError("v_apply takes forms of one level")
+    shifts = [0] * len(forms) if shifts is None else list(shifts)
+    S = p ** n
+    entries = [tables[(nu0, code)].arr for nu0 in range(p) for code in range(S)]
+    La = max(x.shape[2] for x in entries)
     finv = ctx.inv_frob_matrix()
-    X = g.arr.shape[2]
-    cofactors, entries = [], []
-    for code in g.nonzero_codes().tolist():
-        for nu0 in range(min(p, X)):
-            sub = g.arr[code, :, nu0::p]
-            if sub.any():
-                cofactors.append(sub if k == 1 else finv @ sub % p)
-                entries.append(tables[(nu0, code)].arr)
-    S = p ** g.level
-    if not cofactors:
-        return Slab.zeros(ctx, g.level)
-    h = np.zeros((len(cofactors), 1, k, -(-X // p)), dtype=np.int64)
-    for e, c in enumerate(cofactors):
-        h[e, 0, :, :c.shape[1]] = c
-    out = np.zeros((S, k, max(e.shape[2] for e in entries) + h.shape[3] - 1), dtype=np.int64)
-    _xconv(entries, h, np.arange(S)[:, None], out, ctx)
-    return Slab(ctx, g.level, out % p).trim()
+    # cofactor lengths; forms of similar length go together, so few are padded far
+    Qs = [-(-(f.arr.shape[2] + s) // p) for f, s in zip(forms, shifts)]
+    todo = sorted(range(len(forms)), key=Qs.__getitem__)
+    images: list[Slab | None] = [None] * len(forms)
+    i = 0
+    while i < len(todo):
+        j = i + 1  # todo ascends in Q, so the group's longest cofactor is its last
+        while j < len(todo) and (j + 1 - i) * (
+                2 * p * S * k * Qs[todo[j]] + S * k * (La + Qs[todo[j]] - 1)) <= _BATCH:
+            j += 1
+        group, Q = todo[i:j], Qs[todo[j - 1]]
+        G = len(group)
+        # h5[nu0, code, g, :, q] = form g's coefficient of x^(p q + nu0) in row code
+        h5 = np.zeros((p, S, G, k, Q), dtype=np.int64)
+        view = h5.transpose(2, 1, 3, 4, 0)  # (g, code, :, q, nu0)
+        for g, idx in enumerate(group):
+            f, s = forms[idx].arr, shifts[idx]
+            X = f.shape[2]
+            for nu0 in range(p):
+                x0 = (nu0 - s) % p  # the first x-power of f that lands on x^nu0 mod p
+                cnt = len(range(x0, X, p))
+                if cnt:
+                    q0 = (x0 + s - nu0) // p
+                    view[g, :, :, q0:q0 + cnt, nu0] = f[:, :, x0::p]
+        h = h5.reshape(p * S, G, k, Q)
+        if k > 1:
+            h = finv @ h % p
+        out = np.zeros((G * S, k, La + Q - 1), dtype=np.int64)
+        _xconv(entries, h, np.arange(G) * S + np.arange(S)[:, None], out, ctx)
+        out %= p
+        for g, idx in enumerate(group):
+            images[idx] = Slab(ctx, n, out[g * S:(g + 1) * S]).trim()
+        i = j
+    return images

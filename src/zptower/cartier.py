@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import Monomial, Slab, code_weights, digits_of, mul as slab_mul, v_apply
+from ._slab import _BATCH, Monomial, Slab, code_weights, mul as slab_mul, v_apply, ymul
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
@@ -66,10 +66,14 @@ class CartierTables:
     V(x^nu0 y^ycode dx) at level m.  Level m entries only need level m-1:
     writing y_m^a = (y_m^p - f_m)^a expands each entry into values
     V(x^nu0 y^low (-f_m)^j dx) at level m-1, and since x^nu0 commutes with the
-    y-reduction, each product y^low (-f_m)^j is formed once (a batched slab
-    product) and shifted by nu0.  Every V at level m-1 is one batched
-    x-convolution of the p-th-root cofactors against the level m-1 table
-    (_slab.v_apply).  The build is sequential and deterministic.
+    y-reduction, each product y^low (-f_m)^j is formed once and shifted by
+    nu0.  A level is built from grouped batches: the lowcodes go in groups
+    whose products fit a share of _slab._BATCH, each group's products come
+    from one y-reduction (_slab.ymul), and all their shifts go through one
+    _slab.v_apply call, which convolves the p-th-root cofactors of a group of
+    forms at a time against every level m-1 table entry.  Each entry is then
+    put together from slices of those images, scaled by comb(a, i) mod p.  The
+    build is sequential and deterministic.
 
     Each level is cached in a witt.write_cache file (format 3) whose payload
     is every entry's x-length, then every entry's slab as int8 residues; a
@@ -103,36 +107,45 @@ class CartierTables:
 
     def _build_level(self, m: int) -> dict[tuple[int, int], Slab]:
         state, ctx = self.state, self.ctx
-        p = ctx.p
+        p, k = ctx.p, ctx.k
         prev = self.levels[m - 1]
         S_low = p ** (m - 1)
         minus_f = state.layer_slab(m).scale(-1)
         fpow = [Slab.monomial(ctx, Monomial(0, ()))]
         for _ in range(1, p):
             fpow.append(slab_mul(fpow[-1], minus_f, state.layers).trim())
-        inner: dict[tuple[int, int, int], Slab] = {}
-        for lowcode in range(S_low):
-            ylow = Slab.monomial(ctx, Monomial(0, digits_of(p, lowcode, m - 1)))
-            prods = [slab_mul(ylow, fpow[j], state.layers) for j in range(1, p)]
-            for nu0 in range(p):
-                inner[(nu0, lowcode, 0)] = prev[(nu0, lowcode)]
-                for j, g in enumerate(prods, 1):
-                    # x^nu0 commutes with the y-reduction: x^nu0 y^low (-f_m)^j is g
-                    # shifted by nu0
-                    shifted = Slab(ctx, g.level, np.pad(g.arr, ((0, 0), (0, 0), (nu0, 0))))
-                    inner[(nu0, lowcode, j)] = v_apply(shifted, prev)
         table: dict[tuple[int, int], Slab] = {}
-        for am in range(p):
-            for lowcode in range(S_low):
+        # the products of one group of lowcodes hold at most an eighth of _BATCH
+        # elements: the intermediate blocks of their reduction reach about 9
+        # times that (p3d5 level 5)
+        step = max(1, _BATCH // (8 * (p - 1) * S_low * k * max(f.arr.shape[2] for f in fpow)))
+        for low0 in range(0, S_low, step):
+            lows = range(low0, min(S_low, low0 + step))
+            # prods[c (p-1) + j - 1] = y^lows[c] (-f_m)^j, reduced at level m-1
+            prods = ymul([low for low in lows for _ in range(1, p)], m - 1,
+                         [fpow[j] for _ in lows for j in range(1, p)], state.layers)
+            # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is that
+            # product shifted by nu0; the images come in (low, nu0, j) order
+            images = iter(v_apply(
+                [prods[c * (p - 1) + j - 1] for c in range(len(lows))
+                 for _ in range(p) for j in range(1, p)], prev,
+                [nu0 for _ in lows for nu0 in range(p) for _ in range(1, p)]))
+            for low in lows:
                 for nu0 in range(p):
-                    acc = Slab.zeros(ctx, m)
-                    for i in range(am + 1):
-                        cmb = comb(am, i) % p
-                        if cmb == 0:
-                            continue
-                        term = inner[(nu0, lowcode, am - i)]
-                        acc.add_into(_embed_ym(term, i, m), scale=cmb)
-                    table[(nu0, lowcode + am * S_low)] = acc.trim()
+                    # inner[j] = V(x^nu0 y^low (-f_m)^j dx) at level m-1
+                    inner = [prev[(nu0, low)].arr] + [next(images).arr for _ in range(1, p)]
+                    for am in range(p):
+                        # y_m = y_m^p - f_m, so y_m^am is the sum over i of
+                        # comb(am, i) y_m^(p i) (-f_m)^(am-i), and V(y_m^(p i) w) =
+                        # y_m^i V(w): the entry's y_m-digit block i is
+                        # comb(am, i) inner[am - i]
+                        width = max(inner[j].shape[2] for j in range(am + 1))
+                        arr = np.zeros((p * S_low, k, width), dtype=np.int64)
+                        for i in range(am + 1):
+                            term = inner[am - i]
+                            arr[i * S_low:(i + 1) * S_low, :, :term.shape[2]] = \
+                                comb(am, i) % p * term % p
+                        table[(nu0, low + am * S_low)] = Slab(ctx, m, arr).trim()
         return table
 
     # -- persistence ---------------------------------------------------------
@@ -188,14 +201,6 @@ def _level_bytes(table: dict[tuple[int, int], Slab]) -> bytes:
     keys = sorted(table)
     widths = np.array([table[key].arr.shape[2] for key in keys], dtype="<i4")
     return widths.tobytes() + b"".join(table[key].arr.astype(np.int8).tobytes() for key in keys)
-
-
-def _embed_ym(term: Slab, i: int, m: int) -> Slab:
-    """term (level m-1) times y_m^i, as a level-m slab."""
-    S_low = term.arr.shape[0]
-    out = Slab.zeros(term.ctx, m, term.arr.shape[2])
-    out.arr[i * S_low: (i + 1) * S_low] = term.arr
-    return out
 
 
 # ---------------------------------------------------------------------------

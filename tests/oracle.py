@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from zptower import witt
-from zptower._slab import Monomial, PolyError, Slab, code_of, digits_of, mul as slab_mul, v_apply
+from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply
 from zptower.analysis import AnalysisError, _check_p2_breaks, constants
 from zptower.cartier import CartierTables, _basis_layout, cartier_matrix
 from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError
@@ -270,6 +270,15 @@ def evaluate_witt(poly, values: Sequence[SparsePoly], ctx: FieldCtx) -> SparsePo
 
 # -- conversion to and from the dense kernel ----------------------------------
 
+def digits_of(p: int, code: int, level: int) -> tuple[int, ...]:
+    """The base-p digits a_1..a_level of a y-code (code_of's inverse)."""
+    out = []
+    for _ in range(level):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
+
+
 def from_sparse(f: SparsePoly, level: int | None = None) -> Slab:
     f = f.at_level(f.level if level is None else level)
     s = Slab.zeros(f.ctx, f.level, max((m.nu for m in f.terms), default=0) + 1)
@@ -374,7 +383,7 @@ def is_regular(form: Slab, state: TowerState) -> bool:
 def cartier_apply(form: Slab, state: TowerState) -> Slab:
     """V(form dx) at the form's level; at level 0 this is
     V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx on the projective line."""
-    return v_apply(form, (state.tables or CartierTables(state)).table(form.level))
+    return v_apply([form], (state.tables or CartierTables(state)).table(form.level))[0]
 
 
 def trace_map(form: Slab) -> Slab:

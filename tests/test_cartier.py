@@ -405,10 +405,28 @@ def test_table_digests_do_not_depend_on_the_chunk(monkeypatch):
     assert [table_digest(tables.levels[m]) for m in (1, 2, 3)] == TABLE_DIGESTS["p3d7"][:3]
 
 
+def test_level_build_batches_its_convolutions(monkeypatch):
+    # a level is built from grouped batches: p3d7 level 3 from level 2 makes 9
+    # _xconv calls, where one v_apply per form and one mul per product made 113
+    tables = CartierTables(tower(F3, SUITES["p3d7"]["terms"], 3)).ensure(2)
+    calls = []
+    real = slab_kernel._xconv
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        real(*args)
+    monkeypatch.setattr(slab_kernel, "_xconv", counted)
+    tables.ensure(3)
+    assert table_digest(tables.levels[3]) == TABLE_DIGESTS["p3d7"][2]
+    assert len(calls) <= 20, len(calls)
+
+
 def test_table_build_memory():
-    # The batched products keep each float64 temporary within about
-    # _CONV_CHUNK = 2^16 elements (512 KB), so building p2d21's level-4 table
-    # from level 3 peaks at about 0.73 MB; chunks of 2^17 elements give 1.33 MB.
+    # _xconv keeps the temporaries alive together within _CONV_CHUNK = 2^16
+    # elements, float32 where that is exact, so building p2d21's level-4 table
+    # from level 3 peaks at about 0.86 MB (0.72 MB with single-form applies and
+    # each float64 temporary within 2^16 elements); chunks of 2^17 elements give
+    # about 1.2 MB.
     st = tower(F2, SUITES["p2d21"]["terms"], 4)
     tables = CartierTables(st).ensure(3)
     tracemalloc.start()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from oracle import (SparsePoly, from_sparse, infinity_valuation, layers as sparse_layers,
+from oracle import (SparsePoly, digits_of, from_sparse, infinity_valuation, layers as sparse_layers,
                     monomial_valuation, poly_pth_power, reduce_to_monomial_basis, to_sparse)
 from zptower import _slab
-from zptower._slab import Monomial, Slab, code_of, digits_of, mul as slab_mul, v_apply
+from zptower._slab import Monomial, Slab, code_of, mul as slab_mul, v_apply, ymul
 from zptower.gf import InternalConsistencyError, field
 from zptower.tower import TowerSpec, TowerState
 
@@ -93,8 +93,8 @@ def test_v_apply_linear_over_pth_powers(towerenv, rng):
     h = random_poly(ctx, n, rng, nterms=2, maxdeg=2)
     hp = reduce_to_monomial_basis(poly_pth_power(h), layers)
     prod = reduce_to_monomial_basis(hp * w, layers)
-    lhs = v_apply(from_sparse(prod), tables)
-    rhs = slab_mul(from_sparse(h), v_apply(from_sparse(w), tables), state.layers)
+    lhs = v_apply([from_sparse(prod)], tables)[0]
+    rhs = slab_mul(from_sparse(h), v_apply([from_sparse(w)], tables)[0], state.layers)
     assert to_sparse(lhs) == to_sparse(rhs)
 
 
@@ -197,3 +197,84 @@ def test_mul_by_x_power_is_a_shift(smalltower, rng):
             got = slab_mul(Slab.monomial(ctx, Monomial(nu, a)), F, state.layers)
             want = np.pad(base.arr, ((0, 0), (0, 0), (nu, 0)))
             assert np.array_equal(got.arr, want), (a, nu)
+
+
+@pytest.mark.parametrize("chunk", [None, 40], ids=["default-chunk", "tiny-chunk"])
+def test_batched_products_match_mul(smalltower, chunk, rng, monkeypatch):
+    # y^low F for every y^low at level 2 and an F at each level 0..2, all in one
+    # reduction, against one mul per product
+    if chunk is not None:
+        monkeypatch.setattr(_slab, "_CONV_CHUNK", chunk)
+    ctx, state = smalltower
+    p = ctx.p
+    Fs = [from_sparse(random_poly(ctx, lvl, rng, nterms=5, maxdeg=7)) for lvl in (0, 1, 2)]
+    codes = [code for code in range(p ** 2) for _ in Fs]
+    fs = Fs * p ** 2
+    got = ymul(codes, 2, fs, state.layers)
+    assert len(got) == len(fs)
+    for code, F, g in zip(codes, fs, got):
+        want = slab_mul(Slab.monomial(ctx, Monomial(0, digits_of(p, code, 2))), F, state.layers)
+        assert g.level == 2 and np.array_equal(g.arr, want.arr), code
+
+
+def test_product_index_must_fit_its_key_bits():
+    # at level 10 the y-digits take 60 key bits, which leaves 3 for the product
+    # index: 8 products fit, 9 do not
+    ctx, lvl = field(2), 10
+    keys, index = np.zeros(1, dtype=np.int64), np.array([7])
+    blocks = np.ones((1, 1, 2), dtype=np.int64)
+    got = _slab._finish_reduce(keys, index, blocks, ctx, lvl, [], 8)
+    assert [s.is_zero() for s in got] == [True] * 7 + [False]
+    assert np.array_equal(got[7].arr[0], [[1, 1]])
+    with pytest.raises(InternalConsistencyError):
+        _slab._finish_reduce(keys, index, blocks, ctx, lvl, [], 9)
+
+
+def _sparse_v(f: SparsePoly, tables):
+    """V(f dx) term by term from the table entries: c x^(p q + nu0) y^a dx goes
+    to sigma^-1(c) x^q V(x^nu0 y^a dx)."""
+    ctx, n = f.ctx, f.level
+    out = SparsePoly(ctx, n, {})
+    for m, c in f.terms.items():
+        q, nu0 = divmod(m.nu, ctx.p)
+        xq = SparsePoly(ctx, n, {Monomial(q, (0,) * n): c.frobenius_inverse()})
+        out = out + xq * to_sparse(tables[(nu0, code_of(ctx.p, m.a))])
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=["gf2", "gf3", "gf4", "gf9"])
+def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
+    # forms of mixed x-lengths, a zero form and shifted forms in one call, with a
+    # group budget that makes v_apply run several groups: each image equals the
+    # form's own one-element call and the term-by-term reference on the tables
+    ctx = field(p, k)
+    t = ctx.gen()
+    terms = [(0, t, 7), (0, 1, 5)] if p == 3 else [(0, t, 5), (0, 1, 3)]
+    state = TowerState(TowerSpec.make(ctx, terms))
+    state.build_to(2)
+    tables = _tables(state, 2)
+    forms = [from_sparse(random_poly(ctx, 2, rng, nterms=4, maxdeg=d), 2)
+             for d in (1, 12, 4, 30, 7)]
+    forms.insert(2, Slab.zeros(ctx, 2, 3))
+    shifts = [0, 1, 2, p - 1, 0, 5]
+    single = [v_apply([f], tables, [s])[0] for f, s in zip(forms, shifts)]
+    S, La = p ** 2, max(e.arr.shape[2] for e in tables.values())
+    Q = max(-(-(f.arr.shape[2] + s) // p) for f, s in zip(forms, shifts))
+    # room for two of the longest forms in a group
+    monkeypatch.setattr(_slab, "_BATCH", 2 * (2 * p * S * k * Q + S * k * (La + Q - 1)))
+    calls = []
+    real = _slab._xconv
+
+    def counted(*args):
+        calls.append(args[1].shape[1])
+        real(*args)
+    monkeypatch.setattr(_slab, "_xconv", counted)
+    batched = v_apply(forms, tables, shifts)
+    assert 1 < len(calls) < len(forms) and max(calls) > 1, calls
+    for f, s, got, one in zip(forms, shifts, batched, single):
+        assert got.level == 2 and np.array_equal(got.arr, one.arr)
+        shifted = SparsePoly(ctx, 2, {Monomial(m.nu + s, m.a): c
+                                      for m, c in to_sparse(f).terms.items()})
+        assert to_sparse(got) == _sparse_v(shifted, tables)
+    assert batched[2].is_zero()
+    assert v_apply([], tables) == []
