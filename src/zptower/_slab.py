@@ -213,12 +213,15 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     column (g, j, m) hold h[e, g, j, m - b + 1 + c], and the result is added
     into the accumulator at x-offset s b.  b balances that window copy, E b
     rows, against the accumulator additions, T k rows per shift block, so it
-    is about sqrt(La T k / E).  Entry (t, i), (g, j, n) of the accumulator is
-    the coefficient of x^n in sum_e a[e][t, i] h[e, g, j]; the k^2 coefficient
-    products then fold modulo the field polynomial (ctx.fold).  The sum is
-    exact: it adds at most sum_e La_e products of residues below p, which
-    _exact checks is below 2^53 (for p <= 13 that allows 6e13 terms).  The
-    GEMMs run in float32 when that sum stays below 2^24, else in float64.
+    is about sqrt(La T k / E); when the whole window copy over all La shifts
+    is small, b = La and each chunk is one GEMM.  Entry (t, i), (g, j, n) of
+    the accumulator is the coefficient of x^n in sum_e a[e][t, i] h[e, g, j];
+    the k^2 coefficient products then fold modulo the field polynomial
+    (ctx.fold).  The sum is exact: it adds at most sum_e La_e products of
+    residues below p, which _exact checks is below 2^53 (for p <= 13 that
+    allows 6e13 terms).  The GEMMs run in float32 when sum_e La_e (p-1)^2 is
+    below 2^24, so that every partial sum is an integer float32 holds
+    exactly, and in float64 otherwise.
 
     The blocks g go in chunks, then the entries, then x-pieces of h.  The
     temporaries alive together (the accumulator with either a piece of h, its
@@ -249,8 +252,11 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
         return
     order = live[np.argsort(-la[live], kind="stable")]  # longest first
     Ev, L = order.size, int(la[order[0]])
-    b = max(1, min(L, round(math.sqrt(L * T * k / Ev)), math.isqrt(_CONV_CHUNK // (12 * k)),
-                   _CONV_CHUNK // (12 * T * k * k)))
+    if Ev * L * G * k * (Lh + L) <= _CONV_CHUNK // 4:
+        b = L
+    else:
+        b = max(1, min(L, round(math.sqrt(L * T * k / Ev)), math.isqrt(_CONV_CHUNK // (12 * k)),
+                       _CONV_CHUNK // (12 * T * k * k)))
     nb = -(-L // b)
     # A[s][(t, i), (e, c)] = a[e][t, i, s b + b - 1 - c], zero past La_e
     A = np.zeros((nb, T, k, Ev, b), dtype=dt)

@@ -115,10 +115,11 @@ class CartierTables:
         for _ in range(1, p):
             fpow.append(slab_mul(fpow[-1], minus_f, state.layers).trim())
         table: dict[tuple[int, int], Slab] = {}
-        # the products of one group of lowcodes hold at most an eighth of _BATCH
-        # elements: the intermediate blocks of their reduction reach about 9
-        # times that (p3d5 level 5)
-        step = max(1, _BATCH // (8 * (p - 1) * S_low * k * max(f.arr.shape[2] for f in fpow)))
+        # the products of one group of lowcodes hold at most _BATCH / 40
+        # elements: the arrays alive in one wave of their reduction reach about
+        # 40 times that (p2d21 level 6: the largest wave is 10 times the
+        # products, and it holds about four arrays of its size)
+        step = max(1, _BATCH // (40 * (p - 1) * S_low * k * max(f.arr.shape[2] for f in fpow)))
         for low0 in range(0, S_low, step):
             lows = range(low0, min(S_low, low0 + step))
             # prods[c (p-1) + j - 1] = y^lows[c] (-f_m)^j, reduced at level m-1
