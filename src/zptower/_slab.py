@@ -17,8 +17,8 @@ y-codes by integer key arithmetic.  mul forms all code pairs at once and then
 reduces in waves, one batched product of the overflowing blocks with f_j per
 wave; ymul forms many products y^code f in one such reduction, each keyed by
 its index.  v_apply takes a sequence of forms and applies V to groups of them,
-each group one convolution of every Cartier table entry against all the
-groups' p-th-root cofactors.
+each group one convolution of every Cartier table entry against the p-th-root
+cofactors of all its forms.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
