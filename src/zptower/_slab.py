@@ -297,12 +297,17 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
                 se, sg, sj, sx = hp.strides
                 toe = np.ndarray((c1 - c0, b, g1 - g0, k, m), dt, hp, 0, (se, sx, sg, sj, sx))
                 toe = np.ascontiguousarray(toe).reshape((c1 - c0) * b, -1)
+                # each temporary is freed before the next one of its kind is
+                # made, so that it counts once against _CONV_CHUNK
+                del hp
                 for s in range(nb):
                     hi = min(int(width[s]), c1 * b)
                     if hi <= c0 * b:
                         break  # width falls with s
                     part = A[s, :, c0 * b:hi] @ toe[:hi - c0 * b]
                     acc[:, :, x0 + s * b:x0 + s * b + m] += part.reshape(T * k, (g1 - g0) * k, m)
+                    del part
+                del toe
         # acc holds exact integers, so the int64 cast is exact; it and % are
         # far cheaper than np.fmod
         tr = max(1, max(_CONV_CHUNK - acc.size, _CONV_CHUNK // 2) // (3 * k * k * (g1 - g0) * nout))
@@ -317,11 +322,14 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
                 for i in range(k):
                     raw[:, :, i:i + k] += out[:, i]
                 vals = ctx.fold(raw, axis=2)
+                del raw
             if distinct:
                 into[rows[t0:t1, g0:g1], :, :nout] += vals
             else:
                 for t in range(t0, t1):  # rows[t] repeats no index, so += adds every block
                     into[rows[t, g0:g1], :, :nout] += vals[t - t0]
+            del out, vals
+        del acc
 
 
 def _keys(p: int, codes: np.ndarray, level: int) -> np.ndarray:

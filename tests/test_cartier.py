@@ -424,9 +424,9 @@ def test_level_build_batches_its_convolutions(monkeypatch):
 def test_table_build_memory():
     # _xconv keeps the temporaries alive together within _CONV_CHUNK = 2^16
     # elements, float32 where that is exact, so building p2d21's level-4 table
-    # from level 3 peaks at about 0.86 MB (0.72 MB with single-form applies and
+    # from level 3 peaks at about 0.71 MB (0.72 MB with single-form applies and
     # each float64 temporary within 2^16 elements); chunks of 2^17 elements give
-    # about 1.2 MB.
+    # about 0.88 MB.
     st = tower(F2, SUITES["p2d21"]["terms"], 4)
     tables = CartierTables(st).ensure(3)
     tracemalloc.start()
