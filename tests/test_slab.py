@@ -7,7 +7,7 @@ from conftest import random_poly
 from oracle import (SparsePoly, digits_of, from_sparse, infinity_valuation, layers as sparse_layers,
                     monomial_valuation, poly_pth_power, reduce_to_monomial_basis, to_sparse)
 from zptower import _slab
-from zptower._slab import Monomial, Slab, code_of, mul as slab_mul, v_apply, ymul
+from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply, ymul
 from zptower.gf import InternalConsistencyError, field
 from zptower.tower import TowerSpec, TowerState
 
@@ -278,3 +278,5 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
         assert to_sparse(got) == _sparse_v(shifted, tables)
     assert batched[2].is_zero()
     assert v_apply([], tables) == []
+    with pytest.raises(PolyError):  # one call takes forms of one level
+        v_apply([forms[0], Slab.zeros(ctx, 1)], tables)
