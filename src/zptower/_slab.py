@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gf import FieldCtx, InternalConsistencyError
+from .gf import FieldCtx, InternalConsistencyError, check_float_exact
 
 
 class PolyError(ValueError):
@@ -187,14 +187,6 @@ _BATCH = 1 << 20  # elements of the cofactor and output blocks of one v_apply gr
 _KEY_BITS = 6  # bits per y-digit in the integer keys of unreduced y-exponents (8 levels: 48)
 
 
-def _exact(inner: int, p: int) -> None:
-    """Raise unless a float64 sum of `inner` products of residues below p is
-    exact, i.e. inner * (p-1)^2 < 2^53."""
-    if inner * (p - 1) ** 2 >= 1 << 53:
-        raise InternalConsistencyError(
-            f"x-convolution of inner dimension {inner} is not exact in float64 for p={p}")
-
-
 def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.ndarray,
            ctx: FieldCtx) -> None:
     """into[rows[t, g]] += sum_e a[e][t] * h[e, g] in GF(p^k)[x], for every row t
@@ -218,7 +210,7 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     the accumulator is the coefficient of x^n in sum_e a[e][t, i] h[e, g, j];
     the k^2 coefficient products then fold modulo the field polynomial
     (ctx.fold).  The sum is exact: it adds at most sum_e La_e products of
-    residues below p, which _exact checks is below 2^53 (for p <= 13 that
+    residues below p, which check_float_exact keeps below 2^53 (for p <= 13 that
     allows 6e13 terms).  The GEMMs run in float32 when sum_e La_e (p-1)^2 is
     below 2^24, so that every partial sum is an integer float32 holds
     exactly, and in float64 otherwise.
@@ -245,7 +237,7 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
         raise InternalConsistencyError("x-convolution sends two blocks of one row to one target")
     la = np.array([x.shape[2] for x in a])
     inner = int(la.sum())
-    _exact(inner, p)
+    check_float_exact(inner, p)
     dt = np.float32 if inner * (p - 1) ** 2 < 1 << 24 else np.float64
     live = np.flatnonzero(h.reshape(E, -1).any(axis=1) & np.array([x.any() for x in a]))
     if not live.size:

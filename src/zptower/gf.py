@@ -26,10 +26,16 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
 
 
+def check_float_exact(inner: int, p: int) -> None:
+    """Raise unless a float64 sum of `inner` products of residues below p is
+    exact, i.e. inner * (p-1)^2 < 2^53 (the guard of every float product)."""
+    if inner * (p - 1) ** 2 >= 1 << 53:
+        raise InternalConsistencyError(f"a float64 sum of {inner} products mod {p} is not exact")
+
+
 # ---------------------------------------------------------------------------
 # GF(p)[t] helpers (coefficient lists, little-endian): the modulus search and
-# every product modulo the field polynomial.  `poly_modred` also reduces
-# modulo p^m when the divisor is monic (witt's lifted sums).
+# every product modulo the field polynomial.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(f: list[int]) -> list[int]:

@@ -25,9 +25,10 @@ submatrix.  Only that leftover is eliminated densely, by blocked Gaussian
 elimination whose rank-1 updates stay within sub-panels of _SUB columns and
 whose other updates run as float64 GEMMs (exact: every inner product is below
 _PANEL * (p-1)^2, far inside the float64 integer range).
-Odd-p products are float64 GEMMs too, exact while inner dimension * (p-1)^2
-stays below 2^53, converted one column block of the right factor and one row
-chunk of the left at a time.
+Odd-p products are float64 GEMMs too, converted one column block of the
+right factor and one row chunk of the left at a time and reduced by an int64
+cast and %.  gf.check_float_exact, the guard of _slab's x-convolution, keeps
+them exact: inner dimension * (p-1)^2 stays below 2^53.
 
 Both eliminations also report their pivot rows, rows of their input that
 span its row space.  Twisted powers use them: rowspace(N M) = rowspace(N) M,
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldCtx, InternalConsistencyError
+from .gf import FieldCtx, InternalConsistencyError, check_float_exact
 
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
 _SUB = 32  # columns per rank-1 update within a panel
@@ -125,6 +126,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if p == 2:
         return _matmul_gf2(a, b)
     m, inner = a.shape
+    check_float_exact(inner, p)
     out = np.empty((m, b.shape[1]), dtype=np.int8)
     # b in column blocks and a in row chunks, so that every float64 temporary
     # (a block of b, a chunk of a, their product) holds at most _GEMM_CHUNK
@@ -137,7 +139,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         bf = b[live, c0:c0 + cols].astype(np.float64)
         for r0 in range(0, m, rows):
             blk = a[r0:r0 + rows, live].astype(np.float64) @ bf
-            out[r0:r0 + rows, c0:c0 + cols] = np.fmod(blk, p, out=blk)  # blk >= 0: fmod is mod
+            # blk holds exact integers: its int64 cast and % are far cheaper than np.fmod
+            np.remainder(blk.astype(np.int64), p, out=out[r0:r0 + rows, c0:c0 + cols])
     return out
 
 

@@ -17,10 +17,17 @@ The peel polynomials and cartier's tables are cached in files written by
 write_cache: a header line carrying the sha256 of the body, then the payload
 compressed with zlib.  read_cache gives any file it cannot vouch for as a miss.
 
+A polynomial here is an exponent matrix, one row per term, and a vector of
+coefficients mod p^m.  One product, one sum and one power serve the engine:
+each packs the exponents into one integer key per term, sorts the keys, adds
+the coefficients of each run with np.add.reduceat and decodes the keys with
+one broadcast // and %.  Key, exponent and coefficient arrays are int64 when
+their bounds fit and Python-int object arrays otherwise, with the same code.
+
 Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable,
-and every product reduces it modulo the integer lift of f (gf.poly_modred,
-exact mod p^m since f is monic); functoriality of Witt arithmetic under the
-reduction map makes the mod-p result independent of the lift.
+and every product reduces it modulo the integer lift of f (exact mod p^m
+since f is monic); functoriality of Witt arithmetic under the reduction map
+makes the mod-p result independent of the lift.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gf import FieldCtx, InternalConsistencyError, poly_modred
+from .gf import FieldCtx, InternalConsistencyError
 
 #: Deepest supported truncation per characteristic (levels computed anywhere
 #: in the pipeline are bounded by these).
@@ -56,158 +63,149 @@ def _check_length(p: int, length: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dict polynomials {exponent tuple: int coefficient mod `mod`}; over GF(p^k)
-# the last exponent is that of t, reduced modulo the lifted field polynomial f
+# array polynomials: coefficients in [0, mod), no zero or repeated term; over
+# GF(p^k) the last variable is t, of degree below k
 # ---------------------------------------------------------------------------
 
-def _dp_add_into(acc: dict, other: dict, mod: int, scale: int = 1) -> None:
-    for e, c in other.items():
-        v = (acc.get(e, 0) + scale * c) % mod
-        if v:
-            acc[e] = v
-        else:
-            acc.pop(e, None)
+_PAIRS = 1 << 22  # term pairs per chunk of a product
 
 
-def _dp_mul(a: dict, b: dict, mod: int, f: list[int] | None = None) -> dict:
-    out = _dp_mul_packed(a, b, mod) if len(a) * len(b) >= 1 << 14 else None
-    if out is None:
-        acc: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0) + ca * cb
-        out = {e: v for e, c in acc.items() if (v := c % mod)}
-    if f is None:
-        return out
-    rows: dict = {}  # exponents of the other variables -> {t exponent: coefficient}
-    for e, c in out.items():
-        rows.setdefault(e[:-1], {})[e[-1]] = c
-    red = {}
-    for rest, row in rows.items():
-        coeffs = [row.get(j, 0) for j in range(max(row) + 1)]
-        red.update({rest + (j,): c for j, c in enumerate(poly_modred(coeffs, f, mod)) if c})
-    return red
+class _Poly(NamedTuple):
+    e: np.ndarray  # (terms, nvars) exponents
+    c: np.ndarray  # (terms,) coefficients
+
+    def as_dict(self) -> dict:
+        return dict(zip(map(tuple, self.e.tolist()), self.c.tolist()))
 
 
-def _dp_mul_packed(a: dict, b: dict, mod: int) -> dict | None:
-    """Vectorized product for big integer-coefficient polynomials.
+def _dtype(bound: int):
+    """int64 when every value stays below `bound`, Python ints otherwise."""
+    return np.int64 if bound <= 1 << 63 else object
 
-    Exponent tuples are packed into int64 codes with per-variable capacities
-    sized for this one product; the deep powers that need this path live in
-    few variables, so the packing fits comfortably.  Falls back (None) when
-    it would not, or when the modulus is large enough to threaten the exact
-    integer range of the accumulation (chunk pairs * mod stays below 2^44).
-    """
-    if mod > 1 << 20:
-        return None
-    nvars = len(next(iter(a)))
-    ea = np.array(list(a.keys()), dtype=np.int64).reshape(len(a), nvars)
-    eb = np.array(list(b.keys()), dtype=np.int64).reshape(len(b), nvars)
-    caps = ea.max(axis=0) + eb.max(axis=0) + 1
-    strides = np.ones(nvars, dtype=np.int64)
-    for j in range(1, nvars):
-        strides[j] = strides[j - 1] * caps[j - 1]
-    if float(strides[-1]) * float(caps[-1]) >= 2 ** 62:
-        return None
-    ca = np.fromiter(a.values(), dtype=np.int64, count=len(a))
-    cb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
-    codes_a = ea @ strides
-    codes_b = eb @ strides
-    chunk = max(1, (1 << 24) // max(len(b), 1))
-    pieces_codes, pieces_vals = [], []
-    for i0 in range(0, len(a), chunk):
-        codes = (codes_a[i0:i0 + chunk, None] + codes_b[None, :]).ravel()
-        vals = (ca[i0:i0 + chunk, None] * cb[None, :] % mod).ravel()
-        uniq, inv = np.unique(codes, return_inverse=True)
-        summed = np.bincount(inv, weights=vals.astype(np.float64),
-                             minlength=uniq.size).astype(np.int64) % mod
-        pieces_codes.append(uniq)
-        pieces_vals.append(summed)
-    codes = np.concatenate(pieces_codes)
-    vals = np.concatenate(pieces_vals)
-    uniq, inv = np.unique(codes, return_inverse=True)
-    summed = np.bincount(inv, weights=vals.astype(np.float64),
-                         minlength=uniq.size).astype(np.int64) % mod
-    keep = np.nonzero(summed)[0]
-    out = {}
-    for code, v in zip(uniq[keep].tolist(), summed[keep].tolist()):
-        e = []
-        for j in range(nvars):
-            e.append(int((code // strides[j]) % caps[j]))
-        out[tuple(e)] = int(v)
+
+def _from_dict(nvars: int, d: dict) -> _Poly:
+    e = np.array(list(d), dtype=_dtype(max(map(max, d), default=0) + 1))
+    return _Poly(e.reshape(len(d), nvars), np.array(list(d.values()), dtype=np.int64))
+
+
+def _var(nvars: int, i: int, power: int = 1) -> _Poly:
+    return _from_dict(nvars, {(0,) * i + (power,) + (0,) * (nvars - i - 1): 1})
+
+
+def _packing(caps: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Strides and capacities, in the key dtype, of keys whose digit j is
+    below caps[j]."""
+    strides = [1]
+    for cap in caps[:-1]:
+        strides.append(strides[-1] * cap)
+    dt = _dtype(strides[-1] * caps[-1])
+    return np.array(strides, dtype=dt), np.array(caps, dtype=dt)
+
+
+def _collect(keys: np.ndarray, vals: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order and the nonzero sums mod `mod` of
+    their values."""
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(vals, starts) % mod
+    keep = np.flatnonzero(sums != 0)
+    return keys[starts[keep]], sums[keep]
+
+
+def _add(parts: list[tuple[int, _Poly]], mod: int) -> _Poly:
+    """The sum of scale * poly over the (scale, poly) parts, mod `mod`."""
+    e = np.concatenate([q.e for _, q in parts])
+    if not e.shape[0]:
+        return _Poly(e, np.zeros(0, dtype=np.int64))
+    ct = _dtype(mod * max(mod, e.shape[0]))
+    vals = np.concatenate([(q.c % mod).astype(ct) * (s % mod) for s, q in parts])
+    strides, caps = _packing([int(m) + 1 for m in e.max(axis=0)])
+    keys, vals = _collect(e.astype(strides.dtype) @ strides, vals, mod)
+    return _Poly(keys[:, None] // strides % caps, vals)
+
+
+def _mul(a: _Poly, b: _Poly, mod: int, f: list[int] | None = None) -> _Poly:
+    """a b mod `mod`, and mod f over GF(p^k).  The term pairs of each chunk of
+    rows of a with all of b are collected, then the chunks together."""
+    na, nb = len(a.c), len(b.c)
+    if not (na and nb):
+        return _Poly(np.zeros((0, a.e.shape[1]), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    strides, caps = _packing([int(x) + int(y) + 1 for x, y in zip(a.e.max(axis=0), b.e.max(axis=0))])
+    ka, kb = a.e.astype(strides.dtype) @ strides, b.e.astype(strides.dtype) @ strides
+    ct = _dtype(mod * max(mod, na * nb))
+    ca, cb = a.c.astype(ct), b.c.astype(ct)
+    chunk = max(1, _PAIRS // nb)
+    pieces = [_collect((ka[i:i + chunk, None] + kb).ravel(),
+                       (ca[i:i + chunk, None] * cb % mod).ravel(), mod)
+              for i in range(0, na, chunk)]
+    keys, vals = _collect(*map(np.concatenate, zip(*pieces)), mod)
+    out = _Poly(keys[:, None] // strides % caps, vals)
+    return out if f is None else _fold_t(out, mod, f)
+
+
+def _fold_t(a: _Poly, mod: int, f: list[int]) -> _Poly:
+    """a with every t^j, j >= k, replaced by t^(j-k) (t^k - f), f monic of
+    degree k and t the last variable, until every t-degree is below k: at most
+    k - 1 steps after a product of two reduced polynomials."""
+    k, nv = len(f) - 1, a.e.shape[1]
+    t = np.eye(1, nv, nv - 1, dtype=np.int64)
+    while (hi := a.e[:, -1] >= k).any():
+        a = _add([(1, _Poly(a.e[~hi], a.c[~hi]))]
+                 + [(-f[i], _Poly(a.e[hi] - (k - i) * t, a.c[hi])) for i in range(k)], mod)
+    return a
+
+
+def _pow(a: _Poly, e: int, mod: int, f: list[int] | None = None) -> _Poly:
+    """a^e, e >= 1, as e - 1 products with a."""
+    out = a
+    for _ in range(e - 1):
+        out = _mul(out, a, mod, f)
     return out
-
-
-def _dp_pow(a: dict, e: int, mod: int, f: list[int] | None = None) -> dict:
-    nvars = len(next(iter(a))) if a else 0
-    result = {(0,) * nvars: 1}
-    base = a
-    while e:
-        if e & 1:
-            result = _dp_mul(result, base, mod, f)
-        e >>= 1
-        if e:
-            base = _dp_mul(base, base, mod, f)
-    return result
 
 
 # ---------------------------------------------------------------------------
 # ghost / unghost engine
 # ---------------------------------------------------------------------------
 
-class _PowerChain:
-    """Memoized Frobenius-power chain g, g^p, g^(p^2), ... at one modulus.
-
-    Components are known exactly (input lifts) or mod p (recovered outputs);
-    in either case x = x' (mod p^a) gives x^(p^b) = x'^(p^b) (mod p^(a+b)),
-    so one chain at modulus p^length serves every later precision demand.
-    """
-
-    def __init__(self, base: dict, p: int, modmax: int, f: list[int] | None):
-        self.p = p
-        self.modmax = modmax
-        self.f = f
-        self.chain = [base]
-
-    def power(self, b: int) -> dict:
-        while len(self.chain) <= b:
-            self.chain.append(_dp_pow(self.chain[-1], self.p, self.modmax, self.f))
-        return self.chain[b]
-
-
-def _divexact(a: int, pm: int, mod: int) -> int:
+def _divexact(a: np.ndarray, pm: int, mod: int) -> np.ndarray:
     """a / p^m, checking exact divisibility (decided exactly mod `mod`)."""
-    if a % pm:
+    if np.any(a % pm):
         raise InternalConsistencyError(
             "ghost component not divisible by p^m: integrality violated")
     return (a // pm) % (mod // pm)
 
 
-def _combine(vecs: list[tuple[int, list[dict]]], length: int, p: int,
-             f: list[int] | None = None) -> list[dict]:
+def _combine(vecs: list[tuple[int, list[_Poly]]], length: int, p: int,
+             f: list[int] | None = None) -> list[_Poly]:
     """Witt sum of signed vectors: components of (+-)u (+) (+-)v (+) ... mod p.
 
     Each z_m is (ghost target_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m with the
-    divisibility checked exactly; ghost components use the memoized chains.
-    Over GF(p^k), f is the field polynomial and t the last variable.
+    divisibility checked exactly.  The ghost components come from memoized
+    Frobenius-power chains g, g^p, g^(p^2), ... at modulus p^length.  A
+    component is known exactly (an input lift) or mod p (a recovered z_i);
+    either way x = x' (mod p^a) gives x^(p^b) = x'^(p^b) (mod p^(a+b)), so one
+    chain serves every later precision.  Over GF(p^k), f is the field
+    polynomial and t the last variable.
     """
     modmax = p ** length
-    in_chains = [[_PowerChain(comp, p, modmax, f) for comp in vec] for _, vec in vecs]
-    z_chains: list[_PowerChain] = []
-    zs: list[dict] = []
+
+    def power(chain: list[_Poly], b: int) -> _Poly:
+        while len(chain) <= b:
+            chain.append(_pow(chain[-1], p, modmax, f))
+        return chain[b]
+
+    in_chains = [[[comp] for comp in vec] for _, vec in vecs]
+    z_chains: list[list[_Poly]] = []
     for m in range(length):
         mod = p ** (m + 1)
-        num: dict = {}
-        for (sign, vec), chains in zip(vecs, in_chains):
-            for i in range(min(m + 1, len(vec))):
-                _dp_add_into(num, chains[i].power(m - i), mod, sign * p ** i)
-        for i in range(m):
-            _dp_add_into(num, z_chains[i].power(m - i), mod, -p ** i)
-        zm = {e: v for e, c in num.items() if (v := _divexact(c, p ** m, mod))}
-        zs.append(zm)
-        z_chains.append(_PowerChain(zm, p, modmax, f))
-    return zs
+        num = _add([(sign * p ** i, power(chains[i], m - i))
+                    for (sign, vec), chains in zip(vecs, in_chains)
+                    for i in range(min(m + 1, len(vec)))]
+                   + [(-p ** i, power(z_chains[i], m - i)) for i in range(m)], mod)
+        # each num term is nonzero mod p^(m+1), so no quotient is zero mod p
+        z_chains.append([_Poly(num.e, _divexact(num.c, p ** m, mod))])
+    return [chain[0] for chain in z_chains]
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +227,6 @@ class WittPolynomial:
         return dict(self.terms)
 
 
-def _var(nvars: int, i: int, power: int = 1) -> dict:
-    e = [0] * nvars
-    e[i] = power
-    return {tuple(e): 1}
-
-
 def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = None
                      ) -> list[WittPolynomial]:
     """G_1..G_length with (F(Y) - Y)_m = y_m^p - y_m + G_m(y_1..y_{m-1}).
@@ -254,16 +246,11 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
     comps = _combine([(1, fy), (-1, ys)], length, p)
     polys = []
     for m, comp in enumerate(comps, start=1):
-        g = dict(comp)
         # remove y_m^p - y_m, keep the lower-variable remainder
-        _dp_add_into(g, _var(nv, m - 1, power=p), p, -1)
-        _dp_add_into(g, _var(nv, m - 1), p)
-        trimmed = {}
-        for e, c in g.items():
-            if any(e[m - 1:]):
-                raise InternalConsistencyError("peel polynomial touches y_m or higher")
-            trimmed[e[: m - 1]] = c
-        polys.append(WittPolynomial.from_dict(m - 1, trimmed))
+        g = _add([(1, comp), (-1, fy[m - 1]), (1, ys[m - 1])], p)
+        if g.e[:, m - 1:].any():
+            raise InternalConsistencyError("peel polynomial touches y_m or higher")
+        polys.append(WittPolynomial.from_dict(m - 1, _Poly(g.e[:, :m - 1], g.c).as_dict()))
     _store_universal(p, length, polys, cache_dir)
     return polys
 
@@ -380,6 +367,7 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
         raise WittError(f"Witt length {length} out of range 1..16")
     k = field.k
     f = list(field.modulus) + [1] if k > 1 else None
+    nv = 1 if k == 1 else 2
     vecs = []
     for v, c, i in terms:
         c = field.elem(c)
@@ -388,8 +376,10 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
         if v < length:
             nu, cq = i * p ** v, (c ** p ** v).coeffs
             top = {(nu,): cq[0]} if k == 1 else {(nu, j): a for j, a in enumerate(cq) if a}
-            vecs.append((1, [{}] * v + [top]))
-    comps = _combine(vecs, length, p, f)
+            vecs.append((1, [_from_dict(nv, {})] * v + [_from_dict(nv, top)]))
+    if not vecs:
+        return [{} for _ in range(length)]
+    comps = [comp.as_dict() for comp in _combine(vecs, length, p, f)]
     if k == 1:
         return comps
     out = [{} for _ in comps]

@@ -10,8 +10,10 @@ using the layer equations of a tower.  Nothing in the package imports this
 module.
 
 It also holds the formal differential dh = D(h) dx of a tower function, for
-the V(dh) = 0 oracles, and the universal Witt addition polynomials, for the
-ghost-engine cross-checks.
+the V(dh) = 0 oracles, the universal Witt addition polynomials, for the
+ghost-engine cross-checks, and a term-by-term product, sum and power of
+{exponent tuple: coefficient} dicts, which the ghost engine's array
+arithmetic is checked against.
 
 The other references are built on the pipeline and check its answers
 against proven statements: the regular-differential basis, V and the trace
@@ -35,7 +37,7 @@ from zptower import witt
 from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply
 from zptower.analysis import AnalysisError, _check_p2_breaks, constants
 from zptower.cartier import CartierTables, _basis_layout, cartier_matrix
-from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError
+from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError, poly_modred
 from zptower.linalg import DenseMatrix, twisted_power_kernels
 from zptower.tower import RamificationData, TowerState
 
@@ -343,6 +345,47 @@ def _y_derivative(slab: Slab, j: int) -> Slab:
     return out
 
 
+# -- Witt polynomial arithmetic on {exponent tuple: coefficient} dicts -------------
+
+def dict_mul(a: dict, b: dict, mod: int, f: list[int] | None = None) -> dict:
+    """a b mod `mod`, term pair by term pair; with f, the last exponent is that
+    of t and each row of the product is reduced modulo the monic lifted field
+    polynomial f by gf.poly_modred."""
+    acc: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+    out = {e: v for e, c in acc.items() if (v := c % mod)}
+    if f is None:
+        return out
+    rows: dict = {}  # exponents of the other variables -> {t exponent: coefficient}
+    for e, c in out.items():
+        rows.setdefault(e[:-1], {})[e[-1]] = c
+    red = {}
+    for rest, row in rows.items():
+        coeffs = [row.get(j, 0) for j in range(max(row) + 1)]
+        red.update({rest + (j,): c for j, c in enumerate(poly_modred(coeffs, f, mod)) if c})
+    return red
+
+
+def dict_add(parts: list[tuple[int, dict]], mod: int) -> dict:
+    """sum of scale * poly over the (scale, poly) parts, mod `mod`."""
+    acc: dict = {}
+    for scale, poly in parts:
+        for e, c in poly.items():
+            acc[e] = acc.get(e, 0) + scale * c
+    return {e: v for e, c in acc.items() if (v := c % mod)}
+
+
+def dict_pow(a: dict, e: int, mod: int, f: list[int] | None = None) -> dict:
+    """a^e by repeated dict_mul."""
+    out = {(0,) * len(next(iter(a))): 1}
+    for _ in range(e):
+        out = dict_mul(out, a, mod, f)
+    return out
+
+
 # -- universal Witt addition ------------------------------------------------------
 
 def addition_polynomials(p: int, length: int) -> list[witt.WittPolynomial]:
@@ -351,7 +394,7 @@ def addition_polynomials(p: int, length: int) -> list[witt.WittPolynomial]:
     nv = 2 * length
     xs = [witt._var(nv, i) for i in range(length)]
     ys = [witt._var(nv, length + i) for i in range(length)]
-    return [witt.WittPolynomial.from_dict(nv, c)
+    return [witt.WittPolynomial.from_dict(nv, c.as_dict())
             for c in witt._combine([(1, xs), (1, ys)], length, p)]
 
 

@@ -236,7 +236,7 @@ def _corrupt_peel(monkeypatch):
     def touch_top_variable(vecs, length, p, f=None):
         comps = combine(vecs, length, p, f)
         if any(sign < 0 for sign, _ in vecs):  # only the peel sums F(Y) - Y
-            comps[0][(0,) * (length - 1) + (2,)] = 1
+            comps[0] = witt._add([(1, comps[0]), (1, witt._var(length, length - 1, power=2))], p)
         return comps
     monkeypatch.setattr(witt, "_combine", touch_top_variable)
 

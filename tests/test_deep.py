@@ -4,12 +4,14 @@ about 25 s and a few hundred MB; each p=2 level-7 test 6-7 min and about
 1.5 GB, two fifths of it in the tower build and Cartier tables and most of the
 rest in the two twisted products; each p=3 level-4 test about 11 s; each p=3
 level-5 test about 4 GB and 60-65 s, about half of it spent on the Cartier
-tables."""
+tables; the p=2 length-7 peel about 11 s and 270 MB."""
 
+import hashlib
 import resource
 
 import pytest
 
+from zptower import witt
 from zptower.cli import run_compute
 from zptower.fixtures import SUITES
 from zptower.gf import field
@@ -67,4 +69,14 @@ def test_p3_level_5_first_power(name, tmp_path):
     recs = run_compute(spec, 5, 1, data_dir=tmp_path)
     assert [rec.genus for rec in recs] == suite["genus"][:5]
     assert [rec.a_r[0] for rec in recs] == suite["a"][1][:5]
+    check_rss()
+
+
+@pytest.mark.deep
+def test_p2_length_7_peel_is_pinned(monkeypatch):
+    # the frontier peel, first computed by the dict-product engine
+    monkeypatch.setattr(witt, "_UNIVERSAL_MEM", {})
+    polys = witt.peel_polynomials(2, 7)
+    assert hashlib.sha256(witt._encode(polys, 7)).hexdigest() \
+        == "2706303cf691aeb1f8e1aed11e0ecc1630616885b00baae86309f5c1887e4a41"
     check_rss()

@@ -191,6 +191,16 @@ def test_matmul_composes_semilinear_maps(rng):
         assert got.tolist() == [v for e in want for v in e.coeffs]
 
 
+def test_odd_p_product_checks_float_exactness(monkeypatch):
+    # an odd-p product runs the float64 guard that _slab's x-convolution runs
+    def refuse(inner, p):
+        raise InternalConsistencyError(f"inner dimension {inner} refused")
+    monkeypatch.setattr(linalg, "check_float_exact", refuse)
+    M = DenseMatrix(F3, np.eye(3, dtype=np.int64))
+    with pytest.raises(InternalConsistencyError):
+        M @ M
+
+
 def test_twisted_power_uses_sigma_inverse():
     # M = [[t, 1], [t^2, t]] over GF(4): M^2 = 0, but M sigma^-1(M) = [[t^2, 1], [1, t]]
     # has rank 1, so the twisted kernels stay at 1 where the plain ones reach 2

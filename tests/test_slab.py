@@ -8,7 +8,7 @@ from oracle import (SparsePoly, digits_of, from_sparse, infinity_valuation, laye
                     monomial_valuation, poly_pth_power, reduce_to_monomial_basis, to_sparse)
 from zptower import _slab
 from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply, ymul
-from zptower.gf import InternalConsistencyError, field
+from zptower.gf import InternalConsistencyError, check_float_exact, field
 from zptower.tower import TowerSpec, TowerState
 
 
@@ -146,12 +146,12 @@ def test_xconv_refuses_a_repeated_target():
 def test_xconv_exactness_bound():
     # a float64 sum of inner products of residues below p is exact while
     # inner * (p-1)^2 < 2^53
-    _slab._exact((1 << 53) // 4 - 1, 3)
+    check_float_exact((1 << 53) // 4 - 1, 3)
     with pytest.raises(InternalConsistencyError):
-        _slab._exact((1 << 53) // 4, 3)
-    _slab._exact((1 << 53) // 144, 13)
+        check_float_exact((1 << 53) // 4, 3)
+    check_float_exact((1 << 53) // 144, 13)
     with pytest.raises(InternalConsistencyError):
-        _slab._exact((1 << 53) // 144 + 1, 13)
+        check_float_exact((1 << 53) // 144 + 1, 13)
 
 
 @pytest.fixture(params=[(3, 1), (2, 2), (3, 2), (2, 3)], ids=["p3", "gf4", "gf9", "gf8"])

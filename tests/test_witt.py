@@ -1,13 +1,16 @@
+import hashlib
 import itertools
+import math
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import zptower.witt as witt_mod
 from conftest import sealed
-from oracle import SparsePoly, addition_polynomials, evaluate_witt
+from oracle import SparsePoly, addition_polynomials, dict_add, dict_mul, dict_pow, evaluate_witt
 from zptower.gf import field
 from zptower._slab import Monomial
 from zptower.witt import WittError, peel_polynomials, read_cache, rhs_components, write_cache
@@ -57,6 +60,64 @@ def test_peel_polynomials():
     G3 = peel_polynomials(3, 2)
     assert G3[0].as_dict() == {}
     assert all(sum(e) > 0 for e in G3[1].as_dict())
+
+
+# sha256 of the cache payload (_encode) of the peel polynomials, as first
+# computed by the dict-product engine; at (2, 6), (3, 5) and (5, 4) the largest
+# products have more than 2^14 term pairs
+PEEL_DIGESTS = {
+    (2, 5): "c458a90065a16362d7a7c58dad0647758acc421c5f2a3eff542360166ff774d1",
+    (2, 6): "5924182c8f7e3ad97ea7b3bbde3f9d02f69685562efee5ec5ff82e6853a09eb6",
+    (3, 4): "7ce8e748296d6dcfeab765fdd875ef0ea308bb7a068924e724cd08a3cbeb6d62",
+    (3, 5): "292dbb2be37ff076cb89a96b53c536020f2c160478a7f945e14034f2d6c328a9",
+    (5, 3): "b35121081d1fed6ebf9d4b821786cffb99db31476c049c0ecdb7932b95d05469",
+    (5, 4): "7d23b1978209bbb9cb8d5f5c1289577dfb2779a1159146a2f71fa7fc101677b2",
+}
+
+
+@pytest.mark.parametrize("p, length", sorted(PEEL_DIGESTS))
+def test_peel_polynomials_are_pinned(p, length, monkeypatch):
+    monkeypatch.setattr(witt_mod, "_UNIVERSAL_MEM", {})  # recompute, read no cache
+    polys = peel_polynomials(p, length)
+    assert hashlib.sha256(witt_mod._encode(polys, length)).hexdigest() == PEEL_DIGESTS[p, length]
+
+
+# (mod, lifted field polynomial f or None); the mod above 2^32 takes the
+# object path, since its squares pass 2^63
+ARITH_CASES = [(2 ** 3, None), (3 ** 5, None), (13 ** 9, None),
+               (2 ** 3, list(field(2, 2).modulus) + [1]), (13 ** 9, list(field(13, 2).modulus) + [1])]
+
+
+def _random_dict(rng, nvars, nterms, mod, f):
+    """nterms distinct terms in nvars variables, coefficients in [1, mod); with
+    f, the last variable is t, of degree below deg f."""
+    free = nvars - (f is not None)
+    caps = [math.ceil((4 * nterms) ** (1 / free))] * free + ([len(f) - 1] if f else [])
+    exps = np.stack(np.unravel_index(rng.choice(math.prod(caps), nterms, replace=False), caps), 1)
+    return dict(zip(map(tuple, exps.tolist()), rng.integers(1, mod, nterms).tolist()))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ARITH_CASES), st.integers(1, 4))
+@settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_array_arithmetic_matches_dict_reference(seed, case, nvars):
+    # no shrinking phase: a smaller seed is no simpler case
+    mod, f = case
+    nvars = max(nvars, 2) if f else nvars
+    rng = np.random.default_rng(seed)
+    a = _random_dict(rng, nvars, int(rng.integers(130, 200)), mod, f)
+    b = _random_dict(rng, nvars, int(rng.integers(130, 200)), mod, f)
+    A, B = witt_mod._from_dict(nvars, a), witt_mod._from_dict(nvars, b)
+    prod = witt_mod._mul(A, B, mod, f)
+    assert prod.as_dict() == dict_mul(a, b, mod, f)
+    assert prod.c.dtype == (object if mod > 1 << 32 else np.int64)
+    with pytest.MonkeyPatch.context() as mp:  # many chunks of pairs, collected together
+        mp.setattr(witt_mod, "_PAIRS", 1000)
+        assert witt_mod._mul(A, B, mod, f).as_dict() == prod.as_dict()
+    s, u = (int(x) for x in rng.integers(-mod, mod, 2))
+    assert witt_mod._add([(s, A), (u, B)], mod).as_dict() == dict_add([(s, a), (u, b)], mod)
+    small, e = _random_dict(rng, nvars, 6, mod, f), int(rng.integers(2, 6))
+    assert witt_mod._pow(witt_mod._from_dict(nvars, small), e, mod, f).as_dict() \
+        == dict_pow(small, e, mod, f)
 
 
 def comp(terms):
