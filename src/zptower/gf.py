@@ -165,10 +165,13 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_redmat(self) -> np.ndarray:
-        """redmat[s] = coefficient vector of t^(k+s) mod modulus, s = 0..k-2."""
+    def _build_redmat(self, mod: int | None = None) -> np.ndarray:
+        """redmat[s] = coefficient vector of t^(k+s) mod modulus, s = 0..k-2,
+        with coefficients mod `mod` (default p): the integer lift of the monic
+        modulus leaves one remainder mod any p^m."""
         k = self.k
-        red = [self._vec(poly_modred([0] * (k + s) + [1], self._f, self.p)) for s in range(k - 1)]
+        red = [self._vec(poly_modred([0] * (k + s) + [1], self._f, mod or self.p))
+               for s in range(k - 1)]
         return np.array(red, dtype=np.int64).reshape(k - 1, k)
 
     def _build_frob_mats(self) -> tuple[np.ndarray, ...]:
@@ -245,15 +248,19 @@ class FieldCtx:
     def inv_frob_matrix(self, e: int = 1) -> np.ndarray:
         return self._frob_mats[(-e) % self.k]
 
-    def fold(self, raw: np.ndarray, axis: int = 0) -> np.ndarray:
+    def fold(self, raw: np.ndarray, axis: int = 0, mod: int | None = None) -> np.ndarray:
         """Reduce raw GF(p)[t] products of degree < 2k-1, laid out along `axis`,
-        to coefficient vectors: t^(k+s) becomes _redmat[s]."""
-        k = self.k
+        to coefficient vectors: t^(k+s) becomes _redmat[s].  With `mod` = p^m,
+        reduce integer lifts modulo the lifted modulus and mod p^m instead
+        (witt's sums, where t is one more variable); raw's dtype must then
+        hold k mod^2."""
+        k, mod = self.k, mod or self.p
         if k == 1:  # raw is already one coefficient long
-            return np.ascontiguousarray(raw % self.p)
+            return np.ascontiguousarray(raw % mod)
+        red = self._redmat if mod == self.p else self._build_redmat(mod)
         raw = np.moveaxis(raw, axis, 0)
-        out = raw[:k] + np.tensordot(self._redmat.T, raw[k:], axes=1)
-        return np.ascontiguousarray(np.moveaxis(out % self.p, 0, axis))
+        out = raw[:k] + np.tensordot(red.T, raw[k:], axes=1)
+        return np.ascontiguousarray(np.moveaxis(out % mod, 0, axis))
 
     def mul_matrices(self, coeffs: np.ndarray) -> np.ndarray:
         """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m c."""

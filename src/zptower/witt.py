@@ -25,9 +25,9 @@ one broadcast // and %.  Key, exponent and coefficient arrays are int64 when
 their bounds fit and Python-int object arrays otherwise, with the same code.
 
 Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable,
-and every product reduces it modulo the integer lift of f (exact mod p^m
-since f is monic); functoriality of Witt arithmetic under the reduction map
-makes the mod-p result independent of the lift.
+and every product reduces it modulo the integer lift of f with FieldCtx.fold
+(exact mod p^m since f is monic); functoriality of Witt arithmetic under the
+reduction map makes the mod-p result independent of the lift.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def _packing(caps: list[int]) -> tuple[np.ndarray, np.ndarray]:
 def _collect(keys: np.ndarray, vals: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in increasing order and the nonzero sums mod `mod` of
     their values."""
+    if not keys.size:  # every product cancelled, or no term at all
+        return keys, vals
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -119,15 +121,16 @@ def _add(parts: list[tuple[int, _Poly]], mod: int) -> _Poly:
     if not e.shape[0]:
         return _Poly(e, np.zeros(0, dtype=np.int64))
     ct = _dtype(mod * max(mod, e.shape[0]))
-    vals = np.concatenate([(q.c % mod).astype(ct) * (s % mod) for s, q in parts])
+    vals = np.concatenate([(q.c % mod).astype(ct) * (s % mod) % mod for s, q in parts])
     strides, caps = _packing([int(m) + 1 for m in e.max(axis=0)])
     keys, vals = _collect(e.astype(strides.dtype) @ strides, vals, mod)
     return _Poly(keys[:, None] // strides % caps, vals)
 
 
-def _mul(a: _Poly, b: _Poly, mod: int, f: list[int] | None = None) -> _Poly:
-    """a b mod `mod`, and mod f over GF(p^k).  The term pairs of each chunk of
-    rows of a with all of b are collected, then the chunks together."""
+def _mul(a: _Poly, b: _Poly, mod: int, field: FieldCtx | None = None) -> _Poly:
+    """a b mod `mod`, and mod the lifted field polynomial over GF(p^k).  The
+    term pairs of each chunk of rows of a with all of b are collected, then the
+    chunks together."""
     na, nb = len(a.c), len(b.c)
     if not (na and nb):
         return _Poly(np.zeros((0, a.e.shape[1]), dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -140,27 +143,23 @@ def _mul(a: _Poly, b: _Poly, mod: int, f: list[int] | None = None) -> _Poly:
                        (ca[i:i + chunk, None] * cb % mod).ravel(), mod)
               for i in range(0, na, chunk)]
     keys, vals = _collect(*map(np.concatenate, zip(*pieces)), mod)
-    out = _Poly(keys[:, None] // strides % caps, vals)
-    return out if f is None else _fold_t(out, mod, f)
+    if field is not None and keys.size:
+        # t is the last key digit: lay each row of the product out along t,
+        # of degree below 2k - 1, and fold it
+        rest, row = np.unique(keys % strides[-1], return_inverse=True)
+        raw = np.zeros((len(rest), 2 * field.k - 1), dtype=_dtype(field.k * mod * mod))
+        raw[row, (keys // strides[-1]).astype(np.int64)] = vals
+        raw = field.fold(raw, axis=1, mod=mod)
+        r, j = np.nonzero(raw)
+        keys, vals = rest[r] + j.astype(keys.dtype) * strides[-1], raw[r, j]
+    return _Poly(keys[:, None] // strides % caps, vals)
 
 
-def _fold_t(a: _Poly, mod: int, f: list[int]) -> _Poly:
-    """a with every t^j, j >= k, replaced by t^(j-k) (t^k - f), f monic of
-    degree k and t the last variable, until every t-degree is below k: at most
-    k - 1 steps after a product of two reduced polynomials."""
-    k, nv = len(f) - 1, a.e.shape[1]
-    t = np.eye(1, nv, nv - 1, dtype=np.int64)
-    while (hi := a.e[:, -1] >= k).any():
-        a = _add([(1, _Poly(a.e[~hi], a.c[~hi]))]
-                 + [(-f[i], _Poly(a.e[hi] - (k - i) * t, a.c[hi])) for i in range(k)], mod)
-    return a
-
-
-def _pow(a: _Poly, e: int, mod: int, f: list[int] | None = None) -> _Poly:
+def _pow(a: _Poly, e: int, mod: int, field: FieldCtx | None = None) -> _Poly:
     """a^e, e >= 1, as e - 1 products with a."""
     out = a
     for _ in range(e - 1):
-        out = _mul(out, a, mod, f)
+        out = _mul(out, a, mod, field)
     return out
 
 
@@ -177,7 +176,7 @@ def _divexact(a: np.ndarray, pm: int, mod: int) -> np.ndarray:
 
 
 def _combine(vecs: list[tuple[int, list[_Poly]]], length: int, p: int,
-             f: list[int] | None = None) -> list[_Poly]:
+             field: FieldCtx | None = None) -> list[_Poly]:
     """Witt sum of signed vectors: components of (+-)u (+) (+-)v (+) ... mod p.
 
     Each z_m is (ghost target_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m with the
@@ -185,14 +184,14 @@ def _combine(vecs: list[tuple[int, list[_Poly]]], length: int, p: int,
     Frobenius-power chains g, g^p, g^(p^2), ... at modulus p^length.  A
     component is known exactly (an input lift) or mod p (a recovered z_i);
     either way x = x' (mod p^a) gives x^(p^b) = x'^(p^b) (mod p^(a+b)), so one
-    chain serves every later precision.  Over GF(p^k), f is the field
-    polynomial and t the last variable.
+    chain serves every later precision.  Over GF(p^k), `field` is given and t
+    is the last variable.
     """
     modmax = p ** length
 
     def power(chain: list[_Poly], b: int) -> _Poly:
         while len(chain) <= b:
-            chain.append(_pow(chain[-1], p, modmax, f))
+            chain.append(_pow(chain[-1], p, modmax, field))
         return chain[b]
 
     in_chains = [[[comp] for comp in vec] for _, vec in vecs]
@@ -366,7 +365,6 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
     if not 1 <= length <= 16:
         raise WittError(f"Witt length {length} out of range 1..16")
     k = field.k
-    f = list(field.modulus) + [1] if k > 1 else None
     nv = 1 if k == 1 else 2
     vecs = []
     for v, c, i in terms:
@@ -379,7 +377,7 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
             vecs.append((1, [_from_dict(nv, {})] * v + [_from_dict(nv, top)]))
     if not vecs:
         return [{} for _ in range(length)]
-    comps = [comp.as_dict() for comp in _combine(vecs, length, p, f)]
+    comps = [comp.as_dict() for comp in _combine(vecs, length, p, field if k > 1 else None)]
     if k == 1:
         return comps
     out = [{} for _ in comps]

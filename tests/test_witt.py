@@ -82,10 +82,10 @@ def test_peel_polynomials_are_pinned(p, length, monkeypatch):
     assert hashlib.sha256(witt_mod._encode(polys, length)).hexdigest() == PEEL_DIGESTS[p, length]
 
 
-# (mod, lifted field polynomial f or None); the mod above 2^32 takes the
-# object path, since its squares pass 2^63
-ARITH_CASES = [(2 ** 3, None), (3 ** 5, None), (13 ** 9, None),
-               (2 ** 3, list(field(2, 2).modulus) + [1]), (13 ** 9, list(field(13, 2).modulus) + [1])]
+# (mod, GF(p^k) or None); the mod above 2^32 takes the object path, since its
+# squares pass 2^63, while the squares of 11^9 come within a factor 2 of 2^63
+ARITH_CASES = [(2 ** 3, None), (3 ** 5, None), (11 ** 9, None), (13 ** 9, None),
+               (2 ** 3, field(2, 2)), (13 ** 9, field(13, 2))]
 
 
 def _random_dict(rng, nvars, nterms, mod, f):
@@ -101,23 +101,35 @@ def _random_dict(rng, nvars, nterms, mod, f):
 @settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_array_arithmetic_matches_dict_reference(seed, case, nvars):
     # no shrinking phase: a smaller seed is no simpler case
-    mod, f = case
+    mod, F = case
+    f = list(F.modulus) + [1] if F else None
     nvars = max(nvars, 2) if f else nvars
     rng = np.random.default_rng(seed)
     a = _random_dict(rng, nvars, int(rng.integers(130, 200)), mod, f)
     b = _random_dict(rng, nvars, int(rng.integers(130, 200)), mod, f)
     A, B = witt_mod._from_dict(nvars, a), witt_mod._from_dict(nvars, b)
-    prod = witt_mod._mul(A, B, mod, f)
+    prod = witt_mod._mul(A, B, mod, F)
     assert prod.as_dict() == dict_mul(a, b, mod, f)
     assert prod.c.dtype == (object if mod > 1 << 32 else np.int64)
     with pytest.MonkeyPatch.context() as mp:  # many chunks of pairs, collected together
         mp.setattr(witt_mod, "_PAIRS", 1000)
-        assert witt_mod._mul(A, B, mod, f).as_dict() == prod.as_dict()
+        assert witt_mod._mul(A, B, mod, F).as_dict() == prod.as_dict()
     s, u = (int(x) for x in rng.integers(-mod, mod, 2))
-    assert witt_mod._add([(s, A), (u, B)], mod).as_dict() == dict_add([(s, a), (u, b)], mod)
+    # scale -1 makes products just under mod^2, as the ghost numerators' -p^i do,
+    # and every key of A and B sums two or four of them
+    assert witt_mod._add([(s, A), (u, B), (-1, A), (-1, B)], mod).as_dict() \
+        == dict_add([(s, a), (u, b), (-1, a), (-1, b)], mod)
     small, e = _random_dict(rng, nvars, 6, mod, f), int(rng.integers(2, 6))
-    assert witt_mod._pow(witt_mod._from_dict(nvars, small), e, mod, f).as_dict() \
+    assert witt_mod._pow(witt_mod._from_dict(nvars, small), e, mod, F).as_dict() \
         == dict_pow(small, e, mod, f)
+
+
+def test_products_that_vanish_mod_the_modulus():
+    # zero divisors mod p^m: every term pair of these products cancels
+    two_x, two_xy = witt_mod._from_dict(1, {(1,): 2}), witt_mod._from_dict(2, {(1, 0): 2, (0, 1): 2})
+    assert witt_mod._mul(two_x, witt_mod._from_dict(1, {(0,): 4}), 8).as_dict() == {}
+    assert witt_mod._pow(two_xy, 3, 8).as_dict() == {} == dict_pow(two_xy.as_dict(), 3, 8)
+    assert witt_mod._pow(witt_mod._from_dict(2, {(1, 1): 2}), 3, 8, field(2, 2)).as_dict() == {}
 
 
 def comp(terms):
@@ -205,6 +217,17 @@ def test_long_extension_field_sum_is_exact():
     t = F.gen()
     s = rhs_components([(0, t, 1), (0, -t, 1), (3, t + 1, 1)], 16, F)
     assert s == [{}] * 3 + [comp([(13 ** 3, ((t + 1) ** 13 ** 3).coeffs)])] + [{}] * 12
+
+
+def test_sums_near_the_int64_bound():
+    # at p=11, length 9 the ghost numerators are summed mod 11^9, whose square
+    # is within a factor 2 of 2^63, and c = -1 or -t gives parts just under it;
+    # [c x] + p[c' x] has no carry, so the sum is (c x, c'^p x^p, 0, ...) exactly
+    for F in (field(11), field(11, 3)):
+        c, d = (F.elem(10), F.elem(2)) if F.k == 1 else (-F.gen(), F.gen() + 1)
+        s = rhs_components([(0, c, 1), (1, d, 1)], 9, F)
+        val = (lambda a: a.coeffs[0]) if F.k == 1 else (lambda a: a.coeffs)
+        assert s == [comp([(1, val(c))]), comp([(11, val(d ** 11))])] + [{}] * 7, F
 
 
 def test_length_caps():
