@@ -85,8 +85,8 @@ class CartierTables:
         self.ctx = state.field
         p = self.ctx.p
         base = {}
-        one = Slab.monomial(self.ctx, Monomial(0, ()))
-        zero = Slab.zeros(self.ctx, 0)
+        one = Slab(self.ctx, 0, Slab.monomial(self.ctx, Monomial(0, ())).arr.astype(np.int8))
+        zero = Slab(self.ctx, 0, np.zeros((1, self.ctx.k, 1), dtype=np.int8))
         for nu0 in range(p):
             base[(nu0, 0)] = one if nu0 == p - 1 else zero
         self.levels: list[dict[tuple[int, int], Slab]] = [base]
@@ -134,14 +134,15 @@ class CartierTables:
             for low in lows:
                 for nu0 in range(p):
                     # inner[j] = V(x^nu0 y^low (-f_m)^j dx) at level m-1
-                    inner = [prev[(nu0, low)].arr] + [next(images).arr for _ in range(1, p)]
+                    inner = [prev[(nu0, low)].arr.astype(np.int64)] + \
+                        [next(images).arr for _ in range(1, p)]
                     for am in range(p):
                         # y_m = y_m^p - f_m, so y_m^am is the sum over i of
                         # comb(am, i) y_m^(p i) (-f_m)^(am-i), and V(y_m^(p i) w) =
                         # y_m^i V(w): the entry's y_m-digit block i is
                         # comb(am, i) inner[am - i]
                         width = max(inner[j].shape[2] for j in range(am + 1))
-                        arr = np.zeros((p * S_low, k, width), dtype=np.int64)
+                        arr = np.zeros((p * S_low, k, width), dtype=np.int8)
                         for i in range(am + 1):
                             term = inner[am - i]
                             arr[i * S_low:(i + 1) * S_low, :, :term.shape[2]] = \
@@ -192,7 +193,7 @@ class CartierTables:
             at += size * x
             if x > 1 and not arr[:, :, -1].any():
                 return None
-            table[key] = Slab(self.ctx, m, arr.astype(np.int64))
+            table[key] = Slab(self.ctx, m, arr.copy())
         return table
 
 
@@ -236,9 +237,9 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     p, k = ctx.p, ctx.k
     tables = (state.tables or CartierTables(state)).table(n)
     numax, offsets, g = _basis_layout(state, n)
-    M = DenseMatrix.zeros(ctx, g, g)
-    # per table entry: the slab's rows and, for each column b of a k x k block,
-    # the GF(p) rows and values of its nonzero block entries, reused by every shift
+    # per table entry: the nonzero (y-code, x-power) cells of its slab and, for
+    # each column b of a k x k block, the GF(p) rows and values of its nonzero
+    # block entries, shared by every column the entry fills
     pre: dict[tuple[int, int], tuple] = {}
     for key, slab in tables.items():
         ecodes, xs = np.nonzero(slab.arr.any(axis=1))
@@ -248,20 +249,28 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
         blk = ctx.semilinear_blocks(slab.arr[ecodes, :, xs])
         rows = (offsets[ecodes] + xs)[:, None] * k + np.arange(k)
         nz = blk != 0
-        pre[key] = (ecodes, xs, [(rows[nz[:, :, b]], blk[:, :, b][nz[:, :, b]])
-                                 for b in range(k)])
-    col = 0
+        pre[key] = (ecodes, xs, [(rows[nz[:, :, b]].astype(np.int32),
+                                  blk[:, :, b][nz[:, :, b]].astype(np.int8)) for b in range(k)])
+    # column (code, nu) with nu = q p + nu0 is V(x^(p q) x^nu0 y^code dx) =
+    # x^q V(x^nu0 y^code dx): entry (nu0, code) with its rows moved down q basis
+    # positions, so each entry fills its columns nu0, nu0 + p, ... in one step
+    counts = np.zeros(g * k, dtype=np.int64)
     for code in range(p ** n):
-        top = int(numax[code])
-        for nu in range(top + 1):
-            q, nu0 = divmod(nu, p)
-            ecodes, xs, cells = pre[(nu0, code)]
-            if np.any(xs + q > numax[ecodes]):
-                raise InternalConsistencyError(
-                    "V image leaves the regular basis: regularity not preserved")
-            for b, (rows, vals) in enumerate(cells):
-                M.set_column(col * k + b, rows + q * k, vals)
-            col += 1
+        nus = np.arange(numax[code] + 1)
+        per = np.array([[rows.size for rows, _ in pre[(nu0, code)][2]] for nu0 in range(p)])
+        counts[offsets[code] * k:(offsets[code] + nus.size) * k] = per[nus % p].ravel()
+    M = DenseMatrix.for_columns(ctx, g, counts)
+    col = 0
+    for (nu0, code), (ecodes, xs, cells) in pre.items():
+        q = np.arange(len(range(nu0, numax[code] + 1, p)))
+        if q.size == 0:
+            continue
+        if ecodes.size and q[-1] > np.min(numax[ecodes] - xs):
+            raise InternalConsistencyError(
+                "V image leaves the regular basis: regularity not preserved")
+        for b, (rows, vals) in enumerate(cells):
+            M.set_columns((offsets[code] + nu0 + p * q) * k + b, rows, vals, q * k)
+        col += q.size
     if col != g:
         raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")
     return CartierMatrix(n, M)

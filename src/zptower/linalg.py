@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over GF(p^k), done over GF(p).
+"""Exact linear algebra over GF(p^k), done over GF(p).
 
 Every matrix is stored as a GF(p) matrix, by restriction of scalars: over
 GF(p^k) a g x g matrix M is held as the kg x kg GF(p) matrix of the
@@ -15,31 +15,36 @@ group's table and XOR at the group's first nonzero word, so on block upper
 triangular factors, such as the Cartier matrices, it skips the zero words
 left of each block.  Reading `.data` unpacks a copy, for small matrices only.
 
-Over odd p a matrix is one int8 array of residues, from assembly through
-every product and rank; reading `.data` gives an int64 copy.  Its rank starts
-with a zero-fill structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90) that
-looks only at the nonzero pattern, read in strips into int32 CSR and CSC
-indices: it pivots on columns, then rows, with a single
-live nonzero until none is left, so rank(A) = #pivots + rank of the leftover
-submatrix.  Only that leftover is eliminated densely, by blocked Gaussian
-elimination whose rank-1 updates stay within sub-panels of _SUB columns and
-whose other updates run as float64 GEMMs (exact: every inner product is below
-_PANEL * (p-1)^2, far inside the float64 integer range).
-Odd-p products are float64 GEMMs too, converted one column block of the
-right factor and one row chunk of the left at a time and reduced by an int64
-cast and %.  gf.check_float_exact, the guard of _slab's x-convolution, keeps
-them exact: inner dimension * (p-1)^2 stays below 2^53.
+Over odd p a matrix is sparse columns (_CSC: int64 column pointers, int32 row
+indices and int8 residues, only the nonzero entries), from assembly through
+every product and rank; reading `.data` densifies an int64 copy, for small
+matrices only.  _column_entries is the one way its columns are read.  Its rank
+starts with a zero-fill structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90)
+on the nonzero pattern: the CSC indices are the matrix's own and the CSR side
+is sorted out of them in strips.  It pivots on columns, then rows, with a
+single live nonzero until none is left, so rank(A) = #pivots + rank of the
+leftover submatrix.  Only that leftover is gathered into a dense block and
+eliminated, by blocked Gaussian elimination whose rank-1 updates stay within
+sub-panels of _SUB columns and whose other updates run as float64 GEMMs.
+Odd-p products N @ M densify N's rows to int8 and take M one column block at a
+time: the block's entries become a float64 array of its live rows only, one
+row chunk of N at a time goes through a GEMM, and each product block is
+reduced by an int64 cast and % and compressed back to sparse columns.
+gf.check_float_exact, the guard of _slab's x-convolution, keeps the products
+and the elimination exact.
 
 Both eliminations also report their pivot rows, rows of their input that
 span its row space.  Twisted powers use them: rowspace(N M) = rowspace(N) M,
 so the pivot rows of M^(r-1) times M have the rank of M^r, and each power is
 a rho x g product, rho the GF(p) rank of the previous one, never g x g.
 
-Elimination mutates a private copy, so matrices are exclusively owned while
+Elimination works on a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -48,17 +53,28 @@ from .gf import FieldCtx, InternalConsistencyError, check_float_exact
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
 _SUB = 32  # columns per rank-1 update within a panel
 _GEMM_CHUNK = 4_000_000  # float64 elements per temporary of an odd-p product
-_STRIP = 1 << 18  # matrix elements or nonzeros per strip of the singleton pass
+_STRIP = 1 << 16  # nonzeros per strip of the sparse-column passes
 
 
 class LinAlgError(ValueError):
     pass
 
 
+class _CSC(NamedTuple):
+    """An m x n GF(p) matrix as sparse columns: the entries of column j are
+    rows idx[ptr[j]:ptr[j+1]], ascending, with nonzero residues val[...]."""
+
+    m: int
+    ptr: np.ndarray  # int64, n + 1
+    idx: np.ndarray  # int32
+    val: np.ndarray  # int8
+
+
 class DenseMatrix:
     """rows x cols matrix over a FieldCtx, held as the (k rows) x (k cols) GF(p)
     matrix of c -> M sigma^-1(c): over GF(2) as packed rows (_gf2_pack), one
-    bit per entry, otherwise as int8 residues in [0, p)."""
+    bit per entry, otherwise as sparse columns of int8 residues (_CSC).
+    Construction from caller data reduces and compresses it."""
 
     __slots__ = ("ctx", "_a", "_ncols")
 
@@ -67,43 +83,67 @@ class DenseMatrix:
         if data.ndim != 2 or data.shape[0] % ctx.k or data.shape[1] % ctx.k:
             raise LinAlgError(f"expected a 2-d array with sides divisible by k={ctx.k}")
         self.ctx, self._ncols = ctx, data.shape[1]
-        self._a = _gf2_pack(data % 2) if ctx.p == 2 else (data % ctx.p).astype(np.int8)
+        if ctx.p == 2:
+            self._a = _gf2_pack(data % 2)
+        else:
+            self._a = _csc(data.shape[0], [(data % ctx.p).astype(np.int8)])
 
     @classmethod
-    def _wrap(cls, ctx: FieldCtx, a: np.ndarray, ncols: int) -> "DenseMatrix":
-        """A matrix on reduced residues (odd p) or on packed rows with ncols GF(2)
-        columns (p = 2), without copying them."""
+    def _wrap(cls, ctx: FieldCtx, a, ncols: int) -> "DenseMatrix":
+        """A matrix on packed rows with ncols GF(2) columns (p = 2) or on a
+        _CSC (odd p), without copying them."""
         M = cls.__new__(cls)
         M.ctx, M._a, M._ncols = ctx, a, ncols
         return M
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "DenseMatrix":
-        m, n = ctx.k * rows, ctx.k * cols
+        return cls.for_columns(ctx, rows, np.zeros(ctx.k * cols, dtype=np.int64))
+
+    @classmethod
+    def for_columns(cls, ctx: FieldCtx, rows: int, counts: np.ndarray) -> "DenseMatrix":
+        """A zero matrix whose GF(p) column j is to be written once by
+        set_columns, with counts[j] entries (odd p: the sparse columns are
+        laid out from the counts)."""
+        m, n = ctx.k * rows, counts.size
         if ctx.p == 2:
             return cls._wrap(ctx, np.zeros((m, -(-n // 64)), dtype=np.uint64), n)
-        return cls._wrap(ctx, np.zeros((m, n), dtype=np.int8), n)
+        ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        return cls._wrap(ctx, _CSC(m, ptr, np.zeros(ptr[-1], dtype=np.int32),
+                                   np.zeros(ptr[-1], dtype=np.int8)), n)
 
     @property
     def data(self) -> np.ndarray:
         """The GF(p) matrix as int64 residues, a copy made on every read (small
-        matrices only); over GF(2) the packed rows unpacked."""
+        matrices only): over GF(2) the packed rows unpacked, otherwise the
+        sparse columns densified."""
         if self.ctx.p != 2:
-            return self._a.astype(np.int64)
+            return _gather(self._a, np.arange(self._a.m), np.arange(self._ncols)).astype(np.int64)
         return np.unpackbits(self._a.view(np.uint8), axis=1, count=self._ncols,
                              bitorder="little").astype(np.int64)
 
-    def set_column(self, j: int, rows: np.ndarray, values: np.ndarray) -> None:
-        """Write the nonzero residues `values` into the zero entries (rows, j) of
-        the GF(p) matrix; rows are distinct."""
+    def set_columns(self, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray,
+                    shifts: np.ndarray) -> None:
+        """Write GF(p) column cols[i] whole: the nonzero residues `vals` at the
+        distinct rows `rows + shifts[i]`.  Each column is written once, with as
+        many entries as for_columns was told."""
         if self.ctx.p == 2:
-            self._a[rows, j >> 6] |= np.uint64(1 << (j & 63))
-        else:
-            self._a[rows, j] = values
+            for j, s in zip(cols.tolist(), shifts.tolist()):
+                self._a[rows + s, j >> 6] |= np.uint64(1 << (j & 63))
+            return
+        A = self._a
+        if np.any(A.ptr[cols + 1] - A.ptr[cols] != rows.size):
+            raise InternalConsistencyError("a column's entries differ from its count")
+        step = max(1, _STRIP // max(rows.size, 1))
+        for i in range(0, cols.size, step):
+            at = A.ptr[cols[i:i + step], None] + np.arange(rows.size)
+            A.idx[at] = rows + shifts[i:i + step, None]
+            A.val[at] = vals
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0] // self.ctx.k
+        m = self._a.shape[0] if self.ctx.p == 2 else self._a.m
+        return m // self.ctx.k
 
     @property
     def cols(self) -> int:
@@ -116,32 +156,93 @@ class DenseMatrix:
         """The composition c -> self sigma^-1(other sigma^-1(c))."""
         if self.ctx != other.ctx or self.cols != other.rows:
             raise LinAlgError("matmul shape/field mismatch")
-        return DenseMatrix._wrap(self.ctx, _matmul(self._a, other._a, self.ctx.p),
-                                 other._ncols)
+        return _rows_times(self, None, other)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p: packed XOR products for p = 2, float64 GEMMs on residue
-    arrays otherwise."""
+def _rows_times(N: DenseMatrix, rows: np.ndarray | None, M: DenseMatrix) -> DenseMatrix:
+    """The GF(p) rows `rows` (all if None) of N times M: over GF(2) packed rows
+    by packed rows, otherwise N's rows densified to int8 residues times M's
+    sparse columns."""
+    if N.ctx.p == 2:
+        a = N._a if rows is None else N._a[rows]
+    else:
+        a = _gather(N._a, np.arange(N._a.m) if rows is None else rows, np.arange(N._ncols))
+    return DenseMatrix._wrap(N.ctx, _matmul(a, M._a, N.ctx.p), M._ncols)
+
+
+def _matmul(a: np.ndarray, b, p: int):
+    """a @ b mod p: packed rows by packed rows for p = 2; for odd p, int8
+    residues by a _CSC, giving a _CSC."""
     if p == 2:
         return _matmul_gf2(a, b)
     m, inner = a.shape
     check_float_exact(inner, p)
-    out = np.empty((m, b.shape[1]), dtype=np.int8)
+    n = b.ptr.size - 1
     # b in column blocks and a in row chunks, so that every float64 temporary
     # (a block of b, a chunk of a, their product) holds at most _GEMM_CHUNK
-    # elements; rows of a block of b that are zero, and the matching columns of
-    # a, are left out (about half of them on the block-triangular Cartier matrices)
+    # elements; a block of b holds only its live rows, the rows where its
+    # columns have entries, and a only the matching columns (about half of
+    # them on the block-triangular Cartier matrices)
     cols = max(1, _GEMM_CHUNK // max(inner, 1))
     rows = max(1, _GEMM_CHUNK // max(inner, cols))
-    for c0 in range(0, b.shape[1], cols):
-        live = np.flatnonzero(b[:, c0:c0 + cols].any(axis=1))
-        bf = b[live, c0:c0 + cols].astype(np.float64)
-        for r0 in range(0, m, rows):
-            blk = a[r0:r0 + rows, live].astype(np.float64) @ bf
-            # blk holds exact integers: its int64 cast and % are far cheaper than np.fmod
-            np.remainder(blk.astype(np.int64), p, out=out[r0:r0 + rows, c0:c0 + cols])
+    out = np.empty((m, min(cols, n)), dtype=np.int8)
+
+    def blocks():
+        for c0 in range(0, n, cols):
+            c1 = min(n, c0 + cols)
+            j, r, v = _column_entries(b, np.arange(c0, c1))
+            hit = np.zeros(inner, dtype=bool)
+            hit[r] = True
+            live = np.flatnonzero(hit)
+            bf = np.zeros((live.size, c1 - c0))
+            bf[np.searchsorted(live, r), j] = v
+            blk = out[:, :c1 - c0]
+            for r0 in range(0, m, rows):
+                prod = a[r0:r0 + rows, live].astype(np.float64) @ bf
+                # prod holds exact integers: its int64 cast and % are far cheaper than np.fmod
+                np.remainder(prod.astype(np.int64), p, out=blk[r0:r0 + rows])
+            yield blk
+    return _csc(m, blocks())
+
+
+def _column_entries(A: _CSC, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, rows, vals): every entry of the columns `cols` of A, column by
+    column, an entry of column cols[j] at row rows[.] with residue vals[.]."""
+    lens = A.ptr[cols + 1] - A.ptr[cols]
+    j = np.repeat(np.arange(cols.size), lens)
+    pos = np.repeat(A.ptr[cols] - np.cumsum(lens) + lens, lens) + np.arange(j.size)
+    return j, A.idx[pos], A.val[pos]
+
+
+def _gather(A: _CSC, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[rows][:, cols] as dense int8 residues, rows distinct; the columns are
+    read in groups of about _STRIP entries."""
+    at = np.full(A.m, -1, dtype=np.int64)
+    at[rows] = np.arange(rows.size)
+    out = np.zeros((rows.size, cols.size), dtype=np.int8)
+    ends = np.concatenate(([0], np.cumsum(A.ptr[cols + 1] - A.ptr[cols])))
+    c0 = 0
+    while c0 < cols.size:
+        c1 = max(c0 + 1, int(np.searchsorted(ends, ends[c0] + _STRIP, side="right")) - 1)
+        j, r, v = _column_entries(A, cols[c0:c1])
+        t = at[r]
+        keep = t >= 0
+        out[t[keep], j[keep] + c0] = v[keep]
+        c0 = c1
     return out
+
+
+def _csc(m: int, blocks: Iterable[np.ndarray]) -> _CSC:
+    """The sparse columns of dense residue blocks of m rows placed side by side."""
+    counts, idx, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)], \
+        [np.zeros(0, dtype=np.int8)]
+    for D in blocks:
+        c, r = np.nonzero(D.T)  # by column, then row
+        counts.append(np.bincount(c, minlength=D.shape[1]))
+        idx.append(r.astype(np.int32))
+        val.append(D[r, c])
+    return _CSC(m, np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+                np.concatenate(idx), np.concatenate(val))
 
 
 def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,14 +309,14 @@ def _row_basis(M: DenseMatrix) -> tuple[int, np.ndarray]:
     return rho, rows
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Rank of a residue array over odd GF(p) and its pivot rows: the singleton
-    pivots (_singleton_pivots), then _rank_blocked on the leftover submatrix
-    only."""
+def _rank_mod_p(A: _CSC, p: int) -> tuple[int, np.ndarray]:
+    """Rank of sparse columns over odd GF(p) and their pivot rows: the
+    singleton pivots (_singleton_pivots), then _rank_blocked on the gathered
+    leftover submatrix only."""
     prows, rows, cols = _singleton_pivots(A)
     if rows.size == 0 or cols.size == 0:
         return prows.size, prows
-    r, lrows = _rank_blocked(A[np.ix_(rows, cols)], p)
+    r, lrows = _rank_blocked(_gather(A, rows, cols), p)
     return prows.size + r, np.concatenate((prows, rows[lrows]))
 
 
@@ -224,7 +325,7 @@ def kernel_dim(M: DenseMatrix) -> int:
     return M.cols - rank(M)
 
 
-def _singleton_pivots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _singleton_pivots(A: _CSC) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-fill pivots of the nonzero pattern of A (rows x cols).
 
     Returns (pivot rows, live rows, live cols) with
@@ -239,57 +340,50 @@ def _singleton_pivots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     independent in A: a pivot row's pivot entry is the only nonzero of its
     column (row) among the rows (columns) still live when it was taken.
     """
-    m, n = A.shape
+    m, n = A.m, A.ptr.size - 1
     ci, rdeg, rsum, cr, cdeg, csum = _pattern(A)
     rptr = np.concatenate(([0], np.cumsum(rdeg)))
-    cptr = np.concatenate(([0], np.cumsum(cdeg)))
     rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
     while True:
         got = (_pivot_singletons(cdeg, csum, clive, rlive, rptr, ci)
-               + _pivot_singletons(rdeg, rsum, rlive, clive, cptr, cr))
+               + _pivot_singletons(rdeg, rsum, rlive, clive, A.ptr, cr))
         if not got:
             return (np.flatnonzero(~rlive), np.flatnonzero(rlive & (rdeg > 0)),
                     np.flatnonzero(clive & (cdeg > 0)))
 
 
-def _pattern(A: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pattern(A: _CSC) -> tuple[np.ndarray, ...]:
     """The nonzero pattern of A as int32 CSR column indices and int32 CSC row
     indices, each with its lines' degrees and index sums (the sum is the index
     of a line's last live entry at degree 1): (ci, rdeg, rsum, cr, cdeg, csum).
 
-    A is read once, in strips of rows of _STRIP elements; the CSC side is then
-    sorted out of the CSR in strips of _STRIP nonzeros, so every temporary is
-    strip-sized and no int64 array has one entry per nonzero.
+    The CSC side is A's own; the CSR side is sorted out of it in strips of
+    _STRIP nonzeros, so every temporary is strip-sized and no int64 array has
+    one entry per nonzero.
     """
-    m, n = A.shape
-    nnz = int(np.count_nonzero(A))
-    ci, cr = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
+    m, n, cr = A.m, A.ptr.size - 1, A.idx
+    nnz = cr.size
+    ci = np.empty(nnz, dtype=np.int32)
     rdeg, rsum = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    cdeg, csum = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    step, at = max(1, _STRIP // max(n, 1)), 0
-    for r0 in range(0, m, step):
-        # flatnonzero on the bool pattern: 4x its speed on int8, 5x np.nonzero's
-        lr, c = np.divmod(np.flatnonzero(A[r0:r0 + step] != 0), n)
-        rows, cnt, sums = _runs(lr + r0, c)
-        rdeg[rows], rsum[rows] = cnt, sums
-        ci[at:at + c.size] = c
-        at += c.size
+    cdeg, csum = np.diff(A.ptr), np.zeros(n, dtype=np.int64)
     for s in range(0, nnz, _STRIP):
-        cdeg += np.bincount(ci[s:s + _STRIP], minlength=n)
-    rptr = np.concatenate(([0], np.cumsum(rdeg)))
-    fill = np.concatenate(([0], np.cumsum(cdeg)[:-1]))  # next free CSC slot per column
+        rdeg += np.bincount(cr[s:s + _STRIP], minlength=m)
+    fill = np.concatenate(([0], np.cumsum(rdeg)[:-1]))  # next free CSR slot per row
     for s in range(0, nnz, _STRIP):
-        seg = ci[s:s + _STRIP]
-        ra, rb = np.searchsorted(rptr, [s, s + seg.size], side="right") - 1
-        lens = np.diff(np.clip(rptr[ra:rb + 2], s, s + seg.size))  # of rows ra, ra+1, ...
-        key = seg.astype(np.int64) << 32
-        key |= np.repeat(np.arange(ra, ra + lens.size), lens)
-        key.sort()  # by (column, row); earlier strips hold earlier rows
-        c, r = key >> 32, key & 0xFFFFFFFF
-        cols, cnt, sums = _runs(c, r)
-        cr[np.repeat(fill[cols] - (np.cumsum(cnt) - cnt), cnt) + np.arange(c.size)] = r
-        fill[cols] += cnt
+        seg = cr[s:s + _STRIP]
+        ca, cb = np.searchsorted(A.ptr, [s, s + seg.size], side="right") - 1
+        lens = np.diff(np.clip(A.ptr[ca:cb + 2], s, s + seg.size))  # of columns ca, ca+1, ...
+        col = np.repeat(np.arange(ca, ca + lens.size), lens)
+        cols, _, sums = _runs(col, seg)
         csum[cols] += sums
+        key = seg.astype(np.int64) << 32
+        key |= col
+        key.sort()  # by (row, column); earlier strips hold earlier columns
+        r, c = key >> 32, key & 0xFFFFFFFF
+        rows, cnt, sums = _runs(r, c)
+        ci[np.repeat(fill[rows] - (np.cumsum(cnt) - cnt), cnt) + np.arange(r.size)] = c
+        fill[rows] += cnt
+        rsum[rows] += sums
     return ci, rdeg, rsum, cr, cdeg, csum
 
 
@@ -385,12 +479,13 @@ def _rank_blocked(Ai: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     keep L attached to the correct rows.  Rows are swapped whole, and `perm`
     follows the swaps, so the pivot rows of Ai are perm[:rank].
 
-    Everything stays an exact integer: multipliers and pivot rows are reduced
-    mod p before use, so one GEMM adds at most _PANEL * (p-1)^2 in magnitude,
-    each pivot adds at most (p-1)^2 to an entry, and entries stay below
-    ~144 n, far inside float64's 2^53 exact range.
+    Multipliers and pivot rows are reduced mod p (an int64 cast and %) before
+    use, so every entry is a residue plus at most one product of residues per
+    pivot: a sum of at most min(m, n) + 1 such products, which
+    gf.check_float_exact keeps exact in float64.
     """
     m, n = Ai.shape
+    check_float_exact(min(m, n) + 1, p)
     A = Ai.astype(np.float64)
     perm = np.arange(m)
     r = 0
@@ -404,7 +499,7 @@ def _rank_blocked(Ai: np.ndarray, p: int) -> tuple[int, np.ndarray]:
             for c in range(s0, s1):
                 if r == m:
                     break
-                col = A[r:, c] % p
+                col = A[r:, c].astype(np.int64) % p
                 nz = np.nonzero(col)[0]
                 if nz.size == 0:
                     continue
@@ -412,10 +507,11 @@ def _rank_blocked(Ai: np.ndarray, p: int) -> tuple[int, np.ndarray]:
                 if piv != r:
                     A[[r, piv]] = A[[piv, r]]
                     perm[[r, piv]] = perm[[piv, r]]
-                inv = pow(int(col[int(nz[0])]), p - 2, p)
-                factors = (A[r + 1:, c] * inv) % p
+                    col[[0, nz[0]]] = col[[nz[0], 0]]
+                inv = pow(int(col[0]), p - 2, p)
+                factors = col[1:] * inv % p
                 if factors.any():
-                    A[r + 1:, c + 1:s1] -= np.outer(factors, A[r, c + 1:s1] % p)
+                    A[r + 1:, c + 1:s1] -= np.outer(factors, A[r, c + 1:s1].astype(np.int64) % p)
                 A[r + 1:, c] = factors
                 pcols.append(c)
                 r += 1
@@ -436,12 +532,11 @@ def _apply_pivots(A: np.ndarray, r0: int, pivots: list[int], c0: int, c1: int,
         return
     pcols = np.array(pivots, dtype=np.intp)
     U = A[r0:r0 + npiv, c0:c1]
-    U %= p
+    U[:] = U.astype(np.int64) % p
     for t in range(1, npiv):
         ft = A[r0 + t, pcols[:t]]
         if ft.any():
-            U[t] -= ft @ U[:t]
-            U[t] %= p
+            U[t] = (U[t] - ft @ U[:t]).astype(np.int64) % p
     L21 = A[r0 + npiv:, pcols]
     if L21.size:
         A[r0 + npiv:, c0:c1] -= L21 @ U
@@ -469,8 +564,7 @@ def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
     N = M
     while len(dims) < R and (not dims or dims[-1] < M.cols):
         if dims:
-            N = DenseMatrix._wrap(M.ctx, N._a[rows], N._ncols)  # drops the previous power
-            N = N @ M
+            N = _rows_times(N, rows, M)
         rho, rows = _row_basis(N)
         dims.append(M.cols - rho)
         if len(dims) >= 2 and dims[-1] < dims[-2]:

@@ -453,8 +453,10 @@ def test_table_cache_loads_what_was_built(tmp_path, monkeypatch, name, n):
     loaded = CartierTables(TowerState(spec, cache_dir=tmp_path)).ensure(n)
     for m in range(1, n + 1):
         assert _same_table(loaded.levels[m], built.levels[m]), m
+        # entries are int8 residues, the payload's own form, built or loaded
         assert all(slab.arr.flags.owndata and slab.arr.flags.writeable
-                   and slab.arr.dtype == np.int64 for slab in loaded.levels[m].values())
+                   and slab.arr.dtype == np.int8 for slab in loaded.levels[m].values())
+        assert all(slab.arr.dtype == np.int8 for slab in built.levels[m].values())
         assert _level_bytes(loaded.levels[m]) == read_cache(built._cache_path(m), built._header(m))
 
 

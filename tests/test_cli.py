@@ -204,7 +204,7 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
     # a^(1) = 5, a^(2) = 3: kernel dimensions may never decrease
     fake = itertools.cycle([5, 3])
     monkeypatch.setattr(linalg, "_row_basis",
-                        lambda N: (N.cols - next(fake), np.arange(N._a.shape[0])))
+                        lambda N: (N.cols - next(fake), np.arange(N.rows * N.ctx.k)))
     for cmd, n in (("compute", "1"), ("fit", "4")):
         r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), cmd, str(specfile),
                                  "-n", n, "-r", "2"])

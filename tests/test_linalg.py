@@ -75,7 +75,10 @@ def test_odd_p_matrices_are_int8_residues(p, rng):
     A, B = rng.integers(-40, 40, size=(9, 70)), rng.integers(0, p, size=(70, 5))
     M, N = DenseMatrix(F, A), DenseMatrix(F, B)
     P = M @ N
-    assert M._a.dtype == N._a.dtype == P._a.dtype == DenseMatrix.zeros(F, 2, 3)._a.dtype == np.int8
+    # sparse columns: int64 pointers, int32 rows and int8 residues, nonzero only
+    for X in (M, N, P, DenseMatrix.zeros(F, 2, 3)):
+        assert (X._a.ptr.dtype, X._a.idx.dtype, X._a.val.dtype) == (np.int64, np.int32, np.int8)
+        assert X._a.val.all() and X._a.ptr[-1] == X._a.idx.size == np.count_nonzero(X.data)
     assert (M.data == A % p).all() and (P.data == (A % p) @ B % p).all()
 
 
@@ -224,7 +227,7 @@ def test_twisted_kernel_invariants_checked(seq, monkeypatch):
     # the fake elimination reports kernel dimensions seq and every row as a pivot row
     fake = iter(seq)
     monkeypatch.setattr(linalg, "_row_basis",
-                        lambda N: (N.cols - next(fake), np.arange(N._a.shape[0])))
+                        lambda N: (N.cols - next(fake), np.arange(N.rows * N.ctx.k)))
     with pytest.raises(InternalConsistencyError):
         twisted_power_kernels(DenseMatrix.zeros(F3, 8, 8), len(seq))
 
@@ -266,7 +269,12 @@ def bool_pattern_pivots(nz):
                              np.nonzero(clive & (cdeg > 0))[0])
 
 
-# strips of the default size, of one row or one nonzero, and of one row or seven nonzeros
+def pattern_pivots(nz):
+    """_singleton_pivots on the sparse columns of a bool pattern."""
+    return _singleton_pivots(DenseMatrix(F3, np.asarray(nz, dtype=np.int64))._a)
+
+
+# strips of one nonzero, of seven and of the default size
 @pytest.mark.parametrize("strip", [linalg._STRIP, 1, 7])
 @pytest.mark.parametrize("p", [3, 13])
 def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
@@ -320,7 +328,7 @@ def test_singleton_pass_matches_naive(p, k, rng):
         for r in rng.choice(m, size=int(rng.integers(0, m // 2 + 1)), replace=False):
             keep = int(rng.integers(n))
             A[r, np.arange(n) != keep] = 0
-        pivots += _singleton_pivots(A.any(axis=-1) if k > 1 else A != 0)[0].size
+        pivots += pattern_pivots(A.any(axis=-1) if k > 1 else A != 0)[0].size
         check_rank(A, F)
     assert pivots > trials  # the pass did the work, not only the dense kernel
 
@@ -329,7 +337,7 @@ def test_singleton_pass_matches_naive(p, k, rng):
 def test_singleton_pass_all_zero(F):
     for shape in [(1, 1), (4, 7), (9, 3)]:
         assert rank(DenseMatrix.zeros(F, *shape)) == 0
-        prows, rows, cols = _singleton_pivots(np.zeros(shape, dtype=bool))
+        prows, rows, cols = pattern_pivots(np.zeros(shape, dtype=bool))
         assert prows.size == rows.size == cols.size == 0
 
 
@@ -338,7 +346,7 @@ def test_singleton_pass_resolves_everything(rng):
     n = 60
     T = np.triu(rng.integers(0, 5, size=(n, n)), 1) + np.diag(rng.integers(1, 5, size=n))
     A = T[rng.permutation(n)][:, rng.permutation(n)]
-    prows, rows, cols = _singleton_pivots(A != 0)
+    prows, rows, cols = pattern_pivots(A != 0)
     assert prows.size == n and rows.size == 0 and cols.size == 0
     assert check_rank(A, field(5)) == n
 
@@ -349,12 +357,12 @@ def test_singleton_columns_sharing_one_row(rng):
     A[0, :5] = [1, 2, 1, 2, 1]
     A[1:, 5:] = rng.integers(0, 3, size=(7, 7))
     A[0, 8] = 2
-    _, rows, cols = _singleton_pivots(A != 0)
+    _, rows, cols = pattern_pivots(A != 0)
     assert 0 not in rows and not set(range(5)) & set(cols)
     assert check_rank(A, F3) == 1 + naive_rank(A[1:, 5:].copy(), 3)
     assert check_rank(A[:, :5], F3) == 1
     # the transpose: rows 0..4 are singletons in column 0, which has no other way out
-    _, rows, cols = _singleton_pivots((A != 0).T)
+    _, rows, cols = pattern_pivots((A != 0).T)
     assert 0 not in cols and not set(range(5)) & set(rows)
     assert check_rank(A.T.copy(), F3) == check_rank(A, F3)
 
@@ -367,7 +375,7 @@ def test_singleton_row_meets_singleton_column(rng):
     A[3, 2] = 5
     assert check_rank(A, field(13)) == 1 + naive_rank(np.delete(np.delete(A, 3, 0), 2, 1), 13)
     one = np.array([[4]])
-    assert _singleton_pivots(one != 0)[0].size == 1 and check_rank(one, field(13)) == 1
+    assert pattern_pivots(one != 0)[0].size == 1 and check_rank(one, field(13)) == 1
 
 
 @pytest.mark.parametrize("F", [F3, field(13), field(3, 2)], ids=["GF3", "GF13", "GF9"])
@@ -384,7 +392,7 @@ def test_singleton_pass_on_cartier_matrix():
     from zptower.cartier import cartier_matrix
     from zptower.tower import TowerSpec, TowerState
     M = cartier_matrix(TowerState(TowerSpec.make(F3, [(0, 1, 7)])), 3).matrix
-    prows, rows, cols = _singleton_pivots(M.data != 0)
+    prows, rows, cols = _singleton_pivots(M._a)
     assert prows.size > 0 and rows.size < M.rows and cols.size < M.cols
     before = M.data.copy()
     assert rank(M) == _rank_blocked(M.data, 3)[0] == M.cols - 214
