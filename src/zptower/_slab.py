@@ -143,21 +143,34 @@ class Slab:
 
         Uses the distinct-valuation property of reduced monomials (checked).
         """
-        p = self.ctx.p
-        nz = self.arr.any(axis=1)  # (S, X)
-        rows = np.nonzero(nz.any(axis=1))[0]
-        if rows.size == 0:
+        grid = pole_grid(self.ctx.p, self.level, d, n, self.arr.shape[2])
+        lead = leading_cell(self.arr, grid)
+        if lead is None:
             return None
-        lastnu = self.arr.shape[2] - 1 - nz[rows, ::-1].argmax(axis=1)
-        weights = code_weights(p, self.level, d, n)[rows]
-        poles = lastnu * p ** n + weights
-        order = np.argsort(poles)[::-1]
-        best = order[0]
-        if rows.size > 1 and poles[order[1]] == poles[best]:
-            raise InternalConsistencyError(
-                "tied pole orders: distinct-valuation property violated")
-        code, nu = int(rows[best]), int(lastnu[best])
-        return int(poles[best]), code, nu, tuple(int(v) for v in self.arr[code, :, nu])
+        pole, code, nu = lead
+        return pole, code, nu, tuple(int(v) for v in self.arr[code, :, nu])
+
+
+def pole_grid(p: int, level: int, d: Sequence[int], n: int, X: int) -> np.ndarray:
+    """grid[code, nu] = the pole order at level n of x^nu y^code, nu < X, for the
+    y-codes at `level` (code_weights)."""
+    return np.arange(X) * p ** n + code_weights(p, level, d, n)[:, None]
+
+
+def leading_cell(arr: np.ndarray, grid: np.ndarray) -> tuple[int, int, int] | None:
+    """(pole order, code, nu) of the nonzero cell of a (S, k, X) slab array
+    with the largest pole order, grid[code, nu] (at least X wide); None if
+    arr is zero.  Reduced monomials have distinct pole orders, so a tie at the
+    top raises InternalConsistencyError."""
+    X = arr.shape[2]
+    poles = np.where(arr.any(axis=1), grid[:, :X], -1)
+    i = int(poles.argmax())
+    best = int(poles.flat[i])
+    if best < 0:
+        return None
+    if np.count_nonzero(poles == best) > 1:
+        raise InternalConsistencyError("tied pole orders: distinct-valuation property violated")
+    return best, *divmod(i, X)
 
 
 def code_of(p: int, digits: Iterable[int]) -> int:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._slab import Monomial, PolyError, Slab, mul as slab_mul
+from ._slab import Monomial, PolyError, Slab, code_of, leading_cell, mul as slab_mul, pole_grid
 from .gf import FieldCtx, FieldElement, InternalConsistencyError
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
@@ -309,39 +309,50 @@ def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
     """Standard-form reduction of a layer f at level len(d) = f.level.
 
     Returns (f', Z) with ord(f') = -target_d and f' = f + Z-induced shifts,
-    where Z accumulates the substitution y -> y + Z.  Every iteration must
-    strictly decrease the pole order (checked).
+    where Z accumulates the substitution y -> y + Z.  f is one array, changed
+    in place: each step adds c_p z^p and -c z into the x-columns they reach and
+    reduces only those mod p, and the next leading term comes from one
+    masked argmax over the pole-order grid, which is computed once and again
+    only when z^p reaches past f.  Every iteration must strictly decrease the
+    pole order (checked).
     """
     ctx = f.ctx
-    p = ctx.p
-    level = f.level
-    shift = Slab.zeros(ctx, level)
-    while True:
-        pd = f.pole_data(d, level)
-        if pd is None:
-            raise InternalConsistencyError("layer reduced to zero: degenerate tower data")
-        pole, code, nu, coeffvec = pd
-        if pole == target_d:
-            break
+    p, level = ctx.p, f.level
+    arr = f.arr.copy()
+    shift = np.zeros((p ** level, ctx.k, 1), dtype=np.int64)
+    grid = pole_grid(p, level, d, level, arr.shape[2])
+    lead = leading_cell(arr, grid)
+    if lead is None:
+        raise InternalConsistencyError("layer reduced to zero: degenerate tower data")
+    while lead[0] != target_d:
+        pole, code, nu = lead
         if pole < target_d or pole % p != 0:
             raise InternalConsistencyError(
                 f"pole order {pole} below or coprime-to-p above target {target_d}")
-        z_mon = monomial_with_pole_order(pole // p, p, d, level)
-        z = Slab.monomial(ctx, z_mon, level=level)
-        zp = state.pth_power(z_mon, level)
-        zp_pd = zp.pole_data(d, level)
-        if zp_pd is None or zp_pd[0] != pole:
+        z = monomial_with_pole_order(pole // p, p, d, level)
+        zp = state.pth_power(z, level)
+        X = zp.arr.shape[2]
+        if X > arr.shape[2]:
+            arr = np.pad(arr, ((0, 0), (0, 0), (0, X - arr.shape[2])))
+            grid = pole_grid(p, level, d, level, X)
+        zp_lead = leading_cell(zp.arr, grid)
+        if zp_lead is None or zp_lead[0] != pole:
             raise InternalConsistencyError("z^p pole order mismatch")
-        lead_f = ctx.elem(coeffvec)
-        lead_zp = ctx.elem(zp_pd[3])
-        c_p = -lead_f / lead_zp
-        c = c_p.frobenius_inverse()
-        f = f + zp.scale(c_p) - z.scale(c)
-        new_pd = f.pole_data(d, level)
-        if new_pd is None or new_pd[0] >= pole:
+        c_p = -ctx.elem(arr[code, :, nu]) / ctx.elem(zp.arr[zp_lead[1], :, zp_lead[2]])
+        c = np.array(c_p.frobenius_inverse().coeffs)
+        view = arr[:, :, :X]
+        view += zp.scale(c_p).arr
+        view %= p
+        zc = code_of(p, z.a)
+        arr[zc, :, z.nu] = (arr[zc, :, z.nu] - c) % p
+        if z.nu >= shift.shape[2]:
+            shift = np.pad(shift, ((0, 0), (0, 0), (0, z.nu + 1 - shift.shape[2])))
+        shift[zc, :, z.nu] = (shift[zc, :, z.nu] + c) % p
+        new = leading_cell(arr, grid)
+        if new is None or new[0] >= pole:
             raise InternalConsistencyError("pole order failed to decrease")
-        shift = shift + z.scale(c)
-    return f.trim(), shift.trim()
+        lead = new
+    return Slab(ctx, level, arr).trim(), Slab(ctx, level, shift).trim()
 
 
 class TowerState:
@@ -395,10 +406,10 @@ class TowerState:
             y_m = Slab.monomial(self.field, Monomial(0, (0,) * (m - 1) + (1,)))
             self.layers.append(f)
             self.subs.append((y_m - shift.at_level(m)).trim())
-            pole = f.pole_data(d, m - 1)[0]
-            if pole != ram.d[m - 1]:
+            pd = f.pole_data(d, m - 1)
+            if pd is None or pd[0] != ram.d[m - 1]:
                 raise InternalConsistencyError(
-                    f"layer {m} pole order {pole}, expected lower break {ram.d[m-1]}")
+                    f"layer {m} pole order {pd and pd[0]}, expected lower break {ram.d[m-1]}")
         return self
 
     def genus(self, m: int) -> int:
@@ -410,8 +421,11 @@ class TowerState:
     def pth_power(self, z: Monomial, level: int) -> Slab:
         """Reduced z^p at `level` for z = x^nu y^a with coefficient 1:
         x^(p nu) times the cached product of (y_j + f_j)^a_j."""
-        mp = self._mask_pow(z.a).at_level(level)
-        return Slab(self.field, level, np.pad(mp.arr, ((0, 0), (0, 0), (self.field.p * z.nu, 0))))
+        mp = self._mask_pow(z.a).arr
+        x0 = self.field.p * z.nu
+        out = np.zeros((self.field.p ** level, self.field.k, x0 + mp.shape[2]), dtype=np.int64)
+        out[:mp.shape[0], :, x0:] = mp
+        return Slab(self.field, level, out)
 
     def _mask_pow(self, digits: tuple[int, ...]) -> Slab:
         while digits and digits[-1] == 0:

@@ -17,7 +17,8 @@ from zptower.cartier import TABLE_FORMAT_VERSION, CartierTables, _level_bytes, c
 from zptower.cli import run_compute
 from zptower.fixtures import SUITES
 from zptower.gf import InternalConsistencyError, field
-from zptower.linalg import kernel_dim, twisted_power_kernels
+import zptower.linalg as linalg
+from zptower.linalg import _singleton_pivots, kernel_dim, twisted_power_kernels
 from zptower._slab import Monomial
 from zptower.tower import TowerSpec, TowerState
 from zptower.witt import CACHE_FORMAT_VERSION, peel_polynomials, read_cache, write_cache
@@ -128,22 +129,28 @@ def test_gf2_matrix_stays_packed():
 
 
 def test_odd_p_matrix_stays_int8():
-    # At g = 624 an int64 array with one entry per GF(3) element takes
-    # g^2 * 8 = 3.1 MB.  As int8 residues the matrix is g^2 = 389 KB, and the
-    # singleton pass reads it in strips into int32 indices, so matrix and rank
-    # stay below 1 MB.
+    # At p3d7 level 4 (g = 5700, 0.9 % dense) an int8 array with one entry per
+    # GF(3) element takes g^2 = 32.5 MB.  As sparse columns the matrix takes 5
+    # bytes a nonzero; the singleton pass adds 4 bytes a nonzero of CSR indices
+    # and temporaries of at most a strip each, and only the leftover is dense,
+    # int8 and a float64 copy.  So assembly and rank stay within 10 bytes a
+    # nonzero, 9 bytes a leftover entry and 64 bytes an entry of one strip.
     suite = SUITES["p3d7"]
-    st = tower(F3, suite["terms"], 3)
-    CartierTables(st).ensure(3)
+    st = tower(F3, suite["terms"], 4)
+    CartierTables(st).ensure(4)
     tracemalloc.start()
     try:
-        M = cartier_matrix(st, 3).matrix
+        M = cartier_matrix(st, 4).matrix
         dims = twisted_power_kernels(M, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert M.cols == 624 and dims == [suite["a"][1][2]]
-    assert peak < 1_000_000, peak
+    assert M.cols == 5700 and dims == [suite["a"][1][3]]
+    _, rows, cols = _singleton_pivots(M._a)
+    nnz = M._a.idx.size
+    assert M._a.val.dtype == np.int8 and nnz == np.count_nonzero(M._a.val) < M.cols ** 2 // 100
+    bound = 10 * nnz + 9 * rows.size * cols.size + 64 * linalg._STRIP
+    assert peak < bound < M.cols ** 2, (peak, bound)
 
 
 @pytest.mark.parametrize("ctx,terms", [(F3, [(0, 1, 7)]), (F2, [(0, 1, 21)])], ids=["p3", "p2"])
@@ -380,6 +387,10 @@ TABLE_DIGESTS = {
     "gf9": ["3ab6f7409ea48c09d586cc80d7f5729630dc9f388a926f78e0903a7144447ac4",
             "948ec3530f6d351211be324a52bec09078750843085aa5a19716459e07aee978",
             "d8b2c2d67b2af2bc7921d28055555c5c8f515b1881de66723e74012915007549"],
+    # the largest prime the float guards allow: a product of two residues
+    # overflows int8 (12 * 12 = 144); recorded at c99e4cf
+    "gf13": ["95e028273a216f7bde74f5d7fda6984a0aa40187825339eba3d1fa5921a6d0e4",
+             "f2d10d811e5abac8d8dcb98890db803eda552e96dfd56f416181bff1e9f30a95"],
 }
 
 
@@ -387,7 +398,7 @@ def _digest_tower(name):
     F4, F9 = field(2, 2), field(3, 2)
     return {"p3d7": (F3, SUITES["p3d7"]["terms"]), "p2d21": (F2, SUITES["p2d21"]["terms"]),
             "gf4": (F4, [(0, F4.gen(), 5), (0, 1, 3)]),
-            "gf9": (F9, [(0, F9.gen(), 7), (0, 1, 5)])}[name]
+            "gf9": (F9, [(0, F9.gen(), 7), (0, 1, 5)]), "gf13": (field(13), [(0, 1, 2)])}[name]
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))

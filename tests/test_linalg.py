@@ -574,3 +574,53 @@ def test_powers_multiply_the_previous_row_basis(name, p, level, monkeypatch):
     dims = twisted_power_kernels(M, 3)
     assert dims == [suite["a"][r][level - 1] for r in (1, 2, 3)]
     assert rows == [M.cols - d for d in dims[:2]]
+
+
+# -- an odd-p Cartier matrix far denser than the fixtures' ----------------------
+
+@pytest.fixture(scope="module")
+def dense_p3():
+    # perfbench's p3d7 tower at seed 1: about 12 % dense at level 3, against
+    # 0.9 % for the fixture tower
+    from zptower.cartier import cartier_matrix
+    from zptower.tower import TowerSpec, TowerState
+    state = TowerState(TowerSpec.make(F3, [(0, 1, 7), (0, 1, 5), (0, 1, 2)]))
+    M = cartier_matrix(state, 3).matrix
+    return state, M, M.data
+
+
+def test_dense_cartier_columns_match_cartier_apply(dense_p3):
+    from oracle import cartier_apply, differential_basis, to_sparse
+    from zptower._slab import Slab
+    state, M, D = dense_p3
+    basis = differential_basis(state, 3)
+    assert D.shape == (len(basis), len(basis)) and np.count_nonzero(D) > 0.1 * D.size
+    index = {mono: i for i, mono in enumerate(basis)}
+    for col, mono in enumerate(basis):
+        want = np.zeros(len(basis), dtype=np.int64)
+        for term, c in to_sparse(cartier_apply(Slab.monomial(F3, mono), state)).terms.items():
+            want[index[term]] = c.coeffs[0]
+        assert np.array_equal(D[:, col], want), mono
+
+
+def test_dense_cartier_powers_match_integer_powers(dense_p3):
+    _, M, D = dense_p3
+    dims, P = [], D
+    for _ in range(4):
+        dims.append(M.cols - naive_rank(P, 3))
+        P = P @ D % 3
+    assert dims[0] < dims[-1] < M.cols
+    assert twisted_power_kernels(M, 4) == dims
+
+
+def test_elimination_checks_float_exactness(monkeypatch, rng):
+    # the dense elimination of the leftover runs the float64 guard of the products
+    A = rng.integers(0, 3, size=(40, 40))
+    M = DenseMatrix(F3, A)
+    assert _singleton_pivots(M._a)[1].size and rank(M) == naive_rank(A, 3)
+
+    def refuse(inner, p):
+        raise InternalConsistencyError(f"inner dimension {inner} refused")
+    monkeypatch.setattr(linalg, "check_float_exact", refuse)
+    with pytest.raises(InternalConsistencyError):
+        rank(M)
