@@ -1,9 +1,10 @@
 """Dense kernel for y-reduced tower polynomials.
 
 A Slab stores a reduced polynomial in x, y_1..y_level as an int64 array of
-shape (p**level, k, X): one row per y-exponent tuple (coded little-endian in
-base p), one coefficient vector of length k per power of x.  Entries are
-residues in [0, p); all arithmetic is exact.  A differential form h dx at a
+shape (p**level, k, X), int8 for the Cartier table entries: one row per
+y-exponent tuple (coded little-endian in base p), one coefficient vector of
+length k per power of x.  Entries are residues in [0, p); all arithmetic is
+exact.  A differential form h dx at a
 tower level is the Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one
 entry by its exponents.  Products take the layer right-hand sides
 f_1..f_level as a list of slabs and reduce y_j^p to y_j + f_j; the kernel holds
@@ -56,7 +57,7 @@ class Slab:
     def __init__(self, ctx: FieldCtx, level: int, arr: np.ndarray):
         self.ctx = ctx
         self.level = level
-        self.arr = arr  # (p**level, k, X) int64, entries in [0, p)
+        self.arr = arr  # (p**level, k, X) int64 (int8 in Cartier tables), entries in [0, p)
 
     # -- constructors ---------------------------------------------------------
 

@@ -75,9 +75,10 @@ class CartierTables:
     put together from slices of those images, scaled by comb(a, i) mod p.  The
     build is sequential and deterministic.
 
-    Each level is cached in a witt.write_cache file (format 3) whose payload
-    is every entry's x-length, then every entry's slab as int8 residues; a
-    file loads only if writing its table back would give it byte for byte.
+    Entries are held as int8 residues, the cache payload's own form.  Each
+    level is cached in a witt.write_cache file (format 3) whose payload is
+    every entry's x-length, then every entry's slab as int8 residues; a file
+    loads only if writing its table back would give it byte for byte.
     """
 
     def __init__(self, state: TowerState):
@@ -218,8 +219,11 @@ class CartierMatrix:
     The DenseMatrix stores its kg x kg GF(p) matrix (restriction of scalars),
     so V^r has the matrix power as GF(p) matrix and a^(r) = kernel_dim(M^r).
     That matrix is set straight from the tables, as packed bits for p = 2 and
-    int8 residues otherwise, and keeps that form through every product and
-    rank.  With the basis ordered by y-code (a_n most significant) M is block
+    sparse columns of int8 residues otherwise, and keeps that form through
+    every product and rank.  Column (code, q p + nu0) is table entry
+    (nu0, code) with its rows moved down q basis positions, as
+    V(x^(p q) w) = x^q V(w), so each entry fills all of its columns in one
+    step.  With the basis ordered by y-code (a_n most significant) M is block
     upper triangular: V(y_n^(pi) h dx) = y_n^i V(h dx), so no column reaches a
     row of larger y-code.
     """

@@ -52,7 +52,7 @@ from .gf import FieldCtx, InternalConsistencyError, check_float_exact
 
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
 _SUB = 32  # columns per rank-1 update within a panel
-_GEMM_CHUNK = 4_000_000  # float64 elements per temporary of an odd-p product
+_GEMM_CHUNK = 4_000_000  # float64 elements per temporary of an odd-p product or update
 _STRIP = 1 << 16  # nonzeros per strip of the sparse-column passes
 
 
@@ -526,7 +526,8 @@ def _apply_pivots(A: np.ndarray, r0: int, pivots: list[int], c0: int, c1: int,
                   p: int) -> None:
     """Eliminate the pivots of rows r0, r0+1, ... (in the columns `pivots`,
     their multipliers stored below them) from columns c0..c1-1: a triangular
-    solve on the pivot rows, then one GEMM on the rows below."""
+    solve on the pivot rows, then GEMMs on the rows below, in column blocks
+    whose products hold at most _GEMM_CHUNK elements."""
     npiv = len(pivots)
     if npiv == 0 or c0 == c1:
         return
@@ -538,8 +539,9 @@ def _apply_pivots(A: np.ndarray, r0: int, pivots: list[int], c0: int, c1: int,
         if ft.any():
             U[t] = (U[t] - ft @ U[:t]).astype(np.int64) % p
     L21 = A[r0 + npiv:, pcols]
-    if L21.size:
-        A[r0 + npiv:, c0:c1] -= L21 @ U
+    step = max(1, _GEMM_CHUNK // max(L21.shape[0], 1))
+    for s in range(c0, c1, step) if L21.size else ():
+        A[r0 + npiv:, s:min(c1, s + step)] -= L21 @ U[:, s - c0:s - c0 + step]
 
 
 def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
