@@ -38,7 +38,7 @@ span its row space.  Twisted powers use them: rowspace(N M) = rowspace(N) M,
 so the pivot rows of M^(r-1) times M have the rank of M^r, and each power is
 a rho x g product, rho the GF(p) rank of the previous one, never g x g.
 
-Elimination works on a private copy, so matrices are exclusively owned while
+Elimination mutates a private copy, so matrices are exclusively owned while
 being reduced; callers may parallelize over independent matrices.
 """
 

@@ -274,7 +274,7 @@ def pattern_pivots(nz):
     return _singleton_pivots(DenseMatrix(F3, np.asarray(nz, dtype=np.int64))._a)
 
 
-# strips of one nonzero, of seven and of the default size
+# strips of the default size, of one nonzero and of seven nonzeros
 @pytest.mark.parametrize("strip", [linalg._STRIP, 1, 7])
 @pytest.mark.parametrize("p", [3, 13])
 def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
