@@ -4,11 +4,10 @@ A Slab stores a reduced polynomial in x, y_1..y_level as an int64 array of
 shape (p**level, k, X), int8 for the Cartier table entries: one row per
 y-exponent tuple (coded little-endian in base p), one coefficient vector of
 length k per power of x.  Entries are residues in [0, p); all arithmetic is
-exact.  A differential form h dx at a
-tower level is the Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one
-entry by its exponents.  Products take the layer right-hand sides
-f_1..f_level as a list of slabs and reduce y_j^p to y_j + f_j; the kernel holds
-no tower of its own.
+exact.  A differential form h dx at a tower level is the Slab of h.  A
+Monomial x^nu y_1^a_1 ... y_n^a_n names one entry by its exponents.  Products
+take the layer right-hand sides f_1..f_level as a list of slabs and reduce
+y_j^p to y_j + f_j; the kernel holds no tower of its own.
 
 All products run through one batched x-convolution, _xconv: it gathers many
 (k, X) blocks and the blocks they multiply and forms every product with GEMMs
