@@ -18,12 +18,12 @@ left of each block.  Reading `.data` unpacks a copy, for small matrices only.
 Over odd p a matrix is sparse columns (_CSC: int64 column pointers, int32 row
 indices and int8 residues, only the nonzero entries), from assembly through
 every product and rank; reading `.data` densifies an int64 copy, for small
-matrices only.  _column_entries is the one way its columns are read.  Its rank
-starts with a zero-fill structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90)
-on the nonzero pattern: the CSC indices are the matrix's own and the CSR side
-is sorted out of them in strips.  It pivots on columns, then rows, with a
-single live nonzero until none is left, so rank(A) = #pivots + rank of the
-leftover submatrix.  Only that leftover is gathered into a dense block and
+matrices only.  Products and gathers read columns through one helper,
+_column_entries.  Its rank starts with a zero-fill structured-pivot pass
+(LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern: the CSC indices are
+the matrix's own and the CSR side is sorted out of them in strips.  It pivots
+on columns, then rows, with a single live nonzero until none is left, so
+rank(A) = #pivots + rank of the leftover submatrix.  Only that leftover is gathered into a dense block and
 eliminated, by blocked Gaussian elimination whose rank-1 updates stay within
 sub-panels of _SUB columns and whose other updates run as float64 GEMMs.
 Odd-p products N @ M densify N's rows to int8 and take M one column block at a
