@@ -75,9 +75,6 @@ class Slab:
 
     # -- basic structure --------------------------------------------------------
 
-    def copy(self) -> "Slab":
-        return Slab(self.ctx, self.level, self.arr.copy())
-
     def is_zero(self) -> bool:
         return not self.arr.any()
 
@@ -105,50 +102,25 @@ class Slab:
 
     # -- additive arithmetic -----------------------------------------------------
 
-    def add_into(self, other: "Slab", scale: int = 1) -> "Slab":
-        """self += scale * other (in place; levels and X padded as needed)."""
-        p = self.ctx.p
-        if other.level > self.level:
-            raise PolyError("add_into target level too small")
-        ob = other.arr
-        if ob.shape[2] > self.arr.shape[2]:
-            grown = np.zeros((self.arr.shape[0], self.ctx.k, ob.shape[2]), dtype=np.int64)
-            grown[:, :, : self.arr.shape[2]] = self.arr
-            self.arr = grown
-        view = self.arr[: ob.shape[0], :, : ob.shape[2]]
-        view += scale % p * ob
-        view %= p
-        return self
+    def _plus(self, other: "Slab", scale: int) -> "Slab":
+        """self + scale * other, at the larger level and x-length."""
+        a, b = self.arr, other.arr
+        out = Slab.zeros(self.ctx, max(self.level, other.level), max(a.shape[2], b.shape[2]))
+        out.arr[:a.shape[0], :, :a.shape[2]] = a
+        out.arr[:b.shape[0], :, :b.shape[2]] += scale * b
+        out.arr %= self.ctx.p
+        return out
 
     def __add__(self, other: "Slab") -> "Slab":
-        lvl = max(self.level, other.level)
-        out = self.at_level(lvl).copy()
-        return out.add_into(other)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Slab") -> "Slab":
-        lvl = max(self.level, other.level)
-        out = self.at_level(lvl).copy()
-        return out.add_into(other, scale=-1)
+        return self._plus(other, -1)
 
     def scale(self, c) -> "Slab":
         """Multiply by a field scalar: its k x k GF(p) matrix on every coefficient vector."""
         M = self.ctx.mul_matrices(np.array([self.ctx.elem(c).coeffs]))[0]
         return Slab(self.ctx, self.level, M @ self.arr % self.ctx.p)
-
-    # -- valuation data ------------------------------------------------------------
-
-    def pole_data(self, d: Sequence[int], n: int):
-        """(pole_order, code, nu, coeff tuple) of the deepest pole at level n of a
-        tower with lower breaks d; None if zero.
-
-        Uses the distinct-valuation property of reduced monomials (checked).
-        """
-        grid = pole_grid(self.ctx.p, self.level, d, n, self.arr.shape[2])
-        lead = leading_cell(self.arr, grid)
-        if lead is None:
-            return None
-        pole, code, nu = lead
-        return pole, code, nu, tuple(int(v) for v in self.arr[code, :, nu])
 
 
 def pole_grid(p: int, level: int, d: Sequence[int], n: int, X: int) -> np.ndarray:

@@ -363,6 +363,10 @@ class TowerState:
     equals the lower break, and the accumulated substitution y_m -> y_m + Z_m
     is remembered: subs[m-1] is the original variable expressed in the current
     ones, which is what deeper universal corrections must be evaluated at.
+    The peel polynomials arrive as witt's exponent and coefficient arrays and
+    are evaluated at subs by Horner's rule (_eval_terms).  One memo, _power,
+    holds the products of powers of subs and of y_j + f_j = y_j^p that the
+    evaluation and the standard-form reduction (pth_power) reuse.
     """
 
     def __init__(self, spec: TowerSpec, cache_dir=None):
@@ -372,8 +376,8 @@ class TowerState:
         self.ram: RamificationData | None = None
         self.layers: list[Slab] = []
         self.subs: list[Slab] = []
-        self._mask_cache: dict[tuple[int, ...], Slab] = {}
-        self._upow_cache: dict[tuple[int, int], Slab] = {}
+        self._plus_f: list[Slab] = []  # y_j + f_j at level j, the p-th power of y_j
+        self._powers: dict[tuple[int, tuple[int, ...]], Slab] = {}
         self.tables = None  # attached by cartier.CartierTables
 
     @property
@@ -401,15 +405,16 @@ class TowerState:
             raw = Slab.zeros(self.field, 0, max((nu for nu, in comps[m - 1]), default=0) + 1)
             for (nu,), c in comps[m - 1].items():
                 raw.arr[0, :, nu] = c
-            f = (raw.at_level(m - 1) - self._eval_terms(peel.terms, m - 1)).trim()
+            f = (raw.at_level(m - 1) - self._eval_terms(peel.e, peel.c)).trim()
             f, shift = reduce_slab(f, self, d, ram.d[m - 1])
             y_m = Slab.monomial(self.field, Monomial(0, (0,) * (m - 1) + (1,)))
             self.layers.append(f)
-            self.subs.append((y_m - shift.at_level(m)).trim())
-            pd = f.pole_data(d, m - 1)
-            if pd is None or pd[0] != ram.d[m - 1]:
+            self.subs.append((y_m - shift).trim())
+            self._plus_f.append(y_m + f)
+            lead = leading_cell(f.arr, pole_grid(self.field.p, m - 1, d, m - 1, f.arr.shape[2]))
+            if lead is None or lead[0] != ram.d[m - 1]:
                 raise InternalConsistencyError(
-                    f"layer {m} pole order {pd and pd[0]}, expected lower break {ram.d[m-1]}")
+                    f"layer {m} pole order {lead and lead[0]}, expected lower break {ram.d[m-1]}")
         return self
 
     def genus(self, m: int) -> int:
@@ -421,58 +426,49 @@ class TowerState:
     def pth_power(self, z: Monomial, level: int) -> Slab:
         """Reduced z^p at `level` for z = x^nu y^a with coefficient 1:
         x^(p nu) times the cached product of (y_j + f_j)^a_j."""
-        mp = self._mask_pow(z.a).arr
+        mp = self._power(self._plus_f, z.a).arr
         x0 = self.field.p * z.nu
         out = np.zeros((self.field.p ** level, self.field.k, x0 + mp.shape[2]), dtype=np.int64)
         out[:mp.shape[0], :, x0:] = mp
         return Slab(self.field, level, out)
 
-    def _mask_pow(self, digits: tuple[int, ...]) -> Slab:
+    # construction -------------------------------------------------------------
+
+    def _power(self, bases: list[Slab], digits: tuple[int, ...]) -> Slab:
+        """The reduced product of bases[j]^digits[j], where bases is subs or
+        _plus_f; each product by one more base is cached per list and digits."""
         while digits and digits[-1] == 0:
             digits = digits[:-1]
         if not digits:
             return Slab.monomial(self.field, Monomial(0, ()))
-        got = self._mask_cache.get(digits)
-        if got is not None:
-            return got
-        j = len(digits)
-        prev = self._mask_pow(digits[:-1] + (digits[-1] - 1,))
-        yj_plus_fj = Slab.monomial(self.field, Monomial(0, (0,) * (j - 1) + (1,))) \
-            + self.layers[j - 1]
-        out = slab_mul(prev, yj_plus_fj, self.layers).trim()
-        self._mask_cache[digits] = out
-        return out
-
-    # construction -------------------------------------------------------------
-
-    def _upow(self, j: int, e: int) -> Slab:
-        if e == 0:
-            return Slab.monomial(self.field, Monomial(0, ()))
-        if e == 1:
-            return self.subs[j - 1]
-        got = self._upow_cache.get((j, e))
+        j = len(digits) - 1
+        if digits == (0,) * j + (1,):
+            return bases[j]
+        key = (id(bases), digits)  # both lists live as long as the state
+        got = self._powers.get(key)
         if got is None:
-            got = slab_mul(self._upow(j, e - 1), self.subs[j - 1], self.layers).trim()
-            self._upow_cache[(j, e)] = got
+            prev = self._power(bases, digits[:-1] + (digits[-1] - 1,))
+            got = self._powers[key] = slab_mul(prev, bases[j], self.layers).trim()
         return got
 
-    def _eval_terms(self, items: Sequence[tuple[tuple[int, ...], int]], t: int) -> Slab:
-        if not items:
+    def _eval_terms(self, e: np.ndarray, c: np.ndarray) -> Slab:
+        """sum_r c[r] prod_j u_j^e[r, j] over the rows of e, u_j = subs[j-1],
+        by Horner's rule in the last variable: each power of it, in increasing
+        order, times the sum over the rows that carry it."""
+        t = e.shape[1]
+        if not len(c):  # G_1 = 0, which has no variables
             return Slab.zeros(self.field, 0)
-        if t == 0:
-            ((_, c),) = items
-            return Slab.monomial(self.field, Monomial(0, ()), coeff=c)
-        groups: dict[int, list] = {}
-        for e, c in items:
-            groups.setdefault(e[t - 1], []).append((e[: t - 1], c))
+        powers, group = np.unique(e[:, t - 1], return_inverse=True)
         out: Slab | None = None
-        for et in sorted(groups):
+        for g, et in enumerate(powers.tolist()):
+            rows = group == g
+            u = self._power(self.subs, (0,) * (t - 1) + (et,))
             if t == 1:  # a constant times u_1^et: a scale, not a product
-                ((_, c),) = groups[et]
-                inner = self._upow(1, et).scale(c)
+                (c0,) = c[rows].tolist()
+                inner = u.scale(c0)
             else:
-                inner = self._eval_terms(groups[et], t - 1)
+                inner = self._eval_terms(e[rows, :t - 1], c[rows])
                 if et:
-                    inner = slab_mul(self._upow(t, et), inner, self.layers)
+                    inner = slab_mul(u, inner, self.layers)
             out = inner if out is None else (out + inner)
         return out.trim()

@@ -10,8 +10,12 @@ p^(m+1).
 
 Two consumers share the engine:
   * universal "peel" polynomials giving each layer equation of a tower as
-    y_m^p - y_m + G_m(y_1..y_{m-1}) (cached per (p, len)),
-  * tower right-hand sides sum p^v [c x^i], added in one pass.
+    y_m^p - y_m + G_m(y_1..y_{m-1}) (cached per (p, len)), handed to tower in
+    the engine's own form: an exponent matrix, rows in lexicographic order,
+    and a coefficient vector,
+  * tower right-hand sides sum p^v [c x^i], added in one pass and returned as
+    {(nu,): coefficient} dicts, so that tower never sees the extra variable t
+    they carry over GF(p^k).
 
 The peel polynomials and cartier's tables are cached in files written by
 write_cache: a header line carrying the sha256 of the body, then the payload
@@ -35,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import os
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -73,6 +76,12 @@ _PAIRS = 1 << 22  # term pairs per chunk of a product
 class _Poly(NamedTuple):
     e: np.ndarray  # (terms, nvars) exponents
     c: np.ndarray  # (terms,) coefficients
+
+    @property
+    def terms(self) -> np.ndarray:
+        """The exponent rows, read only: perfbench/rep.py counts a peel
+        polynomial's terms as len(g.terms)."""
+        return self.e
 
     def as_dict(self) -> dict:
         return dict(zip(map(tuple, self.e.tolist()), self.c.tolist()))
@@ -211,28 +220,14 @@ def _combine(vecs: list[tuple[int, list[_Poly]]], length: int, p: int,
 # universal polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WittPolynomial:
-    """Universal polynomial over GF(p): exponent tuples -> coefficients in [0, p)."""
-
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-    @classmethod
-    def from_dict(cls, nvars: int, d: dict) -> "WittPolynomial":
-        return cls(nvars, tuple(sorted((e, int(c)) for e, c in d.items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-
 def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = None
-                     ) -> list[WittPolynomial]:
+                     ) -> list[_Poly]:
     """G_1..G_length with (F(Y) - Y)_m = y_m^p - y_m + G_m(y_1..y_{m-1}).
 
-    G_m is returned in variables y_1..y_{m-1} (nvars = m - 1); G_1 = 0.
-    Subtracting G_m from the m-th right-hand-side component yields the m-th
-    layer equation of a tower.
+    G_m is returned in variables y_1..y_{m-1} (m - 1 exponent columns, int64),
+    its rows in increasing lexicographic order of the exponents, with int64
+    coefficients in [1, p); G_1 = 0.  Subtracting G_m from the m-th
+    right-hand-side component yields the m-th layer equation of a tower.
     """
     _check_length(p, length)
     cached = _load_universal(p, length, cache_dir)
@@ -249,7 +244,11 @@ def peel_polynomials(p: int, length: int, cache_dir: str | os.PathLike | None = 
         g = _add([(1, comp), (-1, fy[m - 1]), (1, ys[m - 1])], p)
         if g.e[:, m - 1:].any():
             raise InternalConsistencyError("peel polynomial touches y_m or higher")
-        polys.append(WittPolynomial.from_dict(m - 1, _Poly(g.e[:, :m - 1], g.c).as_dict()))
+        # y_1 is the first sort key; the zero columns past y_(m-1) give
+        # np.lexsort a key when m = 1
+        e = g.e.astype(np.int64)
+        order = np.lexsort(e.T[::-1])
+        polys.append(_Poly(e[order, :m - 1], g.c[order].astype(np.int64)))
     _store_universal(p, length, polys, cache_dir)
     return polys
 
@@ -290,7 +289,7 @@ def write_cache(path: Path, header: str, data: bytes) -> None:
 
 # -- universal cache (memory + versioned binary files) -----------------------
 
-_UNIVERSAL_MEM: dict[tuple, list[WittPolynomial]] = {}
+_UNIVERSAL_MEM: dict[tuple, list[_Poly]] = {}
 
 
 def _cache_path(p: int, length: int, cache_dir) -> Path | None:
@@ -305,29 +304,34 @@ def _ensure_on_disk(p, length, polys, cache_dir):
         _store_universal(p, length, polys, cache_dir)
 
 
-def _encode(polys: list[WittPolynomial], length: int) -> bytes:
+def _encode(polys: list[_Poly], length: int) -> bytes:
     """One <i4 row (m, c, e_1..e_(length-1)) per term of G_m, in order; the
     exponents past y_(m-1) are zero."""
-    rows = [(m, c, *e) + (0,) * (length - m)
-            for m, g in enumerate(polys, start=1) for e, c in g.terms]
-    return np.array(rows, dtype="<i4").reshape(-1, length + 1).tobytes()
+    ms = np.repeat(np.arange(1, len(polys) + 1), [len(g.c) for g in polys])
+    e = np.concatenate([np.pad(g.e, ((0, 0), (0, length - m))) for m, g in enumerate(polys, 1)])
+    return np.column_stack((ms, np.concatenate([g.c for g in polys]), e)).astype("<i4").tobytes()
 
 
 def _load_universal(p, length, cache_dir):
     """Cached polynomials, or None (recompute) unless read_cache accepts the file,
-    its rows have 0 < c < p and exponents >= 0, and _encode of the polynomials
-    they give returns them unchanged."""
+    its rows have 0 < c < p and exponents >= 0, ascend strictly in (m, exponents)
+    and _encode of the polynomials they give returns them unchanged."""
     key = (p, length)
     if key in _UNIVERSAL_MEM:
         return _UNIVERSAL_MEM[key]
     data = read_cache(_cache_path(p, length, cache_dir), _cache_header(p, length))
     if data is None or len(data) % (4 * (length + 1)):
         return None
-    rows = np.frombuffer(data, dtype="<i4").reshape(-1, length + 1)
+    rows = np.frombuffer(data, dtype="<i4").reshape(-1, length + 1).astype(np.int64)
     if np.any(rows[:, 1] <= 0) or np.any(rows[:, 1] >= p) or np.any(rows[:, 2:] < 0):
         return None
-    polys = [WittPolynomial.from_dict(m - 1, {tuple(r[2:m + 1]): r[1] for r in
-                                              rows[rows[:, 0] == m].tolist()})
+    # each row above the one before in its first differing (m, exponent) column:
+    # no term repeats and each G_m is in peel_polynomials' order
+    step = np.delete(rows, 1, axis=1)
+    step = step[1:] - step[:-1]
+    if np.any(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0):
+        return None
+    polys = [_Poly(rows[rows[:, 0] == m, 2:m + 1], rows[rows[:, 0] == m, 1])
              for m in range(1, length + 1)]
     if _encode(polys, length) != data:
         return None

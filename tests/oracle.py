@@ -257,12 +257,13 @@ def trace(f: SparsePoly) -> SparsePoly:
 
 
 def evaluate_witt(poly, values: Sequence[SparsePoly], ctx: FieldCtx) -> SparsePoly:
-    """Substitute SparsePoly values for the variables of a witt.WittPolynomial."""
-    if len(values) != poly.nvars:
-        raise ValueError(f"expected {poly.nvars} values, got {len(values)}")
+    """Substitute SparsePoly values for the variables of a witt engine polynomial."""
+    nvars = poly.e.shape[1]
+    if len(values) != nvars:
+        raise ValueError(f"expected {nvars} values, got {len(values)}")
     level = max((v.level for v in values), default=0)
     out = SparsePoly.zero(ctx, level)
-    for e, c in poly.terms:
+    for e, c in zip(poly.e.tolist(), poly.c.tolist()):
         term = SparsePoly.constant(ctx, c, level)
         for v, ei in zip(values, e):
             term = term * v ** ei
@@ -388,14 +389,13 @@ def dict_pow(a: dict, e: int, mod: int, f: list[int] | None = None) -> dict:
 
 # -- universal Witt addition ------------------------------------------------------
 
-def addition_polynomials(p: int, length: int) -> list[witt.WittPolynomial]:
+def addition_polynomials(p: int, length: int) -> list[witt._Poly]:
     """Universal S_0..S_{length-1} in X_0..X_{length-1}, Y_0..Y_{length-1}:
     w_m(S_0..S_m) = w_m(X) + w_m(Y), from the package's ghost engine (uncached)."""
     nv = 2 * length
     xs = [witt._var(nv, i) for i in range(length)]
     ys = [witt._var(nv, length + i) for i in range(length)]
-    return [witt.WittPolynomial.from_dict(nv, c.as_dict())
-            for c in witt._combine([(1, xs), (1, ys)], length, p)]
+    return witt._combine([(1, xs), (1, ys)], length, p)
 
 
 # -- differentials and the Cartier operator on single forms ----------------------

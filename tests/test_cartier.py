@@ -309,7 +309,7 @@ def test_sealed_bad_table_cache_is_a_miss(tmp_path, defect):
     path, header = tables._cache_path(2), tables._header(2)
     data = path.read_bytes()
     want = tables.levels[2]
-    bad = {key: slab.copy() for key, slab in want.items()}
+    bad = {key: Slab(slab.ctx, slab.level, slab.arr.copy()) for key, slab in want.items()}
     wide = max(sorted(bad), key=lambda key: bad[key].arr.shape[2])  # an entry with X > 1
     x = bad[wide].arr.shape[2]
     assert x > 1

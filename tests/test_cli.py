@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from zptower import _slab, witt
+from zptower import _slab, tower, witt
 from zptower.cli import (ResultRecord, Store, load_spec, main, run_compute,
                          spec_from_dict, verify_suite)
 from zptower.gf import InternalConsistencyError, field
@@ -241,17 +241,20 @@ def _corrupt_peel(monkeypatch):
     monkeypatch.setattr(witt, "_combine", touch_top_variable)
 
 
-def _zero_layer(monkeypatch):
-    monkeypatch.setattr(_slab.Slab, "pole_data", lambda self, d, n: None)
+def _skip_standard_form(monkeypatch):
+    # every layer kept as its right-hand side and peel give it, with no shift:
+    # the p3d7 layers first need one at level 3, which build_to's last check sees
+    monkeypatch.setattr(tower, "reduce_slab",
+                        lambda f, state, d, target_d: (f, _slab.Slab.zeros(f.ctx, f.level)))
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_ghost_division, _corrupt_peel, _zero_layer],
+@pytest.mark.parametrize("corrupt", [_corrupt_ghost_division, _corrupt_peel, _skip_standard_form],
                          ids=["ghost-division", "peel", "standard-form"])
 def test_engine_faults_exit_3(runner, specfile, tmp_path, monkeypatch, corrupt):
     monkeypatch.setattr(witt, "_UNIVERSAL_MEM", {})  # recompute the peel polynomials
     corrupt(monkeypatch)
     r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "compute", str(specfile),
-                             "-n", "2"])
+                             "-n", "3"])
     assert r.exit_code == 3, r.output
     assert "internal consistency failure" in r.output
 

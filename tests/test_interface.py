@@ -107,3 +107,26 @@ def test_package_holds_no_test_only_code():
     assert not [name for name in defs if name not in used and name not in zptower.__all__]
     analysis = ROOT / "src" / "zptower" / "analysis.py"
     assert {module for level, module, _ in _imports(analysis) if level} == {"gf"}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name an import binds in src/zptower or tests/ is read somewhere in
+    its module, or re-exported through __all__; __future__ imports bind none."""
+    unused = []
+    for path in sorted([*(ROOT / "src" / "zptower").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                    for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.name, name) for name in bound if name not in read]
+    assert not unused

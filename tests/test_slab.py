@@ -76,11 +76,13 @@ def test_pole_data_matches_valuation(towerenv, rng):
         f = random_poly(ctx, n, rng)
         if f.is_zero():
             continue
-        pd = from_sparse(f).pole_data(d, n)
-        assert pd[0] == -infinity_valuation(f, p, d, n)
+        s = from_sparse(f)
+        got = _slab.leading_cell(s.arr, _slab.pole_grid(p, n, d, n, s.arr.shape[2]))
+        assert got[0] == -infinity_valuation(f, p, d, n)
         lead = min(f.terms, key=lambda m: monomial_valuation(p, d, m, n))
-        assert pd[1:] == (code_of(p, lead.a), lead.nu, f.terms[lead].coeffs)
-    assert Slab.zeros(ctx, 1).pole_data(d, 1) is None
+        assert got[1:] == (code_of(p, lead.a), lead.nu)
+        assert tuple(s.arr[got[1], :, got[2]]) == f.terms[lead].coeffs
+    assert _slab.leading_cell(Slab.zeros(ctx, 1).arr, _slab.pole_grid(p, 1, d, 1, 1)) is None
 
 
 def test_v_apply_linear_over_pth_powers(towerenv, rng):

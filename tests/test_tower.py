@@ -195,27 +195,47 @@ def test_serialize_roundtrip():
 
 
 # sha256 over the shapes and int64 cells of every layer, then every substitution,
-# recorded before the standard-form reduction worked in place on one array
+# recorded before the standard-form reduction worked in place on one array;
+# p3d7-seed1, perfbench's p3d7-L4 seed-1 tower, was recorded before the peel
+# polynomials crossed to tower as arrays: its level-4 substitution has 122
+# cells, so the Horner evaluation meets shifted variables at p = 3
 LAYER_DIGESTS = {
     "p2d21": (5, "153c7504a6091217c327f51c101328db41819aa0783d8ee1eed04364af9646e1"),
     "p3d7": (4, "c99763f12a03bc8384b3da5835ffffb8d61ead866cfbf7d8cd11ad9e819003c5"),
+    "p3d7-seed1": (4, "4b1544c475f1a8588d7927902040a3f214a221161025e774f9a55c553f477dd7"),
     "gf4": (4, "07f1ce2478ff8260c4250f6845d7f7dd205550b5e92135f829ac988e7afd7b78"),
     "gf9": (3, "63f3910dcbfd283025bfca8b4e9738e618925e5ea6a85b9c608c31ed8525311b"),
 }
+# the same for the deep lane: about 8 s on a 2-vCPU host
+DEEP_LAYER_DIGESTS = {
+    "p3d7-seed1": (5, "48b0e565c0a833ba82b5c71877cdca49308115eb0b739e8285eaea6dab4cc9dc"),
+}
 
 
-@pytest.mark.parametrize("name", sorted(LAYER_DIGESTS))
-def test_layers_and_substitutions_match_recorded(name):
+def _layer_digest(name: str, n: int) -> str:
     from zptower.fixtures import SUITES
     F4, F9 = field(2, 2), field(3, 2)
     F, terms = {"p2d21": (F2, SUITES["p2d21"]["terms"]), "p3d7": (F3, SUITES["p3d7"]["terms"]),
+                "p3d7-seed1": (F3, [(0, 1, 7), (0, 1, 5), (0, 1, 2)]),
                 "gf4": (F4, [(0, F4.gen(), 5), (0, 1, 3)]),
                 "gf9": (F9, [(0, F9.gen(), 7), (0, 1, 5)])}[name]
-    n, want = LAYER_DIGESTS[name]
     st = TowerState(TowerSpec.make(F, terms))
     st.build_to(n)
     h = hashlib.sha256()
     for slab in st.layers + st.subs:
         h.update(np.array(slab.arr.shape, dtype="<i8").tobytes())
         h.update(slab.arr.astype("<i8").tobytes())
-    assert h.hexdigest() == want
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_DIGESTS))
+def test_layers_and_substitutions_match_recorded(name):
+    n, want = LAYER_DIGESTS[name]
+    assert _layer_digest(name, n) == want
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("name", sorted(DEEP_LAYER_DIGESTS))
+def test_deep_layers_and_substitutions_match_recorded(name):
+    n, want = DEEP_LAYER_DIGESTS[name]
+    assert _layer_digest(name, n) == want
