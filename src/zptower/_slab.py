@@ -195,10 +195,10 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     the accumulator is the coefficient of x^n in sum_e a[e][t, i] h[e, g, j];
     the k^2 coefficient products then fold modulo the field polynomial
     (ctx.fold).  The sum is exact: it adds at most sum_e La_e products of
-    residues below p, which check_float_exact keeps below 2^53 (for p <= 13 that
-    allows 6e13 terms).  The GEMMs run in float32 when sum_e La_e (p-1)^2 is
-    below 2^24, so that every partial sum is an integer float32 holds
-    exactly, and in float64 otherwise.
+    residues below p, and check_float_exact picks the float type for that
+    many: float32 while sum_e La_e (p-1)^2 is below 2^24, so that every
+    partial sum is an integer float32 holds exactly, float64 below 2^53 (for
+    p <= 13 that allows 6e13 terms).
 
     The blocks g go in chunks, then the entries, then x-pieces of h.  The
     temporaries alive together (the accumulator with either a piece of h, its
@@ -222,8 +222,7 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
         raise InternalConsistencyError("x-convolution sends two blocks of one row to one target")
     la = np.array([x.shape[2] for x in a])
     inner = int(la.sum())
-    check_float_exact(inner, p)
-    dt = np.float32 if inner * (p - 1) ** 2 < 1 << 24 else np.float64
+    dt = check_float_exact(inner, p)
     live = np.flatnonzero(h.reshape(E, -1).any(axis=1) & np.array([x.any() for x in a]))
     if not live.size:
         return

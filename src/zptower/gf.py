@@ -26,11 +26,17 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
 
 
-def check_float_exact(inner: int, p: int) -> None:
-    """Raise unless a float64 sum of `inner` products of residues below p is
-    exact, i.e. inner * (p-1)^2 < 2^53 (the guard of every float product)."""
-    if inner * (p - 1) ** 2 >= 1 << 53:
-        raise InternalConsistencyError(f"a float64 sum of {inner} products mod {p} is not exact")
+def check_float_exact(inner: int, p: int) -> type:
+    """The float type in which every sum of `inner` products of residues below
+    p is exact: float32 when inner * (p-1)^2 < 2^24, float64 when it is below
+    2^53, and otherwise InternalConsistencyError.  The one choice of float
+    type for every float product over GF(p)."""
+    bound = inner * (p - 1) ** 2
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise InternalConsistencyError(f"a float64 sum of {inner} products mod {p} is not exact")
 
 
 # ---------------------------------------------------------------------------

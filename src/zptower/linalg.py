@@ -15,23 +15,29 @@ group's table and XOR at the group's first nonzero word, so on block upper
 triangular factors, such as the Cartier matrices, it skips the zero words
 left of each block.  Reading `.data` unpacks a copy, for small matrices only.
 
-Over odd p a matrix is sparse columns (_CSC: int64 column pointers, int32 row
-indices and int8 residues, only the nonzero entries), from assembly through
-every product and rank; reading `.data` densifies an int64 copy, for small
-matrices only.  Products and gathers read columns through one helper,
+Over odd p a matrix is sparse columns (_CSC: int64 column pointers, row
+indices of the narrowest type the row count allows, uint16 up to 2^16 rows and
+int32 past that, and int8 residues, only the nonzero entries), from assembly
+through every product and rank; reading `.data` densifies an int64 copy, for
+small matrices only.  Products and gathers read columns through one helper,
 _column_entries.  Its rank starts with a zero-fill structured-pivot pass
 (LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern: the CSC indices are
-the matrix's own and the CSR side is sorted out of them in strips.  It pivots
-on columns, then rows, with a single live nonzero until none is left, so
-rank(A) = #pivots + rank of the leftover submatrix.  Only that leftover is gathered into a dense block and
-eliminated, by blocked Gaussian elimination whose rank-1 updates stay within
-sub-panels of _SUB columns and whose other updates run as float64 GEMMs.
+the matrix's own and the CSR side, its column indices as narrow as the column
+count allows, is sorted out of them in strips.  It pivots on columns, then
+rows, with a single live nonzero until none is left, so rank(A) = #pivots +
+rank of the leftover submatrix.  Only that leftover is gathered into a dense
+int8 block and eliminated in place, by blocked Gaussian elimination that
+converts one column panel at a time to float, with rank-1 updates within
+sub-panels of _SUB columns and GEMMs for the rest of the panel and, one
+column block at a time, for the trailing columns, each block reduced back to
+int8 when its update is done.
 Odd-p products N @ M densify N's rows to int8 and take M one column block at a
-time: the block's entries become a float64 array of its live rows only, one
+time: the block's entries become a float array of its live rows only, one
 row chunk of N at a time goes through a GEMM, and each product block is
-reduced by an int64 cast and % and compressed back to sparse columns.
-gf.check_float_exact, the guard of _slab's x-convolution, keeps the products
-and the elimination exact.
+reduced mod p in float (_mod) and compressed back to sparse columns.
+gf.check_float_exact, which also picks the float type of _slab's
+x-convolution, picks float32 or float64 for the products and the elimination
+and keeps every float sum exact.
 
 Both eliminations also report their pivot rows, rows of their input that
 span its row space.  Twisted powers use them: rowspace(N M) = rowspace(N) M,
@@ -52,7 +58,7 @@ from .gf import FieldCtx, InternalConsistencyError, check_float_exact
 
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
 _SUB = 32  # columns per rank-1 update within a panel
-_GEMM_CHUNK = 4_000_000  # float64 elements per temporary of an odd-p product or update
+_GEMM_CHUNK = 4_000_000  # float elements per temporary of an odd-p product or trailing update
 _STRIP = 1 << 16  # nonzeros per strip of the sparse-column passes
 
 
@@ -62,12 +68,29 @@ class LinAlgError(ValueError):
 
 class _CSC(NamedTuple):
     """An m x n GF(p) matrix as sparse columns: the entries of column j are
-    rows idx[ptr[j]:ptr[j+1]], ascending, with nonzero residues val[...]."""
+    rows idx[ptr[j]:ptr[j+1]], ascending, with nonzero residues val[...].
+    The row indices take 2 bytes while m <= 2^16 (_ix), as every odd-p
+    fixture matrix does, so an entry takes 3 bytes."""
 
     m: int
     ptr: np.ndarray  # int64, n + 1
-    idx: np.ndarray  # int32
+    idx: np.ndarray  # _ix(m): uint16 or int32
     val: np.ndarray  # int8
+
+
+def _ix(m: int) -> type:
+    """The index type of m rows or columns: uint16 while they fit, else int32.
+    Arithmetic on such indices must run in a wider type: numpy keeps uint16
+    for a uint16 array plus a Python int."""
+    return np.uint16 if m <= 1 << 16 else np.int32
+
+
+def _narrow(a: np.ndarray, m: int) -> np.ndarray:
+    """Indices a, each in 0..m-1, as _ix(m); a value out of range raises
+    instead of wrapping."""
+    if a.size and (a.min() < 0 or a.max() >= m):
+        raise InternalConsistencyError(f"index {a.min()}..{a.max()} outside 0..{m - 1}")
+    return a.astype(_ix(m), copy=False)
 
 
 class DenseMatrix:
@@ -109,7 +132,7 @@ class DenseMatrix:
         if ctx.p == 2:
             return cls._wrap(ctx, np.zeros((m, -(-n // 64)), dtype=np.uint64), n)
         ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        return cls._wrap(ctx, _CSC(m, ptr, np.zeros(ptr[-1], dtype=np.int32),
+        return cls._wrap(ctx, _CSC(m, ptr, np.zeros(ptr[-1], dtype=_ix(m)),
                                    np.zeros(ptr[-1], dtype=np.int8)), n)
 
     @property
@@ -137,7 +160,7 @@ class DenseMatrix:
         step = max(1, _STRIP // max(rows.size, 1))
         for i in range(0, cols.size, step):
             at = A.ptr[cols[i:i + step], None] + np.arange(rows.size)
-            A.idx[at] = rows + shifts[i:i + step, None]
+            A.idx[at] = _narrow(rows + shifts[i:i + step, None], A.m)
             A.val[at] = vals
 
     @property
@@ -176,9 +199,9 @@ def _matmul(a: np.ndarray, b, p: int):
     if p == 2:
         return _matmul_gf2(a, b)
     m, inner = a.shape
-    check_float_exact(inner, p)
+    dt = check_float_exact(inner, p)
     n = b.ptr.size - 1
-    # b in column blocks and a in row chunks, so that every float64 temporary
+    # b in column blocks and a in row chunks, so that every float temporary
     # (a block of b, a chunk of a, their product) holds at most _GEMM_CHUNK
     # elements; a block of b holds only its live rows, the rows where its
     # columns have entries, and a only the matching columns (about half of
@@ -194,13 +217,11 @@ def _matmul(a: np.ndarray, b, p: int):
             hit = np.zeros(inner, dtype=bool)
             hit[r] = True
             live = np.flatnonzero(hit)
-            bf = np.zeros((live.size, c1 - c0))
+            bf = np.zeros((live.size, c1 - c0), dtype=dt)
             bf[np.searchsorted(live, r), j] = v
             blk = out[:, :c1 - c0]
             for r0 in range(0, m, rows):
-                prod = a[r0:r0 + rows, live].astype(np.float64) @ bf
-                # prod holds exact integers: its int64 cast and % are far cheaper than np.fmod
-                np.remainder(prod.astype(np.int64), p, out=blk[r0:r0 + rows])
+                blk[r0:r0 + rows] = _mod(a[r0:r0 + rows, live].astype(dt) @ bf, p)
             yield blk
     return _csc(m, blocks())
 
@@ -234,12 +255,12 @@ def _gather(A: _CSC, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _csc(m: int, blocks: Iterable[np.ndarray]) -> _CSC:
     """The sparse columns of dense residue blocks of m rows placed side by side."""
-    counts, idx, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)], \
+    counts, idx, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=_ix(m))], \
         [np.zeros(0, dtype=np.int8)]
     for D in blocks:
         c, r = np.nonzero(D.T)  # by column, then row
         counts.append(np.bincount(c, minlength=D.shape[1]))
-        idx.append(r.astype(np.int32))
+        idx.append(_narrow(r, m))
         val.append(D[r, c])
     return _CSC(m, np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
                 np.concatenate(idx), np.concatenate(val))
@@ -311,8 +332,8 @@ def _row_basis(M: DenseMatrix) -> tuple[int, np.ndarray]:
 
 def _rank_mod_p(A: _CSC, p: int) -> tuple[int, np.ndarray]:
     """Rank of sparse columns over odd GF(p) and their pivot rows: the
-    singleton pivots (_singleton_pivots), then _rank_blocked on the gathered
-    leftover submatrix only."""
+    singleton pivots (_singleton_pivots), then _rank_blocked, in place, on
+    the gathered leftover submatrix only."""
     prows, rows, cols = _singleton_pivots(A)
     if rows.size == 0 or cols.size == 0:
         return prows.size, prows
@@ -353,9 +374,10 @@ def _singleton_pivots(A: _CSC) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _pattern(A: _CSC) -> tuple[np.ndarray, ...]:
-    """The nonzero pattern of A as int32 CSR column indices and int32 CSC row
-    indices, each with its lines' degrees and index sums (the sum is the index
-    of a line's last live entry at degree 1): (ci, rdeg, rsum, cr, cdeg, csum).
+    """The nonzero pattern of A as CSR column indices of type _ix(n) and A's
+    own CSC row indices, each with its lines' degrees and index sums (the sum
+    is the index of a line's last live entry at degree 1):
+    (ci, rdeg, rsum, cr, cdeg, csum).
 
     The CSC side is A's own; the CSR side is sorted out of it in strips of
     _STRIP nonzeros, so every temporary is strip-sized and no int64 array has
@@ -363,7 +385,7 @@ def _pattern(A: _CSC) -> tuple[np.ndarray, ...]:
     """
     m, n, cr = A.m, A.ptr.size - 1, A.idx
     nnz = cr.size
-    ci = np.empty(nnz, dtype=np.int32)
+    ci = np.empty(nnz, dtype=_ix(n))
     rdeg, rsum = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     cdeg, csum = np.diff(A.ptr), np.zeros(n, dtype=np.int64)
     for s in range(0, nnz, _STRIP):
@@ -381,6 +403,7 @@ def _pattern(A: _CSC) -> tuple[np.ndarray, ...]:
         key.sort()  # by (row, column); earlier strips hold earlier columns
         r, c = key >> 32, key & 0xFFFFFFFF
         rows, cnt, sums = _runs(r, c)
+        # c < n, the column of an entry, so it fits ci without wrapping
         ci[np.repeat(fill[rows] - (np.cumsum(cnt) - cnt), cnt) + np.arange(r.size)] = c
         fill[rows] += cnt
         rsum[rows] += sums
@@ -389,10 +412,11 @@ def _pattern(A: _CSC) -> tuple[np.ndarray, ...]:
 
 def _runs(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For sorted keys: each distinct key, how often it occurs and the int64 sum
-    of its vals."""
+    of its vals.  The run starts are found by comparison, not by subtraction,
+    so unsigned keys cannot wrap."""
     if keys.size == 0:
         return keys, keys, keys
-    starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.add.reduceat(vals, starts, dtype=np.int64)
     return keys[starts], np.diff(starts, append=keys.size), sums
 
@@ -467,81 +491,122 @@ def _rank_gf2(words: np.ndarray) -> tuple[int, np.ndarray]:
     return prows.size, prows
 
 
-def _rank_blocked(Ai: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Blocked LU-style rank over GF(p) and its pivot rows, running entirely in
-    float64 on a private copy (Ai is only read).
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, x - p floor(x / p), for a float array of integers
+    with -2^e + p <= x < 2^e, 2^e = 2^24 for float32 and 2^53 for float64.
+    That holds for every sum this module reduces, where
+    check_float_exact(inner, p) picked the type: a sum of at most `inner`
+    products of residues, or a residue less a sum of at most `inner` - 1 of
+    them (p >= 3).  The quotient x / p is correctly rounded, so it is exact
+    at multiples of p and otherwise off by less than 1/p, too little to cross
+    an integer; so the floor is exact, and p floor(x / p), within p - 1 of x,
+    is exact too.  About 7 times faster than an int64 cast and % on float32
+    blocks."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
 
-    Columns go in panels of _PANEL, and each panel in sub-panels of _SUB.
-    Within a sub-panel each pivot's rank-1 update touches only the sub-panel's
-    columns right of the pivot; at its end one GEMM (_apply_pivots) updates
-    the rest of the panel, and at the end of a panel one GEMM updates the
-    trailing columns.  The pivot column stores the multipliers, so row swaps
-    keep L attached to the correct rows.  Rows are swapped whole, and `perm`
-    follows the swaps, so the pivot rows of Ai are perm[:rank].
 
-    Multipliers and pivot rows are reduced mod p (an int64 cast and %) before
-    use, so every entry is a residue plus at most one product of residues per
-    pivot: a sum of at most min(m, n) + 1 such products, which
-    gf.check_float_exact keeps exact in float64.
+def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Blocked LU-style rank over GF(p) of the residues A and its pivot rows,
+    eliminating A in place: the caller's private copy, int8 from _gather.
+
+    Columns go in panels of _PANEL, and each panel is converted to float, rows
+    from the first live one down, and factored there in sub-panels of _SUB.
+    Within a sub-panel each pivot's rank-1 update touches only the
+    sub-panel's columns right of the pivot; at its end one GEMM
+    (_apply_pivots) updates the rest of the panel.  The pivot column stores
+    the multipliers, so row swaps keep L attached to the correct rows.  At the
+    end of a panel its multipliers update the trailing columns of A one block
+    at a time: a block is converted to float, updated by _apply_pivots and
+    its live rows reduced back into A.  Rows are swapped whole (in A only
+    right of the panel, which is all that is read again), and `perm` follows
+    the swaps, so the pivot rows of A are perm[:rank].
+
+    Multipliers and pivot rows are reduced mod p (_mod) before use, and every
+    panel and block starts as residues, so an entry is a residue plus at most
+    one product of residues per pivot of one panel: a sum of at most
+    _PANEL + 1 such products, for which gf.check_float_exact picks the float
+    type (float32 for every p <= 13).  Besides A, the live temporaries are
+    the panel or its multipliers and a block, its GEMM result and its
+    quotients, each of at most one panel's size and _GEMM_CHUNK elements.
     """
-    m, n = Ai.shape
-    check_float_exact(min(m, n) + 1, p)
-    A = Ai.astype(np.float64)
+    m, n = A.shape
+    dt = check_float_exact(_PANEL + 1, p)
     perm = np.arange(m)
     r = 0
     for c0 in range(0, n, _PANEL):
+        if r == m:
+            break
         c1 = min(c0 + _PANEL, n)
         r0 = r
-        pcols: list[int] = []  # the pivot column of row r0 + t
-        for s0 in range(c0, c1, _SUB):
-            s1 = min(s0 + _SUB, c1)
+        P = A[r0:, c0:c1].astype(dt)  # row i is row r0 + i of A
+        pcols: list[int] = []  # the panel column of the pivot of row r0 + t
+        for s0 in range(0, c1 - c0, _SUB):
+            s1 = min(s0 + _SUB, c1 - c0)
             q0 = r
             for c in range(s0, s1):
                 if r == m:
                     break
-                col = A[r:, c].astype(np.int64) % p
-                nz = np.nonzero(col)[0]
+                i = r - r0
+                col = _mod(P[i:, c].copy(), p)
+                nz = np.flatnonzero(col)
                 if nz.size == 0:
                     continue
-                piv = r + int(nz[0])
-                if piv != r:
-                    A[[r, piv]] = A[[piv, r]]
-                    perm[[r, piv]] = perm[[piv, r]]
-                    col[[0, nz[0]]] = col[[nz[0], 0]]
+                piv = int(nz[0])
+                if piv:
+                    P[[i, i + piv]] = P[[i + piv, i]]
+                    A[[r, r + piv], c1:] = A[[r + piv, r], c1:]
+                    perm[[r, r + piv]] = perm[[r + piv, r]]
+                    col[[0, piv]] = col[[piv, 0]]
                 inv = pow(int(col[0]), p - 2, p)
-                factors = col[1:] * inv % p
+                factors = _mod(col[1:] * inv, p)
                 if factors.any():
-                    A[r + 1:, c + 1:s1] -= np.outer(factors, A[r, c + 1:s1].astype(np.int64) % p)
-                A[r + 1:, c] = factors
+                    P[i + 1:, c + 1:s1] -= np.outer(factors, _mod(P[i, c + 1:s1].copy(), p))
+                P[i + 1:, c] = factors
                 pcols.append(c)
                 r += 1
-            _apply_pivots(A, q0, pcols[q0 - r0:], s1, c1, p)
-        if r == m:
-            break
-        _apply_pivots(A, r0, pcols, c1, n, p)
+            Lq = P[q0 - r0:, pcols[q0 - r0:]]
+            _apply_pivots(_unit_inverse(Lq, p), Lq, P[q0 - r0:, s1:], p)
+        if r == m or r == r0:
+            continue
+        L = P[:, pcols]
+        del P
+        X = _unit_inverse(L, p)
+        w = max(1, min(_PANEL, _GEMM_CHUNK // (m - r0)))
+        for s in range(c1, n, w):
+            B = A[r0:, s:s + w].astype(dt)
+            _apply_pivots(X, L, B, p)
+            A[r:, s:s + w] = _mod(B[r - r0:], p)
     return r, perm[:r]
 
 
-def _apply_pivots(A: np.ndarray, r0: int, pivots: list[int], c0: int, c1: int,
-                  p: int) -> None:
-    """Eliminate the pivots of rows r0, r0+1, ... (in the columns `pivots`,
-    their multipliers stored below them) from columns c0..c1-1: a triangular
-    solve on the pivot rows, then GEMMs on the rows below, in column blocks
-    whose products hold at most _GEMM_CHUNK elements."""
-    npiv = len(pivots)
-    if npiv == 0 or c0 == c1:
-        return
-    pcols = np.array(pivots, dtype=np.intp)
-    U = A[r0:r0 + npiv, c0:c1]
-    U[:] = U.astype(np.int64) % p
+def _unit_inverse(L: np.ndarray, p: int) -> np.ndarray:
+    """X = L11^-1 mod p, L11 the unit lower triangular matrix whose strictly
+    lower part is L[t, :t], t < L.shape[1], by forward substitution."""
+    npiv = L.shape[1]
+    X = np.eye(npiv, dtype=L.dtype)
     for t in range(1, npiv):
-        ft = A[r0 + t, pcols[:t]]
+        ft = L[t, :t]
         if ft.any():
-            U[t] = (U[t] - ft @ U[:t]).astype(np.int64) % p
-    L21 = A[r0 + npiv:, pcols]
-    step = max(1, _GEMM_CHUNK // max(L21.shape[0], 1))
-    for s in range(c0, c1, step) if L21.size else ():
-        A[r0 + npiv:, s:min(c1, s + step)] -= L21 @ U[:, s - c0:s - c0 + step]
+            X[t] = _mod(X[t] - ft @ X[:t], p)
+    return X
+
+
+def _apply_pivots(X: np.ndarray, L: np.ndarray, B: np.ndarray, p: int) -> None:
+    """Eliminate npiv = L.shape[1] pivots from the float block B, in place.
+    Rows t < npiv of L and B belong to pivot t: L[t, :t] holds its multipliers
+    by the earlier pivots and B[t] its row, and X = _unit_inverse(L).  B[:npiv]
+    becomes the reduced pivot rows U = X B[:npiv] mod p, then one GEMM
+    subtracts L[npiv:] @ U from the rows below."""
+    npiv = L.shape[1]
+    if npiv == 0:
+        return
+    U = _mod(B[:npiv], p)
+    U[:] = _mod(X @ U, p)
+    B[npiv:] -= L[npiv:] @ U
 
 
 def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:

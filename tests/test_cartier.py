@@ -130,11 +130,14 @@ def test_gf2_matrix_stays_packed():
 
 def test_odd_p_matrix_stays_int8():
     # At p3d7 level 4 (g = 5700, 0.9 % dense) an int8 array with one entry per
-    # GF(3) element takes g^2 = 32.5 MB.  As sparse columns the matrix takes 5
-    # bytes a nonzero; the singleton pass adds 4 bytes a nonzero of CSR indices
-    # and temporaries of at most a strip each, and only the leftover is dense,
-    # int8 and a float64 copy.  So assembly and rank stay within 10 bytes a
-    # nonzero, 9 bytes a leftover entry and 64 bytes an entry of one strip.
+    # GF(3) element takes g^2 = 32.5 MB.  As sparse columns with 16-bit row
+    # indices the matrix takes 3 bytes a nonzero; the singleton pass adds 2
+    # bytes a nonzero of 16-bit CSR indices and temporaries of at most a strip
+    # each, and only the leftover is dense: int8, eliminated in place one
+    # float32 panel at a time.  So assembly and rank stay within 6 bytes a
+    # nonzero, 1 byte a leftover entry, one float32 panel of the leftover's
+    # rows and 64 bytes an entry of one strip (the elimination's other
+    # temporaries, a few panels' worth, come after the strips are freed).
     suite = SUITES["p3d7"]
     st = tower(F3, suite["terms"], 4)
     CartierTables(st).ensure(4)
@@ -149,7 +152,7 @@ def test_odd_p_matrix_stays_int8():
     _, rows, cols = _singleton_pivots(M._a)
     nnz = M._a.idx.size
     assert M._a.val.dtype == np.int8 and nnz == np.count_nonzero(M._a.val) < M.cols ** 2 // 100
-    bound = 10 * nnz + 9 * rows.size * cols.size + 64 * linalg._STRIP
+    bound = 6 * nnz + rows.size * cols.size + 4 * rows.size * linalg._PANEL + 64 * linalg._STRIP
     assert peak < bound < M.cols ** 2, (peak, bound)
 
 

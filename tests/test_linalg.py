@@ -75,9 +75,10 @@ def test_odd_p_matrices_are_int8_residues(p, rng):
     A, B = rng.integers(-40, 40, size=(9, 70)), rng.integers(0, p, size=(70, 5))
     M, N = DenseMatrix(F, A), DenseMatrix(F, B)
     P = M @ N
-    # sparse columns: int64 pointers, int32 rows and int8 residues, nonzero only
+    # sparse columns: int64 pointers, uint16 rows (at most 2^16 of them) and
+    # int8 residues, nonzero only
     for X in (M, N, P, DenseMatrix.zeros(F, 2, 3)):
-        assert (X._a.ptr.dtype, X._a.idx.dtype, X._a.val.dtype) == (np.int64, np.int32, np.int8)
+        assert (X._a.ptr.dtype, X._a.idx.dtype, X._a.val.dtype) == (np.int64, np.uint16, np.int8)
         assert X._a.val.all() and X._a.ptr[-1] == X._a.idx.size == np.count_nonzero(X.data)
     assert (M.data == A % p).all() and (P.data == (A % p) @ B % p).all()
 
@@ -141,7 +142,7 @@ def test_rank_multi_panel(rng):
     # pivot; the columns on either side of it do
     C = rng.integers(0, 3, size=(90, 100))
     C[:, linalg._SUB] = C[:, 5]
-    assert _rank_blocked(C, 3)[0] == naive_rank(C.copy(), 3) == 90
+    assert _rank_blocked(C.astype(np.int8), 3)[0] == naive_rank(C.copy(), 3) == 90
 
 
 # packed GF(2) rows: no rows, no columns, one partial word, whole words and
@@ -195,7 +196,7 @@ def test_matmul_composes_semilinear_maps(rng):
 
 
 def test_odd_p_product_checks_float_exactness(monkeypatch):
-    # an odd-p product runs the float64 guard that _slab's x-convolution runs
+    # an odd-p product runs the exactness guard that _slab's x-convolution runs
     def refuse(inner, p):
         raise InternalConsistencyError(f"inner dimension {inner} refused")
     monkeypatch.setattr(linalg, "check_float_exact", refuse)
@@ -290,8 +291,59 @@ def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
         got = _singleton_pivots(M._a)
         assert all((a == b).all() for a, b in zip(got, want))
         got_pattern = _pattern(M._a)
-        assert [a.dtype for a in got_pattern[::3]] == [np.int32, np.int32]
+        assert [a.dtype for a in got_pattern[::3]] == [np.uint16, np.uint16]  # m, n <= 2^16
         assert all((a == b).all() for a, b in zip(got_pattern, pattern))
+
+
+# -- index widths: uint16 up to 2^16 lines, int32 past that ------------------
+
+@pytest.mark.parametrize("m", [1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("tall", [True, False], ids=["rows", "cols"])
+def test_index_width_boundary(m, tall, rng):
+    # a GF(3) matrix with m rows (or columns) and a few entries, some on the
+    # last line, whose index 2^16 would wrap to 0 in 16 bits
+    A = np.zeros((m, 6), dtype=np.int64)
+    A[rng.integers(0, m, size=12), rng.integers(0, 6, size=12)] = rng.integers(1, 3, size=12)
+    A[m - 1, [1, 4]], A[m - 2, 4], A[0, 2] = [2, 1], 1, 1
+    if not tall:
+        A = A.T.copy()
+    M = DenseMatrix(F3, A)
+    width = np.uint16 if m <= 1 << 16 else np.int32
+    ci, cr = _pattern(M._a)[::3]
+    assert (cr.dtype, ci.dtype) == ((width, np.uint16) if tall else (np.uint16, width))
+    assert max(int(cr.max()), int(ci.max())) == m - 1
+    assert np.array_equal(M.data, A)
+    assert rank(M) == naive_rank(A.copy(), 3)
+    pattern, want = bool_pattern_pivots(A != 0)
+    assert all((a == b).all() for a, b in zip(_singleton_pivots(M._a), want))
+    assert all((a == b).all() for a, b in zip(_pattern(M._a), pattern))
+    # products with m rows, m columns and inner dimension m
+    left, right = rng.integers(0, 3, size=(3, A.shape[0])), rng.integers(0, 3, size=(A.shape[1], 3))
+    for P, want in [(DenseMatrix(F3, left) @ M, left @ A % 3),
+                    (M @ DenseMatrix(F3, right), A @ right % 3)]:
+        assert P._a.idx.dtype == linalg._ix(P._a.m) and np.array_equal(P.data, want)
+
+
+def test_narrowing_an_out_of_range_index_raises():
+    assert linalg._narrow(np.array([0, 65535]), 1 << 16).dtype == np.uint16
+    assert linalg._narrow(np.array([65536]), (1 << 16) + 1).dtype == np.int32
+    for bad, m in [([65536], 1 << 16), ([-1], 5), ([5], 5)]:
+        with pytest.raises(InternalConsistencyError):
+            linalg._narrow(np.array(bad), m)
+    # set_columns narrows the rows it writes: row 65535 moved down one is 65536
+    M = DenseMatrix.for_columns(F3, 1 << 16, np.array([1, 1]))
+    with pytest.raises(InternalConsistencyError):
+        M.set_columns(np.array([0, 1]), np.array([65535]), np.array([1], dtype=np.int8),
+                      np.array([0, 1]))
+
+
+def test_runs_on_unsigned_keys_from_zero():
+    # a start mask by subtraction would wrap below the first key 0
+    keys = np.array([0, 0, 3, 65535, 65535, 65535], dtype=np.uint16)
+    vals = np.array([1, 2, 3, 65535, 65535, 65535], dtype=np.uint16)
+    k, cnt, sums = linalg._runs(keys, vals)
+    assert k.tolist() == [0, 3, 65535] and cnt.tolist() == [2, 1, 3]
+    assert sums.tolist() == [3, 3, 3 * 65535]
 
 
 def check_rank(data, F):
@@ -439,8 +491,8 @@ def test_gf2_twisted_powers_match_integer_powers(rng):
 
 def test_odd_p_product_is_chunked(monkeypatch, rng):
     # With _GEMM_CHUNK = 2^16 the p3d7 level-3 product M @ M (g = 624) converts b
-    # in column blocks and a in row chunks of at most 2^16 float64 elements
-    # (512 KB); a float64 copy of the whole right factor alone would take 3.1 MB.
+    # in column blocks and a in row chunks of at most 2^16 float32 elements
+    # (256 KB); a float64 copy of the whole right factor alone would take 3.1 MB.
     import tracemalloc
     from zptower.cartier import cartier_matrix
     from zptower.fixtures import SUITES
@@ -527,7 +579,7 @@ def test_rank_blocked_pivot_rows_across_sub_panels(p, rng, monkeypatch):
             A = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
             for c in rng.choice(n, size=n // 3, replace=False):  # dependent columns
                 A[:, c] = A[:, int(rng.integers(n))] * int(rng.integers(p)) % p
-            got, rows = _rank_blocked(A, p)
+            got, rows = _rank_blocked(A.astype(np.int8), p)
             assert got == naive_rank(A.copy(), p)
             assert rows.size == len(set(rows.tolist())) == got
             assert naive_rank(A[rows], p) == got
@@ -614,7 +666,7 @@ def test_dense_cartier_powers_match_integer_powers(dense_p3):
 
 
 def test_elimination_checks_float_exactness(monkeypatch, rng):
-    # the dense elimination of the leftover runs the float64 guard of the products
+    # the dense elimination of the leftover runs the exactness guard of the products
     A = rng.integers(0, 3, size=(40, 40))
     M = DenseMatrix(F3, A)
     assert _singleton_pivots(M._a)[1].size and rank(M) == naive_rank(A, 3)
@@ -624,3 +676,35 @@ def test_elimination_checks_float_exactness(monkeypatch, rng):
     monkeypatch.setattr(linalg, "check_float_exact", refuse)
     with pytest.raises(InternalConsistencyError):
         rank(M)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_float_mod_matches_integer_remainder(p, rng):
+    # exact over -2^e + p <= x < 2^e, beyond every sum that check_float_exact admits
+    for dt, top in [(np.float32, 1 << 24), (np.float64, 1 << 53)]:
+        x = np.concatenate((rng.integers(p - top, top, size=5000), np.arange(-3 * p, 3 * p),
+                            [top - 1, p - top, top - p], (top // p - np.arange(3)) * p,
+                            (np.arange(3) - (top - p) // p) * p))
+        got = linalg._mod(x.astype(dt), p)
+        assert got.dtype == dt and np.array_equal(got.astype(np.int64), x % p)
+
+
+def test_elimination_holds_int8_and_one_panel(rng):
+    # the leftover is eliminated in place, with no float64 copy (8 m n bytes):
+    # its temporaries, the float32 panel or its multipliers, one block and the
+    # block's int64 residues, stay below m n bytes plus 16 bytes an entry of
+    # one m x _PANEL panel
+    import tracemalloc
+    m, n, k = 600, 1500, 500
+    X = np.vstack((np.eye(k), rng.integers(0, 3, size=(m - k, k))))
+    Y = np.hstack((np.eye(k), rng.integers(0, 3, size=(k, n - k))))
+    A = (X @ Y % 3).astype(np.int8)[rng.permutation(m)][:, rng.permutation(n)]  # rank k
+    tracemalloc.start()
+    try:
+        r, rows = _rank_blocked(A, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == k and np.unique(rows).size == k
+    bound = A.nbytes + 16 * m * linalg._PANEL
+    assert peak < bound < 8 * m * n, (peak, bound)

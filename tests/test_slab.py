@@ -146,14 +146,17 @@ def test_xconv_refuses_a_repeated_target():
 
 
 def test_xconv_exactness_bound():
-    # a float64 sum of inner products of residues below p is exact while
-    # inner * (p-1)^2 < 2^53
-    check_float_exact((1 << 53) // 4 - 1, 3)
-    with pytest.raises(InternalConsistencyError):
-        check_float_exact((1 << 53) // 4, 3)
-    check_float_exact((1 << 53) // 144, 13)
-    with pytest.raises(InternalConsistencyError):
-        check_float_exact((1 << 53) // 144 + 1, 13)
+    # a sum of inner products of residues below p is exact in float32 while
+    # inner * (p-1)^2 < 2^24 and in float64 while it is below 2^53
+    for p in (3, 13):
+        sq = (p - 1) ** 2
+        top32, top64 = -(-(1 << 24) // sq) - 1, -(-(1 << 53) // sq) - 1  # the largest inner
+        assert check_float_exact(1, p) is check_float_exact(top32, p) is np.float32
+        assert check_float_exact(top32 + 1, p) is check_float_exact(top64, p) is np.float64
+        with pytest.raises(InternalConsistencyError):
+            check_float_exact(top64 + 1, p)
+    assert check_float_exact((1 << 22) - 1, 3) is np.float32
+    assert check_float_exact(116508, 13) is np.float32
 
 
 @pytest.fixture(params=[(3, 1), (2, 2), (3, 2), (2, 3)], ids=["p3", "gf4", "gf9", "gf8"])
