@@ -3,7 +3,7 @@ default run leaves out.  Times on a 2-vCPU host: each p=2 level-6 test takes
 about 25 s and a few hundred MB; each p=2 level-7 test 6-7 min and about
 1.5 GB, two fifths of it in the tower build and Cartier tables and most of the
 rest in the two twisted products; each p=3 level-4 test about 11 s; each p=3
-level-5 test 35-50 s, about half of it spent on the Cartier tables, and
+level-5 test 30-45 s, about half of it spent on the Cartier tables, and
 0.27 GB (p3d7) or 1.1 GB (p3d5, p3d5-variant); the p=2 length-7 peel about
 11 s and 270 MB."""
 
