@@ -1,24 +1,27 @@
 """Dense kernel for y-reduced tower polynomials.
 
-A Slab stores a reduced polynomial in x, y_1..y_level as an int64 array of
-shape (p**level, k, X), int8 for the Cartier table entries: one row per
-y-exponent tuple (coded little-endian in base p), one coefficient vector of
-length k per power of x.  Entries are residues in [0, p); all arithmetic is
-exact.  A differential form h dx at a tower level is the Slab of h.  A
-Monomial x^nu y_1^a_1 ... y_n^a_n names one entry by its exponents.  Products
-take the layer right-hand sides f_1..f_level as a list of slabs and reduce
-y_j^p to y_j + f_j; the kernel holds no tower of its own.
+A Slab stores a reduced polynomial in x, y_1..y_level as an array of shape
+(p**level, k, X): one row per y-exponent tuple (coded little-endian in base
+p), one coefficient vector of length k per power of x.  Entries are residues
+in [0, p), int8 for products and Cartier table entries and int64 otherwise;
+all arithmetic is exact.  A differential form h dx at a tower level is the
+Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one entry by its
+exponents.  Products take the layer right-hand sides f_1..f_level as a list
+of slabs and reduce y_j^p to y_j + f_j; the kernel holds no tower of its own.
 
 All products run through one batched x-convolution, _xconv: it gathers many
 (k, X) blocks and the blocks they multiply and forms every product with GEMMs
 of shift blocks against a sliding-window (Toeplitz) copy, in chunks whose
 temporaries hold about _CONV_CHUNK elements, adding the results into target
-y-codes by integer key arithmetic.  mul forms all code pairs at once and then
-reduces in waves, one batched product of the overflowing blocks with f_j per
-wave; ymul forms many products y^code f in one such reduction, each keyed by
-its index.  v_apply takes a sequence of forms and applies V to groups of them,
-each group one convolution of every Cartier table entry against the p-th-root
-cofactors of all its forms.
+y-codes by integer key arithmetic.  mul_pairs forms many sums of products a b
+at once, one _xconv per distinct a against the stacked blocks of its b's, and
+then reduces them all in one loop of waves (_finish_reduce), one batched
+product of the overflowing blocks with f_j per wave; mul is its one-pair case.
+ymul forms many products y^code f in that same reduction, each keyed by its
+index.  Callers group the products of one reduction so that they hold about
+_REDUCE_BATCH elements (batches).  v_apply takes a sequence of forms and
+applies V to groups of them, each group one convolution of every Cartier
+table entry against the p-th-root cofactors of all its forms.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -27,11 +30,11 @@ operation here against the sparse dict reference in tests/oracle.py.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .gf import FieldCtx, InternalConsistencyError, check_float_exact
+from .gf import FieldCtx, InternalConsistencyError, check_float_exact, float_mod
 
 
 class PolyError(ValueError):
@@ -56,7 +59,7 @@ class Slab:
     def __init__(self, ctx: FieldCtx, level: int, arr: np.ndarray):
         self.ctx = ctx
         self.level = level
-        self.arr = arr  # (p**level, k, X) int64 (int8 in Cartier tables), entries in [0, p)
+        self.arr = arr  # (p**level, k, X) int64, or int8 for products and tables; entries in [0, p)
 
     # -- constructors ---------------------------------------------------------
 
@@ -169,7 +172,21 @@ def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
 
 _CONV_CHUNK = 1 << 16  # elements of the temporaries alive together in one _xconv chunk
 _BATCH = 1 << 20  # elements of the cofactor and output blocks of one v_apply group
+_REDUCE_BATCH = 1 << 16  # elements of the products that one batched y-reduction starts from
 _KEY_BITS = 6  # bits per y-digit in the integer keys of unreduced y-exponents (8 levels: 48)
+
+
+def batches(sizes: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
+    """The consecutive ranges [i, j) that cover sizes, each the longest from i
+    whose sizes sum to at most budget, and at least one long."""
+    i = 0
+    while i < len(sizes):
+        j, total = i + 1, sizes[i]
+        while j < len(sizes) and total + sizes[j] <= budget:
+            total += sizes[j]
+            j += 1
+        yield i, j
+        i = j
 
 
 def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.ndarray,
@@ -284,27 +301,29 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
                     acc[:, :, x0 + s * b:x0 + s * b + m] += part.reshape(T * k, (g1 - g0) * k, m)
                     del part
                 del toe
-        # acc holds exact integers, so the int64 cast is exact; it and % are
-        # far cheaper than np.fmod
+        # acc holds exact integers, below 2^24 in float32 and 2^53 in
+        # float64, so float_mod reduces it exactly (and far faster than an
+        # int64 cast and %); for k > 1 the int64 cast is exact and ctx.fold
+        # reduces the k^2 coefficient products
         tr = max(1, max(_CONV_CHUNK - acc.size, _CONV_CHUNK // 2) // (3 * k * k * (g1 - g0) * nout))
         for t0 in range(0, T, tr):
             t1 = min(T, t0 + tr)
-            out = acc[t0 * k:t1 * k, :, :nout].astype(np.int64)
-            out = out.reshape(t1 - t0, k, g1 - g0, k, nout)
             if k == 1:
-                vals = out[:, 0] % p
+                vals = float_mod(acc[t0:t1, :, None, :nout], p).astype(np.int64)
             else:
+                out = acc[t0 * k:t1 * k, :, :nout].astype(np.int64)
+                out = out.reshape(t1 - t0, k, g1 - g0, k, nout)
                 raw = np.zeros((t1 - t0, g1 - g0, 2 * k - 1, nout), dtype=np.int64)
                 for i in range(k):
                     raw[:, :, i:i + k] += out[:, i]
                 vals = ctx.fold(raw, axis=2)
-                del raw
+                del out, raw
             if distinct:
                 into[rows[t0:t1, g0:g1], :, :nout] += vals
             else:
                 for t in range(t0, t1):  # rows[t] repeats no index, so += adds every block
                     into[rows[t, g0:g1], :, :nout] += vals[t - t0]
-            del out, vals
+            del vals
         del acc
 
 
@@ -323,17 +342,56 @@ def _keys(p: int, codes: np.ndarray, level: int) -> np.ndarray:
 
 def mul(a: Slab, b: Slab, layers: Sequence[Slab]) -> Slab:
     """Reduced product of two reduced slabs, rewriting y_j^p -> y_j + f_j with
-    f_j = layers[j-1], the reduced right-hand side of layer j at level j-1."""
-    ctx = a.ctx
-    lvl = max(a.level, b.level)
+    f_j = layers[j-1], the reduced right-hand side of layer j at level j-1: the
+    one-pair case of mul_pairs."""
     if a.arr.shape[2] > b.arr.shape[2]:
         a, b = b, a  # the shorter factor is the GEMM's inner side
-    ca, cb = a.nonzero_codes(), b.nonzero_codes()
-    keys, rows = np.unique(_keys(ctx.p, ca, a.level)[:, None] + _keys(ctx.p, cb, b.level),
-                           return_inverse=True)
-    blocks = np.zeros((keys.size, ctx.k, a.arr.shape[2] + b.arr.shape[2] - 1), dtype=np.int64)
-    _xconv([a.arr[ca]], b.arr[cb][None], rows.reshape(ca.size, cb.size), blocks, ctx)
-    return _finish_reduce(keys, 0, blocks, ctx, lvl, layers, 1)[0]
+    return mul_pairs([(a, b, 0)], layers)[0]
+
+
+def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -> list[Slab]:
+    """The reduced products 0..max index, as in mul, all at the largest level
+    of any factor: product i is the sum of a b over the pairs (a, b, i), and
+    zero if no pair has index i.
+
+    The pairs sharing one a (the same object) make one _xconv: the nonzero
+    rows of their b's are its blocks, keyed by product index and y-code, so
+    that a b + a b' with one index adds b and b' first.  Every target block is
+    keyed by product index and y-exponent, which sums the products of one
+    index, and one _finish_reduce reduces them all."""
+    if not pairs:
+        return []
+    ctx = pairs[0][0].ctx
+    nprod = 1 + max(i for *_, i in pairs)
+    lvl = max(max(a.level, b.level) for a, b, _ in pairs)
+    top = _index_top(nprod, lvl)
+    p, k = ctx.p, ctx.k
+    by_a: dict[int, tuple[Slab, list[tuple[Slab, int]]]] = {}
+    for a, b, i in pairs:
+        by_a.setdefault(id(a), (a, []))[1].append((b, i))
+    convs, targets = [], []
+    for a, bs in by_a.values():
+        ca = a.nonzero_codes()
+        cbs = [b.nonzero_codes() for b, _ in bs]
+        cols, col = np.unique(np.concatenate(
+            [_keys(p, cb, b.level) + (i << top) for (b, i), cb in zip(bs, cbs)]), return_inverse=True)
+        h = np.zeros((1, cols.size, k, max(b.arr.shape[2] for b, _ in bs)), dtype=np.int64)
+        at = 0
+        for (b, _), cb in zip(bs, cbs):  # the columns of one b are distinct, so += adds each
+            h[0, col[at:at + cb.size], :, :b.arr.shape[2]] += b.arr[cb]
+            at += cb.size
+        h %= p  # a column that two b's share holds their sum
+        convs.append((a.arr[ca], h))
+        targets.append(_keys(p, ca, a.level)[:, None] + cols)
+    keys, rows = np.unique(np.concatenate([t.ravel() for t in targets]), return_inverse=True)
+    blocks = np.zeros((keys.size, k, max(x.shape[2] + h.shape[3] for x, h in convs) - 1),
+                      dtype=np.int64)
+    at = 0
+    for (x, h), t in zip(convs, targets):
+        _xconv([x], h, rows[at:at + t.size].reshape(t.shape), blocks, ctx)
+        at += t.size
+    del convs, targets, rows  # the stacked blocks of b, before the reduction
+    return _finish_reduce(keys, blocks, ctx, lvl, layers, nprod)
 
 
 def ymul(codes: Sequence[int], level: int, fs: Sequence[Slab],
@@ -345,23 +403,33 @@ def ymul(codes: Sequence[int], level: int, fs: Sequence[Slab],
         return []
     ctx = fs[0].ctx
     lvl = max([level] + [f.level for f in fs])
+    top = _index_top(len(fs), lvl)
     nz = [f.nonzero_codes() for f in fs]
-    keys = np.concatenate([_keys(ctx.p, cf, f.level) + low for low, f, cf
-                           in zip(_keys(ctx.p, np.asarray(codes), level), fs, nz)])
-    index = np.repeat(np.arange(len(fs)), [cf.size for cf in nz])
+    keys = np.concatenate([_keys(ctx.p, cf, f.level) + low + (i << top) for i, (low, f, cf)
+                           in enumerate(zip(_keys(ctx.p, np.asarray(codes), level), fs, nz))])
     blocks = np.zeros((keys.size, ctx.k, max(f.arr.shape[2] for f in fs)), dtype=np.int64)
     at = 0
     for f, cf in zip(fs, nz):
         blocks[at:at + cf.size, :, :f.arr.shape[2]] = f.arr[cf]
         at += cf.size
-    return _finish_reduce(keys, index, blocks, ctx, lvl, layers, len(fs))
+    return _finish_reduce(keys, blocks, ctx, lvl, layers, len(fs))
 
 
-def _finish_reduce(keys: np.ndarray, index: np.ndarray | int, blocks: np.ndarray,
-                   ctx: FieldCtx, lvl: int, layers: Sequence[Slab], nprod: int) -> list[Slab]:
+def _index_top(nprod: int, lvl: int) -> int:
+    """The lowest key bit of the product index, above lvl y-digits; raises if
+    nprod indices do not fit the 63 bits of an int64 key."""
+    if nprod > 1 << (63 - _KEY_BITS * lvl):
+        raise InternalConsistencyError(
+            f"{nprod} product indices do not fit the key bits above {lvl} y-digits")
+    return _KEY_BITS * lvl
+
+
+def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int,
+                   layers: Sequence[Slab], nprod: int) -> list[Slab]:
     """The reduced slabs of nprod products, in index order: product i is the
-    sum of y^keys[r] blocks[r] over the r with index[r] = i (keys as in _keys,
-    blocks (N, k, X), keys distinct within a product).
+    sum of y^keys[r] blocks[r] over the r whose key carries index i in its bits
+    from _index_top(nprod, lvl) up (y-digits as in _keys, blocks (N, k, X),
+    keys distinct).
 
     Digits can exceed p-1 after a single multiplication; each overflow splits
     via y_j^p = y_j + f_j, whose f_j factor only touches digits below j, so the
@@ -369,31 +437,33 @@ def _finish_reduce(keys: np.ndarray, index: np.ndarray | int, blocks: np.ndarray
     digit is the highest of all, say j, and forms their products with every
     row of f_j in one batched convolution (_xconv); blocks are coalesced by key
     between waves, since without that the splits recombine exponentially.
-    Each key carries its product index in the bits above the y-digits, so
-    products never mix.
+    The product index above the y-digits keeps products from mixing.
     """
     p, k = ctx.p, ctx.k
-    if nprod > 1 << (63 - _KEY_BITS * lvl):
-        raise InternalConsistencyError(
-            f"{nprod} product indices do not fit the key bits above {lvl} y-digits")
-    keys = keys + (np.asarray(index, dtype=np.int64) << _KEY_BITS * lvl)
     shifts = _KEY_BITS * np.arange(lvl)
-    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    top = _KEY_BITS * lvl
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | slice]] = []
     while keys.size:
         blocks %= p
         live = blocks.any(axis=(1, 2))
-        keys, blocks = keys[live], blocks[live]
+        if not live.all():
+            keys, blocks = keys[live], blocks[live]
         dig = keys[:, None] >> shifts & ((1 << _KEY_BITS) - 1)
         if dig.size and dig.max() > (1 << _KEY_BITS) - p:
             raise InternalConsistencyError("y-exponent digit outgrew its key field")
         over = dig >= p
         fin = ~over.any(axis=1)
-        done.append((keys[fin] >> _KEY_BITS * lvl, dig[fin] @ p ** np.arange(lvl), blocks[fin]))
-        if fin.all():
+        # a wave's part is its finished rows: the blocks array itself while
+        # they are at least half of it, so that the larger share is not copied
+        nfin = int(fin.sum())
+        if nfin == fin.size:
+            done.append((keys >> top, dig @ p ** np.arange(lvl), blocks, slice(None)))
             break
-        top = np.where(fin, -1, lvl - 1 - over[:, ::-1].argmax(axis=1))  # highest overflow
-        j = int(top.max())
-        sel, rest = top == j, ~fin & (top < j)
+        done.append((keys[fin] >> top, dig[fin] @ p ** np.arange(lvl),
+                     *((blocks, fin) if 2 * nfin >= fin.size else (blocks[fin], slice(None)))))
+        high = np.where(fin, -1, lvl - 1 - over[:, ::-1].argmax(axis=1))  # highest overflow
+        j = int(high.max())
+        sel, rest = high == j, ~fin & (high < j)
         base = keys[sel] - (p << _KEY_BITS * j)
         fj = layers[j]
         cf = fj.nonzero_codes()
@@ -407,19 +477,25 @@ def _finish_reduce(keys: np.ndarray, index: np.ndarray | int, blocks: np.ndarray
         nxt[rows[nr:nr + ns], :, :blocks.shape[2]] += blocks[sel]
         _xconv([fj.arr[cf]], blocks[sel][None], rows[nr + ns:].reshape(prods.shape), nxt, ctx)
         blocks = nxt
+    del blocks
     return _materialize(ctx, lvl, nprod, done)
 
 
 def _materialize(ctx: FieldCtx, lvl: int, nprod: int,
-                 parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[Slab]:
-    """The level-lvl slabs sum y^code block of each product index over the
-    (indices, codes, blocks) parts, each with distinct (index, code) pairs
-    and (N, k, X) blocks of any length X."""
-    out = np.zeros((nprod, ctx.p ** lvl, ctx.k, max((b.shape[2] for *_, b in parts), default=1)),
-                   dtype=np.int64)
-    for idx, codes, b in parts:
-        out[idx, codes, :, :b.shape[2]] += b
-    out %= ctx.p
+                 parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | slice]]
+                 ) -> list[Slab]:
+    """The level-lvl slabs, as int8 residues, that sum y^code block of each
+    product index over the (indices, codes, blocks, rows) parts: the blocks
+    are the residue rows `rows` of an (N, k, X) array of any length X, with
+    distinct (index, code) pairs.  Each part is freed once it is added, and
+    the sum is reduced after each, so that it stays below 2 p <= 26."""
+    out = np.zeros((nprod, ctx.p ** lvl, ctx.k, max((b.shape[2] for *_, b, _ in parts), default=1)),
+                   dtype=np.int8)
+    while parts:
+        idx, codes, b, rows = parts.pop()
+        out[idx, codes, :, :b.shape[2]] += b[rows]
+        out %= ctx.p
+        del b
     return [Slab(ctx, lvl, x).trim() for x in out]
 
 

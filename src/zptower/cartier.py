@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import _BATCH, Monomial, Slab, code_weights, mul as slab_mul, v_apply, ymul
+from ._slab import (_REDUCE_BATCH, Monomial, Slab, batches, code_weights, mul as slab_mul,
+                    v_apply, ymul)
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
@@ -116,23 +117,33 @@ class CartierTables:
         for _ in range(1, p):
             fpow.append(slab_mul(fpow[-1], minus_f, state.layers).trim())
         table: dict[tuple[int, int], Slab] = {}
-        # the products of one group of lowcodes hold at most _BATCH / 40
-        # elements: the arrays alive in one wave of their reduction reach about
-        # 40 times that (p2d21 level 6: the largest wave is 10 times the
-        # products, and it holds about four arrays of its size)
-        step = max(1, _BATCH // (40 * (p - 1) * S_low * k * max(f.arr.shape[2] for f in fpow)))
-        for low0 in range(0, S_low, step):
-            lows = range(low0, min(S_low, low0 + step))
-            # prods[c (p-1) + j - 1] = y^lows[c] (-f_m)^j, reduced at level m-1
-            prods = ymul([low for low in lows for _ in range(1, p)], m - 1,
-                         [fpow[j] for _ in lows for j in range(1, p)], state.layers)
-            # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is that
-            # product shifted by nu0; the images come in (low, nu0, j) order
-            images = iter(v_apply(
-                [prods[c * (p - 1) + j - 1] for c in range(len(lows))
-                 for _ in range(p) for j in range(1, p)], prev,
-                [nu0 for _ in lows for nu0 in range(p) for _ in range(1, p)]))
-            for low in lows:
+        # the lowcodes by digit sum; with i the lowest nonzero digit of low,
+        # y^low F = y_(i+1) y^(low - p^i) F, so each generation's products
+        # come from the last one's in one ymul, and only digit i can overflow
+        codes = np.arange(S_low)
+        digit_sum, unit = np.zeros(S_low, dtype=np.int64), np.zeros(S_low, dtype=np.int64)
+        for i in reversed(range(m - 1)):
+            dig = codes // p ** i % p
+            digit_sum += dig
+            unit[dig > 0] = p ** i  # p^i for the lowest nonzero digit i
+        lows = np.zeros(1, dtype=np.int64)
+        prods = fpow[1:]  # prods[c (p-1) + j - 1] = y^lows[c] (-f_m)^j, reduced at level m-1
+        for s in range((p - 1) * (m - 1) + 1):
+            if s:  # the products of digit sum s; the last generation's are then freed
+                nxt = np.flatnonzero(digit_sum == s)
+                at = np.searchsorted(lows, nxt - unit[nxt])
+                units = [u for u in unit[nxt].tolist() for _ in range(1, p)]
+                fs = [prods[c * (p - 1) + j - 1] for c in at.tolist() for j in range(1, p)]
+                sizes = [f.arr.size for f in fs]
+                prods = [x for i, j in batches(sizes, _REDUCE_BATCH)
+                         for x in ymul(units[i:j], m - 1, fs[i:j], state.layers)]
+                lows = nxt
+            for c, low in enumerate(lows.tolist()):
+                # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is
+                # that product shifted by nu0; the images come in (nu0, j) order
+                images = iter(v_apply([prods[c * (p - 1) + j - 1] for _ in range(p)
+                                       for j in range(1, p)], prev,
+                                      [nu0 for nu0 in range(p) for _ in range(1, p)]))
                 for nu0 in range(p):
                     # inner[j] = V(x^nu0 y^low (-f_m)^j dx) at level m-1
                     inner = [prev[(nu0, low)].arr.astype(np.int64)] + \

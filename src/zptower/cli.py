@@ -195,6 +195,8 @@ def run_compute(spec: TowerSpec, n: int, powers: int = 1,
                 tool_version=__version__, timestamp=stamp)
     if n == 0:
         records.append(ResultRecord(level=0, genus=0, a_r=(), wall_time=0.0, **base))
+    elif n <= spec.max_level():  # build_to refuses deeper levels
+        state.ensure_ram(n)  # the breaks and genera of every level at once
     for m in range(1, n + 1):
         t0 = time.perf_counter()
         cm = cartier_matrix(state, m)

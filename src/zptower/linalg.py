@@ -34,7 +34,7 @@ int8 when its update is done.
 Odd-p products N @ M densify N's rows to int8 and take M one column block at a
 time: the block's entries become a float array of its live rows only, one
 row chunk of N at a time goes through a GEMM, and each product block is
-reduced mod p in float (_mod) and compressed back to sparse columns.
+reduced mod p in float (gf.float_mod) and compressed back to sparse columns.
 gf.check_float_exact, which also picks the float type of _slab's
 x-convolution, picks float32 or float64 for the products and the elimination
 and keeps every float sum exact.
@@ -54,7 +54,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .gf import FieldCtx, InternalConsistencyError, check_float_exact
+from .gf import FieldCtx, InternalConsistencyError, check_float_exact, float_mod
 
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
 _SUB = 32  # columns per rank-1 update within a panel
@@ -221,7 +221,7 @@ def _matmul(a: np.ndarray, b, p: int):
             bf[np.searchsorted(live, r), j] = v
             blk = out[:, :c1 - c0]
             for r0 in range(0, m, rows):
-                blk[r0:r0 + rows] = _mod(a[r0:r0 + rows, live].astype(dt) @ bf, p)
+                blk[r0:r0 + rows] = float_mod(a[r0:r0 + rows, live].astype(dt) @ bf, p)
             yield blk
     return _csc(m, blocks())
 
@@ -491,24 +491,6 @@ def _rank_gf2(words: np.ndarray) -> tuple[int, np.ndarray]:
     return prows.size, prows
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, x - p floor(x / p), for a float array of integers
-    with -2^e + p <= x < 2^e, 2^e = 2^24 for float32 and 2^53 for float64.
-    That holds for every sum this module reduces, where
-    check_float_exact(inner, p) picked the type: a sum of at most `inner`
-    products of residues, or a residue less a sum of at most `inner` - 1 of
-    them (p >= 3).  The quotient x / p is correctly rounded, so it is exact
-    at multiples of p and otherwise off by less than 1/p, too little to cross
-    an integer; so the floor is exact, and p floor(x / p), within p - 1 of x,
-    is exact too.  About 7 times faster than an int64 cast and % on float32
-    blocks."""
-    q = x / p
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    return x
-
-
 def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Blocked LU-style rank over GF(p) of the residues A and its pivot rows,
     eliminating A in place: the caller's private copy, int8 from _gather.
@@ -525,7 +507,7 @@ def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     right of the panel, which is all that is read again), and `perm` follows
     the swaps, so the pivot rows of A are perm[:rank].
 
-    Multipliers and pivot rows are reduced mod p (_mod) before use, and every
+    Multipliers and pivot rows are reduced mod p (float_mod) before use, and every
     panel and block starts as residues, so an entry is a residue plus at most
     one product of residues per pivot of one panel: a sum of at most
     _PANEL + 1 such products, for which gf.check_float_exact picks the float
@@ -551,7 +533,7 @@ def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
                 if r == m:
                     break
                 i = r - r0
-                col = _mod(P[i:, c].copy(), p)
+                col = float_mod(P[i:, c].copy(), p)
                 nz = np.flatnonzero(col)
                 if nz.size == 0:
                     continue
@@ -562,9 +544,9 @@ def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
                     perm[[r, r + piv]] = perm[[r + piv, r]]
                     col[[0, piv]] = col[[piv, 0]]
                 inv = pow(int(col[0]), p - 2, p)
-                factors = _mod(col[1:] * inv, p)
+                factors = float_mod(col[1:] * inv, p)
                 if factors.any():
-                    P[i + 1:, c + 1:s1] -= np.outer(factors, _mod(P[i, c + 1:s1].copy(), p))
+                    P[i + 1:, c + 1:s1] -= np.outer(factors, float_mod(P[i, c + 1:s1].copy(), p))
                 P[i + 1:, c] = factors
                 pcols.append(c)
                 r += 1
@@ -579,7 +561,7 @@ def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
         for s in range(c1, n, w):
             B = A[r0:, s:s + w].astype(dt)
             _apply_pivots(X, L, B, p)
-            A[r:, s:s + w] = _mod(B[r - r0:], p)
+            A[r:, s:s + w] = float_mod(B[r - r0:], p)
     return r, perm[:r]
 
 
@@ -591,7 +573,7 @@ def _unit_inverse(L: np.ndarray, p: int) -> np.ndarray:
     for t in range(1, npiv):
         ft = L[t, :t]
         if ft.any():
-            X[t] = _mod(X[t] - ft @ X[:t], p)
+            X[t] = float_mod(X[t] - ft @ X[:t], p)
     return X
 
 
@@ -604,8 +586,8 @@ def _apply_pivots(X: np.ndarray, L: np.ndarray, B: np.ndarray, p: int) -> None:
     npiv = L.shape[1]
     if npiv == 0:
         return
-    U = _mod(B[:npiv], p)
-    U[:] = _mod(X @ U, p)
+    U = float_mod(B[:npiv], p)
+    U[:] = float_mod(X @ U, p)
     B[npiv:] -= L[npiv:] @ U
 
 

@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._slab import Monomial, PolyError, Slab, code_of, leading_cell, mul as slab_mul, pole_grid
-from .gf import FieldCtx, FieldElement, InternalConsistencyError
+from ._slab import (_REDUCE_BATCH, Monomial, PolyError, Slab, batches, code_of, leading_cell,
+                    mul as slab_mul, mul_pairs, pole_grid)
+from .gf import FieldCtx, FieldElement, InternalConsistencyError, check_float_exact, float_mod
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
 
@@ -378,6 +379,7 @@ class TowerState:
         self.subs: list[Slab] = []
         self._plus_f: list[Slab] = []  # y_j + f_j at level j, the p-th power of y_j
         self._powers: dict[tuple[int, tuple[int, ...]], Slab] = {}
+        self._comps: list[dict] = []  # the right-hand-side components, to length ram.levels
         self.tables = None  # attached by cartier.CartierTables
 
     @property
@@ -398,7 +400,10 @@ class TowerState:
         if n <= self.level:
             return self
         ram = self.ensure_ram(n)
-        comps = rhs_components([(t.v, t.c, t.i) for t in self.spec.terms], n, self.field)
+        if len(self._comps) < n:  # those of a shorter Witt length are a prefix
+            self._comps = rhs_components([(t.v, t.c, t.i) for t in self.spec.terms], ram.levels,
+                                         self.field)
+        comps = self._comps
         for m in range(self.level + 1, n + 1):
             d = ram.d[:m - 1]
             peel = peel_polynomials(self.spec.p, m, self.cache_dir)[m - 1]
@@ -453,22 +458,67 @@ class TowerState:
 
     def _eval_terms(self, e: np.ndarray, c: np.ndarray) -> Slab:
         """sum_r c[r] prod_j u_j^e[r, j] over the rows of e, u_j = subs[j-1],
-        by Horner's rule in the last variable: each power of it, in increasing
-        order, times the sum over the rows that carry it."""
+        by Horner's rule from the bottom up.  A node at depth d is a tuple of
+        exponents of u_t .. u_(t-d+1) that some rows carry; its value is the
+        sum over those rows of c[r] prod_(j <= t-d) u_j^e[r, j].  The leaves,
+        at depth t - 1, are sums of c u_1^e (_leaf_values).  A node above sums
+        u_j^e times the value of each child, so the products of one depth go
+        to mul_pairs keyed by their parent, which sums them (_node_values)."""
         t = e.shape[1]
         if not len(c):  # G_1 = 0, which has no variables
             return Slab.zeros(self.field, 0)
-        powers, group = np.unique(e[:, t - 1], return_inverse=True)
-        out: Slab | None = None
-        for g, et in enumerate(powers.tolist()):
-            rows = group == g
-            u = self._power(self.subs, (0,) * (t - 1) + (et,))
-            if t == 1:  # a constant times u_1^et: a scale, not a product
-                (c0,) = c[rows].tolist()
-                inner = u.scale(c0)
-            else:
-                inner = self._eval_terms(e[rows, :t - 1], c[rows])
-                if et:
-                    inner = slab_mul(u, inner, self.layers)
-            out = inner if out is None else (out + inner)
-        return out.trim()
+        nodes, leaf = np.unique(e[:, 1:], axis=0, return_inverse=True)
+        vals = self._leaf_values(e[:, 0], c, leaf.ravel(), len(nodes))
+        for j in range(1, t):
+            up, parent = np.unique(nodes[:, 1:], axis=0, return_inverse=True)
+            pows = {x: self._power(self.subs, (0,) * j + (x,)) for x in set(nodes[:, 0].tolist())}
+            vals = self._node_values([pows[x] for x in nodes[:, 0].tolist()], vals, parent.ravel())
+            nodes = up
+        return vals[0].trim()
+
+    def _leaf_values(self, e1: np.ndarray, c: np.ndarray, leaf: np.ndarray, n: int) -> list[Slab]:
+        """Leaf i's value, the sum of c[r] u_1^e1[r] over the rows r with
+        leaf[r] = i, for i < n: one product of the leaves' coefficient matrix
+        with the powers of u_1, in float (check_float_exact) and in chunks of
+        leaves of similar length whose values hold at most _REDUCE_BATCH
+        elements (at least one leaf)."""
+        ctx = self.field
+        p, k = ctx.p, ctx.k
+        exps, col = np.unique(e1, return_inverse=True)
+        pows = [self._power(self.subs, (int(x),)).at_level(1).arr for x in exps]
+        dt = check_float_exact(exps.size, p)
+        U = np.zeros((exps.size, p, k, max(u.shape[2] for u in pows)), dtype=dt)
+        for u, x in zip(U, pows):
+            u[:, :, :x.shape[2]] = x
+        C = np.zeros((n, exps.size), dtype=dt)
+        C[leaf, col] = c  # the rows of e are distinct, so no cell is set twice
+        width = np.zeros(n, dtype=np.int64)
+        np.maximum.at(width, leaf, np.array([u.shape[2] for u in pows])[col])
+        order = np.argsort(width, kind="stable")
+        vals: list[Slab | None] = [None] * n
+        i = 0
+        while i < n:  # order ascends in width, so a chunk's widest leaf is its last
+            j = i + 1
+            while j < n and (j + 1 - i) * p * k * width[order[j]] <= _REDUCE_BATCH:
+                j += 1
+            w = int(width[order[j - 1]])
+            out = float_mod(C[order[i:j]] @ U[..., :w].reshape(exps.size, -1), p)
+            out = out.astype(np.int8).reshape(j - i, p, k, w)
+            for g, idx in enumerate(order[i:j].tolist()):
+                vals[idx] = Slab(ctx, 1, out[g]).trim()
+            i = j
+        return vals
+
+    def _node_values(self, us: list[Slab], vals: list[Slab], parent: np.ndarray) -> list[Slab]:
+        """Parent i's value, the sum of us[r] vals[r] over the children r with
+        parent[r] = i: one mul_pairs call per batch of whole parents, each
+        batch's products holding about _REDUCE_BATCH elements before their
+        reduction (counting the nonzero y-codes of each factor)."""
+        size = np.zeros(parent.max() + 1, dtype=np.int64)
+        np.add.at(size, parent, [u.nonzero_codes().size * v.nonzero_codes().size * self.field.k
+                                 * (u.arr.shape[2] + v.arr.shape[2] - 1) for u, v in zip(us, vals)])
+        children = np.argsort(parent, kind="stable")
+        bounds = np.searchsorted(parent[children], np.arange(size.size + 1))
+        return [x for i, j in batches(size.tolist(), _REDUCE_BATCH)
+                for x in mul_pairs([(us[r], vals[r], int(parent[r]) - i)
+                                    for r in children[bounds[i]:bounds[j]].tolist()], self.layers)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+import zptower.cartier as cartier_mod
 import zptower.witt as witt_mod
 from conftest import random_poly, sealed
 from oracle import (SparsePoly, cartier_apply, differential_basis, from_sparse,
@@ -420,19 +421,42 @@ def test_table_digests_do_not_depend_on_the_chunk(monkeypatch):
 
 
 def test_level_build_batches_its_convolutions(monkeypatch):
-    # a level is built from grouped batches: p3d7 level 3 from level 2 makes 9
-    # _xconv calls, where one v_apply per form and one mul per product made 113
+    # a level is built from grouped batches: p3d7 level 3 from level 2 makes one
+    # ymul per digit sum 1..4 of the level-2 lowcodes and 20 _xconv calls (one
+    # v_apply per lowcode), where one v_apply per form and one mul per product
+    # made 113
     tables = CartierTables(tower(F3, SUITES["p3d7"]["terms"], 3)).ensure(2)
-    calls = []
-    real = slab_kernel._xconv
+    calls, ymuls = [], []  # the monomials y^code of each ymul call
+    real, real_ymul = slab_kernel._xconv, cartier_mod.ymul
 
     def counted(*args):
         calls.append(args[1].shape)
         real(*args)
+
+    def counted_ymul(codes, *args):
+        ymuls.append(sorted(set(codes)))
+        return real_ymul(codes, *args)
     monkeypatch.setattr(slab_kernel, "_xconv", counted)
+    monkeypatch.setattr(cartier_mod, "ymul", counted_ymul)
     tables.ensure(3)
     assert table_digest(tables.levels[3]) == TABLE_DIGESTS["p3d7"][2]
+    assert ymuls == [[1, 3], [1, 3], [1], [1]], ymuls  # each by y_1 or y_2
     assert len(calls) <= 20, len(calls)
+
+
+def test_p3_table_build_memory():
+    # building p3d7's level-4 table from level 3 peaks at 3.08 MB; it peaked at
+    # 3.27 MB when each lowcode's products had their own y-reduction
+    st = tower(F3, SUITES["p3d7"]["terms"], 4)
+    tables = CartierTables(st).ensure(3)
+    tracemalloc.start()
+    try:
+        tables.ensure(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_digest(tables.levels[4]) == TABLE_DIGESTS["p3d7"][3]
+    assert peak <= 3_268_753, peak
 
 
 def test_table_build_memory():

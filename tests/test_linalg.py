@@ -3,7 +3,7 @@ import pytest
 
 from conftest import restrict, semilinear_image
 from oracle import kernel_basis, kernels_to_stabilization
-from zptower.gf import InternalConsistencyError, field
+from zptower.gf import InternalConsistencyError, check_float_exact, field, float_mod
 import zptower.linalg as linalg
 from zptower.linalg import (DenseMatrix, LinAlgError, _pattern, _pivot_singletons, _rank_blocked,
                             _row_basis, _singleton_pivots, kernel_dim, rank,
@@ -680,12 +680,17 @@ def test_elimination_checks_float_exactness(monkeypatch, rng):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_float_mod_matches_integer_remainder(p, rng):
-    # exact over -2^e + p <= x < 2^e, beyond every sum that check_float_exact admits
+    # exact over -2^e + p <= x < 2^e, beyond every sum that check_float_exact
+    # admits; _slab._xconv's largest sums, inner (p-1)^2 at the largest inner
+    # of each float type, and those just below them are among the cases
+    sq = (p - 1) ** 2
     for dt, top in [(np.float32, 1 << 24), (np.float64, 1 << 53)]:
+        inner = -(-top // sq) - 1
+        assert check_float_exact(inner, p) is dt  # the largest inner of dt: test_xconv_exactness_bound
         x = np.concatenate((rng.integers(p - top, top, size=5000), np.arange(-3 * p, 3 * p),
                             [top - 1, p - top, top - p], (top // p - np.arange(3)) * p,
-                            (np.arange(3) - (top - p) // p) * p))
-        got = linalg._mod(x.astype(dt), p)
+                            (np.arange(3) - (top - p) // p) * p, inner * sq - np.arange(2 * p)))
+        got = float_mod(x.astype(dt), p)
         assert got.dtype == dt and np.array_equal(got.astype(np.int64), x % p)
 
 

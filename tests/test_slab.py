@@ -222,17 +222,49 @@ def test_batched_products_match_mul(smalltower, chunk, rng, monkeypatch):
         assert g.level == 2 and np.array_equal(g.arr, want.arr), code
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (13, 1), (3, 2)], ids=["p2", "p3", "p13", "gf9"])
+def test_pair_products_are_sums_of_one_pair_products(p, k, rng):
+    # mul_pairs against one mul per pair, summed per product index: factors at
+    # levels 0..2, zero factors, an a shared by pairs of one index and of
+    # others, an index that no pair has, random pairs, and no pairs at all
+    ctx = field(p, k)
+    terms = {(2, 1): [(0, 1, 5), (0, 1, 3)], (3, 1): [(0, 1, 7), (0, 2, 5)],
+             (13, 1): [(0, 1, 2)], (3, 2): [(0, ctx.gen(), 7), (0, 1, 5)]}[(p, k)]
+    state = TowerState(TowerSpec.make(ctx, terms))
+    state.build_to(2)
+    slabs = [from_sparse(random_poly(ctx, lvl, rng, nterms=4, maxdeg=6), lvl) for lvl in (0, 1, 2, 2, 1)]
+    slabs.append(Slab.zeros(ctx, 2, 3))
+    a = slabs[1]
+    pairs = [(a, slabs[2], 0), (a, slabs[3], 0), (slabs[4], slabs[0], 0), (a, slabs[5], 1),
+             (slabs[5], slabs[2], 1), (a, slabs[4], 3), (slabs[2], slabs[2], 3)]
+    pairs += [(slabs[i], slabs[j], [0, 1, 3][n]) for i, j, n in rng.integers(0, [6, 6, 3], size=(10, 3))]
+    got = _slab.mul_pairs(pairs, state.layers)
+    want = [SparsePoly(ctx, 2, {}) for _ in range(4)]
+    for x, y, i in pairs:
+        want[i] = want[i] + to_sparse(slab_mul(x, y, state.layers)).at_level(2)
+    assert len(got) == 4 and got[2].is_zero()
+    assert all(g.level == 2 and to_sparse(g) == w for g, w in zip(got, want))
+    # a b + a (-b) cancels in the blocks that a multiplies
+    assert _slab.mul_pairs([(a, slabs[2], 0), (a, slabs[2].scale(-1), 0)], state.layers)[0].is_zero()
+    assert _slab.mul_pairs([], state.layers) == []
+
+
 def test_product_index_must_fit_its_key_bits():
     # at level 10 the y-digits take 60 key bits, which leaves 3 for the product
-    # index: 8 products fit, 9 do not
-    ctx, lvl = field(2), 10
-    keys, index = np.zeros(1, dtype=np.int64), np.array([7])
-    blocks = np.ones((1, 1, 2), dtype=np.int64)
-    got = _slab._finish_reduce(keys, index, blocks, ctx, lvl, [], 8)
-    assert [s.is_zero() for s in got] == [True] * 7 + [False]
-    assert np.array_equal(got[7].arr[0], [[1, 1]])
+    # index: 8 products fit, 9 do not, in ymul and in the pair form of mul alike
+    ctx = field(2)
+    one, x = Slab.monomial(ctx, Monomial(0, ())), Slab.monomial(ctx, Monomial(1, ()))
+    y10, xy10 = (Slab.monomial(ctx, Monomial(nu, (0,) * 9 + (1,))) for nu in (0, 1))
+    got = ymul([0] * 7 + [2 ** 9], 10, [x] * 8, [])
+    assert all(np.array_equal(s.arr, x.at_level(10).arr) for s in got[:7])
+    assert np.array_equal(got[7].arr, xy10.arr)
     with pytest.raises(InternalConsistencyError):
-        _slab._finish_reduce(keys, index, blocks, ctx, lvl, [], 9)
+        ymul([0] * 9, 10, [x] * 9, [])
+    got = _slab.mul_pairs([(y10, one if i < 7 else x, i) for i in range(8)], [])
+    assert all(np.array_equal(s.arr, y10.arr) for s in got[:7])
+    assert np.array_equal(got[7].arr, xy10.arr)
+    with pytest.raises(InternalConsistencyError):
+        _slab.mul_pairs([(y10, one, i) for i in range(9)], [])
 
 
 def _sparse_v(f: SparsePoly, tables):

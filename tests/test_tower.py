@@ -5,6 +5,8 @@ import pytest
 
 from oracle import infinity_valuation, to_sparse
 import zptower.tower as tower
+from zptower import _slab
+from zptower.fixtures import SUITES
 from zptower.gf import InternalConsistencyError, field
 from zptower.tower import (RamificationData, TowerError, TowerSpec, TowerState,
                            breaks_and_conductor, classify_monodromy, closed_form_basic,
@@ -95,7 +97,6 @@ def test_closed_form_matches_general_formulas():
 
 def test_fixture_columns_match_closed_forms():
     from zptower.analysis import anumber_basic_p2
-    from zptower.fixtures import SUITES
     checked = []
     for name, fx in SUITES.items():
         if "genus" not in fx:
@@ -192,6 +193,31 @@ def test_serialize_roundtrip():
     spec = TowerSpec.make(field(2, 2), [(0, field(2, 2).gen(), 5), (1, 1, 3)], name="w")
     again = spec_from_dict(spec.serialize())
     assert again.spec_hash() == spec.spec_hash()
+
+
+def test_horner_depths_are_batched(monkeypatch):
+    # bottom-up Horner: building p2d21 to level 4 reduces the products of each
+    # depth of each peel polynomial in one _finish_reduce (levels 3 and 4
+    # have one and two depths of products), besides those of the powers of u_j
+    reductions, inside = [], []
+    real_pairs, real_reduce = tower.mul_pairs, _slab._finish_reduce
+
+    def pairs(*args):
+        inside.append(True)
+        try:
+            return real_pairs(*args)
+        finally:
+            inside.pop()
+
+    def reduce(*args):
+        if inside:
+            reductions.append(args[-1])
+        return real_reduce(*args)
+    monkeypatch.setattr(tower, "mul_pairs", pairs)
+    monkeypatch.setattr(_slab, "_finish_reduce", reduce)
+    st = TowerState(TowerSpec.make(F2, SUITES["p2d21"]["terms"]))
+    st.build_to(4)
+    assert len(reductions) <= 3, reductions
 
 
 # sha256 over the shapes and int64 cells of every layer, then every substitution,
