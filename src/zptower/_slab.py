@@ -195,9 +195,10 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     of the a[e] and every block g of h.
 
     a[e] is a (T, k, La_e) residue array, h an (E, G, k, Lh) one and rows a
-    (T, G) array of row indices into the int64 array `into`, which is at least
-    max La_e + Lh - 1 long in x and is left unreduced; no row of `rows`
-    repeats an index.
+    (T, G) array of row indices into the integer array `into`, which is at
+    least max La_e + Lh - 1 long in x and is left unreduced; no row of `rows`
+    repeats an index.  Each (t, g) adds one reduced block, so `into` may be
+    int8 where no two of them share a target row, and is int64 otherwise.
 
     GEMMs form every product.  The entries e with a nonzero a[e] and h[e] are
     taken longest first, and each a[e] is cut into shift blocks of b x-powers:
@@ -518,7 +519,8 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
     forms go in groups of similar cofactor length whose cofactor and output
     blocks hold at most _BATCH elements (at least one form); each group is one
     batched convolution (_xconv) of every table entry against the cofactors,
-    with the image of form g in rows g S .. g S + S - 1.
+    with the image of form g in rows g S .. g S + S - 1.  Cofactors and
+    images are int8 residues.
     """
     if not forms:
         return []
@@ -545,7 +547,7 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
         group, Q = todo[i:j], Qs[todo[j - 1]]
         G = len(group)
         # h5[nu0, code, g, :, q] = form g's coefficient of x^(p q + nu0) in row code
-        h5 = np.zeros((p, S, G, k, Q), dtype=np.int64)
+        h5 = np.zeros((p, S, G, k, Q), dtype=np.int8)
         view = h5.transpose(2, 1, 3, 4, 0)  # (g, code, :, q, nu0)
         for g, idx in enumerate(group):
             f, s = forms[idx].arr, shifts[idx]
@@ -559,9 +561,10 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
         h = h5.reshape(p * S, G, k, Q)
         if k > 1:
             h = finv @ h % p
-        out = np.zeros((G * S, k, La + Q - 1), dtype=np.int64)
+        # each row of out is the target of one (code, form) pair, so it
+        # receives one reduced block and int8 holds it
+        out = np.zeros((G * S, k, La + Q - 1), dtype=np.int8)
         _xconv(entries, h, np.arange(G) * S + np.arange(S)[:, None], out, ctx)
-        out %= p
         for g, idx in enumerate(group):
             images[idx] = Slab(ctx, n, out[g * S:(g + 1) * S]).trim()
         i = j

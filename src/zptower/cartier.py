@@ -68,13 +68,17 @@ class CartierTables:
     writing y_m^a = (y_m^p - f_m)^a expands each entry into values
     V(x^nu0 y^low (-f_m)^j dx) at level m-1, and since x^nu0 commutes with the
     y-reduction, each product y^low (-f_m)^j is formed once and shifted by
-    nu0.  A level is built from grouped batches: the lowcodes go in groups
-    whose products fit a share of _slab._BATCH, each group's products come
-    from one y-reduction (_slab.ymul), and all their shifts go through one
+    nu0.  The products are formed one variable at a time, by digit sum of
+    low: with i the lowest nonzero digit of low, y^low F = y_(i+1) y^(low -
+    p^i) F, so a generation comes from the last one in one y-reduction
+    (_slab.ymul, split only where its products pass _slab._REDUCE_BATCH
+    elements), in which only digit i can overflow (none for i = 0, as f_1 has
+    no y).  All shifts of a generation's products go through one
     _slab.v_apply call, which convolves the p-th-root cofactors of a group of
-    forms at a time against every level m-1 table entry.  Each entry is then
-    put together from slices of those images, scaled by comb(a, i) mod p.  The
-    build is sequential and deterministic.
+    forms at a time against every level m-1 table entry.  Products, cofactors
+    and images are int8 residues, and at most two generations of products are
+    alive.  Each entry is then put together from slices of the images, scaled
+    by comb(a, i) mod p.  The build is sequential and deterministic.
 
     Entries are held as int8 residues, the cache payload's own form.  Each
     level is cached in a witt.write_cache file (format 3) whose payload is
@@ -129,25 +133,26 @@ class CartierTables:
         lows = np.zeros(1, dtype=np.int64)
         prods = fpow[1:]  # prods[c (p-1) + j - 1] = y^lows[c] (-f_m)^j, reduced at level m-1
         for s in range((p - 1) * (m - 1) + 1):
-            if s:  # the products of digit sum s; the last generation's are then freed
+            if s:  # the products of digit sum s, from those of digit sum s - 1
                 nxt = np.flatnonzero(digit_sum == s)
                 at = np.searchsorted(lows, nxt - unit[nxt])
                 units = [u for u in unit[nxt].tolist() for _ in range(1, p)]
                 fs = [prods[c * (p - 1) + j - 1] for c in at.tolist() for j in range(1, p)]
-                sizes = [f.arr.size for f in fs]
-                prods = [x for i, j in batches(sizes, _REDUCE_BATCH)
+                prods = [x for i, j in batches([f.arr.size for f in fs], _REDUCE_BATCH)
                          for x in ymul(units[i:j], m - 1, fs[i:j], state.layers)]
                 lows = nxt
-            for c, low in enumerate(lows.tolist()):
-                # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is
-                # that product shifted by nu0; the images come in (nu0, j) order
-                images = iter(v_apply([prods[c * (p - 1) + j - 1] for _ in range(p)
-                                       for j in range(1, p)], prev,
-                                      [nu0 for nu0 in range(p) for _ in range(1, p)]))
+                del fs  # the last generation's products
+            # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is that
+            # product shifted by nu0; the images come in (low, nu0, j) order
+            images = iter(v_apply([prods[c * (p - 1) + j - 1] for c in range(lows.size)
+                                   for _ in range(p) for j in range(1, p)], prev,
+                                  [nu0 for _ in lows for nu0 in range(p) for _ in range(1, p)]))
+            for low in lows.tolist():
                 for nu0 in range(p):
-                    # inner[j] = V(x^nu0 y^low (-f_m)^j dx) at level m-1
+                    # inner[j] = V(x^nu0 y^low (-f_m)^j dx) at level m-1, in int64,
+                    # where comb(am, i) times a residue does not overflow
                     inner = [prev[(nu0, low)].arr.astype(np.int64)] + \
-                        [next(images).arr for _ in range(1, p)]
+                        [next(images).arr.astype(np.int64) for _ in range(1, p)]
                     for am in range(p):
                         # y_m = y_m^p - f_m, so y_m^am is the sum over i of
                         # comb(am, i) y_m^(p i) (-f_m)^(am-i), and V(y_m^(p i) w) =

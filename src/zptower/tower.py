@@ -365,9 +365,16 @@ class TowerState:
     is remembered: subs[m-1] is the original variable expressed in the current
     ones, which is what deeper universal corrections must be evaluated at.
     The peel polynomials arrive as witt's exponent and coefficient arrays and
-    are evaluated at subs by Horner's rule (_eval_terms).  One memo, _power,
-    holds the products of powers of subs and of y_j + f_j = y_j^p that the
-    evaluation and the standard-form reduction (pth_power) reuse.
+    are evaluated at subs by Horner's rule from the bottom up (_eval_terms):
+    the sums c u_1^e at the leaves are one product of a coefficient matrix
+    with the powers of u_1, and each depth above is one batched product and
+    reduction (_slab.mul_pairs, in batches of about _slab._REDUCE_BATCH
+    elements) whose products are keyed by their parent node.  One memo,
+    _power, holds the products of powers of subs and of y_j + f_j = y_j^p
+    that the evaluation and the standard-form reduction (pth_power) reuse.
+    The breaks (ensure_ram) and the right-hand-side components are computed
+    again only for a deeper level than before, since those of a shallower one
+    are a prefix; cli.run_compute asks for its deepest level first.
     """
 
     def __init__(self, spec: TowerSpec, cache_dir=None):

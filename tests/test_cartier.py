@@ -422,9 +422,9 @@ def test_table_digests_do_not_depend_on_the_chunk(monkeypatch):
 
 def test_level_build_batches_its_convolutions(monkeypatch):
     # a level is built from grouped batches: p3d7 level 3 from level 2 makes one
-    # ymul per digit sum 1..4 of the level-2 lowcodes and 20 _xconv calls (one
-    # v_apply per lowcode), where one v_apply per form and one mul per product
-    # made 113
+    # ymul and one v_apply per digit sum of the level-2 lowcodes (ymul for sums
+    # 1..4) and 16 _xconv calls, where one v_apply per form and one mul per
+    # product made 113
     tables = CartierTables(tower(F3, SUITES["p3d7"]["terms"], 3)).ensure(2)
     calls, ymuls = [], []  # the monomials y^code of each ymul call
     real, real_ymul = slab_kernel._xconv, cartier_mod.ymul
@@ -445,8 +445,10 @@ def test_level_build_batches_its_convolutions(monkeypatch):
 
 
 def test_p3_table_build_memory():
-    # building p3d7's level-4 table from level 3 peaks at 3.08 MB; it peaked at
-    # 3.27 MB when each lowcode's products had their own y-reduction
+    # building p3d7's level-4 table from level 3 peaks at 3.13 MB, with a
+    # generation of products, their cofactors and images alive, all as int8;
+    # it peaked at 3.27 MB when each lowcode's products had their own
+    # y-reduction in int64
     st = tower(F3, SUITES["p3d7"]["terms"], 4)
     tables = CartierTables(st).ensure(3)
     tracemalloc.start()
