@@ -374,8 +374,8 @@ def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -
     for a, bs in by_a.values():
         ca = a.nonzero_codes()
         cbs = [b.nonzero_codes() for b, _ in bs]
-        cols, col = np.unique(np.concatenate(
-            [_keys(p, cb, b.level) + (i << top) for (b, i), cb in zip(bs, cbs)]), return_inverse=True)
+        cols, col = np.unique(np.concatenate([_keys(p, cb, b.level) + (i << top)
+                                              for (b, i), cb in zip(bs, cbs)]), return_inverse=True)
         h = np.zeros((1, cols.size, k, max(b.arr.shape[2] for b, _ in bs)), dtype=np.int64)
         at = 0
         for (b, _), cb in zip(bs, cbs):  # the columns of one b are distinct, so += adds each

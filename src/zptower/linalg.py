@@ -507,9 +507,9 @@ def _rank_blocked(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     right of the panel, which is all that is read again), and `perm` follows
     the swaps, so the pivot rows of A are perm[:rank].
 
-    Multipliers and pivot rows are reduced mod p (float_mod) before use, and every
-    panel and block starts as residues, so an entry is a residue plus at most
-    one product of residues per pivot of one panel: a sum of at most
+    Multipliers and pivot rows are reduced mod p (float_mod) before use, and
+    every panel and block starts as residues, so an entry is a residue plus
+    at most one product of residues per pivot of one panel: a sum of at most
     _PANEL + 1 such products, for which gf.check_float_exact picks the float
     type (float32 for every p <= 13).  Besides A, the live temporaries are
     the panel or its multipliers and a block, its GEMM result and its

@@ -686,7 +686,7 @@ def test_float_mod_matches_integer_remainder(p, rng):
     sq = (p - 1) ** 2
     for dt, top in [(np.float32, 1 << 24), (np.float64, 1 << 53)]:
         inner = -(-top // sq) - 1
-        assert check_float_exact(inner, p) is dt  # the largest inner of dt: test_xconv_exactness_bound
+        assert check_float_exact(inner, p) is dt  # the largest; see test_xconv_exactness_bound
         x = np.concatenate((rng.integers(p - top, top, size=5000), np.arange(-3 * p, 3 * p),
                             [top - 1, p - top, top - p], (top // p - np.arange(3)) * p,
                             (np.arange(3) - (top - p) // p) * p, inner * sq - np.arange(2 * p)))

@@ -232,12 +232,14 @@ def test_pair_products_are_sums_of_one_pair_products(p, k, rng):
              (13, 1): [(0, 1, 2)], (3, 2): [(0, ctx.gen(), 7), (0, 1, 5)]}[(p, k)]
     state = TowerState(TowerSpec.make(ctx, terms))
     state.build_to(2)
-    slabs = [from_sparse(random_poly(ctx, lvl, rng, nterms=4, maxdeg=6), lvl) for lvl in (0, 1, 2, 2, 1)]
+    slabs = [from_sparse(random_poly(ctx, lvl, rng, nterms=4, maxdeg=6), lvl)
+             for lvl in (0, 1, 2, 2, 1)]
     slabs.append(Slab.zeros(ctx, 2, 3))
     a = slabs[1]
     pairs = [(a, slabs[2], 0), (a, slabs[3], 0), (slabs[4], slabs[0], 0), (a, slabs[5], 1),
              (slabs[5], slabs[2], 1), (a, slabs[4], 3), (slabs[2], slabs[2], 3)]
-    pairs += [(slabs[i], slabs[j], [0, 1, 3][n]) for i, j, n in rng.integers(0, [6, 6, 3], size=(10, 3))]
+    pairs += [(slabs[i], slabs[j], [0, 1, 3][n])
+              for i, j, n in rng.integers(0, [6, 6, 3], size=(10, 3))]
     got = _slab.mul_pairs(pairs, state.layers)
     want = [SparsePoly(ctx, 2, {}) for _ in range(4)]
     for x, y, i in pairs:
@@ -245,7 +247,8 @@ def test_pair_products_are_sums_of_one_pair_products(p, k, rng):
     assert len(got) == 4 and got[2].is_zero()
     assert all(g.level == 2 and to_sparse(g) == w for g, w in zip(got, want))
     # a b + a (-b) cancels in the blocks that a multiplies
-    assert _slab.mul_pairs([(a, slabs[2], 0), (a, slabs[2].scale(-1), 0)], state.layers)[0].is_zero()
+    minus = slabs[2].scale(-1)
+    assert _slab.mul_pairs([(a, slabs[2], 0), (a, minus, 0)], state.layers)[0].is_zero()
     assert _slab.mul_pairs([], state.layers) == []
 
 
