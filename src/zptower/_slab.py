@@ -172,7 +172,11 @@ def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
 
 _CONV_CHUNK = 1 << 16  # elements of the temporaries alive together in one _xconv chunk
 _BATCH = 1 << 20  # elements of the cofactor and output blocks of one v_apply group
-_REDUCE_BATCH = 1 << 16  # elements of the products that one batched y-reduction starts from
+# elements of the products that one batched y-reduction starts from: with
+# one digit overflowing, its working set is about 2.5 times that, so p3d7's
+# level-4 table and p2d21's level-6 build peak lower than when each lowcode
+# or product had a reduction of its own
+_REDUCE_BATCH = 1 << 16
 _KEY_BITS = 6  # bits per y-digit in the integer keys of unreduced y-exponents (8 levels: 48)
 
 

@@ -72,8 +72,8 @@ class CartierTables:
     low: with i the lowest nonzero digit of low, y^low F = y_(i+1) y^(low -
     p^i) F, so a generation comes from the last one in one y-reduction
     (_slab.ymul, split only where its products pass _slab._REDUCE_BATCH
-    elements), in which only digit i can overflow (none for i = 0, as f_1 has
-    no y).  All shifts of a generation's products go through one
+    elements), where only digit i overflows at first, and for i = 0 nothing
+    cascades, as f_1 has no y.  All shifts of a generation's products go through one
     _slab.v_apply call, which convolves the p-th-root cofactors of a group of
     forms at a time against every level m-1 table entry.  Products, cofactors
     and images are int8 residues, and at most two generations of products are
@@ -123,7 +123,7 @@ class CartierTables:
         table: dict[tuple[int, int], Slab] = {}
         # the lowcodes by digit sum; with i the lowest nonzero digit of low,
         # y^low F = y_(i+1) y^(low - p^i) F, so each generation's products
-        # come from the last one's in one ymul, and only digit i can overflow
+        # come from the last one's, and only digit i overflows at first
         codes = np.arange(S_low)
         digit_sum, unit = np.zeros(S_low, dtype=np.int64), np.zeros(S_low, dtype=np.int64)
         for i in reversed(range(m - 1)):
