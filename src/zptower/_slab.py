@@ -47,11 +47,6 @@ class Monomial(NamedTuple):
     nu: int
     a: tuple[int, ...]
 
-    def pad(self, level: int) -> "Monomial":
-        if len(self.a) >= level:
-            return self
-        return Monomial(self.nu, self.a + (0,) * (level - len(self.a)))
-
 
 class Slab:
     __slots__ = ("ctx", "level", "arr")
@@ -68,12 +63,9 @@ class Slab:
         return cls(ctx, level, np.zeros((ctx.p ** level, ctx.k, max(xcap, 1)), dtype=np.int64))
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, m: Monomial, coeff=None, level: int | None = None) -> "Slab":
-        level = len(m.a) if level is None else level
-        m = m.pad(level)
-        s = cls.zeros(ctx, level, m.nu + 1)
-        c = ctx.one() if coeff is None else ctx.elem(coeff)
-        s.arr[code_of(ctx.p, m.a), :, m.nu] = c.coeffs
+    def monomial(cls, ctx: FieldCtx, m: Monomial) -> "Slab":
+        s = cls.zeros(ctx, len(m.a), m.nu + 1)
+        s.arr[code_of(ctx.p, m.a), :, m.nu] = ctx.one().coeffs
         return s
 
     # -- basic structure --------------------------------------------------------
@@ -91,11 +83,6 @@ class Slab:
     def at_level(self, level: int) -> "Slab":
         if level == self.level:
             return self
-        if level < self.level:
-            S = self.ctx.p ** level
-            if self.arr[S:].any():
-                raise PolyError("cannot lower slab level: higher variables present")
-            return Slab(self.ctx, level, np.ascontiguousarray(self.arr[:S]))
         out = Slab.zeros(self.ctx, level, self.arr.shape[2])
         out.arr[: self.arr.shape[0]] = self.arr
         return out
@@ -509,9 +496,9 @@ def _materialize(ctx: FieldCtx, lvl: int, nprod: int,
 # ---------------------------------------------------------------------------
 
 def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
-            shifts: Sequence[int] | None = None) -> list[Slab]:
-    """Apply the Cartier operator to x^shifts[i] forms[i] dx (shifts default
-    to 0) for forms all at one level n; the images, in order.
+            shifts: Sequence[int]) -> list[Slab]:
+    """Apply the Cartier operator to x^shifts[i] forms[i] dx for forms all at
+    one level n; the images, in order.
 
     tables maps (nu0, ycode) with nu0 < p to the reduced value of V on
     x^nu0 y^code dx at level n.  The monomials of row `code` of a form that
@@ -533,7 +520,6 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
     n = forms[0].level
     if any(f.level != n for f in forms):
         raise PolyError("v_apply takes forms of one level")
-    shifts = [0] * len(forms) if shifts is None else list(shifts)
     S = p ** n
     entries = [tables[(nu0, code)].arr for nu0 in range(p) for code in range(S)]
     La = max(x.shape[2] for x in entries)

@@ -71,23 +71,13 @@ def alpha1_formula(p: int) -> Fraction:
 # residuals, discrepancies, fits
 # ---------------------------------------------------------------------------
 
-def delta_values(a_list: Sequence[int], d: int, p: int, r: int = 1,
-                 lam: Fraction = Fraction(0)) -> list[Fraction]:
-    """Residuals of the kernel dimensions against the conjectured main term.
-
-    r = 1, lam = 0: delta_d(n) = a(n) - alpha(1,p) d (p^2n - p^2).
-    Otherwise:      delta_{d,r}(n, lam) = a^(r)(n) - (alpha(r,p) d p^2n + lam n).
-    Levels are 1-based: a_list[0] is level 1.
+def delta_values(a_list: Sequence[int], d: int, p: int) -> list[Fraction]:
+    """Residuals delta_d(n) = a(n) - alpha(1,p) d (p^2n - p^2) of the kernel
+    dimensions against the conjectured main term.  Levels are 1-based:
+    a_list[0] is level 1.
     """
-    alpha = constants(r, p).alpha
-    out = []
-    for idx, a in enumerate(a_list):
-        n = idx + 1
-        if r == 1 and lam == 0:
-            out.append(a - alpha * d * (p ** (2 * n) - p * p))
-        else:
-            out.append(a - (alpha * d * p ** (2 * n) + lam * n))
-    return out
+    alpha = constants(1, p).alpha
+    return [a - alpha * d * (p ** (2 * n) - p * p) for n, a in enumerate(a_list, 1)]
 
 
 def discrepancies(delta_list: Sequence[Fraction], m: int) -> set[int]:
@@ -127,9 +117,6 @@ class FitReport:
     valid_from: int
     fitted: bool
     levels: int
-
-    def predict(self, n: int) -> Fraction:
-        return self.leading * self.p ** (2 * n) + self.lam * n + self.c[n % self.period]
 
 
 def _fit_with(a_list, d, p, r, period, lam):

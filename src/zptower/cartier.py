@@ -119,7 +119,7 @@ class CartierTables:
         minus_f = state.layer_slab(m).scale(-1)
         fpow = [Slab.monomial(ctx, Monomial(0, ()))]
         for _ in range(1, p):
-            fpow.append(slab_mul(fpow[-1], minus_f, state.layers).trim())
+            fpow.append(slab_mul(fpow[-1], minus_f, state.layers))
         table: dict[tuple[int, int], Slab] = {}
         # the lowcodes by digit sum; with i the lowest nonzero digit of low,
         # y^low F = y_(i+1) y^(low - p^i) F, so each generation's products

@@ -161,14 +161,9 @@ class Store:
                     f"corrupt store record at {self.path}:{lineno}: {exc}") from exc
         return out
 
-    def query(self, spec_hash: str | None = None, level: int | None = None
-              ) -> list[ResultRecord]:
+    def query(self) -> list[ResultRecord]:
         latest: dict[tuple, ResultRecord] = {}
         for rec in self.load():
-            if spec_hash is not None and rec.spec_hash != spec_hash:
-                continue
-            if level is not None and rec.level != level:
-                continue
             latest[(rec.spec_hash, rec.level, len(rec.a_r))] = rec
         return sorted(latest.values(), key=lambda r: (r.spec_hash, r.level, len(r.a_r)))
 

@@ -161,7 +161,7 @@ class FieldCtx:
     never mutated, so a context may be shared freely.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_f", "_redmat", "_frob_mats")
+    __slots__ = ("p", "k", "modulus", "order", "_f", "_redmat", "_inv_frob")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         if p not in SUPPORTED_PRIMES:
@@ -184,7 +184,7 @@ class FieldCtx:
         self.order = p ** k
         self._f = list(modulus) + [1] if k > 1 else [0, 1]  # the field polynomial
         self._redmat = self._build_redmat()
-        self._frob_mats = self._build_frob_mats()
+        self._inv_frob = self._build_inv_frob()
 
     # -- construction helpers ------------------------------------------------
 
@@ -197,19 +197,13 @@ class FieldCtx:
                for s in range(k - 1)]
         return np.array(red, dtype=np.int64).reshape(k - 1, k)
 
-    def _build_frob_mats(self) -> tuple[np.ndarray, ...]:
-        """Matrix of sigma^e on coefficient vectors, e = 0..k-1 (sigma: a -> a^p)."""
-        p, k = self.p, self.k
-        mats = [np.eye(k, dtype=np.int64)]
-        if k > 1:
-            m1 = np.zeros((k, k), dtype=np.int64)
-            for i in range(k):
-                basis = tuple(1 if j == i else 0 for j in range(k))
-                m1[:, i] = self._pow_vec(basis, p)
-            mats.append(m1)
-            for _ in range(2, k):
-                mats.append(mats[-1] @ m1 % p)
-        return tuple(m % p for m in mats)
+    def _build_inv_frob(self) -> np.ndarray:
+        """Matrix of sigma^-1 = sigma^(k-1) on coefficient vectors (sigma: a -> a^p)."""
+        k = self.k
+        m = np.zeros((k, k), dtype=np.int64)
+        for i in range(k):
+            m[:, i] = self._pow_vec(tuple(1 if j == i else 0 for j in range(k)), self.p ** (k - 1))
+        return m
 
     # -- raw coefficient-vector arithmetic: GF(p)[t] modulo the field polynomial
 
@@ -238,38 +232,14 @@ class FieldCtx:
             raise FieldError(f"expected {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
-
     def one(self) -> "FieldElement":
         return FieldElement(self, (1,) + (0,) * (self.k - 1))
 
-    def gen(self) -> "FieldElement":
-        """The power-basis generator t (equals 0-th basis vector when k = 1)."""
-        if self.k == 1:
-            return self.one()
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
-
-    def elements(self) -> Iterable["FieldElement"]:
-        """All field elements, in base-p code order."""
-        for code in range(self.order):
-            coeffs, c = [], code
-            for _ in range(self.k):
-                coeffs.append(c % self.p)
-                c //= self.p
-            yield FieldElement(self, tuple(coeffs))
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, tuple(int(rng.integers(self.p)) for _ in range(self.k)))
-
     # -- Frobenius as numpy maps (used by the dense kernel) ---------------------
 
-    def frob_matrix(self, e: int) -> np.ndarray:
-        """Matrix of sigma^e (mod k) acting on coefficient columns."""
-        return self._frob_mats[e % self.k]
-
-    def inv_frob_matrix(self, e: int = 1) -> np.ndarray:
-        return self._frob_mats[(-e) % self.k]
+    def inv_frob_matrix(self) -> np.ndarray:
+        """Matrix of sigma^-1 acting on coefficient columns."""
+        return self._inv_frob
 
     def fold(self, raw: np.ndarray, axis: int = 0, mod: int | None = None) -> np.ndarray:
         """Reduce raw GF(p)[t] products of degree < 2k-1, laid out along `axis`,
@@ -380,10 +350,6 @@ class FieldElement:
 
     # -- Frobenius -----------------------------------------------------------
 
-    def frobenius(self) -> "FieldElement":
-        """sigma(a) = a^p."""
-        return self ** self.ctx.p
-
     def frobenius_inverse(self) -> "FieldElement":
         """The unique p-th root; equals sigma^(k-1) since sigma^k = id."""
         return self ** (self.ctx.p ** (self.ctx.k - 1))
@@ -392,9 +358,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
 
     def to_int(self) -> int:
         """Base-p code of the coefficient vector (serialization for prime fields)."""

@@ -120,10 +120,6 @@ class DenseMatrix:
         return M
 
     @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "DenseMatrix":
-        return cls.for_columns(ctx, rows, np.zeros(ctx.k * cols, dtype=np.int64))
-
-    @classmethod
     def for_columns(cls, ctx: FieldCtx, rows: int, counts: np.ndarray) -> "DenseMatrix":
         """A zero matrix whose GF(p) column j is to be written once by
         set_columns, with counts[j] entries (odd p: the sparse columns are

@@ -116,14 +116,6 @@ class TowerSpec:
     def max_level(self) -> int:
         return LENGTH_CAP[self.p]
 
-    def serialize(self) -> dict:
-        """The spec-file form that cli.spec_from_dict reads back."""
-        out = {"p": self.p, "k": self.field.k, "name": self.name,
-               "terms": [{"v": t.v, "c": t.c.serialize(), "i": t.i} for t in self.terms]}
-        if self.field.k > 1:
-            out["modulus"] = list(self.field.modulus)
-        return out
-
 
 def euler_phi_prime_power(p: int, j: int) -> int:
     return p ** j - p ** (j - 1)
@@ -460,7 +452,7 @@ class TowerState:
         got = self._powers.get(key)
         if got is None:
             prev = self._power(bases, digits[:-1] + (digits[-1] - 1,))
-            got = self._powers[key] = slab_mul(prev, bases[j], self.layers).trim()
+            got = self._powers[key] = slab_mul(prev, bases[j], self.layers)
         return got
 
     def _eval_terms(self, e: np.ndarray, c: np.ndarray) -> Slab:
@@ -481,7 +473,7 @@ class TowerState:
             pows = {x: self._power(self.subs, (0,) * j + (x,)) for x in set(nodes[:, 0].tolist())}
             vals = self._node_values([pows[x] for x in nodes[:, 0].tolist()], vals, parent.ravel())
             nodes = up
-        return vals[0].trim()
+        return vals[0]
 
     def _leaf_values(self, e1: np.ndarray, c: np.ndarray, leaf: np.ndarray, n: int) -> list[Slab]:
         """Leaf i's value, the sum of c[r] u_1^e1[r] over the rows r with

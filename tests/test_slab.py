@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from oracle import (SparsePoly, digits_of, from_sparse, infinity_valuation, layers as sparse_layers,
-                    monomial_valuation, poly_pth_power, reduce_to_monomial_basis, to_sparse)
+from oracle import (SparsePoly, digits_of, from_sparse, gen, infinity_valuation,
+                    layers as sparse_layers, monomial_valuation, poly_pth_power, random_element,
+                    reduce_to_monomial_basis, to_sparse)
 from zptower import _slab
 from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply, ymul
 from zptower.gf import InternalConsistencyError, check_float_exact, field
@@ -65,7 +66,7 @@ def test_add_scale_shift(towerenv, rng):
     g = random_poly(ctx, 1, rng)
     assert to_sparse(from_sparse(f) + from_sparse(g)) == f + g
     assert to_sparse(from_sparse(f) - from_sparse(g)) == f - g
-    c = ctx.random_element(rng)
+    c = random_element(ctx, rng)
     assert to_sparse(from_sparse(f).scale(c)) == f * c
 
 
@@ -95,8 +96,8 @@ def test_v_apply_linear_over_pth_powers(towerenv, rng):
     h = random_poly(ctx, n, rng, nterms=2, maxdeg=2)
     hp = reduce_to_monomial_basis(poly_pth_power(h), layers)
     prod = reduce_to_monomial_basis(hp * w, layers)
-    lhs = v_apply([from_sparse(prod)], tables)[0]
-    rhs = slab_mul(from_sparse(h), v_apply([from_sparse(w)], tables)[0], state.layers)
+    lhs = v_apply([from_sparse(prod)], tables, [0])[0]
+    rhs = slab_mul(from_sparse(h), v_apply([from_sparse(w)], tables, [0])[0], state.layers)
     assert to_sparse(lhs) == to_sparse(rhs)
 
 
@@ -163,7 +164,7 @@ def test_xconv_exactness_bound():
 def smalltower(request):
     p, k = request.param
     ctx = field(p, k)
-    t = ctx.gen()
+    t = gen(ctx)
     terms = [(0, t, 7), (0, 1, 5)] if p == 3 else [(0, t, 7), (0, t * t + 1, 3)]
     state = TowerState(TowerSpec.make(ctx, terms))
     state.build_to(2)
@@ -229,7 +230,7 @@ def test_pair_products_are_sums_of_one_pair_products(p, k, rng):
     # others, an index that no pair has, random pairs, and no pairs at all
     ctx = field(p, k)
     terms = {(2, 1): [(0, 1, 5), (0, 1, 3)], (3, 1): [(0, 1, 7), (0, 2, 5)],
-             (13, 1): [(0, 1, 2)], (3, 2): [(0, ctx.gen(), 7), (0, 1, 5)]}[(p, k)]
+             (13, 1): [(0, 1, 2)], (3, 2): [(0, gen(ctx), 7), (0, 1, 5)]}[(p, k)]
     state = TowerState(TowerSpec.make(ctx, terms))
     state.build_to(2)
     slabs = [from_sparse(random_poly(ctx, lvl, rng, nterms=4, maxdeg=6), lvl)
@@ -288,7 +289,7 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
     # group budget that makes v_apply run several groups: each image equals the
     # form's own one-element call and the term-by-term reference on the tables
     ctx = field(p, k)
-    t = ctx.gen()
+    t = gen(ctx)
     terms = [(0, t, 7), (0, 1, 5)] if p == 3 else [(0, t, 5), (0, 1, 3)]
     state = TowerState(TowerSpec.make(ctx, terms))
     state.build_to(2)
@@ -317,6 +318,6 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
                                       for m, c in to_sparse(f).terms.items()})
         assert to_sparse(got) == _sparse_v(shifted, tables)
     assert batched[2].is_zero()
-    assert v_apply([], tables) == []
+    assert v_apply([], tables, []) == []
     with pytest.raises(PolyError):  # one call takes forms of one level
-        v_apply([forms[0], Slab.zeros(ctx, 1)], tables)
+        v_apply([forms[0], Slab.zeros(ctx, 1)], tables, [0, 0])

@@ -1,6 +1,6 @@
 import pytest
 
-from oracle import (SparsePoly, from_sparse, infinity_valuation, poly_pth_power,
+from oracle import (SparsePoly, from_sparse, gen, infinity_valuation, poly_pth_power,
                     reduce_to_monomial_basis, to_sparse)
 from zptower.gf import field
 from zptower._slab import Monomial, PolyError
@@ -68,7 +68,9 @@ def test_post_invariant_many_specs():
         (TowerSpec.make(F3, [(0, 1, 5), (0, 2, 2)]), 3),
         (TowerSpec.make(F3, [(0, 1, 7), (1, 2, 2)]), 3),
         (TowerSpec.make(field(5), [(0, 1, 3)]), 2),
-        (TowerSpec.make(field(2, 2), [(0, field(2, 2).gen(), 5)]), 3),
+        (TowerSpec.make(field(2, 2), [(0, gen(field(2, 2)), 5)]), 3),
+        # at level 3, a z^p reaches past f's x-length, so the reduction widens f
+        (TowerSpec.make(F2, [(0, 1, 5), (1, 1, 3)]), 3),
     ]
     for spec, n in cases:
         st = TowerState(spec)

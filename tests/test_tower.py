@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracle import infinity_valuation, to_sparse
+from oracle import gen, infinity_valuation, to_sparse
 import zptower.tower as tower
 from zptower import _slab
 from zptower.fixtures import SUITES
@@ -152,6 +152,16 @@ def test_classify_monodromy_checks_the_last_pair(monkeypatch):
         classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 4)
 
 
+@pytest.mark.parametrize("s,text", [
+    ([7, 22, 63, 190, 567, 1702],
+     "periodic (m=2): s(n) = c(n) + 7 * p^(n-1) with n%2=0: 1, n%2=1: 0"),
+    ([7, 22, 70, 215], "unclassified"),
+], ids=["periodic", "unclassified"])
+def test_monodromy_class_descriptions(monkeypatch, s, text):
+    monkeypatch.setattr(tower, "breaks_and_conductor", lambda spec, n: (s, None))
+    assert classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), len(s)).describe() == text
+
+
 def test_tower_state_standard_form_poles():
     # every built layer has pole order exactly the lower break
     for spec, n in [(TowerSpec.make(F3, [(0, 1, 7)]), 3),
@@ -167,7 +177,7 @@ def test_tower_state_standard_form_poles():
 @pytest.mark.parametrize("spec, n", [
     (TowerSpec.make(F2, [(0, 1, 5), (0, 1, 3)]), 4),
     (TowerSpec.make(F3, [(0, 1, 7), (0, 2, 5)]), 3),
-    (TowerSpec.make(field(2, 2), [(0, field(2, 2).gen(), 5), (0, 1, 3)]), 3),
+    (TowerSpec.make(field(2, 2), [(0, gen(field(2, 2)), 5), (0, 1, 3)]), 3),
 ], ids=["p2", "p3", "gf4"])
 def test_incremental_build_matches_one_shot(spec, n):
     steps = TowerState(spec)
@@ -189,10 +199,13 @@ def test_spec_hash_ignores_name_and_order():
 
 
 def test_serialize_roundtrip():
+    # the spec-file form of a GF(4) spec, modulus included, reads back as that spec
     from zptower.cli import spec_from_dict
-    spec = TowerSpec.make(field(2, 2), [(0, field(2, 2).gen(), 5), (1, 1, 3)], name="w")
-    again = spec_from_dict(spec.serialize())
-    assert again.spec_hash() == spec.spec_hash()
+    spec = TowerSpec.make(field(2, 2), [(0, gen(field(2, 2)), 5), (1, 1, 3)], name="w")
+    again = spec_from_dict({"p": 2, "k": 2, "modulus": [1, 1], "name": "w",
+                            "terms": [{"v": 0, "c": [0, 1], "i": 5},
+                                      {"v": 1, "c": [1, 0], "i": 3}]})
+    assert again.spec_hash() == spec.spec_hash() and again.name == "w"
 
 
 def test_horner_depths_are_batched(monkeypatch):
@@ -243,8 +256,8 @@ def _layer_digest(name: str, n: int) -> str:
     F4, F9 = field(2, 2), field(3, 2)
     F, terms = {"p2d21": (F2, SUITES["p2d21"]["terms"]), "p3d7": (F3, SUITES["p3d7"]["terms"]),
                 "p3d7-seed1": (F3, [(0, 1, 7), (0, 1, 5), (0, 1, 2)]),
-                "gf4": (F4, [(0, F4.gen(), 5), (0, 1, 3)]),
-                "gf9": (F9, [(0, F9.gen(), 7), (0, 1, 5)])}[name]
+                "gf4": (F4, [(0, gen(F4), 5), (0, 1, 3)]),
+                "gf9": (F9, [(0, gen(F9), 7), (0, 1, 5)])}[name]
     st = TowerState(TowerSpec.make(F, terms))
     st.build_to(n)
     h = hashlib.sha256()

@@ -10,7 +10,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import zptower.witt as witt_mod
 from conftest import sealed
-from oracle import SparsePoly, addition_polynomials, dict_add, dict_mul, dict_pow, evaluate_witt
+from oracle import (SparsePoly, addition_polynomials, dict_add, dict_mul, dict_pow, evaluate_witt,
+                    gen)
 from zptower.gf import field
 from zptower._slab import Monomial
 from zptower.witt import WittError, peel_polynomials, read_cache, rhs_components, write_cache
@@ -187,7 +188,7 @@ def test_universal_vs_concrete_cross_check():
     # components of two partial sums, also with coefficients outside GF(p)
     for F, length in ((F2, 3), (field(2, 2), 3), (field(2, 3), 3), (field(3, 2), 2),
                       (field(5, 2), 2)):
-        t = F.gen()
+        t = gen(F)
         if F.k == 1:
             u, v = [(0, 1, 3), (0, 1, 1)], [(0, 1, 5)]
         else:
@@ -205,7 +206,7 @@ def _sparse(F, comp):
 
 def test_extension_field_witt_add():
     F4 = field(2, 2)
-    t = F4.gen()
+    t = gen(F4)
     s = rhs_components([(0, t, 3), (0, t, 1)], 2, F4)
     # second component is the product of the Teichmuller inputs: t*t*x^4
     assert s[1] == comp([(4, (t * t).coeffs)])
@@ -214,7 +215,7 @@ def test_extension_field_witt_add():
 def test_long_extension_field_sum_is_exact():
     # length 16 over GF(13^2): lifted products exceed 64 bits, and [t x] + [-t x] = 0
     F = field(13, 2)
-    t = F.gen()
+    t = gen(F)
     s = rhs_components([(0, t, 1), (0, -t, 1), (3, t + 1, 1)], 16, F)
     assert s == [{}] * 3 + [comp([(13 ** 3, ((t + 1) ** 13 ** 3).coeffs)])] + [{}] * 12
 
@@ -224,7 +225,7 @@ def test_sums_near_the_int64_bound():
     # is within a factor 2 of 2^63, and c = -1 or -t gives parts just under it;
     # [c x] + p[c' x] has no carry, so the sum is (c x, c'^p x^p, 0, ...) exactly
     for F in (field(11), field(11, 3)):
-        c, d = (F.elem(10), F.elem(2)) if F.k == 1 else (-F.gen(), F.gen() + 1)
+        c, d = (F.elem(10), F.elem(2)) if F.k == 1 else (-gen(F), gen(F) + 1)
         s = rhs_components([(0, c, 1), (1, d, 1)], 9, F)
         val = (lambda a: a.coeffs[0]) if F.k == 1 else (lambda a: a.coeffs)
         assert s == [comp([(1, val(c))]), comp([(11, val(d ** 11))])] + [{}] * 7, F
