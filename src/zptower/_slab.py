@@ -2,12 +2,12 @@
 
 A Slab stores a reduced polynomial in x, y_1..y_level as an array of shape
 (p**level, k, X): one row per y-exponent tuple (coded little-endian in base
-p), one coefficient vector of length k per power of x.  Entries are residues
-in [0, p), int8 for products and Cartier table entries and int64 otherwise;
-all arithmetic is exact.  A differential form h dx at a tower level is the
-Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one entry by its
-exponents.  Products take the layer right-hand sides f_1..f_level as a list
-of slabs and reduce y_j^p to y_j + f_j; the kernel holds no tower of its own.
+p), one coefficient vector of length k per power of x.  Entries are int8
+residues in [0, p); all arithmetic is exact.  A differential form h dx at a
+tower level is the Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one
+entry by its exponents.  Products take the layer right-hand sides
+f_1..f_level as a list of slabs and reduce y_j^p to y_j + f_j; the kernel
+holds no tower of its own.
 
 All products run through one batched x-convolution, _xconv: it gathers many
 (k, X) blocks and the blocks they multiply and forms every product with GEMMs
@@ -18,10 +18,12 @@ at once, one _xconv per distinct a against the stacked blocks of its b's, and
 then reduces them all in one loop of waves (_finish_reduce), one batched
 product of the overflowing blocks with f_j per wave; mul is its one-pair case.
 ymul forms many products y^code f in that same reduction, each keyed by its
-index.  Callers group the products of one reduction so that they hold about
-_REDUCE_BATCH elements (batches).  v_apply takes a sequence of forms and
-applies V to groups of them, each group one convolution of every Cartier
-table entry against the p-th-root cofactors of all its forms.
+index.  Both split their products into batches of whole indices that hold
+about _REDUCE_BATCH elements, one reduction each.  lincomb forms GF(p)
+combinations of slabs, and v_apply applies V to a sequence of forms, each
+by groups padded to their longest member (_padded_groups): one float
+product of coefficients and slabs, or one convolution of every Cartier
+table entry against the p-th-root cofactors of all the group's forms.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -30,7 +32,7 @@ operation here against the sparse dict reference in tests/oracle.py.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,13 +56,13 @@ class Slab:
     def __init__(self, ctx: FieldCtx, level: int, arr: np.ndarray):
         self.ctx = ctx
         self.level = level
-        self.arr = arr  # (p**level, k, X) int64, or int8 for products and tables; entries in [0, p)
+        self.arr = np.asarray(arr, dtype=np.int8)  # (p**level, k, X) residues in [0, p)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, level: int, xcap: int = 1) -> "Slab":
-        return cls(ctx, level, np.zeros((ctx.p ** level, ctx.k, max(xcap, 1)), dtype=np.int64))
+        return cls(ctx, level, np.zeros((ctx.p ** level, ctx.k, max(xcap, 1)), dtype=np.int8))
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, m: Monomial) -> "Slab":
@@ -69,9 +71,6 @@ class Slab:
         return s
 
     # -- basic structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.arr.any()
 
     def trim(self) -> "Slab":
         nz = np.nonzero(self.arr.any(axis=(0, 1)))[0]
@@ -93,7 +92,8 @@ class Slab:
     # -- additive arithmetic -----------------------------------------------------
 
     def _plus(self, other: "Slab", scale: int) -> "Slab":
-        """self + scale * other, at the larger level and x-length."""
+        """self + scale * other, at the larger level and x-length; scale is 1 or
+        -1, so the unreduced sum stays within int8 (|sum| < 2p <= 26)."""
         a, b = self.arr, other.arr
         out = Slab.zeros(self.ctx, max(self.level, other.level), max(a.shape[2], b.shape[2]))
         out.arr[:a.shape[0], :, :a.shape[2]] = a
@@ -135,22 +135,21 @@ def leading_cell(arr: np.ndarray, grid: np.ndarray) -> tuple[int, int, int] | No
     return best, *divmod(i, X)
 
 
-def code_of(p: int, digits: Iterable[int]) -> int:
-    code = 0
-    for j, e in enumerate(digits):
-        code += e * p ** j
-    return code
+def code_digits(p: int, codes, level: int) -> np.ndarray:
+    """digits[..., j] = base-p digit j of codes (j < level), the exponent of y_(j+1)."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(level) % p
+
+
+def code_of(p: int, digits) -> np.ndarray:
+    """The y-codes of digits, along their last axis: the inverse of code_digits."""
+    return np.asarray(digits, dtype=np.int64) @ p ** np.arange(np.shape(digits)[-1])
 
 
 def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
     """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..level: the pole
     order at level n of y^code, given the lower breaks d_1..d_level."""
-    S = p ** level
-    w = np.zeros(S, dtype=np.int64)
-    for j in range(1, level + 1):
-        dig = (np.arange(S) // p ** (j - 1)) % p
-        w += dig * d[j - 1] * p ** (n - j)
-    return w
+    return code_digits(p, np.arange(p ** level), level) @ np.array(
+        [d[j] * p ** (n - 1 - j) for j in range(level)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +158,11 @@ def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
 
 _CONV_CHUNK = 1 << 16  # elements of the temporaries alive together in one _xconv chunk
 _BATCH = 1 << 20  # elements of the cofactor and output blocks of one v_apply group
-# elements of the products that one batched y-reduction starts from: with
-# one digit overflowing, its working set is about 2.5 times that, so p3d7's
-# level-4 table and p2d21's level-6 build peak lower than when each lowcode
-# or product had a reduction of its own
+# elements of the products that one batched y-reduction starts from, and of
+# the values of one lincomb group: with one digit overflowing, a reduction's
+# working set is about 2.5 times that, so p3d7's level-4 table and p2d21's
+# level-6 build peak lower than when each lowcode or product had a reduction
+# of its own
 _REDUCE_BATCH = 1 << 16
 _KEY_BITS = 6  # bits per y-digit in the integer keys of unreduced y-exponents (8 levels: 48)
 
@@ -177,6 +177,20 @@ def batches(sizes: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
             total += sizes[j]
             j += 1
         yield i, j
+        i = j
+
+
+def _padded_groups(widths: np.ndarray, unit, budget: int) -> Iterator[np.ndarray]:
+    """The indices of widths, ascending in width, cut into the longest runs (one
+    index at least) whose members hold at most budget elements, unit(w) each for
+    the run's widest w."""
+    order = np.argsort(widths, kind="stable")
+    i = 0
+    while i < order.size:
+        j = i + 1
+        while j < order.size and (j + 1 - i) * unit(int(widths[order[j]])) <= budget:
+            j += 1
+        yield order[i:j]
         i = j
 
 
@@ -322,10 +336,7 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
 def _keys(p: int, codes: np.ndarray, level: int) -> np.ndarray:
     """Integer keys of the y-exponents of `codes`: digit j in bits
     _KEY_BITS*j.., so adding keys adds exponents digit by digit."""
-    keys = np.zeros(codes.shape, dtype=np.int64)
-    for j in range(level):
-        keys += (codes // p ** j % p) << (_KEY_BITS * j)
-    return keys
+    return code_digits(p, codes, level) @ (1 << (_KEY_BITS * np.arange(level)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,65 +357,85 @@ def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -
     of any factor: product i is the sum of a b over the pairs (a, b, i), and
     zero if no pair has index i.
 
-    The pairs sharing one a (the same object) make one _xconv: the nonzero
-    rows of their b's are its blocks, keyed by product index and y-code, so
-    that a b + a b' with one index adds b and b' first.  Every target block is
-    keyed by product index and y-exponent, which sums the products of one
-    index, and one _finish_reduce reduces them all."""
+    The products go in batches of consecutive whole indices whose pairs hold
+    about _REDUCE_BATCH elements before their reduction (batches), counting
+    the nonzero y-codes of each factor.  In a batch, the pairs sharing one a
+    (the same object) make one _xconv: the nonzero rows of their b's are its
+    blocks, keyed by product index and y-code, so that a b + a b' with one
+    index adds b and b' first.  Every target block is keyed by product index
+    and y-exponent, which sums the products of one index, and one
+    _finish_reduce reduces them all."""
     if not pairs:
         return []
     ctx = pairs[0][0].ctx
-    nprod = 1 + max(i for *_, i in pairs)
-    lvl = max(max(a.level, b.level) for a, b, _ in pairs)
-    top = _index_top(nprod, lvl)
     p, k = ctx.p, ctx.k
-    by_a: dict[int, tuple[Slab, list[tuple[Slab, int]]]] = {}
-    for a, b, i in pairs:
-        by_a.setdefault(id(a), (a, []))[1].append((b, i))
-    convs, targets = [], []
-    for a, bs in by_a.values():
-        ca = a.nonzero_codes()
-        cbs = [b.nonzero_codes() for b, _ in bs]
-        cols, col = np.unique(np.concatenate([_keys(p, cb, b.level) + (i << top)
-                                              for (b, i), cb in zip(bs, cbs)]), return_inverse=True)
-        h = np.zeros((1, cols.size, k, max(b.arr.shape[2] for b, _ in bs)), dtype=np.int64)
+    lvl = max(max(a.level, b.level) for a, b, _ in pairs)
+    pairs = sorted(pairs, key=lambda pair: pair[2])
+    idx = [i for *_, i in pairs]
+    size = np.zeros(idx[-1] + 1, dtype=np.int64)
+    np.add.at(size, idx, [a.nonzero_codes().size * b.nonzero_codes().size * k
+                          * (a.arr.shape[2] + b.arr.shape[2] - 1) for a, b, _ in pairs])
+    bounds = np.searchsorted(idx, np.arange(size.size + 1))
+    out: list[Slab] = []
+    for first, end in batches(size.tolist(), _REDUCE_BATCH):
+        top = _index_top(end - first, lvl)
+        by_a: dict[int, tuple[Slab, list[tuple[Slab, int]]]] = {}
+        for a, b, i in pairs[bounds[first]:bounds[end]]:
+            by_a.setdefault(id(a), (a, []))[1].append((b, i - first))
+        if not by_a:  # indices without pairs, between two that fill a batch each
+            out += [Slab.zeros(ctx, lvl) for _ in range(first, end)]
+            continue
+        convs, targets = [], []
+        for a, bs in by_a.values():
+            ca = a.nonzero_codes()
+            cbs = [b.nonzero_codes() for b, _ in bs]
+            cols, col = np.unique(np.concatenate([_keys(p, cb, b.level) + (i << top) for (b, i), cb
+                                                  in zip(bs, cbs)]), return_inverse=True)
+            h = np.zeros((1, cols.size, k, max(b.arr.shape[2] for b, _ in bs)), dtype=np.int64)
+            at = 0
+            for (b, _), cb in zip(bs, cbs):  # the columns of one b are distinct, so += adds each
+                h[0, col[at:at + cb.size], :, :b.arr.shape[2]] += b.arr[cb]
+                at += cb.size
+            h %= p  # a column that two b's share holds their sum
+            convs.append((a.arr[ca], h))
+            targets.append(_keys(p, ca, a.level)[:, None] + cols)
+        keys, rows = np.unique(np.concatenate([t.ravel() for t in targets]), return_inverse=True)
+        blocks = np.zeros((keys.size, k, max(x.shape[2] + h.shape[3] for x, h in convs) - 1),
+                          dtype=np.int64)
         at = 0
-        for (b, _), cb in zip(bs, cbs):  # the columns of one b are distinct, so += adds each
-            h[0, col[at:at + cb.size], :, :b.arr.shape[2]] += b.arr[cb]
-            at += cb.size
-        h %= p  # a column that two b's share holds their sum
-        convs.append((a.arr[ca], h))
-        targets.append(_keys(p, ca, a.level)[:, None] + cols)
-    keys, rows = np.unique(np.concatenate([t.ravel() for t in targets]), return_inverse=True)
-    blocks = np.zeros((keys.size, k, max(x.shape[2] + h.shape[3] for x, h in convs) - 1),
-                      dtype=np.int64)
-    at = 0
-    for (x, h), t in zip(convs, targets):
-        _xconv([x], h, rows[at:at + t.size].reshape(t.shape), blocks, ctx)
-        at += t.size
-    del convs, targets, rows  # the stacked blocks of b, before the reduction
-    return _finish_reduce(keys, blocks, ctx, lvl, layers, nprod)
+        for (x, h), t in zip(convs, targets):
+            _xconv([x], h, rows[at:at + t.size].reshape(t.shape), blocks, ctx)
+            at += t.size
+        del convs, targets, rows  # the stacked blocks of b, before the reduction
+        out += _finish_reduce(keys, blocks, ctx, lvl, layers, end - first)
+    return out
 
 
 def ymul(codes: Sequence[int], level: int, fs: Sequence[Slab],
          layers: Sequence[Slab]) -> list[Slab]:
     """The reduced products y^codes[i] fs[i], with the codes at `level`, as in
-    mul.  A monomial in y only renames the y-codes of fs[i], so no convolution
-    comes before the reduction, and all products share one reduction."""
+    mul, all at the largest level of `level` and the fs.  A monomial in y only
+    renames the y-codes of fs[i], so no convolution comes before the
+    reduction; the products share one reduction per batch of consecutive
+    products whose fs hold about _REDUCE_BATCH elements (batches)."""
     if not fs:
         return []
     ctx = fs[0].ctx
     lvl = max([level] + [f.level for f in fs])
-    top = _index_top(len(fs), lvl)
-    nz = [f.nonzero_codes() for f in fs]
-    keys = np.concatenate([_keys(ctx.p, cf, f.level) + low + (i << top) for i, (low, f, cf)
-                           in enumerate(zip(_keys(ctx.p, np.asarray(codes), level), fs, nz))])
-    blocks = np.zeros((keys.size, ctx.k, max(f.arr.shape[2] for f in fs)), dtype=np.int64)
-    at = 0
-    for f, cf in zip(fs, nz):
-        blocks[at:at + cf.size, :, :f.arr.shape[2]] = f.arr[cf]
-        at += cf.size
-    return _finish_reduce(keys, blocks, ctx, lvl, layers, len(fs))
+    lows = _keys(ctx.p, codes, level)
+    out: list[Slab] = []
+    for first, end in batches([f.arr.size for f in fs], _REDUCE_BATCH):
+        top, part = _index_top(end - first, lvl), fs[first:end]
+        nz = [f.nonzero_codes() for f in part]
+        keys = np.concatenate([_keys(ctx.p, cf, f.level) + low + (i << top) for i, (low, f, cf)
+                               in enumerate(zip(lows[first:end], part, nz))])
+        blocks = np.zeros((keys.size, ctx.k, max(f.arr.shape[2] for f in part)), dtype=np.int64)
+        at = 0
+        for f, cf in zip(part, nz):
+            blocks[at:at + cf.size, :, :f.arr.shape[2]] = f.arr[cf]
+            at += cf.size
+        out += _finish_reduce(keys, blocks, ctx, lvl, layers, end - first)
+    return out
 
 
 def _index_top(nprod: int, lvl: int) -> int:
@@ -449,9 +480,9 @@ def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int
         # they are at least half of it, so that the larger share is not copied
         nfin = int(fin.sum())
         if nfin == fin.size:
-            done.append((keys >> top, dig @ p ** np.arange(lvl), blocks, slice(None)))
+            done.append((keys >> top, code_of(p, dig), blocks, slice(None)))
             break
-        done.append((keys[fin] >> top, dig[fin] @ p ** np.arange(lvl),
+        done.append((keys[fin] >> top, code_of(p, dig[fin]),
                      *((blocks, fin) if 2 * nfin >= fin.size else (blocks[fin], slice(None)))))
         high = np.where(fin, -1, lvl - 1 - over[:, ::-1].argmax(axis=1))  # highest overflow
         j = int(high.max())
@@ -471,6 +502,33 @@ def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int
         blocks = nxt
     del blocks
     return _materialize(ctx, lvl, nprod, done)
+
+
+def lincomb(us: Sequence[Slab], rows: np.ndarray, cols: np.ndarray, c: np.ndarray,
+            n: int) -> list[Slab]:
+    """The slabs sum c[r] us[cols[r]] over the r with rows[r] = i, for i < n,
+    of GF(p) scalars c and slabs us of one level, with no (row, col) pair
+    twice: one float product (check_float_exact) of the coefficient matrix
+    with the stacked us per group of rows of similar length whose values hold
+    at most _REDUCE_BATCH elements (_padded_groups)."""
+    ctx = us[0].ctx
+    p, k = ctx.p, ctx.k
+    S, E = us[0].arr.shape[0], len(us)
+    dt = check_float_exact(E, p)
+    U = np.zeros((E, S, k, max(u.arr.shape[2] for u in us)), dtype=dt)
+    for x, u in zip(U, us):
+        x[:, :, :u.arr.shape[2]] = u.arr
+    C = np.zeros((n, E), dtype=dt)
+    C[rows, cols] = c
+    width = np.zeros(n, dtype=np.int64)
+    np.maximum.at(width, rows, np.array([u.arr.shape[2] for u in us])[cols])
+    vals: list[Slab | None] = [None] * n
+    for group in _padded_groups(width, lambda w: S * k * w, _REDUCE_BATCH):
+        w = int(width[group[-1]])
+        out = float_mod(C[group] @ U[..., :w].reshape(E, -1), p).astype(np.int8)
+        for g, x in zip(group.tolist(), out.reshape(group.size, S, k, w)):
+            vals[g] = Slab(ctx, us[0].level, x).trim()
+    return vals
 
 
 def _materialize(ctx: FieldCtx, lvl: int, nprod: int,
@@ -526,20 +584,14 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
     finv = ctx.inv_frob_matrix()
     # cofactor lengths; forms of similar length go together, so few are padded far
     Qs = [-(-(f.arr.shape[2] + s) // p) for f, s in zip(forms, shifts)]
-    todo = sorted(range(len(forms)), key=Qs.__getitem__)
     images: list[Slab | None] = [None] * len(forms)
-    i = 0
-    while i < len(todo):
-        j = i + 1  # todo ascends in Q, so the group's longest cofactor is its last
-        while j < len(todo) and (j + 1 - i) * (
-                2 * p * S * k * Qs[todo[j]] + S * k * (La + Qs[todo[j]] - 1)) <= _BATCH:
-            j += 1
-        group, Q = todo[i:j], Qs[todo[j - 1]]
-        G = len(group)
+    for group in _padded_groups(np.array(Qs), lambda Q: 2 * p * S * k * Q + S * k * (La + Q - 1),
+                                _BATCH):
+        G, Q = group.size, Qs[group[-1]]
         # h5[nu0, code, g, :, q] = form g's coefficient of x^(p q + nu0) in row code
         h5 = np.zeros((p, S, G, k, Q), dtype=np.int8)
         view = h5.transpose(2, 1, 3, 4, 0)  # (g, code, :, q, nu0)
-        for g, idx in enumerate(group):
+        for g, idx in enumerate(group.tolist()):
             f, s = forms[idx].arr, shifts[idx]
             X = f.shape[2]
             for nu0 in range(p):
@@ -555,7 +607,6 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
         # receives one reduced block and int8 holds it
         out = np.zeros((G * S, k, La + Q - 1), dtype=np.int8)
         _xconv(entries, h, np.arange(G) * S + np.arange(S)[:, None], out, ctx)
-        for g, idx in enumerate(group):
+        for g, idx in enumerate(group.tolist()):
             images[idx] = Slab(ctx, n, out[g * S:(g + 1) * S]).trim()
-        i = j
     return images

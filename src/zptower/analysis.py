@@ -71,15 +71,6 @@ def alpha1_formula(p: int) -> Fraction:
 # residuals, discrepancies, fits
 # ---------------------------------------------------------------------------
 
-def delta_values(a_list: Sequence[int], d: int, p: int) -> list[Fraction]:
-    """Residuals delta_d(n) = a(n) - alpha(1,p) d (p^2n - p^2) of the kernel
-    dimensions against the conjectured main term.  Levels are 1-based:
-    a_list[0] is level 1.
-    """
-    alpha = constants(1, p).alpha
-    return [a - alpha * d * (p ** (2 * n) - p * p) for n, a in enumerate(a_list, 1)]
-
-
 def discrepancies(delta_list: Sequence[Fraction], m: int) -> set[int]:
     """{n > m : delta(n) != delta(n - m)}, levels 1-based."""
     if m < 1:

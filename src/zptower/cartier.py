@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import (_REDUCE_BATCH, Monomial, Slab, batches, code_weights, mul as slab_mul,
-                    v_apply, ymul)
+from ._slab import Monomial, Slab, code_digits, code_weights, mul as slab_mul, v_apply, ymul
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
@@ -70,20 +69,20 @@ class CartierTables:
     y-reduction, each product y^low (-f_m)^j is formed once and shifted by
     nu0.  The products are formed one variable at a time, by digit sum of
     low: with i the lowest nonzero digit of low, y^low F = y_(i+1) y^(low -
-    p^i) F, so a generation comes from the last one in one y-reduction
-    (_slab.ymul, split only where its products pass _slab._REDUCE_BATCH
-    elements), where only digit i overflows at first, and for i = 0 nothing
-    cascades, as f_1 has no y.  All shifts of a generation's products go through one
-    _slab.v_apply call, which convolves the p-th-root cofactors of a group of
-    forms at a time against every level m-1 table entry.  Products, cofactors
-    and images are int8 residues, and at most two generations of products are
-    alive.  Each entry is then put together from slices of the images, scaled
-    by comb(a, i) mod p.  The build is sequential and deterministic.
+    p^i) F, so a generation comes from the last one in one _slab.ymul call,
+    which sizes its own y-reductions, where only digit i overflows at first,
+    and for i = 0 nothing cascades, as f_1 has no y.  All shifts of a
+    generation's products go through one _slab.v_apply call, which convolves
+    the p-th-root cofactors of a group of forms at a time against every level
+    m-1 table entry.  At most two generations of products are alive.  Each
+    entry is then put together from slices of the images, scaled by comb(a, i)
+    mod p.  The build is sequential and deterministic.
 
-    Entries are held as int8 residues, the cache payload's own form.  Each
-    level is cached in a witt.write_cache file (format 3) whose payload is
-    every entry's x-length, then every entry's slab as int8 residues; a file
-    loads only if writing its table back would give it byte for byte.
+    Entries, like every Slab, are int8 residues, the cache payload's own
+    form.  Each level is cached in a witt.write_cache file (format 3) whose
+    payload is every entry's x-length, then every entry's slab as int8
+    residues; a file loads only if writing its table back would give it byte
+    for byte.
     """
 
     def __init__(self, state: TowerState):
@@ -91,8 +90,7 @@ class CartierTables:
         self.ctx = state.field
         p = self.ctx.p
         base = {}
-        one = Slab(self.ctx, 0, Slab.monomial(self.ctx, Monomial(0, ())).arr.astype(np.int8))
-        zero = Slab(self.ctx, 0, np.zeros((1, self.ctx.k, 1), dtype=np.int8))
+        one, zero = Slab.monomial(self.ctx, Monomial(0, ())), Slab.zeros(self.ctx, 0)
         for nu0 in range(p):
             base[(nu0, 0)] = one if nu0 == p - 1 else zero
         self.levels: list[dict[tuple[int, int], Slab]] = [base]
@@ -113,7 +111,7 @@ class CartierTables:
 
     def _build_level(self, m: int) -> dict[tuple[int, int], Slab]:
         state, ctx = self.state, self.ctx
-        p, k = ctx.p, ctx.k
+        p = ctx.p
         prev = self.levels[m - 1]
         S_low = p ** (m - 1)
         minus_f = state.layer_slab(m).scale(-1)
@@ -125,11 +123,8 @@ class CartierTables:
         # y^low F = y_(i+1) y^(low - p^i) F, so each generation's products
         # come from the last one's, and only digit i overflows at first
         codes = np.arange(S_low)
-        digit_sum, unit = np.zeros(S_low, dtype=np.int64), np.zeros(S_low, dtype=np.int64)
-        for i in reversed(range(m - 1)):
-            dig = codes // p ** i % p
-            digit_sum += dig
-            unit[dig > 0] = p ** i  # p^i for the lowest nonzero digit i
+        digit_sum = code_digits(p, codes, m - 1).sum(axis=1)
+        unit = np.gcd(codes, S_low)  # p^i for the lowest nonzero digit i of each code > 0
         lows = np.zeros(1, dtype=np.int64)
         prods = fpow[1:]  # prods[c (p-1) + j - 1] = y^lows[c] (-f_m)^j, reduced at level m-1
         for s in range((p - 1) * (m - 1) + 1):
@@ -138,8 +133,7 @@ class CartierTables:
                 at = np.searchsorted(lows, nxt - unit[nxt])
                 units = [u for u in unit[nxt].tolist() for _ in range(1, p)]
                 fs = [prods[c * (p - 1) + j - 1] for c in at.tolist() for j in range(1, p)]
-                prods = [x for i, j in batches([f.arr.size for f in fs], _REDUCE_BATCH)
-                         for x in ymul(units[i:j], m - 1, fs[i:j], state.layers)]
+                prods = ymul(units, m - 1, fs, state.layers)
                 lows = nxt
                 del fs  # the last generation's products
             # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is that
@@ -159,12 +153,12 @@ class CartierTables:
                         # y_m^i V(w): the entry's y_m-digit block i is
                         # comb(am, i) inner[am - i]
                         width = max(inner[j].shape[2] for j in range(am + 1))
-                        arr = np.zeros((p * S_low, k, width), dtype=np.int8)
+                        entry = Slab.zeros(ctx, m, width)
                         for i in range(am + 1):
                             term = inner[am - i]
-                            arr[i * S_low:(i + 1) * S_low, :, :term.shape[2]] = \
+                            entry.arr[i * S_low:(i + 1) * S_low, :, :term.shape[2]] = \
                                 comb(am, i) % p * term % p
-                        table[(nu0, low + am * S_low)] = Slab(ctx, m, arr).trim()
+                        table[(nu0, low + am * S_low)] = entry.trim()
         return table
 
     # -- persistence ---------------------------------------------------------
@@ -219,7 +213,7 @@ def _level_bytes(table: dict[tuple[int, int], Slab]) -> bytes:
     each entry's (p^m, k, X) slab as int8 residues, both in sorted key order."""
     keys = sorted(table)
     widths = np.array([table[key].arr.shape[2] for key in keys], dtype="<i4")
-    return widths.tobytes() + b"".join(table[key].arr.astype(np.int8).tobytes() for key in keys)
+    return widths.tobytes() + b"".join(table[key].arr.tobytes() for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +238,6 @@ class CartierMatrix:
     row of larger y-code.
     """
 
-    level: int
     matrix: DenseMatrix
 
     @property
@@ -293,4 +286,4 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
         col += q.size
     if col != g:
         raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")
-    return CartierMatrix(n, M)
+    return CartierMatrix(M)

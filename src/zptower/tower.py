@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._slab import (_REDUCE_BATCH, Monomial, PolyError, Slab, batches, code_of, leading_cell,
-                    mul as slab_mul, mul_pairs, pole_grid)
-from .gf import FieldCtx, FieldElement, InternalConsistencyError, check_float_exact, float_mod
+from ._slab import (Monomial, PolyError, Slab, code_of, leading_cell, lincomb, mul as slab_mul,
+                    mul_pairs, pole_grid)
+from .gf import FieldCtx, FieldElement, InternalConsistencyError
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
 
@@ -48,7 +48,13 @@ class Term:
 
 @dataclass(frozen=True)
 class TowerSpec:
-    """Right-hand-side data over a fixed field, plus a display name."""
+    """Right-hand-side data over a fixed field, plus a display name.
+
+    A spec is normalized when it is made: every exponent is made coprime to p,
+    p^v [c x^(pm)] -> p^v [c^(1/p) x^m], and the terms are sorted.  The
+    replacement differs from the original by an element of the image of
+    F - 1, so the generated extension at every level is unchanged.
+    """
 
     field: FieldCtx
     terms: tuple[Term, ...]
@@ -57,11 +63,20 @@ class TowerSpec:
     def __post_init__(self):
         # geometric/total-ramification itself is checked where breaks are
         # computed, since exact Witt sums may cancel valuation-0 terms anyway
+        p = self.field.p
+        out = []
         for t in self.terms:
             if t.v < 0 or t.i < 1:
                 raise TowerError(f"term (v={t.v}, i={t.i}) out of range")
             if t.c.is_zero():
                 raise TowerError("zero coefficient in tower term")
+            c, i = t.c, t.i
+            while i % p == 0:
+                i //= p
+                c = c.frobenius_inverse()
+            out.append(Term(t.v, c, i))
+        out.sort(key=lambda t: (t.i, t.v, t.c.to_int()))
+        object.__setattr__(self, "terms", tuple(out))  # the dataclass is frozen
 
     @classmethod
     def make(cls, field: FieldCtx, terms: Sequence[tuple[int, object, int]],
@@ -72,27 +87,6 @@ class TowerSpec:
     def p(self) -> int:
         return self.field.p
 
-    def normalize(self) -> "TowerSpec":
-        """Make every exponent coprime to p: p^v [c x^(pm)] -> p^v [c^(1/p) x^m].
-
-        The replacement differs from the original by an element of the image
-        of F - 1, so the generated extension at every level is unchanged.
-        """
-        p = self.p
-        out = []
-        for t in self.terms:
-            c, i = t.c, t.i
-            while i % p == 0:
-                i //= p
-                c = c.frobenius_inverse()
-            out.append(Term(t.v, c, i))
-        out.sort(key=lambda t: (t.i, t.v, t.c.to_int()))
-        return TowerSpec(self.field, tuple(out), self.name)
-
-    @property
-    def is_normalized(self) -> bool:
-        return all(t.i % self.p for t in self.terms)
-
     @property
     def is_basic(self) -> bool:
         """All coefficients in the field itself (every term has valuation 0)."""
@@ -100,16 +94,15 @@ class TowerSpec:
 
     @property
     def ramification_invariant(self) -> int:
-        """d = s(1): largest exponent among valuation-0 terms (normalized spec)."""
-        return max(t.i for t in self.normalize().terms if t.v == 0)
+        """d = s(1): largest exponent among valuation-0 terms."""
+        return max(t.i for t in self.terms if t.v == 0)
 
     def spec_hash(self) -> str:
-        spec = self.normalize()
         blob = json.dumps({
-            "p": spec.p,
-            "k": spec.field.k,
-            "modulus": list(spec.field.modulus),
-            "terms": [[t.v, t.c.serialize(), t.i] for t in spec.terms],
+            "p": self.p,
+            "k": self.field.k,
+            "modulus": list(self.field.modulus),
+            "terms": [[t.v, t.c.serialize(), t.i] for t in self.terms],
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -129,8 +122,6 @@ def coefficient_valuations(spec: TowerSpec, n: int) -> dict[int, int]:
     (sum p^v [c]) [x^i] has its first nonzero component where the coefficient
     sum does.  A value of n means "no contribution below level n".
     """
-    if not spec.is_normalized:
-        spec = spec.normalize()
     groups: dict[int, list[tuple]] = {}
     for t in spec.terms:
         groups.setdefault(t.i, []).append((t.v, t.c, t.i))
@@ -143,7 +134,6 @@ def coefficient_valuations(spec: TowerSpec, n: int) -> dict[int, int]:
 
 def breaks_and_conductor(spec: TowerSpec, n: int) -> tuple[list[int], list[int]]:
     """(s(1..n), u(1..n)): u(m) = 1 + max over i with v(c_i) < m of i p^(m-1-v)."""
-    spec = spec.normalize()
     vals = coefficient_valuations(spec, n)
     s, u = [], []
     for m in range(1, n + 1):
@@ -312,7 +302,7 @@ def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
     ctx = f.ctx
     p, level = ctx.p, f.level
     arr = f.arr.copy()
-    shift = np.zeros((p ** level, ctx.k, 1), dtype=np.int64)
+    shift = Slab.zeros(ctx, level).arr
     grid = pole_grid(p, level, d, level, arr.shape[2])
     lead = leading_cell(arr, grid)
     if lead is None:
@@ -358,19 +348,19 @@ class TowerState:
     ones, which is what deeper universal corrections must be evaluated at.
     The peel polynomials arrive as witt's exponent and coefficient arrays and
     are evaluated at subs by Horner's rule from the bottom up (_eval_terms):
-    the sums c u_1^e at the leaves are one product of a coefficient matrix
-    with the powers of u_1, and each depth above is one batched product and
-    reduction (_slab.mul_pairs, in batches of about _slab._REDUCE_BATCH
-    elements) whose products are keyed by their parent node.  One memo,
-    _power, holds the products of powers of subs and of y_j + f_j = y_j^p
-    that the evaluation and the standard-form reduction (pth_power) reuse.
+    the sums c u_1^e at the leaves are one _slab.lincomb of the powers of
+    u_1, and each depth above is one _slab.mul_pairs call, which batches its
+    products and reductions itself, with the products keyed by their parent
+    node.  Its slabs, like every Slab, are int8 residues.  One memo, _power,
+    holds the products of powers of subs and of y_j + f_j = y_j^p that the
+    evaluation and the standard-form reduction (pth_power) reuse.
     The breaks (ensure_ram) and the right-hand-side components are computed
     again only for a deeper level than before, since those of a shallower one
     are a prefix; cli.run_compute asks for its deepest level first.
     """
 
     def __init__(self, spec: TowerSpec, cache_dir=None):
-        self.spec = spec.normalize()
+        self.spec = spec
         self.field = self.spec.field
         self.cache_dir = cache_dir
         self.ram: RamificationData | None = None
@@ -432,9 +422,9 @@ class TowerState:
         x^(p nu) times the cached product of (y_j + f_j)^a_j."""
         mp = self._power(self._plus_f, z.a).arr
         x0 = self.field.p * z.nu
-        out = np.zeros((self.field.p ** level, self.field.k, x0 + mp.shape[2]), dtype=np.int64)
-        out[:mp.shape[0], :, x0:] = mp
-        return Slab(self.field, level, out)
+        out = Slab.zeros(self.field, level, x0 + mp.shape[2])
+        out.arr[:mp.shape[0], :, x0:] = mp
+        return out
 
     # construction -------------------------------------------------------------
 
@@ -460,64 +450,20 @@ class TowerState:
         by Horner's rule from the bottom up.  A node at depth d is a tuple of
         exponents of u_t .. u_(t-d+1) that some rows carry; its value is the
         sum over those rows of c[r] prod_(j <= t-d) u_j^e[r, j].  The leaves,
-        at depth t - 1, are sums of c u_1^e (_leaf_values).  A node above sums
-        u_j^e times the value of each child, so the products of one depth go
-        to mul_pairs keyed by their parent, which sums them (_node_values)."""
+        at depth t - 1, are sums of c u_1^e, one lincomb of the powers of u_1.
+        A node above sums u_j^e times the value of each child, so the products
+        of one depth go to mul_pairs keyed by their parent, which sums them."""
         t = e.shape[1]
         if not len(c):  # G_1 = 0, which has no variables
             return Slab.zeros(self.field, 0)
         nodes, leaf = np.unique(e[:, 1:], axis=0, return_inverse=True)
-        vals = self._leaf_values(e[:, 0], c, leaf.ravel(), len(nodes))
+        exps, col = np.unique(e[:, 0], return_inverse=True)
+        vals = lincomb([self._power(self.subs, (int(x),)).at_level(1) for x in exps],
+                       leaf.ravel(), col.ravel(), c, len(nodes))
         for j in range(1, t):
             up, parent = np.unique(nodes[:, 1:], axis=0, return_inverse=True)
-            pows = {x: self._power(self.subs, (0,) * j + (x,)) for x in set(nodes[:, 0].tolist())}
-            vals = self._node_values([pows[x] for x in nodes[:, 0].tolist()], vals, parent.ravel())
+            xs, parent = nodes[:, 0].tolist(), parent.ravel().tolist()
+            pows = {x: self._power(self.subs, (0,) * j + (x,)) for x in set(xs)}
+            vals = mul_pairs([(pows[x], v, i) for x, v, i in zip(xs, vals, parent)], self.layers)
             nodes = up
         return vals[0]
-
-    def _leaf_values(self, e1: np.ndarray, c: np.ndarray, leaf: np.ndarray, n: int) -> list[Slab]:
-        """Leaf i's value, the sum of c[r] u_1^e1[r] over the rows r with
-        leaf[r] = i, for i < n: one product of the leaves' coefficient matrix
-        with the powers of u_1, in float (check_float_exact) and in chunks of
-        leaves of similar length whose values hold at most _REDUCE_BATCH
-        elements (at least one leaf)."""
-        ctx = self.field
-        p, k = ctx.p, ctx.k
-        exps, col = np.unique(e1, return_inverse=True)
-        pows = [self._power(self.subs, (int(x),)).at_level(1).arr for x in exps]
-        dt = check_float_exact(exps.size, p)
-        U = np.zeros((exps.size, p, k, max(u.shape[2] for u in pows)), dtype=dt)
-        for u, x in zip(U, pows):
-            u[:, :, :x.shape[2]] = x
-        C = np.zeros((n, exps.size), dtype=dt)
-        C[leaf, col] = c  # the rows of e are distinct, so no cell is set twice
-        width = np.zeros(n, dtype=np.int64)
-        np.maximum.at(width, leaf, np.array([u.shape[2] for u in pows])[col])
-        order = np.argsort(width, kind="stable")
-        vals: list[Slab | None] = [None] * n
-        i = 0
-        while i < n:  # order ascends in width, so a chunk's widest leaf is its last
-            j = i + 1
-            while j < n and (j + 1 - i) * p * k * width[order[j]] <= _REDUCE_BATCH:
-                j += 1
-            w = int(width[order[j - 1]])
-            out = float_mod(C[order[i:j]] @ U[..., :w].reshape(exps.size, -1), p)
-            out = out.astype(np.int8).reshape(j - i, p, k, w)
-            for g, idx in enumerate(order[i:j].tolist()):
-                vals[idx] = Slab(ctx, 1, out[g]).trim()
-            i = j
-        return vals
-
-    def _node_values(self, us: list[Slab], vals: list[Slab], parent: np.ndarray) -> list[Slab]:
-        """Parent i's value, the sum of us[r] vals[r] over the children r with
-        parent[r] = i: one mul_pairs call per batch of whole parents, each
-        batch's products holding about _REDUCE_BATCH elements before their
-        reduction (counting the nonzero y-codes of each factor)."""
-        size = np.zeros(parent.max() + 1, dtype=np.int64)
-        np.add.at(size, parent, [u.nonzero_codes().size * v.nonzero_codes().size * self.field.k
-                                 * (u.arr.shape[2] + v.arr.shape[2] - 1) for u, v in zip(us, vals)])
-        children = np.argsort(parent, kind="stable")
-        bounds = np.searchsorted(parent[children], np.arange(size.size + 1))
-        return [x for i, j in batches(size.tolist(), _REDUCE_BATCH)
-                for x in mul_pairs([(us[r], vals[r], int(parent[r]) - i)
-                                    for r in children[bounds[i]:bounds[j]].tolist()], self.layers)]

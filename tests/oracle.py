@@ -20,7 +20,8 @@ The other references are built on the pipeline and check its answers
 against proven statements: the regular-differential basis, V and the trace
 on single forms (cartier_apply runs _slab.v_apply on the package's tables),
 an RREF kernel basis, the kernels to stabilization and module multiplicities,
-the p = 2 level-2 closed form, the ramification hypothesis, the
+the residuals of a^(1) against the conjectured main term, the p = 2 level-2
+closed form, the ramification hypothesis, the
 trace-vanishing bound (trace_bound_check starts from cartier_matrix) and
 the two-level estimate of lambda that fit_periodic's slope must agree with.
 """
@@ -339,7 +340,7 @@ def _differential(h: Slab, dy: Sequence[Slab], layers: Sequence[Slab]) -> Slab:
     out = _x_derivative(h)
     for j in range(1, h.level + 1):
         part = _y_derivative(h, j)
-        if part.is_zero() or dy[j - 1].is_zero():
+        if not (part.arr.any() and dy[j - 1].arr.any()):
             continue
         out = out + slab_mul(part, dy[j - 1], layers)
     return out.trim()
@@ -438,7 +439,7 @@ def is_regular(form: Slab, state: TowerState) -> bool:
     if form.level == 0:
         # on the projective line every nonzero polynomial differential has a
         # pole at infinity of order deg + 2
-        return form.is_zero()
+        return not form.arr.any()
     numax, _, _ = _basis_layout(state, form.level)
     codes, xs = np.nonzero(form.arr.any(axis=1))
     return not np.any(xs > numax[codes])
@@ -538,6 +539,15 @@ def elementary_divisors(a: Sequence[int]) -> list[int]:
     if sum(i * m for i, m in enumerate(out, start=1)) != a[-1]:
         raise InternalConsistencyError("multiplicities do not recover the kernel dimension")
     return out
+
+
+def delta_values(a_list: Sequence[int], d: int, p: int) -> list[Fraction]:
+    """Residuals delta_d(n) = a(n) - alpha(1,p) d (p^2n - p^2) of the kernel
+    dimensions against the conjectured main term.  Levels are 1-based:
+    a_list[0] is level 1.
+    """
+    alpha = constants(1, p).alpha
+    return [a - alpha * d * (p ** (2 * n) - p * p) for n, a in enumerate(a_list, 1)]
 
 
 def estimate_lambda(a_list: Sequence[int], d: int, p: int, r: int) -> Fraction:
@@ -649,16 +659,16 @@ def trace_bound_check(state: TowerState) -> TraceBoundReport:
     for idx, vec in enumerate(vecs):
         eta = Slab.zeros(ctx, 1, int(nus.max()) + 1)
         eta.arr[codes, :, nus] = vec.reshape(-1, ctx.k)
-        if not cartier_apply(eta, state).is_zero():
+        if cartier_apply(eta, state).arr.any():
             raise InternalConsistencyError("kernel vector not killed by V")
         tr = trace_map(eta)
-        if tr.is_zero():
+        if not tr.arr.any():
             order = math.inf
         else:
             # ord at infinity of h dx on the line is -deg h - 2; tr is trimmed
             order = -(tr.arr.shape[2] - 1) - 2
         ok = (order > bound) if strict else (order >= bound)
         if must_vanish:
-            ok = ok and tr.is_zero()
+            ok = ok and not tr.arr.any()
         report.checks.append(TraceCheck(idx, tr, order, bound, strict, must_vanish, ok))
     return report

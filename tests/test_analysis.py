@@ -3,11 +3,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracle import (elementary_divisors, estimate_lambda, fit_value, gen, kernel2_level2_p2,
-                    kernel_genus_ratio_gap, ramification_hypothesis, trace_bound_check)
+from oracle import (delta_values, elementary_divisors, estimate_lambda, fit_value, gen,
+                    kernel2_level2_p2, kernel_genus_ratio_gap, ramification_hypothesis,
+                    trace_bound_check)
 from zptower.analysis import (AnalysisError, alpha1_formula, anumber_basic_p2, anumber_cover_p2,
-                              constants, delta_values, discrepancies, fit_periodic,
-                              kernel_power_level1_p2)
+                              constants, discrepancies, fit_periodic, kernel_power_level1_p2)
 from zptower.gf import field
 from zptower.tower import RamificationData, TowerSpec, TowerState
 
@@ -45,6 +45,19 @@ def test_delta_examples():
     assert d5 == [2, 4, 4, 4, 4]
     zeros = delta_values([0, 0], 7, 3)
     assert zeros == [-Fr(7, 24) * (9 - 9), -Fr(7, 24) * (81 - 9)]
+
+
+def test_fixture_delta_discrepancies_are_those_of_their_a1_column():
+    # a suite's delta_discrepancies come from its own a^(1) column, which
+    # verify compares exactly with the computed values level by level
+    from zptower.fixtures import SUITES
+    checked = [name for name, fx in SUITES.items() if "delta_discrepancies" in fx]
+    for name in checked:
+        fx = SUITES[name]
+        d = TowerSpec.make(field(fx["p"]), fx["terms"]).ramification_invariant
+        deltas = delta_values(fx["a"][1], d, fx["p"])
+        assert discrepancies(deltas, 1) == fx["delta_discrepancies"], name
+    assert checked == ["p3d5"]
 
 
 def test_discrepancies_examples():
@@ -141,7 +154,7 @@ def test_trace_bound_check_towers():
         assert trace_bound_check(st).passed
     rep = trace_bound_check(TowerState(TowerSpec.make(F2, [(0, 1, 7)])))
     assert rep.kernel_dimension == 2
-    assert all(c.trace_poly.is_zero() for c in rep.checks)
+    assert not any(c.trace_poly.arr.any() for c in rep.checks)
     rep3 = trace_bound_check(TowerState(TowerSpec.make(F3, [(0, 1, 7)])))
     assert all(c.bound == 7 - 3 for c in rep3.checks)
 

@@ -163,16 +163,6 @@ def test_verify_reports_each_mismatch_and_exits_1(runner, tmp_path, suites):
     assert "  level 1: a^(1) 4 != 5" in lines and "  level 2: genus 66 != 67" in lines
 
 
-def test_verify_checks_delta_discrepancies(runner, tmp_path, suites):
-    args = ["--data-dir", str(tmp_path), "verify", "p3d5", "--depth", "2"]
-    r = runner.invoke(main, args)
-    assert r.exit_code == 0 and r.output.startswith("[PASS] p3d5"), r.output
-    suites["p3d5"]["delta_discrepancies"] = {3}
-    r = runner.invoke(main, args)
-    assert r.exit_code == 1, r.output
-    assert "[FAIL] p3d5" in r.output and "  delta discrepancies {2} != {3}" in r.output
-
-
 def test_verify_constants_mismatch_exits_1(runner, tmp_path, suites, monkeypatch):
     suites["constants"]["rows"][(3, 5)]["alpha_d"][0] = "1/4"
     r = runner.invoke(main, ["--data-dir", str(tmp_path), "verify", "constants"])

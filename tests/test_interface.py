@@ -60,6 +60,18 @@ def test_modules_import_only_earlier_pipeline_stages():
     assert not late
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A package module reads another only through its public names, so that
+    each private decision, such as the size of one y-reduction, has one owner.
+    Dunder names such as the package's __version__ are public."""
+    hits = [(path.stem, module, name)
+            for path in sorted((ROOT / "src" / "zptower").glob("*.py"))
+            for level, module, name in _imports(path)
+            if (level or module.split(".")[0] == "zptower") and name is not None
+            and name.startswith("_") and not name.startswith("__")]
+    assert not hits
+
+
 def test_public_names_exist():
     assert not [n for n in zptower.__all__ if not hasattr(zptower, n)]
     assert zptower.__all__ == [

@@ -187,7 +187,7 @@ def test_batched_mul_matches_sparse(smalltower, chunk, rng, monkeypatch):
             got = slab_mul(from_sparse(f), from_sparse(g), state.layers)
             assert got.level == max(la, lb) and to_sparse(got) == want
     zero = Slab.zeros(ctx, 2, 3)
-    assert slab_mul(zero, from_sparse(random_poly(ctx, 2, rng)), state.layers).is_zero()
+    assert not slab_mul(zero, from_sparse(random_poly(ctx, 2, rng)), state.layers).arr.any()
 
 
 def test_mul_by_x_power_is_a_shift(smalltower, rng):
@@ -245,12 +245,64 @@ def test_pair_products_are_sums_of_one_pair_products(p, k, rng):
     want = [SparsePoly(ctx, 2, {}) for _ in range(4)]
     for x, y, i in pairs:
         want[i] = want[i] + to_sparse(slab_mul(x, y, state.layers)).at_level(2)
-    assert len(got) == 4 and got[2].is_zero()
+    assert len(got) == 4 and not got[2].arr.any()
     assert all(g.level == 2 and to_sparse(g) == w for g, w in zip(got, want))
     # a b + a (-b) cancels in the blocks that a multiplies
     minus = slabs[2].scale(-1)
-    assert _slab.mul_pairs([(a, slabs[2], 0), (a, minus, 0)], state.layers)[0].is_zero()
+    assert not _slab.mul_pairs([(a, slabs[2], 0), (a, minus, 0)], state.layers)[0].arr.any()
     assert _slab.mul_pairs([], state.layers) == []
+
+
+def test_products_reduce_in_batches_of_whole_indices(smalltower, rng, monkeypatch):
+    # with a small _REDUCE_BATCH, mul_pairs and ymul run one _finish_reduce per
+    # batch of consecutive whole product indices, the batches holding about
+    # that many product elements, and return the slabs of the default budget
+    ctx, state = smalltower
+    slabs = [from_sparse(random_poly(ctx, lvl, rng, nterms=4, maxdeg=6), lvl)
+             for lvl in (0, 1, 2, 2, 1)]
+    pairs = [(slabs[i], slabs[j], int(n)) for i, j, n in rng.integers(0, [5, 5, 8], size=(24, 3))]
+    codes = rng.integers(0, ctx.p ** 2, size=12).tolist()
+    fs = [slabs[i] for i in rng.integers(0, 5, size=12)]
+    want = _slab.mul_pairs(pairs, state.layers), ymul(codes, 2, fs, state.layers)
+    pair_sizes = [sum(a.nonzero_codes().size * b.nonzero_codes().size * ctx.k
+                      * (a.arr.shape[2] + b.arr.shape[2] - 1) for a, b, n in pairs if n == i)
+                  for i in range(len(want[0]))]
+    f_sizes = [f.arr.size for f in fs]
+    budget = max(pair_sizes + f_sizes)
+    calls = []
+    real = _slab._finish_reduce
+
+    def counted(*args):
+        calls.append(args[-1])  # the batch's number of products
+        return real(*args)
+    monkeypatch.setattr(_slab, "_finish_reduce", counted)
+    monkeypatch.setattr(_slab, "_REDUCE_BATCH", budget)
+    got = _slab.mul_pairs(pairs, state.layers), ymul(codes, 2, fs, state.layers)
+    spans = [j - i for sizes in (pair_sizes, f_sizes) for i, j in _slab.batches(sizes, budget)]
+    assert calls == spans and len(calls) > 2, (calls, spans)
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert g.level == w.level and np.array_equal(g.arr, w.arr)
+    # an index without pairs between two that each pass the budget is a batch
+    # of its own, with no reduction, and its product is zero
+    monkeypatch.setattr(_slab, "_REDUCE_BATCH", 1)
+    x = slabs[1]
+    gap = _slab.mul_pairs([(x, x, 0), (x, x, 2)], state.layers)
+    assert calls[-2:] == [1, 1] and len(calls) == len(spans) + 2
+    assert np.array_equal(gap[0].arr, gap[2].arr) and gap[0].arr.any() and not gap[1].arr.any()
+    assert gap[1].level == gap[0].level
+
+
+def test_slabs_hold_int8_residues(rng):
+    # the constructor stores int8 and does not copy int8 input
+    ctx = field(3)
+    wide = rng.integers(0, 3, size=(3, 1, 4))
+    assert Slab(ctx, 1, wide).arr.dtype == np.int8
+    small = wide.astype(np.int8)
+    assert Slab(ctx, 1, small).arr is small
+    s = Slab(ctx, 1, small)
+    for out in (s + s, s - s, s.scale(2), Slab.zeros(ctx, 2), s.at_level(2),
+                Slab.monomial(ctx, Monomial(2, (1, 2)))):
+        assert out.arr.dtype == np.int8
 
 
 def test_product_index_must_fit_its_key_bits():
@@ -317,7 +369,7 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
         shifted = SparsePoly(ctx, 2, {Monomial(m.nu + s, m.a): c
                                       for m, c in to_sparse(f).terms.items()})
         assert to_sparse(got) == _sparse_v(shifted, tables)
-    assert batched[2].is_zero()
+    assert not batched[2].arr.any()
     assert v_apply([], tables, []) == []
     with pytest.raises(PolyError):  # one call takes forms of one level
         v_apply([forms[0], Slab.zeros(ctx, 1)], tables, [0, 0])

@@ -16,15 +16,18 @@ F2, F3 = field(2), field(3)
 
 
 def test_normalize_examples():
-    s = TowerSpec.make(F2, [(0, 1, 6)]).normalize()
+    # a spec is normalized when it is made: exponents prime to p, terms sorted
+    s = TowerSpec.make(F2, [(0, 1, 6)])
     assert [(t.v, t.i) for t in s.terms] == [(0, 3)]
     c = F3.elem(2)
-    s = TowerSpec.make(F3, [(1, c, 9)]).normalize()
+    s = TowerSpec.make(F3, [(1, c, 9)])
     t = s.terms[0]
     assert (t.v, t.i) == (1, 1)
     assert t.c == c.frobenius_inverse().frobenius_inverse()
-    s = TowerSpec.make(F2, [(0, 1, 3)]).normalize()
+    s = TowerSpec.make(F2, [(0, 1, 3)])
     assert [(t.v, t.i) for t in s.terms] == [(0, 3)]
+    s = TowerSpec.make(F3, [(0, 1, 2), (0, 2, 7), (0, 1, 15)])
+    assert [(t.v, t.c.to_int(), t.i) for t in s.terms] == [(0, 1, 2), (0, 1, 5), (0, 2, 7)]
 
 
 def test_normalization_preserves_invariants():
@@ -32,7 +35,25 @@ def test_normalization_preserves_invariants():
     a = TowerSpec.make(F2, [(0, 1, 12), (0, 1, 5)])
     b = TowerSpec.make(F2, [(0, 1, 3), (0, 1, 5)])
     assert breaks_and_conductor(a, 3) == breaks_and_conductor(b, 3)
-    assert a.normalize().spec_hash() == b.normalize().spec_hash()
+    assert a.spec_hash() == b.spec_hash()
+
+
+@pytest.mark.parametrize("F,raw,reduced", [
+    (F2, [(0, 1, 5), (0, 1, 12)], [(0, 1, 3), (0, 1, 5)]),
+    (F3, [(0, 2, 21), (0, 1, 5), (1, 1, 18)], [(1, 1, 2), (0, 1, 5), (0, 2, 7)]),
+    (field(2, 2), [(0, (0, 1), 10), (0, 1, 3)], [(0, 1, 3), (0, (1, 1), 5)]),
+], ids=["F2", "F3", "GF4"])
+def test_spec_with_exponents_divisible_by_p_is_the_reduced_spec(F, raw, reduced):
+    # both constructors give the reduced spec's terms, hash and breaks, with no
+    # normalize step for a caller to forget
+    want = TowerSpec.make(F, reduced)
+    made = TowerSpec.make(F, raw)
+    direct = TowerSpec(F, tuple(tower.Term(v, F.elem(c), i) for v, c, i in raw))
+    for spec in (made, direct):
+        assert all(t.i % F.p for t in spec.terms)
+        assert spec.terms == want.terms and spec.spec_hash() == want.spec_hash()
+        assert RamificationData.compute(spec, 3) == RamificationData.compute(want, 3)
+        assert spec.ramification_invariant == want.ramification_invariant
 
 
 def test_coefficient_valuations():
@@ -103,7 +124,7 @@ def test_fixture_columns_match_closed_forms():
             continue
         towers = fx["towers"] if fx["kind"] == "tower_family" else [fx]
         for tower in towers:
-            spec = TowerSpec.make(field(fx["p"]), tower["terms"]).normalize()
+            spec = TowerSpec.make(field(fx["p"]), tower["terms"])
             assert spec.is_basic
             d = spec.ramification_invariant
             levels = range(1, len(fx["genus"]) + 1)
