@@ -372,8 +372,11 @@ def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -
     lvl = max(max(a.level, b.level) for a, b, _ in pairs)
     pairs = sorted(pairs, key=lambda pair: pair[2])
     idx = [i for *_, i in pairs]
+    # the nonzero y-codes of each distinct factor, which many pairs may share
+    codes = {id(f): f for a, b, _ in pairs for f in (a, b)}
+    codes = {key: f.nonzero_codes() for key, f in codes.items()}
     size = np.zeros(idx[-1] + 1, dtype=np.int64)
-    np.add.at(size, idx, [a.nonzero_codes().size * b.nonzero_codes().size * k
+    np.add.at(size, idx, [codes[id(a)].size * codes[id(b)].size * k
                           * (a.arr.shape[2] + b.arr.shape[2] - 1) for a, b, _ in pairs])
     bounds = np.searchsorted(idx, np.arange(size.size + 1))
     out: list[Slab] = []
@@ -387,8 +390,8 @@ def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -
             continue
         convs, targets = [], []
         for a, bs in by_a.values():
-            ca = a.nonzero_codes()
-            cbs = [b.nonzero_codes() for b, _ in bs]
+            ca = codes[id(a)]
+            cbs = [codes[id(b)] for b, _ in bs]
             cols, col = np.unique(np.concatenate([_keys(p, cb, b.level) + (i << top) for (b, i), cb
                                                   in zip(bs, cbs)]), return_inverse=True)
             h = np.zeros((1, cols.size, k, max(b.arr.shape[2] for b, _ in bs)), dtype=np.int64)

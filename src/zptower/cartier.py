@@ -228,14 +228,16 @@ class CartierMatrix:
     sigma^-1-semilinear: V(sum c_s omega_s) has coordinates M sigma^-1(c).
     The DenseMatrix stores its kg x kg GF(p) matrix (restriction of scalars),
     so V^r has the matrix power as GF(p) matrix and a^(r) = kernel_dim(M^r).
-    That matrix is set straight from the tables, as packed bits for p = 2 and
-    sparse columns of int8 residues otherwise, and keeps that form through
-    every product and rank.  Column (code, q p + nu0) is table entry
-    (nu0, code) with its rows moved down q basis positions, as
-    V(x^(p q) w) = x^q V(w), so each entry fills all of its columns in one
-    step.  With the basis ordered by y-code (a_n most significant) M is block
-    upper triangular: V(y_n^(pi) h dx) = y_n^i V(h dx), so no column reaches a
-    row of larger y-code.
+    Column (code, q p + nu0) is table entry (nu0, code) with its rows moved
+    down q basis positions, as V(x^(p q) w) = x^q V(w).  So the matrix is
+    handed over as one segment per table entry and block column b, the GF(p)
+    rows and residues of the entry's nonzero block entries, which makes the
+    GF(p) columns (code, q p + nu0) k + b moved down q k rows
+    (DenseMatrix.shifted): over GF(2) expanded into packed bits, otherwise
+    kept as int8 segments that the columns share, so no array has an element
+    per nonzero.  With the basis ordered by y-code (a_n most significant) M
+    is block upper triangular: V(y_n^(pi) h dx) = y_n^i V(h dx), so no column
+    reaches a row of larger y-code.
     """
 
     matrix: DenseMatrix
@@ -250,40 +252,29 @@ def cartier_matrix(state: TowerState, n: int) -> CartierMatrix:
     p, k = ctx.p, ctx.k
     tables = (state.tables or CartierTables(state)).table(n)
     numax, offsets, g = _basis_layout(state, n)
-    # per table entry: the nonzero (y-code, x-power) cells of its slab and, for
-    # each column b of a k x k block, the GF(p) rows and values of its nonzero
-    # block entries, shared by every column the entry fills
-    pre: dict[tuple[int, int], tuple] = {}
-    for key, slab in tables.items():
+    # column (code, nu) with nu = q p + nu0 is V(x^(p q) x^nu0 y^code dx) =
+    # x^q V(x^nu0 y^code dx): entry (nu0, code) with its rows moved down q basis
+    # positions, so for each column b of a k x k block an entry is one segment,
+    # the GF(p) rows and values of its nonzero block entries, that makes its
+    # columns nu0, nu0 + p, ...
+    segments, first, count = [], [], []
+    for (nu0, code), slab in tables.items():
         ecodes, xs = np.nonzero(slab.arr.any(axis=1))
-        if ecodes.size and ecodes[-1] > key[1]:  # ecodes ascend
+        if ecodes.size and ecodes[-1] > code:  # ecodes ascend
             raise InternalConsistencyError(
-                f"V(x^{key[0]} y^{key[1]} dx) reaches y-code {ecodes[-1]}: not block-triangular")
+                f"V(x^{nu0} y^{code} dx) reaches y-code {ecodes[-1]}: not block-triangular")
+        q = len(range(nu0, numax[code] + 1, p))
+        if q == 0:
+            continue
+        if ecodes.size and q - 1 > np.min(numax[ecodes] - xs):
+            raise InternalConsistencyError(
+                "V image leaves the regular basis: regularity not preserved")
         blk = ctx.semilinear_blocks(slab.arr[ecodes, :, xs])
         rows = (offsets[ecodes] + xs)[:, None] * k + np.arange(k)
         nz = blk != 0
-        pre[key] = (ecodes, xs, [(rows[nz[:, :, b]].astype(np.int32),
-                                  blk[:, :, b][nz[:, :, b]].astype(np.int8)) for b in range(k)])
-    # column (code, nu) with nu = q p + nu0 is V(x^(p q) x^nu0 y^code dx) =
-    # x^q V(x^nu0 y^code dx): entry (nu0, code) with its rows moved down q basis
-    # positions, so each entry fills its columns nu0, nu0 + p, ... in one step
-    counts = np.zeros(g * k, dtype=np.int64)
-    for code in range(p ** n):
-        nus = np.arange(numax[code] + 1)
-        per = np.array([[rows.size for rows, _ in pre[(nu0, code)][2]] for nu0 in range(p)])
-        counts[offsets[code] * k:(offsets[code] + nus.size) * k] = per[nus % p].ravel()
-    M = DenseMatrix.for_columns(ctx, g, counts)
-    col = 0
-    for (nu0, code), (ecodes, xs, cells) in pre.items():
-        q = np.arange(len(range(nu0, numax[code] + 1, p)))
-        if q.size == 0:
-            continue
-        if ecodes.size and q[-1] > np.min(numax[ecodes] - xs):
-            raise InternalConsistencyError(
-                "V image leaves the regular basis: regularity not preserved")
-        for b, (rows, vals) in enumerate(cells):
-            M.set_columns((offsets[code] + nu0 + p * q) * k + b, rows, vals, q * k)
-        col += q.size
-    if col != g:
-        raise InternalConsistencyError(f"filled {col} matrix columns, genus {g}")
-    return CartierMatrix(M)
+        for b in range(k):
+            segments.append((rows[nz[:, :, b]].astype(np.int32),
+                             blk[:, :, b][nz[:, :, b]].astype(np.int8)))
+            first.append((offsets[code] + nu0) * k + b)
+            count.append(q)
+    return CartierMatrix(DenseMatrix.shifted(ctx, g, g, segments, first, count, p * k))

@@ -15,27 +15,31 @@ group's table and XOR at the group's first nonzero word, so on block upper
 triangular factors, such as the Cartier matrices, it skips the zero words
 left of each block.  Reading `.data` unpacks a copy, for small matrices only.
 
-Over odd p a matrix is sparse columns (_CSC: int64 column pointers, row
-indices of the narrowest type the row count allows, uint16 up to 2^16 rows and
-int32 past that, and int8 residues, only the nonzero entries), from assembly
-through every product and rank; reading `.data` densifies an int64 copy, for
+Over odd p a matrix is shifted segments (_Segs), from assembly through every
+product and rank: a segment is sorted rows, of the narrowest type the row
+count allows (uint16 up to 2^16 rows, int32 past that), and their nonzero int8
+residues, and each GF(p) column names the segment it reads and the number of
+rows it moves it down.  A Cartier matrix hands over one segment per table
+entry and block column, which fills all of that entry's columns, so it never
+holds an array with one element per nonzero; products and caller data have one
+segment per column, unshifted.  Reading `.data` densifies an int64 copy, for
 small matrices only.  Products and gathers read columns through one helper,
 _column_entries.  Its rank starts with a zero-fill structured-pivot pass
-(LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern: the CSC indices are
-the matrix's own and the CSR side, its column indices as narrow as the column
-count allows, is sorted out of them in strips.  It pivots on columns, then
-rows, with a single live nonzero until none is left, so rank(A) = #pivots +
-rank of the leftover submatrix.  Only that leftover is gathered into a dense
-int8 block and eliminated in place, by blocked Gaussian elimination that
-converts one column panel at a time to float, with rank-1 updates within
-sub-panels of _SUB columns and GEMMs for the rest of the panel and, one
-column block at a time, for the trailing columns, each block reduced back to
-int8 when its update is done.
+(LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern, whose line degrees and
+index sums come from difference arrays over the segments' cells, a row's
+entries from those cells indexed by row, grouped by column count, and a
+column's from its segment.  It pivots on columns, then rows, with a single live nonzero
+until none is left, so rank(A) = #pivots + rank of the leftover submatrix.
+Only that leftover is gathered into a dense int8 block and eliminated in
+place, by blocked Gaussian elimination that converts one column panel at a
+time to float, with rank-1 updates within sub-panels of _SUB columns and
+GEMMs for the rest of the panel and, one column block at a time, for the
+trailing columns, each block reduced back to int8 when its update is done.
 Odd-p products N @ M densify N's rows to int8 and take M one column block at a
 time: the block's entries become a float array of its live rows only, one
 row chunk of N at a time goes through a GEMM, and each product block is
-reduced mod p in float (gf.float_mod) and compressed back to sparse columns.
-gf.check_float_exact, which also picks the float type of _slab's
+reduced mod p in float (gf.float_mod) and compressed back to one segment per
+column.  gf.check_float_exact, which also picks the float type of _slab's
 x-convolution, picks float32 or float64 for the products and the elimination
 and keeps every float sum exact.
 
@@ -50,7 +54,7 @@ being reduced; callers may parallelize over independent matrices.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,23 +63,57 @@ from .gf import FieldCtx, InternalConsistencyError, check_float_exact, float_mod
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
 _SUB = 32  # columns per rank-1 update within a panel
 _GEMM_CHUNK = 4_000_000  # float elements per temporary of an odd-p product or trailing update
-_STRIP = 1 << 16  # nonzeros per strip of the sparse-column passes
+_STRIP = 1 << 16  # cells per strip of the segment passes
 
 
 class LinAlgError(ValueError):
     pass
 
 
-class _CSC(NamedTuple):
-    """An m x n GF(p) matrix as sparse columns: the entries of column j are
-    rows idx[ptr[j]:ptr[j+1]], ascending, with nonzero residues val[...].
-    The row indices take 2 bytes while m <= 2^16 (_ix), as every odd-p
-    fixture matrix does, so an entry takes 3 bytes."""
+class _Segs(NamedTuple):
+    """An m x n GF(p) matrix as shifted segments.
+
+    Segment s is the rows idx[ptr[s]:ptr[s+1]], ascending, with nonzero
+    residues val[...]; it makes the count[s] columns first[s] + t step,
+    t < count[s], each the segment moved down t unit rows, and every column
+    is made by exactly one segment: column j is segment seg[j] moved down
+    shift[j] rows.  Row indices take 2 bytes while m <= 2^16 (_ix), so a cell
+    takes 3 bytes however many columns share it."""
 
     m: int
-    ptr: np.ndarray  # int64, n + 1
+    unit: int
+    step: int
+    ptr: np.ndarray  # int64, one more than the segments
     idx: np.ndarray  # _ix(m): uint16 or int32
     val: np.ndarray  # int8
+    first: np.ndarray  # int64, per segment
+    count: np.ndarray  # int64, per segment
+    seg: np.ndarray  # int64, n
+    shift: np.ndarray  # int64, n
+
+
+def _segs(m: int, n: int, unit: int, step: int, ptr: np.ndarray, idx: np.ndarray,
+          val: np.ndarray, first: np.ndarray, count: np.ndarray) -> _Segs:
+    """The _Segs of n columns made by the given segments; a column made by no
+    segment or by two, or a row moved past m - 1, raises."""
+    first, count = np.asarray(first, dtype=np.int64), np.asarray(count, dtype=np.int64)
+    if not ptr.size - 1 == first.size == count.size:
+        raise InternalConsistencyError("segments, first columns and counts differ in number")
+    s = np.repeat(np.arange(count.size), count)
+    t = np.arange(s.size) - np.repeat(np.cumsum(count) - count, count)
+    cols = first[s] + t * step
+    if cols.size != n or (n and (cols.min() < 0 or cols.max() >= n
+                                 or np.bincount(cols, minlength=n).max() > 1)):
+        raise InternalConsistencyError(f"segments do not make each of {n} columns once")
+    seg, shift = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    seg[cols], shift[cols] = s, t * unit
+    idx = _narrow(idx, m)
+    full = np.flatnonzero(np.diff(ptr))
+    if full.size:  # the last row of each segment, moved down the furthest
+        bottom = np.maximum.reduceat(idx, ptr[full]).astype(np.int64) + (count[full] - 1) * unit
+        if bottom.max() >= m:
+            raise InternalConsistencyError(f"a segment moved down to row {bottom.max()} of {m}")
+    return _Segs(m, unit, step, ptr, idx, val, first, count, seg, shift)
 
 
 def _ix(m: int) -> type:
@@ -96,7 +134,7 @@ def _narrow(a: np.ndarray, m: int) -> np.ndarray:
 class DenseMatrix:
     """rows x cols matrix over a FieldCtx, held as the (k rows) x (k cols) GF(p)
     matrix of c -> M sigma^-1(c): over GF(2) as packed rows (_gf2_pack), one
-    bit per entry, otherwise as sparse columns of int8 residues (_CSC).
+    bit per entry, otherwise as shifted segments of int8 residues (_Segs).
     Construction from caller data reduces and compresses it."""
 
     __slots__ = ("ctx", "_a", "_ncols")
@@ -109,55 +147,49 @@ class DenseMatrix:
         if ctx.p == 2:
             self._a = _gf2_pack(data % 2)
         else:
-            self._a = _csc(data.shape[0], [(data % ctx.p).astype(np.int8)])
+            self._a = _columns(data.shape[0], ctx.k, [(data % ctx.p).astype(np.int8)])
 
     @classmethod
     def _wrap(cls, ctx: FieldCtx, a, ncols: int) -> "DenseMatrix":
         """A matrix on packed rows with ncols GF(2) columns (p = 2) or on a
-        _CSC (odd p), without copying them."""
+        _Segs (odd p), without copying them."""
         M = cls.__new__(cls)
         M.ctx, M._a, M._ncols = ctx, a, ncols
         return M
 
     @classmethod
-    def for_columns(cls, ctx: FieldCtx, rows: int, counts: np.ndarray) -> "DenseMatrix":
-        """A zero matrix whose GF(p) column j is to be written once by
-        set_columns, with counts[j] entries (odd p: the sparse columns are
-        laid out from the counts)."""
-        m, n = ctx.k * rows, counts.size
-        if ctx.p == 2:
-            return cls._wrap(ctx, np.zeros((m, -(-n // 64)), dtype=np.uint64), n)
-        ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        return cls._wrap(ctx, _CSC(m, ptr, np.zeros(ptr[-1], dtype=_ix(m)),
-                                   np.zeros(ptr[-1], dtype=np.int8)), n)
+    def shifted(cls, ctx: FieldCtx, rows: int, cols: int,
+                segments: Sequence[tuple[np.ndarray, np.ndarray]], first: Sequence[int],
+                count: Sequence[int], step: int) -> "DenseMatrix":
+        """The rows x cols matrix whose GF(p) columns first[s] + t step,
+        t < count[s], are segment s moved down t k GF(p) rows: the nonzero
+        residues segments[s][1] at the ascending rows segments[s][0] + t k.
+        Every GF(p) column must be made by exactly one segment.  Over GF(2)
+        the segments are expanded into packed rows."""
+        m, n = ctx.k * rows, ctx.k * cols
+        ptr = np.concatenate(([0], np.cumsum([r.size for r, _ in segments], dtype=np.int64)))
+        idx = np.concatenate([np.zeros(0, dtype=_ix(m))] + [_narrow(r, m) for r, _ in segments])
+        val = np.concatenate([np.zeros(0, dtype=np.int8)] + [v for _, v in segments])
+        A = _segs(m, n, ctx.k, step, ptr, idx, val.astype(np.int8, copy=False), first, count)
+        if ctx.p != 2:
+            return cls._wrap(ctx, A, n)
+        W = np.zeros((m, -(-n // 64)), dtype=np.uint64)
+        for s, (f, q) in enumerate(zip(A.first.tolist(), A.count.tolist())):
+            r = A.idx[A.ptr[s]:A.ptr[s + 1]].astype(np.int64)
+            for t in range(q):
+                j = f + t * step
+                W[r + t * ctx.k, j >> 6] |= np.uint64(1 << (j & 63))
+        return cls._wrap(ctx, W, n)
 
     @property
     def data(self) -> np.ndarray:
         """The GF(p) matrix as int64 residues, a copy made on every read (small
         matrices only): over GF(2) the packed rows unpacked, otherwise the
-        sparse columns densified."""
+        segments densified."""
         if self.ctx.p != 2:
             return _gather(self._a, np.arange(self._a.m), np.arange(self._ncols)).astype(np.int64)
         return np.unpackbits(self._a.view(np.uint8), axis=1, count=self._ncols,
                              bitorder="little").astype(np.int64)
-
-    def set_columns(self, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray,
-                    shifts: np.ndarray) -> None:
-        """Write GF(p) column cols[i] whole: the nonzero residues `vals` at the
-        distinct rows `rows + shifts[i]`.  Each column is written once, with as
-        many entries as for_columns was told."""
-        if self.ctx.p == 2:
-            for j, s in zip(cols.tolist(), shifts.tolist()):
-                self._a[rows + s, j >> 6] |= np.uint64(1 << (j & 63))
-            return
-        A = self._a
-        if np.any(A.ptr[cols + 1] - A.ptr[cols] != rows.size):
-            raise InternalConsistencyError("a column's entries differ from its count")
-        step = max(1, _STRIP // max(rows.size, 1))
-        for i in range(0, cols.size, step):
-            at = A.ptr[cols[i:i + step], None] + np.arange(rows.size)
-            A.idx[at] = _narrow(rows + shifts[i:i + step, None], A.m)
-            A.val[at] = vals
 
     @property
     def rows(self) -> int:
@@ -181,7 +213,7 @@ class DenseMatrix:
 def _rows_times(N: DenseMatrix, rows: np.ndarray | None, M: DenseMatrix) -> DenseMatrix:
     """The GF(p) rows `rows` (all if None) of N times M: over GF(2) packed rows
     by packed rows, otherwise N's rows densified to int8 residues times M's
-    sparse columns."""
+    segments."""
     if N.ctx.p == 2:
         a = N._a if rows is None else N._a[rows]
     else:
@@ -191,12 +223,12 @@ def _rows_times(N: DenseMatrix, rows: np.ndarray | None, M: DenseMatrix) -> Dens
 
 def _matmul(a: np.ndarray, b, p: int):
     """a @ b mod p: packed rows by packed rows for p = 2; for odd p, int8
-    residues by a _CSC, giving a _CSC."""
+    residues by a _Segs, giving a _Segs."""
     if p == 2:
         return _matmul_gf2(a, b)
     m, inner = a.shape
     dt = check_float_exact(inner, p)
-    n = b.ptr.size - 1
+    n = b.seg.size
     # b in column blocks and a in row chunks, so that every float temporary
     # (a block of b, a chunk of a, their product) holds at most _GEMM_CHUNK
     # elements; a block of b holds only its live rows, the rows where its
@@ -208,49 +240,72 @@ def _matmul(a: np.ndarray, b, p: int):
 
     def blocks():
         for c0 in range(0, n, cols):
-            c1 = min(n, c0 + cols)
-            j, r, v = _column_entries(b, np.arange(c0, c1))
+            block = np.arange(c0, min(n, c0 + cols))
+            s = b.seg[block]
+            # the block's entries, read twice in strips of about _STRIP: for
+            # its live rows, then into their float array
+            strips = list(_chunks(b.ptr[s + 1] - b.ptr[s]))
             hit = np.zeros(inner, dtype=bool)
-            hit[r] = True
+            for a0, a1 in strips:
+                hit[_column_entries(b, block[a0:a1])[1]] = True
             live = np.flatnonzero(hit)
-            bf = np.zeros((live.size, c1 - c0), dtype=dt)
-            bf[np.searchsorted(live, r), j] = v
-            blk = out[:, :c1 - c0]
+            bf = np.zeros((live.size, block.size), dtype=dt)
+            for a0, a1 in strips:
+                j, r, v = _column_entries(b, block[a0:a1])
+                bf[np.searchsorted(live, r), j + a0] = v
+            blk = out[:, :block.size]
             for r0 in range(0, m, rows):
                 blk[r0:r0 + rows] = float_mod(a[r0:r0 + rows, live].astype(dt) @ bf, p)
             yield blk
-    return _csc(m, blocks())
+    return _columns(m, b.unit, blocks())
 
 
-def _column_entries(A: _CSC, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions starts[j] .. starts[j] + lens[j] - 1, range by range."""
+    pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    pos += np.arange(pos.size)
+    return pos
+
+
+def _column_entries(A: _Segs, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j, rows, vals): every entry of the columns `cols` of A, column by
-    column, an entry of column cols[j] at row rows[.] with residue vals[.]."""
-    lens = A.ptr[cols + 1] - A.ptr[cols]
-    j = np.repeat(np.arange(cols.size), lens)
-    pos = np.repeat(A.ptr[cols] - np.cumsum(lens) + lens, lens) + np.arange(j.size)
-    return j, A.idx[pos], A.val[pos]
+    column, an entry of column cols[j] at row rows[.] (int64) with residue
+    vals[.]: the cells of the column's segment, moved down its shift."""
+    s = A.seg[cols]
+    lens = A.ptr[s + 1] - A.ptr[s]
+    j, pos = np.repeat(np.arange(cols.size), lens), _ranges(A.ptr[s], lens)
+    return j, A.idx[pos] + A.shift[cols][j], A.val[pos]
 
 
-def _gather(A: _CSC, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _chunks(lens: np.ndarray) -> Iterable[tuple[int, int]]:
+    """Ranges [c0, c1) of consecutive items that hold about _STRIP of the
+    lens together, or one item that holds more."""
+    ends = np.concatenate(([0], np.cumsum(lens)))
+    c0 = 0
+    while c0 < lens.size:
+        c1 = max(c0 + 1, int(np.searchsorted(ends, ends[c0] + _STRIP, side="right")) - 1)
+        yield c0, c1
+        c0 = c1
+
+
+def _gather(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """A[rows][:, cols] as dense int8 residues, rows distinct; the columns are
     read in groups of about _STRIP entries."""
     at = np.full(A.m, -1, dtype=np.int64)
     at[rows] = np.arange(rows.size)
     out = np.zeros((rows.size, cols.size), dtype=np.int8)
-    ends = np.concatenate(([0], np.cumsum(A.ptr[cols + 1] - A.ptr[cols])))
-    c0 = 0
-    while c0 < cols.size:
-        c1 = max(c0 + 1, int(np.searchsorted(ends, ends[c0] + _STRIP, side="right")) - 1)
+    s = A.seg[cols]
+    for c0, c1 in _chunks(A.ptr[s + 1] - A.ptr[s]):
         j, r, v = _column_entries(A, cols[c0:c1])
         t = at[r]
         keep = t >= 0
         out[t[keep], j[keep] + c0] = v[keep]
-        c0 = c1
     return out
 
 
-def _csc(m: int, blocks: Iterable[np.ndarray]) -> _CSC:
-    """The sparse columns of dense residue blocks of m rows placed side by side."""
+def _columns(m: int, unit: int, blocks: Iterable[np.ndarray]) -> _Segs:
+    """Dense residue blocks of m rows placed side by side, one segment per
+    column."""
     counts, idx, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=_ix(m))], \
         [np.zeros(0, dtype=np.int8)]
     for D in blocks:
@@ -258,8 +313,10 @@ def _csc(m: int, blocks: Iterable[np.ndarray]) -> _CSC:
         counts.append(np.bincount(c, minlength=D.shape[1]))
         idx.append(_narrow(r, m))
         val.append(D[r, c])
-    return _CSC(m, np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
-                np.concatenate(idx), np.concatenate(val))
+    counts = np.concatenate(counts)
+    n = counts.size
+    return _segs(m, n, unit, 0, np.concatenate(([0], np.cumsum(counts))), np.concatenate(idx),
+                 np.concatenate(val), np.arange(n), np.ones(n, dtype=np.int64))
 
 
 def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,8 +383,8 @@ def _row_basis(M: DenseMatrix) -> tuple[int, np.ndarray]:
     return rho, rows
 
 
-def _rank_mod_p(A: _CSC, p: int) -> tuple[int, np.ndarray]:
-    """Rank of sparse columns over odd GF(p) and their pivot rows: the
+def _rank_mod_p(A: _Segs, p: int) -> tuple[int, np.ndarray]:
+    """Rank of shifted segments over odd GF(p) and their pivot rows: the
     singleton pivots (_singleton_pivots), then _rank_blocked, in place, on
     the gathered leftover submatrix only."""
     prows, rows, cols = _singleton_pivots(A)
@@ -342,7 +399,7 @@ def kernel_dim(M: DenseMatrix) -> int:
     return M.cols - rank(M)
 
 
-def _singleton_pivots(A: _CSC) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _singleton_pivots(A: _Segs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-fill pivots of the nonzero pattern of A (rows x cols).
 
     Returns (pivot rows, live rows, live cols) with
@@ -356,54 +413,109 @@ def _singleton_pivots(A: _CSC) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and together with any rows independent on the leftover they are
     independent in A: a pivot row's pivot entry is the only nonzero of its
     column (row) among the rows (columns) still live when it was taken.
+    A dying row's entries come from _pattern's cells by row, a dying
+    column's from its segment.
     """
-    m, n = A.m, A.ptr.size - 1
-    ci, rdeg, rsum, cr, cdeg, csum = _pattern(A)
-    rptr = np.concatenate(([0], np.cumsum(rdeg)))
-    rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+    rdeg, rsum, cdeg, csum, cells = _pattern(A)
+
+    def row_entries(rows):
+        return _row_entries(A, cells, rows)
+
+    def column_entries(cols):
+        j, rows, _ = _column_entries(A, cols)
+        return cols[j], rows
+
+    rlive, clive = np.ones(A.m, dtype=bool), np.ones(A.seg.size, dtype=bool)
     while True:
-        got = (_pivot_singletons(cdeg, csum, clive, rlive, rptr, ci)
-               + _pivot_singletons(rdeg, rsum, rlive, clive, A.ptr, cr))
+        got = (_pivot_singletons(cdeg, csum, clive, rlive, row_entries)
+               + _pivot_singletons(rdeg, rsum, rlive, clive, column_entries))
         if not got:
             return (np.flatnonzero(~rlive), np.flatnonzero(rlive & (rdeg > 0)),
                     np.flatnonzero(clive & (cdeg > 0)))
 
 
-def _pattern(A: _CSC) -> tuple[np.ndarray, ...]:
-    """The nonzero pattern of A as CSR column indices of type _ix(n) and A's
-    own CSC row indices, each with its lines' degrees and index sums (the sum
-    is the index of a line's last live entry at degree 1):
-    (ci, rdeg, rsum, cr, cdeg, csum).
+def _cells(A: _Segs) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """(s, rows): A's cells in strips of about _STRIP cells, each cell's
+    segment and unshifted row, both int64."""
+    lens = np.diff(A.ptr)
+    for c0, c1 in _chunks(lens):
+        yield (np.repeat(np.arange(c0, c1), lens[c0:c1]),
+               A.idx[A.ptr[c0]:A.ptr[c1]].astype(np.int64))
 
-    The CSC side is A's own; the CSR side is sorted out of it in strips of
-    _STRIP nonzeros, so every temporary is strip-sized and no int64 array has
-    one entry per nonzero.
+
+def _pattern(A: _Segs) -> tuple:
+    """The nonzero pattern of A: the degrees and index sums of its rows and
+    columns (the sum is the index of a line's last live entry at degree 1)
+    and its cells indexed by row, (rdeg, rsum, cdeg, csum, (Qs, ptr, cols)).
+
+    A column's degree and sum come from its segment.  A cell at row
+    r0 = q unit + c of segment s lies in the rows r = r0 + t unit,
+    t < count[s], in column first[s] + t step: its offset
+    first[s] + (h - 1 - q) step, h = m / unit, which is never negative, less
+    (h - 1 - r // unit) step.  So along each class of rows mod unit the row
+    degrees are the prefix sums of +1 at r0 and -1 at r0 + count[s] unit,
+    and the row sums those of +offset and -offset there, less
+    (h - 1 - r // unit) step times the degree.
+
+    Finding a row's entries needs the cells by row, grouped by their
+    segment's column count: Qs holds the distinct counts ascending, and the
+    cells whose segment has count Qs[g] have the key g m + c h + q, so each
+    group and, within it, each class of rows mod unit is one run of keys, in
+    row order.  The offsets cols[ptr[key]:ptr[key+1]] are those of the cells
+    of that key, and row r's entries in group g are the window of keys of
+    rows r - t unit, 0 <= t < Qs[g] (_row_entries).  With one column count,
+    as for products, this is sparse rows.  Pointers and offsets take the
+    narrowest type their ranges allow (_ix).  The cells go in strips of
+    _STRIP, so no temporary has one element per cell: a first pass counts
+    the cells of each key, a second sorts each strip by key and places its
+    offsets, and adds each key's count and offset sum to the difference
+    arrays.
     """
-    m, n, cr = A.m, A.ptr.size - 1, A.idx
-    nnz = cr.size
-    ci = np.empty(nnz, dtype=_ix(n))
-    rdeg, rsum = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    cdeg, csum = np.diff(A.ptr), np.zeros(n, dtype=np.int64)
-    for s in range(0, nnz, _STRIP):
-        rdeg += np.bincount(cr[s:s + _STRIP], minlength=m)
-    fill = np.concatenate(([0], np.cumsum(rdeg)[:-1]))  # next free CSR slot per row
-    for s in range(0, nnz, _STRIP):
-        seg = cr[s:s + _STRIP]
-        ca, cb = np.searchsorted(A.ptr, [s, s + seg.size], side="right") - 1
-        lens = np.diff(np.clip(A.ptr[ca:cb + 2], s, s + seg.size))  # of columns ca, ca+1, ...
-        col = np.repeat(np.arange(ca, ca + lens.size), lens)
-        cols, _, sums = _runs(col, seg)
-        csum[cols] += sums
-        key = seg.astype(np.int64) << 32
-        key |= col
-        key.sort()  # by (row, column); earlier strips hold earlier columns
-        r, c = key >> 32, key & 0xFFFFFFFF
-        rows, cnt, sums = _runs(r, c)
-        # c < n, the column of an entry, so it fits ci without wrapping
-        ci[np.repeat(fill[rows] - (np.cumsum(cnt) - cnt), cnt) + np.arange(r.size)] = c
-        fill[rows] += cnt
-        rsum[rows] += sums
-    return ci, rdeg, rsum, cr, cdeg, csum
+    m, u, step = A.m, A.unit, A.step
+    h = m // u
+    Qs, group = np.unique(A.count, return_inverse=True)
+    base, top = group * m, A.first + (h - 1) * step  # per segment: first key, row-0 offset
+    ptr = np.zeros(m * Qs.size + 1, dtype=_ix(A.idx.size + 1))
+    one = ptr.dtype.type(1)  # of ptr's own type: numpy's fast ufunc.at path
+    ssum = np.zeros(A.count.size, dtype=np.int64)
+    for s, r0 in _cells(A):
+        np.add.at(ptr, base[s] + r0 % u * h + r0 // u + 1, one)
+        segs, _, sums = _runs(s, r0)
+        ssum[segs] += sums
+    np.cumsum(ptr, out=ptr)
+    fill = ptr[:-1].copy()  # the next free slot of each key
+    cols = np.empty(A.idx.size, dtype=_ix(A.seg.size + h * step))
+    ddeg, dsum = np.zeros(m + u, dtype=np.int64), np.zeros(m + u, dtype=np.int64)
+    for s, r0 in _cells(A):
+        # (key, offset) pairs sorted by key, built in place: keys stay below
+        # 2^31 and offsets below 2^32, as their _ix types are at most int32;
+        # each strip temporary is dropped once used, before the next strip's
+        q = r0 // u
+        k = base[s]
+        k += (r0 - q * u) * h + q
+        k <<= 32
+        k |= top[s] - q * step
+        del s, r0, q
+        k.sort()
+        key, offset = k >> 32, k & 0xFFFFFFFF
+        del k
+        keys, cnt, sums = _runs(key, offset)
+        at = np.repeat(fill[keys] - (np.cumsum(cnt) - cnt), cnt)
+        at += np.arange(at.size)
+        cols[at] = offset
+        del key, offset, at
+        fill[keys] += cnt.astype(fill.dtype)
+        # the difference arrays, one entry per distinct key: its row and the
+        # row its group's column count moves it past
+        g, key = np.divmod(keys, m)
+        r0 = key % h * u + key // h
+        for at, sign in ((r0, 1), (r0 + Qs[g] * u, -1)):
+            np.add.at(ddeg, at, sign * cnt)
+            np.add.at(dsum, at, sign * sums)
+    rdeg = ddeg.reshape(-1, u).cumsum(axis=0).ravel()[:m]
+    rsum = dsum.reshape(-1, u).cumsum(axis=0).ravel()[:m] - (h - 1 - np.arange(m) // u) * step * rdeg
+    cdeg = np.diff(A.ptr)[A.seg]
+    return rdeg, rsum, cdeg, ssum[A.seg] + cdeg * A.shift, (Qs, ptr, cols)
 
 
 def _runs(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,19 +529,32 @@ def _runs(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return keys[starts], np.diff(starts, append=keys.size), sums
 
 
-def _pivot_singletons(deg, lsum, live, olive, optr, oidx) -> int:
+def _row_entries(A: _Segs, cells, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, cols): every entry of the rows `rows` of A, an entry of row
+    owner[.] in column cols[.], from one window of _pattern's cells by row
+    per row and group."""
+    Qs, ptr, offsets = cells
+    m, u = A.m, A.unit
+    top = rows // u
+    at = np.arange(Qs.size) * m + (rows % u * (m // u))[:, None]  # the first key of r's class
+    lo = ptr[at + np.maximum(top[:, None] - (Qs - 1), 0)].ravel().astype(np.int64)
+    hi = ptr[at + top[:, None] + 1].ravel().astype(np.int64)
+    cols = offsets[_ranges(lo, hi - lo)].astype(np.int64)
+    per_row = (hi - lo).reshape(rows.size, Qs.size).sum(axis=1)
+    cols -= np.repeat((m // u - 1 - top) * A.step, per_row)
+    return np.repeat(rows, per_row), cols
+
+
+def _pivot_singletons(deg, lsum, live, olive, entries) -> int:
     """One batch of _singleton_pivots on the lines of one side.
 
     Every live line of degree 1 whose partner (lsum) is not yet taken becomes
-    a pivot; line and partner die, and the partner's entries (oidx over the
-    segments optr of the other side) are subtracted from deg and lsum.
+    a pivot; line and partner die, and the partners' entries, (owner, index)
+    pairs from entries(partners), are subtracted from deg and lsum.
     """
     lines = np.nonzero(live & (deg == 1))[0]
     partners, first = np.unique(lsum[lines], return_index=True)
-    lens = optr[partners + 1] - optr[partners]
-    owner = np.repeat(partners, lens)
-    pos = np.repeat(optr[partners] - np.cumsum(lens) + lens, lens) + np.arange(owner.size)
-    hit = oidx[pos]
+    owner, hit = entries(partners)
     np.subtract.at(deg, hit, 1)
     np.subtract.at(lsum, hit, owner)
     live[lines[first]] = False

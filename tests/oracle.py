@@ -20,6 +20,8 @@ The other references are built on the pipeline and check its answers
 against proven statements: the regular-differential basis, V and the trace
 on single forms (cartier_apply runs _slab.v_apply on the package's tables),
 an RREF kernel basis, the kernels to stabilization and module multiplicities,
+the singleton pivots of a bool pattern by sparse rows and columns, a dense
+Cartier matrix assembled column by column from the tables,
 the residuals of a^(1) against the conjectured main term, the p = 2 level-2
 closed form, the ramification hypothesis, the
 trace-vanishing bound (trace_bound_check starts from cartier_matrix) and
@@ -514,6 +516,63 @@ def kernels_to_stabilization(M: DenseMatrix) -> list[int]:
     dims = twisted_power_kernels(M, M.cols + 1)
     r = next(r for r in range(1, len(dims)) if dims[r] == dims[r - 1])
     return dims[:r + 1]
+
+
+def pivot_singletons_csr(deg, lsum, live, olive, optr, oidx) -> int:
+    """One batch of singleton pivots on the lines of one side, the other
+    side's entries given as index lists oidx over the segments optr: the
+    package's pivot batch as it was on sparse columns and rows."""
+    lines = np.nonzero(live & (deg == 1))[0]
+    partners, first = np.unique(lsum[lines], return_index=True)
+    lens = optr[partners + 1] - optr[partners]
+    owner = np.repeat(partners, lens)
+    pos = np.repeat(optr[partners] - np.cumsum(lens) + lens, lens) + np.arange(owner.size)
+    hit = oidx[pos]
+    np.subtract.at(deg, hit, 1)
+    np.subtract.at(lsum, hit, owner)
+    live[lines[first]] = False
+    olive[partners] = False
+    return partners.size
+
+
+def bool_pattern_pivots(nz):
+    """The singleton pivots of a bool pattern from one global flatnonzero with
+    int64 indices, an argsort for the CSC side and float64 line sums:
+    ((ci, rdeg, rsum, cr, cdeg, csum), (pivot rows, live rows, live cols)),
+    ci the CSR column indices and cr the CSC row indices."""
+    m, n = nz.shape
+    ri, ci = np.divmod(np.flatnonzero(nz), n)
+    cr = ri[np.argsort(ci, kind="stable")]
+    rdeg, cdeg = np.bincount(ri, minlength=m), np.bincount(ci, minlength=n)
+    rsum = np.bincount(ri, weights=ci, minlength=m).astype(np.int64)
+    csum = np.bincount(ci, weights=ri, minlength=n).astype(np.int64)
+    pattern = tuple(a.copy() for a in (ci, rdeg, rsum, cr, cdeg, csum))  # the pivots mutate them
+    rptr = np.concatenate(([0], np.cumsum(rdeg)))
+    cptr = np.concatenate(([0], np.cumsum(cdeg)))
+    rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+    while True:
+        got = (pivot_singletons_csr(cdeg, csum, clive, rlive, rptr, ci)
+               + pivot_singletons_csr(rdeg, rsum, rlive, clive, cptr, cr))
+        if not got:
+            return pattern, (np.nonzero(~rlive)[0], np.nonzero(rlive & (rdeg > 0))[0],
+                             np.nonzero(clive & (cdeg > 0))[0])
+
+
+def cartier_coefficients(state: TowerState, n: int) -> np.ndarray:
+    """The level-n Cartier matrix as (g, g, k) coefficient vectors, column by
+    column from the tables: V(x^(p q + nu0) y^a dx) = x^q V(x^nu0 y^a dx), each
+    cell of table entry (nu0, a) looked up in the basis one position per x."""
+    ctx, p = state.field, state.spec.p
+    table = (state.tables or CartierTables(state)).table(n)
+    basis = differential_basis(state, n)
+    index = {mono: i for i, mono in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis), ctx.k), dtype=np.int64)
+    for col, mono in enumerate(basis):
+        arr = table[(mono.nu % p, int(code_of(p, mono.a)))].arr
+        for code, x in zip(*np.nonzero(arr.any(axis=1))):
+            row = index[Monomial(int(x) + mono.nu // p, digits_of(p, int(code), n))]
+            out[row, col] = arr[code, :, x]
+    return out
 
 
 def elementary_divisors(a: Sequence[int]) -> list[int]:

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies
 
 import zptower.cartier as cartier_mod
 import zptower.witt as witt_mod
-from conftest import random_poly, sealed
-from oracle import (SparsePoly, cartier_apply, differential_basis, from_sparse,
+from conftest import random_poly, restrict, sealed
+from oracle import (SparsePoly, bool_pattern_pivots, cartier_apply, cartier_coefficients,
+                    differential_basis, from_sparse,
                     function_differential, gen, is_regular, layers as sparse_layers,
                     random_element, reduce_to_monomial_basis, to_sparse, trace, trace_map)
 from zptower import _slab as slab_kernel
@@ -129,19 +130,26 @@ def test_gf2_matrix_stays_packed():
     assert peak < 2_000_000, peak
 
 
-def test_odd_p_matrix_stays_int8():
-    # At p3d7 level 4 (g = 5700, 0.9 % dense) an int8 array with one entry per
-    # GF(3) element takes g^2 = 32.5 MB.  As sparse columns with 16-bit row
-    # indices the matrix takes 3 bytes a nonzero; the singleton pass adds 2
-    # bytes a nonzero of 16-bit CSR indices and temporaries of at most a strip
-    # each, and only the leftover is dense: int8, eliminated in place one
-    # float32 panel at a time.  So assembly and rank stay within 6 bytes a
-    # nonzero, 1 byte a leftover entry, one float32 panel of the leftover's
-    # rows and 64 bytes an entry of one strip (the elimination's other
-    # temporaries, a few panels' worth, come after the strips are freed).
-    suite = SUITES["p3d7"]
-    st = tower(F3, suite["terms"], 4)
+@pytest.fixture(scope="module")
+def p3d7_level_4():
+    st = tower(F3, SUITES["p3d7"]["terms"], 4)
     CartierTables(st).ensure(4)
+    return st
+
+
+def test_odd_p_matrix_stays_int8(p3d7_level_4):
+    # At p3d7 level 4 (g = 5700, 0.9 % dense) an int8 array with one entry per
+    # GF(3) element takes g^2 = 32.5 MB, and its 278k nonzeros as sparse
+    # columns 3 bytes each.  The matrix holds only its tables' 23k nonzero
+    # cells, 3 bytes each, as segments that its columns share; assembly's
+    # int64 rows and the singleton pass's row cells and strip temporaries add
+    # at most 13 bytes a cell, and only the leftover is dense: int8,
+    # eliminated in place one float32 panel at a time, with a block and its
+    # residues, within 16 bytes an entry of one panel of the leftover's rows
+    # (test_elimination_holds_int8_and_one_panel).  The bound leaves less room
+    # than sparse columns of the nonzeros, 3 bytes each, would take.
+    st = p3d7_level_4
+    cells = sum(np.count_nonzero(slab.arr) for slab in st.tables.table(4).values())
     tracemalloc.start()
     try:
         M = cartier_matrix(st, 4).matrix
@@ -149,12 +157,54 @@ def test_odd_p_matrix_stays_int8():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert M.cols == 5700 and dims == [suite["a"][1][3]]
-    _, rows, cols = _singleton_pivots(M._a)
-    nnz = M._a.idx.size
-    assert M._a.val.dtype == np.int8 and nnz == np.count_nonzero(M._a.val) < M.cols ** 2 // 100
-    bound = 6 * nnz + rows.size * cols.size + 4 * rows.size * linalg._PANEL + 64 * linalg._STRIP
-    assert peak < bound < M.cols ** 2, (peak, bound)
+    assert M.cols == 5700 and dims == [SUITES["p3d7"]["a"][1][3]]
+    A = M._a
+    nnz = int(np.diff(A.ptr)[A.seg].sum())
+    assert A.val.dtype == np.int8 and A.idx.size == np.count_nonzero(A.val) <= cells < nnz // 10
+    # no array of the matrix has an element per nonzero: per cell, segment or column
+    assert max(a.size for a in A if isinstance(a, np.ndarray)) <= max(cells, A.seg.size + 1)
+    _, rows, cols = _singleton_pivots(A)
+    bound = 16 * cells + rows.size * cols.size + 16 * rows.size * linalg._PANEL
+    assert peak < bound < peak + 3 * nnz, (peak, bound)  # no room for the expanded nonzeros
+
+
+# -- Cartier matrices as shifted segments, against bool patterns and dense ---------
+
+def segment_tower(name):
+    if name == "gf9":
+        return _digest_tower("gf9")
+    return F3, SUITES[name]["terms"]
+
+
+@pytest.mark.parametrize("name,top", [("p3d7", 4), ("p3d5", 3), ("gf9", 3)])
+def test_cartier_singleton_pivots_match_bool_pattern(name, top, request):
+    # the pivots of the segments' degrees, sums and row windows are those of
+    # the matrix's bool pattern, on GF(9) too, where rows move by q k = 2 q
+    if name == "p3d7":
+        st = request.getfixturevalue("p3d7_level_4")
+    else:
+        st = tower(*segment_tower(name), top)
+    for n in range(1, top + 1):
+        A = cartier_matrix(st, n).matrix._a
+        assert A.unit == st.field.k and (n == 1 or A.count.max() > 1)  # columns share segments
+        nz = linalg._gather(A, np.arange(A.m), np.arange(A.seg.size)) != 0  # .data's pattern, in int8
+        pattern, want = bool_pattern_pivots(nz)
+        assert all(np.array_equal(a, b) for a, b in zip(_singleton_pivots(A), want)), n
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(linalg._pattern(A)[:4], [pattern[i] for i in (1, 2, 4, 5)])), n
+
+
+@pytest.mark.parametrize("name", ["p3d7", "p3d5", "gf9"])
+def test_cartier_segments_match_dense_recomputation(name):
+    # .data and M @ M of the segment matrices, levels 1-3, against the matrix
+    # assembled densely, column by column, from the tables
+    F, terms = segment_tower(name)
+    st = tower(F, terms, 3)
+    for n in (1, 2, 3):
+        M = cartier_matrix(st, n).matrix
+        D = restrict(F, cartier_coefficients(st, n)).data
+        assert np.array_equal(M.data, D), n
+        assert np.array_equal((M @ M).data, D @ D % F.p), n
 
 
 @pytest.mark.parametrize("ctx,terms", [(F3, [(0, 1, 7)]), (F2, [(0, 1, 21)])], ids=["p3", "p2"])

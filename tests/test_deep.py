@@ -2,10 +2,10 @@
 default run leaves out.  Times on a 2-vCPU host: each p=2 level-6 test takes
 about 25 s and a few hundred MB; each p=2 level-7 test 6-7 min and about
 1.5 GB, two fifths of it in the tower build and Cartier tables and most of the
-rest in the two twisted products; each p=3 level-4 test about 11 s; each p=3
-level-5 test 35-37 s, of which the p3d7 level-5 tables take about 22 s, and
-0.26 GB (p3d7) or 1.1 GB (p3d5, p3d5-variant); the p=2 length-7 peel about
-12 s and 270-295 MB."""
+rest in the two twisted products; each p=3 level-4 test about 7 s and
+120-130 MB; each p=3 level-5 test 14-23 s, of which the p3d7 level-5 tables
+take about 17 s, and 0.22 GB (p3d7) or 0.24-0.27 GB (p3d5, p3d5-variant);
+the p=2 length-7 peel about 12 s and 270-295 MB."""
 
 import hashlib
 import resource

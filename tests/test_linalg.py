@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import restrict, semilinear_image
-from oracle import kernel_basis, kernels_to_stabilization, random_element
+from oracle import bool_pattern_pivots, kernel_basis, kernels_to_stabilization, random_element
 from zptower.gf import InternalConsistencyError, check_float_exact, field, float_mod
 import zptower.linalg as linalg
-from zptower.linalg import (DenseMatrix, LinAlgError, _pattern, _pivot_singletons, _rank_blocked,
-                            _row_basis, _singleton_pivots, kernel_dim, rank,
+from zptower.linalg import (DenseMatrix, LinAlgError, _pattern, _rank_blocked, _row_basis,
+                            _row_entries, _singleton_pivots, kernel_dim, rank,
                             twisted_power_kernels)
 
 F2, F3 = field(2), field(3)
@@ -75,7 +75,7 @@ def test_odd_p_matrices_are_int8_residues(p, rng):
     A, B = rng.integers(-40, 40, size=(9, 70)), rng.integers(0, p, size=(70, 5))
     M, N = DenseMatrix(F, A), DenseMatrix(F, B)
     P = M @ N
-    # sparse columns: int64 pointers, uint16 rows (at most 2^16 of them) and
+    # one segment per column: int64 pointers, uint16 rows (at most 2^16 of them) and
     # int8 residues, nonzero only
     for X in (M, N, P, DenseMatrix(F, np.zeros((2, 3)))):
         assert (X._a.ptr.dtype, X._a.idx.dtype, X._a.val.dtype) == (np.int64, np.uint16, np.int8)
@@ -249,50 +249,66 @@ def test_empty_matrix():
 
 # -- the zero-fill singleton pass in front of the dense kernels ---------------
 
-def bool_pattern_pivots(nz):
-    """_singleton_pivots as it was on a bool pattern: one global flatnonzero with
-    int64 indices, an argsort for the CSC side and float64 line sums."""
-    m, n = nz.shape
-    ri, ci = np.divmod(np.flatnonzero(nz), n)
-    cr = ri[np.argsort(ci, kind="stable")]
-    rdeg, cdeg = np.bincount(ri, minlength=m), np.bincount(ci, minlength=n)
-    rsum = np.bincount(ri, weights=ci, minlength=m).astype(np.int64)
-    csum = np.bincount(ci, weights=ri, minlength=n).astype(np.int64)
-    pattern = tuple(a.copy() for a in (ci, rdeg, rsum, cr, cdeg, csum))  # the pivots mutate them
-    rptr = np.concatenate(([0], np.cumsum(rdeg)))
-    cptr = np.concatenate(([0], np.cumsum(cdeg)))
-    rlive, clive = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
-    while True:
-        got = (_pivot_singletons(cdeg, csum, clive, rlive, rptr, ci)
-               + _pivot_singletons(rdeg, rsum, rlive, clive, cptr, cr))
-        if not got:
-            return pattern, (np.nonzero(~rlive)[0], np.nonzero(rlive & (rdeg > 0))[0],
-                             np.nonzero(clive & (cdeg > 0))[0])
-
-
 def pattern_pivots(nz):
-    """_singleton_pivots on the sparse columns of a bool pattern."""
+    """_singleton_pivots on the segments of a bool pattern."""
     return _singleton_pivots(DenseMatrix(F3, np.asarray(nz, dtype=np.int64))._a)
 
 
-# strips of the default size, of one nonzero and of seven nonzeros
+def random_shifted(rng, F, rows, cols, density):
+    """A random rows x cols DenseMatrix.shifted over F: the GF(p) columns of
+    each class mod P k, P random, go in runs, each run one segment of random
+    cells (about `density` of the rows it may start at) moved down k rows per
+    column."""
+    k, P = F.k, int(rng.integers(1, 5))
+    segments, first, count = [], [], []
+    for c in range(min(P * k, cols * k)):
+        js = np.arange(c, cols * k, P * k)
+        while js.size:
+            q = int(rng.integers(1, min(js.size, max(rows, 1)) + 1))
+            r = np.flatnonzero(rng.random(rows * k - (q - 1) * k) < density)
+            segments.append((r, rng.integers(1, F.p, size=r.size).astype(np.int8)))
+            first.append(int(js[0]))
+            count.append(q)
+            js = js[q:]
+    return DenseMatrix.shifted(F, rows, cols, segments, first, count, P * k)
+
+
+def check_pattern(M):
+    """_pattern, the row entries of its cells by row, the column entries and
+    _singleton_pivots of M's segments agree with the bool pattern of M.data."""
+    A = M._a
+    (ci, rdeg, rsum, cr, cdeg, csum), want = bool_pattern_pivots(M.data != 0)
+    got = _pattern(A)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:4], (rdeg, rsum, cdeg, csum)))
+    owner, cols = _row_entries(A, got[4], np.arange(A.m))
+    order = np.lexsort((cols, owner))
+    assert np.array_equal(owner[order], np.repeat(np.arange(A.m), rdeg))
+    assert np.array_equal(cols[order], ci)
+    j, rows, _ = linalg._column_entries(A, np.arange(A.seg.size))
+    assert np.array_equal(rows[np.lexsort((rows, j))], cr)
+    assert all(np.array_equal(a, b) for a, b in zip(_singleton_pivots(A), want))
+
+
+# strips of the default size, of one cell and of seven cells
 @pytest.mark.parametrize("strip", [linalg._STRIP, 1, 7])
 @pytest.mark.parametrize("p", [3, 13])
 def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
     monkeypatch.setattr(linalg, "_STRIP", strip)
-    F = field(p)
-    for _ in range(30):
-        m, n = (int(v) for v in rng.integers(1, 60, size=2))
-        A = sparse_entries(rng, F, (m, n), float(rng.uniform(0.02, 0.3)))
-        A[rng.random(m) < 0.2] = 0  # empty rows
-        A[:, rng.random(n) < 0.2] = 0  # empty columns
-        M = DenseMatrix(F, A)
-        pattern, want = bool_pattern_pivots(A != 0)
-        got = _singleton_pivots(M._a)
-        assert all((a == b).all() for a, b in zip(got, want))
-        got_pattern = _pattern(M._a)
-        assert [a.dtype for a in got_pattern[::3]] == [np.uint16, np.uint16]  # m, n <= 2^16
-        assert all((a == b).all() for a, b in zip(got_pattern, pattern))
+    shared = 0
+    for F in (field(p), field(p, 2)):
+        for _ in range(20):
+            rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
+            M = random_shifted(rng, F, rows, cols, float(rng.uniform(0.02, 0.3)))
+            shared += M._a.count.max() > 1  # columns that share a segment
+            check_pattern(M)
+            # the same pattern from caller data: one segment per column
+            A = sparse_entries(rng, F, (rows * F.k, cols * F.k), float(rng.uniform(0.02, 0.3)))
+            A = A if F.k == 1 else A[..., 0]
+            A[rng.random(A.shape[0]) < 0.2] = 0  # empty rows
+            A[:, rng.random(A.shape[1]) < 0.2] = 0  # empty columns
+            check_pattern(DenseMatrix(F, A))
+        assert (M._a.idx.dtype, _pattern(M._a)[4][2].dtype) == (np.uint16,) * 2  # m, n <= 2^16
+    assert shared > 20
 
 
 # -- index widths: uint16 up to 2^16 lines, int32 past that ------------------
@@ -309,19 +325,25 @@ def test_index_width_boundary(m, tall, rng):
         A = A.T.copy()
     M = DenseMatrix(F3, A)
     width = np.uint16 if m <= 1 << 16 else np.int32
-    ci, cr = _pattern(M._a)[::3]
-    assert (cr.dtype, ci.dtype) == ((width, np.uint16) if tall else (np.uint16, width))
-    assert max(int(cr.max()), int(ci.max())) == m - 1
+    Qs, _, cols = _pattern(M._a)[4]  # sparse rows: one segment per column
+    assert Qs.tolist() == [1] and (M._a.idx.dtype, cols.dtype) == \
+        ((width, np.uint16) if tall else (np.uint16, width))
+    assert max(int(M._a.idx.max()), int(cols.max())) == m - 1
     assert np.array_equal(M.data, A)
     assert rank(M) == naive_rank(A.copy(), 3)
-    pattern, want = bool_pattern_pivots(A != 0)
-    assert all((a == b).all() for a, b in zip(_singleton_pivots(M._a), want))
-    assert all((a == b).all() for a, b in zip(_pattern(M._a), pattern))
+    check_pattern(M)
     # products with m rows, m columns and inner dimension m
     left, right = rng.integers(0, 3, size=(3, A.shape[0])), rng.integers(0, 3, size=(A.shape[1], 3))
     for P, want in [(DenseMatrix(F3, left) @ M, left @ A % 3),
                     (M @ DenseMatrix(F3, right), A @ right % 3)]:
         assert P._a.idx.dtype == linalg._ix(P._a.m) and np.array_equal(P.data, want)
+
+
+def test_row_pointers_past_2_16_cells(rng):
+    # 90000 nonzeros, one cell each: the row pointers of _pattern take int32
+    M = DenseMatrix(F3, rng.integers(1, 3, size=(300, 300)))
+    assert _pattern(M._a)[4][1].dtype == np.int32
+    check_pattern(M)
 
 
 def test_narrowing_an_out_of_range_index_raises():
@@ -330,11 +352,16 @@ def test_narrowing_an_out_of_range_index_raises():
     for bad, m in [([65536], 1 << 16), ([-1], 5), ([5], 5)]:
         with pytest.raises(InternalConsistencyError):
             linalg._narrow(np.array(bad), m)
-    # set_columns narrows the rows it writes: row 65535 moved down one is 65536
-    M = DenseMatrix.for_columns(F3, 1 << 16, np.array([1, 1]))
+    # the segment constructor narrows the rows it moves: row 65535 moved down
+    # one is 65536
+    one = [(np.array([65535]), np.array([1], dtype=np.int8))]
     with pytest.raises(InternalConsistencyError):
-        M.set_columns(np.array([0, 1]), np.array([65535]), np.array([1], dtype=np.int8),
-                      np.array([0, 1]))
+        DenseMatrix.shifted(F3, 1 << 16, 2, one, [0], [2], 1)
+    assert DenseMatrix.shifted(F3, 1 << 16, 2, one * 2, [0, 1], [1, 1], 0).data[65535].tolist() == [1, 1]
+    # and every column is made by exactly one segment
+    for first, count in [([0], [1]), ([0, 1], [2, 1]), ([0, 2], [1, 1])]:
+        with pytest.raises(InternalConsistencyError):
+            DenseMatrix.shifted(F3, 1 << 16, 2, one * len(first), first, count, 1)
 
 
 def test_runs_on_unsigned_keys_from_zero():
