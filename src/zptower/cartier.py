@@ -233,11 +233,10 @@ class CartierMatrix:
     handed over as one segment per table entry and block column b, the GF(p)
     rows and residues of the entry's nonzero block entries, which makes the
     GF(p) columns (code, q p + nu0) k + b moved down q k rows
-    (DenseMatrix.shifted): over GF(2) expanded into packed bits, otherwise
-    kept as int8 segments that the columns share, so no array has an element
-    per nonzero.  With the basis ordered by y-code (a_n most significant) M
-    is block upper triangular: V(y_n^(pi) h dx) = y_n^i V(h dx), so no column
-    reaches a row of larger y-code.
+    (DenseMatrix.shifted), kept as int8 segments that the columns share, so
+    no array has an element per nonzero.  With the basis ordered by y-code
+    (a_n most significant) M is block upper triangular: V(y_n^(pi) h dx) =
+    y_n^i V(h dx), so no column reaches a row of larger y-code.
     """
 
     matrix: DenseMatrix

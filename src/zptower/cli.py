@@ -9,7 +9,7 @@ divisible by p are normalized away with a warning.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (including a
 malformed spec file or a corrupt result-store record), 3 internal consistency
-failure.
+failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .tower import (RamificationData, TowerSpec, TowerState, classify_monodromy,
 
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 3
+EXIT_MEMORY = 4
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,8 @@ def verify_suite(name: str, depth: int | None = None, data_dir=None) -> SuiteRes
 # ---------------------------------------------------------------------------
 
 class _Main(click.Group):
-    """Every command exits EXIT_INTERNAL on an internal consistency failure."""
+    """Every command exits EXIT_INTERNAL on an internal consistency failure
+    and EXIT_MEMORY when an allocation fails."""
 
     def invoke(self, ctx):
         try:
@@ -286,6 +288,9 @@ class _Main(click.Group):
         except InternalConsistencyError as exc:
             click.echo(f"internal consistency failure: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
+        except MemoryError as exc:
+            click.echo(f"out of memory: {exc}", err=True)
+            sys.exit(EXIT_MEMORY)
 
 
 @click.group(cls=_Main)

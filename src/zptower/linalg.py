@@ -7,39 +7,30 @@ c -> m_ij sigma^-1(c).  So `@` composes such maps (a twisted product is a plain
 product), and as their kernels are GF(p^k)-subspaces, a GF(p^k) rank is the
 GF(p) rank divided by k.
 
-Over GF(2), GF(2^k) included, a matrix is packed rows of uint64 words, one bit
-per entry, from assembly through every product and rank; products are
-Four-Russians XOR tables and the rank is M4RI elimination (Albrecht-Bard-Hart,
-ACM TOMS 37(1), 2010), with no floating point.  A product starts each 8-row
-group's table and XOR at the group's first nonzero word, so on block upper
-triangular factors, such as the Cartier matrices, it skips the zero words
-left of each block.  Reading `.data` unpacks a copy, for small matrices only.
+Every assembled matrix, and every matrix made from caller data, is shifted
+segments (_Segs) at every p: sorted rows, of the narrowest index type, and
+their nonzero int8 residues, each GF(p) column naming the segment it reads
+and how far it moves it down.  A Cartier matrix hands over one segment per
+table entry and block column, which fills all of that entry's columns, so it
+never holds an array with one element per nonzero; caller data and odd-p
+products have one segment per column.  Reading `.data` densifies an int64
+copy, for small matrices only.
 
-Over odd p a matrix is shifted segments (_Segs), from assembly through every
-product and rank: a segment is sorted rows, of the narrowest type the row
-count allows (uint16 up to 2^16 rows, int32 past that), and their nonzero int8
-residues, and each GF(p) column names the segment it reads and the number of
-rows it moves it down.  A Cartier matrix hands over one segment per table
-entry and block column, which fills all of that entry's columns, so it never
-holds an array with one element per nonzero; products and caller data have one
-segment per column, unshifted.  Reading `.data` densifies an int64 copy, for
-small matrices only.  Products and gathers read columns through one helper,
-_column_entries.  Its rank starts with a zero-fill structured-pivot pass
-(LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern, whose line degrees and
-index sums come from difference arrays over the segments' cells, a row's
-entries from those cells indexed by row, grouped by column count, and a
-column's from its segment.  It pivots on columns, then rows, with a single live nonzero
-until none is left, so rank(A) = #pivots + rank of the leftover submatrix.
-Only that leftover is gathered into a dense int8 block and eliminated in
-place, by blocked Gaussian elimination that converts one column panel at a
-time to float, with rank-1 updates within sub-panels of _SUB columns and
-GEMMs for the rest of the panel and, one column block at a time, for the
-trailing columns, each block reduced back to int8 when its update is done.
-Odd-p products N @ M densify N's rows to int8 and take M one column block at a
-time: the block's entries become a float array of its live rows only, one
-row chunk of N at a time goes through a GEMM, and each product block is
-reduced mod p in float (gf.float_mod) and compressed back to one segment per
-column.  gf.check_float_exact, which also picks the float type of _slab's
+The rank of segments (_rank_segs) is one path at every p: a zero-fill
+structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern
+(_singleton_pivots), then the leftover submatrix only: over GF(2) packed for
+M4RI, though every GF(2) Cartier matrix tried leaves none, and over odd p a
+dense int8 block, eliminated in place one float column panel at a time
+(_rank_blocked).
+
+Over GF(2), GF(2^k) included, only products hold packed rows of uint64 words,
+one bit per entry: their factors, packed from segments a block of columns at
+a time, and their results.  A product is Four-Russians XOR tables and its
+rank M4RI elimination (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010), with no
+floating point.  Odd-p products N @ M densify N's rows to int8 and take M one
+column block at a time through float GEMMs, reduced mod p in float
+(gf.float_mod) and compressed back to one segment per column.
+gf.check_float_exact, which also picks the float type of _slab's
 x-convolution, picks float32 or float64 for the products and the elimination
 and keeps every float sum exact.
 
@@ -133,9 +124,9 @@ def _narrow(a: np.ndarray, m: int) -> np.ndarray:
 
 class DenseMatrix:
     """rows x cols matrix over a FieldCtx, held as the (k rows) x (k cols) GF(p)
-    matrix of c -> M sigma^-1(c): over GF(2) as packed rows (_gf2_pack), one
-    bit per entry, otherwise as shifted segments of int8 residues (_Segs).
-    Construction from caller data reduces and compresses it."""
+    matrix of c -> M sigma^-1(c): as shifted segments of int8 residues
+    (_Segs), or, for a GF(2) product, as packed rows (_packed), one bit per
+    entry.  Construction from caller data reduces and compresses it."""
 
     __slots__ = ("ctx", "_a", "_ncols")
 
@@ -144,15 +135,12 @@ class DenseMatrix:
         if data.ndim != 2 or data.shape[0] % ctx.k or data.shape[1] % ctx.k:
             raise LinAlgError(f"expected a 2-d array with sides divisible by k={ctx.k}")
         self.ctx, self._ncols = ctx, data.shape[1]
-        if ctx.p == 2:
-            self._a = _gf2_pack(data % 2)
-        else:
-            self._a = _columns(data.shape[0], ctx.k, [(data % ctx.p).astype(np.int8)])
+        self._a = _columns(data.shape[0], ctx.k, [(data % ctx.p).astype(np.int8)])
 
     @classmethod
     def _wrap(cls, ctx: FieldCtx, a, ncols: int) -> "DenseMatrix":
-        """A matrix on packed rows with ncols GF(2) columns (p = 2) or on a
-        _Segs (odd p), without copying them."""
+        """A matrix on a _Segs, or on packed rows with ncols GF(2) columns,
+        without copying them."""
         M = cls.__new__(cls)
         M.ctx, M._a, M._ncols = ctx, a, ncols
         return M
@@ -164,37 +152,27 @@ class DenseMatrix:
         """The rows x cols matrix whose GF(p) columns first[s] + t step,
         t < count[s], are segment s moved down t k GF(p) rows: the nonzero
         residues segments[s][1] at the ascending rows segments[s][0] + t k.
-        Every GF(p) column must be made by exactly one segment.  Over GF(2)
-        the segments are expanded into packed rows."""
+        Every GF(p) column must be made by exactly one segment."""
         m, n = ctx.k * rows, ctx.k * cols
         ptr = np.concatenate(([0], np.cumsum([r.size for r, _ in segments], dtype=np.int64)))
         idx = np.concatenate([np.zeros(0, dtype=_ix(m))] + [_narrow(r, m) for r, _ in segments])
         val = np.concatenate([np.zeros(0, dtype=np.int8)] + [v for _, v in segments])
         A = _segs(m, n, ctx.k, step, ptr, idx, val.astype(np.int8, copy=False), first, count)
-        if ctx.p != 2:
-            return cls._wrap(ctx, A, n)
-        W = np.zeros((m, -(-n // 64)), dtype=np.uint64)
-        for s, (f, q) in enumerate(zip(A.first.tolist(), A.count.tolist())):
-            r = A.idx[A.ptr[s]:A.ptr[s + 1]].astype(np.int64)
-            for t in range(q):
-                j = f + t * step
-                W[r + t * ctx.k, j >> 6] |= np.uint64(1 << (j & 63))
-        return cls._wrap(ctx, W, n)
+        return cls._wrap(ctx, A, n)
 
     @property
     def data(self) -> np.ndarray:
         """The GF(p) matrix as int64 residues, a copy made on every read (small
-        matrices only): over GF(2) the packed rows unpacked, otherwise the
-        segments densified."""
-        if self.ctx.p != 2:
+        matrices only): the segments densified, or a product's packed rows
+        unpacked."""
+        if isinstance(self._a, _Segs):
             return _gather(self._a, np.arange(self._a.m), np.arange(self._ncols)).astype(np.int64)
         return np.unpackbits(self._a.view(np.uint8), axis=1, count=self._ncols,
                              bitorder="little").astype(np.int64)
 
     @property
     def rows(self) -> int:
-        m = self._a.shape[0] if self.ctx.p == 2 else self._a.m
-        return m // self.ctx.k
+        return (self._a.m if isinstance(self._a, _Segs) else len(self._a)) // self.ctx.k
 
     @property
     def cols(self) -> int:
@@ -207,17 +185,23 @@ class DenseMatrix:
         """The composition c -> self sigma^-1(other sigma^-1(c))."""
         if self.ctx != other.ctx or self.cols != other.rows:
             raise LinAlgError("matmul shape/field mismatch")
-        return _rows_times(self, None, other)
+        return _rows_times(_factor(self), np.arange(self.rows * self.ctx.k), _factor(other))
 
 
-def _rows_times(N: DenseMatrix, rows: np.ndarray | None, M: DenseMatrix) -> DenseMatrix:
-    """The GF(p) rows `rows` (all if None) of N times M: over GF(2) packed rows
-    by packed rows, otherwise N's rows densified to int8 residues times M's
-    segments."""
-    if N.ctx.p == 2:
-        a = N._a if rows is None else N._a[rows]
-    else:
-        a = _gather(N._a, np.arange(N._a.m) if rows is None else rows, np.arange(N._ncols))
+def _factor(M: DenseMatrix) -> DenseMatrix:
+    """M as a factor of products: over GF(2) its packed rows (_packed), made
+    from its segments unless M is a product already; otherwise M itself."""
+    if M.ctx.p != 2 or not isinstance(M._a, _Segs):
+        return M
+    return DenseMatrix._wrap(M.ctx, _packed(M._a, np.arange(M._a.m), np.arange(M._ncols)),
+                             M._ncols)
+
+
+def _rows_times(N: DenseMatrix, rows: np.ndarray, M: DenseMatrix) -> DenseMatrix:
+    """The GF(p) rows `rows` of N times M, both as _factor gives them: over
+    GF(2) packed rows by packed rows, otherwise N's rows densified to int8
+    residues times M's segments."""
+    a = N._a[rows] if N.ctx.p == 2 else _gather(N._a, rows, np.arange(N._ncols))
     return DenseMatrix._wrap(N.ctx, _matmul(a, M._a, N.ctx.p), M._ncols)
 
 
@@ -320,7 +304,7 @@ def _columns(m: int, unit: int, blocks: Iterable[np.ndarray]) -> _Segs:
 
 
 def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for packed rows (_gf2_pack), b with one row per column
+    """a @ b over GF(2) for packed rows (_packed), b with one row per column
     of a, by the method of Four Russians (Albrecht-Bard-Hart, ACM TOMS 37(1),
     2010).
 
@@ -351,15 +335,19 @@ def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return C
 
 
-def _gf2_pack(bits: np.ndarray) -> np.ndarray:
-    """0/1 rows as uint64 words, little-endian: column c is bit c%64 of word
-    c//64, so byte j of the uint8 view holds columns 8j..8j+7.  Padding bits
-    are zero."""
-    rows, cols = bits.shape
-    nbytes = -(-cols // 8)
-    packed = np.zeros((rows, -(-nbytes // 8) * 8), dtype=np.uint8)
-    packed[:, :nbytes] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    return packed.view(np.uint64)
+def _packed(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[rows][:, cols] over GF(2) as packed rows of uint64 words: column c is
+    bit c%64 of word c//64, little-endian, so byte j of the uint8 view holds
+    columns 8j..8j+7, and padding bits are zero.  The columns are gathered in
+    blocks of whole words, each about _STRIP entries or one word wide, so no
+    temporary has one element per entry."""
+    W = np.zeros((rows.size, -(-cols.size // 64)), dtype=np.uint64)
+    w = 64 * max(1, _STRIP // (64 * max(rows.size, 1)))
+    for c0 in range(0, cols.size, w):
+        bits = np.packbits(_gather(A, rows, cols[c0:c0 + w]).view(np.uint8), axis=1,
+                           bitorder="little")
+        W.view(np.uint8)[:, c0 // 8:c0 // 8 + bits.shape[1]] = bits
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -375,27 +363,29 @@ def rank(M: DenseMatrix) -> int:
 def _row_basis(M: DenseMatrix) -> tuple[int, np.ndarray]:
     """(rank of M over GF(p^k), pivot rows of the stored GF(p) matrix): k times
     that rank distinct row indices whose rows span its row space."""
-    p = M.ctx.p
-    r, rows = _rank_gf2(M._a) if p == 2 else _rank_mod_p(M._a, p)
+    A = M._a
+    r, rows = _rank_segs(A, M.ctx.p) if isinstance(A, _Segs) else _rank_gf2(A)
     rho, rem = divmod(r, M.ctx.k)
     if rem:
         raise InternalConsistencyError(f"GF(p) rank not a multiple of k={M.ctx.k}")
     return rho, rows
 
 
-def _rank_mod_p(A: _Segs, p: int) -> tuple[int, np.ndarray]:
-    """Rank of shifted segments over odd GF(p) and their pivot rows: the
-    singleton pivots (_singleton_pivots), then _rank_blocked, in place, on
-    the gathered leftover submatrix only."""
+def _rank_segs(A: _Segs, p: int) -> tuple[int, np.ndarray]:
+    """Rank of shifted segments over GF(p) and their pivot rows: the singleton
+    pivots (_singleton_pivots), then the leftover submatrix only, packed for
+    _rank_gf2 over GF(2), else int8 residues that _rank_blocked eliminates in
+    place.  No GF(2) Cartier matrix tried leaves one; none is assumed."""
     prows, rows, cols = _singleton_pivots(A)
     if rows.size == 0 or cols.size == 0:
         return prows.size, prows
-    r, lrows = _rank_blocked(_gather(A, rows, cols), p)
+    r, lrows = _rank_gf2(_packed(A, rows, cols)) if p == 2 else \
+        _rank_blocked(_gather(A, rows, cols), p)
     return prows.size + r, np.concatenate((prows, rows[lrows]))
 
 
 def kernel_dim(M: DenseMatrix) -> int:
-    """cols - rank, by Gaussian elimination; rank + nullity = cols by construction."""
+    """cols - rank; rank + nullity = cols by construction."""
     return M.cols - rank(M)
 
 
@@ -417,6 +407,7 @@ def _singleton_pivots(A: _Segs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     column's from its segment.
     """
     rdeg, rsum, cdeg, csum, cells = _pattern(A)
+    rlen, clen = rdeg.copy(), cdeg.copy()  # entries of each line, dead ones included
 
     def row_entries(rows):
         return _row_entries(A, cells, rows)
@@ -427,8 +418,8 @@ def _singleton_pivots(A: _Segs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     rlive, clive = np.ones(A.m, dtype=bool), np.ones(A.seg.size, dtype=bool)
     while True:
-        got = (_pivot_singletons(cdeg, csum, clive, rlive, row_entries)
-               + _pivot_singletons(rdeg, rsum, rlive, clive, column_entries))
+        got = (_pivot_singletons(cdeg, csum, clive, rlive, row_entries, rlen)
+               + _pivot_singletons(rdeg, rsum, rlive, clive, column_entries, clen))
         if not got:
             return (np.flatnonzero(~rlive), np.flatnonzero(rlive & (rdeg > 0)),
                     np.flatnonzero(clive & (cdeg > 0)))
@@ -545,25 +536,27 @@ def _row_entries(A: _Segs, cells, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(rows, per_row), cols
 
 
-def _pivot_singletons(deg, lsum, live, olive, entries) -> int:
+def _pivot_singletons(deg, lsum, live, olive, entries, size) -> int:
     """One batch of _singleton_pivots on the lines of one side.
 
     Every live line of degree 1 whose partner (lsum) is not yet taken becomes
     a pivot; line and partner die, and the partners' entries, (owner, index)
-    pairs from entries(partners), are subtracted from deg and lsum.
+    pairs from entries(partners), are subtracted from deg and lsum, read in
+    strips of about _STRIP entries by the partners' sizes (all their entries).
     """
     lines = np.nonzero(live & (deg == 1))[0]
     partners, first = np.unique(lsum[lines], return_index=True)
-    owner, hit = entries(partners)
-    np.subtract.at(deg, hit, 1)
-    np.subtract.at(lsum, hit, owner)
+    for c0, c1 in _chunks(size[partners]):
+        owner, hit = entries(partners[c0:c1])
+        np.subtract.at(deg, hit, 1)
+        np.subtract.at(lsum, hit, owner)
     live[lines[first]] = False
     olive[partners] = False
     return partners.size
 
 
 def _rank_gf2(words: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank over GF(2) of packed rows (_gf2_pack) and its pivot rows, by M4RI
+    """Rank over GF(2) of packed rows (_packed) and its pivot rows, by M4RI
     elimination (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010; Bard 2006) on a
     private copy.
 
@@ -721,12 +714,13 @@ def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
     (on the stored GF(p) matrices, where the twisted product is a plain
     one), so the pivot rows of M^(r-1) times M have the rank of M^r.  That
     product has as many rows as the GF(p) rank of M^(r-1), which shrinks as r
-    grows.  No product is formed past R, nor once the kernel is the whole
-    space.  On the Cartier matrices it gets there: V is nilpotent, as every
-    level has base genus 0 and one totally ramified branch point, so its
-    p-rank, the Deuring-Shafarevich count p^n (d_0 + |S| - 1) - (|S| - 1), is
-    0.  The sequence must be nondecreasing with concave increments; a
-    violation raises InternalConsistencyError.
+    grows; over GF(2) M is packed once, for the first product (_factor).  No
+    product is formed past R, nor once the kernel is the whole space.  On the
+    Cartier matrices it gets there: V is nilpotent, as every level has base
+    genus 0 and one totally ramified branch point, so its p-rank, the
+    Deuring-Shafarevich count p^n (d_0 + |S| - 1) - (|S| - 1), is 0.  The
+    sequence must be nondecreasing with concave increments; a violation
+    raises InternalConsistencyError.
     """
     if not M.is_square():
         raise LinAlgError("twisted powers need a square matrix")
@@ -734,6 +728,8 @@ def twisted_power_kernels(M: DenseMatrix, R: int) -> list[int]:
     N = M
     while len(dims) < R and (not dims or dims[-1] < M.cols):
         if dims:
+            if N is M:  # the first product: M and its pivot rows from one _factor
+                N = M = _factor(M)
             N = _rows_times(N, rows, M)
         rho, rows = _row_basis(N)
         dims.append(M.cols - rho)

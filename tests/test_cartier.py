@@ -111,11 +111,13 @@ def test_apply_on_basis_matches_matrix_columns(rng):
                 assert (vec.ravel() == data[:, int(col) * k + b]).all()
 
 
-def test_gf2_matrix_stays_packed():
-    # At g = 885 an array with one int64 per GF(2) entry takes g^2 * 8 = 6.3 MB.
-    # Packed, the matrix is g * ceil(g / 64) * 8 = 99 KB, and assembly, the two
-    # products and the three ranks hold a few such arrays at a time, so 2 MB
-    # is far below any one-entry-per-element array.
+def test_gf2_matrix_has_no_array_per_entry():
+    # At g = 885 the GF(2) matrix has g^2 = 783k entries: an array of one int64
+    # each takes 6.3 MB, of one int32 each 3.1 MB.  The matrix is segments of
+    # its tables' cells; the singleton pass and the packing of M for the
+    # products read them in strips of about _STRIP entries; the products and
+    # their ranks hold packed rows, at most g * ceil(g / 64) * 8 = 99 KB each,
+    # a few at a time.  So 2 MB is below any array of int32 or wider per entry.
     suite = SUITES["p2d21"]
     st = tower(F2, suite["terms"], 4)
     CartierTables(st).ensure(4)
@@ -171,15 +173,15 @@ def test_odd_p_matrix_stays_int8(p3d7_level_4):
 # -- Cartier matrices as shifted segments, against bool patterns and dense ---------
 
 def segment_tower(name):
-    if name == "gf9":
-        return _digest_tower("gf9")
-    return F3, SUITES[name]["terms"]
+    return (F3, SUITES[name]["terms"]) if name == "p3d5" else _digest_tower(name)
 
 
-@pytest.mark.parametrize("name,top", [("p3d7", 4), ("p3d5", 3), ("gf9", 3)])
+@pytest.mark.parametrize("name,top", [("p3d7", 4), ("p3d5", 3), ("gf9", 3), ("p2d21", 5),
+                                      ("gf4", 4)])
 def test_cartier_singleton_pivots_match_bool_pattern(name, top, request):
     # the pivots of the segments' degrees, sums and row windows are those of
-    # the matrix's bool pattern, on GF(9) too, where rows move by q k = 2 q
+    # the matrix's bool pattern, over GF(2) and on GF(4) and GF(9) too, where
+    # rows move by q k = 2 q
     if name == "p3d7":
         st = request.getfixturevalue("p3d7_level_4")
     else:
@@ -194,7 +196,7 @@ def test_cartier_singleton_pivots_match_bool_pattern(name, top, request):
                    zip(linalg._pattern(A)[:4], [pattern[i] for i in (1, 2, 4, 5)])), n
 
 
-@pytest.mark.parametrize("name", ["p3d7", "p3d5", "gf9"])
+@pytest.mark.parametrize("name", ["p3d7", "p3d5", "gf9", "p2d21", "gf4"])
 def test_cartier_segments_match_dense_recomputation(name):
     # .data and M @ M of the segment matrices, levels 1-3, against the matrix
     # assembled densely, column by column, from the tables

@@ -243,6 +243,19 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
         assert "internal consistency failure" in r.output
 
 
+def test_memory_error_exits_4(runner, specfile, tmp_path, monkeypatch):
+    # a failed allocation, such as numpy's in a universal peel too large for the
+    # address space, is not a verification mismatch (exit 1), and no record is kept
+    def refuse(p, length, cache_dir=None):
+        raise MemoryError(f"Unable to allocate the peel polynomials of length {length}")
+    monkeypatch.setattr(tower, "peel_polynomials", refuse)
+    data = tmp_path / "d"
+    r = runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile), "-n", "2"])
+    assert r.exit_code == 4, r.output
+    assert "out of memory: Unable to allocate" in r.output
+    assert not (data / "results.jsonl").exists()
+
+
 def test_engine_break_sequence_fault_exits_3(runner, specfile, tmp_path, monkeypatch):
     # s(4) = s(3) is no break sequence; it comes from the engine, not the spec file
     import zptower.tower as tower

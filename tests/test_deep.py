@@ -1,11 +1,12 @@
 """Opt-in deep lane: `pytest -m deep` recomputes fixture levels that the
 default run leaves out.  Times on a 2-vCPU host: each p=2 level-6 test takes
-about 25 s and a few hundred MB; each p=2 level-7 test 6-7 min and about
-1.5 GB, two fifths of it in the tower build and Cartier tables and most of the
-rest in the two twisted products; each p=3 level-4 test about 7 s and
-120-130 MB; each p=3 level-5 test 14-23 s, of which the p3d7 level-5 tables
-take about 17 s, and 0.22 GB (p3d7) or 0.24-0.27 GB (p3d5, p3d5-variant);
-the p=2 length-7 peel about 12 s and 270-295 MB."""
+about 13 s and 136 MB; each p=2 level-7 test about 3 min and 1.35 GB, a fifth
+of it in the tower build and Cartier tables and most of the rest in the two
+twisted products, whose packed rows set the peak (r = 1 alone peaks at the
+build's 273 MB); each p=3 level-4 test about 7 s and 120-130 MB; each p=3
+level-5 test 14-23 s, of which the p3d7 level-5 tables take about 17 s, and
+0.22 GB (p3d7) or 0.24-0.27 GB (p3d5, p3d5-variant); the p=2 length-7 peel
+about 9 s and 285-310 MB."""
 
 import hashlib
 import resource

@@ -145,8 +145,8 @@ def test_rank_multi_panel(rng):
     assert _rank_blocked(C.astype(np.int8), 3)[0] == naive_rank(C.copy(), 3) == 90
 
 
-# packed GF(2) rows: no rows, no columns, one partial word, whole words and
-# words plus a few columns
+# GF(2) shapes around the packed words of products: no rows, no columns, one
+# partial word, whole words and words plus a few columns
 @pytest.mark.parametrize("shape", [(0, 0), (0, 70), (70, 0), (9, 1), (70, 63), (70, 64),
                                    (9, 65), (131, 130)])
 def test_gf2_packed_shapes(shape, rng):
@@ -157,6 +157,8 @@ def test_gf2_packed_shapes(shape, rng):
         assert (M.rows, M.cols) == shape and M.data.shape == shape
         assert (M.data == A).all()
         assert rank(M) == naive_rank(A.copy(), 2)
+        P = M @ DenseMatrix(F2, np.eye(n, dtype=np.int64))  # packed factors and result
+        assert (P.rows, P.cols) == shape and (P.data == A).all() and rank(P) == rank(M)
     Z = DenseMatrix(F2, np.zeros(shape))
     assert (Z.rows, Z.cols) == shape and Z.data.shape == shape
     assert not Z.data.any() and rank(Z) == 0
@@ -291,16 +293,25 @@ def check_pattern(M):
 
 # strips of the default size, of one cell and of seven cells
 @pytest.mark.parametrize("strip", [linalg._STRIP, 1, 7])
-@pytest.mark.parametrize("p", [3, 13])
+@pytest.mark.parametrize("p", [2, 3, 13])
 def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
     monkeypatch.setattr(linalg, "_STRIP", strip)
-    shared = 0
+    shared = left = 0
     for F in (field(p), field(p, 2)):
         for _ in range(20):
             rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
             M = random_shifted(rng, F, rows, cols, float(rng.uniform(0.02, 0.3)))
             shared += M._a.count.max() > 1  # columns that share a segment
             check_pattern(M)
+            # the rank of segments with the leftover's: the GF(2) Cartier
+            # matrices leave none, these often do; over GF(p^2) the random
+            # segments need not be semilinear, so the GF(p) rank is checked
+            _, lrows, lcols = _singleton_pivots(M._a)
+            left += lrows.size > 0 and lcols.size > 0
+            r, prows = linalg._rank_segs(M._a, p)
+            D = M.data
+            assert r == naive_rank(D, p) == naive_rank(D[prows], p) == np.unique(prows).size
+            assert F.k > 1 or rank(M) == r
             # the same pattern from caller data: one segment per column
             A = sparse_entries(rng, F, (rows * F.k, cols * F.k), float(rng.uniform(0.02, 0.3)))
             A = A if F.k == 1 else A[..., 0]
@@ -308,7 +319,7 @@ def test_streamed_pattern_matches_bool_pattern(p, strip, rng, monkeypatch):
             A[:, rng.random(A.shape[1]) < 0.2] = 0  # empty columns
             check_pattern(DenseMatrix(F, A))
         assert (M._a.idx.dtype, _pattern(M._a)[4][2].dtype) == (np.uint16,) * 2  # m, n <= 2^16
-    assert shared > 20
+    assert shared > 20 and left > 5
 
 
 # -- index widths: uint16 up to 2^16 lines, int32 past that ------------------
@@ -457,7 +468,8 @@ def test_singleton_row_meets_singleton_column(rng):
     assert pattern_pivots(one != 0)[0].size == 1 and check_rank(one, field(13)) == 1
 
 
-@pytest.mark.parametrize("F", [F3, field(13), field(3, 2)], ids=["GF3", "GF13", "GF9"])
+@pytest.mark.parametrize("F", [F2, F3, field(13), field(2, 2), field(3, 2)],
+                         ids=["GF2", "GF3", "GF13", "GF4", "GF9"])
 def test_singleton_pass_thin_shapes(F, rng):
     for n in (1, 2, 9):
         for shape in [(1, n), (n, 1)]:
