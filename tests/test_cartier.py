@@ -440,6 +440,12 @@ TABLE_DIGESTS = {
             "8944ddc9c80ccd14528295dbea9aeb187d00e8f22153a7458ef93023f2f3f738",
             "dcb5822125a19a179ab76e1faf5bcca71af87e81ef349df86f797f21cc727bda",
             "9b6f5f634372971604d5a1fa2cd9bf8d48652b7abc8703fef3594c71d00d372c"],
+    # GF(8): the one degree here whose field polynomial leaves two reduction
+    # rows, t^3 and t^4; recorded at e547a90
+    "gf8": ["5d372d85d7d5fae34b68d84efdc356cffd153a700d7033ce3585b1b6a1847130",
+            "412b87dc006c21fcce559945c788d4f7c93e99e011919ccca74ab40e3e5113c7",
+            "b7d2e929f69c51ece216026666567316669712f915c33de314a024e66efa5c01",
+            "19e524daf7501449ccf56d216ebb66611be00b5019db7e45853b0dd15823a839"],
     "gf9": ["3ab6f7409ea48c09d586cc80d7f5729630dc9f388a926f78e0903a7144447ac4",
             "948ec3530f6d351211be324a52bec09078750843085aa5a19716459e07aee978",
             "d8b2c2d67b2af2bc7921d28055555c5c8f515b1881de66723e74012915007549"],
@@ -451,9 +457,11 @@ TABLE_DIGESTS = {
 
 
 def _digest_tower(name):
-    F4, F9 = field(2, 2), field(3, 2)
+    F4, F8, F9 = field(2, 2), field(2, 3), field(3, 2)
+    t8 = gen(F8)
     return {"p3d7": (F3, SUITES["p3d7"]["terms"]), "p2d21": (F2, SUITES["p2d21"]["terms"]),
             "gf4": (F4, [(0, gen(F4), 5), (0, 1, 3)]),
+            "gf8": (F8, [(0, t8, 7), (0, t8 * t8 + 1, 3)]),
             "gf9": (F9, [(0, gen(F9), 7), (0, 1, 5)]), "gf13": (field(13), [(0, 1, 2)])}[name]
 
 
