@@ -13,8 +13,12 @@ All products run through one batched x-convolution, _xconv: it gathers many
 (k, X) blocks and the blocks they multiply and forms every product with GEMMs
 of shift blocks against a sliding-window (Toeplitz) copy, in chunks whose
 temporaries hold about _CONV_CHUNK elements, adding the results into target
-y-codes by integer key arithmetic.  mul_pairs forms many sums of products a b
-at once, one _xconv per distinct a against the stacked blocks of its b's, and
+y-codes by integer key arithmetic.  It is GF(p)-bilinear and knows no field
+polynomial: over GF(p^k) its callers pass each coefficient of one factor as
+its k x k GF(p) matrix (gf's restriction of scalars: FieldCtx.mul_matrices,
+and for V the sigma^-1-twisted FieldCtx.semilinear_blocks), so one float
+reduction serves every k.  mul_pairs forms many sums of products a b at
+once, one _xconv per distinct a against the stacked blocks of its b's, and
 then reduces them all in one loop of waves (_finish_reduce), one batched
 product of the overflowing blocks with f_j per wave; mul is its one-pair case.
 ymul forms many products y^code f in that same reduction, each keyed by its
@@ -23,7 +27,8 @@ about _REDUCE_BATCH elements, one reduction each.  lincomb forms GF(p)
 combinations of slabs, and v_apply applies V to a sequence of forms, each
 by groups padded to their longest member (_padded_groups): one float
 product of coefficients and slabs, or one convolution of every Cartier
-table entry against the p-th-root cofactors of all the group's forms.
+table entry, as the matrices of c -> entry sigma^-1(c), against the
+p-th-root cofactors of all the group's forms.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -170,12 +175,10 @@ _KEY_BITS = 6  # bits per y-digit in the integer keys of unreduced y-exponents (
 def batches(sizes: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
     """The consecutive ranges [i, j) that cover sizes, each the longest from i
     whose sizes sum to at most budget, and at least one long."""
+    ends = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     i = 0
     while i < len(sizes):
-        j, total = i + 1, sizes[i]
-        while j < len(sizes) and total + sizes[j] <= budget:
-            total += sizes[j]
-            j += 1
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] + budget, side="right")) - 1)
         yield i, j
         i = j
 
@@ -195,11 +198,13 @@ def _padded_groups(widths: np.ndarray, unit, budget: int) -> Iterator[np.ndarray
 
 
 def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.ndarray,
-           ctx: FieldCtx) -> None:
-    """into[rows[t, g]] += sum_e a[e][t] * h[e, g] in GF(p^k)[x], for every row t
-    of the a[e] and every block g of h.
+           p: int) -> None:
+    """into[rows[t, g]] += sum_e a[e][t] h[e, g] in GF(p)^k[x], for every row t
+    of the a[e] and every block g of h: a[e][t] is a polynomial in x with k x k
+    GF(p) matrix coefficients (FieldCtx.mul_matrices or semilinear_blocks)
+    acting on the coefficient vectors of h[e, g].
 
-    a[e] is a (T, k, La_e) residue array, h an (E, G, k, Lh) one and rows a
+    a[e] is a (T, k, k, La_e) residue array, h an (E, G, k, Lh) one and rows a
     (T, G) array of row indices into the integer array `into`, which is at
     least max La_e + Lh - 1 long in x and is left unreduced; no row of `rows`
     repeats an index.  Each (t, g) adds one reduced block, so `into` may be
@@ -207,27 +212,27 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
 
     GEMMs form every product.  The entries e with a nonzero a[e] and h[e] are
     taken longest first, and each a[e] is cut into shift blocks of b x-powers:
-    block s of every entry is one (T k) x (E b) matrix whose nonzero columns
-    are a prefix, since a shorter entry ends sooner.  It multiplies the
-    sliding-window (Toeplitz) copy of h over b shifts, whose row (e, c) and
-    column (g, j, m) hold h[e, g, j, m - b + 1 + c], and the result is added
-    into the accumulator at x-offset s b.  b balances that window copy, E b
+    block s of every entry is one (T k) x (E k b) matrix whose nonzero
+    columns are a prefix, since a shorter entry ends sooner.  It multiplies
+    the sliding-window (Toeplitz) copy of h over b shifts, whose row (e, j, c)
+    and column (g, m) hold h[e, g, j, m - b + 1 + c], and the result is added
+    into the accumulator at x-offset s b.  b balances that window copy, E k b
     rows, against the accumulator additions, T k rows per shift block, so it
-    is about sqrt(La T k / E); when the whole window copy over all La shifts
-    is small, b = La and each chunk is one GEMM.  Entry (t, i), (g, j, n) of
-    the accumulator is the coefficient of x^n in sum_e a[e][t, i] h[e, g, j];
-    the k^2 coefficient products then fold modulo the field polynomial
-    (ctx.fold).  The sum is exact: it adds at most sum_e La_e products of
-    residues below p, and check_float_exact picks the float type for that
-    many: float32 while sum_e La_e (p-1)^2 is below 2^24, so that every
-    partial sum is an integer float32 holds exactly, float64 below 2^53 (for
-    p <= 13 that allows 6e13 terms).
+    is about sqrt(La T / E); when the whole window copy over all La shifts
+    is small, b = La and each chunk is one GEMM.  Entry (t, i), (g, n) of the
+    accumulator is the coefficient of x^n in component i of
+    sum_e a[e][t] h[e, g], reduced mod p by float_mod.  The sum is exact: it
+    adds at most k sum_e La_e products of residues below p, and
+    check_float_exact picks the float type for that many: float32 while
+    k sum_e La_e (p-1)^2 is below 2^24, so that every partial sum is an
+    integer float32 holds exactly, float64 below 2^53 (for p <= 13 that
+    allows 6e13 terms).
 
     The blocks g go in chunks, then the entries, then x-pieces of h.  The
     temporaries alive together (the accumulator with either a piece of h, its
     gather and window copies and one GEMM result, or the int64 residues of a
     group of the accumulator's rows and their scatter copy) hold at most
-    _CONV_CHUNK elements.  When one block's accumulator, T k^2 (Lh + La)
+    _CONV_CHUNK elements.  When one block's accumulator, T k (Lh + La)
     elements, alone takes more than half of that, a chunk is that one block
     and its other temporaries stay within half of _CONV_CHUNK.  A chunk takes
     at least one column of h and one row of the accumulator, and b is capped
@@ -235,16 +240,15 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     a, a copy of the live a[e] padded to a multiple of b, come on top; they
     are built once per call.
     """
-    p, k = ctx.p, ctx.k
-    E, G, _, Lh = h.shape
+    E, G, k, Lh = h.shape
     T = rows.shape[0]
     if not (E and G and T):
         return
     srt = np.sort(rows, axis=1)
     if np.any(srt[:, 1:] == srt[:, :-1]):
         raise InternalConsistencyError("x-convolution sends two blocks of one row to one target")
-    la = np.array([x.shape[2] for x in a])
-    inner = int(la.sum())
+    la = np.array([x.shape[3] for x in a])
+    inner = k * int(la.sum())
     dt = check_float_exact(inner, p)
     live = np.flatnonzero(h.reshape(E, -1).any(axis=1) & np.array([x.any() for x in a]))
     if not live.size:
@@ -254,24 +258,25 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     if Ev * L * G * k * (Lh + L) <= _CONV_CHUNK // 4:
         b = L
     else:
-        b = max(1, min(L, round(math.sqrt(L * T * k / Ev)), math.isqrt(_CONV_CHUNK // (12 * k)),
-                       _CONV_CHUNK // (12 * T * k * k)))
+        b = max(1, min(L, round(math.sqrt(L * T / Ev)), math.isqrt(_CONV_CHUNK // (12 * k)),
+                       _CONV_CHUNK // (12 * T * k)))
     nb = -(-L // b)
-    # A[s][(t, i), (e, c)] = a[e][t, i, s b + b - 1 - c], zero past La_e
-    A = np.zeros((nb, T, k, Ev, b), dtype=dt)
+    # A[s][(t, i), (e, j, c)] = a[e][t, i, j, s b + b - 1 - c], zero past La_e
+    A = np.zeros((nb, T, k, Ev, k, b), dtype=dt)
     for col, e in enumerate(order.tolist()):
         q, rem = divmod(int(la[e]), b)
         if q:
-            A[:q, :, :, col, ::-1] = a[e][:, :, :q * b].reshape(T, k, q, b).transpose(2, 0, 1, 3)
+            blocks = a[e][..., :q * b].reshape(T, k, k, q, b)
+            A[:q, :, :, col, :, ::-1] = blocks.transpose(3, 0, 1, 2, 4)
         if rem:
-            A[q, :, :, col, b - rem:] = a[e][:, :, q * b:][:, :, ::-1]
-    A = A.reshape(nb, T * k, Ev * b)
-    width = b * np.searchsorted(-la[order], -b * np.arange(nb))  # entries longer than s b
+            A[q, :, :, col, :, b - rem:] = a[e][..., q * b:][..., ::-1]
+    A = A.reshape(nb, T * k, Ev * k * b)
+    width = k * b * np.searchsorted(-la[order], -b * np.arange(nb))  # entries longer than s b
     W = Lh + nb * b - 1  # the accumulator's x-length; past L + Lh - 1 it stays zero
     nout = L + Lh - 1
     # elements per block: the accumulator; per column of a piece of h: the
     # window copy, padded piece and gather of each entry, and one GEMM result
-    acc1, ent, res = T * k * k * W, (b + 2) * k, T * k * k
+    acc1, ent, res = T * k * W, (b + 2) * k, T * k
     room = max(_CONV_CHUNK - acc1, _CONV_CHUNK // 2)
     if acc1 + (Ev * ent + res) * (Lh + 2 * b) <= _CONV_CHUNK:
         cg, ce, cx = min(G, _CONV_CHUNK // (acc1 + (Ev * ent + res) * (Lh + 2 * b))), Ev, Lh
@@ -282,7 +287,7 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
     distinct = T == 1 or np.unique(rows).size == rows.size
     for g0 in range(0, G, cg):
         g1 = min(G, g0 + cg)
-        acc = np.zeros((T * k, (g1 - g0) * k, W), dtype=dt)
+        acc = np.zeros((T * k, g1 - g0, W), dtype=dt)
         for x0 in range(0, Lh, cx):
             x1 = min(Lh, x0 + cx)
             m = x1 - x0 + b - 1
@@ -291,39 +296,30 @@ def _xconv(a: Sequence[np.ndarray], h: np.ndarray, rows: np.ndarray, into: np.nd
                 # hp[..., r] = h[..., x0 - b + 1 + r], zero outside h
                 hp = np.zeros((c1 - c0, g1 - g0, k, m + b - 1), dtype=dt)
                 hp[..., b - 1:m] = h[order[c0:c1], g0:g1, :, x0:x1]
-                # the window view (e, c, g, j, m) -> hp[e, g, j, c + m], copied
+                # the window view (e, j, c, g, m) -> hp[e, g, j, c + m], copied
                 # contiguous: BLAS does not take its overlapping strides
                 se, sg, sj, sx = hp.strides
-                toe = np.ndarray((c1 - c0, b, g1 - g0, k, m), dt, hp, 0, (se, sx, sg, sj, sx))
-                toe = np.ascontiguousarray(toe).reshape((c1 - c0) * b, -1)
+                toe = np.ndarray((c1 - c0, k, b, g1 - g0, m), dt, hp, 0, (se, sj, sx, sg, sx))
+                toe = np.ascontiguousarray(toe).reshape((c1 - c0) * k * b, -1)
                 # each temporary is freed before the next one of its kind is
                 # made, so that it counts once against _CONV_CHUNK
                 del hp
                 for s in range(nb):
-                    hi = min(int(width[s]), c1 * b)
-                    if hi <= c0 * b:
+                    hi = min(int(width[s]), c1 * k * b)
+                    if hi <= c0 * k * b:
                         break  # width falls with s
-                    part = A[s, :, c0 * b:hi] @ toe[:hi - c0 * b]
-                    acc[:, :, x0 + s * b:x0 + s * b + m] += part.reshape(T * k, (g1 - g0) * k, m)
+                    part = A[s, :, c0 * k * b:hi] @ toe[:hi - c0 * k * b]
+                    acc[:, :, x0 + s * b:x0 + s * b + m] += part.reshape(T * k, g1 - g0, m)
                     del part
                 del toe
         # acc holds exact integers, below 2^24 in float32 and 2^53 in
         # float64, so float_mod reduces it exactly (and far faster than an
-        # int64 cast and %); for k > 1 the int64 cast is exact and ctx.fold
-        # reduces the k^2 coefficient products
-        tr = max(1, max(_CONV_CHUNK - acc.size, _CONV_CHUNK // 2) // (3 * k * k * (g1 - g0) * nout))
+        # int64 cast and %)
+        tr = max(1, max(_CONV_CHUNK - acc.size, _CONV_CHUNK // 2) // (3 * k * (g1 - g0) * nout))
         for t0 in range(0, T, tr):
             t1 = min(T, t0 + tr)
-            if k == 1:
-                vals = float_mod(acc[t0:t1, :, None, :nout], p).astype(np.int64)
-            else:
-                out = acc[t0 * k:t1 * k, :, :nout].astype(np.int64)
-                out = out.reshape(t1 - t0, k, g1 - g0, k, nout)
-                raw = np.zeros((t1 - t0, g1 - g0, 2 * k - 1, nout), dtype=np.int64)
-                for i in range(k):
-                    raw[:, :, i:i + k] += out[:, i]
-                vals = ctx.fold(raw, axis=2)
-                del out, raw
+            vals = float_mod(acc[t0 * k:t1 * k, :, :nout], p).reshape(t1 - t0, k, g1 - g0, nout)
+            vals = vals.transpose(0, 2, 1, 3).astype(np.int64)  # (t, g, i, n)
             if distinct:
                 into[rows[t0:t1, g0:g1], :, :nout] += vals
             else:
@@ -380,7 +376,7 @@ def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -
                           * (a.arr.shape[2] + b.arr.shape[2] - 1) for a, b, _ in pairs])
     bounds = np.searchsorted(idx, np.arange(size.size + 1))
     out: list[Slab] = []
-    for first, end in batches(size.tolist(), _REDUCE_BATCH):
+    for first, end in batches(size, _REDUCE_BATCH):
         top = _index_top(end - first, lvl)
         by_a: dict[int, tuple[Slab, list[tuple[Slab, int]]]] = {}
         for a, b, i in pairs[bounds[first]:bounds[end]]:
@@ -407,7 +403,7 @@ def mul_pairs(pairs: Sequence[tuple[Slab, Slab, int]], layers: Sequence[Slab]) -
                           dtype=np.int64)
         at = 0
         for (x, h), t in zip(convs, targets):
-            _xconv([x], h, rows[at:at + t.size].reshape(t.shape), blocks, ctx)
+            _xconv([ctx.mul_matrices(x)], h, rows[at:at + t.size].reshape(t.shape), blocks, p)
             at += t.size
         del convs, targets, rows  # the stacked blocks of b, before the reduction
         out += _finish_reduce(keys, blocks, ctx, lvl, layers, end - first)
@@ -501,7 +497,8 @@ def _finish_reduce(keys: np.ndarray, blocks: np.ndarray, ctx: FieldCtx, lvl: int
         # each group's keys are distinct, so += adds every block
         nxt[rows[:nr], :, :blocks.shape[2]] += blocks[rest]
         nxt[rows[nr:nr + ns], :, :blocks.shape[2]] += blocks[sel]
-        _xconv([fj.arr[cf]], blocks[sel][None], rows[nr + ns:].reshape(prods.shape), nxt, ctx)
+        _xconv([ctx.mul_matrices(fj.arr[cf])], blocks[sel][None],
+               rows[nr + ns:].reshape(prods.shape), nxt, p)
         blocks = nxt
     del blocks
     return _materialize(ctx, lvl, nprod, done)
@@ -570,9 +567,10 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
     included, as p strided slices, so no shifted or padded copy is made.  The
     forms go in groups of similar cofactor length whose cofactor and output
     blocks hold at most _BATCH elements (at least one form); each group is one
-    batched convolution (_xconv) of every table entry against the cofactors,
-    with the image of form g in rows g S .. g S + S - 1.  Cofactors and
-    images are int8 residues.
+    batched convolution (_xconv) of every table entry, as the GF(p) matrices
+    of c -> entry sigma^-1(c) (FieldCtx.semilinear_blocks, built once per
+    call), against the cofactors, with the image of form g in rows
+    g S .. g S + S - 1.  Cofactors and images are int8 residues.
     """
     if not forms:
         return []
@@ -582,9 +580,9 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
     if any(f.level != n for f in forms):
         raise PolyError("v_apply takes forms of one level")
     S = p ** n
-    entries = [tables[(nu0, code)].arr for nu0 in range(p) for code in range(S)]
-    La = max(x.shape[2] for x in entries)
-    finv = ctx.inv_frob_matrix()
+    entries = [ctx.semilinear_blocks(tables[(nu0, code)].arr) for nu0 in range(p)
+               for code in range(S)]
+    La = max(x.shape[3] for x in entries)
     # cofactor lengths; forms of similar length go together, so few are padded far
     Qs = [-(-(f.arr.shape[2] + s) // p) for f, s in zip(forms, shifts)]
     images: list[Slab | None] = [None] * len(forms)
@@ -604,12 +602,10 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
                     q0 = (x0 + s - nu0) // p
                     view[g, :, :, q0:q0 + cnt, nu0] = f[:, :, x0::p]
         h = h5.reshape(p * S, G, k, Q)
-        if k > 1:
-            h = finv @ h % p
         # each row of out is the target of one (code, form) pair, so it
         # receives one reduced block and int8 holds it
         out = np.zeros((G * S, k, La + Q - 1), dtype=np.int8)
-        _xconv(entries, h, np.arange(G) * S + np.arange(S)[:, None], out, ctx)
+        _xconv(entries, h, np.arange(G) * S + np.arange(S)[:, None], out, p)
         for g, idx in enumerate(group.tolist()):
             images[idx] = Slab(ctx, n, out[g * S:(g + 1) * S]).trim()
     return images

@@ -9,7 +9,7 @@ divisible by p are normalized away with a warning.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (including a
 malformed spec file or a corrupt result-store record), 3 internal consistency
-failure, 4 out of memory.
+failure, 4 out of memory, 5 a file or directory could not be read or written.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .tower import (RamificationData, TowerSpec, TowerState, classify_monodromy,
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 3
 EXIT_MEMORY = 4
+EXIT_IO = 5
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +280,9 @@ def verify_suite(name: str, depth: int | None = None, data_dir=None) -> SuiteRes
 # ---------------------------------------------------------------------------
 
 class _Main(click.Group):
-    """Every command exits EXIT_INTERNAL on an internal consistency failure
-    and EXIT_MEMORY when an allocation fails."""
+    """Every command exits EXIT_INTERNAL on an internal consistency failure,
+    EXIT_MEMORY when an allocation fails and EXIT_IO when a file or directory
+    could not be read or written."""
 
     def invoke(self, ctx):
         try:
@@ -291,11 +293,15 @@ class _Main(click.Group):
         except MemoryError as exc:
             click.echo(f"out of memory: {exc}", err=True)
             sys.exit(EXIT_MEMORY)
+        except OSError as exc:  # str(exc) names the path
+            click.echo(f"file error: {exc}", err=True)
+            sys.exit(EXIT_IO)
 
 
 @click.group(cls=_Main)
 @click.option("--data-dir", envvar="ZPTOWER_DATA_DIR", default="zptower-data",
-              show_default=True, help="directory for caches and the result store")
+              type=click.Path(file_okay=False), show_default=True,
+              help="directory for caches and the result store")
 @click.pass_context
 def main(ctx, data_dir):
     """Exact Cartier-operator computations on towers of curves."""
@@ -308,7 +314,7 @@ def _store(ctx) -> Store:
 
 
 @main.command()
-@click.argument("specfile", type=click.Path(exists=True))
+@click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(1, 16))
 @click.pass_context
 def info(ctx, specfile, levels):
@@ -335,7 +341,7 @@ def info(ctx, specfile, levels):
 
 
 @main.command()
-@click.argument("specfile", type=click.Path(exists=True))
+@click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--levels", "-n", default=2, show_default=True, type=click.IntRange(min=0))
 @click.option("--powers", "-r", default=1, show_default=True, type=click.IntRange(min=1))
 @click.pass_context
@@ -348,7 +354,7 @@ def compute(ctx, specfile, levels, powers):
 
 
 @main.command()
-@click.argument("specfile", type=click.Path(exists=True))
+@click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(min=4))
 @click.option("--powers", "-r", default=1, show_default=True, type=click.IntRange(min=1))
 @click.pass_context

@@ -161,7 +161,7 @@ class FieldCtx:
     never mutated, so a context may be shared freely.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_f", "_redmat", "_inv_frob")
+    __slots__ = ("p", "k", "modulus", "order", "_f", "_redmat", "_mul_basis", "_semi_basis")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         if p not in SUPPORTED_PRIMES:
@@ -184,7 +184,11 @@ class FieldCtx:
         self.order = p ** k
         self._f = list(modulus) + [1] if k > 1 else [0, 1]  # the field polynomial
         self._redmat = self._build_redmat()
-        self._inv_frob = self._build_inv_frob()
+        # the GF(p) matrices of c -> t^i c and c -> t^i sigma^-1(c), i < k:
+        # column j of the first is t^(i+j), row i + j of the powers t^0..t^(2k-2)
+        powers = np.concatenate((np.eye(k, dtype=np.int64), self._redmat))
+        self._mul_basis = np.stack([powers[i:i + k].T for i in range(k)])
+        self._semi_basis = self._mul_basis @ self._build_inv_frob() % p
 
     # -- construction helpers ------------------------------------------------
 
@@ -235,39 +239,41 @@ class FieldCtx:
     def one(self) -> "FieldElement":
         return FieldElement(self, (1,) + (0,) * (self.k - 1))
 
-    # -- Frobenius as numpy maps (used by the dense kernel) ---------------------
+    # -- arrays: the lifted fold, and restriction of scalars to GF(p) -----------
 
-    def inv_frob_matrix(self) -> np.ndarray:
-        """Matrix of sigma^-1 acting on coefficient columns."""
-        return self._inv_frob
-
-    def fold(self, raw: np.ndarray, axis: int = 0, mod: int | None = None) -> np.ndarray:
-        """Reduce raw GF(p)[t] products of degree < 2k-1, laid out along `axis`,
-        to coefficient vectors: t^(k+s) becomes _redmat[s].  With `mod` = p^m,
-        reduce integer lifts modulo the lifted modulus and mod p^m instead
-        (witt's sums, where t is one more variable); raw's dtype must then
-        hold k mod^2."""
-        k, mod = self.k, mod or self.p
-        if k == 1:  # raw is already one coefficient long
-            return np.ascontiguousarray(raw % mod)
+    def fold(self, raw: np.ndarray, mod: int) -> np.ndarray:
+        """Reduce the rows of raw, integer lifts of GF(p)[t] products of degree
+        < 2k-1, modulo the lifted field polynomial and mod `mod` = p^m, to
+        (N, k) coefficient vectors: t^(k+s) becomes row s of the reduction
+        matrix mod p^m, which the monic modulus leaves one integer lift of.
+        witt's sums over GF(p^k), where t is one more variable, are its one
+        use; raw's dtype must hold k mod^2."""
+        k = self.k
         red = self._redmat if mod == self.p else self._build_redmat(mod)
-        raw = np.moveaxis(raw, axis, 0)
-        out = raw[:k] + np.tensordot(red.T, raw[k:], axes=1)
-        return np.ascontiguousarray(np.moveaxis(out % mod, 0, axis))
+        return np.ascontiguousarray((raw[:, :k] + np.tensordot(raw[:, k:], red, axes=1)) % mod)
 
     def mul_matrices(self, coeffs: np.ndarray) -> np.ndarray:
-        """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m c."""
-        k = self.k
-        # raw[n, i + j, j] = m_n[i]: column j is m_n t^j before folding
-        raw = np.zeros((coeffs.shape[0], 2 * k - 1, k), dtype=np.int64)
-        for j in range(k):
-            raw[:, j:j + k, j] = coeffs
-        return self.fold(raw, axis=1)
+        """(N, k, ...) residue vectors m along axis 1 -> (N, k, k, ...) GF(p)
+        matrices of c -> m c, the sum of m_i times that of c -> t^i c; for
+        k = 1 a view of coeffs."""
+        return self._expand(coeffs, self._mul_basis)
 
     def semilinear_blocks(self, coeffs: np.ndarray) -> np.ndarray:
-        """(N, k) coefficient vectors m -> (N, k, k) GF(p) matrices of c -> m sigma^-1(c),
-        the blocks of a matrix restricted to GF(p) (linalg); for k = 1 the entries."""
-        return self.mul_matrices(coeffs) @ self.inv_frob_matrix() % self.p
+        """(N, k, ...) residue vectors m -> (N, k, k, ...) GF(p) matrices of
+        the sigma^-1-semilinear c -> m sigma^-1(c), as mul_matrices: the
+        blocks of a matrix restricted to GF(p) (linalg) and the a-side of V's
+        convolutions (_slab.v_apply), so that neither twists its other side.
+        The block of m = 1 is the matrix of sigma^-1; for k = 1, where sigma
+        is the identity, a view of coeffs."""
+        return self._expand(coeffs, self._semi_basis)
+
+    def _expand(self, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        if self.k == 1:  # basis is [[[1]]]
+            return coeffs[:, :, None]
+        out = np.tensordot(coeffs, basis, axes=(1, 0))  # (N, ..., k, k)
+        # to (N, k, k, ...) by transpose: np.moveaxis leaves cyclic garbage
+        out = out.transpose(0, -2, -1, *range(1, out.ndim - 2))
+        return np.ascontiguousarray(out % self.p)
 
     # -- identity --------------------------------------------------------------
 

@@ -49,6 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._slab import batches
 from .gf import FieldCtx, InternalConsistencyError, check_float_exact, float_mod
 
 _PANEL = 256  # columns per trailing GEMM of the odd-p elimination
@@ -228,7 +229,7 @@ def _matmul(a: np.ndarray, b, p: int):
             s = b.seg[block]
             # the block's entries, read twice in strips of about _STRIP: for
             # its live rows, then into their float array
-            strips = list(_chunks(b.ptr[s + 1] - b.ptr[s]))
+            strips = list(batches(b.ptr[s + 1] - b.ptr[s], _STRIP))
             hit = np.zeros(inner, dtype=bool)
             for a0, a1 in strips:
                 hit[_column_entries(b, block[a0:a1])[1]] = True
@@ -261,17 +262,6 @@ def _column_entries(A: _Segs, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return j, A.idx[pos] + A.shift[cols][j], A.val[pos]
 
 
-def _chunks(lens: np.ndarray) -> Iterable[tuple[int, int]]:
-    """Ranges [c0, c1) of consecutive items that hold about _STRIP of the
-    lens together, or one item that holds more."""
-    ends = np.concatenate(([0], np.cumsum(lens)))
-    c0 = 0
-    while c0 < lens.size:
-        c1 = max(c0 + 1, int(np.searchsorted(ends, ends[c0] + _STRIP, side="right")) - 1)
-        yield c0, c1
-        c0 = c1
-
-
 def _gather(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """A[rows][:, cols] as dense int8 residues, rows distinct; the columns are
     read in groups of about _STRIP entries."""
@@ -279,7 +269,7 @@ def _gather(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     at[rows] = np.arange(rows.size)
     out = np.zeros((rows.size, cols.size), dtype=np.int8)
     s = A.seg[cols]
-    for c0, c1 in _chunks(A.ptr[s + 1] - A.ptr[s]):
+    for c0, c1 in batches(A.ptr[s + 1] - A.ptr[s], _STRIP):
         j, r, v = _column_entries(A, cols[c0:c1])
         t = at[r]
         keep = t >= 0
@@ -429,7 +419,7 @@ def _cells(A: _Segs) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """(s, rows): A's cells in strips of about _STRIP cells, each cell's
     segment and unshifted row, both int64."""
     lens = np.diff(A.ptr)
-    for c0, c1 in _chunks(lens):
+    for c0, c1 in batches(lens, _STRIP):
         yield (np.repeat(np.arange(c0, c1), lens[c0:c1]),
                A.idx[A.ptr[c0]:A.ptr[c1]].astype(np.int64))
 
@@ -546,7 +536,7 @@ def _pivot_singletons(deg, lsum, live, olive, entries, size) -> int:
     """
     lines = np.nonzero(live & (deg == 1))[0]
     partners, first = np.unique(lsum[lines], return_index=True)
-    for c0, c1 in _chunks(size[partners]):
+    for c0, c1 in batches(size[partners], _STRIP):
         owner, hit = entries(partners[c0:c1])
         np.subtract.at(deg, hit, 1)
         np.subtract.at(lsum, hit, owner)

@@ -158,7 +158,7 @@ def _mul(a: _Poly, b: _Poly, mod: int, field: FieldCtx | None = None) -> _Poly:
         rest, row = np.unique(keys % strides[-1], return_inverse=True)
         raw = np.zeros((len(rest), 2 * field.k - 1), dtype=_dtype(field.k * mod * mod))
         raw[row, (keys // strides[-1]).astype(np.int64)] = vals
-        raw = field.fold(raw, axis=1, mod=mod)
+        raw = field.fold(raw, mod=mod)
         r, j = np.nonzero(raw)
         keys, vals = rest[r] + j.astype(keys.dtype) * strides[-1], raw[r, j]
     return _Poly(keys[:, None] // strides % caps, vals)

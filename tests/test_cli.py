@@ -256,6 +256,51 @@ def test_memory_error_exits_4(runner, specfile, tmp_path, monkeypatch):
     assert not (data / "results.jsonl").exists()
 
 
+def _one_error_line(r, code, *words):
+    # the exit code, one line naming the failure (after click's usage text for
+    # a usage error) and no traceback
+    assert r.exit_code == code, r.output
+    lines = r.output.splitlines()
+    if code == 2:
+        lines = [ln for ln in lines if ln.startswith("Error:")]
+    assert len(lines) == 1 and all(w in lines[0] for w in words), r.output
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("sub", [False, True], ids=["file", "below-a-file"])
+def test_data_dir_that_is_a_file_is_no_mismatch(runner, specfile, tmp_path, sub):
+    # a regular file as the data directory is a usage error (2); a path below
+    # one fails in the peel cache and exits 5, not 1 (verification mismatch)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    data = afile / "d" if sub else afile
+    r = runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile), "-n", "2"])
+    if sub:
+        _one_error_line(r, 5, str(data))
+    else:
+        _one_error_line(r, 2, "--data-dir", "afile", "is a file")
+    assert afile.read_text() == "not a directory"
+
+
+def test_spec_file_that_is_a_directory_is_a_usage_error(runner, tmp_path):
+    data = tmp_path / "d"
+    for command in ("info", "compute", "fit"):
+        r = runner.invoke(main, ["--data-dir", str(data), command, str(tmp_path)])
+        _one_error_line(r, 2, "SPECFILE", "is a directory")
+    assert not (data / "results.jsonl").exists()
+
+
+def test_export_to_a_missing_directory_exits_5(runner, specfile, tmp_path):
+    data = tmp_path / "d"
+    assert runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile),
+                                "-n", "1"]).exit_code == 0
+    before = (data / "results.jsonl").read_bytes()
+    out = tmp_path / "missing" / "x.csv"
+    r = runner.invoke(main, ["--data-dir", str(data), "export", "--out", str(out)])
+    _one_error_line(r, 5, str(out))
+    assert (data / "results.jsonl").read_bytes() == before and not out.parent.exists()
+
+
 def test_engine_break_sequence_fault_exits_3(runner, specfile, tmp_path, monkeypatch):
     # s(4) = s(3) is no break sequence; it comes from the engine, not the spec file
     import zptower.tower as tower

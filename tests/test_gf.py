@@ -118,17 +118,18 @@ def test_serialization_roundtrip():
 
 
 def test_frob_matrices_match_elementwise_power():
+    # sigma^-1 as a GF(p) matrix: the semilinear block of the element 1
     for F in (field(3), field(2, 3), field(3, 2)):
-        Minv = F.inv_frob_matrix()
+        Minv = F.semilinear_blocks(np.array([F.one().coeffs]))[0]
         for a in elements(F):
             assert tuple((Minv @ np.array(a.coeffs)) % F.p) == a.frobenius_inverse().coeffs
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
 def test_extension_products_match_field_arithmetic(p, k, rng):
-    # every product that folds t^k.. through the reduction rows (the batched
-    # x-convolution _xconv, Slab.scale, the blocks of restricted matrices)
-    # against FieldElement arithmetic (k = 3 uses two reduction rows)
+    # every product by GF(p) matrices built from the reduction rows of t^k..
+    # (the batched x-convolution _xconv, Slab.scale, the blocks of restricted
+    # matrices) against FieldElement arithmetic (k = 3 uses two reduction rows)
     from conftest import restrict, semilinear_image
     from zptower._slab import Slab, _xconv
 
@@ -139,7 +140,7 @@ def test_extension_products_match_field_arithmetic(p, k, rng):
 
     u, v = rng.integers(0, p, size=(k, 6)), rng.integers(0, p, size=(k, 5))
     got = np.zeros((1, k, 10), dtype=np.int64)
-    _xconv([u[None]], v[None, None], np.zeros((1, 1), dtype=np.int64), got, F)
+    _xconv([F.mul_matrices(u[None])], v[None, None], np.zeros((1, 1), dtype=np.int64), got, p)
     got = got[0] % p
     for n in range(10):
         want = sum((el(u[:, i]) * el(v[:, n - i]) for i in range(6) if 0 <= n - i < 5),

@@ -1,5 +1,7 @@
 """Cross-checks of the dense kernel against the sparse reference in oracle.py."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -107,9 +109,13 @@ def _tables(state, n):
     return t.table(n)
 
 
-def _xpoly(ctx, block):
-    """The level-0 SparsePoly of a (k, L) coefficient block."""
-    return SparsePoly(ctx, 0, {Monomial(n, ()): ctx.elem(block[:, n]) for n in range(block.shape[1])})
+def _xpoly(ctx, block, twist=False):
+    """The level-0 SparsePoly of a (k, L) coefficient block, with sigma^-1
+    applied to every coefficient if twist."""
+    def coeff(n):
+        c = ctx.elem(block[:, n])
+        return c.frobenius_inverse() if twist else c
+    return SparsePoly(ctx, 0, {Monomial(n, ()): coeff(n) for n in range(block.shape[1])})
 
 
 @pytest.mark.parametrize("chunk", [None, 40], ids=["default-chunk", "tiny-chunk"])
@@ -117,7 +123,9 @@ def _xpoly(ctx, block):
 def test_xconv_matches_sparse_products(p, k, chunk, rng, monkeypatch):
     # sum_e a[e][t] * h[e, g] into rows[t, g] against term-by-term products: entries
     # of unequal x-lengths, zero rows and blocks, targets shared between rows; a
-    # tiny chunk forces every split (entries, blocks, x-ranges)
+    # tiny chunk forces every split (entries, blocks, x-ranges).  The a[e] go in
+    # as the GF(p) matrices of c -> a c, and then of c -> a sigma^-1(c), V's
+    # twisted products
     if chunk is not None:
         monkeypatch.setattr(_slab, "_CONV_CHUNK", chunk)
     ctx = field(p, k)
@@ -127,23 +135,31 @@ def test_xconv_matches_sparse_products(p, k, chunk, rng, monkeypatch):
     h = rng.integers(0, p, size=(E, G, k, Lh))
     h[1, 2] = 0
     rows = (np.arange(G) + rng.integers(0, 6, size=(T, 1))) % 6  # distinct along each row
-    into = np.zeros((6, k, 6 + Lh - 1), dtype=np.int64)
-    _slab._xconv(a, h, rows, into, ctx)
-    want = [SparsePoly.zero(ctx) for _ in range(6)]
-    for e in range(E):
-        for t in range(T):
-            for g in range(G):
-                want[rows[t, g]] = want[rows[t, g]] + _xpoly(ctx, a[e][t]) * _xpoly(ctx, h[e, g])
-    for r in range(6):
-        assert _xpoly(ctx, into[r] % p) == want[r], r
+    for twist, expand in ((False, ctx.mul_matrices), (True, ctx.semilinear_blocks)):
+        into = np.zeros((6, k, 6 + Lh - 1), dtype=np.int64)
+        _slab._xconv([expand(x) for x in a], h, rows, into, p)
+        want = [SparsePoly.zero(ctx) for _ in range(6)]
+        for e in range(E):
+            for t in range(T):
+                for g in range(G):
+                    want[rows[t, g]] = (want[rows[t, g]] + _xpoly(ctx, a[e][t])
+                                        * _xpoly(ctx, h[e, g], twist))
+        for r in range(6):
+            assert _xpoly(ctx, into[r] % p) == want[r], (twist, r)
 
 
 def test_xconv_refuses_a_repeated_target():
     # two blocks of one row into one target would be added only once
-    ctx = field(3)
     into = np.zeros((2, 1, 3), dtype=np.int64)
     with pytest.raises(InternalConsistencyError):
-        _slab._xconv([np.ones((1, 1, 2))], np.ones((1, 2, 1, 2)), np.array([[1, 1]]), into, ctx)
+        _slab._xconv([np.ones((1, 1, 1, 2))], np.ones((1, 2, 1, 2)), np.array([[1, 1]]), into, 3)
+
+
+def test_slab_knows_no_field_polynomial():
+    # GF(p^k) reaches the kernel only as GF(p) matrices from gf: no _slab code
+    # folds products modulo the field polynomial or twists by sigma^-1 itself
+    source = inspect.getsource(_slab)
+    assert ".fold(" not in source and "inv_frob" not in source
 
 
 def test_xconv_exactness_bound():
@@ -251,6 +267,26 @@ def test_pair_products_are_sums_of_one_pair_products(p, k, rng):
     minus = slabs[2].scale(-1)
     assert not _slab.mul_pairs([(a, slabs[2], 0), (a, minus, 0)], state.layers)[0].arr.any()
     assert _slab.mul_pairs([], state.layers) == []
+
+
+def test_batches_are_the_longest_runs_within_the_budget(rng):
+    # the one rule for budgeted batches (products here, strips in linalg)
+    # against a loop: zero sizes join a run, an oversize item is a run alone
+    def loop(sizes, budget):
+        i = 0
+        while i < len(sizes):
+            j, total = i + 1, sizes[i]
+            while j < len(sizes) and total + sizes[j] <= budget:
+                total += sizes[j]
+                j += 1
+            yield i, j
+            i = j
+    for _ in range(300):
+        sizes = rng.integers(0, 12, size=rng.integers(0, 30))
+        budget = int(rng.integers(1, 20))
+        want = list(loop(sizes.tolist(), budget))
+        assert list(_slab.batches(sizes, budget)) == want
+        assert list(_slab.batches(sizes.tolist(), budget)) == want
 
 
 def test_products_reduce_in_batches_of_whole_indices(smalltower, rng, monkeypatch):
