@@ -266,8 +266,10 @@ LAYER_DIGESTS = {
     "gf4": (4, "07f1ce2478ff8260c4250f6845d7f7dd205550b5e92135f829ac988e7afd7b78"),
     "gf9": (3, "63f3910dcbfd283025bfca8b4e9738e618925e5ea6a85b9c608c31ed8525311b"),
 }
-# the same for the deep lane: about 8 s on a 2-vCPU host
+# the same for the deep lane: about 8 s for p3d7-seed1 and 20-30 s for p2d21
+# at level 7, peel included, on a 2-vCPU host
 DEEP_LAYER_DIGESTS = {
+    "p2d21": (7, "85b0190e428ad598ad885541def64fc09582041df1e6c61426b0cf2d7bb657c6"),
     "p3d7-seed1": (5, "48b0e565c0a833ba82b5c71877cdca49308115eb0b739e8285eaea6dab4cc9dc"),
 }
 
