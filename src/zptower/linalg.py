@@ -18,21 +18,21 @@ copy, for small matrices only.
 
 The rank of segments (_rank_segs) is one path at every p: a zero-fill
 structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern
-(_singleton_pivots), then the leftover submatrix only: over GF(2) packed for
-M4RI, though every GF(2) Cartier matrix tried leaves none, and over odd p a
-dense int8 block, eliminated in place one float column panel at a time
-(_rank_blocked).
+(_singleton_pivots), then the leftover submatrix only, a dense int8 block
+(_gather) eliminated in place one float column panel at a time
+(_rank_blocked).  Every GF(2) Cartier matrix tried leaves no leftover.
 
 Over GF(2), GF(2^k) included, only products hold packed rows of uint64 words,
 one bit per entry: their factors, packed from segments a block of columns at
-a time, and their results.  A product is Four-Russians XOR tables and its
-rank M4RI elimination (Albrecht-Bard-Hart, ACM TOMS 37(1), 2010), with no
-floating point.  Odd-p products N @ M densify N's rows to int8 and take M one
-column block at a time through float GEMMs, reduced mod p in float
-(gf.float_mod) and compressed back to one segment per column.
-gf.check_float_exact, which also picks the float type of _slab's
-x-convolution, picks float32 or float64 for the products and the elimination
-and keeps every float sum exact.
+a time (_factor, the one caller of _packed), and their results.  A product is
+Four-Russians XOR tables and its rank M4RI elimination (Albrecht-Bard-Hart,
+ACM TOMS 37(1), 2010), with no floating point.  Odd-p products N @ M densify
+N's rows to int8 and take M one dense column block at a time (_gather)
+through float GEMMs, reduced mod p in float (gf.float_mod) and compressed
+back to one segment per column.  gf.check_float_exact, which also picks the
+float type of _slab's x-convolution, picks float32 or float64 for the
+products and the elimination and keeps every float sum exact (float32 for
+every p <= 13 in the elimination, GF(2) included).
 
 Both eliminations also report their pivot rows, rows of their input that
 span its row space.  Twisted powers use them: rowspace(N M) = rowspace(N) M,
@@ -208,37 +208,29 @@ def _rows_times(N: DenseMatrix, rows: np.ndarray, M: DenseMatrix) -> DenseMatrix
 
 def _matmul(a: np.ndarray, b, p: int):
     """a @ b mod p: packed rows by packed rows for p = 2; for odd p, int8
-    residues by a _Segs, giving a _Segs."""
+    residues by a _Segs, read a dense column block at a time (_gather),
+    giving a _Segs."""
     if p == 2:
         return _matmul_gf2(a, b)
     m, inner = a.shape
     dt = check_float_exact(inner, p)
     n = b.seg.size
-    # b in column blocks and a in row chunks, so that every float temporary
-    # (a block of b, a chunk of a, their product) holds at most _GEMM_CHUNK
-    # elements; a block of b holds only its live rows, the rows where its
-    # columns have entries, and a only the matching columns (about half of
-    # them on the block-triangular Cartier matrices)
+    # b in column blocks and a in row chunks, so that every temporary (a
+    # block of b, dense from _gather, a chunk of a, their product) holds at
+    # most _GEMM_CHUNK elements; a block of b goes to float only on its live
+    # rows, the rows where its columns have entries, and a only on the
+    # matching columns (about half of them on the block-triangular Cartier
+    # matrices)
     cols = max(1, _GEMM_CHUNK // max(inner, 1))
     rows = max(1, _GEMM_CHUNK // max(inner, cols))
     out = np.empty((m, min(cols, n)), dtype=np.int8)
 
     def blocks():
         for c0 in range(0, n, cols):
-            block = np.arange(c0, min(n, c0 + cols))
-            s = b.seg[block]
-            # the block's entries, read twice in strips of about _STRIP: for
-            # its live rows, then into their float array
-            strips = list(batches(b.ptr[s + 1] - b.ptr[s], _STRIP))
-            hit = np.zeros(inner, dtype=bool)
-            for a0, a1 in strips:
-                hit[_column_entries(b, block[a0:a1])[1]] = True
-            live = np.flatnonzero(hit)
-            bf = np.zeros((live.size, block.size), dtype=dt)
-            for a0, a1 in strips:
-                j, r, v = _column_entries(b, block[a0:a1])
-                bf[np.searchsorted(live, r), j + a0] = v
-            blk = out[:, :block.size]
+            D = _gather(b, np.arange(inner), np.arange(c0, min(n, c0 + cols)))
+            live = np.flatnonzero(D.any(axis=1))
+            bf = D[live].astype(dt)
+            blk = out[:, :D.shape[1]]
             for r0 in range(0, m, rows):
                 blk[r0:r0 + rows] = float_mod(a[r0:r0 + rows, live].astype(dt) @ bf, p)
             yield blk
@@ -264,7 +256,8 @@ def _column_entries(A: _Segs, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 def _gather(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """A[rows][:, cols] as dense int8 residues, rows distinct; the columns are
-    read in groups of about _STRIP entries."""
+    read in groups of about _STRIP entries.  Every dense read of segments
+    (.data, _packed, odd-p products, the leftover of the rank) is one."""
     at = np.full(A.m, -1, dtype=np.int64)
     at[rows] = np.arange(rows.size)
     out = np.zeros((rows.size, cols.size), dtype=np.int8)
@@ -363,14 +356,12 @@ def _row_basis(M: DenseMatrix) -> tuple[int, np.ndarray]:
 
 def _rank_segs(A: _Segs, p: int) -> tuple[int, np.ndarray]:
     """Rank of shifted segments over GF(p) and their pivot rows: the singleton
-    pivots (_singleton_pivots), then the leftover submatrix only, packed for
-    _rank_gf2 over GF(2), else int8 residues that _rank_blocked eliminates in
-    place.  No GF(2) Cartier matrix tried leaves one; none is assumed."""
+    pivots (_singleton_pivots), then the leftover submatrix only, as int8
+    residues that _rank_blocked eliminates in place at every p.  No GF(2)
+    Cartier matrix tried leaves a leftover, and odd-p ones leave a sparse
+    one; packed words are for products only."""
     prows, rows, cols = _singleton_pivots(A)
-    if rows.size == 0 or cols.size == 0:
-        return prows.size, prows
-    r, lrows = _rank_gf2(_packed(A, rows, cols)) if p == 2 else \
-        _rank_blocked(_gather(A, rows, cols), p)
+    r, lrows = _rank_blocked(_gather(A, rows, cols), p)
     return prows.size + r, np.concatenate((prows, rows[lrows]))
 
 

@@ -293,11 +293,15 @@ def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
 
     Returns (f', Z) with ord(f') = -target_d and f' = f + Z-induced shifts,
     where Z accumulates the substitution y -> y + Z.  f is one array, changed
-    in place: each step adds c_p z^p and -c z into the x-columns they reach and
-    reduces only those mod p, and the next leading term comes from one
-    masked argmax over the pole-order grid, which is computed once and again
-    only when z^p reaches past f.  Every iteration must strictly decrease the
-    pole order (checked).
+    in place.  For z = x^nu y^a, z^p is x^(p nu) times (y + f)^a, which the
+    state's power memo holds (TowerState.pth_power): each step adds c_p times
+    that slab into the cells of arr it reaches, x-columns p nu onward, and
+    -c z, and reduces only those mod p.  The slab's leading cell is found
+    against the matching window of the pole-order grid, and the next leading
+    term of f comes from one masked argmax over the whole grid, which is
+    computed once and again only when z^p reaches past f.  z^p must lead at
+    the pole order it cancels, and every iteration must strictly decrease
+    the pole order (both checked).
     """
     ctx = f.ctx
     p, level = ctx.p, f.level
@@ -313,17 +317,17 @@ def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
             raise InternalConsistencyError(
                 f"pole order {pole} below or coprime-to-p above target {target_d}")
         z = monomial_with_pole_order(pole // p, p, d, level)
-        zp = state.pth_power(z, level)
-        X = zp.arr.shape[2]
-        if X > arr.shape[2]:
-            arr = np.pad(arr, ((0, 0), (0, 0), (0, X - arr.shape[2])))
-            grid = pole_grid(p, level, d, level, X)
-        zp_lead = leading_cell(zp.arr, grid)
+        zp = state.pth_power(z.a)  # (y^a)^p: z^p is it times x^x0
+        x0, (S, _, X) = p * z.nu, zp.arr.shape
+        if x0 + X > arr.shape[2]:
+            arr = np.pad(arr, ((0, 0), (0, 0), (0, x0 + X - arr.shape[2])))
+            grid = pole_grid(p, level, d, level, x0 + X)
+        zp_lead = leading_cell(zp.arr, grid[:S, x0:])
         if zp_lead is None or zp_lead[0] != pole:
             raise InternalConsistencyError("z^p pole order mismatch")
         c_p = -ctx.elem(arr[code, :, nu]) / ctx.elem(zp.arr[zp_lead[1], :, zp_lead[2]])
         c = np.array(c_p.frobenius_inverse().coeffs)
-        view = arr[:, :, :X]
+        view = arr[:S, :, x0:x0 + X]
         view += zp.scale(c_p).arr
         view %= p
         zc = code_of(p, z.a)
@@ -353,7 +357,9 @@ class TowerState:
     products and reductions itself, with the products keyed by their parent
     node.  Its slabs, like every Slab, are int8 residues.  One memo, _power,
     holds the products of powers of subs and of y_j + f_j = y_j^p that the
-    evaluation and the standard-form reduction (pth_power) reuse.
+    evaluation and the standard-form reduction reuse; pth_power hands the
+    latter to reduce_slab as they are, read only, and no caller writes into
+    a memo slab.
     The breaks (ensure_ram) and the right-hand-side components are computed
     again only for a deeper level than before, since those of a shallower one
     are a prefix; cli.run_compute asks for its deepest level first.
@@ -417,30 +423,28 @@ class TowerState:
     def layer_slab(self, j: int) -> Slab:
         return self.layers[j - 1]
 
-    def pth_power(self, z: Monomial, level: int) -> Slab:
-        """Reduced z^p at `level` for z = x^nu y^a with coefficient 1:
-        x^(p nu) times the cached product of (y_j + f_j)^a_j."""
-        mp = self._power(self._plus_f, z.a).arr
-        x0 = self.field.p * z.nu
-        out = Slab.zeros(self.field, level, x0 + mp.shape[2])
-        out.arr[:mp.shape[0], :, x0:] = mp
-        return out
+    def pth_power(self, a: tuple[int, ...]) -> Slab:
+        """The reduced (y^a)^p, the product of (y_j + f_j)^a_j: the memo's own
+        slab, at the level of a's last nonzero digit; z^p for z = x^nu y^a is
+        it times x^(p nu)."""
+        return self._power(self._plus_f, a)
 
     # construction -------------------------------------------------------------
 
     def _power(self, bases: list[Slab], digits: tuple[int, ...]) -> Slab:
         """The reduced product of bases[j]^digits[j], where bases is subs or
-        _plus_f; each product by one more base is cached per list and digits."""
+        _plus_f; the empty product and each product by one more base are
+        cached per list and digits, so equal digits give the same slab."""
         while digits and digits[-1] == 0:
             digits = digits[:-1]
-        if not digits:
-            return Slab.monomial(self.field, Monomial(0, ()))
         j = len(digits) - 1
         if digits == (0,) * j + (1,):
             return bases[j]
         key = (id(bases), digits)  # both lists live as long as the state
         got = self._powers.get(key)
-        if got is None:
+        if got is None and not digits:
+            got = self._powers[key] = Slab.monomial(self.field, Monomial(0, ()))
+        elif got is None:
             prev = self._power(bases, digits[:-1] + (digits[-1] - 1,))
             got = self._powers[key] = slab_mul(prev, bases[j], self.layers)
         return got

@@ -14,8 +14,8 @@ Two consumers share the engine:
     the engine's own form: an exponent matrix, rows in lexicographic order,
     and a coefficient vector,
   * tower right-hand sides sum p^v [c x^i], added in one pass and returned as
-    {(nu,): coefficient} dicts, so that tower never sees the extra variable t
-    they carry over GF(p^k).
+    {(nu,): k-tuple of coefficients} dicts, so that tower never sees the extra
+    variable t they carry.
 
 The peel polynomials and cartier's tables are cached in files written by
 write_cache: a header line carrying the sha256 of the body, then the payload
@@ -28,10 +28,11 @@ the coefficients of each run with np.add.reduceat and decodes the keys with
 one broadcast // and %.  Key, exponent and coefficient arrays are int64 when
 their bounds fit and Python-int object arrays otherwise, with the same code.
 
-Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable,
-and every product reduces it modulo the integer lift of f with FieldCtx.fold
-(exact mod p^m since f is monic); functoriality of Witt arithmetic under the
-reduction map makes the mod-p result independent of the lift.
+Over GF(p^k) = GF(p)[t]/(f), right-hand sides carry t as one more variable at
+every k (at k = 1 its exponent stays 0), and every product reduces it modulo
+the integer lift of f with FieldCtx.fold (exact mod p^m since f is monic);
+functoriality of Witt arithmetic under the reduction map makes the mod-p
+result independent of the lift.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def _combine(vecs: list[tuple[int, list[_Poly]]], length: int, p: int,
     Frobenius-power chains g, g^p, g^(p^2), ... at modulus p^length.  A
     component is known exactly (an input lift) or mod p (a recovered z_i);
     either way x = x' (mod p^a) gives x^(p^b) = x'^(p^b) (mod p^(a+b)), so one
-    chain serves every later precision.  Over GF(p^k), `field` is given and t
-    is the last variable.
+    chain serves every later precision.  Right-hand sides give `field`, and
+    their last variable is t; the peel, over the integers, gives none.
     """
     modmax = p ** length
 
@@ -360,32 +361,25 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
 
     p^v [c x^i] is the vector with v zero components followed by
     c^(p^v) x^(i p^v), so every term enters one ghost-engine sum directly.
-    Component m comes back as {(nu,): coefficient of x^nu}, coefficients in
-    [0, p) (k-tuples of them when k > 1).
+    Component m comes back as {(nu,): coefficient of x^nu}, each coefficient
+    the k-tuple of its residues in [0, p) at every k.
     """
     p = field.p
     if p not in LENGTH_CAP:
         raise WittError(f"unsupported characteristic {p}")
     if not 1 <= length <= 16:
         raise WittError(f"Witt length {length} out of range 1..16")
-    k = field.k
-    nv = 1 if k == 1 else 2
     vecs = []
     for v, c, i in terms:
         c = field.elem(c)
         if v < 0 or i < 1 or c.is_zero():
             raise WittError(f"bad term (v={v}, c={c}, i={i})")
         if v < length:
-            nu, cq = i * p ** v, (c ** p ** v).coeffs
-            top = {(nu,): cq[0]} if k == 1 else {(nu, j): a for j, a in enumerate(cq) if a}
-            vecs.append((1, [_from_dict(nv, {})] * v + [_from_dict(nv, top)]))
-    if not vecs:
-        return [{} for _ in range(length)]
-    comps = [comp.as_dict() for comp in _combine(vecs, length, p, field if k > 1 else None)]
-    if k == 1:
-        return comps
-    out = [{} for _ in comps]
-    for comp, o in zip(comps, out):
-        for (nu, j), a in comp.items():
-            o.setdefault((nu,), [0] * k)[j] = a
+            top = {(i * p ** v, j): a for j, a in enumerate((c ** p ** v).coeffs) if a}
+            vecs.append((1, [_from_dict(2, {})] * v + [_from_dict(2, top)]))
+    out = [{} for _ in range(length)]
+    if vecs:
+        for comp, o in zip(_combine(vecs, length, p, field), out):
+            for (nu, j), a in comp.as_dict().items():
+                o.setdefault((nu,), [0] * field.k)[j] = a
     return [{e: tuple(v) for e, v in o.items()} for o in out]

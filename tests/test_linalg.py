@@ -164,6 +164,30 @@ def test_gf2_packed_shapes(shape, rng):
     assert not Z.data.any() and rank(Z) == 0
 
 
+def test_gf2_packed_words_belong_to_products(monkeypatch, rng):
+    # a GF(2) leftover of the singleton pass is eliminated dense, as at odd p:
+    # with _packed raising, the rank and pivot rows of caller data that leaves
+    # one still hold, and the power loop packs M once, for its products
+    real = linalg._packed
+
+    def refuse(*args):
+        raise AssertionError("packed words outside a product")
+    monkeypatch.setattr(linalg, "_packed", refuse)
+    low = rng.integers(0, 2, size=(131, 3)) @ rng.integers(0, 2, size=(3, 130)) % 2
+    for A in (rng.integers(0, 2, size=(70, 65)), low):
+        M = DenseMatrix(F2, A)
+        assert _singleton_pivots(M._a)[1].size  # the pass leaves a leftover
+        assert rank(M) == naive_rank(A.copy(), 2)
+        check_row_basis(M)
+    calls = []
+    monkeypatch.setattr(linalg, "_packed", lambda A, *rest: calls.append(A) or real(A, *rest))
+    U = np.triu(rng.integers(0, 2, size=(40, 40)), 1)  # nilpotent, so r = 2..4 take products
+    M = DenseMatrix(F2, U)
+    want = [40 - naive_rank(np.linalg.matrix_power(U, r) % 2, 2) for r in range(1, 5)]
+    assert twisted_power_kernels(M, 4) == want
+    assert len(calls) == 1 and calls[0] is M._a
+
+
 def test_kernel_basis(rng):
     M = DenseMatrix(F3, rng.integers(0, 3, size=(10, 14)))
     vecs = kernel_basis(M)

@@ -48,18 +48,23 @@ def test_mul_matches_sparse(towerenv, rng):
 
 
 def test_pth_power_matches_sparse(towerenv):
-    # TowerState.pth_power: z^p for every monomial z = x^nu y^a with nu <= 3 at every built level
+    # TowerState.pth_power: (y^a)^p, the memo's own slab, times x^(p nu) is z^p
+    # for every monomial z = x^nu y^a with nu <= 3 at every built level
     ctx, state = towerenv
     layers = sparse_layers(state)
     p = ctx.p
     for lvl in range(state.level + 1):
         for code in range(p ** lvl):
+            a = digits_of(p, code, lvl)
+            got = state.pth_power(a)
+            assert got is state.pth_power(a) and got.level <= lvl
             for nu in range(4):
-                z = Monomial(nu, digits_of(p, code, lvl))
+                z = Monomial(nu, a)
                 want = reduce_to_monomial_basis(
                     poly_pth_power(SparsePoly(ctx, lvl, {z: ctx.one()})), layers[:lvl])
-                got = state.pth_power(z, lvl)
-                assert got.level == lvl and to_sparse(got) == want, z
+                zp = Slab.zeros(ctx, lvl, p * nu + got.arr.shape[2])
+                zp.arr[:got.arr.shape[0], :, p * nu:] = got.arr
+                assert to_sparse(zp) == want, z
 
 
 def test_add_scale_shift(towerenv, rng):
