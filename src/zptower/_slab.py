@@ -27,8 +27,9 @@ about _REDUCE_BATCH elements, one reduction each.  lincomb forms GF(p)
 combinations of slabs, and v_apply applies V to a sequence of forms, each
 by groups padded to their longest member (_padded_groups): one float
 product of coefficients and slabs, or one convolution of every Cartier
-table entry, as the matrices of c -> entry sigma^-1(c), against the
-p-th-root cofactors of all the group's forms.
+table entry, as the matrices of c -> entry sigma^-1(c) (v_entries expands
+a level's table to them once), against the p-th-root cofactors of all the
+group's forms.
 
 Slab is the package's only polynomial type.  The test suite checks every
 operation here against the sparse dict reference in tests/oracle.py.
@@ -553,24 +554,35 @@ def _materialize(ctx: FieldCtx, lvl: int, nprod: int,
 # Cartier application
 # ---------------------------------------------------------------------------
 
-def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
+def v_entries(table: dict[tuple[int, int], Slab]) -> list[np.ndarray]:
+    """A level's Cartier table, (nu0, ycode) -> the reduced V(x^nu0 y^ycode dx),
+    as v_apply takes it: each entry's GF(p) matrices of c -> entry sigma^-1(c)
+    (FieldCtx.semilinear_blocks), in (nu0, ycode) order, views of the entries
+    when k = 1.  Expanded once per level, for every v_apply call at it."""
+    ctx = next(iter(table.values())).ctx
+    S = len(table) // ctx.p
+    return [ctx.semilinear_blocks(table[(nu0, code)].arr) for nu0 in range(ctx.p)
+            for code in range(S)]
+
+
+def v_apply(forms: Sequence[Slab], entries: Sequence[np.ndarray],
             shifts: Sequence[int]) -> list[Slab]:
     """Apply the Cartier operator to x^shifts[i] forms[i] dx for forms all at
     one level n; the images, in order.
 
-    tables maps (nu0, ycode) with nu0 < p to the reduced value of V on
-    x^nu0 y^code dx at level n.  The monomials of row `code` of a form that
-    are congruent to x^nu0 mod p contribute sigma^{-1}(h) times that table
-    entry, where h is the p-th-root cofactor: its coefficient of x^q is the
-    form's coefficient of x^(p q + nu0).  The group's cofactors are one array,
-    entry by form by x^q, whose transposed view takes each form, shift
-    included, as p strided slices, so no shifted or padded copy is made.  The
-    forms go in groups of similar cofactor length whose cofactor and output
-    blocks hold at most _BATCH elements (at least one form); each group is one
-    batched convolution (_xconv) of every table entry, as the GF(p) matrices
-    of c -> entry sigma^-1(c) (FieldCtx.semilinear_blocks, built once per
-    call), against the cofactors, with the image of form g in rows
-    g S .. g S + S - 1.  Cofactors and images are int8 residues.
+    entries is the level-n table expanded by v_entries: entry (nu0, code),
+    nu0 < p, is the reduced value of V on x^nu0 y^code dx at level n.  The
+    monomials of row `code` of a form that are congruent to x^nu0 mod p
+    contribute sigma^{-1}(h) times that table entry, where h is the p-th-root
+    cofactor: its coefficient of x^q is the form's coefficient of
+    x^(p q + nu0).  The group's cofactors are one array, entry by form by
+    x^q, whose transposed view takes each form, shift included, as p strided
+    slices, so no shifted or padded copy is made.  The forms go in groups of
+    similar cofactor length whose cofactor and output blocks hold at most
+    _BATCH elements (at least one form); each group is one batched
+    convolution (_xconv) of every table entry, as the GF(p) matrices of
+    c -> entry sigma^-1(c), against the cofactors, with the image of form g in
+    rows g S .. g S + S - 1.  Cofactors and images are int8 residues.
     """
     if not forms:
         return []
@@ -580,8 +592,8 @@ def v_apply(forms: Sequence[Slab], tables: dict[tuple[int, int], Slab],
     if any(f.level != n for f in forms):
         raise PolyError("v_apply takes forms of one level")
     S = p ** n
-    entries = [ctx.semilinear_blocks(tables[(nu0, code)].arr) for nu0 in range(p)
-               for code in range(S)]
+    if len(entries) != p * S:
+        raise PolyError(f"v_apply at level {n} takes {p * S} table entries, not {len(entries)}")
     La = max(x.shape[3] for x in entries)
     # cofactor lengths; forms of similar length go together, so few are padded far
     Qs = [-(-(f.arr.shape[2] + s) // p) for f, s in zip(forms, shifts)]

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import Monomial, Slab, code_digits, code_weights, mul as slab_mul, v_apply, ymul
+from ._slab import (Monomial, Slab, code_digits, code_weights, mul as slab_mul, v_apply,
+                    v_entries, ymul)
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
 from .tower import TowerState
@@ -74,7 +75,8 @@ class CartierTables:
     and for i = 0 nothing cascades, as f_1 has no y.  All shifts of a
     generation's products go through one _slab.v_apply call, which convolves
     the p-th-root cofactors of a group of forms at a time against every level
-    m-1 table entry.  At most two generations of products are alive.  Each
+    m-1 table entry, expanded to GF(p) matrices once per level
+    (_slab.v_entries).  At most two generations of products are alive.  Each
     entry is then put together from slices of the images, scaled by comb(a, i)
     mod p.  The build is sequential and deterministic.
 
@@ -113,6 +115,7 @@ class CartierTables:
         state, ctx = self.state, self.ctx
         p = ctx.p
         prev = self.levels[m - 1]
+        entries = v_entries(prev)  # for every generation's v_apply
         S_low = p ** (m - 1)
         minus_f = state.layer_slab(m).scale(-1)
         fpow = [Slab.monomial(ctx, Monomial(0, ()))]
@@ -139,7 +142,7 @@ class CartierTables:
             # x^nu0 commutes with the y-reduction, so x^nu0 y^low (-f_m)^j is that
             # product shifted by nu0; the images come in (low, nu0, j) order
             images = iter(v_apply([prods[c * (p - 1) + j - 1] for c in range(lows.size)
-                                   for _ in range(p) for j in range(1, p)], prev,
+                                   for _ in range(p) for j in range(1, p)], entries,
                                   [nu0 for _ in lows for nu0 in range(p) for _ in range(1, p)]))
             for low in lows.tolist():
                 for nu0 in range(p):

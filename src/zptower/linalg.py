@@ -22,6 +22,16 @@ structured-pivot pass (LaMacchia-Odlyzko, CRYPTO '90) on the nonzero pattern
 (_gather) eliminated in place one float column panel at a time
 (_rank_blocked).  Every GF(2) Cartier matrix tried leaves no leftover.
 
+Every pass over segments goes in strips of about _STRIP cells or entries:
+the two passes of _pattern, the pivots' entry batches (_row_entries,
+_column_entries) and every dense read (_gather, so _packed too).  A strip's
+temporaries hold the narrowest index types the shapes allow (_ix, int32)
+and are formed in place, so they take at most 16 bytes a cell or entry,
+besides a few words for each segment, line or row window they read.  The
+int64 arrays of a cell or entry are _pattern's sort keys, and the values
+it and the pivots add with ufunc.at (offsets, line owners), as numpy's fast
+ufunc.at path wants values of its target's type.
+
 Over GF(2), GF(2^k) included, only products hold packed rows of uint64 words,
 one bit per entry: their factors, packed from segments a block of columns at
 a time (_factor, the one caller of _packed), and their results.  A product is
@@ -238,36 +248,53 @@ def _matmul(a: np.ndarray, b, p: int):
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The positions starts[j] .. starts[j] + lens[j] - 1, range by range."""
-    pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
-    pos += np.arange(pos.size)
+    """The positions starts[j] .. starts[j] + lens[j] - 1, range by range, as
+    int32: 4 bytes a position and 8 a range, twice that while they are
+    formed.  Every array they index has fewer than 2^31 elements, as every
+    _ix index assumes."""
+    pos = starts.astype(np.int32)  # less the positions of the ranges before
+    pos -= np.cumsum(lens, dtype=np.int32)
+    pos += lens
+    pos = np.repeat(pos, lens)
+    pos += np.arange(pos.size, dtype=np.int32)
     return pos
 
 
 def _column_entries(A: _Segs, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(j, rows, vals): every entry of the columns `cols` of A, column by
-    column, an entry of column cols[j] at row rows[.] (int64) with residue
-    vals[.]: the cells of the column's segment, moved down its shift."""
+    """(lens, rows, pos): every entry of the columns `cols` of A, column by
+    column, cols[j] having the next lens[j]: the cells of the column's
+    segment, moved down its shift.  An entry at row rows[.] (_ix(A.m)) is the
+    cell at pos[.] (int32) of A.idx and A.val, so 6 bytes an entry, and 8
+    while they are read."""
     s = A.seg[cols]
     lens = A.ptr[s + 1] - A.ptr[s]
-    j, pos = np.repeat(np.arange(cols.size), lens), _ranges(A.ptr[s], lens)
-    return j, A.idx[pos] + A.shift[cols][j], A.val[pos]
+    pos = _ranges(A.ptr[s], lens)
+    rows = A.idx[pos]
+    rows += np.repeat(A.shift[cols].astype(rows.dtype), lens)  # below A.m: no wrap
+    return lens, rows, pos
 
 
 def _gather(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A[rows][:, cols] as dense int8 residues, rows distinct; the columns are
-    read in groups of about _STRIP entries.  Every dense read of segments
+    """A[rows][:, cols] as dense int8 residues, rows distinct.  The columns are
+    read in strips of about _STRIP entries (_column_entries) and scattered
+    into place unmasked: an entry of a row not asked for lands in a scratch
+    row past the last, which the view returned leaves out.  So a strip costs
+    about 9 bytes an entry (its entries' rows, residues and columns, and
+    their rows in the output, _ix(rows.size + 1)), besides the output and
+    that lookup of 2 or 4 bytes a row of A.  Every dense read of segments
     (.data, _packed, odd-p products, the leftover of the rank) is one."""
-    at = np.full(A.m, -1, dtype=np.int64)
-    at[rows] = np.arange(rows.size)
-    out = np.zeros((rows.size, cols.size), dtype=np.int8)
+    R = rows.size
+    at = np.full(A.m, R, dtype=_ix(R + 1))
+    at[rows] = np.arange(R)
+    out = np.zeros((R + 1, cols.size), dtype=np.int8)
     s = A.seg[cols]
     for c0, c1 in batches(A.ptr[s + 1] - A.ptr[s], _STRIP):
-        j, r, v = _column_entries(A, cols[c0:c1])
-        t = at[r]
-        keep = t >= 0
-        out[t[keep], j[keep] + c0] = v[keep]
-    return out
+        lens, r, pos = _column_entries(A, cols[c0:c1])
+        v = A.val[pos]
+        del pos
+        out[:, c0:c1][at[r], np.repeat(np.arange(c1 - c0, dtype=_ix(c1 - c0)), lens)] = v
+        del r, v  # before the next strip's are read
+    return out[:R]
 
 
 def _columns(m: int, unit: int, blocks: Iterable[np.ndarray]) -> _Segs:
@@ -323,7 +350,9 @@ def _packed(A: _Segs, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     bit c%64 of word c//64, little-endian, so byte j of the uint8 view holds
     columns 8j..8j+7, and padding bits are zero.  The columns are gathered in
     blocks of whole words, each about _STRIP entries or one word wide, so no
-    temporary has one element per entry."""
+    temporary has one element per entry: besides the words, a dense int8
+    block of about max(_STRIP, 64 rows) bytes and _gather's strip of about
+    9 bytes an entry."""
     W = np.zeros((rows.size, -(-cols.size // 64)), dtype=np.uint64)
     w = 64 * max(1, _STRIP // (64 * max(rows.size, 1)))
     for c0 in range(0, cols.size, w):
@@ -394,8 +423,8 @@ def _singleton_pivots(A: _Segs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _row_entries(A, cells, rows)
 
     def column_entries(cols):
-        j, rows, _ = _column_entries(A, cols)
-        return cols[j], rows
+        lens, rows = _column_entries(A, cols)[:2]
+        return np.repeat(cols, lens), rows
 
     rlive, clive = np.ones(A.m, dtype=bool), np.ones(A.seg.size, dtype=bool)
     while True:
@@ -406,13 +435,23 @@ def _singleton_pivots(A: _Segs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     np.flatnonzero(clive & (cdeg > 0)))
 
 
-def _cells(A: _Segs) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """(s, rows): A's cells in strips of about _STRIP cells, each cell's
-    segment and unshifted row, both int64."""
-    lens = np.diff(A.ptr)
-    for c0, c1 in batches(lens, _STRIP):
-        yield (np.repeat(np.arange(c0, c1), lens[c0:c1]),
-               A.idx[A.ptr[c0]:A.ptr[c1]].astype(np.int64))
+def _cell_keys(A: _Segs, c0: int, c1: int, first: np.ndarray,
+               top: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of segments c0..c1-1, one strip of _pattern: each cell's
+    unshifted row r0, a view of A.idx, and as int32 its key
+    first[s] + (r0 % unit) h + r0 // unit and its offset
+    top[s] - (r0 // unit) step.  8 bytes a cell, and 14 while they are
+    formed."""
+    lens = A.ptr[c0 + 1:c1 + 1] - A.ptr[c0:c1]
+    r0 = A.idx[A.ptr[c0]:A.ptr[c1]]
+    q, c = np.divmod(r0, A.unit)
+    key = np.repeat(first[c0:c1], lens)
+    key += q
+    key += np.multiply(c, A.m // A.unit, dtype=np.int32)
+    del c
+    offset = np.repeat(top[c0:c1], lens)
+    offset -= np.multiply(q, A.step, dtype=np.int32)
+    return r0, key, offset
 
 
 def _pattern(A: _Segs) -> tuple:
@@ -434,86 +473,102 @@ def _pattern(A: _Segs) -> tuple:
     cells whose segment has count Qs[g] have the key g m + c h + q, so each
     group and, within it, each class of rows mod unit is one run of keys, in
     row order.  The offsets cols[ptr[key]:ptr[key+1]] are those of the cells
-    of that key, and row r's entries in group g are the window of keys of
-    rows r - t unit, 0 <= t < Qs[g] (_row_entries).  With one column count,
-    as for products, this is sparse rows.  Pointers and offsets take the
-    narrowest type their ranges allow (_ix).  The cells go in strips of
-    _STRIP, so no temporary has one element per cell: a first pass counts
-    the cells of each key, a second sorts each strip by key and places its
-    offsets, and adds each key's count and offset sum to the difference
-    arrays.
+    of that key, ascending within each strip, and row r's entries in group g
+    are the window of keys of rows r - t unit, 0 <= t < Qs[g]
+    (_row_entries).  With one column count, as for products, this is sparse
+    rows.  Pointers and offsets take the narrowest type their ranges allow
+    (_ix).
+
+    The cells go in strips of _STRIP, each cell's key and offset as int32
+    (_cell_keys), so no temporary has one element per cell.  A first pass
+    counts the cells of each key and adds each cell's +-1 and +-offset to the
+    difference arrays, at 14 bytes a cell of a strip.  A second sorts each
+    strip's cells by key and offset, packed into one int64, and places each
+    offset at its key's next free slot, ptr itself serving as the cursor,
+    at 16 bytes a cell.  The outputs hold 2 or 4 bytes a cell (cols) and as
+    many a key (ptr).
     """
     m, u, step = A.m, A.unit, A.step
     h = m // u
     Qs, group = np.unique(A.count, return_inverse=True)
-    base, top = group * m, A.first + (h - 1) * step  # per segment: first key, row-0 offset
-    ptr = np.zeros(m * Qs.size + 1, dtype=_ix(A.idx.size + 1))
-    one = ptr.dtype.type(1)  # of ptr's own type: numpy's fast ufunc.at path
+    lens = np.diff(A.ptr)
+    strips = list(batches(lens, _STRIP))
+    first = (group * m).astype(np.int32)  # per segment: the first key of its group
+    top = (A.first + (h - 1) * step).astype(np.int32)  # per segment: its row-0 cells' offset
+    ends = (A.count * u).astype(np.int32)  # per segment: how far below its cells their lines end
+    # P[key + 2] counts the cells of key, so that after the prefix sum P[key + 1]
+    # is key's first slot, the cursor of the second pass, which leaves it at
+    # key's last slot + 1: then ptr = P[:-1]
+    P = np.zeros(m * Qs.size + 2, dtype=_ix(A.idx.size + 1))
+    one = P.dtype.type(1)  # of P's own type: numpy's fast ufunc.at path
     ssum = np.zeros(A.count.size, dtype=np.int64)
-    for s, r0 in _cells(A):
-        np.add.at(ptr, base[s] + r0 % u * h + r0 // u + 1, one)
-        segs, _, sums = _runs(s, r0)
-        ssum[segs] += sums
-    np.cumsum(ptr, out=ptr)
-    fill = ptr[:-1].copy()  # the next free slot of each key
-    cols = np.empty(A.idx.size, dtype=_ix(A.seg.size + h * step))
     ddeg, dsum = np.zeros(m + u, dtype=np.int64), np.zeros(m + u, dtype=np.int64)
-    for s, r0 in _cells(A):
-        # (key, offset) pairs sorted by key, built in place: keys stay below
-        # 2^31 and offsets below 2^32, as their _ix types are at most int32;
-        # each strip temporary is dropped once used, before the next strip's
-        q = r0 // u
-        k = base[s]
-        k += (r0 - q * u) * h + q
+    for c0, c1 in strips:
+        r0, key, offset = _cell_keys(A, c0, c1, first + 2, top)
+        np.add.at(P, key, one)
+        del key
+        full = c0 + np.flatnonzero(lens[c0:c1])
+        ssum[full] = np.add.reduceat(r0, A.ptr[full] - A.ptr[c0], dtype=np.int64)
+        offset = offset.astype(np.int64)  # the target's type: numpy's fast ufunc.at path
+        end = np.repeat(ends[c0:c1], lens[c0:c1])
+        end += r0
+        np.add.at(ddeg, r0, 1)
+        np.subtract.at(ddeg, end, 1)
+        np.add.at(dsum, r0, offset)
+        np.subtract.at(dsum, end, offset)
+        del offset, end
+    np.cumsum(P, out=P)
+    cols = np.empty(A.idx.size, dtype=_ix(A.seg.size + h * step))
+    for c0, c1 in strips:
+        _, key, offset = _cell_keys(A, c0, c1, first + 1, top)
+        k = key.astype(np.int64)  # (key << 32) | offset, as offsets stay below 2^31
+        del key
         k <<= 32
-        k |= top[s] - q * step
-        del s, r0, q
+        k |= offset
+        del offset
         k.sort()
-        key, offset = k >> 32, k & 0xFFFFFFFF
+        offset = np.empty(k.size, dtype=cols.dtype)
+        np.bitwise_and(k, 0xFFFFFFFF, out=offset, casting="unsafe")
+        k >>= 32
+        key = k.astype(np.int32)
         del k
-        keys, cnt, sums = _runs(key, offset)
-        at = np.repeat(fill[keys] - (np.cumsum(cnt) - cnt), cnt)
-        at += np.arange(at.size)
+        # a cell's slot is its key's cursor plus its rank in its run of keys
+        at = np.arange(key.size, dtype=np.int32)
+        run = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=run[1:])  # by comparison: keys may repeat
+        run = np.where(run, at, 0)
+        at -= np.maximum.accumulate(run, out=run)
+        del run
+        at += P[key]
+        np.add.at(P, key, one)
         cols[at] = offset
         del key, offset, at
-        fill[keys] += cnt.astype(fill.dtype)
-        # the difference arrays, one entry per distinct key: its row and the
-        # row its group's column count moves it past
-        g, key = np.divmod(keys, m)
-        r0 = key % h * u + key // h
-        for at, sign in ((r0, 1), (r0 + Qs[g] * u, -1)):
-            np.add.at(ddeg, at, sign * cnt)
-            np.add.at(dsum, at, sign * sums)
     rdeg = ddeg.reshape(-1, u).cumsum(axis=0).ravel()[:m]
     rsum = dsum.reshape(-1, u).cumsum(axis=0).ravel()[:m] - (h - 1 - np.arange(m) // u) * step * rdeg
-    cdeg = np.diff(A.ptr)[A.seg]
-    return rdeg, rsum, cdeg, ssum[A.seg] + cdeg * A.shift, (Qs, ptr, cols)
-
-
-def _runs(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For sorted keys: each distinct key, how often it occurs and the int64 sum
-    of its vals.  The run starts are found by comparison, not by subtraction,
-    so unsigned keys cannot wrap."""
-    if keys.size == 0:
-        return keys, keys, keys
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(vals, starts, dtype=np.int64)
-    return keys[starts], np.diff(starts, append=keys.size), sums
+    cdeg = lens[A.seg]
+    return rdeg, rsum, cdeg, ssum[A.seg] + cdeg * A.shift, (Qs, P[:-1], cols)
 
 
 def _row_entries(A: _Segs, cells, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, cols): every entry of the rows `rows` of A, an entry of row
-    owner[.] in column cols[.], from one window of _pattern's cells by row
-    per row and group."""
+    owner[.] (int64) in column cols[.] (of _pattern's offset type), from one
+    window of _pattern's cells by row per row and group: 16 bytes an entry
+    and as many a window, at most, with window keys of int32."""
     Qs, ptr, offsets = cells
     m, u = A.m, A.unit
-    top = rows // u
-    at = np.arange(Qs.size) * m + (rows % u * (m // u))[:, None]  # the first key of r's class
-    lo = ptr[at + np.maximum(top[:, None] - (Qs - 1), 0)].ravel().astype(np.int64)
-    hi = ptr[at + top[:, None] + 1].ravel().astype(np.int64)
-    cols = offsets[_ranges(lo, hi - lo)].astype(np.int64)
-    per_row = (hi - lo).reshape(rows.size, Qs.size).sum(axis=1)
-    cols -= np.repeat((m // u - 1 - top) * A.step, per_row)
+    q = (rows // u).astype(np.int32)
+    key = (rows % u * (m // u)).astype(np.int32)[:, None] + q[:, None] \
+        + np.arange(Qs.size, dtype=np.int32) * m  # each row's own key in each group
+    hi = ptr[key + 1]
+    key -= np.minimum(q[:, None], (Qs - 1).astype(np.int32))  # that of row r - (Qs[g] - 1) u
+    lo = ptr[key]
+    del key
+    lens = hi - lo
+    del hi
+    cols = offsets[_ranges(lo.ravel(), lens.ravel())]
+    per_row = lens.sum(axis=1, dtype=np.int64)
+    del lo, lens
+    cols -= np.repeat(((m // u - 1 - q) * A.step).astype(cols.dtype), per_row)  # no wrap
     return np.repeat(rows, per_row), cols
 
 
@@ -531,6 +586,7 @@ def _pivot_singletons(deg, lsum, live, olive, entries, size) -> int:
         owner, hit = entries(partners[c0:c1])
         np.subtract.at(deg, hit, 1)
         np.subtract.at(lsum, hit, owner)
+        del owner, hit
     live[lines[first]] = False
     olive[partners] = False
     return partners.size

@@ -38,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from zptower import witt
-from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply
+from zptower._slab import (Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply,
+                           v_entries)
 from zptower.analysis import AnalysisError, _check_p2_breaks, constants
 from zptower.cartier import CartierTables, _basis_layout, cartier_matrix
 from zptower.gf import FieldCtx, FieldElement, InternalConsistencyError, poly_modred
@@ -450,7 +451,8 @@ def is_regular(form: Slab, state: TowerState) -> bool:
 def cartier_apply(form: Slab, state: TowerState) -> Slab:
     """V(form dx) at the form's level; at level 0 this is
     V(sum a_i x^i dx) = sum sigma^-1(a_(pj-1)) x^(j-1) dx on the projective line."""
-    return v_apply([form], (state.tables or CartierTables(state)).table(form.level), [0])[0]
+    table = (state.tables or CartierTables(state)).table(form.level)
+    return v_apply([form], v_entries(table), [0])[0]
 
 
 def trace_map(form: Slab) -> Slab:

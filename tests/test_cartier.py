@@ -18,7 +18,7 @@ from zptower._slab import Slab
 from zptower.cartier import TABLE_FORMAT_VERSION, CartierTables, _level_bytes, cartier_matrix
 from zptower.cli import run_compute
 from zptower.fixtures import SUITES
-from zptower.gf import InternalConsistencyError, field
+from zptower.gf import FieldCtx, InternalConsistencyError, field
 import zptower.linalg as linalg
 from zptower.linalg import _singleton_pivots, kernel_dim, twisted_power_kernels
 from zptower._slab import Monomial
@@ -168,6 +168,48 @@ def test_odd_p_matrix_stays_int8(p3d7_level_4):
     _, rows, cols = _singleton_pivots(A)
     bound = 16 * cells + rows.size * cols.size + 16 * rows.size * linalg._PANEL
     assert peak < bound < peak + 3 * nnz, (peak, bound)  # no room for the expanded nonzeros
+
+
+def test_singleton_pass_over_many_strips_holds_a_few_bytes_a_cell():
+    # perfbench's p3d7-L4 tower at seed 1 (test_tower's LAYER_DIGESTS): its
+    # level-4 matrix has 324,726 cells, 5 strips of _STRIP = 2^16.  The pass
+    # holds _pattern's cells by row and pointers, 1.9 MB, and one strip's
+    # temporaries at 16 bytes a cell, about 2.9 MB in all; at about 70 bytes a
+    # cell and a second copy of the pointers it peaked at 7.9 MB
+    st = tower(F3, [(0, 1, 7), (0, 1, 5), (0, 1, 2)], 4)
+    CartierTables(st).ensure(4)
+    A = cartier_matrix(st, 4).matrix._a
+    assert A.idx.size > 4 * linalg._STRIP
+    tracemalloc.start()
+    try:
+        prows, rows, cols = _singleton_pivots(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prows.size, rows.size, cols.size) == (3085, 774, 736)
+    assert linalg._rank_segs(A, 3)[0] == 3786
+    assert peak < 4_500_000, peak
+
+
+def test_gf2_factor_holds_one_strip_beside_its_words():
+    # p2d21 level 5 (g = 3565): _factor packs M, 1.6 MB of words, a word of
+    # columns at a time, up to 84k entries, read in strips of _STRIP.  Besides
+    # the words it holds the block, its bits and a strip at about 9 bytes an
+    # entry, 0.92 MB; at 46 bytes an entry that was 3.15 MB
+    st = tower(F2, SUITES["p2d21"]["terms"], 5)
+    CartierTables(st).ensure(5)
+    M = cartier_matrix(st, 5).matrix
+    tracemalloc.start()
+    try:
+        W = linalg._factor(M)._a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.cols == 3565 and W.shape == (3565, 56)
+    everything = np.arange(M.cols)
+    bits = np.unpackbits(W.view(np.uint8), axis=1, count=M.cols, bitorder="little")
+    assert np.array_equal(bits, linalg._gather(M._a, everything, everything).view(np.uint8))
+    assert peak - W.nbytes < 1_000_000, peak - W.nbytes
 
 
 # -- Cartier matrices as shifted segments, against bool patterns and dense ---------
@@ -519,6 +561,25 @@ def test_level_build_batches_its_convolutions(monkeypatch):
     assert table_digest(tables.levels[3]) == TABLE_DIGESTS["p3d7"][2]
     assert ymuls == [[1, 3], [1, 3], [1], [1]], ymuls  # each by y_1 or y_2
     assert len(calls) <= 20, len(calls)
+
+
+def test_gf9_table_build_expands_each_entry_once_per_level(monkeypatch):
+    # v_apply's a-side is a level's table as GF(p) matrices, expanded once per
+    # level (_slab.v_entries) and not once per v_apply call: GF(9) levels 1..3
+    # expand the 3, 9 and 27 entries of levels 0..2 once each, where one
+    # expansion per v_apply call made 165
+    F, terms = _digest_tower("gf9")
+    st = tower(F, terms, 3)
+    calls = []
+    real = FieldCtx.semilinear_blocks
+
+    def counted(self, coeffs):
+        calls.append(coeffs.shape)
+        return real(self, coeffs)
+    monkeypatch.setattr(FieldCtx, "semilinear_blocks", counted)
+    tables = CartierTables(st).ensure(3)
+    assert [table_digest(tables.levels[m]) for m in (1, 2, 3)] == TABLE_DIGESTS["gf9"]
+    assert len(calls) == sum(len(tables.levels[m]) for m in range(3)) == 3 + 9 + 27, len(calls)
 
 
 def test_p3_table_build_memory():

@@ -281,10 +281,15 @@ def pattern_pivots(nz):
 
 
 def random_shifted(rng, F, rows, cols, density):
-    """A random rows x cols DenseMatrix.shifted over F: the GF(p) columns of
-    each class mod P k, P random, go in runs, each run one segment of random
-    cells (about `density` of the rows it may start at) moved down k rows per
-    column."""
+    """A random rows x cols DenseMatrix.shifted over F (random_segments)."""
+    return DenseMatrix.shifted(F, rows, cols, *random_segments(rng, F, rows, cols, density))
+
+
+def random_segments(rng, F, rows, cols, density):
+    """The arguments (segments, first, count, step) of a random rows x cols
+    DenseMatrix.shifted over F: the GF(p) columns of each class mod P k, P
+    random, go in runs, each run one segment of random cells (about `density`
+    of the rows it may start at) moved down k rows per column."""
     k, P = F.k, int(rng.integers(1, 5))
     segments, first, count = [], [], []
     for c in range(min(P * k, cols * k)):
@@ -296,7 +301,41 @@ def random_shifted(rng, F, rows, cols, density):
             first.append(int(js[0]))
             count.append(q)
             js = js[q:]
-    return DenseMatrix.shifted(F, rows, cols, segments, first, count, P * k)
+    return segments, first, count, P * k
+
+
+def segments_dense(F, rows, cols, segments, first, count, step):
+    """The GF(p) matrix of DenseMatrix.shifted's arguments, cell by cell from
+    their definition: column first[s] + t step is segment s moved down t k
+    rows."""
+    D = np.zeros((F.k * rows, F.k * cols), dtype=np.int64)
+    for (r, v), f, q in zip(segments, first, count):
+        for t in range(q):
+            D[r + t * F.k, f + t * step] = v
+    return D
+
+
+# strips of the default size, of one entry and of seven entries
+@pytest.mark.parametrize("strip", [linalg._STRIP, 1, 7])
+@pytest.mark.parametrize("F", [F2, F3, field(2, 2), field(3, 2)], ids=["gf2", "gf3", "gf4", "gf9"])
+def test_dense_reads_match_the_segment_definition(F, strip, rng, monkeypatch):
+    # every dense read of segments is _gather, strip by strip: .data, and the
+    # packed words of a random subset of rows and columns, unpacked, against
+    # the matrix built here from the segments' definition, so an entry lost or
+    # misplaced at a strip boundary shows
+    monkeypatch.setattr(linalg, "_STRIP", strip)
+    for _ in range(8):
+        rows, cols = (int(v) for v in rng.integers(1, 60, size=2))
+        args = random_segments(rng, F, rows, cols, float(rng.uniform(0.05, 0.5)))
+        M, D = DenseMatrix.shifted(F, rows, cols, *args), segments_dense(F, rows, cols, *args)
+        assert np.array_equal(M.data, D)
+        r = rng.permutation(D.shape[0])[:int(rng.integers(0, D.shape[0] + 1))]
+        c = rng.permutation(D.shape[1])[:int(rng.integers(0, D.shape[1] + 1))]
+        words = linalg._packed(M._a, r, c)
+        assert words.shape == (r.size, -(-c.size // 64))
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        # the nonzero pattern, which over GF(2) is the matrix; padding bits are 0
+        assert np.array_equal(bits[:, :c.size], D[r][:, c] != 0) and not bits[:, c.size:].any()
 
 
 def check_pattern(M):
@@ -310,8 +349,10 @@ def check_pattern(M):
     order = np.lexsort((cols, owner))
     assert np.array_equal(owner[order], np.repeat(np.arange(A.m), rdeg))
     assert np.array_equal(cols[order], ci)
-    j, rows, _ = linalg._column_entries(A, np.arange(A.seg.size))
+    lens, rows, pos = linalg._column_entries(A, np.arange(A.seg.size))
+    j = np.repeat(np.arange(A.seg.size), lens)
     assert np.array_equal(rows[np.lexsort((rows, j))], cr)
+    assert np.array_equal(A.val[pos], M.data.T[M.data.T != 0])  # column by column, rows ascending
     assert all(np.array_equal(a, b) for a, b in zip(_singleton_pivots(A), want))
 
 
@@ -397,15 +438,6 @@ def test_narrowing_an_out_of_range_index_raises():
     for first, count in [([0], [1]), ([0, 1], [2, 1]), ([0, 2], [1, 1])]:
         with pytest.raises(InternalConsistencyError):
             DenseMatrix.shifted(F3, 1 << 16, 2, one * len(first), first, count, 1)
-
-
-def test_runs_on_unsigned_keys_from_zero():
-    # a start mask by subtraction would wrap below the first key 0
-    keys = np.array([0, 0, 3, 65535, 65535, 65535], dtype=np.uint16)
-    vals = np.array([1, 2, 3, 65535, 65535, 65535], dtype=np.uint16)
-    k, cnt, sums = linalg._runs(keys, vals)
-    assert k.tolist() == [0, 3, 65535] and cnt.tolist() == [2, 1, 3]
-    assert sums.tolist() == [3, 3, 3 * 65535]
 
 
 def check_rank(data, F):

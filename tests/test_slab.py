@@ -10,7 +10,8 @@ from oracle import (SparsePoly, digits_of, from_sparse, gen, infinity_valuation,
                     layers as sparse_layers, monomial_valuation, poly_pth_power, random_element,
                     reduce_to_monomial_basis, to_sparse)
 from zptower import _slab
-from zptower._slab import Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply, ymul
+from zptower._slab import (Monomial, PolyError, Slab, code_of, mul as slab_mul, v_apply,
+                           v_entries, ymul)
 from zptower.gf import InternalConsistencyError, check_float_exact, field
 from zptower.tower import TowerSpec, TowerState
 
@@ -103,8 +104,9 @@ def test_v_apply_linear_over_pth_powers(towerenv, rng):
     h = random_poly(ctx, n, rng, nterms=2, maxdeg=2)
     hp = reduce_to_monomial_basis(poly_pth_power(h), layers)
     prod = reduce_to_monomial_basis(hp * w, layers)
-    lhs = v_apply([from_sparse(prod)], tables, [0])[0]
-    rhs = slab_mul(from_sparse(h), v_apply([from_sparse(w)], tables, [0])[0], state.layers)
+    entries = v_entries(tables)
+    lhs = v_apply([from_sparse(prod)], entries, [0])[0]
+    rhs = slab_mul(from_sparse(h), v_apply([from_sparse(w)], entries, [0])[0], state.layers)
     assert to_sparse(lhs) == to_sparse(rhs)
 
 
@@ -391,7 +393,8 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
              for d in (1, 12, 4, 30, 7)]
     forms.insert(2, Slab.zeros(ctx, 2, 3))
     shifts = [0, 1, 2, p - 1, 0, 5]
-    single = [v_apply([f], tables, [s])[0] for f, s in zip(forms, shifts)]
+    entries = v_entries(tables)
+    single = [v_apply([f], entries, [s])[0] for f, s in zip(forms, shifts)]
     S, La = p ** 2, max(e.arr.shape[2] for e in tables.values())
     Q = max(-(-(f.arr.shape[2] + s) // p) for f, s in zip(forms, shifts))
     # room for two of the longest forms in a group
@@ -403,7 +406,7 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
         calls.append(args[1].shape[1])
         real(*args)
     monkeypatch.setattr(_slab, "_xconv", counted)
-    batched = v_apply(forms, tables, shifts)
+    batched = v_apply(forms, entries, shifts)
     assert 1 < len(calls) < len(forms) and max(calls) > 1, calls
     for f, s, got, one in zip(forms, shifts, batched, single):
         assert got.level == 2 and np.array_equal(got.arr, one.arr)
@@ -411,6 +414,8 @@ def test_batched_v_apply_matches_single_forms(p, k, rng, monkeypatch):
                                       for m, c in to_sparse(f).terms.items()})
         assert to_sparse(got) == _sparse_v(shifted, tables)
     assert not batched[2].arr.any()
-    assert v_apply([], tables, []) == []
+    assert v_apply([], entries, []) == []
     with pytest.raises(PolyError):  # one call takes forms of one level
-        v_apply([forms[0], Slab.zeros(ctx, 1)], tables, [0, 0])
+        v_apply([forms[0], Slab.zeros(ctx, 1)], entries, [0, 0])
+    with pytest.raises(PolyError):  # and the table of that level
+        v_apply([Slab.zeros(ctx, 1)], entries, [0])
