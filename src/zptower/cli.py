@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -27,10 +28,10 @@ import click
 from . import __version__
 from .analysis import alpha1_formula, constants, fit_periodic
 from .cartier import cartier_matrix
-from .fixtures import SUITES, parse_fraction
+from .fixtures import SUITES
 from .gf import InternalConsistencyError, field, parse_element
 from .linalg import twisted_power_kernels
-from .tower import (RamificationData, TowerSpec, TowerState, classify_monodromy,
+from .tower import (RamificationData, TowerError, TowerSpec, TowerState, classify_monodromy,
                     closed_form_basic)
 
 EXIT_MISMATCH = 1
@@ -179,8 +180,11 @@ def run_compute(spec: TowerSpec, n: int, powers: int = 1,
     """Build levels 1..n, compute kernel dimensions a^(1..powers), record results.
 
     Reuses the on-disk precompute cache under data_dir; recomputation with a
-    warm cache is deterministic and byte-identical.
+    warm cache is deterministic and byte-identical.  A level beyond the spec's
+    supported depth is refused before any work.
     """
+    if n > spec.max_level():
+        raise TowerError(f"level {n} beyond the supported depth {spec.max_level()} for p={spec.p}")
     cache_dir = Path(data_dir) / "cache" if data_dir is not None else None
     state = TowerState(spec, cache_dir=cache_dir)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
@@ -191,7 +195,7 @@ def run_compute(spec: TowerSpec, n: int, powers: int = 1,
                 tool_version=__version__, timestamp=stamp)
     if n == 0:
         records.append(ResultRecord(level=0, genus=0, a_r=(), wall_time=0.0, **base))
-    elif n <= spec.max_level():  # build_to refuses deeper levels
+    else:
         state.ensure_ram(n)  # the breaks and genera of every level at once
     for m in range(1, n + 1):
         t0 = time.perf_counter()
@@ -253,7 +257,7 @@ def _verify_constants(name: str, fx: dict) -> SuiteResult:
     for (p, d), row in fx["rows"].items():
         for r in range(1, len(row["alpha_d"]) + 1):
             cc = constants(r, p)
-            want_alpha = parse_fraction(row["alpha_d"][r - 1])
+            want_alpha = Fraction(row["alpha_d"][r - 1])
             if cc.alpha * d != want_alpha or cc.m != row["m"][r - 1]:
                 ok = False
                 lines.append(f"  (p={p}, d={d}, r={r}): got ({cc.alpha * d}, {cc.m}), "
@@ -337,7 +341,7 @@ def info(ctx, specfile, levels):
                     f"closed form disagrees with computed invariants at level {m}")
         click.echo("closed forms agree with computed invariants")
     if levels >= 4:
-        click.echo("monodromy: " + classify_monodromy(spec, levels).describe())
+        click.echo("monodromy: " + classify_monodromy(spec.p, ram.s).describe())
 
 
 @main.command()
@@ -362,8 +366,7 @@ def fit(ctx, specfile, levels, powers):
     """Compute kernel dimensions and fit the periodic growth law per power."""
     spec = _load_for_levels(specfile, levels)
     if not spec.is_basic:
-        click.echo("fit requires a basic tower (coefficients in the field itself)")
-        sys.exit(2)
+        raise click.UsageError("fit requires a basic tower (coefficients in the field itself)")
     recs = run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
                        store=_store(ctx))
     d = spec.ramification_invariant
@@ -387,8 +390,7 @@ def scan(ctx, specdir, levels, powers, jobs):
     """Process every *.json spec in a directory (optionally in parallel)."""
     paths = sorted(Path(specdir).glob("*.json"))
     if not paths:
-        click.echo("no spec files found", err=True)
-        sys.exit(2)
+        raise click.UsageError(f"no spec files found in {specdir}")
     for path in paths:  # every file is checked before any work starts
         _load_for_levels(path, levels)
     store = _store(ctx)

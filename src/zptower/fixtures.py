@@ -21,8 +21,6 @@ All of the values never recomputed are marked below.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 #: suite name -> fixture description
 #: tower fixtures: p, k, terms (v, c, i), per-level genus, per-r kernel dims
 SUITES: dict[str, dict] = {
@@ -165,7 +163,3 @@ SUITES: dict[str, dict] = {
         },
     },
 }
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)

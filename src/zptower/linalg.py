@@ -36,7 +36,8 @@ Over GF(2), GF(2^k) included, only products hold packed rows of uint64 words,
 one bit per entry: their factors, packed from segments a block of columns at
 a time (_factor, the one caller of _packed), and their results.  A product is
 Four-Russians XOR tables and its rank M4RI elimination (Albrecht-Bard-Hart,
-ACM TOMS 37(1), 2010), with no floating point.  Odd-p products N @ M densify
+ACM TOMS 37(1), 2010), with no floating point, both from one helper's XOR
+combinations of up to 8 rows (_xor_table).  Odd-p products N @ M densify
 N's rows to int8 and take M one dense column block at a time (_gather)
 through float GEMMs, reduced mod p in float (gf.float_mod) and compressed
 back to one segment per column.  gf.check_float_exact, which also picks the
@@ -313,22 +314,31 @@ def _columns(m: int, unit: int, blocks: Iterable[np.ndarray]) -> _Segs:
                  np.concatenate(val), np.arange(n), np.ones(n, dtype=np.int64))
 
 
+def _xor_table(rows: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The 2^j XOR combinations of j <= 8 packed rows, formed by doubling in the
+    caller's buffer T; row i of the view T[:2^j] returned is the XOR of the rows of i's bits."""
+    T[0] = 0
+    for j, row in enumerate(rows):
+        np.bitwise_xor(T[:1 << j], row, out=T[1 << j:2 << j])
+    return T[:1 << len(rows)]
+
+
 def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over GF(2) for packed rows (_packed), b with one row per column
     of a, by the method of Four Russians (Albrecht-Bard-Hart, ACM TOMS 37(1),
     2010).
 
     For each group of 8 rows of b, T holds all 256 XOR combinations of the
-    group; byte g of a row of a (its columns 8g..8g+7) picks the row of T
-    to XOR into the matching row of the product.  Rows whose byte is zero are
-    skipped: on the Cartier matrices four bytes in five are.  T and the XOR
-    start at the group's first nonzero word, since all of its combinations
-    are zero to the left of it: on a block upper triangular b, such as the
-    Cartier matrices, that is the start of the group's block.
+    group (_xor_table); byte g of a row of a (its columns 8g..8g+7) picks the
+    row of T to XOR into the matching row of the product.  Rows whose byte is
+    zero are skipped: on the Cartier matrices four bytes in five are.  T and
+    the XOR start at the group's first nonzero word, since all of its
+    combinations are zero to the left of it: on a block upper triangular b,
+    such as the Cartier matrices, that is the start of the group's block.
     """
     A = a.view(np.uint8)
     C = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
-    T = np.zeros((256, b.shape[1]), dtype=np.uint64)
+    T = np.empty((256, b.shape[1]), dtype=np.uint64)
     for g in range(0, b.shape[0], 8):
         words = np.flatnonzero(b[g:g + 8].any(axis=0))
         if words.size == 0:
@@ -337,9 +347,7 @@ def _matmul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a short last group leaves T[2^len:] stale, and earlier groups leave
         # T[:, :w] stale, but neither is read: the zero padding of A's last
         # byte never indexes the first, and the slices below start at w
-        Tw = T[:, w:]
-        for j, row in enumerate(b[g:g + 8, w:]):
-            np.bitwise_xor(Tw[:1 << j], row, out=Tw[1 << j:2 << j])
+        Tw = _xor_table(b[g:g + 8, w:], T[:, w:])
         rows = np.flatnonzero(A[:, g // 8])
         C[rows, w:] ^= Tw[A[rows, g // 8]]
     return C
@@ -603,15 +611,17 @@ def _rank_gf2(words: np.ndarray) -> tuple[int, np.ndarray]:
     bytes of the pivots before it, a set of at most 256 small ints kept in
     Python (groups have about a hundred candidates on the Cartier matrices,
     too few for vectorised passes to pay).  The other bytes then lie in the
-    span of the pivot bytes, which are independent, so a table T of the
-    2^npiv XOR combinations of the pivot rows, indexed by their bytes, clears
-    the group from every row in one pass: row ^= T[its byte].  That zeroes
-    the pivot rows, which leave the live set.  Live rows are zero left of the
-    group, so T holds only words from the group's onward.  Rows never move,
-    so the pivot rows are indices into `words`.
+    span of the pivot bytes, which are independent, so the 2^npiv XOR
+    combinations of the pivot rows (_xor_table), combination i of byte key[i],
+    clear the group from every row in one pass: row ^= comb[inv[its byte]],
+    inv[key[i]] = i.  That zeroes the pivot rows, which leave the live set.
+    Live rows are zero left of the group, so the table holds only words from
+    the group's onward.  Rows never move, so the pivot rows index `words`.
     """
     W = words.copy()
     B = W.view(np.uint8)
+    T = np.empty((256, W.shape[1]), dtype=np.uint64)
+    inv = np.zeros(256, dtype=np.intp)  # entries off the span are never read
     live = np.ones(W.shape[0], dtype=bool)
     found: list[np.ndarray] = []
     for g in range(B.shape[1]):
@@ -630,12 +640,9 @@ def _rank_gf2(words: np.ndarray) -> tuple[int, np.ndarray]:
                 if len(piv) == 8:
                     break
         w, prows = g // 8, rows[piv]
-        comb = np.zeros((len(key), W.shape[1] - w), dtype=np.uint64)
-        for t, pr in enumerate(prows):
-            np.bitwise_xor(comb[:1 << t], W[pr, w:], out=comb[1 << t:2 << t])
-        T = np.empty((256, comb.shape[1]), dtype=np.uint64)  # rows off the span are never read
-        T[key] = comb
-        W[rows, w:] ^= T[s]
+        comb = _xor_table(W[prows, w:], T[:, w:])
+        inv[key] = np.arange(len(key))
+        W[rows, w:] ^= comb[inv[s]]
         live[prows] = False
         found.append(prows)
     prows = np.concatenate(found) if found else np.empty(0, dtype=np.intp)

@@ -132,32 +132,23 @@ def coefficient_valuations(spec: TowerSpec, n: int) -> dict[int, int]:
     return out
 
 
-def breaks_and_conductor(spec: TowerSpec, n: int) -> tuple[list[int], list[int]]:
-    """(s(1..n), u(1..n)): u(m) = 1 + max over i with v(c_i) < m of i p^(m-1-v)."""
+def upper_breaks(spec: TowerSpec, n: int) -> list[int]:
+    """s(1..n): s(m) = max over i with v(c_i) < m of i p^(m-1-v); the conductor is s + 1."""
     vals = coefficient_valuations(spec, n)
-    s, u = [], []
+    s = []
     for m in range(1, n + 1):
         candidates = [i * spec.p ** (m - 1 - v) for i, v in vals.items() if v < m]
         if not candidates:
             raise TowerError(f"tower not totally ramified at level {m}")
-        um = 1 + max(candidates)
-        u.append(um)
-        s.append(um - 1)
-    return s, u
+        s.append(max(candidates))
+    return s
 
 
 def lower_breaks(p: int, s: Sequence[int]) -> list[int]:
     """d(n) = p^(n-1) s(n) - sum_{j<n} phi(p^j) s(j), from the upper breaks."""
-    d = []
-    for m in range(1, len(s) + 1):
-        if m > 1 and s[m - 1] < p * s[m - 2]:
-            raise TowerError(f"malformed break sequence: s({m}) < p*s({m-1})")
-        dm = p ** (m - 1) * s[m - 1] - sum(
-            euler_phi_prime_power(p, j) * s[j - 1] for j in range(1, m))
-        if dm <= 0:
-            raise TowerError("nonpositive lower break: malformed sequence")
-        d.append(dm)
-    return d
+    return [p ** (m - 1) * s[m - 1] - sum(euler_phi_prime_power(p, j) * s[j - 1]
+                                          for j in range(1, m))
+            for m in range(1, len(s) + 1)]
 
 
 def genus_from_breaks(p: int, s: Sequence[int], n: int) -> int:
@@ -175,28 +166,31 @@ class RamificationData:
 
     p: int
     s: tuple[int, ...]
-    u: tuple[int, ...]
     d: tuple[int, ...]
     g: tuple[int, ...]
 
     @classmethod
     def compute(cls, spec: TowerSpec, n: int) -> "RamificationData":
-        """The one check of the lower breaks: prime to p, d_{m+1} >= (p^2-p+1) d_m.
-        The breaks come from breaks_and_conductor, so a malformed sequence is an
-        engine fault, not bad input."""
+        """The one check of the break sequence: s(m+1) >= p s(m), and each lower
+        break positive, prime to p and d(m+1) >= (p^2-p+1) d(m).  The breaks come
+        from upper_breaks, so a violation is an engine fault, not bad input."""
         p = spec.p
-        s, u = breaks_and_conductor(spec, n)
-        try:
-            d = lower_breaks(p, s)
-        except TowerError as exc:
-            raise InternalConsistencyError(f"computed breaks {s}: {exc}") from exc
-        g = [genus_from_breaks(p, s, m) for m in range(1, n + 1)]
+        s = upper_breaks(spec, n)
+        if any(s[m] < p * s[m - 1] for m in range(1, n)):
+            raise InternalConsistencyError(f"malformed break sequence {s}: s(m+1) < p*s(m)")
+        d = lower_breaks(p, s)
         for m, dm in enumerate(d):
-            if dm % p == 0:
-                raise InternalConsistencyError(f"lower break d_{m + 1}={dm} divisible by p={p}")
+            if dm <= 0 or dm % p == 0:
+                raise InternalConsistencyError(f"lower break d_{m + 1}={dm} not positive and "
+                                               f"prime to p={p}")
             if m and dm < (p * p - p + 1) * d[m - 1]:
                 raise InternalConsistencyError("lower-break growth bound violated")
-        return cls(p, tuple(s), tuple(u), tuple(d), tuple(g))
+        g = [genus_from_breaks(p, s, m) for m in range(1, n + 1)]
+        return cls(p, tuple(s), tuple(d), tuple(g))
+
+    @property
+    def u(self) -> tuple[int, ...]:  # the conductor exponents
+        return tuple(sm + 1 for sm in self.s)
 
     @property
     def levels(self) -> int:
@@ -235,16 +229,15 @@ class MonodromyClass:
         return "unclassified"
 
 
-def classify_monodromy(spec: TowerSpec, N: int) -> MonodromyClass:
-    """Detect s(n) = c(n mod m) + d p^(n-1) exactly on a trailing window.
+def classify_monodromy(p: int, s: Sequence[int]) -> MonodromyClass:
+    """Detect s(n) = c(n mod m) + d p^(n-1) exactly on a trailing window of s(1..N).
 
     Exact rational arithmetic only; smallest period m <= N//2 wins, with
     m = 1 reported as stable.  Requires N >= 4 observed levels.
     """
+    N = len(s)
     if N < 4:
         raise TowerError("classification needs at least 4 levels")
-    p = spec.p
-    s, _ = breaks_and_conductor(spec, N)
     if any(s[m] <= s[m - 1] for m in range(1, N)):
         raise InternalConsistencyError("upper breaks must strictly increase")
     for m in range(1, N // 2 + 1):

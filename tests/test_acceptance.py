@@ -22,7 +22,7 @@ from oracle import (cartier_apply, delta_values, differential_basis, elementary_
 from zptower.analysis import (alpha1_formula, anumber_basic_p2, anumber_cover_p2, constants,
                               discrepancies, fit_periodic, kernel_power_level1_p2)
 from zptower.cartier import cartier_matrix
-from zptower.fixtures import SUITES, parse_fraction
+from zptower.fixtures import SUITES
 from zptower.gf import field
 from zptower.linalg import kernel_dim, twisted_power_kernels
 from zptower.tower import TowerError, TowerSpec, TowerState
@@ -231,10 +231,10 @@ def test_criterion_7_constants_tables():
     t12 = SUITES["constants"]["rows"][(3, 5)]
     for r in range(1, 11):
         c2 = constants(r, 2)
-        assert c2.alpha * 21 == parse_fraction(t8["alpha_d"][r - 1])
+        assert c2.alpha * 21 == Fraction(t8["alpha_d"][r - 1])
         assert c2.m == t8["m"][r - 1]
         c3 = constants(r, 3)
-        assert c3.alpha * 5 == parse_fraction(t12["alpha_d"][r - 1])
+        assert c3.alpha * 5 == Fraction(t12["alpha_d"][r - 1])
         assert c3.m == t12["m"][r - 1]
     for p in (2, 3, 5, 7, 11, 13):
         assert constants(1, p).alpha == alpha1_formula(p)

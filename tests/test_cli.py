@@ -69,6 +69,27 @@ def test_compute_and_store(runner, specfile, tmp_path):
     assert len(store.load()) == 4 and len(store.query()) == 2
 
 
+def test_run_compute_refuses_a_level_past_the_supported_depth(tmp_path):
+    # p = 7 stops at level 2: level 3 is refused before any level is built
+    spec = TowerSpec.make(field(7), [(0, 1, 3)])
+    store, echoed = Store(tmp_path / "d" / "results.jsonl"), []
+    with pytest.raises(tower.TowerError, match="beyond the supported depth"):
+        run_compute(spec, spec.max_level() + 1, data_dir=tmp_path / "d", store=store,
+                    echo=echoed.append)
+    assert echoed == [] and not (tmp_path / "d").exists()
+
+
+def test_info_computes_the_breaks_once(runner, specfile, tmp_path, monkeypatch):
+    # load_spec's level-1 check and the table; the monodromy reads the table's breaks
+    calls = []
+    valuations = tower.coefficient_valuations
+    monkeypatch.setattr(tower, "coefficient_valuations",
+                        lambda spec, n: calls.append(n) or valuations(spec, n))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "info", str(specfile), "-n", "8"])
+    assert r.exit_code == 0, r.output
+    assert calls == [1, 8] and "monodromy: stable" in r.output
+
+
 def test_run_compute_level0():
     spec = TowerSpec.make(field(3), [(0, 1, 7)], name="z")
     recs = run_compute(spec, 0)
@@ -303,9 +324,7 @@ def test_export_to_a_missing_directory_exits_5(runner, specfile, tmp_path):
 
 def test_engine_break_sequence_fault_exits_3(runner, specfile, tmp_path, monkeypatch):
     # s(4) = s(3) is no break sequence; it comes from the engine, not the spec file
-    import zptower.tower as tower
-    monkeypatch.setattr(tower, "breaks_and_conductor",
-                        lambda spec, n: ([7, 21, 63, 63][:n], [8, 22, 64, 64][:n]))
+    monkeypatch.setattr(tower, "upper_breaks", lambda spec, n: [7, 21, 63, 63][:n])
     r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "info", str(specfile),
                              "-n", "4"])
     assert r.exit_code == 3, r.output
@@ -392,7 +411,17 @@ def test_fit_rejects_non_basic_tower_before_computing(runner, tmp_path, monkeypa
     path.write_text(json.dumps({"name": "nb", "p": 2, "terms": [{"v": 0, "c": 1, "i": 3},
                                                                 {"v": 1, "c": 1, "i": 5}]}))
     r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "fit", str(path)])
-    assert r.exit_code == 2 and "basic tower" in r.output
+    _one_error_line(r, 2, "basic tower")
+    assert r.stdout == "" and "basic tower" in r.stderr
+
+
+def test_scan_of_a_directory_without_spec_files_is_a_usage_error(runner, tmp_path):
+    sd = tmp_path / "specs"
+    sd.mkdir()
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "scan", str(sd)])
+    _one_error_line(r, 2, "no spec files", str(sd))
+    assert r.stdout == "" and "no spec files" in r.stderr
+    assert not (tmp_path / "d").exists()
 
 
 def test_scan_checks_every_spec_before_computing(runner, tmp_path, monkeypatch):

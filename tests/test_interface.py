@@ -37,6 +37,16 @@ def test_package_never_imports_the_test_oracle():
     assert not hits
 
 
+def test_cli_exits_2_only_through_click_usage_errors():
+    """Exit code 2 is a usage error: click prints its message on stderr after
+    the usage line.  No command calls sys.exit(2) by hand."""
+    tree = ast.parse((ROOT / "src" / "zptower" / "cli.py").read_text())
+    hits = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"
+            and [ast.unparse(a) for a in node.args] == ["2"]]
+    assert not hits
+
+
 #: src/zptower modules in pipeline order; each may import only earlier ones
 PIPELINE = ["gf", "_slab", "witt", "tower", "linalg", "cartier", "analysis", "fixtures", "cli"]
 

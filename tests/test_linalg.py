@@ -707,6 +707,21 @@ def test_twisted_powers_match_full_powers(F, rng):
         assert twisted_power_kernels(M, 6) == dims
 
 
+def test_gf2_product_and_rank_of_block_triangular_factors(rng):
+    # row counts that are not multiples of 8 leave a short last group of 8
+    # rows in the product's XOR tables and of 8 columns in the rank's, and
+    # blocks starting past column 64 give both kernels groups whose first
+    # live word is past 0
+    for sizes in ([70, 45, 90, 13], [5, 66, 101, 3]):
+        A, B = (block_triangular(rng, F2, sizes, 0.1)[..., 0] for _ in range(2))
+        P = DenseMatrix(F2, A) @ DenseMatrix(F2, B)
+        want = A.astype(np.int64) @ B % 2
+        assert P._a.dtype == np.uint64  # packed words, so the rank is M4RI's
+        assert (P.data == want).all()
+        assert 0 < rank(P) == naive_rank(want.copy(), 2) < sum(sizes)
+        check_row_basis(P)
+
+
 @pytest.mark.parametrize("name,p,level", [("p2d21", 2, 4), ("p3d5", 3, 3)])
 def test_powers_multiply_the_previous_row_basis(name, p, level, monkeypatch):
     # each product multiplies only the pivot rows of the previous power: as

@@ -9,8 +9,8 @@ from zptower import _slab
 from zptower.fixtures import SUITES
 from zptower.gf import InternalConsistencyError, field
 from zptower.tower import (RamificationData, TowerError, TowerSpec, TowerState,
-                           breaks_and_conductor, classify_monodromy, closed_form_basic,
-                           coefficient_valuations, lower_breaks)
+                           classify_monodromy, closed_form_basic, coefficient_valuations,
+                           lower_breaks, upper_breaks)
 
 F2, F3 = field(2), field(3)
 
@@ -34,7 +34,7 @@ def test_normalization_preserves_invariants():
     # the reduced exponent generates the same extension, so all breaks agree
     a = TowerSpec.make(F2, [(0, 1, 12), (0, 1, 5)])
     b = TowerSpec.make(F2, [(0, 1, 3), (0, 1, 5)])
-    assert breaks_and_conductor(a, 3) == breaks_and_conductor(b, 3)
+    assert upper_breaks(a, 3) == upper_breaks(b, 3)
     assert a.spec_hash() == b.spec_hash()
 
 
@@ -65,30 +65,27 @@ def test_coefficient_valuations():
     assert got == {3: 1, 5: 0}
 
 
-def test_breaks_and_conductor():
-    s, u = breaks_and_conductor(TowerSpec.make(F3, [(0, 1, 7)]), 3)
-    assert s == [7, 21, 63] and u == [8, 22, 64]
+def test_upper_breaks():
+    spec = TowerSpec.make(F3, [(0, 1, 7)])
+    assert upper_breaks(spec, 3) == [7, 21, 63]
+    assert RamificationData.compute(spec, 3).u == (8, 22, 64)  # the conductor is s + 1
     # mixed valuations: conductor formula max(3*2^(m-1), 5*2^(m-2))
-    s, _ = breaks_and_conductor(TowerSpec.make(F2, [(0, 1, 3), (1, 1, 5)]), 3)
-    assert s == [3, 6, 12]
-    s, _ = breaks_and_conductor(TowerSpec.make(F2, [(0, 1, 3)]), 1)
-    assert s == [3]
+    assert upper_breaks(TowerSpec.make(F2, [(0, 1, 3), (1, 1, 5)]), 3) == [3, 6, 12]
+    assert upper_breaks(TowerSpec.make(F2, [(0, 1, 3)]), 1) == [3]
 
 
 def test_not_totally_ramified_error():
     spec = TowerSpec.make(F2, [(0, 1, 3), (0, 1, 3)])  # cancels at level 2
     with pytest.raises(TowerError, match="not totally ramified"):
-        breaks_and_conductor(spec, 2)
+        upper_breaks(spec, 2)
     with pytest.raises(TowerError, match="not totally ramified"):
-        breaks_and_conductor(TowerSpec.make(F2, [(1, 1, 3)]), 1)
+        upper_breaks(TowerSpec.make(F2, [(1, 1, 3)]), 1)
 
 
 def test_lower_breaks():
     assert lower_breaks(3, [7, 21, 63]) == [7, 49, 427]
     assert lower_breaks(2, [7, 14, 28]) == [7, 21, 77]
     assert lower_breaks(2, [7]) == [7]
-    with pytest.raises(TowerError):
-        lower_breaks(2, [7, 13])  # s(2) < p*s(1)
 
 
 def test_genus():
@@ -153,24 +150,31 @@ def test_ramification_data_checks_lower_breaks(monkeypatch, p, d):
         RamificationData.compute(spec, len(d))
 
 
+@pytest.mark.parametrize("s, match", [([7, 13], "malformed"), ([-3], "not positive")],
+                         ids=["malformed", "nonpositive"])
+def test_ramification_data_checks_upper_breaks(monkeypatch, s, match):
+    # s(2) = 13 is below p s(1) = 14; s(1) = -3 gives the lower break d_1 = -3
+    monkeypatch.setattr(tower, "upper_breaks", lambda spec, n: s)
+    with pytest.raises(InternalConsistencyError, match=match):
+        RamificationData.compute(TowerSpec.make(F2, [(0, 1, 7)]), len(s))
+
+
 def test_classify_monodromy():
-    assert classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 5).kind == "stable"
-    mc = classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 5)
-    assert mc.d == 7 and mc.c[0] == 0
+    mc = classify_monodromy(3, RamificationData.compute(TowerSpec.make(F3, [(0, 1, 7)]), 5).s)
+    assert mc.kind == "stable" and mc.d == 7 and mc.c[0] == 0
     d = 5
     terms = [(0, 1, d)] + [(2 * i - 1, 1, (d + 2) * 2 ** (2 * i - 1) - 1) for i in (1, 2, 3)]
-    mcp = classify_monodromy(TowerSpec.make(F2, terms), 6)
+    mcp = classify_monodromy(2, RamificationData.compute(TowerSpec.make(F2, terms), 6).s)
     assert mcp.kind == "periodic" and mcp.period == 2 and mcp.d == d + 2
     assert mcp.c[1] == -2 and mcp.c[0] == -1
     with pytest.raises(TowerError):
-        classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 3)
+        classify_monodromy(3, [7, 21, 63])
 
 
-def test_classify_monodromy_checks_the_last_pair(monkeypatch):
+def test_classify_monodromy_checks_the_last_pair():
     # s(4) = s(3) breaks strict growth in the last pair of levels
-    monkeypatch.setattr(tower, "breaks_and_conductor", lambda spec, n: ([7, 21, 63, 63], None))
     with pytest.raises(InternalConsistencyError):
-        classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), 4)
+        classify_monodromy(3, [7, 21, 63, 63])
 
 
 @pytest.mark.parametrize("s,text", [
@@ -178,9 +182,8 @@ def test_classify_monodromy_checks_the_last_pair(monkeypatch):
      "periodic (m=2): s(n) = c(n) + 7 * p^(n-1) with n%2=0: 1, n%2=1: 0"),
     ([7, 22, 70, 215], "unclassified"),
 ], ids=["periodic", "unclassified"])
-def test_monodromy_class_descriptions(monkeypatch, s, text):
-    monkeypatch.setattr(tower, "breaks_and_conductor", lambda spec, n: (s, None))
-    assert classify_monodromy(TowerSpec.make(F3, [(0, 1, 7)]), len(s)).describe() == text
+def test_monodromy_class_descriptions(s, text):
+    assert classify_monodromy(3, s).describe() == text
 
 
 def test_tower_state_standard_form_poles():
