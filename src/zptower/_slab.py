@@ -7,7 +7,8 @@ residues in [0, p); all arithmetic is exact.  A differential form h dx at a
 tower level is the Slab of h.  A Monomial x^nu y_1^a_1 ... y_n^a_n names one
 entry by its exponents.  Products take the layer right-hand sides
 f_1..f_level as a list of slabs and reduce y_j^p to y_j + f_j; the kernel
-holds no tower of its own.
+holds no tower of its own and never sees the lower breaks, so the pole
+orders of monomials at infinity belong to tower.
 
 All products run through one batched x-convolution, _xconv: it gathers many
 (k, X) blocks and the blocks they multiply and forms every product with GEMMs
@@ -119,28 +120,6 @@ class Slab:
         return Slab(self.ctx, self.level, M @ self.arr % self.ctx.p)
 
 
-def pole_grid(p: int, level: int, d: Sequence[int], n: int, X: int) -> np.ndarray:
-    """grid[code, nu] = the pole order at level n of x^nu y^code, nu < X, for the
-    y-codes at `level` (code_weights)."""
-    return np.arange(X) * p ** n + code_weights(p, level, d, n)[:, None]
-
-
-def leading_cell(arr: np.ndarray, grid: np.ndarray) -> tuple[int, int, int] | None:
-    """(pole order, code, nu) of the nonzero cell of a (S, k, X) slab array
-    with the largest pole order, grid[code, nu] (at least X wide); None if
-    arr is zero.  Reduced monomials have distinct pole orders, so a tie at the
-    top raises InternalConsistencyError."""
-    X = arr.shape[2]
-    poles = np.where(arr.any(axis=1), grid[:, :X], -1)
-    i = int(poles.argmax())
-    best = int(poles.flat[i])
-    if best < 0:
-        return None
-    if np.count_nonzero(poles == best) > 1:
-        raise InternalConsistencyError("tied pole orders: distinct-valuation property violated")
-    return best, *divmod(i, X)
-
-
 def code_digits(p: int, codes, level: int) -> np.ndarray:
     """digits[..., j] = base-p digit j of codes (j < level), the exponent of y_(j+1)."""
     return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(level) % p
@@ -149,13 +128,6 @@ def code_digits(p: int, codes, level: int) -> np.ndarray:
 def code_of(p: int, digits) -> np.ndarray:
     """The y-codes of digits, along their last axis: the inverse of code_digits."""
     return np.asarray(digits, dtype=np.int64) @ p ** np.arange(np.shape(digits)[-1])
-
-
-def code_weights(p: int, level: int, d: Sequence[int], n: int) -> np.ndarray:
-    """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..level: the pole
-    order at level n of y^code, given the lower breaks d_1..d_level."""
-    return code_digits(p, np.arange(p ** level), level) @ np.array(
-        [d[j] * p ** (n - 1 - j) for j in range(level)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._slab import (Monomial, Slab, code_digits, code_weights, mul as slab_mul, v_apply,
-                    v_entries, ymul)
+from ._slab import Monomial, Slab, code_digits, mul as slab_mul, v_apply, v_entries, ymul
 from .gf import InternalConsistencyError
 from .linalg import DenseMatrix
-from .tower import TowerState
+from .tower import TowerState, code_weights
 from .witt import read_cache, write_cache
 
 TABLE_FORMAT_VERSION = 3
@@ -44,7 +43,7 @@ def _basis_layout(state: TowerState, n: int):
     p = state.spec.p
     ram = state.ensure_ram(n)
     # sum_j p^(n-j) d_j (p-1-a_j) = W[top code] - W[code]
-    W = code_weights(p, n, ram.d, n)
+    W = code_weights(p, ram.d, n)
     bound = W[-1] - W - p ** n - 1
     numax = np.where(bound >= 0, bound // p ** n, -1)
     counts = np.maximum(numax + 1, 0)

@@ -9,7 +9,8 @@ divisible by p are normalized away with a warning.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (including a
 malformed spec file or a corrupt result-store record), 3 internal consistency
-failure, 4 out of memory, 5 a file or directory could not be read or written.
+failure or any other exception from the engine, 4 out of memory, 5 a file or
+directory could not be read or written.
 """
 
 from __future__ import annotations
@@ -284,9 +285,11 @@ def verify_suite(name: str, depth: int | None = None, data_dir=None) -> SuiteRes
 # ---------------------------------------------------------------------------
 
 class _Main(click.Group):
-    """Every command exits EXIT_INTERNAL on an internal consistency failure,
-    EXIT_MEMORY when an allocation fails and EXIT_IO when a file or directory
-    could not be read or written."""
+    """Every command exits EXIT_INTERNAL on an internal consistency failure or
+    any other exception from the engine, EXIT_MEMORY when an allocation fails
+    and EXIT_IO when a file or directory could not be read or written; only a
+    verification mismatch exits EXIT_MISMATCH.  click's own exceptions (usage
+    errors, exits and aborts) are left to click."""
 
     def invoke(self, ctx):
         try:
@@ -300,6 +303,11 @@ class _Main(click.Group):
         except OSError as exc:  # str(exc) names the path
             click.echo(f"file error: {exc}", err=True)
             sys.exit(EXIT_IO)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # else it escapes as Python's exit 1, a mismatch
+            click.echo(f"internal failure: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
 
 
 @click.group(cls=_Main)
@@ -317,13 +325,17 @@ def _store(ctx) -> Store:
     return Store(ctx.obj["data_dir"] / "results.jsonl")
 
 
+def _warn(message: str) -> None:
+    click.echo(f"warning: {message}", err=True)
+
+
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(1, 16))
 @click.pass_context
 def info(ctx, specfile, levels):
     """Breaks, conductors, genera, closed forms, and monodromy classification."""
-    spec = load_spec(specfile, warn=lambda m: click.echo(f"warning: {m}", err=True))
+    spec = load_spec(specfile, warn=_warn)
     click.echo(f"spec {spec.name or specfile}: p={spec.p}, k={spec.field.k}, "
                f"hash={spec.spec_hash()}")
     ram = RamificationData.compute(spec, levels)
@@ -351,8 +363,7 @@ def info(ctx, specfile, levels):
 @click.pass_context
 def compute(ctx, specfile, levels, powers):
     """Build the tower and compute kernel dimensions of Cartier powers."""
-    spec = _load_for_levels(specfile, levels,
-                            warn=lambda m: click.echo(f"warning: {m}", err=True))
+    spec = _load_for_levels(specfile, levels, warn=_warn)
     run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
                 store=_store(ctx), echo=click.echo)
 
@@ -364,7 +375,7 @@ def compute(ctx, specfile, levels, powers):
 @click.pass_context
 def fit(ctx, specfile, levels, powers):
     """Compute kernel dimensions and fit the periodic growth law per power."""
-    spec = _load_for_levels(specfile, levels)
+    spec = _load_for_levels(specfile, levels, warn=_warn)
     if not spec.is_basic:
         raise click.UsageError("fit requires a basic tower (coefficients in the field itself)")
     recs = run_compute(spec, levels, powers=powers, data_dir=ctx.obj["data_dir"],
@@ -391,8 +402,8 @@ def scan(ctx, specdir, levels, powers, jobs):
     paths = sorted(Path(specdir).glob("*.json"))
     if not paths:
         raise click.UsageError(f"no spec files found in {specdir}")
-    for path in paths:  # every file is checked before any work starts
-        _load_for_levels(path, levels)
+    for path in paths:  # every file is checked, and warned about, before any work starts
+        _load_for_levels(path, levels, warn=_warn)
     store = _store(ctx)
     data_dir = ctx.obj["data_dir"]
     workers = min(jobs, len(paths))  # never more processes than spec files

@@ -1,5 +1,6 @@
 """Tower model: right-hand-side normalization, ramification breaks, conductors,
-genus, monodromy classification, and layer equations in standard form.
+genus, monodromy classification, pole orders at infinity, and layer equations
+in standard form.
 
 A tower over the projective line, totally ramified over the point at infinity
 and unramified elsewhere, is specified by terms (v, c, i) standing for
@@ -29,8 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._slab import (Monomial, PolyError, Slab, code_of, leading_cell, lincomb, mul as slab_mul,
-                    mul_pairs, pole_grid)
+from ._slab import Monomial, Slab, code_digits, code_of, lincomb, mul as slab_mul, mul_pairs
 from .gf import FieldCtx, FieldElement, InternalConsistencyError
 from .witt import LENGTH_CAP, peel_polynomials, rhs_components
 
@@ -258,33 +258,64 @@ def classify_monodromy(p: int, s: Sequence[int]) -> MonodromyClass:
 # layer equations
 # ---------------------------------------------------------------------------
 
-def monomial_with_pole_order(w: int, p: int, d: Sequence[int], level: int) -> Monomial:
-    """The unique (nu >= 0, 0 <= a_j < p) with nu p^m + sum a_j d_j p^(m-j) = w.
+def code_weights(p: int, d: Sequence[int], n: int) -> np.ndarray:
+    """weights[code] = sum digits_j * d_j * p^(n-j) over j = 1..n: the pole
+    order at level n of y^code, for the y-codes at level n and the lower
+    breaks d_1..d_n."""
+    return code_digits(p, np.arange(p ** n), n) @ np.array(
+        [d[j] * p ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+
+
+def pole_grid(p: int, d: Sequence[int], n: int, X: int) -> np.ndarray:
+    """grid[code, nu] = the pole order at level n of x^nu y^code, nu < X, for the
+    y-codes at level n (code_weights)."""
+    return np.arange(X) * p ** n + code_weights(p, d, n)[:, None]
+
+
+def leading_cell(arr: np.ndarray, grid: np.ndarray) -> tuple[int, int, int] | None:
+    """(pole order, code, nu) of the nonzero cell of a (S, k, X) slab array
+    with the largest pole order, grid[code, nu] (at least X wide); None if
+    arr is zero.  Reduced monomials have distinct pole orders, so a tie at the
+    top raises InternalConsistencyError."""
+    X = arr.shape[2]
+    poles = np.where(arr.any(axis=1), grid[:, :X], -1)
+    i = int(poles.argmax())
+    best = int(poles.flat[i])
+    if best < 0:
+        return None
+    if np.count_nonzero(poles == best) > 1:
+        raise InternalConsistencyError("tied pole orders: distinct-valuation property violated")
+    return best, *divmod(i, X)
+
+
+def monomial_with_pole_order(w: int, p: int, d: Sequence[int]) -> Monomial:
+    """The unique (nu >= 0, 0 <= a_j < p) with nu p^m + sum a_j d_j p^(m-j) = w,
+    at level m = len(d).
 
     Solved digit by digit mod p from a_m downward (each d_j is prime to p).
-    Raises PolyError when no representation with nu >= 0 exists.
+    Raises TowerError when no representation with nu >= 0 exists.
     """
     if w < 0:
-        raise PolyError(f"pole order {w} negative")
-    a = [0] * level
-    for j in range(level, 0, -1):
+        raise TowerError(f"pole order {w} negative")
+    a = [0] * len(d)
+    for j in range(len(d), 0, -1):
         dj = d[j - 1]
         aj = (w * pow(dj, -1, p)) % p
         a[j - 1] = aj
         w -= aj * dj
         if w < 0:
-            raise PolyError("no monomial with the requested pole order (nu < 0)")
+            raise TowerError("no monomial with the requested pole order (nu < 0)")
         if w % p:
             raise InternalConsistencyError(f"pole-order remainder {w} not divisible by p")
         w //= p
     return Monomial(w, tuple(a))
 
 
-def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
-                ) -> tuple[Slab, Slab]:
-    """Standard-form reduction of a layer f at level len(d) = f.level.
+def reduce_slab(f: Slab, state: TowerState) -> tuple[Slab, Slab]:
+    """Standard-form reduction of a layer f at level m = f.level, against the
+    lower breaks d_1..d_m of the state's tower.
 
-    Returns (f', Z) with ord(f') = -target_d and f' = f + Z-induced shifts,
+    Returns (f', Z) with ord(f') = -d_(m+1) and f' = f + Z-induced shifts,
     where Z accumulates the substitution y -> y + Z.  f is one array, changed
     in place.  For z = x^nu y^a, z^p is x^(p nu) times (y + f)^a, which the
     state's power memo holds (TowerState.pth_power): each step adds c_p times
@@ -292,15 +323,17 @@ def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
     -c z, and reduces only those mod p.  The slab's leading cell is found
     against the matching window of the pole-order grid, and the next leading
     term of f comes from one masked argmax over the whole grid, which is
-    computed once and again only when z^p reaches past f.  z^p must lead at
-    the pole order it cancels, and every iteration must strictly decrease
-    the pole order (both checked).
+    computed once and again only when z^p reaches past f.  z must exist,
+    z^p must lead at the pole order it cancels, and every iteration must
+    strictly decrease the pole order (all checked).
     """
     ctx = f.ctx
     p, level = ctx.p, f.level
+    breaks = state.ensure_ram(level + 1).d
+    d, target_d = breaks[:level], breaks[level]
     arr = f.arr.copy()
     shift = Slab.zeros(ctx, level).arr
-    grid = pole_grid(p, level, d, level, arr.shape[2])
+    grid = pole_grid(p, d, level, arr.shape[2])
     lead = leading_cell(arr, grid)
     if lead is None:
         raise InternalConsistencyError("layer reduced to zero: degenerate tower data")
@@ -309,12 +342,15 @@ def reduce_slab(f: Slab, state: TowerState, d: Sequence[int], target_d: int
         if pole < target_d or pole % p != 0:
             raise InternalConsistencyError(
                 f"pole order {pole} below or coprime-to-p above target {target_d}")
-        z = monomial_with_pole_order(pole // p, p, d, level)
+        try:
+            z = monomial_with_pole_order(pole // p, p, d)
+        except TowerError as exc:
+            raise InternalConsistencyError(f"no z of pole order {pole // p}: {exc}") from exc
         zp = state.pth_power(z.a)  # (y^a)^p: z^p is it times x^x0
         x0, (S, _, X) = p * z.nu, zp.arr.shape
         if x0 + X > arr.shape[2]:
             arr = np.pad(arr, ((0, 0), (0, 0), (0, x0 + X - arr.shape[2])))
-            grid = pole_grid(p, level, d, level, x0 + X)
+            grid = pole_grid(p, d, level, x0 + X)
         zp_lead = leading_cell(zp.arr, grid[:S, x0:])
         if zp_lead is None or zp_lead[0] != pole:
             raise InternalConsistencyError("z^p pole order mismatch")
@@ -393,18 +429,17 @@ class TowerState:
                                          self.field)
         comps = self._comps
         for m in range(self.level + 1, n + 1):
-            d = ram.d[:m - 1]
             peel = peel_polynomials(self.spec.p, m, self.cache_dir)[m - 1]
             raw = Slab.zeros(self.field, 0, max((nu for nu, in comps[m - 1]), default=0) + 1)
             for (nu,), c in comps[m - 1].items():
                 raw.arr[0, :, nu] = c
             f = (raw.at_level(m - 1) - self._eval_terms(peel.e, peel.c)).trim()
-            f, shift = reduce_slab(f, self, d, ram.d[m - 1])
+            f, shift = reduce_slab(f, self)
             y_m = Slab.monomial(self.field, Monomial(0, (0,) * (m - 1) + (1,)))
             self.layers.append(f)
             self.subs.append((y_m - shift).trim())
             self._plus_f.append(y_m + f)
-            lead = leading_cell(f.arr, pole_grid(self.field.p, m - 1, d, m - 1, f.arr.shape[2]))
+            lead = leading_cell(f.arr, pole_grid(self.field.p, ram.d, m - 1, f.arr.shape[2]))
             if lead is None or lead[0] != ram.d[m - 1]:
                 raise InternalConsistencyError(
                     f"layer {m} pole order {lead and lead[0]}, expected lower break {ram.d[m-1]}")

@@ -8,15 +8,31 @@ import hashlib
 import numpy as np
 import pytest
 
-from zptower.gf import FieldCtx
+from zptower.gf import FieldCtx, field
 from zptower.linalg import DenseMatrix
 from oracle import SparsePoly, elements, random_element
 from zptower._slab import Monomial
+from zptower.tower import TowerSpec, TowerState
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(params=[(2, 1), (3, 1), (2, 2)], ids=["p2", "p3", "gf4"])
+def towerenv(request):
+    """(field, state): a small tower over GF(2), GF(3) or GF(4), built to level
+    3 at p = 2 and level 2 at p = 3."""
+    p, k = request.param
+    ctx = field(p, k)
+    if p == 2:
+        spec = TowerSpec.make(ctx, [(0, 1, 5), (0, 1, 3)])
+    else:
+        spec = TowerSpec.make(ctx, [(0, 1, 7), (0, 2, 5)])
+    state = TowerState(spec)
+    state.build_to(3 if p == 2 else 2)
+    return ctx, state
 
 
 def restrict(ctx: FieldCtx, data) -> DenseMatrix:

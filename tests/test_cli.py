@@ -39,6 +39,31 @@ def test_load_spec_and_normalization_warning(tmp_path):
     assert warnings and spec.terms[0].i == 3
 
 
+def _warnings(r) -> list[str]:
+    return [ln for ln in r.stderr.splitlines() if ln.startswith("warning: ")]
+
+
+def test_fit_warns_like_compute(runner, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"name": "w", "p": 2, "terms": [{"v": 0, "c": 1, "i": 6}]}))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "fit", str(path), "-n", "4"])
+    assert r.exit_code == 0, r.output
+    assert _warnings(r) == ["warning: normalizing exponents divisible by p=2: [6]"]
+
+
+def test_scan_warns_once_per_file(runner, tmp_path):
+    # from the up-front check of every file; the workers stay silent
+    sd = tmp_path / "specs"
+    sd.mkdir()
+    for name, i in (("a", 6), ("b", 10), ("c", 5)):
+        (sd / f"{name}.json").write_text(json.dumps(
+            {"name": name, "p": 2, "terms": [{"v": 0, "c": 1, "i": i}]}))
+    r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "scan", str(sd), "-n", "1"])
+    assert r.exit_code == 0, r.output
+    assert _warnings(r) == ["warning: normalizing exponents divisible by p=2: [6]",
+                            "warning: normalizing exponents divisible by p=2: [10]"]
+
+
 def test_extension_field_spec_roundtrip(tmp_path):
     data = {"name": "g", "p": 2, "k": 2, "modulus": [1, 1],
             "terms": [{"v": 0, "c": [0, 1], "i": 5}]}
@@ -264,6 +289,20 @@ def test_internal_consistency_failure_exits_3(runner, specfile, tmp_path, monkey
         assert "internal consistency failure" in r.output
 
 
+def test_engine_exception_exits_3(runner, specfile, tmp_path, monkeypatch):
+    # an exception of the engine's own, here a kernel's ValueError, is no
+    # verification mismatch (exit 1): one line names its type on stderr
+    from zptower.linalg import LinAlgError
+
+    def refuse(M, powers):
+        raise LinAlgError("twisted powers need a square matrix")
+    monkeypatch.setattr(cli, "twisted_power_kernels", refuse)
+    data = tmp_path / "d"
+    r = runner.invoke(main, ["--data-dir", str(data), "compute", str(specfile), "-n", "2"])
+    _one_error_line(r, 3, "LinAlgError", "twisted powers need a square matrix")
+    assert r.stdout == "" and not (data / "results.jsonl").exists()
+
+
 def test_memory_error_exits_4(runner, specfile, tmp_path, monkeypatch):
     # a failed allocation, such as numpy's in a universal peel too large for the
     # address space, is not a verification mismatch (exit 1), and no record is kept
@@ -353,7 +392,7 @@ def _skip_standard_form(monkeypatch):
     # every layer kept as its right-hand side and peel give it, with no shift:
     # the p3d7 layers first need one at level 3, which build_to's last check sees
     monkeypatch.setattr(tower, "reduce_slab",
-                        lambda f, state, d, target_d: (f, _slab.Slab.zeros(f.ctx, f.level)))
+                        lambda f, state: (f, _slab.Slab.zeros(f.ctx, f.level)))
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_ghost_division, _corrupt_peel, _skip_standard_form],

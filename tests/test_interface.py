@@ -47,6 +47,24 @@ def test_cli_exits_2_only_through_click_usage_errors():
     assert not hits
 
 
+def test_pole_orders_belong_to_tower():
+    """The pole orders at infinity are read off the lower breaks, which only
+    tower knows: no _slab def takes a parameter d, and the pole-order helpers
+    are defined in tower and nowhere else."""
+    src = ROOT / "src" / "zptower"
+    slab = ast.parse((src / "_slab.py").read_text())
+    takes_d = [node.name for node in ast.walk(slab) if isinstance(node, ast.FunctionDef)
+               and "d" in [a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                          *node.args.kwonlyargs)]]
+    assert not takes_d
+    owners = {(path.stem, node.name) for path in sorted(src.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("code_weights", "pole_grid", "leading_cell")}
+    assert owners == {("tower", "code_weights"), ("tower", "pole_grid"),
+                      ("tower", "leading_cell")}
+
+
 #: src/zptower modules in pipeline order; each may import only earlier ones
 PIPELINE = ["gf", "_slab", "witt", "tower", "linalg", "cartier", "analysis", "fixtures", "cli"]
 

@@ -2,9 +2,11 @@ import pytest
 
 from oracle import (SparsePoly, from_sparse, gen, infinity_valuation, poly_pth_power,
                     reduce_to_monomial_basis, to_sparse)
-from zptower.gf import field
-from zptower._slab import Monomial, PolyError
-from zptower.tower import TowerSpec, TowerState, monomial_with_pole_order, reduce_slab
+import zptower.tower as tower
+from zptower.gf import InternalConsistencyError, field
+from zptower._slab import Monomial
+from zptower.tower import (TowerError, TowerSpec, TowerState, monomial_with_pole_order,
+                           reduce_slab)
 
 F2, F3 = field(2), field(3)
 
@@ -16,31 +18,29 @@ def x(ctx, n):
 def standard_form(f: SparsePoly, state: TowerState) -> SparsePoly:
     """reduce_slab on a raw layer f_m (a polynomial at level m - 1) against the
     standard-form layers below it, with the lower break d_m as target."""
-    m = f.level + 1
-    ram = state.ensure_ram(m)
-    state.build_to(m - 1)
-    out, _ = reduce_slab(from_sparse(f), state, ram.d[:m - 1], ram.d[m - 1])
+    state.build_to(f.level)
+    out, _ = reduce_slab(from_sparse(f), state)
     return to_sparse(out)
 
 
 def test_monomial_with_pole_order_examples():
-    assert monomial_with_pole_order(8, 2, (5,), 1) == Monomial(4, (0,))
-    assert monomial_with_pole_order(5, 2, (5,), 1) == Monomial(0, (1,))
-    assert monomial_with_pole_order(10, 3, (7,), 1) == Monomial(1, (1,))
+    assert monomial_with_pole_order(8, 2, (5,)) == Monomial(4, (0,))
+    assert monomial_with_pole_order(5, 2, (5,)) == Monomial(0, (1,))
+    assert monomial_with_pole_order(10, 3, (7,)) == Monomial(1, (1,))
 
 
 def test_monomial_with_pole_order_no_representation():
-    with pytest.raises(PolyError):
-        monomial_with_pole_order(1, 2, (5,), 1)  # 2nu + 5a = 1 forces nu < 0
-    with pytest.raises(PolyError):
-        monomial_with_pole_order(-2, 2, (5,), 1)
+    with pytest.raises(TowerError):
+        monomial_with_pole_order(1, 2, (5,))  # 2nu + 5a = 1 forces nu < 0
+    with pytest.raises(TowerError):
+        monomial_with_pole_order(-2, 2, (5,))
 
 
 def test_monomial_with_pole_order_two_levels():
     for w in range(17, 40):
         try:
-            m = monomial_with_pole_order(w, 2, (5, 17), 2)
-        except PolyError:
+            m = monomial_with_pole_order(w, 2, (5, 17))
+        except TowerError:
             continue
         assert m.nu * 4 + m.a[0] * 5 * 2 + m.a[1] * 17 == w
 
@@ -53,6 +53,18 @@ def test_to_standard_form_example():
     want = (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1) + x(F2, 4).at_level(1)
     assert out == want
     assert -infinity_valuation(out, 2, st.ram.d[:1], 1) == st.ram.d[1] == 15
+
+
+def test_missing_z_is_an_internal_consistency_failure(monkeypatch):
+    # the theory says a z of pole order ord(f)/p always exists, so a failed
+    # search is an engine fault (exit 3), not a tower error
+    def refuse(w, p, d):
+        raise TowerError("no monomial with the requested pole order (nu < 0)")
+    monkeypatch.setattr(tower, "monomial_with_pole_order", refuse)
+    st = TowerState(TowerSpec.make(F2, [(0, 1, 5), (0, 1, 3)]))
+    raw = x(F2, 8) + (x(F2, 5) + x(F2, 3)) * SparsePoly.variable(F2, 1)  # pole 16 > d_2 = 15
+    with pytest.raises(InternalConsistencyError, match="no z of pole order 8"):
+        standard_form(raw, st)
 
 
 def test_to_standard_form_already_standard():

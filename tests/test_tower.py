@@ -3,14 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracle import gen, infinity_valuation, to_sparse
+from conftest import random_poly
+from oracle import from_sparse, gen, infinity_valuation, monomial_valuation, to_sparse
 import zptower.tower as tower
 from zptower import _slab
+from zptower._slab import Slab, code_of
 from zptower.fixtures import SUITES
 from zptower.gf import InternalConsistencyError, field
 from zptower.tower import (RamificationData, TowerError, TowerSpec, TowerState,
                            classify_monodromy, closed_form_basic, coefficient_valuations,
-                           lower_breaks, upper_breaks)
+                           leading_cell, lower_breaks, pole_grid, upper_breaks)
 
 F2, F3 = field(2), field(3)
 
@@ -196,6 +198,22 @@ def test_tower_state_standard_form_poles():
         for m in range(1, n + 1):
             assert (-infinity_valuation(to_sparse(st.layer_slab(m)), spec.p, st.ram.d, m - 1)
                     == st.ram.d[m - 1])
+
+
+def test_pole_data_matches_valuation(towerenv, rng):
+    ctx, state = towerenv
+    p, d, n = ctx.p, state.ram.d, state.level
+    for _ in range(8):
+        f = random_poly(ctx, n, rng)
+        if f.is_zero():
+            continue
+        s = from_sparse(f)
+        got = leading_cell(s.arr, pole_grid(p, d, n, s.arr.shape[2]))
+        assert got[0] == -infinity_valuation(f, p, d, n)
+        lead = min(f.terms, key=lambda m: monomial_valuation(p, d, m, n))
+        assert got[1:] == (code_of(p, lead.a), lead.nu)
+        assert tuple(s.arr[got[1], :, got[2]]) == f.terms[lead].coeffs
+    assert leading_cell(Slab.zeros(ctx, 1).arr, pole_grid(p, d, 1, 1)) is None
 
 
 @pytest.mark.parametrize("spec, n", [
