@@ -4,8 +4,9 @@ verification against bundled fixtures, and the append-only result store.
 Spec files are JSON with keys p, k (optional, default 1), modulus (optional,
 only for k > 1), name, and terms = [{"v":, "c":, "i":}, ...] where c is a
 bare integer over prime fields or a coefficient list otherwise.  Every number
-is a JSON integer; a bool, float or string makes the file malformed.  Exponents
-divisible by p are normalized away with a warning.
+is a JSON integer; a bool, float or string makes the file malformed, and so
+does any other key.  Exponents divisible by p are normalized away with a
+warning that names the file.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (including a
 malformed spec file or a corrupt result-store record), 3 internal consistency
@@ -32,8 +33,8 @@ from .cartier import cartier_matrix
 from .fixtures import SUITES
 from .gf import InternalConsistencyError, field, parse_element
 from .linalg import twisted_power_kernels
-from .tower import (RamificationData, TowerError, TowerSpec, TowerState, classify_monodromy,
-                    closed_form_basic)
+from .tower import RamificationData, TowerSpec, TowerState, classify_monodromy, closed_form_basic
+from .witt import RHS_LENGTH_CAP
 
 EXIT_MISMATCH = 1
 EXIT_INTERNAL = 3
@@ -49,7 +50,8 @@ def load_spec(path: str | Path, warn=None) -> TowerSpec:
     """Parse a spec file; any malformed content, including a tower that is not
     totally ramified at level 1, is a usage error (exit 2)."""
     try:
-        spec = spec_from_dict(json.loads(Path(path).read_text()), warn=warn)
+        spec = spec_from_dict(json.loads(Path(path).read_text()),
+                              warn=warn and (lambda message: warn(f"{path}: {message}")))
         RamificationData.compute(spec, 1)
         return spec
     except (KeyError, TypeError, ValueError) as exc:
@@ -73,13 +75,21 @@ def _int(value, key: str) -> int:
     return value
 
 
+def _known_keys(obj: dict, keys: set[str], where: str) -> None:
+    """A key of obj not in keys, such as a misspelt one, is a malformed spec (ValueError)."""
+    if unknown := set(obj) - keys:
+        raise ValueError(f"unknown {where} keys {sorted(unknown)}; expected {sorted(keys)}")
+
+
 def spec_from_dict(data: dict, warn=None) -> TowerSpec:
+    _known_keys(data, {"p", "k", "modulus", "name", "terms"}, "spec")
     p = _int(data["p"], "p")
     k = _int(data.get("k", 1), "k")
     modulus = tuple(_int(c, "modulus") for c in data["modulus"]) if "modulus" in data else None
     ctx = field(p, k, modulus)
     terms = []
     for t in data.get("terms", []):
+        _known_keys(t, {"v", "c", "i"}, "term")
         c = parse_element(ctx, t["c"])
         terms.append((_int(t.get("v", 0), "v"), c, _int(t["i"], "i")))
     reduced = [i for _, _, i in terms if i % p == 0]
@@ -182,10 +192,8 @@ def run_compute(spec: TowerSpec, n: int, powers: int = 1,
 
     Reuses the on-disk precompute cache under data_dir; recomputation with a
     warm cache is deterministic and byte-identical.  A level beyond the spec's
-    supported depth is refused before any work.
+    supported depth is refused by TowerState.ensure_ram before any work.
     """
-    if n > spec.max_level():
-        raise TowerError(f"level {n} beyond the supported depth {spec.max_level()} for p={spec.p}")
     cache_dir = Path(data_dir) / "cache" if data_dir is not None else None
     state = TowerState(spec, cache_dir=cache_dir)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
@@ -331,7 +339,7 @@ def _warn(message: str) -> None:
 
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
-@click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(1, 16))
+@click.option("--levels", "-n", default=4, show_default=True, type=click.IntRange(1, RHS_LENGTH_CAP))
 @click.pass_context
 def info(ctx, specfile, levels):
     """Breaks, conductors, genera, closed forms, and monodromy classification."""
@@ -407,23 +415,20 @@ def scan(ctx, specdir, levels, powers, jobs):
     store = _store(ctx)
     data_dir = ctx.obj["data_dir"]
     workers = min(jobs, len(paths))  # never more processes than spec files
+    args = (paths, [levels] * len(paths), [powers] * len(paths), [data_dir] * len(paths))
     if workers == 1:
-        results = [_scan_one(str(p), levels, powers, str(data_dir)) for p in paths]
+        results = list(map(_scan_one, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_one, [str(p) for p in paths],
-                                    [levels] * len(paths), [powers] * len(paths),
-                                    [str(data_dir)] * len(paths)))
+            results = list(pool.map(_scan_one, *args))
     for path, recs in zip(paths, results):
         for rec in recs:
-            store.append(ResultRecord.deserialize(rec))
+            store.append(rec)
         click.echo(f"{path.name}: {len(recs)} records")
 
 
-def _scan_one(path: str, levels: int, powers: int, data_dir: str) -> list[dict]:
-    spec = load_spec(path)
-    recs = run_compute(spec, levels, powers=powers, data_dir=Path(data_dir))
-    return [r.serialize() for r in recs]
+def _scan_one(path: Path, levels: int, powers: int, data_dir: Path) -> list[ResultRecord]:
+    return run_compute(load_spec(path), levels, powers=powers, data_dir=data_dir)
 
 
 @main.command()

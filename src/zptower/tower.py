@@ -411,6 +411,10 @@ class TowerState:
         return len(self.layers)
 
     def ensure_ram(self, n: int) -> RamificationData:
+        """Breaks and genera to level n; the one depth check: TowerError past max_level()."""
+        if n > self.spec.max_level():
+            raise TowerError(
+                f"level {n} beyond the supported depth {self.spec.max_level()} for p={self.spec.p}")
         if self.ram is None or self.ram.levels < n:
             self.ram = RamificationData.compute(self.spec, n)
         return self.ram
@@ -418,9 +422,6 @@ class TowerState:
     def build_to(self, n: int) -> "TowerState":
         """Layer m, for each m up to n not built yet, from the m-th right-hand-side
         component minus the peel correction evaluated at the substituted variables."""
-        if n > self.spec.max_level():
-            raise TowerError(
-                f"level {n} beyond supported Witt length {self.spec.max_level()} for p={self.spec.p}")
         if n <= self.level:
             return self
         ram = self.ensure_ram(n)

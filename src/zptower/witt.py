@@ -45,11 +45,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gf import FieldCtx, InternalConsistencyError
+from .gf import SUPPORTED_PRIMES, FieldCtx, InternalConsistencyError
 
-#: Deepest supported truncation per characteristic (levels computed anywhere
-#: in the pipeline are bounded by these).
-LENGTH_CAP = {2: 8, 3: 6, 5: 4, 7: 2, 11: 2, 13: 2}
+#: Deepest peel length per prime, so a tower's deepest level (TowerState.ensure_ram).
+LENGTH_CAP = dict(zip(SUPPORTED_PRIMES, (8, 6, 4, 2, 2, 2), strict=True))
+#: Deepest right-hand-side length, and so the deepest break sequence, at every p.
+RHS_LENGTH_CAP = 16
 
 CACHE_FORMAT_VERSION = 3
 
@@ -365,10 +366,8 @@ def rhs_components(terms: Sequence[tuple[int, object, int]], length: int,
     the k-tuple of its residues in [0, p) at every k.
     """
     p = field.p
-    if p not in LENGTH_CAP:
-        raise WittError(f"unsupported characteristic {p}")
-    if not 1 <= length <= 16:
-        raise WittError(f"Witt length {length} out of range 1..16")
+    if not 1 <= length <= RHS_LENGTH_CAP:
+        raise WittError(f"Witt length {length} out of range 1..{RHS_LENGTH_CAP}")
     vecs = []
     for v, c, i in terms:
         c = field.elem(c)

@@ -48,7 +48,7 @@ def test_fit_warns_like_compute(runner, tmp_path):
     path.write_text(json.dumps({"name": "w", "p": 2, "terms": [{"v": 0, "c": 1, "i": 6}]}))
     r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "fit", str(path), "-n", "4"])
     assert r.exit_code == 0, r.output
-    assert _warnings(r) == ["warning: normalizing exponents divisible by p=2: [6]"]
+    assert _warnings(r) == [f"warning: {path}: normalizing exponents divisible by p=2: [6]"]
 
 
 def test_scan_warns_once_per_file(runner, tmp_path):
@@ -60,8 +60,8 @@ def test_scan_warns_once_per_file(runner, tmp_path):
             {"name": name, "p": 2, "terms": [{"v": 0, "c": 1, "i": i}]}))
     r = runner.invoke(main, ["--data-dir", str(tmp_path / "d"), "scan", str(sd), "-n", "1"])
     assert r.exit_code == 0, r.output
-    assert _warnings(r) == ["warning: normalizing exponents divisible by p=2: [6]",
-                            "warning: normalizing exponents divisible by p=2: [10]"]
+    assert _warnings(r) == [f"warning: {sd / name}: normalizing exponents divisible by p=2: {i}"
+                            for name, i in (("a.json", [6]), ("b.json", [10]))]
 
 
 def test_extension_field_spec_roundtrip(tmp_path):
@@ -102,6 +102,11 @@ def test_run_compute_refuses_a_level_past_the_supported_depth(tmp_path):
         run_compute(spec, spec.max_level() + 1, data_dir=tmp_path / "d", store=store,
                     echo=echoed.append)
     assert echoed == [] and not (tmp_path / "d").exists()
+
+
+def test_info_levels_stop_at_the_right_hand_side_cap():
+    levels = next(param for param in main.commands["info"].params if param.name == "levels")
+    assert levels.type.max == witt.RHS_LENGTH_CAP
 
 
 def test_info_computes_the_breaks_once(runner, specfile, tmp_path, monkeypatch):
@@ -255,10 +260,14 @@ def _p3(i=7, c=1, p=3, **extra):
                                   _p3(i=7.9), _p3(p=3.5), _p3(p="3", i="7"), _p3(i=True),
                                   _p3(c=True), _p3(c=[1.2, 0], p=2, k=2.5, modulus=[1.9, 1]),
                                   _p3(c=[1.2, 0], p=2, k=2, modulus=[1, 1]),
-                                  _p3(c=[1, 0], p=2, k=2, modulus=[1, True])],
+                                  _p3(c=[1, 0], p=2, k=2, modulus=[1, True]),
+                                  _p3(c=[0, 1], k=2, modulos=[2, 2]),
+                                  {"name": "x", "p": 3, "terms": [{"v": 0, "c": 1, "i": 7},
+                                                                  {"val": 1, "c": 1, "i": 2}]}],
                          ids=["missing-p", "term-missing-i", "no-terms", "no-valuation-0-term",
                               "float-i", "float-p", "string-p-i", "bool-i", "bool-c",
-                              "float-k-modulus-c", "float-c-entry", "bool-modulus-entry"])
+                              "float-k-modulus-c", "float-c-entry", "bool-modulus-entry",
+                              "misspelt-modulus", "misspelt-term-v"])
 def test_malformed_spec_is_usage_error(runner, tmp_path, spec):
     # a tower that is not totally ramified at level 1 is malformed input too,
     # and a number that is not a JSON integer is never truncated to one

@@ -65,6 +65,20 @@ def test_pole_orders_belong_to_tower():
                       ("tower", "leading_cell")}
 
 
+def test_depth_limit_has_one_owner():
+    """How deep a tower may be built is checked by TowerState.ensure_ram, and
+    turned into a usage error for the user by cli._load_for_levels; no other
+    def of the package reads max_level."""
+    readers = set()
+    for path in sorted((ROOT / "src" / "zptower").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            inner = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
+            readers |= {f"{path.stem}.{owner}{getattr(node, 'name', '')}" for node in inner
+                        if "max_level" in _attribute_reads(node)}
+    assert readers == {"tower.TowerState.ensure_ram", "cli._load_for_levels"}
+
+
 #: src/zptower modules in pipeline order; each may import only earlier ones
 PIPELINE = ["gf", "_slab", "witt", "tower", "linalg", "cartier", "analysis", "fixtures", "cli"]
 

@@ -97,6 +97,14 @@ def test_genus():
     assert [TowerState(spec27).genus(n) for n in (0, 1, 2, 3)] == [0, 3, 16, 70]
 
 
+def test_ensure_ram_refuses_a_level_past_the_supported_depth():
+    # the one depth check of the package: the refused level computes nothing
+    state = TowerState(TowerSpec.make(field(7), [(0, 1, 3)]))
+    with pytest.raises(TowerError, match="level 3 beyond the supported depth 2 for p=7"):
+        state.ensure_ram(state.spec.max_level() + 1)
+    assert state.ram is None and state.ensure_ram(2).levels == 2
+
+
 def test_closed_form_basic():
     assert closed_form_basic(3, 7, 2) == (66, 49, 21)
     assert closed_form_basic(2, 7, 1) == (3, 7, 7)

@@ -12,9 +12,10 @@ import zptower.witt as witt_mod
 from conftest import sealed
 from oracle import (SparsePoly, addition_polynomials, dict_add, dict_mul, dict_pow, evaluate_witt,
                     gen)
-from zptower.gf import field
+from zptower.gf import SUPPORTED_PRIMES, field
 from zptower._slab import Monomial
-from zptower.witt import WittError, peel_polynomials, read_cache, rhs_components, write_cache
+from zptower.witt import (LENGTH_CAP, RHS_LENGTH_CAP, WittError, peel_polynomials, read_cache,
+                          rhs_components, write_cache)
 
 F2, F3 = field(2), field(3)
 
@@ -238,6 +239,12 @@ def test_length_caps():
         peel_polynomials(3, 7)
     # right-hand sides beyond the universal cap are allowed
     assert rhs_components([(0, 1, 1)], 5, field(7))[0] == comp([(1, 1)])
+
+
+def test_length_caps_cover_exactly_the_supported_primes():
+    assert sorted(LENGTH_CAP) == list(SUPPORTED_PRIMES)
+    with pytest.raises(WittError, match=f"out of range 1..{RHS_LENGTH_CAP}"):
+        rhs_components([(0, 1, 1)], RHS_LENGTH_CAP + 1, field(2))
 
 
 def test_disk_cache_roundtrip(tmp_path):
