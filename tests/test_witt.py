@@ -237,12 +237,9 @@ def test_length_caps():
         peel_polynomials(7, 3)
     with pytest.raises(WittError):
         peel_polynomials(3, 7)
-    # right-hand sides beyond the universal cap are allowed
-    assert rhs_components([(0, 1, 1)], 5, field(7))[0] == comp([(1, 1)])
-
-
-def test_length_caps_cover_exactly_the_supported_primes():
     assert sorted(LENGTH_CAP) == list(SUPPORTED_PRIMES)
+    # right-hand sides beyond the universal cap are allowed, up to their own
+    assert rhs_components([(0, 1, 1)], 5, field(7))[0] == comp([(1, 1)])
     with pytest.raises(WittError, match=f"out of range 1..{RHS_LENGTH_CAP}"):
         rhs_components([(0, 1, 1)], RHS_LENGTH_CAP + 1, field(2))
 
